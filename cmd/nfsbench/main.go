@@ -36,6 +36,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/experiments"
@@ -118,10 +119,7 @@ func main() {
 	want := args[0]
 	rs := runners()
 	if want == "all" {
-		for _, r := range rs {
-			fmt.Printf("== %s: %s ==\n", r.name, r.desc)
-			fmt.Println(r.run())
-		}
+		writeAll(os.Stdout)
 		return
 	}
 	for _, r := range rs {
@@ -133,6 +131,14 @@ func main() {
 	fmt.Fprintf(os.Stderr, "nfsbench: unknown experiment %q\n\n", want)
 	usage()
 	os.Exit(2)
+}
+
+// writeAll runs every experiment in order, each under a header line.
+func writeAll(w io.Writer) {
+	for _, r := range runners() {
+		fmt.Fprintf(w, "== %s: %s ==\n", r.name, r.desc)
+		fmt.Fprintln(w, r.run())
+	}
 }
 
 func usage() {

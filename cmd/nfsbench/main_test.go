@@ -54,6 +54,34 @@ func TestUsageListsEveryExperiment(t *testing.T) {
 	}
 }
 
+// `nfsbench -quick all` is pinned byte for byte against a golden
+// captured from the tree before the experiments became declarative, so
+// every table, note and footer survives any refactor of how they are
+// produced. Regenerate only for a deliberate model change:
+//
+//	go run ./cmd/nfsbench -quick all > cmd/nfsbench/testdata/quick_all.golden
+func TestQuickAllMatchesGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/quick_all.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(q bool) { *quick = q }(*quick)
+	*quick = true
+	var b strings.Builder
+	writeAll(&b)
+	got := b.String()
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("output differs from golden at line %d:\n got: %q\nwant: %q", i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("output has %d lines, golden %d", len(gl), len(wl))
+}
+
 // The zipf runner executes end to end and renders the metadata table
 // with its headline comparisons — a smoke test of the whole experiment
 // path through main's dispatch table.
