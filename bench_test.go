@@ -16,18 +16,26 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/rpcsim"
+	"repro/internal/stats"
 )
 
 // quickSizes keeps the sweep benches to a practical iteration time while
 // preserving the curve's shape (plateau, knee, tail).
 var quickSizes = []int{25, 100, 200, 250, 300, 450}
 
+// sweep runs a Figure 1/7 spec at the quick sizes.
+func sweep(e *experiments.Experiment) (linux, filer, local *stats.Series) {
+	g := *e.Grid
+	g.FileSizesMB = quickSizes
+	return experiments.SweepSeries(experiments.RunGrid(g))
+}
+
 func BenchmarkFig1LocalVsNFSStock(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig1(quickSizes)
-		b.ReportMetric(r.Local.MaxY()/1000, "local-peak-MB/s")
-		b.ReportMetric(r.Filer.YAt(100)/1000, "filer-MB/s@100MB")
-		b.ReportMetric(r.Linux.YAt(100)/1000, "linux-MB/s@100MB")
+		linux, filer, local := sweep(experiments.Fig1)
+		b.ReportMetric(local.MaxY()/1000, "local-peak-MB/s")
+		b.ReportMetric(filer.YAt(100)/1000, "filer-MB/s@100MB")
+		b.ReportMetric(linux.YAt(100)/1000, "linux-MB/s@100MB")
 	}
 }
 
@@ -46,7 +54,7 @@ func BenchmarkFig3LinearListGrowth(b *testing.B) {
 		r := experiments.Fig3()
 		b.ReportMetric(float64(r.MeanAll.Microseconds()), "mean-us")
 		b.ReportMetric(r.SlopeNsCall, "slope-ns/call")
-		b.ReportMetric(r.Result.WriteMBps(), "write-MB/s")
+		b.ReportMetric(r.Result.WriteMBps, "write-MB/s")
 	}
 }
 
@@ -55,63 +63,62 @@ func BenchmarkFig4HashTableFlat(b *testing.B) {
 		r := experiments.Fig4()
 		b.ReportMetric(float64(r.MeanAll.Microseconds()), "mean-us")
 		b.ReportMetric(r.SlopeNsCall, "slope-ns/call")
-		b.ReportMetric(r.Result.WriteMBps(), "write-MB/s")
+		b.ReportMetric(r.Result.WriteMBps, "write-MB/s")
 	}
 }
 
 func BenchmarkFig5HistogramsBKL(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig5()
-		b.ReportMetric(float64(r.FilerMean.Microseconds()), "filer-mean-us")
-		b.ReportMetric(float64(r.LinuxMean.Microseconds()), "linux-mean-us")
-		b.ReportMetric(float64(r.FilerTail), "filer-tail-calls")
-		b.ReportMetric(float64(r.LinuxTail), "linux-tail-calls")
+		reportHist(b, experiments.Fig5())
 	}
 }
 
 func BenchmarkFig6HistogramsNoLock(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig6()
-		b.ReportMetric(float64(r.FilerMean.Microseconds()), "filer-mean-us")
-		b.ReportMetric(float64(r.LinuxMean.Microseconds()), "linux-mean-us")
-		b.ReportMetric(float64(r.FilerTail), "filer-tail-calls")
-		b.ReportMetric(float64(r.LinuxTail), "linux-tail-calls")
+		reportHist(b, experiments.Fig6())
 	}
+}
+
+func reportHist(b *testing.B, r *experiments.HistResult) {
+	b.ReportMetric(float64(r.Filer.Mean.Microseconds()), "filer-mean-us")
+	b.ReportMetric(float64(r.Linux.Mean.Microseconds()), "linux-mean-us")
+	b.ReportMetric(float64(r.FilerHist.TailCount(experiments.TailCutoff)), "filer-tail-calls")
+	b.ReportMetric(float64(r.LinuxHist.TailCount(experiments.TailCutoff)), "linux-tail-calls")
 }
 
 func BenchmarkTable1LockVsNoLock(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Table1()
-		b.ReportMetric(r.FilerLockMBps, "filer-lock-MB/s")
-		b.ReportMetric(r.FilerNoLockMBps, "filer-nolock-MB/s")
-		b.ReportMetric(r.LinuxLockMBps, "linux-lock-MB/s")
-		b.ReportMetric(r.LinuxNoLockMBps, "linux-nolock-MB/s")
+		rows := experiments.RunGrid(*experiments.Table1.Grid) // hash filer, hash linux, enhanced filer, enhanced linux
+		b.ReportMetric(rows[0].WriteMBps, "filer-lock-MB/s")
+		b.ReportMetric(rows[2].WriteMBps, "filer-nolock-MB/s")
+		b.ReportMetric(rows[1].WriteMBps, "linux-lock-MB/s")
+		b.ReportMetric(rows[3].WriteMBps, "linux-nolock-MB/s")
 	}
 }
 
 func BenchmarkFig7LocalVsNFSEnhanced(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig7(quickSizes)
-		b.ReportMetric(r.Filer.YAt(100)/1000, "filer-MB/s@100MB")
-		b.ReportMetric(r.Filer.YAt(450)/1000, "filer-MB/s@450MB")
-		b.ReportMetric(r.Linux.YAt(450)/1000, "linux-MB/s@450MB")
-		b.ReportMetric(r.Local.YAt(450)/1000, "local-MB/s@450MB")
+		linux, filer, local := sweep(experiments.Fig7)
+		b.ReportMetric(filer.YAt(100)/1000, "filer-MB/s@100MB")
+		b.ReportMetric(filer.YAt(450)/1000, "filer-MB/s@450MB")
+		b.ReportMetric(linux.YAt(450)/1000, "linux-MB/s@450MB")
+		b.ReportMetric(local.YAt(450)/1000, "local-MB/s@450MB")
 	}
 }
 
 func BenchmarkSlow100Paradox(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Slow100()
-		b.ReportMetric(r.SlowMBps, "slow-mem-MB/s")
-		b.ReportMetric(r.FilerMBps, "filer-mem-MB/s")
+		rows := experiments.RunGrid(*experiments.Slow100.Grid) // slow100, filer
+		b.ReportMetric(rows[0].WriteMBps, "slow-mem-MB/s")
+		b.ReportMetric(rows[1].WriteMBps, "filer-mem-MB/s")
 	}
 }
 
 func BenchmarkJumboAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Jumbo()
-		b.ReportMetric(r.StandardMBps, "mtu1500-MB/s")
-		b.ReportMetric(r.JumboMBps, "mtu9000-MB/s")
+		rows := experiments.RunGrid(*experiments.Jumbo.Grid) // standard, jumbo
+		b.ReportMetric(rows[0].FlushMBps, "mtu1500-MB/s")
+		b.ReportMetric(rows[1].FlushMBps, "mtu9000-MB/s")
 	}
 }
 
@@ -120,7 +127,7 @@ func BenchmarkJumboAblation(b *testing.B) {
 // benchRun runs a 10 MB write-phase benchmark and returns MB/s.
 func benchRun(srv nfssim.ServerKind, cfg core.Config, cpus int) float64 {
 	tb := nfssim.NewTestbed(nfssim.Options{Server: srv, Client: cfg, ClientCPUs: cpus})
-	res := bonnie.Run(tb.Sim, "bench", tb.Open, bonnie.Config{
+	res := bonnie.RunWorkload(tb.Sim, "bench", tb.OpenSet(), bonnie.Config{
 		FileSize: 10 << 20, TimeLimit: 10 * time.Minute, SkipFlushClose: true,
 	})
 	return res.WriteMBps()
@@ -206,7 +213,7 @@ func BenchmarkAblationSlotTable(b *testing.B) {
 					Client: core.EnhancedConfig(),
 					RPC:    &rpcCfg,
 				})
-				res := bonnie.Run(tb.Sim, "slots", tb.Open, bonnie.Config{
+				res := bonnie.RunWorkload(tb.Sim, "slots", tb.OpenSet(), bonnie.Config{
 					FileSize: 10 << 20, TimeLimit: 10 * time.Minute,
 				})
 				b.ReportMetric(res.FlushMBps(), "flush-MB/s")
@@ -227,11 +234,9 @@ func BenchmarkSimulatorEventRate(b *testing.B) {
 // amplification versus TCP segment recovery at 1% fragment loss.
 func BenchmarkLossSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.LossSweep()
-		for _, row := range r.Rows {
-			if row.Config == "enhanced" && row.Loss == 0.01 {
-				b.ReportMetric(row.AggMBps, row.Transport+"-MB/s@1%loss")
-			}
+		rows := experiments.RunGrid(*experiments.Loss.Grid)
+		for _, tr := range []string{"udp", "tcp"} {
+			b.ReportMetric(experiments.Loss.Row(rows, "enhanced", tr, "1").AggMBps, tr+"-MB/s@1%loss")
 		}
 	}
 }
@@ -249,7 +254,7 @@ func BenchmarkAblationTransport(b *testing.B) {
 						Transport: tr,
 						Loss:      loss,
 					})
-					res := bonnie.Run(tb.Sim, "transport", tb.Open, bonnie.Config{
+					res := bonnie.RunWorkload(tb.Sim, "transport", tb.OpenSet(), bonnie.Config{
 						FileSize: 10 << 20, TimeLimit: 10 * time.Minute,
 					})
 					b.ReportMetric(res.CloseMBps(), "close-MB/s")
@@ -263,10 +268,11 @@ func BenchmarkAblationTransport(b *testing.B) {
 // rewrite and mixed workloads with the readahead ablation.
 func BenchmarkReadSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.ReadSweep()
-		b.ReportMetric(r.Throughput("enhanced", "read"), "enhanced-read-MB/s")
-		b.ReportMetric(r.Throughput("ra-off", "read"), "ra-off-read-MB/s")
-		b.ReportMetric(r.Throughput("enhanced", "mixed"), "enhanced-mixed-MB/s")
+		rows := experiments.RunGrid(*experiments.Read.Grid)
+		mbps := func(cfg, wl string) float64 { return experiments.Read.Row(rows, cfg, wl).WriteMBps }
+		b.ReportMetric(mbps("enhanced", "read"), "enhanced-read-MB/s")
+		b.ReportMetric(mbps("ra-off", "read"), "ra-off-read-MB/s")
+		b.ReportMetric(mbps("enhanced", "mixed"), "enhanced-mixed-MB/s")
 	}
 }
 
@@ -274,11 +280,12 @@ func BenchmarkReadSweep(b *testing.B) {
 // progression under sequential vs random chunk I/O.
 func BenchmarkRandomSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.RandomSweep()
-		b.ReportMetric(r.Throughput("hash", "randwrite"), "hash-randwrite-MB/s")
-		b.ReportMetric(r.Throughput("nolimits", "randwrite"), "list-randwrite-MB/s")
-		b.ReportMetric(r.Throughput("stock", "randwrite"), "stock-randwrite-MB/s")
-		b.ReportMetric(r.Throughput("enhanced", "randread"), "enhanced-randread-MB/s")
+		rows := experiments.RunGrid(*experiments.Random.Grid)
+		mbps := func(cfg, wl string) float64 { return experiments.Random.Row(rows, cfg, wl).WriteMBps }
+		b.ReportMetric(mbps("hash", "randwrite"), "hash-randwrite-MB/s")
+		b.ReportMetric(mbps("nolimits", "randwrite"), "list-randwrite-MB/s")
+		b.ReportMetric(mbps("stock", "randwrite"), "stock-randwrite-MB/s")
+		b.ReportMetric(mbps("enhanced", "randread"), "enhanced-randread-MB/s")
 	}
 }
 
@@ -286,12 +293,11 @@ func BenchmarkRandomSweep(b *testing.B) {
 // fsync cost on the filer vs the Linux server.
 func BenchmarkDBLoad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.DBLoad()
+		rows := experiments.RunGrid(*experiments.DB.Grid)
 		for _, srv := range []string{"filer", "linux"} {
-			if row := r.Row(srv, "enhanced"); row != nil {
-				b.ReportMetric(row.TxPerSec, srv+"-tx/s")
-				b.ReportMetric(float64(row.FsyncTime.Milliseconds()), srv+"-fsync-ms")
-			}
+			row := *experiments.DB.Row(rows, srv, "enhanced")
+			b.ReportMetric(experiments.TxPerSec(row), srv+"-tx/s")
+			b.ReportMetric(float64(experiments.FsyncTime(row).Milliseconds()), srv+"-fsync-ms")
 		}
 	}
 }
@@ -300,34 +306,28 @@ func BenchmarkDBLoad(b *testing.B) {
 // Zipfian op mix with the attribute cache on and off.
 func BenchmarkZipfSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.ZipfSweep()
-		if on := r.Cell("zipf", "on"); on != nil {
-			b.ReportMetric(on.AggMBps, "ac-on-MB/s")
-			b.ReportMetric(on.HitRate, "ac-hit-rate")
-			b.ReportMetric(float64(on.Getattrs), "ac-on-getattrs")
-		}
-		if off := r.Cell("zipf", "off"); off != nil {
-			b.ReportMetric(off.AggMBps, "noac-MB/s")
-			b.ReportMetric(float64(off.Getattrs), "noac-getattrs")
-		}
+		rows := experiments.RunGrid(*experiments.Zipf.Grid)
+		on, off := experiments.Zipf.Row(rows, "zipf", "on"), experiments.Zipf.Row(rows, "zipf", "off")
+		b.ReportMetric(on.AggMBps, "ac-on-MB/s")
+		b.ReportMetric(on.AttrCacheHitRate, "ac-hit-rate")
+		b.ReportMetric(float64(on.GetattrRPCs), "ac-on-getattrs")
+		b.ReportMetric(off.AggMBps, "noac-MB/s")
+		b.ReportMetric(float64(off.GetattrRPCs), "noac-getattrs")
 	}
 }
 
 func BenchmarkCoherenceSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.CoherenceSweep()
-		if strict := r.Cell("strict"); strict != nil {
-			b.ReportMetric(strict.AggMBps, "strict-MB/s")
-			b.ReportMetric(float64(strict.Getattrs), "strict-getattrs")
-		}
-		if ttl := r.Cell("ttl"); ttl != nil {
-			b.ReportMetric(ttl.AggMBps, "ttl-MB/s")
-			b.ReportMetric(float64(ttl.StaleReads), "ttl-stale-reads")
-		}
-		if noac := r.Cell("noac"); noac != nil {
-			b.ReportMetric(noac.AggMBps, "noac-MB/s")
-			b.ReportMetric(float64(noac.StaleReads), "noac-stale-reads")
-		}
+		rows := experiments.RunGrid(*experiments.Coherence.Grid)
+		strict := experiments.Coherence.Row(rows, "strict")
+		ttl := experiments.Coherence.Row(rows, "ttl")
+		noac := experiments.Coherence.Row(rows, "noac")
+		b.ReportMetric(strict.AggMBps, "strict-MB/s")
+		b.ReportMetric(float64(strict.GetattrRPCs), "strict-getattrs")
+		b.ReportMetric(ttl.AggMBps, "ttl-MB/s")
+		b.ReportMetric(float64(ttl.StaleReads), "ttl-stale-reads")
+		b.ReportMetric(noac.AggMBps, "noac-MB/s")
+		b.ReportMetric(float64(noac.StaleReads), "noac-stale-reads")
 	}
 }
 
@@ -374,10 +374,11 @@ func itoa(n int) string {
 // outcome.
 func BenchmarkFleet1000(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.FleetAt([]int{1000}, 1)
-		row := r.Rows[0]
-		b.ReportMetric(row.Aggregate, "agg-MB/s")
+		g := *experiments.Fleet.Grid
+		g.Clients = []int{1000}
+		row := experiments.RunGrid(g)[0]
+		b.ReportMetric(row.AggMBps, "agg-MB/s")
 		b.ReportMetric(row.Fairness, "fairness")
-		b.ReportMetric(row.SlotWaitShare, "slot-wait-share")
+		b.ReportMetric(experiments.SlotWaitShare(row), "slot-wait-share")
 	}
 }

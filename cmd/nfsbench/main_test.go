@@ -5,31 +5,37 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
-// Every experiment name is unique, documented, and runnable, and the
-// zipf entry added with the metadata path is registered.
+// Every experiment name is unique, documented, and renderable, and the
+// experiments the paper's evaluation and its extensions need are
+// registered.
 func TestRunnersWellFormed(t *testing.T) {
-	rs := runners()
 	seen := map[string]bool{}
-	for _, r := range rs {
-		if r.name == "" || r.desc == "" || r.run == nil {
-			t.Fatalf("malformed runner %+v", r)
+	for _, e := range experiments.Registry {
+		if e.Name == "" || e.Desc == "" || (e.Render == nil && e.Columns == nil) {
+			t.Fatalf("malformed experiment %+v", e)
 		}
-		if seen[r.name] {
-			t.Fatalf("duplicate experiment name %q", r.name)
+		if e.Render == nil && e.Grid == nil {
+			t.Fatalf("table experiment %q has no grid", e.Name)
 		}
-		seen[r.name] = true
+		if seen[e.Name] {
+			t.Fatalf("duplicate experiment name %q", e.Name)
+		}
+		seen[e.Name] = true
 	}
-	for _, want := range []string{"fig1", "fig7", "loss", "read", "random", "db", "zipf"} {
+	for _, want := range []string{"fig1", "fig7", "loss", "read", "random", "db", "zipf", "concurrent", "coherence", "chaos"} {
 		if !seen[want] {
 			t.Fatalf("experiment %q not registered", want)
 		}
 	}
 }
 
-// The usage text lists every registered experiment, so `nfsbench -h`
-// never drifts from the runner table.
+// The usage text lists every registered experiment with its description
+// starting in one column, so `nfsbench -h` never drifts from the
+// registry and long names never push a description out of line.
 func TestUsageListsEveryExperiment(t *testing.T) {
 	old := os.Stderr
 	r, w, err := os.Pipe()
@@ -44,10 +50,19 @@ func TestUsageListsEveryExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rn := range runners() {
-		if !strings.Contains(string(out), rn.name) {
-			t.Fatalf("usage output missing experiment %q:\n%s", rn.name, out)
+	descCol := -1
+	for _, e := range experiments.Registry {
+		line := "  " + e.Name + " "
+		i := strings.Index(string(out), line)
+		if i < 0 {
+			t.Fatalf("usage output missing experiment %q:\n%s", e.Name, out)
 		}
+		rest := string(out[i+len(line):])
+		col := len(line) + len(rest) - len(strings.TrimLeft(rest, " "))
+		if descCol >= 0 && col != descCol {
+			t.Fatalf("description of %q starts at column %d, others at %d:\n%s", e.Name, col, descCol, out)
+		}
+		descCol = col
 	}
 	if !strings.Contains(string(out), "all") {
 		t.Fatalf("usage output missing the all pseudo-experiment:\n%s", out)
@@ -55,9 +70,9 @@ func TestUsageListsEveryExperiment(t *testing.T) {
 }
 
 // `nfsbench -quick all` is pinned byte for byte against a golden
-// captured from the tree before the experiments became declarative, so
-// every table, note and footer survives any refactor of how they are
-// produced. Regenerate only for a deliberate model change:
+// captured before the experiments became registry specs, so every table,
+// note and footer survives any refactor of how they are produced.
+// Regenerate only for a deliberate model change:
 //
 //	go run ./cmd/nfsbench -quick all > cmd/nfsbench/testdata/quick_all.golden
 func TestQuickAllMatchesGolden(t *testing.T) {
@@ -65,10 +80,8 @@ func TestQuickAllMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func(q bool) { *quick = q }(*quick)
-	*quick = true
 	var b strings.Builder
-	writeAll(&b)
+	writeAll(&b, true)
 	got := b.String()
 	if got == string(want) {
 		return
@@ -80,23 +93,4 @@ func TestQuickAllMatchesGolden(t *testing.T) {
 		}
 	}
 	t.Fatalf("output has %d lines, golden %d", len(gl), len(wl))
-}
-
-// The zipf runner executes end to end and renders the metadata table
-// with its headline comparisons — a smoke test of the whole experiment
-// path through main's dispatch table.
-func TestZipfRunnerProducesReport(t *testing.T) {
-	for _, r := range runners() {
-		if r.name != "zipf" {
-			continue
-		}
-		out := r.run()
-		for _, want := range []string{"Many-file metadata", "attribute cache:", "hot-set skew:"} {
-			if !strings.Contains(out, want) {
-				t.Fatalf("zipf report missing %q:\n%s", want, out)
-			}
-		}
-		return
-	}
-	t.Fatal("zipf runner not found")
 }

@@ -30,12 +30,12 @@ import (
 
 	nfssim "repro"
 	"repro/internal/bonnie"
-	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/harness"
 )
 
 var (
-	serverFlag   = flag.String("server", "filer", "server: filer, linux, slow100")
+	serverFlag   = flag.String("server", "filer", "server: filer, linux, slow100, local")
 	clientFlag   = flag.String("client", "stock", "client: stock, nolimits, hash, enhanced")
 	mbFlag       = flag.Int("mb", 40, "file size in MB")
 	workloadFlag = flag.String("workload", "write", "workload for custom runs: write, rewrite, read, mixed, randread, randwrite, db")
@@ -96,42 +96,27 @@ func main() {
 	fmt.Print(out)
 }
 
-// custom assembles a test bed from names and runs one benchmark,
-// returning its per-call latency trace.
-func custom(server, client, workload string, mb int) (*bonnie.Result, error) {
-	var srv nfssim.ServerKind
-	switch server {
-	case "filer":
-		srv = nfssim.ServerFiler
-	case "linux":
-		srv = nfssim.ServerLinux
-	case "slow100":
-		srv = nfssim.ServerSlow100
-	default:
-		return nil, fmt.Errorf("unknown server %q", server)
+// custom runs one write-phase scenario named by server, client
+// configuration and workload on the harness, returning its result.
+func custom(server, client, workload string, mb int) (harness.Result, error) {
+	srv, err := harness.ServerByName(server)
+	if err != nil {
+		return harness.Result{}, err
 	}
-	var cfg core.Config
-	switch client {
-	case "stock":
-		cfg = core.Stock244Config()
-	case "nolimits":
-		cfg = core.NoLimitsConfig()
-	case "hash":
-		cfg = core.HashConfig()
-	case "enhanced":
-		cfg = core.EnhancedConfig()
-	default:
-		return nil, fmt.Errorf("unknown client %q", client)
+	cfg, err := harness.ConfigByName(client)
+	if err != nil {
+		return harness.Result{}, err
 	}
 	wl, err := bonnie.ParseWorkload(workload)
 	if err != nil {
-		return nil, err
+		return harness.Result{}, err
 	}
-	tb := nfssim.NewTestbed(nfssim.Options{Server: srv, Client: cfg})
-	return bonnie.RunWorkload(tb.Sim, "custom", tb.OpenSet(), bonnie.Config{
-		FileSize:       int64(mb) << 20,
-		Workload:       wl,
-		TimeLimit:      time.Hour,
+	return harness.RunScenario(harness.Grid{
+		Servers:        []nfssim.ServerKind{srv},
+		Configs:        []harness.ClientConfig{cfg},
+		FileSizesMB:    []int{mb},
+		Workloads:      []bonnie.Workload{wl},
 		SkipFlushClose: true,
-	}), nil
+		TimeLimit:      time.Hour,
+	}.Expand()[0]), nil
 }

@@ -2,7 +2,7 @@
 // workload the paper's introduction motivates ("complex corporate
 // applications such as database and mail services"): random 8 KB page
 // updates inside a preallocated table file, with a group-commit fsync
-// every batch. It is a thin wrapper over experiments.DBLoad — the same
+// every batch. It is a thin wrapper over experiments.DB — the same
 // table `nfsbench db` prints and TestDBLoadShape pins — comparing the
 // stock 2.4.4 client against the patched client on both servers: the
 // fixes help transactional workloads too, and a COMMIT-bound server
@@ -16,5 +16,5 @@ import (
 )
 
 func main() {
-	fmt.Println(experiments.DBLoad().Render())
+	fmt.Println(experiments.DB.Output(false))
 }

@@ -19,7 +19,7 @@ import (
 
 func run(name string, cfg core.Config) *bonnie.Result {
 	tb := nfssim.NewTestbed(nfssim.Options{Server: nfssim.ServerFiler, Client: cfg})
-	return bonnie.Run(tb.Sim, name, tb.Open, bonnie.Config{
+	return bonnie.RunWorkload(tb.Sim, name, tb.OpenSet(), bonnie.Config{
 		FileSize:       40 << 20,
 		TimeLimit:      10 * time.Minute,
 		SkipFlushClose: true,

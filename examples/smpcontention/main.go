@@ -41,15 +41,15 @@ func main() {
 		cfg := core.HashConfig()
 		cfg.LockPolicy = r.policy
 		tb := nfssim.NewTestbed(nfssim.Options{Server: r.server, Client: cfg})
-		res := bonnie.Run(tb.Sim, r.label, tb.Open, bonnie.Config{
+		res := bonnie.RunWorkload(tb.Sim, r.label, tb.OpenSet(), bonnie.Config{
 			FileSize:       5 << 20,
 			TimeLimit:      time.Minute,
 			SkipFlushClose: true,
 		})
 		r.mbps = res.WriteMBps()
 		r.mean = res.Trace.Summary().Mean
-		r.waits = tb.BKL.Contentions
-		r.waitSum = tb.BKL.TotalWait
+		r.waits = tb.Machine(0).BKL.Contentions
+		r.waitSum = tb.Machine(0).BKL.TotalWait
 	}
 
 	fmt.Println("5 MB memory-write benchmark (hash-table client), dual-CPU client")

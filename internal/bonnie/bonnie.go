@@ -627,8 +627,7 @@ func chunkCount(cfg Config) int {
 	return int((cfg.FileSize + int64(cfg.ChunkSize) - 1) / int64(cfg.ChunkSize))
 }
 
-// normalize fills Config defaults shared by RunWorkload and
-// RunConcurrentWorkload.
+// normalize fills Config defaults and rejects invalid knobs.
 func normalize(cfg Config) Config {
 	if cfg.ChunkSize == 0 {
 		cfg.ChunkSize = DefaultChunk
@@ -826,10 +825,14 @@ func finishPhases(p *sim.Proc, s *sim.Sim, fs ioFiles, cfg Config, res *Result, 
 // ... from separate client CPUs"). open receives the worker index, so
 // workers can land on distinct files of one machine or on distinct
 // client machines of a multi-client test bed. Each worker runs the full
-// I/O/flush/close sequence.
+// I/O/flush/close sequence. With n == 1 this is the single-writer
+// benchmark: the writer keeps target as its name.
 func RunConcurrentWorkload(s *sim.Sim, target string, open func(worker int) vfs.OpenSet, n int, cfg Config) *ConcurrentResult {
 	if n < 1 {
 		panic("bonnie: need at least one writer")
+	}
+	if cfg.FileSize <= 0 {
+		panic("bonnie: FileSize must be positive")
 	}
 	cfg = normalize(cfg)
 	cfg.workers = n
@@ -838,15 +841,19 @@ func RunConcurrentWorkload(s *sim.Sim, target string, open func(worker int) vfs.
 	start := s.Now()
 	for i := 0; i < n; i++ {
 		i := i
+		name := target
+		if n > 1 {
+			name = fmt.Sprintf("%s#%d", target, i)
+		}
 		res := &Result{
-			Target:    fmt.Sprintf("%s#%d", target, i),
+			Target:    name,
 			Workload:  cfg.Workload,
 			FileSize:  cfg.FileSize,
 			ChunkSize: cfg.ChunkSize,
 			Trace:     stats.NewTrace(target),
 		}
 		out.PerWriter[i] = res
-		s.Go(res.Target, func(p *sim.Proc) {
+		s.Go(name, func(p *sim.Proc) {
 			fs := openFiles(open(i), cfg)
 			runIO(p, s, i, fs, cfg, res)
 			finishPhases(p, s, fs, cfg, res, start)
@@ -859,52 +866,14 @@ func RunConcurrentWorkload(s *sim.Sim, target string, open func(worker int) vfs.
 	}
 	s.Run(cfg.TimeLimit)
 	if finished != n {
-		panic(fmt.Sprintf("bonnie: %d of %d concurrent workers finished within %v", finished, n, cfg.TimeLimit))
+		panic(fmt.Sprintf("bonnie: %s: %d of %d workers finished within %v (virtual)", target, finished, n, cfg.TimeLimit))
 	}
 	return out
 }
 
-// RunConcurrent drives n writers into n distinct fresh files (the
-// write-only form RunConcurrentWorkload generalizes).
-func RunConcurrent(s *sim.Sim, target string, open func(writer int) vfs.File, n int, cfg Config) *ConcurrentResult {
-	return RunConcurrentWorkload(s, target, func(i int) vfs.OpenSet {
-		return vfs.OpenSet{Fresh: func() vfs.File { return open(i) }}
-	}, n, cfg)
-}
-
-// RunWorkload executes the configured workload on the given simulator
-// against files opened from open, driving the virtual clock until the
-// run completes.
+// RunWorkload executes the configured workload as a single writer on the
+// given simulator against files opened from open, driving the virtual
+// clock until the run completes.
 func RunWorkload(s *sim.Sim, target string, open vfs.OpenSet, cfg Config) *Result {
-	if cfg.FileSize <= 0 {
-		panic("bonnie: FileSize must be positive")
-	}
-	cfg = normalize(cfg)
-	cfg.workers = 1
-	res := &Result{
-		Target:    target,
-		Workload:  cfg.Workload,
-		FileSize:  cfg.FileSize,
-		ChunkSize: cfg.ChunkSize,
-		Trace:     stats.NewTrace(target),
-	}
-	finished := false
-	s.Go("bonnie", func(p *sim.Proc) {
-		fs := openFiles(open, cfg)
-		start := s.Now()
-		runIO(p, s, 0, fs, cfg, res)
-		finishPhases(p, s, fs, cfg, res, start)
-		finished = true
-	})
-	s.Run(cfg.TimeLimit)
-	if !finished {
-		panic(fmt.Sprintf("bonnie: %s run did not finish within %v (virtual)", target, cfg.TimeLimit))
-	}
-	return res
-}
-
-// Run executes the write benchmark against a fresh file opened by open
-// (the write-only form RunWorkload generalizes).
-func Run(s *sim.Sim, target string, open func() vfs.File, cfg Config) *Result {
-	return RunWorkload(s, target, vfs.OpenSet{Fresh: open}, cfg)
+	return RunConcurrentWorkload(s, target, func(int) vfs.OpenSet { return open }, 1, cfg).PerWriter[0]
 }

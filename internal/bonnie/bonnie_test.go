@@ -79,10 +79,15 @@ func fakeOpenSet(s *sim.Sim, perWrite, perRead sim.Time, opened *[]*fakeFile) vf
 	}
 }
 
+// freshSet is an OpenSet whose every fresh open returns f.
+func freshSet(f vfs.File) vfs.OpenSet {
+	return vfs.OpenSet{Fresh: func() vfs.File { return f }}
+}
+
 func TestRunMeasuresPhases(t *testing.T) {
 	s := sim.New(1)
 	ff := &fakeFile{s: s, perWrite: 100 * time.Microsecond, flushCost: 10 * time.Millisecond, closeCost: 5 * time.Millisecond}
-	res := Run(s, "fake", func() vfs.File { return ff }, Config{FileSize: 1 << 20})
+	res := RunWorkload(s, "fake", freshSet(ff), Config{FileSize: 1 << 20})
 	if res.Calls != 128 {
 		t.Fatalf("calls = %d, want 128", res.Calls)
 	}
@@ -113,7 +118,7 @@ func TestRunMeasuresPhases(t *testing.T) {
 func TestRunSkipFlushClose(t *testing.T) {
 	s := sim.New(1)
 	ff := &fakeFile{s: s, perWrite: time.Microsecond}
-	res := Run(s, "fake", func() vfs.File { return ff }, Config{FileSize: 16384, SkipFlushClose: true})
+	res := RunWorkload(s, "fake", freshSet(ff), Config{FileSize: 16384, SkipFlushClose: true})
 	if ff.flushed || ff.closedOnce {
 		t.Fatal("flush/close should be skipped")
 	}
@@ -125,7 +130,7 @@ func TestRunSkipFlushClose(t *testing.T) {
 func TestRunPartialFinalChunk(t *testing.T) {
 	s := sim.New(1)
 	ff := &fakeFile{s: s, perWrite: time.Microsecond}
-	res := Run(s, "fake", func() vfs.File { return ff }, Config{FileSize: 8192 + 100})
+	res := RunWorkload(s, "fake", freshSet(ff), Config{FileSize: 8192 + 100})
 	if res.Calls != 2 {
 		t.Fatalf("calls = %d", res.Calls)
 	}
@@ -137,7 +142,7 @@ func TestRunPartialFinalChunk(t *testing.T) {
 func TestRunCustomChunk(t *testing.T) {
 	s := sim.New(1)
 	ff := &fakeFile{s: s, perWrite: time.Microsecond}
-	res := Run(s, "fake", func() vfs.File { return ff }, Config{FileSize: 64 << 10, ChunkSize: 16384})
+	res := RunWorkload(s, "fake", freshSet(ff), Config{FileSize: 64 << 10, ChunkSize: 16384})
 	if res.Calls != 4 {
 		t.Fatalf("calls = %d, want 4 with 16 KB chunks", res.Calls)
 	}
@@ -151,7 +156,7 @@ func TestRunTimeLimitPanics(t *testing.T) {
 	}()
 	s := sim.New(1)
 	ff := &fakeFile{s: s, perWrite: time.Hour}
-	Run(s, "fake", func() vfs.File { return ff }, Config{FileSize: 1 << 20, TimeLimit: time.Second})
+	RunWorkload(s, "fake", freshSet(ff), Config{FileSize: 1 << 20, TimeLimit: time.Second})
 }
 
 func TestBadConfigPanics(t *testing.T) {
@@ -160,13 +165,13 @@ func TestBadConfigPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Run(sim.New(1), "fake", nil, Config{FileSize: 0})
+	RunWorkload(sim.New(1), "fake", vfs.OpenSet{}, Config{FileSize: 0})
 }
 
 func TestResultString(t *testing.T) {
 	s := sim.New(1)
 	ff := &fakeFile{s: s, perWrite: time.Microsecond}
-	res := Run(s, "fake-target", func() vfs.File { return ff }, Config{FileSize: 16384})
+	res := RunWorkload(s, "fake-target", freshSet(ff), Config{FileSize: 16384})
 	out := res.String()
 	for _, want := range []string{"fake-target", "write:", "flush:", "close:", "latency"} {
 		if !strings.Contains(out, want) {
@@ -177,10 +182,10 @@ func TestResultString(t *testing.T) {
 
 func TestRunConcurrent(t *testing.T) {
 	s := sim.New(1)
-	open := func(int) vfs.File {
-		return &fakeFile{s: s, perWrite: 10 * time.Microsecond, flushCost: time.Millisecond}
+	open := func(int) vfs.OpenSet {
+		return freshSet(&fakeFile{s: s, perWrite: 10 * time.Microsecond, flushCost: time.Millisecond})
 	}
-	res := RunConcurrent(s, "multi", open, 3, Config{FileSize: 1 << 20})
+	res := RunConcurrentWorkload(s, "multi", open, 3, Config{FileSize: 1 << 20})
 	if len(res.PerWriter) != 3 {
 		t.Fatalf("writers = %d", len(res.PerWriter))
 	}
@@ -378,7 +383,7 @@ func TestNegativeFsyncEveryPanics(t *testing.T) {
 	}()
 	s := sim.New(1)
 	ff := &fakeFile{s: s}
-	Run(s, "x", func() vfs.File { return ff }, Config{FileSize: 8192, FsyncEvery: -1})
+	RunWorkload(s, "x", freshSet(ff), Config{FileSize: 8192, FsyncEvery: -1})
 }
 
 func TestReadWorkload(t *testing.T) {
@@ -486,7 +491,7 @@ func TestRunConcurrentBadArgs(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	RunConcurrent(sim.New(1), "x", nil, 0, Config{FileSize: 1})
+	RunConcurrentWorkload(sim.New(1), "x", nil, 0, Config{FileSize: 1})
 }
 
 // fakeNames is a deterministic vfs.Namespace over one flat directory of

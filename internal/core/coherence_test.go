@@ -30,7 +30,7 @@ func sharedBed(t *testing.T, mode core.ConsistencyMode) *nfssim.Testbed {
 // flushd scan table still drains to zero.
 func TestNamedInodePersistsAcrossOpenClose(t *testing.T) {
 	tb := nfssim.NewTestbed(nfssim.Options{Server: nfssim.ServerFiler, Client: core.EnhancedConfig(), Seed: 3})
-	c := tb.Client
+	c := tb.Machine(0).Client
 	tb.Sim.Go("w", func(p *sim.Proc) {
 		f := c.OpenByName(p, "shared0")
 		f.(*core.File).WriteAt(p, 0, 8*4096)

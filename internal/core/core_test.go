@@ -19,7 +19,7 @@ func newBed(t *testing.T, srv nfssim.ServerKind, cfg core.Config) *nfssim.Testbe
 
 func runMB(t *testing.T, tb *nfssim.Testbed, mb int) *bonnie.Result {
 	t.Helper()
-	return bonnie.Run(tb.Sim, "t", tb.Open, bonnie.Config{
+	return bonnie.RunWorkload(tb.Sim, "t", tb.OpenSet(), bonnie.Config{
 		FileSize:  int64(mb) << 20,
 		TimeLimit: 20 * time.Minute,
 	})
@@ -94,11 +94,11 @@ func TestDataIntegrityAllConfigs(t *testing.T) {
 		if !cov.IsContiguousFromZero(size) {
 			t.Fatalf("%s: server coverage %v, want [0,%d)", name, cov, size)
 		}
-		if tb.Client.MountRequests() != 0 {
-			t.Fatalf("%s: %d requests outstanding after close", name, tb.Client.MountRequests())
+		if tb.Machine(0).Client.MountRequests() != 0 {
+			t.Fatalf("%s: %d requests outstanding after close", name, tb.Machine(0).Client.MountRequests())
 		}
-		if tb.Cache.Usage() != 0 && cfg.FlushPolicy == core.FlushCacheAll {
-			t.Fatalf("%s: page cache not drained: %d", name, tb.Cache.Usage())
+		if tb.Machine(0).Cache.Usage() != 0 && cfg.FlushPolicy == core.FlushCacheAll {
+			t.Fatalf("%s: page cache not drained: %d", name, tb.Machine(0).Cache.Usage())
 		}
 	}
 }
@@ -118,7 +118,7 @@ func TestStockClientPeriodicSpikes(t *testing.T) {
 	if period < 80 || period > 105 {
 		t.Fatalf("spike period = %.1f calls, want ~96 (soft limit 192 / 2 pages)", period)
 	}
-	if tb.Client.SoftFlushes == 0 {
+	if tb.Machine(0).Client.SoftFlushes == 0 {
 		t.Fatal("no soft-limit flushes recorded")
 	}
 	// Spikes should be whole-queue drains: > 10 ms each at the filer's
@@ -142,7 +142,7 @@ func TestNoLimitsRemovesSpikes(t *testing.T) {
 	if n := res.Trace.CountAbove(5 * time.Millisecond); n != 0 {
 		t.Fatalf("%d multi-ms spikes remain without limits", n)
 	}
-	if tb.Client.SoftFlushes != 0 {
+	if tb.Machine(0).Client.SoftFlushes != 0 {
 		t.Fatal("soft flushes recorded with cache-all policy")
 	}
 }
@@ -267,10 +267,10 @@ func TestHardLimitBlocksAcrossFiles(t *testing.T) {
 	if done != 2 {
 		t.Fatalf("writers finished: %d of 2 (deadlock?)", done)
 	}
-	if tb.Client.HardBlocks == 0 {
+	if tb.Machine(0).Client.HardBlocks == 0 {
 		t.Fatal("hard limit never engaged")
 	}
-	if tb.Client.SoftFlushes != 0 {
+	if tb.Machine(0).Client.SoftFlushes != 0 {
 		t.Fatal("soft limit should not have fired (per-inode counts stayed low)")
 	}
 }
@@ -284,11 +284,11 @@ func TestEnhancedClientThrottlesOnMemory(t *testing.T) {
 		CacheLimit: 16 << 20, // tiny budget so the test stays fast
 	})
 	res := runMB(t, tb, 64)
-	if tb.Cache.ThrottleEvents == 0 {
+	if tb.Machine(0).Cache.ThrottleEvents == 0 {
 		t.Fatal("writer never throttled despite 4x overcommit")
 	}
-	if tb.Cache.PeakUsage > 16<<20 {
-		t.Fatalf("page cache exceeded its budget: %d", tb.Cache.PeakUsage)
+	if tb.Machine(0).Cache.PeakUsage > 16<<20 {
+		t.Fatalf("page cache exceeded its budget: %d", tb.Machine(0).Cache.PeakUsage)
 	}
 	// Once throttled, write throughput approaches the server rate, far
 	// below memory speed.
@@ -324,7 +324,7 @@ func TestSamePageWritesCoalesce(t *testing.T) {
 		f.Write(p, 2048)
 	})
 	tb.Sim.Run(time.Second)
-	if got := tb.Client.MountRequests(); got != 1 {
+	if got := tb.Machine(0).Client.MountRequests(); got != 1 {
 		t.Fatalf("mount requests = %d, want 1 (same-page coalescing)", got)
 	}
 	if f.Size() != 4096 {
@@ -398,7 +398,7 @@ func TestProfilerShowsFindRequestHotspot(t *testing.T) {
 func TestBKLWaitDominatedBySockSendmsg(t *testing.T) {
 	tb := newBed(t, nfssim.ServerFiler, core.HashConfig())
 	runMB(t, tb, 10)
-	wb := tb.BKL.WaitBreakdown()
+	wb := tb.Machine(0).BKL.WaitBreakdown()
 	var total, send time.Duration
 	for label, v := range wb {
 		total += v
@@ -431,7 +431,7 @@ func TestRunDeterminism(t *testing.T) {
 func TestSMPvsUP(t *testing.T) {
 	run := func(cpus int, cfg core.Config) float64 {
 		tb := nfssim.NewTestbed(nfssim.Options{Server: nfssim.ServerFiler, Client: cfg, ClientCPUs: cpus})
-		res := bonnie.Run(tb.Sim, "t", tb.Open, bonnie.Config{FileSize: 5 << 20, TimeLimit: time.Minute})
+		res := bonnie.RunWorkload(tb.Sim, "t", tb.OpenSet(), bonnie.Config{FileSize: 5 << 20, TimeLimit: time.Minute})
 		return res.WriteMBps()
 	}
 	smp := run(2, core.EnhancedConfig())
@@ -455,7 +455,7 @@ func TestSyncWrites(t *testing.T) {
 			f.Write(p, 8192)
 		}
 		perCall = (tb.Sim.Now() - t0) / 8
-		if tb.Client.MountRequests() != 0 {
+		if tb.Machine(0).Client.MountRequests() != 0 {
 			t.Error("sync writes left cached requests")
 		}
 		if tb.Linux.Dirty() != 0 {
@@ -516,7 +516,7 @@ func TestIncompatibleSubPageWriteFlushes(t *testing.T) {
 func TestConcurrentWritersBenefitFromLockFix(t *testing.T) {
 	run := func(cfg core.Config) float64 {
 		tb := nfssim.NewTestbed(nfssim.Options{Server: nfssim.ServerFiler, Client: cfg})
-		res := bonnie.RunConcurrent(tb.Sim, "c", func(int) vfs.File { return tb.Open() }, 2, bonnie.Config{
+		res := bonnie.RunConcurrentWorkload(tb.Sim, "c", func(int) vfs.OpenSet { return tb.OpenSet() }, 2, bonnie.Config{
 			FileSize: 5 << 20, TimeLimit: 10 * time.Minute, SkipFlushClose: true,
 		})
 		return res.AggregateMBps()
@@ -545,8 +545,8 @@ func TestOverwriteDirtyAccountingBounded(t *testing.T) {
 		}
 		// Bounded by one dirty page plus whatever writeback is in
 		// flight at this instant.
-		if got := tb.Cache.Usage(); got > vfs.PageSize+tb.Cache.Writeback() {
-			t.Errorf("usage %d exceeds one page + writeback %d", got, tb.Cache.Writeback())
+		if got := tb.Machine(0).Cache.Usage(); got > vfs.PageSize+tb.Machine(0).Cache.Writeback() {
+			t.Errorf("usage %d exceeds one page + writeback %d", got, tb.Machine(0).Cache.Writeback())
 		}
 		f.Close(p)
 		done = true
@@ -558,15 +558,15 @@ func TestOverwriteDirtyAccountingBounded(t *testing.T) {
 	// The run never holds more than the one page dirty plus the RPCs the
 	// flush pushed out; with the leak, peak usage was ~rewrites pages.
 	maxInflight := int64(core.EnhancedConfig().WSize * 16) // full slot table
-	if tb.Cache.PeakUsage > int64(vfs.PageSize)+maxInflight {
+	if tb.Machine(0).Cache.PeakUsage > int64(vfs.PageSize)+maxInflight {
 		t.Fatalf("peak usage %d, want <= one page + in-flight writeback %d",
-			tb.Cache.PeakUsage, int64(vfs.PageSize)+maxInflight)
+			tb.Machine(0).Cache.PeakUsage, int64(vfs.PageSize)+maxInflight)
 	}
-	if tb.Cache.ThrottleEvents != 0 {
-		t.Fatalf("%d throttle events while rewriting a single page", tb.Cache.ThrottleEvents)
+	if tb.Machine(0).Cache.ThrottleEvents != 0 {
+		t.Fatalf("%d throttle events while rewriting a single page", tb.Machine(0).Cache.ThrottleEvents)
 	}
-	if tb.Cache.Usage() != 0 {
-		t.Fatalf("cache not drained after close: %d", tb.Cache.Usage())
+	if tb.Machine(0).Cache.Usage() != 0 {
+		t.Fatalf("cache not drained after close: %d", tb.Machine(0).Cache.Usage())
 	}
 }
 
@@ -577,15 +577,15 @@ func TestPartialPageExtensionChargesNetNew(t *testing.T) {
 	f := tb.OpenNFS()
 	tb.Sim.Go("w", func(p *sim.Proc) {
 		f.WriteAt(p, 0, 2048)
-		if got := tb.Cache.Usage(); got != 2048 {
+		if got := tb.Machine(0).Cache.Usage(); got != 2048 {
 			t.Errorf("after first half: usage = %d, want 2048", got)
 		}
 		f.WriteAt(p, 2048, 2048) // adjacent: extends the cached request
-		if got := tb.Cache.Usage(); got != 4096 {
+		if got := tb.Machine(0).Cache.Usage(); got != 4096 {
 			t.Errorf("after extension: usage = %d, want 4096", got)
 		}
 		f.WriteAt(p, 1024, 2048) // overlap inside the dirty range: net 0
-		if got := tb.Cache.Usage(); got != 4096 {
+		if got := tb.Machine(0).Cache.Usage(); got != 4096 {
 			t.Errorf("after overwrite: usage = %d, want 4096", got)
 		}
 	})
@@ -659,8 +659,8 @@ func TestThrottledSubPageWritesDoNotOutrunAccounting(t *testing.T) {
 	if !done {
 		t.Fatal("run did not finish")
 	}
-	if tb.Cache.Usage() != 0 {
-		t.Fatalf("cache not drained: %d", tb.Cache.Usage())
+	if tb.Machine(0).Cache.Usage() != 0 {
+		t.Fatalf("cache not drained: %d", tb.Machine(0).Cache.Usage())
 	}
 	if !tb.Server.Coverage(f.Inode().FH).IsContiguousFromZero(2 << 20) {
 		t.Fatal("server coverage incomplete")
@@ -696,7 +696,7 @@ func TestCacheSmallerThanWatermarkMakesProgress(t *testing.T) {
 		if !done {
 			t.Fatalf("limit %d: writer wedged, cache below the flushd watermark never drained", limit)
 		}
-		if tb.Cache.ThrottleEvents == 0 {
+		if tb.Machine(0).Cache.ThrottleEvents == 0 {
 			t.Fatalf("limit %d: expected memory-pressure throttling", limit)
 		}
 	}

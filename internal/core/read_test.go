@@ -16,7 +16,7 @@ import (
 func TestReadColdFileFetchesAndCaches(t *testing.T) {
 	tb := newBed(t, nfssim.ServerFiler, core.EnhancedConfig())
 	const size = 1 << 20
-	f := tb.Client.OpenExisting(size)
+	f := tb.Machine(0).Client.OpenExisting(size)
 	var total int
 	tb.Sim.Go("reader", func(p *sim.Proc) {
 		for {
@@ -26,30 +26,30 @@ func TestReadColdFileFetchesAndCaches(t *testing.T) {
 			}
 			total += got
 		}
-		if rpcs := tb.Client.ReadRPCs; rpcs == 0 {
+		if rpcs := tb.Machine(0).Client.ReadRPCs; rpcs == 0 {
 			t.Error("no READ RPCs issued for a cold file")
 		}
 		if f.Inode().CachedPages() != size/4096 {
 			t.Errorf("cached pages = %d, want %d", f.Inode().CachedPages(), size/4096)
 		}
 		// Re-read from the front: all pages resident, no new RPCs.
-		before := tb.Client.ReadRPCs
-		missesBefore := tb.Cache.ReadMisses
+		before := tb.Machine(0).Client.ReadRPCs
+		missesBefore := tb.Machine(0).Cache.ReadMisses
 		if got := f.ReadAt(p, 0, size); got != size {
 			t.Errorf("re-read got %d", got)
 		}
-		if tb.Client.ReadRPCs != before {
-			t.Errorf("re-read issued %d new RPCs", tb.Client.ReadRPCs-before)
+		if tb.Machine(0).Client.ReadRPCs != before {
+			t.Errorf("re-read issued %d new RPCs", tb.Machine(0).Client.ReadRPCs-before)
 		}
-		if tb.Cache.ReadMisses != missesBefore {
-			t.Errorf("re-read missed %d pages", tb.Cache.ReadMisses-missesBefore)
+		if tb.Machine(0).Cache.ReadMisses != missesBefore {
+			t.Errorf("re-read missed %d pages", tb.Machine(0).Cache.ReadMisses-missesBefore)
 		}
 	})
 	tb.Sim.Run(10 * time.Minute)
 	if total != size {
 		t.Fatalf("read %d bytes, want %d", total, size)
 	}
-	if hits, misses := tb.Cache.ReadHits, tb.Cache.ReadMisses; hits+misses != 2*size/4096 {
+	if hits, misses := tb.Machine(0).Cache.ReadHits, tb.Machine(0).Cache.ReadMisses; hits+misses != 2*size/4096 {
 		t.Fatalf("hit/miss accounting: %d + %d lookups, want %d", hits, misses, 2*size/4096)
 	}
 	if tb.Server.Reads == 0 || tb.Server.BytesRead != size {
@@ -63,7 +63,7 @@ func TestReadaheadWindowGrowsAndResets(t *testing.T) {
 	cfg := core.EnhancedConfig()
 	tb := newBed(t, nfssim.ServerFiler, cfg)
 	const size = 4 << 20
-	f := tb.Client.OpenExisting(size)
+	f := tb.Machine(0).Client.OpenExisting(size)
 	tb.Sim.Go("reader", func(p *sim.Proc) {
 		for i := 0; i < 64; i++ {
 			f.Read(p, 8192)
@@ -110,11 +110,11 @@ func TestReadAfterWriteHitsCache(t *testing.T) {
 		if got := f.ReadAt(p, 0, 64<<10); got != 64<<10 {
 			t.Errorf("read back %d bytes", got)
 		}
-		if tb.Client.ReadRPCs != 0 {
-			t.Errorf("read-after-write issued %d READ RPCs", tb.Client.ReadRPCs)
+		if tb.Machine(0).Client.ReadRPCs != 0 {
+			t.Errorf("read-after-write issued %d READ RPCs", tb.Machine(0).Client.ReadRPCs)
 		}
-		if tb.Cache.ReadMisses != 0 || tb.Cache.ReadHits != 16 {
-			t.Errorf("hits/misses = %d/%d, want 16/0", tb.Cache.ReadHits, tb.Cache.ReadMisses)
+		if tb.Machine(0).Cache.ReadMisses != 0 || tb.Machine(0).Cache.ReadHits != 16 {
+			t.Errorf("hits/misses = %d/%d, want 16/0", tb.Machine(0).Cache.ReadHits, tb.Machine(0).Cache.ReadMisses)
 		}
 	})
 	tb.Sim.Run(time.Minute)
@@ -127,7 +127,7 @@ func TestHalfSpecifiedReadaheadStaysOn(t *testing.T) {
 	cfg.ReadaheadMinPages = 8
 	cfg.ReadaheadMaxPages = 0
 	tb := newBed(t, nfssim.ServerFiler, cfg)
-	f := tb.Client.OpenExisting(1 << 20)
+	f := tb.Machine(0).Client.OpenExisting(1 << 20)
 	tb.Sim.Go("reader", func(p *sim.Proc) {
 		for i := 0; i < 16; i++ {
 			f.Read(p, 8192)
@@ -142,7 +142,7 @@ func TestHalfSpecifiedReadaheadStaysOn(t *testing.T) {
 // Read must observe EOF: a partial final chunk, then zero.
 func TestReadEOF(t *testing.T) {
 	tb := newBed(t, nfssim.ServerFiler, core.EnhancedConfig())
-	f := tb.Client.OpenExisting(8192 + 100)
+	f := tb.Machine(0).Client.OpenExisting(8192 + 100)
 	tb.Sim.Go("reader", func(p *sim.Proc) {
 		if got := f.Read(p, 8192); got != 8192 {
 			t.Errorf("first read = %d", got)
@@ -175,7 +175,7 @@ func TestConcurrentReadersAndWritersOneServer(t *testing.T) {
 					writeFiles = append(writeFiles, f)
 					return f
 				},
-				Existing: func(sz int64) vfs.File { return tb.Client.OpenExisting(sz) },
+				Existing: func(sz int64) vfs.File { return tb.Machine(0).Client.OpenExisting(sz) },
 			}
 		},
 		workers, bonnie.Config{FileSize: size, Workload: bonnie.WorkloadMixed, TimeLimit: 20 * time.Minute})
@@ -194,7 +194,7 @@ func TestConcurrentReadersAndWritersOneServer(t *testing.T) {
 	if tb.Server.BytesRead != workers*size/2 {
 		t.Fatalf("server read bytes = %d, want %d", tb.Server.BytesRead, workers*size/2)
 	}
-	if tb.Cache.ReadHits == 0 {
+	if tb.Machine(0).Cache.ReadHits == 0 {
 		t.Fatal("no read hits recorded")
 	}
 }

@@ -25,31 +25,31 @@ func TestCloseReleasesInode(t *testing.T) {
 			f.Write(p, 64<<10)
 			open = append(open, f)
 		}
-		if got := tb.Client.OpenInodes(); got != files {
+		if got := tb.Machine(0).Client.OpenInodes(); got != files {
 			t.Errorf("open inodes = %d, want %d", got, files)
 		}
 		// Closing shrinks the scan set file by file.
 		for i, f := range open {
 			f.Close(p)
-			if got, want := tb.Client.OpenInodes(), files-i-1; got != want {
+			if got, want := tb.Machine(0).Client.OpenInodes(), files-i-1; got != want {
 				t.Errorf("after close %d: open inodes = %d, want %d", i, got, want)
 			}
 			if f.Inode().CachedPages() != 0 {
 				t.Errorf("closed file %d still pins %d resident pages", i, f.Inode().CachedPages())
 			}
 		}
-		if got := tb.Client.OpenInodes(); got != 0 {
+		if got := tb.Machine(0).Client.OpenInodes(); got != 0 {
 			t.Errorf("all files closed but %d inodes remain", got)
 		}
 		// Double close stays a no-op after the release.
 		open[0].Close(p)
-		if got := tb.Client.OpenInodes(); got != 0 {
+		if got := tb.Machine(0).Client.OpenInodes(); got != 0 {
 			t.Errorf("double close resurrected an inode: %d", got)
 		}
 	})
 	tb.Sim.Run(5 * time.Minute)
-	if tb.Client.MountRequests() != 0 {
-		t.Fatalf("%d requests outstanding after all closes", tb.Client.MountRequests())
+	if tb.Machine(0).Client.MountRequests() != 0 {
+		t.Fatalf("%d requests outstanding after all closes", tb.Machine(0).Client.MountRequests())
 	}
 }
 
@@ -60,12 +60,12 @@ func TestCloseReleasesReadState(t *testing.T) {
 	tb := newBed(t, nfssim.ServerFiler, core.EnhancedConfig())
 	tb.Sim.Go("rw", func(p *sim.Proc) {
 		for i := 0; i < 8; i++ {
-			f := tb.Client.OpenExisting(256 << 10)
+			f := tb.Machine(0).Client.OpenExisting(256 << 10)
 			for f.Read(p, 8192) > 0 {
 			}
 			f.Close(p)
 		}
-		if got := tb.Client.OpenInodes(); got != 0 {
+		if got := tb.Machine(0).Client.OpenInodes(); got != 0 {
 			t.Errorf("open inodes after read/close loop = %d", got)
 		}
 	})
@@ -80,11 +80,11 @@ func TestCloseWithReadaheadInFlight(t *testing.T) {
 	tb := newBed(t, nfssim.ServerFiler, core.EnhancedConfig())
 	done := false
 	tb.Sim.Go("r", func(p *sim.Proc) {
-		f := tb.Client.OpenExisting(4 << 20)
+		f := tb.Machine(0).Client.OpenExisting(4 << 20)
 		// One chunk is enough to launch the window; close immediately.
 		f.Read(p, 8192)
 		f.Close(p)
-		if got := tb.Client.OpenInodes(); got != 0 {
+		if got := tb.Machine(0).Client.OpenInodes(); got != 0 {
 			t.Errorf("open inodes after close = %d", got)
 		}
 		done = true
@@ -134,9 +134,9 @@ func TestResidentSetCoalesces(t *testing.T) {
 		if got := f.ReadAt(p, 0, 128<<10); got != 128<<10 {
 			t.Errorf("read back %d bytes", got)
 		}
-		if tb.Client.ReadRPCs != 0 || tb.Cache.ReadMisses != 0 {
+		if tb.Machine(0).Client.ReadRPCs != 0 || tb.Machine(0).Cache.ReadMisses != 0 {
 			t.Errorf("read-after-write fetched: %d RPCs, %d misses",
-				tb.Client.ReadRPCs, tb.Cache.ReadMisses)
+				tb.Machine(0).Client.ReadRPCs, tb.Machine(0).Cache.ReadMisses)
 		}
 	})
 	tb.Sim.Run(5 * time.Minute)
@@ -159,14 +159,14 @@ func TestRandWriteFragmentationOnStockClient(t *testing.T) {
 	}
 	seqTB, _ := run(bonnie.WorkloadWrite)
 	randTB, _ := run(bonnie.WorkloadRandWrite)
-	if randTB.Client.SoftFlushes == 0 {
+	if randTB.Machine(0).Client.SoftFlushes == 0 {
 		t.Fatal("random writes never hit the soft limit on the stock client")
 	}
-	if seqRPCs, randRPCs := seqTB.Client.RPCsSent, randTB.Client.RPCsSent; randRPCs <= seqRPCs {
+	if seqRPCs, randRPCs := seqTB.Machine(0).Client.RPCsSent, randTB.Machine(0).Client.RPCsSent; randRPCs <= seqRPCs {
 		t.Fatalf("random writes sent %d RPCs vs %d sequential; fragmentation should defeat coalescing",
 			randRPCs, seqRPCs)
 	}
-	if seq, rand := seqTB.Client.PagesSent, randTB.Client.PagesSent; seq != rand {
+	if seq, rand := seqTB.Machine(0).Client.PagesSent, randTB.Machine(0).Client.PagesSent; seq != rand {
 		t.Fatalf("page counts differ: %d sequential vs %d random", seq, rand)
 	}
 }

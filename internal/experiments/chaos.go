@@ -1,163 +1,53 @@
 package experiments
 
 import (
-	"fmt"
+	_ "embed"
 	"strings"
 
 	"repro/internal/chaos"
-	"repro/internal/stats"
+	"repro/internal/harness"
 )
 
 // chaosScenarios is the canonical failure battery, written in the
 // scenario DSL itself so the sweep exercises the same parse/validate
-// path as `nfssweep -scenario` (see examples/chaos/ for the on-disk
-// copies and docs/experiments.md for the schema).
-const chaosScenarios = `
-scenarios:
-  - name: filer-crash
-    description: filer reboots mid-write; NVRAM replay, zero loss
-    fleet:
-      server: filer
-      config: enhanced
-      file_mb: 8
-      seed: 1
-    events:
-      - at: 100ms
-        action: server_crash
-      - at: 400ms
-        action: server_restart
-      - action: assert_completes
-      - action: assert_no_data_loss
-      - action: assert_replayed_min
-        bytes: 1
-      - action: assert_lost_max
-        bytes: 0
-  - name: knfsd-crash
-    description: knfsd reboots mid-write; async bytes lost, client rewrites
-    fleet:
-      server: linux
-      config: enhanced
-      file_mb: 8
-      seed: 1
-    events:
-      - at: 100ms
-        action: server_crash
-      - at: 400ms
-        action: server_restart
-      - action: assert_completes
-      - action: assert_no_data_loss
-      - action: assert_lost_min
-        bytes: 1
-      - action: assert_rewritten_min
-        bytes: 1
-  - name: shared-crash
-    description: filer reboots mid-shared-write; change counters survive, staleness bounded
-    fleet:
-      server: filer
-      config: enhanced
-      clients: 4
-      file_mb: 2
-      workload: shared
-      seed: 1
-    events:
-      - at: 40ms
-        action: server_crash
-      - at: 120ms
-        action: server_restart
-      - action: assert_completes
-      - action: assert_no_data_loss
-      - action: assert_lost_max
-        bytes: 0
-      - action: assert_stale_max
-        max_stale: 1024
-  - name: dead-server
-    description: permanent crash; bounded retry turns a hang into an error
-    fleet:
-      server: filer
-      config: enhanced
-      file_mb: 4
-      max_retries: 5
-      time_limit: 5m
-      seed: 1
-    events:
-      - at: 50ms
-        action: server_crash
-      - action: assert_error
-`
+// path as `nfssweep -scenario` (see examples/chaos/ for standalone
+// scenario files and docs/experiments.md for the schema).
+//
+//go:embed chaos.yaml
+var chaosScenarios []byte
 
-// ChaosRow is one scenario's outcome in the chaos table.
-type ChaosRow struct {
-	Name      string
-	Server    string
-	Status    string // PASS or FAIL across the scenario's assertions
-	AggMBps   float64
-	Lost      int64
-	Replayed  int64
-	Rewritten int64
-	Verf      int64 // client-observed write-verifier changes
-}
-
-// ChaosSweepResult is the failure-injection experiment: the crash/reboot
-// and dead-server scenarios run through the chaos engine, contrasting
-// the two backends' durability stories — the filer's NVRAM log replays
-// acked data after a reboot, while knfsd's page cache loses it and the
-// client must detect the verifier change and rewrite (RFC 1813 §3.3.7).
-type ChaosSweepResult struct {
-	Rows    []ChaosRow
-	Reports []*chaos.Report
-}
-
-// Table renders the chaos table.
-func (r *ChaosSweepResult) Table() *stats.Table {
-	t := stats.NewTable(
-		"Chaos scenarios - server crash/reboot and dead-server failure injection",
-		"scenario", "server", "status", "agg MBps", "lost B", "replayed B", "rewritten B", "verf chg")
-	for _, row := range r.Rows {
-		t.AddRow(row.Name, row.Server, row.Status,
-			fmt.Sprintf("%.2f", row.AggMBps), fmt.Sprint(row.Lost),
-			fmt.Sprint(row.Replayed), fmt.Sprint(row.Rewritten), fmt.Sprint(row.Verf))
-	}
-	return t
-}
-
-// Render formats the table, the per-scenario reports, and the headline
-// durability contrast.
-func (r *ChaosSweepResult) Render() string {
-	var b strings.Builder
-	b.WriteString(r.Table().String())
-	for _, rep := range r.Reports {
-		b.WriteString(rep.Render())
-	}
-	b.WriteString("same crash, two durability stories: the filer replays its NVRAM log\n")
-	b.WriteString("(lost=0), knfsd drops its page cache and the client rewrites every\n")
-	b.WriteString("unstable byte after seeing the new write verifier\n")
-	return b.String()
-}
-
-// ChaosSweep runs the canonical chaos battery on the worker pool. Each
-// scenario is one deterministic simulation; the table and reports are
-// byte-identical at any Workers value.
-func ChaosSweep() *ChaosSweepResult {
-	scs, err := chaos.Parse([]byte(chaosScenarios))
-	if err != nil {
-		panic("experiments: bad built-in chaos scenarios: " + err.Error())
-	}
-	r := &ChaosSweepResult{Reports: chaos.RunAll(scs, Workers)}
-	for _, rep := range r.Reports {
-		status := "PASS"
-		if rep.Failed {
-			status = "FAIL"
+// Chaos is the failure-injection experiment: crash/reboot and dead-server
+// scenarios through the chaos engine, contrasting the backends'
+// durability stories — the filer's NVRAM log replays acked data after a
+// reboot, while knfsd's page cache loses it and the client must detect
+// the verifier change and rewrite (RFC 1813 §3.3.7). Its rows are chaos
+// reports, run on the worker pool, so it renders the table itself, then
+// each report.
+var Chaos = &Experiment{
+	Name: "chaos", Desc: "failure injection: crash/reboot durability, shared-file crash, dead server",
+	Render: func([]harness.Result) string {
+		scs, err := chaos.Parse(chaosScenarios)
+		if err != nil {
+			panic("experiments: bad built-in chaos scenarios: " + err.Error())
 		}
-		r.Rows = append(r.Rows, ChaosRow{
-			Name:      rep.Scenario.Name,
-			Server:    rep.Scenario.Fleet.Server,
-			Status:    status,
-			AggMBps:   rep.Result.AggMBps,
-			Lost:      rep.LostBytes,
-			Replayed:  rep.ReplayedBytes,
-			Rewritten: rep.RewrittenBytes,
-			Verf:      rep.VerfChanges,
-		})
-	}
-	return r
+		reps := chaos.RunAll(scs, Workers)
+		var b strings.Builder
+		b.WriteString(table("Chaos scenarios - server crash/reboot and dead-server failure injection", []Column[*chaos.Report]{
+			col("scenario", "%s", func(r *chaos.Report) string { return r.Scenario.Name }),
+			col("server", "%s", func(r *chaos.Report) string { return r.Scenario.Fleet.Server }),
+			col("status", "%s", func(r *chaos.Report) string { return map[bool]string{false: "PASS", true: "FAIL"}[r.Failed] }),
+			col("agg MBps", "%.2f", func(r *chaos.Report) float64 { return r.Result.AggMBps }),
+			col("lost B", "%d", func(r *chaos.Report) int64 { return r.LostBytes }),
+			col("replayed B", "%d", func(r *chaos.Report) int64 { return r.ReplayedBytes }),
+			col("rewritten B", "%d", func(r *chaos.Report) int64 { return r.RewrittenBytes }),
+			col("verf chg", "%d", func(r *chaos.Report) int64 { return r.VerfChanges }),
+		}, reps))
+		for _, rep := range reps {
+			b.WriteString(rep.Render())
+		}
+		b.WriteString("same crash, two durability stories: the filer replays its NVRAM log\n" +
+			"(lost=0), knfsd drops its page cache and the client rewrites every\n" +
+			"unstable byte after seeing the new write verifier\n")
+		return b.String()
+	},
 }

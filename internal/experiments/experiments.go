@@ -1,39 +1,17 @@
 // Package experiments regenerates every table and figure in the paper's
-// evaluation (§3). Each runner assembles the right test bed + client
-// configuration, drives the Bonnie-derived benchmark, and returns the
-// series/traces/histograms the corresponding artifact plots, plus a
-// textual rendering for the CLI.
-//
-// Artifact index (see DESIGN.md §4 for the full mapping):
-//
-//	Fig1    local vs NFS write throughput, stock 2.4.4 client
-//	Fig2    per-call latency trace: periodic flush spikes (stock client)
-//	Fig3    trace after flush removal: latency grows with the list
-//	Fig4    trace with the hash table: flat latency (+ checkpoint gap)
-//	Fig5/6  latency histograms, filer vs Linux, BKL held vs released
-//	Table1  memory write throughput before/after the lock fix
-//	Fig7    local vs NFS write throughput, enhanced client
-//	Slow100 §3.5 verification: slower server, faster memory writes
-//	Profile §3.4/§3.5 kernel-profile findings
-//	Jumbo   §3.5 future work: jumbo frames ablation
-//	Scaling beyond the paper: N client machines against one server
-//	Loss    beyond the paper: UDP vs TCP under fragment loss
-//	Read    beyond the paper: sequential read, rewrite and mixed
-//	        workloads with a client readahead ablation
-//	Random  beyond the paper: sequential vs random chunk I/O across the
-//	        fix progression — fix 2's figure-3/4 divergence under the
-//	        access pattern that actually stresses the request lookup
-//	DBLoad  §3.6: random page updates with group-commit fsync — the
-//	        filer-vs-Linux durability story as a tested table
-//	Zipf    beyond the paper: Zipfian many-file metadata workload with
-//	        an attribute-cache (noac) and skew (uniform) ablation
-//	Coherence beyond the paper: writers and readers sharing one file
-//	        under strict/ttl/noac consistency — staleness vs throughput
+// evaluation (§3) and the studies beyond it as one registry of specs
+// (DESIGN.md §4 maps them to the paper). A table experiment is data: a
+// harness grid, a title, columns formatting one harness.Result each,
+// notes and a footer, rendered by Experiment.Table. Other outputs (plots,
+// traces, histograms, profiles, chaos reports) supply Render. Every run
+// goes through the harness except Concurrency's two writers on one
+// machine, which drive bonnie directly.
 package experiments
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"time"
 
@@ -47,157 +25,302 @@ import (
 	"repro/internal/vfs"
 )
 
-// Workers is the harness worker-pool size for the grid-shaped
-// experiments (Fig1/Fig7 sweeps, Table1, Slow100, Jumbo); 0 means one
-// worker per CPU. cmd/nfsbench's -workers flag sets it. Results are
+// Workers is the harness worker-pool size for grid experiments; 0 means
+// one worker per CPU. cmd/nfsbench's -workers flag sets it. Results are
 // identical for every value — only wall-clock time changes.
 var Workers int
 
-func runGrid(g harness.Grid) []harness.Result {
+// RunGrid runs every scenario of g on the harness worker pool and returns
+// the results in grid order.
+func RunGrid(g harness.Grid) []harness.Result {
 	return (&harness.Runner{Workers: Workers}).Run(g.Expand())
 }
 
-// PaperSizesMB is the Figure 1/7 x-axis: 25–450 MB in 25 MB steps.
-func PaperSizesMB() []int {
-	sizes := make([]int, 0, 18)
-	for mb := 25; mb <= 450; mb += 25 {
-		sizes = append(sizes, mb)
+// Column is one table column: a header and the cell it shows for a row.
+type Column[R any] struct {
+	Header string
+	Cell   func(R) string
+}
+
+// col formats get(row) with a fmt verb.
+func col[R, T any](header, verb string, get func(R) T) Column[R] {
+	return Column[R]{header, func(r R) string { return fmt.Sprintf(verb, get(r)) }}
+}
+
+// table renders rows through stats.Table, one line per row.
+func table[R any](title string, cols []Column[R], rows []R) string {
+	headers := make([]string, len(cols))
+	for i, c := range cols {
+		headers[i] = c.Header
 	}
-	return sizes
-}
-
-// runOne executes a single benchmark run on a fresh test bed.
-func runOne(srv nfssim.ServerKind, cfg core.Config, fileMB int, full bool) (*nfssim.Testbed, *bonnie.Result) {
-	tb := nfssim.NewTestbed(nfssim.Options{Server: srv, Client: cfg})
-	res := bonnie.Run(tb.Sim, fmt.Sprintf("%s/%dMB", srv, fileMB), tb.Open, bonnie.Config{
-		FileSize:       int64(fileMB) << 20,
-		TimeLimit:      30 * time.Minute,
-		SkipFlushClose: !full,
-	})
-	return tb, res
-}
-
-// SweepResult is a Figure 1 or Figure 7 dataset: write-phase throughput
-// (KB/s, the paper's y-axis) versus file size (MB) for the three targets.
-type SweepResult struct {
-	Title string
-	Local *stats.Series
-	Filer *stats.Series
-	Linux *stats.Series
-}
-
-// Series returns the three curves in plot order.
-func (r *SweepResult) Series() []*stats.Series {
-	return []*stats.Series{r.Linux, r.Filer, r.Local}
-}
-
-// Render formats the dataset as the paper's plot data.
-func (r *SweepResult) Render() string {
-	var b strings.Builder
-	b.WriteString(r.Title + "\n")
-	b.WriteString("write throughput (KB/s) vs file size (MB)\n")
-	b.WriteString(stats.CSV(r.Series()...))
-	return b.String()
-}
-
-// sweep runs the Figure 1/7 grid — three targets x the size axis,
-// write-phase throughput only — on the parallel harness. Scenario order
-// (and hence series point order) is the grid's deterministic expansion.
-func sweep(title, cfgName string, cfg core.Config, sizesMB []int) *SweepResult {
-	r := &SweepResult{
-		Title: title,
-		Local: &stats.Series{Name: "local ext2", XLabel: "MB", YLabel: "KB/s"},
-		Filer: &stats.Series{Name: "Netapp filer", XLabel: "MB", YLabel: "KB/s"},
-		Linux: &stats.Series{Name: "Linux NFS server", XLabel: "MB", YLabel: "KB/s"},
+	t := stats.NewTable(title, headers...)
+	for _, r := range rows {
+		cells := make([]string, len(cols))
+		for i, c := range cols {
+			cells[i] = c.Cell(r)
+		}
+		t.AddRow(cells...)
 	}
-	results := runGrid(harness.Grid{
-		Servers:        []nfssim.ServerKind{nfssim.ServerNone, nfssim.ServerFiler, nfssim.ServerLinux},
-		Configs:        []harness.ClientConfig{{Name: cfgName, Config: cfg}},
-		FileSizesMB:    sizesMB,
-		SkipFlushClose: true,
-	})
-	for _, res := range results {
-		switch res.Server {
-		case "local":
-			r.Local.Add(float64(res.FileMB), res.WriteKBps)
-		case "filer":
-			r.Filer.Add(float64(res.FileMB), res.WriteKBps)
-		case "linux":
-			r.Linux.Add(float64(res.FileMB), res.WriteKBps)
+	return t.String()
+}
+
+// Experiment is one nfsbench artifact.
+type Experiment struct {
+	Name string // the nfsbench argument
+	Desc string // one line for the usage text and the `all` headers
+
+	// Grid declares the runs; nil when Render drives its own scenarios.
+	Grid *harness.Grid
+	// QuickSizesMB, when set, replaces the grid's file sizes under -quick.
+	QuickSizesMB []int
+
+	// Title, Columns, Notes and Footer describe a table: one row per run
+	// in grid order, then the headline comparisons (Notes gets the spec
+	// for Row lookups), then the footer.
+	Title   string
+	Columns []Column[harness.Result]
+	Notes   func(e *Experiment, rows []harness.Result) string
+	Footer  string
+
+	// Render formats the runs instead, when the output is not one table.
+	Render func(rows []harness.Result) string
+}
+
+// Output runs the experiment, at the quick sizes if quick is set, and
+// formats the result.
+func (e *Experiment) Output(quick bool) string {
+	var rows []harness.Result
+	if e.Grid != nil {
+		g := *e.Grid
+		if quick && e.QuickSizesMB != nil {
+			g.FileSizesMB = e.QuickSizesMB
+		}
+		rows = RunGrid(g)
+	}
+	if e.Render != nil {
+		return e.Render(rows)
+	}
+	return e.Table(rows)
+}
+
+// Table renders rows as the experiment's table, notes and footer.
+func (e *Experiment) Table(rows []harness.Result) string {
+	out := table(e.Title, e.Columns, rows)
+	if e.Notes != nil {
+		out += e.Notes(e, rows)
+	}
+	return out + e.Footer
+}
+
+// Row returns the first row whose leading cells read keys (nil if none):
+// the one lookup the notes, the tests and the benchmarks share.
+func (e *Experiment) Row(rows []harness.Result, keys ...string) *harness.Result {
+	for i := range rows {
+		cellIs := func(key string, c Column[harness.Result]) bool { return c.Cell(rows[i]) == key }
+		if slices.EqualFunc(keys, e.Columns[:len(keys)], cellIs) {
+			return &rows[i]
 		}
 	}
-	return r
+	return nil
+}
+
+// driven is a registry entry that runs its own scenarios.
+func driven(name, desc string, out func() string) *Experiment {
+	return &Experiment{Name: name, Desc: desc, Render: func([]harness.Result) string { return out() }}
+}
+
+// Registry lists every experiment in `nfsbench all` order.
+var Registry = []*Experiment{
+	Fig1,
+	driven("fig2", "periodic write latency spikes, stock client", func() string { return Fig2().Render() }),
+	driven("fig3", "latency growth after flush removal (linear list)", func() string { return Fig3().Render() }),
+	driven("fig4", "flat latency with scalable data structures", func() string { return Fig4().Render() }),
+	driven("fig5", "latency histograms with the BKL held across sends", func() string { return Fig5().Render() }),
+	driven("fig6", "latency histograms with the BKL released", func() string { return Fig6().Render() }),
+	Table1,
+	Fig7,
+	Slow100,
+	driven("profile", "kernel profile: hot functions and BKL wait attribution", func() string { return Profile().Render() }),
+	Jumbo,
+	driven("concurrent", "two writers to separate files, BKL vs no lock", func() string { return Concurrency().Render() }),
+	Scaling, Fleet, Loss, Read, Random, DB, Zipf, Coherence, Chaos,
+}
+
+// configs resolves canonical client configuration names.
+func configs(names ...string) []harness.ClientConfig {
+	cs, err := harness.ParseConfigs(strings.Join(names, ","))
+	if err != nil {
+		panic(err)
+	}
+	return cs
+}
+
+// scenario expands a one-cell grid, harness defaults on every other axis.
+func scenario(srv nfssim.ServerKind, cfg string, fileMB int, skipFlushClose bool) harness.Scenario {
+	return harness.Grid{Servers: []nfssim.ServerKind{srv}, Configs: configs(cfg),
+		FileSizesMB: []int{fileMB}, SkipFlushClose: skipFlushClose}.Expand()[0]
+}
+
+var onFiler = []nfssim.ServerKind{nfssim.ServerFiler}
+
+// Field getters the column lists share.
+func config(r harness.Result) string     { return r.Config }
+func workload(r harness.Result) string   { return r.Workload }
+func writeMBps(r harness.Result) float64 { return r.WriteMBps }
+func aggMBps(r harness.Result) float64   { return r.AggMBps }
+func getattrs(r harness.Result) int64    { return r.GetattrRPCs }
+
+// ReadHitRate is page-cache read hits over read lookups (0 without any).
+func ReadHitRate(r harness.Result) float64 {
+	if lookups := r.ReadHits + r.ReadMisses; lookups > 0 {
+		return float64(r.ReadHits) / float64(lookups)
+	}
+	return 0
+}
+
+// TxPerSec is chunk updates per second of the I/O phase, fsyncs included.
+func TxPerSec(r harness.Result) float64 {
+	if r.WriteMBps <= 0 {
+		return 0
+	}
+	elapsedSec := float64(int64(r.FileMB)<<20) / (r.WriteMBps * 1e6)
+	return float64(r.Calls) / elapsedSec
+}
+
+// FsyncTime is the total virtual time spent inside group-commit fsyncs.
+func FsyncTime(r harness.Result) time.Duration {
+	return time.Duration(r.FsyncUs * float64(time.Microsecond))
+}
+
+// SlotWaitShare is the share of RPCs that found their client's slot table
+// full and queued — the client-visible signature of server saturation.
+func SlotWaitShare(r harness.Result) float64 {
+	total := r.RPCsSent + r.ReadRPCs + r.CommitRPCs +
+		r.LookupRPCs + r.GetattrRPCs + r.CreateRPCs + r.RemoveRPCs
+	if total == 0 {
+		return 0
+	}
+	return float64(r.SlotWaits) / float64(total)
+}
+
+// SlotWaitMeanUs is the mean queue time of an RPC that waited for a slot.
+func SlotWaitMeanUs(r harness.Result) float64 {
+	if r.SlotWaits == 0 {
+		return 0
+	}
+	return r.SlotWaitUs / float64(r.SlotWaits)
+}
+
+// LossDegradation is 1 - (throughput at loss)/(throughput at loss 0) for
+// one config/transport pair of the Loss rows, or -1 without a baseline.
+func LossDegradation(rows []harness.Result, config, transport string, loss float64) float64 {
+	var base, at float64
+	for _, r := range rows {
+		if r.Config != config || r.Transport != transport {
+			continue
+		}
+		if r.Loss == 0 {
+			base = r.AggMBps
+		}
+		if r.Loss == loss {
+			at = r.AggMBps
+		}
+	}
+	if base <= 0 {
+		return -1
+	}
+	return 1 - at/base
+}
+
+// PaperSizesMB is the Figure 1/7 x-axis: 25–450 MB in 25 MB steps.
+var PaperSizesMB, _ = harness.ParseSizes("25..450:25")
+
+// SweepSeries splits Figure 1/7 rows into the three write-phase
+// throughput curves (KB/s vs MB), in plot order.
+func SweepSeries(rows []harness.Result) (linux, filer, local *stats.Series) {
+	linux = &stats.Series{Name: "Linux NFS server", XLabel: "MB", YLabel: "KB/s"}
+	filer = &stats.Series{Name: "Netapp filer", XLabel: "MB", YLabel: "KB/s"}
+	local = &stats.Series{Name: "local ext2", XLabel: "MB", YLabel: "KB/s"}
+	byServer := map[string]*stats.Series{"linux": linux, "filer": filer, "local": local}
+	for _, r := range rows {
+		byServer[r.Server].Add(float64(r.FileMB), r.WriteKBps)
+	}
+	return linux, filer, local
+}
+
+// sweep is a Figure 1/7 spec: the three targets across the size axis,
+// write phase only, rendered as plot data.
+func sweep(name, desc, title, cfg string) *Experiment {
+	return &Experiment{
+		Name: name, Desc: desc,
+		Grid: &harness.Grid{
+			Servers:        []nfssim.ServerKind{nfssim.ServerNone, nfssim.ServerFiler, nfssim.ServerLinux},
+			Configs:        configs(cfg),
+			FileSizesMB:    PaperSizesMB,
+			SkipFlushClose: true,
+		},
+		QuickSizesMB: []int{25, 100, 200, 250, 300, 450},
+		Render: func(rows []harness.Result) string {
+			linux, filer, local := SweepSeries(rows)
+			return title + "\nwrite throughput (KB/s) vs file size (MB)\n" + stats.CSV(linux, filer, local)
+		},
+	}
 }
 
 // Fig1 reproduces Figure 1: the stock client's NFS write throughput is
 // pinned to network/server speed at every file size, while local ext2
 // writes at memory speed until RAM runs out.
-func Fig1(sizesMB []int) *SweepResult {
-	if sizesMB == nil {
-		sizesMB = PaperSizesMB()
-	}
-	return sweep("Figure 1 - Local v. NFS write throughput (stock 2.4.4 client)",
-		"stock", core.Stock244Config(), sizesMB)
-}
+var Fig1 = sweep("fig1", "local vs NFS write throughput, stock 2.4.4 client",
+	"Figure 1 - Local v. NFS write throughput (stock 2.4.4 client)", "stock")
 
-// Fig7 reproduces Figure 7: with all three fixes, NFS memory write
-// throughput rivals local ext2 until client memory is exhausted, and the
-// filer sustains high throughput longest.
-func Fig7(sizesMB []int) *SweepResult {
-	if sizesMB == nil {
-		sizesMB = PaperSizesMB()
-	}
-	return sweep("Figure 7 - Local v. NFS write throughput (enhanced client)",
-		"enhanced", core.EnhancedConfig(), sizesMB)
-}
+// Fig7 reproduces Figure 7: with all three fixes, NFS memory writes rival
+// local ext2 until client memory runs out, and the filer holds out longest.
+var Fig7 = sweep("fig7", "local vs NFS write throughput, enhanced client",
+	"Figure 7 - Local v. NFS write throughput (enhanced client)", "enhanced")
 
 // TraceResult is a Figures 2–4 dataset: one run's per-call latency trace
 // plus the derived spike/growth statistics.
 type TraceResult struct {
 	Title  string
-	Result *bonnie.Result
+	Result harness.Result
 
-	SpikeCutoff time.Duration
 	Spikes      int
 	SpikePeriod float64
 	MeanAll     time.Duration
 	MeanBelow   time.Duration // mean excluding spikes (paper's comparison)
 	SlopeNsCall float64
 
-	// QuietGap marks the Figure 4 checkpoint signature: a window of
-	// strongly reduced jitter while the filer stops responding and the
-	// flush daemon stalls.
-	QuietGapStart int
-	QuietGapEnd   int
-	HasQuietGap   bool
+	// QuietGap marks Figure 4's checkpoint: a window of reduced jitter.
+	QuietGapStart, QuietGapEnd int
+	HasQuietGap                bool
 }
 
-func newTraceResult(title string, res *bonnie.Result) *TraceResult {
-	cutoff := time.Millisecond
+// SpikeCutoff is the latency above which Figures 2–4 count a spike.
+const SpikeCutoff = time.Millisecond
+
+func newTraceResult(title string, res harness.Result) *TraceResult {
 	return &TraceResult{
 		Title:       title,
 		Result:      res,
-		SpikeCutoff: cutoff,
-		Spikes:      res.Trace.CountAbove(cutoff),
-		SpikePeriod: res.Trace.SpikePeriod(cutoff),
+		Spikes:      res.Trace.CountAbove(SpikeCutoff),
+		SpikePeriod: res.Trace.SpikePeriod(SpikeCutoff),
 		MeanAll:     res.Trace.Summary().Mean,
-		MeanBelow:   res.Trace.SummaryExcluding(cutoff).Mean,
+		MeanBelow:   res.Trace.SummaryExcluding(SpikeCutoff).Mean,
 		SlopeNsCall: res.Trace.Slope(),
 	}
 }
 
-// Render formats the trace statistics (the full trace is available via
-// Result.Trace.CSV()).
+// Render formats the trace statistics (Result.Trace.CSV() is the trace).
 func (r *TraceResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", r.Title)
 	fmt.Fprintf(&b, "  calls:                %d\n", r.Result.Calls)
 	fmt.Fprintf(&b, "  mean latency:         %v\n", r.MeanAll)
-	fmt.Fprintf(&b, "  mean excluding >%v: %v\n", r.SpikeCutoff, r.MeanBelow)
-	fmt.Fprintf(&b, "  spikes >%v:          %d (every ~%.0f calls)\n", r.SpikeCutoff, r.Spikes, r.SpikePeriod)
+	fmt.Fprintf(&b, "  mean excluding >%v: %v\n", SpikeCutoff, r.MeanBelow)
+	fmt.Fprintf(&b, "  spikes >%v:          %d (every ~%.0f calls)\n", SpikeCutoff, r.Spikes, r.SpikePeriod)
 	fmt.Fprintf(&b, "  latency slope:        %.1f ns/call\n", r.SlopeNsCall)
 	fmt.Fprintf(&b, "  max latency:          %v\n", r.Result.Trace.Summary().Max)
-	fmt.Fprintf(&b, "  write throughput:     %.1f MB/s\n", r.Result.WriteMBps())
+	fmt.Fprintf(&b, "  write throughput:     %.1f MB/s\n", r.Result.WriteMBps)
 	if r.HasQuietGap {
 		fmt.Fprintf(&b, "  quiet gap (checkpoint): calls %d-%d\n", r.QuietGapStart, r.QuietGapEnd)
 	}
@@ -208,260 +331,200 @@ func (r *TraceResult) Render() string {
 // client, showing periodic multi-millisecond spikes roughly every
 // MAX_REQUEST_SOFT/2 calls.
 func Fig2() *TraceResult {
-	_, res := runOne(nfssim.ServerFiler, core.Stock244Config(), 40, true)
-	return newTraceResult("Figure 2 - Actual write latency over time (stock 2.4.4, filer)", res)
+	return newTraceResult("Figure 2 - Actual write latency over time (stock 2.4.4, filer)",
+		harness.RunScenario(scenario(nfssim.ServerFiler, "stock", 40, false)))
 }
 
 // Fig3 reproduces Figure 3: the same run with limit-flushing removed —
 // no spikes, but latency grows as the per-inode list lengthens.
 func Fig3() *TraceResult {
-	_, res := runOne(nfssim.ServerFiler, core.NoLimitsConfig(), 100, true)
-	return newTraceResult("Figure 3 - Actual write latency over time (no flushing, linear list)", res)
+	return newTraceResult("Figure 3 - Actual write latency over time (no flushing, linear list)",
+		harness.RunScenario(scenario(nfssim.ServerFiler, "nolimits", 100, false)))
 }
 
 // Fig4 reproduces Figure 4: with the hash table, latency stays low for
-// the whole run. A consistency point from the warm-up file's data lands
-// mid-run, reproducing the paper's "gap of greatly reduced jitter".
+// the whole run. The prepare hook first writes a 30 MB warm-up file, so
+// NVRAM is partly charged as on a repeatedly-used filer and a checkpoint
+// lands mid-run: the paper's "gap of greatly reduced jitter".
 func Fig4() *TraceResult {
-	tb := nfssim.NewTestbed(nfssim.Options{Server: nfssim.ServerFiler, Client: core.HashConfig()})
-	// Warm-up: a previous benchmark file, fully flushed to the filer, so
-	// NVRAM is partially charged — as on a real, repeatedly-used filer.
-	warm := bonnie.Run(tb.Sim, "warmup", tb.Open, bonnie.Config{FileSize: 30 << 20, TimeLimit: 10 * time.Minute})
-	_ = warm
-	res := bonnie.Run(tb.Sim, "fig4", tb.Open, bonnie.Config{
-		FileSize: 100 << 20, TimeLimit: 30 * time.Minute, SkipFlushClose: true,
+	res := harness.RunScenarioOn(scenario(nfssim.ServerFiler, "hash", 100, true), func(tb *nfssim.Testbed) {
+		bonnie.RunWorkload(tb.Sim, "warmup", tb.OpenSet(), bonnie.Config{FileSize: 30 << 20, TimeLimit: 10 * time.Minute})
 	})
 	tr := newTraceResult("Figure 4 - Actual write latency over time (scalable data structures)", res)
 	tr.QuietGapStart, tr.QuietGapEnd, tr.HasQuietGap = res.Trace.QuietGap(200, 0.5)
 	return tr
 }
 
+// TailCutoff is the latency from which Figures 5/6 count a write() as slow.
+const TailCutoff = 90 * time.Microsecond
+
 // HistResult is the Figures 5/6 dataset: write() latency histograms for
-// the same run against the two servers, under one lock policy.
+// the same 30 MB run against the two servers, under one lock policy.
 type HistResult struct {
-	Title      string
-	FilerHist  *stats.Histogram
-	LinuxHist  *stats.Histogram
-	FilerMean  time.Duration
-	LinuxMean  time.Duration
-	FilerMin   time.Duration
-	LinuxMin   time.Duration
-	FilerMax   time.Duration
-	LinuxMax   time.Duration
-	FilerMBps  float64
-	LinuxMBps  float64
-	TailCutoff time.Duration
-	FilerTail  int
-	LinuxTail  int
+	Title                string
+	FilerHist, LinuxHist *stats.Histogram
+	Filer, Linux         stats.Summary
 }
 
-func hist(title string, cfg core.Config) *HistResult {
-	_, filer := runOne(nfssim.ServerFiler, cfg, 30, true)
-	_, linux := runOne(nfssim.ServerLinux, cfg, 30, true)
+func hist(title, cfg string) *HistResult {
 	r := &HistResult{
-		Title:      title,
-		FilerHist:  stats.NewHistogram("Network Appliance F85", 30*time.Microsecond, 9),
-		LinuxHist:  stats.NewHistogram("Linux 2.4 NFS server", 30*time.Microsecond, 9),
-		TailCutoff: 90 * time.Microsecond,
+		Title:     title,
+		FilerHist: stats.NewHistogram("Network Appliance F85", 30*time.Microsecond, 9),
+		LinuxHist: stats.NewHistogram("Linux 2.4 NFS server", 30*time.Microsecond, 9),
 	}
-	r.FilerHist.AddTrace(filer.Trace)
-	r.LinuxHist.AddTrace(linux.Trace)
-	fs, ls := filer.Trace.Summary(), linux.Trace.Summary()
-	r.FilerMean, r.LinuxMean = fs.Mean, ls.Mean
-	r.FilerMin, r.LinuxMin = fs.Min, ls.Min
-	r.FilerMax, r.LinuxMax = fs.Max, ls.Max
-	r.FilerMBps, r.LinuxMBps = filer.WriteMBps(), linux.WriteMBps()
-	r.FilerTail = r.FilerHist.TailCount(r.TailCutoff)
-	r.LinuxTail = r.LinuxHist.TailCount(r.TailCutoff)
+	filer := harness.RunScenario(scenario(nfssim.ServerFiler, cfg, 30, false)).Trace
+	linux := harness.RunScenario(scenario(nfssim.ServerLinux, cfg, 30, false)).Trace
+	r.FilerHist.AddTrace(filer)
+	r.LinuxHist.AddTrace(linux)
+	r.Filer, r.Linux = filer.Summary(), linux.Summary()
 	return r
 }
 
-// Render formats both histograms side by side.
+// Render formats both histograms and their summaries.
 func (r *HistResult) Render() string {
 	var b strings.Builder
 	b.WriteString(r.Title + "\n")
 	b.WriteString(r.FilerHist.String())
 	b.WriteString(r.LinuxHist.String())
-	fmt.Fprintf(&b, "filer: mean %v min %v max %v tail(>=%v) %d\n",
-		r.FilerMean, r.FilerMin, r.FilerMax, r.TailCutoff, r.FilerTail)
-	fmt.Fprintf(&b, "linux: mean %v min %v max %v tail(>=%v) %d\n",
-		r.LinuxMean, r.LinuxMin, r.LinuxMax, r.TailCutoff, r.LinuxTail)
+	line := func(name string, s stats.Summary, h *stats.Histogram) {
+		fmt.Fprintf(&b, "%s: mean %v min %v max %v tail(>=%v) %d\n", name, s.Mean, s.Min, s.Max, TailCutoff, h.TailCount(TailCutoff))
+	}
+	line("filer", r.Filer, r.FilerHist)
+	line("linux", r.Linux, r.LinuxHist)
 	return b.String()
 }
 
 // Fig5 reproduces Figure 5: with the BKL held across sock_sendmsg, the
 // faster filer produces more slow write() calls than the Linux server.
-// (Bucket width is 30 µs rather than the paper's 60 µs because our 8 KB
-// write path is ~2x faster than the paper's measured calls; see
-// DESIGN.md §2 on the paper's internal 8 KB/16 KB inconsistency.)
+// (Buckets are 30 µs, not 60 µs: our 8 KB write path is ~2x faster than
+// the paper's measured calls; see DESIGN.md §2.)
 func Fig5() *HistResult {
-	return hist("Figure 5 - Latency histogram (BKL across sock_sendmsg)", core.HashConfig())
+	return hist("Figure 5 - Latency histogram (BKL across sock_sendmsg)", "hash")
 }
 
 // Fig6 reproduces Figure 6: releasing the BKL around sock_sendmsg shrinks
 // the tail on both servers; minimum latency barely moves.
 func Fig6() *HistResult {
-	return hist("Figure 6 - Latency histogram (BKL released around sock_sendmsg)", core.EnhancedConfig())
+	return hist("Figure 6 - Latency histogram (BKL released around sock_sendmsg)", "enhanced")
 }
 
-// Table1Result is the paper's Table 1 plus the network-throughput
-// observations of §3.5 that frame it.
-type Table1Result struct {
-	FilerLockMBps   float64
-	FilerNoLockMBps float64
-	LinuxLockMBps   float64
-	LinuxNoLockMBps float64
-
-	// Sustained server-side ingest during the runs ("the filer sustains
-	// about 38 MBps of network throughput ... the Linux NFS server can
-	// sustain only 26 MBps").
-	FilerNetMBps float64
-	LinuxNetMBps float64
-}
-
-// Table renders the paper's Table 1.
-func (r *Table1Result) Table() *stats.Table {
-	t := stats.NewTable("Table 1 - Client memory write throughput, before and after lock modification",
-		"", "Normal", "No lock")
-	t.AddRow("NetApp filer",
-		fmt.Sprintf("%.0f MBps", r.FilerLockMBps), fmt.Sprintf("%.0f MBps", r.FilerNoLockMBps))
-	t.AddRow("Linux NFS server",
-		fmt.Sprintf("%.0f MBps", r.LinuxLockMBps), fmt.Sprintf("%.0f MBps", r.LinuxNoLockMBps))
-	return t
-}
-
-// Render formats the table and the framing observations.
-func (r *Table1Result) Render() string {
-	var b strings.Builder
-	b.WriteString(r.Table().String())
-	fmt.Fprintf(&b, "sustained network write throughput: filer %.1f MBps, linux %.1f MBps\n",
-		r.FilerNetMBps, r.LinuxNetMBps)
-	return b.String()
-}
-
-// Table1 reproduces Table 1 as a harness grid: 5 MB runs on the
-// hash-table client with the BKL held ("hash") versus released
-// ("enhanced"), against both servers — a 2x2 cell sweep.
-func Table1() *Table1Result {
-	results := runGrid(harness.Grid{
-		Servers: []nfssim.ServerKind{nfssim.ServerFiler, nfssim.ServerLinux},
-		Configs: []harness.ClientConfig{
-			{Name: "hash", Config: core.HashConfig()},
-			{Name: "enhanced", Config: core.EnhancedConfig()},
-		},
+// Table1 reproduces Table 1: 5 MB runs with the BKL held ("hash") versus
+// released ("enhanced") against both servers, plus §3.5's ingest framing.
+// Rows are config-major: hash filer, hash linux, enhanced filer, linux.
+var Table1 = &Experiment{
+	Name: "table1", Desc: "client memory write throughput before/after lock fix",
+	Grid: &harness.Grid{
+		Servers:     []nfssim.ServerKind{nfssim.ServerFiler, nfssim.ServerLinux},
+		Configs:     configs("hash", "enhanced"),
 		FileSizesMB: []int{5},
-	})
-	r := &Table1Result{}
-	for _, res := range results {
-		switch {
-		case res.Server == "filer" && res.Config == "hash":
-			r.FilerLockMBps, r.FilerNetMBps = res.WriteMBps, res.ServerNetMBps
-		case res.Server == "filer" && res.Config == "enhanced":
-			r.FilerNoLockMBps = res.WriteMBps
-		case res.Server == "linux" && res.Config == "hash":
-			r.LinuxLockMBps, r.LinuxNetMBps = res.WriteMBps, res.ServerNetMBps
-		case res.Server == "linux" && res.Config == "enhanced":
-			r.LinuxNoLockMBps = res.WriteMBps
-		}
-	}
-	return r
+	},
+	Render: func(rows []harness.Result) string {
+		mbps := func(r harness.Result) string { return fmt.Sprintf("%.0f MBps", r.WriteMBps) }
+		return table("Table 1 - Client memory write throughput, before and after lock modification",
+			[]Column[[2]harness.Result]{
+				{"", func(p [2]harness.Result) string {
+					return map[string]string{"filer": "NetApp filer", "linux": "Linux NFS server"}[p[0].Server]
+				}},
+				{"Normal", func(p [2]harness.Result) string { return mbps(p[0]) }},
+				{"No lock", func(p [2]harness.Result) string { return mbps(p[1]) }},
+			}, [][2]harness.Result{{rows[0], rows[2]}, {rows[1], rows[3]}}) +
+			fmt.Sprintf("sustained network write throughput: filer %.1f MBps, linux %.1f MBps\n",
+				rows[0].ServerNetMBps, rows[1].ServerNetMBps)
+	},
 }
 
-// Slow100Result is §3.5's verification experiment.
-type Slow100Result struct {
-	SlowMBps     float64 // client memory write throughput, 100 Mb/s server
-	FilerMBps    float64 // same against the gigabit filer
-	SlowNetMBps  float64 // slow server's sustained ingest
-	FilerNetMBps float64
-}
-
-// Render formats the comparison.
-func (r *Slow100Result) Render() string {
-	return fmt.Sprintf(`Slow-server verification (§3.5)
+// Slow100 reproduces the §3.5 check over the server axis: a server on
+// 100 Mb/s Ethernet sustains <10 MB/s on the wire yet yields *faster*
+// client memory writes. Rows: slow100, then filer.
+var Slow100 = &Experiment{
+	Name: "slow100", Desc: "slower server yields faster client memory writes",
+	Grid: &harness.Grid{
+		Servers:     []nfssim.ServerKind{nfssim.ServerSlow100, nfssim.ServerFiler},
+		Configs:     configs("hash"),
+		FileSizesMB: []int{5},
+	},
+	Render: func(rows []harness.Result) string {
+		slow, filer := rows[0], rows[1]
+		return fmt.Sprintf(`Slow-server verification (§3.5)
   memory write throughput: 100Mb server %.1f MBps vs filer %.1f MBps
   network ingest:          100Mb server %.1f MBps vs filer %.1f MBps
   (the slower server leaves the writer less impeded: %v)
-`, r.SlowMBps, r.FilerMBps, r.SlowNetMBps, r.FilerNetMBps, r.SlowMBps > r.FilerMBps)
+`, slow.WriteMBps, filer.WriteMBps, slow.ServerNetMBps, filer.ServerNetMBps, slow.WriteMBps > filer.WriteMBps)
+	},
 }
 
-// Slow100 reproduces the §3.5 check as a harness grid over the server
-// axis: a server on 100 Mb/s Ethernet sustains <10 MB/s on the wire yet
-// yields *faster* client memory writes.
-func Slow100() *Slow100Result {
-	results := runGrid(harness.Grid{
-		Servers:     []nfssim.ServerKind{nfssim.ServerSlow100, nfssim.ServerFiler},
-		Configs:     []harness.ClientConfig{{Name: "hash", Config: core.HashConfig()}},
-		FileSizesMB: []int{5},
-	})
-	r := &Slow100Result{}
-	for _, res := range results {
-		if res.Server == "slow100" {
-			r.SlowMBps, r.SlowNetMBps = res.WriteMBps, res.ServerNetMBps
-		} else {
-			r.FilerMBps, r.FilerNetMBps = res.WriteMBps, res.ServerNetMBps
-		}
-	}
-	return r
-}
-
-// ProfileResult carries the §3.4/§3.5 kernel-profile findings.
+// ProfileResult carries the §3.4/§3.5 kernel-profile findings: the top
+// CPU consumers of a linear-list run (where the paper's profiler finds
+// nfs_find_request/nfs_update_request) and of a hash-table run, and the
+// hash run's BKL wait by holding critical section, of which ~90% should
+// be sock_sendmsg (SendFraction).
 type ProfileResult struct {
-	// TopPreFix is the top CPU consumers during a linear-list run; the
-	// paper's profiler finds nfs_find_request/nfs_update_request here.
-	TopPreFix []sim.ProfileEntry
-	// TopPostFix is the same with the hash table.
-	TopPostFix []sim.ProfileEntry
-	// BKLWaitBySection attributes BKL wait time to the critical section
-	// holding it; ~90% should be sock_sendmsg.
-	BKLWaitBySection map[string]time.Duration
-	// SendFraction is sock_sendmsg's share of total BKL wait.
-	SendFraction float64
+	TopPreFix, TopPostFix []sim.ProfileEntry
+	BKLWaitBySection      map[string]time.Duration
+	SendFraction          float64
 }
 
 // Render formats the findings.
 func (r *ProfileResult) Render() string {
 	var b strings.Builder
-	b.WriteString("Kernel profile, linear-list run (top CPU consumers):\n")
-	for _, e := range r.TopPreFix {
-		fmt.Fprintf(&b, "  %-32s %12v (%d calls)\n", e.Label, e.Total, e.Calls)
+	top := func(title string, entries []sim.ProfileEntry) {
+		b.WriteString(title)
+		for _, e := range entries {
+			fmt.Fprintf(&b, "  %-32s %12v (%d calls)\n", e.Label, e.Total, e.Calls)
+		}
 	}
-	b.WriteString("Kernel profile, hash-table run:\n")
-	for _, e := range r.TopPostFix {
-		fmt.Fprintf(&b, "  %-32s %12v (%d calls)\n", e.Label, e.Total, e.Calls)
-	}
+	top("Kernel profile, linear-list run (top CPU consumers):\n", r.TopPreFix)
+	top("Kernel profile, hash-table run:\n", r.TopPostFix)
 	fmt.Fprintf(&b, "BKL wait attribution (hash-table run, lock held across send):\n")
-	sections := make([]string, 0, len(r.BKLWaitBySection))
-	for sec := range r.BKLWaitBySection {
-		sections = append(sections, sec)
-	}
-	sort.Strings(sections)
-	for _, sec := range sections {
+	for _, sec := range slices.Sorted(maps.Keys(r.BKLWaitBySection)) {
 		fmt.Fprintf(&b, "  %-32s %12v\n", sec, r.BKLWaitBySection[sec])
 	}
 	fmt.Fprintf(&b, "sock_sendmsg share of BKL wait: %.0f%%\n", 100*r.SendFraction)
 	return b.String()
 }
 
-// Profile reproduces the profiler findings of §3.4 and §3.5.
+// Profile reproduces the profiler findings of §3.4 and §3.5 from two
+// 40 MB filer runs; the prepare hook hands back each run's test bed.
 func Profile() *ProfileResult {
-	tbList, _ := runOne(nfssim.ServerFiler, core.NoLimitsConfig(), 40, true)
-	tbHash, _ := runOne(nfssim.ServerFiler, core.HashConfig(), 40, true)
-	r := &ProfileResult{
-		TopPreFix:        tbList.Sim.Profiler().Top(6),
-		TopPostFix:       tbHash.Sim.Profiler().Top(6),
-		BKLWaitBySection: tbHash.BKL.WaitBreakdown(),
+	bed := func(cfg string) (tb *nfssim.Testbed) {
+		harness.RunScenarioOn(scenario(nfssim.ServerFiler, cfg, 40, false), func(b *nfssim.Testbed) { tb = b })
+		return tb
 	}
-	var total, send time.Duration
-	for sec, d := range r.BKLWaitBySection {
+	list, hash := bed("nolimits"), bed("hash")
+	r := &ProfileResult{
+		TopPreFix:        list.Sim.Profiler().Top(6),
+		TopPostFix:       hash.Sim.Profiler().Top(6),
+		BKLWaitBySection: hash.Machine(0).BKL.WaitBreakdown(),
+	}
+	var total time.Duration
+	for _, d := range r.BKLWaitBySection {
 		total += d
-		if sec == "sock_sendmsg" {
-			send += d
-		}
 	}
 	if total > 0 {
-		r.SendFraction = float64(send) / float64(total)
+		r.SendFraction = float64(r.BKLWaitBySection["sock_sendmsg"]) / float64(total)
 	}
 	return r
+}
+
+// Jumbo runs the §3.5 future-work ablation over the MTU axis: filer,
+// enhanced client, 20 MB, standard versus jumbo frames, which cut IP
+// fragmentation and so per-RPC sock_sendmsg CPU. Rows: standard, jumbo.
+var Jumbo = &Experiment{
+	Name: "jumbo", Desc: "jumbo-frame ablation",
+	Grid: &harness.Grid{
+		Servers:     onFiler,
+		Configs:     configs("enhanced"),
+		FileSizesMB: []int{20},
+		Jumbo:       []bool{false, true},
+		TimeLimit:   10 * time.Minute,
+	},
+	Render: func(rows []harness.Result) string {
+		std, jumbo := rows[0], rows[1]
+		return fmt.Sprintf(`Jumbo-frame ablation (§3.5 future work), filer, enhanced client, 20 MB
+  write throughput: MTU 1500 %.1f MBps -> MTU 9000 %.1f MBps
+  sock_sendmsg CPU: MTU 1500 %v -> MTU 9000 %v
+`, std.FlushMBps, jumbo.FlushMBps, std.SendCPU, jumbo.SendCPU)
+	},
 }
 
 // ConcurrencyResult is §3.5's forward-looking claim: without the BKL in
@@ -483,896 +546,325 @@ func (r *ConcurrencyResult) Render() string {
 `, r.Writers, r.LockMBps, r.NoLockMBps, r.LockMeanLat, r.NoLockMean)
 }
 
-// Concurrency runs the multi-writer comparison.
+// Concurrency runs the multi-writer comparison: two writers on one client
+// machine, which no harness Scenario expresses (its writers are machines).
 func Concurrency() *ConcurrencyResult {
 	const writers = 2
-	run := func(cfg core.Config) *bonnie.ConcurrentResult {
+	run := func(cfg core.Config) (float64, time.Duration) {
 		tb := nfssim.NewTestbed(nfssim.Options{Server: nfssim.ServerFiler, Client: cfg})
-		return bonnie.RunConcurrent(tb.Sim, "conc", func(int) vfs.File { return tb.Open() }, writers, bonnie.Config{
-			FileSize: 5 << 20, TimeLimit: 10 * time.Minute, SkipFlushClose: true,
-		})
-	}
-	lock := run(core.HashConfig())
-	nolock := run(core.EnhancedConfig())
-	mean := func(r *bonnie.ConcurrentResult) time.Duration {
+		res := bonnie.RunConcurrentWorkload(tb.Sim, "conc", func(int) vfs.OpenSet { return tb.OpenSet() },
+			writers, bonnie.Config{FileSize: 5 << 20, TimeLimit: 10 * time.Minute, SkipFlushClose: true})
 		var sum time.Duration
 		var n int
-		for _, w := range r.PerWriter {
+		for _, w := range res.PerWriter {
 			s := w.Trace.Summary()
 			sum += s.Mean * time.Duration(s.Count)
 			n += s.Count
 		}
-		return sum / time.Duration(n)
+		return res.AggregateMBps(), sum / time.Duration(n)
 	}
-	return &ConcurrencyResult{
-		Writers:     writers,
-		LockMBps:    lock.AggregateMBps(),
-		NoLockMBps:  nolock.AggregateMBps(),
-		LockMeanLat: mean(lock),
-		NoLockMean:  mean(nolock),
-	}
-}
-
-// ScalingRow is one cell of the multi-client scale-out table.
-type ScalingRow struct {
-	Config    string
-	Clients   int
-	PerClient float64 // mean per-client throughput through close, MBps
-	Aggregate float64 // fleet bytes over the span to the last close, MBps
-	Fairness  float64 // Jain's index over per-client throughputs
-	ServerNet float64 // sustained server ingest, MBps
-}
-
-// ScalingResult is the scale-out experiment the paper's single-client
-// test bed could not run: N client machines against one server.
-type ScalingResult struct {
-	Server string
-	FileMB int
-	Rows   []ScalingRow
-}
-
-// Table renders the scale-out table.
-func (r *ScalingResult) Table() *stats.Table {
-	t := stats.NewTable(
-		fmt.Sprintf("Multi-client scale-out - %d MB per client, full runs, %s", r.FileMB, r.Server),
-		"config", "clients", "per-client MBps", "aggregate MBps", "fairness", "server MBps")
-	for _, row := range r.Rows {
-		t.AddRow(row.Config, fmt.Sprint(row.Clients),
-			fmt.Sprintf("%.1f", row.PerClient), fmt.Sprintf("%.1f", row.Aggregate),
-			fmt.Sprintf("%.3f", row.Fairness), fmt.Sprintf("%.1f", row.ServerNet))
-	}
-	return t
-}
-
-// Render formats the table plus the headline observation.
-func (r *ScalingResult) Render() string {
-	var b strings.Builder
-	b.WriteString(r.Table().String())
-	b.WriteString("aggregate throughput converges on the server's sustained ingest as\n")
-	b.WriteString("clients are added; the fairness column shows the server's FIFO request\n")
-	b.WriteString("queue splitting that ceiling evenly across client machines\n")
-	return b.String()
-}
-
-// Scaling runs the scale-out grid: stock vs enhanced clients, 1-8 client
-// machines, full write+flush+close runs against the filer, all on the
-// parallel harness. Per-client and aggregate throughput plus the Jain
-// fairness index come straight from the harness's multi-client columns.
-func Scaling() *ScalingResult {
-	const fileMB = 5
-	results := runGrid(harness.Grid{
-		Servers: []nfssim.ServerKind{nfssim.ServerFiler},
-		Configs: []harness.ClientConfig{
-			{Name: "stock", Config: core.Stock244Config()},
-			{Name: "enhanced", Config: core.EnhancedConfig()},
-		},
-		FileSizesMB: []int{fileMB},
-		Clients:     []int{1, 2, 4, 8},
-		TimeLimit:   10 * time.Minute,
-	})
-	r := &ScalingResult{Server: nfssim.ServerFiler.String(), FileMB: fileMB}
-	for _, res := range results {
-		r.Rows = append(r.Rows, ScalingRow{
-			Config:    res.Config,
-			Clients:   res.Clients,
-			PerClient: res.CloseMBps,
-			Aggregate: res.AggMBps,
-			Fairness:  res.Fairness,
-			ServerNet: res.ServerNetMBps,
-		})
-	}
+	r := &ConcurrencyResult{Writers: writers}
+	r.LockMBps, r.LockMeanLat = run(core.HashConfig())
+	r.NoLockMBps, r.NoLockMean = run(core.EnhancedConfig())
 	return r
 }
 
-// LossRow is one cell of the lossy-network table.
-type LossRow struct {
-	Config      string
-	Transport   string
-	Loss        float64 // per-fragment drop probability
-	WriteMBps   float64 // memory write throughput
-	AggMBps     float64 // end-to-end throughput through close
-	Retransmits int64   // whole-RPC resends (UDP) / segment resends (TCP)
-	DupReplies  int64   // suppressed duplicate replies (UDP only)
+// Scaling is the scale-out table the paper's single-client test bed could
+// not run: 1-8 client machines against the filer.
+var Scaling = &Experiment{
+	Name: "scaling", Desc: "multi-client scale-out: per-client vs aggregate throughput + fairness",
+	Grid: &harness.Grid{
+		Servers:     onFiler,
+		Configs:     configs("stock", "enhanced"),
+		FileSizesMB: []int{5},
+		Clients:     []int{1, 2, 4, 8},
+		TimeLimit:   10 * time.Minute,
+	},
+	Title: "Multi-client scale-out - 5 MB per client, full runs, filer",
+	Columns: []Column[harness.Result]{
+		col("config", "%s", config),
+		col("clients", "%d", func(r harness.Result) int { return r.Clients }),
+		col("per-client MBps", "%.1f", func(r harness.Result) float64 { return r.CloseMBps }),
+		col("aggregate MBps", "%.1f", aggMBps),
+		col("fairness", "%.3f", func(r harness.Result) float64 { return r.Fairness }),
+		col("server MBps", "%.1f", func(r harness.Result) float64 { return r.ServerNetMBps }),
+	},
+	Footer: "aggregate throughput converges on the server's sustained ingest as\n" +
+		"clients are added; the fairness column shows the server's FIFO request\n" +
+		"queue splitting that ceiling evenly across client machines\n",
 }
 
-// LossResult is the lossy-network experiment the paper motivates but
-// never runs: the same full write+flush+close benchmark over UDP and a
-// TCP-style stream while the network drops IP fragments. Under UDP one
-// lost 1500-byte fragment discards a whole 8 KB WRITE and the client
-// stalls on its retransmit timer; the stream transport retransmits only
-// the lost MTU-sized segment after an RTT-adaptive timeout.
-type LossResult struct {
-	Server string
-	FileMB int
-	Rows   []LossRow
+// Fleet extends the Clients axis to 10/100/1000 enhanced machines, each
+// writing 1 MB through close against the filer in one simulation. As the
+// server saturates, slots stay occupied and new requests convoy.
+var Fleet = &Experiment{
+	Name: "fleet", Desc: "thousand-client fleet: aggregate ingest, fairness, slot-table convoying",
+	Grid: &harness.Grid{
+		Servers:     onFiler,
+		Configs:     configs("enhanced"),
+		FileSizesMB: []int{1},
+		Clients:     []int{10, 100, 1000},
+		TimeLimit:   2 * time.Hour,
+	},
+	Title: "Thousand-client fleet - 1 MB per client, full runs, filer/enhanced",
+	Columns: []Column[harness.Result]{
+		col("clients", "%d", func(r harness.Result) int { return r.Clients }),
+		col("per-client MBps", "%.2f", func(r harness.Result) float64 { return r.CloseMBps }),
+		col("aggregate MBps", "%.1f", aggMBps),
+		col("fairness", "%.3f", func(r harness.Result) float64 { return r.Fairness }),
+		col("server MBps", "%.1f", func(r harness.Result) float64 { return r.ServerNetMBps }),
+		col("slot-wait share", "%.3f", SlotWaitShare),
+		col("slot-wait us", "%.0f", SlotWaitMeanUs),
+	},
+	Footer: "the server's sustained ingest is a fixed ceiling, so per-client\n" +
+		"throughput falls as 1/N while fairness holds near 1.0; the slot-wait\n" +
+		"columns show requests convoying behind occupied slots as replies slow\n",
 }
 
-// Table renders the loss table.
-func (r *LossResult) Table() *stats.Table {
-	t := stats.NewTable(
-		fmt.Sprintf("Lossy network - %d MB full runs, %s, UDP vs TCP", r.FileMB, r.Server),
-		"config", "transport", "loss %", "write MBps", "end-to-end MBps", "rexmt", "dup replies")
-	for _, row := range r.Rows {
-		t.AddRow(row.Config, row.Transport, fmt.Sprintf("%g", row.Loss*100),
-			fmt.Sprintf("%.1f", row.WriteMBps), fmt.Sprintf("%.2f", row.AggMBps),
-			fmt.Sprint(row.Retransmits), fmt.Sprint(row.DupReplies))
-	}
-	return t
-}
-
-// degradation returns 1 - (throughput at loss)/(throughput at loss 0)
-// for one config/transport pair, or -1 if the baseline is missing.
-func (r *LossResult) degradation(config, transport string, loss float64) float64 {
-	var base, at float64
-	for _, row := range r.Rows {
-		if row.Config != config || row.Transport != transport {
-			continue
-		}
-		if row.Loss == 0 {
-			base = row.AggMBps
-		}
-		if row.Loss == loss {
-			at = row.AggMBps
-		}
-	}
-	if base <= 0 {
-		return -1
-	}
-	return 1 - at/base
-}
-
-// Render formats the table plus the headline comparison: at every loss
-// rate of 1% and above, TCP's end-to-end throughput degrades strictly
-// less than UDP's.
-func (r *LossResult) Render() string {
-	var b strings.Builder
-	b.WriteString(r.Table().String())
-	for _, cfg := range []string{"stock", "enhanced"} {
-		for _, loss := range []float64{0.01, 0.05} {
-			u, t := r.degradation(cfg, "udp", loss), r.degradation(cfg, "tcp", loss)
-			if u < 0 || t < 0 {
-				continue
-			}
-			fmt.Fprintf(&b, "%s @ %g%% fragment loss: UDP loses %.1f%% of its throughput, TCP %.1f%% (TCP strictly better: %v)\n",
-				cfg, loss*100, u*100, t*100, t < u)
-		}
-	}
-	b.WriteString("one lost fragment costs UDP the whole 8 KB WRITE plus a backed-off\n")
-	b.WriteString("retransmit timeout; TCP resends only the missing segment\n")
-	return b.String()
-}
-
-// LossSweep runs the lossy-network grid: stock and enhanced clients over
-// UDP and TCP at 0/0.1/1/5 % per-fragment loss, full runs against the
-// filer, all on the parallel harness.
-func LossSweep() *LossResult {
-	const fileMB = 5
-	results := runGrid(harness.Grid{
-		Servers: []nfssim.ServerKind{nfssim.ServerFiler},
-		Configs: []harness.ClientConfig{
-			{Name: "stock", Config: core.Stock244Config()},
-			{Name: "enhanced", Config: core.EnhancedConfig()},
-		},
-		FileSizesMB: []int{fileMB},
+// Loss is the lossy-network table the paper motivates but never runs:
+// UDP vs a TCP-style stream at 0/0.1/1/5 % per-fragment loss. Under UDP
+// one lost fragment discards a whole 8 KB WRITE and stalls the client on
+// its retransmit timer; the stream resends only the lost segment.
+var Loss = &Experiment{
+	Name: "loss", Desc: "lossy network: UDP loss amplification vs TCP segment recovery",
+	Grid: &harness.Grid{
+		Servers:     onFiler,
+		Configs:     configs("stock", "enhanced"),
+		FileSizesMB: []int{5},
 		Transports:  []rpcsim.TransportKind{rpcsim.TransportUDP, rpcsim.TransportTCP},
 		LossRates:   []float64{0, 0.001, 0.01, 0.05},
 		TimeLimit:   10 * time.Minute,
-	})
-	r := &LossResult{Server: nfssim.ServerFiler.String(), FileMB: fileMB}
-	for _, res := range results {
-		r.Rows = append(r.Rows, LossRow{
-			Config:      res.Config,
-			Transport:   res.Transport,
-			Loss:        res.Loss,
-			WriteMBps:   res.WriteMBps,
-			AggMBps:     res.AggMBps,
-			Retransmits: res.Retransmits,
-			DupReplies:  res.DupReplies,
-		})
-	}
-	return r
-}
-
-// ReadRow is one cell of the read-path table.
-type ReadRow struct {
-	Config   string
-	Workload string
-	MBps     float64 // I/O-phase throughput (read rate for read workloads)
-	AggMBps  float64 // end-to-end throughput through close
-	ReadRPCs int64
-	HitRate  float64 // page-cache read hits / lookups
-}
-
-// ReadSweepResult is the read-path experiment the paper's write-only
-// benchmark never ran: sequential read, rewrite, and mixed read/write
-// workloads, with the client readahead window as the ablation axis —
-// the read-side dual of the paper's write-behind study.
-type ReadSweepResult struct {
-	Server string
-	FileMB int
-	Rows   []ReadRow
-}
-
-// Throughput returns the I/O-phase throughput for one config/workload
-// cell (0 if absent).
-func (r *ReadSweepResult) Throughput(config, workload string) float64 {
-	for _, row := range r.Rows {
-		if row.Config == config && row.Workload == workload {
-			return row.MBps
+	},
+	Title: "Lossy network - 5 MB full runs, filer, UDP vs TCP",
+	Columns: []Column[harness.Result]{
+		col("config", "%s", config),
+		col("transport", "%s", func(r harness.Result) string { return r.Transport }),
+		col("loss %", "%g", func(r harness.Result) float64 { return r.Loss * 100 }),
+		col("write MBps", "%.1f", writeMBps),
+		col("end-to-end MBps", "%.2f", aggMBps),
+		col("rexmt", "%d", func(r harness.Result) int64 { return r.Retransmits }),
+		col("dup replies", "%d", func(r harness.Result) int64 { return r.DupReplies }),
+	},
+	Notes: func(e *Experiment, rows []harness.Result) string {
+		var b strings.Builder
+		for _, cfg := range []string{"stock", "enhanced"} {
+			for _, loss := range []float64{0.01, 0.05} {
+				u, t := LossDegradation(rows, cfg, "udp", loss), LossDegradation(rows, cfg, "tcp", loss)
+				fmt.Fprintf(&b, "%s @ %g%% fragment loss: UDP loses %.1f%% of its throughput, TCP %.1f%% (TCP strictly better: %v)\n",
+					cfg, loss*100, u*100, t*100, t < u)
+			}
 		}
-	}
-	return 0
+		return b.String()
+	},
+	Footer: "one lost fragment costs UDP the whole 8 KB WRITE plus a backed-off\n" +
+		"retransmit timeout; TCP resends only the missing segment\n",
 }
 
-// Table renders the read-path table.
-func (r *ReadSweepResult) Table() *stats.Table {
-	t := stats.NewTable(
-		fmt.Sprintf("Read path - %d MB full runs, %s, readahead ablation", r.FileMB, r.Server),
-		"config", "workload", "MBps", "end-to-end MBps", "read RPCs", "hit rate")
-	for _, row := range r.Rows {
-		t.AddRow(row.Config, row.Workload,
-			fmt.Sprintf("%.1f", row.MBps), fmt.Sprintf("%.1f", row.AggMBps),
-			fmt.Sprint(row.ReadRPCs), fmt.Sprintf("%.3f", row.HitRate))
-	}
-	return t
+// raOff is the enhanced client with readahead disabled.
+func raOff() harness.ClientConfig {
+	cfg := core.EnhancedConfig()
+	cfg.ReadaheadMaxPages = core.ReadaheadOff
+	return harness.ClientConfig{Name: "ra-off", Config: cfg}
 }
 
-// Render formats the table plus the headline observation: on sequential
-// reads the enhanced readahead window strictly outperforms readahead
-// off, because the window keeps rsize READs in flight ahead of the
-// reader instead of stalling a full round trip per chunk.
-func (r *ReadSweepResult) Render() string {
-	var b strings.Builder
-	b.WriteString(r.Table().String())
-	on, off := r.Throughput("enhanced", "read"), r.Throughput("ra-off", "read")
-	if off > 0 {
-		fmt.Fprintf(&b, "sequential read: enhanced readahead %.1f MBps vs readahead-off %.1f MBps (%.1fx, strictly better: %v)\n",
+// Read is the read path the paper's write-only benchmark never ran:
+// read, rewrite and mixed workloads with a readahead-off ablation.
+var Read = &Experiment{
+	Name: "read", Desc: "read path: sequential read/rewrite/mixed with readahead ablation",
+	Grid: &harness.Grid{
+		Servers:     onFiler,
+		Configs:     append(configs("stock", "enhanced"), raOff()),
+		FileSizesMB: []int{10},
+		Workloads:   []bonnie.Workload{bonnie.WorkloadRead, bonnie.WorkloadRewrite, bonnie.WorkloadMixed},
+		TimeLimit:   10 * time.Minute,
+	},
+	Title: "Read path - 10 MB full runs, filer, readahead ablation",
+	Columns: []Column[harness.Result]{
+		col("config", "%s", config),
+		col("workload", "%s", workload),
+		col("MBps", "%.1f", writeMBps),
+		col("end-to-end MBps", "%.1f", aggMBps),
+		col("read RPCs", "%d", func(r harness.Result) int64 { return r.ReadRPCs }),
+		col("hit rate", "%.3f", ReadHitRate),
+	},
+	Notes: func(e *Experiment, rows []harness.Result) string {
+		on, off := e.Row(rows, "enhanced", "read").WriteMBps, e.Row(rows, "ra-off", "read").WriteMBps
+		return fmt.Sprintf("sequential read: enhanced readahead %.1f MBps vs readahead-off %.1f MBps (%.1fx, strictly better: %v)\n",
 			on, off, on/off, on > off)
-	}
-	b.WriteString("readahead hides the per-chunk round trip the same way write-behind\n")
-	b.WriteString("hides the WRITE RPC; the mixed rows show both daemons sharing the mount\n")
-	return b.String()
+	},
+	Footer: "readahead hides the per-chunk round trip the same way write-behind\n" +
+		"hides the WRITE RPC; the mixed rows show both daemons sharing the mount\n",
 }
 
-// ReadSweep runs the read-path grid on the parallel harness: stock and
-// enhanced readahead sizing plus a readahead-off ablation, each driving
-// the sequential-read, rewrite, and mixed workloads against the filer.
-func ReadSweep() *ReadSweepResult {
-	const fileMB = 10
-	raOff := core.EnhancedConfig()
-	raOff.ReadaheadMaxPages = core.ReadaheadOff
-	results := runGrid(harness.Grid{
-		Servers: []nfssim.ServerKind{nfssim.ServerFiler},
-		Configs: []harness.ClientConfig{
-			{Name: "stock", Config: core.Stock244Config()},
-			{Name: "enhanced", Config: core.EnhancedConfig()},
-			{Name: "ra-off", Config: raOff},
-		},
-		FileSizesMB: []int{fileMB},
-		Workloads: []bonnie.Workload{bonnie.WorkloadRead, bonnie.WorkloadRewrite,
-			bonnie.WorkloadMixed},
-		TimeLimit: 10 * time.Minute,
-	})
-	r := &ReadSweepResult{Server: nfssim.ServerFiler.String(), FileMB: fileMB}
-	for _, res := range results {
-		var hitRate float64
-		if lookups := res.ReadHits + res.ReadMisses; lookups > 0 {
-			hitRate = float64(res.ReadHits) / float64(lookups)
-		}
-		r.Rows = append(r.Rows, ReadRow{
-			Config:   res.Config,
-			Workload: res.Workload,
-			MBps:     res.WriteMBps,
-			AggMBps:  res.AggMBps,
-			ReadRPCs: res.ReadRPCs,
-			HitRate:  hitRate,
-		})
-	}
-	return r
-}
-
-// RandomRow is one cell of the random-access table.
-type RandomRow struct {
-	Config      string
-	Workload    string
-	MBps        float64 // I/O-phase throughput
-	RPCs        int64   // WRITE + READ RPCs
-	SoftFlushes int64
-	HitRate     float64 // page-cache read hits / lookups (read workloads)
-}
-
-// RandomSweepResult is the random-access experiment the paper's
-// sequential benchmark never ran: the same total I/O delivered front to
-// back versus in a seeded random permutation, for reads and writes,
-// across the fix progression. Random writes never coalesce beyond one
-// chunk and pile thousands of non-adjacent requests into the pending
-// list, so the O(n) scans of the linear list (fix 2's target) dominate —
-// the figure-3/4 divergence under a workload that actually stresses it.
-type RandomSweepResult struct {
-	Server string
-	FileMB int
-	Rows   []RandomRow
-}
-
-// Throughput returns the I/O-phase throughput for one config/workload
-// cell (0 if absent).
-func (r *RandomSweepResult) Throughput(config, workload string) float64 {
-	for _, row := range r.Rows {
-		if row.Config == config && row.Workload == workload {
-			return row.MBps
-		}
-	}
-	return 0
-}
-
-// Table renders the random-access table.
-func (r *RandomSweepResult) Table() *stats.Table {
-	t := stats.NewTable(
-		fmt.Sprintf("Random access - %d MB write-phase runs, %s, seq vs random", r.FileMB, r.Server),
-		"config", "workload", "MBps", "RPCs", "soft flushes", "hit rate")
-	for _, row := range r.Rows {
-		t.AddRow(row.Config, row.Workload,
-			fmt.Sprintf("%.1f", row.MBps), fmt.Sprint(row.RPCs),
-			fmt.Sprint(row.SoftFlushes), fmt.Sprintf("%.3f", row.HitRate))
-	}
-	return t
-}
-
-// Render formats the table plus the headline observations: the hash
-// client pays no random-write penalty (parity with its own sequential
-// rate) and beats both the stock client and the linear-list client on
-// random writes, where the list scans dominate.
-func (r *RandomSweepResult) Render() string {
-	var b strings.Builder
-	b.WriteString(r.Table().String())
-	hashSeq, hashRand := r.Throughput("hash", "write"), r.Throughput("hash", "randwrite")
-	listRand := r.Throughput("nolimits", "randwrite")
-	stockRand := r.Throughput("stock", "randwrite")
-	if hashSeq > 0 && listRand > 0 && stockRand > 0 {
-		fmt.Fprintf(&b, "random writes: hash %.1f MBps vs linear list %.1f (%.2fx) vs stock %.1f (%.2fx)\n",
-			hashRand, listRand, hashRand/listRand, stockRand, hashRand/stockRand)
-		fmt.Fprintf(&b, "hash client random/sequential parity: %.1f vs %.1f MBps (ratio %.3f)\n",
-			hashRand, hashSeq, hashRand/hashSeq)
-	}
-	if seqRead, randRead := r.Throughput("enhanced", "read"), r.Throughput("enhanced", "randread"); randRead > 0 {
-		fmt.Fprintf(&b, "random reads defeat readahead: %.1f MBps vs %.1f sequential (enhanced)\n",
-			randRead, seqRead)
-	}
-	b.WriteString("random chunk updates never coalesce past one chunk, so the pending list\n")
-	b.WriteString("grows non-adjacent and every lookup rescans it; the hash table makes the\n")
-	b.WriteString("same workload indistinguishable from a sequential one\n")
-	return b.String()
-}
-
-// RandomSweep runs the random-access grid on the parallel harness: the
-// fix progression (stock, nolimits = fix 1's unbounded linear list, hash,
-// enhanced) x sequential/random x read/write, write-phase throughput
-// against the filer. The random workloads visit every chunk exactly once
-// in a permutation derived from the scenario seed, so reruns and worker
-// counts reproduce the same I/O order.
-func RandomSweep() *RandomSweepResult {
-	const fileMB = 25
-	results := runGrid(harness.Grid{
-		Servers: []nfssim.ServerKind{nfssim.ServerFiler},
-		Configs: []harness.ClientConfig{
-			{Name: "stock", Config: core.Stock244Config()},
-			{Name: "nolimits", Config: core.NoLimitsConfig()},
-			{Name: "hash", Config: core.HashConfig()},
-			{Name: "enhanced", Config: core.EnhancedConfig()},
-		},
-		FileSizesMB: []int{fileMB},
+// Random runs the same I/O front to back and in a seeded permutation,
+// across the fix progression (nolimits is fix 1's unbounded linear list).
+// Random writes never coalesce and pile non-adjacent requests into the
+// pending list, so the list's O(n) scans dominate: figures 3/4 diverge.
+var Random = &Experiment{
+	Name: "random", Desc: "random access: seq vs random chunk I/O across the fix progression",
+	Grid: &harness.Grid{
+		Servers:     onFiler,
+		Configs:     configs("stock", "nolimits", "hash", "enhanced"),
+		FileSizesMB: []int{25},
 		Workloads: []bonnie.Workload{bonnie.WorkloadWrite, bonnie.WorkloadRandWrite,
 			bonnie.WorkloadRead, bonnie.WorkloadRandRead},
 		SkipFlushClose: true,
 		TimeLimit:      20 * time.Minute,
-	})
-	r := &RandomSweepResult{Server: nfssim.ServerFiler.String(), FileMB: fileMB}
-	for _, res := range results {
-		var hitRate float64
-		if lookups := res.ReadHits + res.ReadMisses; lookups > 0 {
-			hitRate = float64(res.ReadHits) / float64(lookups)
-		}
-		r.Rows = append(r.Rows, RandomRow{
-			Config:      res.Config,
-			Workload:    res.Workload,
-			MBps:        res.WriteMBps,
-			RPCs:        res.RPCsSent + res.ReadRPCs,
-			SoftFlushes: res.SoftFlushes,
-			HitRate:     hitRate,
-		})
-	}
-	return r
+	},
+	Title: "Random access - 25 MB write-phase runs, filer, seq vs random",
+	Columns: []Column[harness.Result]{
+		col("config", "%s", config),
+		col("workload", "%s", workload),
+		col("MBps", "%.1f", writeMBps),
+		col("RPCs", "%d", func(r harness.Result) int64 { return r.RPCsSent + r.ReadRPCs }),
+		col("soft flushes", "%d", func(r harness.Result) int64 { return r.SoftFlushes }),
+		col("hit rate", "%.3f", ReadHitRate),
+	},
+	Notes: func(e *Experiment, rows []harness.Result) string {
+		mbps := func(cfg, wl string) float64 { return e.Row(rows, cfg, wl).WriteMBps }
+		hashSeq, hashRand := mbps("hash", "write"), mbps("hash", "randwrite")
+		listRand, stockRand := mbps("nolimits", "randwrite"), mbps("stock", "randwrite")
+		return fmt.Sprintf("random writes: hash %.1f MBps vs linear list %.1f (%.2fx) vs stock %.1f (%.2fx)\n",
+			hashRand, listRand, hashRand/listRand, stockRand, hashRand/stockRand) +
+			fmt.Sprintf("hash client random/sequential parity: %.1f vs %.1f MBps (ratio %.3f)\n",
+				hashRand, hashSeq, hashRand/hashSeq) +
+			fmt.Sprintf("random reads defeat readahead: %.1f MBps vs %.1f sequential (enhanced)\n",
+				mbps("enhanced", "randread"), mbps("enhanced", "read"))
+	},
+	Footer: "random chunk updates never coalesce past one chunk, so the pending list\n" +
+		"grows non-adjacent and every lookup rescans it; the hash table makes the\n" +
+		"same workload indistinguishable from a sequential one\n",
 }
 
-// DBRow is one cell of the database-load table.
-type DBRow struct {
-	Server     string
-	Config     string
-	MBps       float64       // durable write rate (group commits included)
-	FsyncCount int64         // group commits issued
-	FsyncTime  time.Duration // total time inside fsync
-	CommitRPCs int64         // COMMIT RPCs (0 when the server syncs writes)
-	TxPerSec   float64       // chunk updates per second, fsync included
-}
-
-// DBLoadResult is the §3.6 durability experiment: random page updates in
-// a preallocated table file with a group-commit fsync every FsyncEvery
-// chunks — the access pattern of the "complex corporate applications
-// such as database and mail services" the paper's introduction
-// motivates. The filer acknowledges WRITEs from NVRAM and never needs a
-// COMMIT, so its group commits return as soon as the queue drains; the
-// Linux server answers UNSTABLE and makes fsync wait on its disk.
-type DBLoadResult struct {
-	FileMB     int
-	FsyncEvery int
-	Rows       []DBRow
-}
-
-// Row returns one server/config cell (nil if absent).
-func (r *DBLoadResult) Row(server, config string) *DBRow {
-	for i := range r.Rows {
-		if r.Rows[i].Server == server && r.Rows[i].Config == config {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
-
-// Table renders the database-load table.
-func (r *DBLoadResult) Table() *stats.Table {
-	t := stats.NewTable(
-		fmt.Sprintf("Database load - %d MB random page updates, fsync every %d chunks",
-			r.FileMB, r.FsyncEvery),
-		"server", "config", "MBps", "fsyncs", "in fsync", "COMMITs", "tx/sec")
-	for _, row := range r.Rows {
-		t.AddRow(row.Server, row.Config,
-			fmt.Sprintf("%.1f", row.MBps), fmt.Sprint(row.FsyncCount),
-			row.FsyncTime.Round(time.Millisecond).String(), fmt.Sprint(row.CommitRPCs),
-			fmt.Sprintf("%.0f", row.TxPerSec))
-	}
-	return t
-}
-
-// Render formats the table plus the §3.6 headline: "where applications
-// require data permanence before a write() system call returns, the
-// Network Appliance filer ... performs better".
-func (r *DBLoadResult) Render() string {
-	var b strings.Builder
-	b.WriteString(r.Table().String())
-	for _, cfg := range []string{"stock", "enhanced"} {
-		f, l := r.Row("filer", cfg), r.Row("linux", cfg)
-		if f == nil || l == nil {
-			continue
-		}
-		fmt.Fprintf(&b, "%s: fsync costs %v on the filer vs %v on the Linux server (filer faster: %v)\n",
-			cfg, f.FsyncTime.Round(time.Millisecond), l.FsyncTime.Round(time.Millisecond),
-			f.FsyncTime < l.FsyncTime)
-	}
-	b.WriteString("the filer never needs COMMIT (NVRAM): group commits return once the\n")
-	b.WriteString("WRITE queue drains; the Linux server answers UNSTABLE and every fsync\n")
-	b.WriteString("pays a COMMIT that waits on the server's disk\n")
-	return b.String()
-}
-
-// DBLoad runs the database-style durability grid on the parallel
-// harness: stock vs enhanced clients against the filer and the Linux
-// server, random chunk updates with group commit (bonnie.WorkloadDB).
-func DBLoad() *DBLoadResult {
-	const fileMB = 20
-	const fsyncEvery = 50
-	results := runGrid(harness.Grid{
-		Servers: []nfssim.ServerKind{nfssim.ServerFiler, nfssim.ServerLinux},
-		Configs: []harness.ClientConfig{
-			{Name: "stock", Config: core.Stock244Config()},
-			{Name: "enhanced", Config: core.EnhancedConfig()},
-		},
-		FileSizesMB: []int{fileMB},
+// DB is the §3.6 durability table: random page updates with a group
+// commit every 50 chunks (bonnie.WorkloadDB). The filer acknowledges
+// WRITEs from NVRAM and never needs a COMMIT; the Linux server answers
+// UNSTABLE and makes every fsync wait on its disk.
+var DB = &Experiment{
+	Name: "db", Desc: "database load: random page updates with group-commit fsync, filer vs linux",
+	Grid: &harness.Grid{
+		Servers:     []nfssim.ServerKind{nfssim.ServerFiler, nfssim.ServerLinux},
+		Configs:     configs("stock", "enhanced"),
+		FileSizesMB: []int{20},
 		Workloads:   []bonnie.Workload{bonnie.WorkloadDB},
-		FsyncEvery:  fsyncEvery,
+		FsyncEvery:  50,
 		TimeLimit:   20 * time.Minute,
-	})
-	r := &DBLoadResult{FileMB: fileMB, FsyncEvery: fsyncEvery}
-	for _, res := range results {
-		var tps float64
-		if res.WriteMBps > 0 {
-			elapsedSec := float64(int64(res.FileMB)<<20) / (res.WriteMBps * 1e6)
-			tps = float64(res.Calls) / elapsedSec
+	},
+	Title: "Database load - 20 MB random page updates, fsync every 50 chunks",
+	Columns: []Column[harness.Result]{
+		col("server", "%s", func(r harness.Result) string { return r.Server }),
+		col("config", "%s", config),
+		col("MBps", "%.1f", writeMBps),
+		col("fsyncs", "%d", func(r harness.Result) int64 { return r.FsyncCount }),
+		col("in fsync", "%v", func(r harness.Result) time.Duration { return FsyncTime(r).Round(time.Millisecond) }),
+		col("COMMITs", "%d", func(r harness.Result) int64 { return r.CommitRPCs }),
+		col("tx/sec", "%.0f", TxPerSec),
+	},
+	Notes: func(e *Experiment, rows []harness.Result) string {
+		var b strings.Builder
+		for _, cfg := range []string{"stock", "enhanced"} {
+			f, l := FsyncTime(*e.Row(rows, "filer", cfg)), FsyncTime(*e.Row(rows, "linux", cfg))
+			fmt.Fprintf(&b, "%s: fsync costs %v on the filer vs %v on the Linux server (filer faster: %v)\n",
+				cfg, f.Round(time.Millisecond), l.Round(time.Millisecond), f < l)
 		}
-		r.Rows = append(r.Rows, DBRow{
-			Server:     res.Server,
-			Config:     res.Config,
-			MBps:       res.WriteMBps,
-			FsyncCount: res.FsyncCount,
-			FsyncTime:  time.Duration(res.FsyncUs * float64(time.Microsecond)),
-			CommitRPCs: res.CommitRPCs,
-			TxPerSec:   tps,
-		})
-	}
-	return r
+		return b.String()
+	},
+	Footer: "the filer never needs COMMIT (NVRAM): group commits return once the\n" +
+		"WRITE queue drains; the Linux server answers UNSTABLE and every fsync\n" +
+		"pays a COMMIT that waits on the server's disk\n",
 }
 
-// ZipfRow is one cell of the many-file metadata table.
-type ZipfRow struct {
-	Skew     string  // "zipf" (default skew) or "uniform"
-	Ac       string  // "on" (adaptive defaults) or "off" (mount -o noac)
-	AggMBps  float64 // aggregate data throughput across the op stream
-	Lookups  int64   // LOOKUP RPCs
-	Getattrs int64   // GETATTR RPCs (open-time revalidation)
-	Creates  int64   // CREATE RPCs
-	Removes  int64   // REMOVE RPCs
-	HitRate  float64 // attribute-cache hits / consultations
-}
-
-// ZipfSweepResult is the many-file metadata experiment the paper's
-// single-file benchmark never ran: each op opens/writes/reads/stats/
-// removes a file drawn from a Zipfian popularity distribution, crossed
-// with the client attribute cache on/off and skewed vs uniform file
-// choice. The attribute cache converts repeat opens of hot files into
-// cache hits, cutting GETATTR/LOOKUP RPCs and raising aggregate
-// throughput; skew concentrates ops on a hot set, so zipf beats uniform
-// on cache hit rate and total metadata RPCs. (Throughput is not the
-// skew comparison's metric: local writes invalidate cached attributes,
-// and the hot set's files carry real data whose reads cost wire time,
-// so MBps confounds cache savings with bytes moved.)
-type ZipfSweepResult struct {
-	Server    string
-	FileMB    int
-	FileCount int
-	Rows      []ZipfRow
-}
-
-// Cell returns one skew/ac cell (nil if absent).
-func (r *ZipfSweepResult) Cell(skew, ac string) *ZipfRow {
-	for i := range r.Rows {
-		if r.Rows[i].Skew == skew && r.Rows[i].Ac == ac {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
-
-// Table renders the many-file metadata table.
-func (r *ZipfSweepResult) Table() *stats.Table {
-	t := stats.NewTable(
-		fmt.Sprintf("Many-file metadata - %d MB op budget over %d files, %s, enhanced client",
-			r.FileMB, r.FileCount, r.Server),
-		"skew", "attr cache", "agg MBps", "LOOKUPs", "GETATTRs", "CREATEs", "REMOVEs", "hit rate")
-	for _, row := range r.Rows {
-		t.AddRow(row.Skew, row.Ac,
-			fmt.Sprintf("%.2f", row.AggMBps), fmt.Sprint(row.Lookups),
-			fmt.Sprint(row.Getattrs), fmt.Sprint(row.Creates),
-			fmt.Sprint(row.Removes), fmt.Sprintf("%.3f", row.HitRate))
-	}
-	return t
-}
-
-// Render formats the table plus the headline comparisons: the attribute
-// cache strictly cuts GETATTR revalidations and raises throughput vs
-// noac, and the Zipfian hot set beats uniform access.
-func (r *ZipfSweepResult) Render() string {
-	var b strings.Builder
-	b.WriteString(r.Table().String())
-	if on, off := r.Cell("zipf", "on"), r.Cell("zipf", "off"); on != nil && off != nil {
-		fmt.Fprintf(&b, "attribute cache: %d GETATTRs vs %d with noac (fewer: %v); %.2f vs %.2f MBps (faster: %v)\n",
-			on.Getattrs, off.Getattrs, on.Getattrs < off.Getattrs,
-			on.AggMBps, off.AggMBps, on.AggMBps > off.AggMBps)
-	}
-	if z, u := r.Cell("zipf", "on"), r.Cell("uniform", "on"); z != nil && u != nil {
-		zm, um := z.Lookups+z.Getattrs+z.Creates, u.Lookups+u.Getattrs+u.Creates
-		fmt.Fprintf(&b, "hot-set skew: hit rate %.3f vs uniform %.3f (higher: %v); %d metadata RPCs vs %d (fewer: %v)\n",
-			z.HitRate, u.HitRate, z.HitRate > u.HitRate, zm, um, zm < um)
-	}
-	b.WriteString("every op resolves its name through the attribute cache; hot files stay\n")
-	b.WriteString("fresh between opens, so the cache saves the per-open GETATTR the way\n")
-	b.WriteString("write-behind saves per-write round trips\n")
-	return b.String()
-}
-
-// ZipfSweep runs the many-file metadata grid on the parallel harness:
-// the enhanced client against the filer, the zipf workload at the
-// default skew and at uniform, with the attribute cache at its adaptive
-// defaults and disabled (mount -o noac).
-func ZipfSweep() *ZipfSweepResult {
-	const fileMB = 4
-	const fileCount = 100
-	results := runGrid(harness.Grid{
-		Servers:     []nfssim.ServerKind{nfssim.ServerFiler},
-		Configs:     []harness.ClientConfig{{Name: "enhanced", Config: core.EnhancedConfig()}},
-		FileSizesMB: []int{fileMB},
+// Zipf is the many-file metadata table: ops on files drawn from a Zipfian
+// popularity distribution, attribute cache on/off x skewed/uniform. Skew
+// concentrates ops on a hot set, so zipf beats uniform on hit rate and
+// metadata RPCs (not on throughput: hot files carry data that costs wire
+// time to read).
+var Zipf = &Experiment{
+	Name: "zipf", Desc: "many-file metadata: Zipfian op mix with attr-cache and skew ablations",
+	Grid: &harness.Grid{
+		Servers:     onFiler,
+		Configs:     configs("enhanced"),
+		FileSizesMB: []int{4},
 		Workloads:   []bonnie.Workload{bonnie.WorkloadZipf},
-		FileCounts:  []int{fileCount},
+		FileCounts:  []int{100},
 		ZipfSs:      []float64{bonnie.DefaultZipfS, bonnie.ZipfUniform},
 		AcTimeouts:  []sim.Time{0, core.AcOff},
 		TimeLimit:   10 * time.Minute,
-	})
-	r := &ZipfSweepResult{Server: nfssim.ServerFiler.String(), FileMB: fileMB, FileCount: fileCount}
-	for _, res := range results {
-		skew := "zipf"
-		if res.Scenario.ZipfS == bonnie.ZipfUniform {
-			skew = "uniform"
-		}
-		ac := "on"
-		if res.Scenario.AcTimeout < 0 {
-			ac = "off"
-		}
-		r.Rows = append(r.Rows, ZipfRow{
-			Skew:     skew,
-			Ac:       ac,
-			AggMBps:  res.AggMBps,
-			Lookups:  res.LookupRPCs,
-			Getattrs: res.GetattrRPCs,
-			Creates:  res.CreateRPCs,
-			Removes:  res.RemoveRPCs,
-			HitRate:  res.AttrCacheHitRate,
-		})
-	}
-	return r
+	},
+	Title: "Many-file metadata - 4 MB op budget over 100 files, filer, enhanced client",
+	Columns: []Column[harness.Result]{
+		col("skew", "%s", func(r harness.Result) string {
+			return map[bool]string{false: "zipf", true: "uniform"}[r.Scenario.ZipfS == bonnie.ZipfUniform]
+		}),
+		col("attr cache", "%s", func(r harness.Result) string {
+			return map[bool]string{false: "on", true: "off"}[r.Scenario.AcTimeout < 0]
+		}),
+		col("agg MBps", "%.2f", aggMBps),
+		col("LOOKUPs", "%d", func(r harness.Result) int64 { return r.LookupRPCs }),
+		col("GETATTRs", "%d", getattrs),
+		col("CREATEs", "%d", func(r harness.Result) int64 { return r.CreateRPCs }),
+		col("REMOVEs", "%d", func(r harness.Result) int64 { return r.RemoveRPCs }),
+		col("hit rate", "%.3f", func(r harness.Result) float64 { return r.AttrCacheHitRate }),
+	},
+	Notes: func(e *Experiment, rows []harness.Result) string {
+		on, off, uni := e.Row(rows, "zipf", "on"), e.Row(rows, "zipf", "off"), e.Row(rows, "uniform", "on")
+		zm, um := MetadataRPCs(*on), MetadataRPCs(*uni)
+		return fmt.Sprintf("attribute cache: %d GETATTRs vs %d with noac (fewer: %v); %.2f vs %.2f MBps (faster: %v)\n",
+			on.GetattrRPCs, off.GetattrRPCs, on.GetattrRPCs < off.GetattrRPCs,
+			on.AggMBps, off.AggMBps, on.AggMBps > off.AggMBps) +
+			fmt.Sprintf("hot-set skew: hit rate %.3f vs uniform %.3f (higher: %v); %d metadata RPCs vs %d (fewer: %v)\n",
+				on.AttrCacheHitRate, uni.AttrCacheHitRate, on.AttrCacheHitRate > uni.AttrCacheHitRate, zm, um, zm < um)
+	},
+	Footer: "every op resolves its name through the attribute cache; hot files stay\n" +
+		"fresh between opens, so the cache saves the per-open GETATTR the way\n" +
+		"write-behind saves per-write round trips\n",
 }
 
-// CoherenceRow is one consistency mode's cell of the cache-coherence
-// table.
-type CoherenceRow struct {
-	Mode          string  // "strict", "ttl" or "noac"
-	AggMBps       float64 // aggregate throughput across writers and readers
-	StaleReads    int64   // cached reads served during a stale open
-	Invalidations int64   // page-cache invalidations from foreign changes
-	Getattrs      int64   // GETATTR RPCs (open-time revalidation)
-	ChangeBumps   int64   // server-side change-attribute increments
-}
+// MetadataRPCs is a run's LOOKUP + GETATTR + CREATE RPCs.
+func MetadataRPCs(r harness.Result) int64 { return r.LookupRPCs + r.GetattrRPCs + r.CreateRPCs }
 
-// CoherenceSweepResult is the cache-coherence experiment: half the
-// clients rewrite one shared file while the other half re-open and
-// re-read it, under each consistency mode. Strict mode revalidates
-// every open with a GETATTR, so no read is ever served from a stale
-// cache — at the cost of per-open round trips and invalidation-driven
-// refetches. The ttl mode bounds staleness by the attribute-cache
-// window and recovers most of the throughput; noac (in the sense of
-// "never revalidate an open") tops the throughput table by trusting
-// cached pages unboundedly, and pays in stale reads.
-type CoherenceSweepResult struct {
-	Server  string
-	FileMB  int
-	Clients int
-	Window  sim.Time // ttl mode's attribute-cache window
-	Rows    []CoherenceRow
-}
-
-// Cell returns one mode's row (nil if absent).
-func (r *CoherenceSweepResult) Cell(mode string) *CoherenceRow {
-	for i := range r.Rows {
-		if r.Rows[i].Mode == mode {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
-
-// Table renders the coherence table.
-func (r *CoherenceSweepResult) Table() *stats.Table {
-	t := stats.NewTable(
-		fmt.Sprintf("Cache coherence - %d clients sharing one %d MB file, %s, enhanced client, ttl window %v",
-			r.Clients, r.FileMB, r.Server, time.Duration(r.Window)),
-		"mode", "agg MBps", "stale reads", "invalidations", "GETATTRs", "change bumps")
-	for _, row := range r.Rows {
-		t.AddRow(row.Mode,
-			fmt.Sprintf("%.2f", row.AggMBps), fmt.Sprint(row.StaleReads),
-			fmt.Sprint(row.Invalidations), fmt.Sprint(row.Getattrs),
-			fmt.Sprint(row.ChangeBumps))
-	}
-	return t
-}
-
-// Render formats the table plus the headline trade-off: strict buys
-// zero staleness with GETATTR traffic, ttl bounds staleness below noac
-// while giving up none of strict's throughput, noac reads fastest and
-// stalest.
-func (r *CoherenceSweepResult) Render() string {
-	var b strings.Builder
-	b.WriteString(r.Table().String())
-	strict, ttl, noac := r.Cell("strict"), r.Cell("ttl"), r.Cell("noac")
-	if strict != nil && ttl != nil {
-		fmt.Fprintf(&b, "strict close-to-open: %d stale reads (zero: %v); %d GETATTRs vs ttl's %d (more: %v)\n",
-			strict.StaleReads, strict.StaleReads == 0,
-			strict.Getattrs, ttl.Getattrs, strict.Getattrs > ttl.Getattrs)
-	}
-	if strict != nil && ttl != nil && noac != nil {
-		fmt.Fprintf(&b, "ttl window: %d stale reads vs noac's %d (bounded: %v); %.2f vs strict's %.2f MBps (no slower: %v)\n",
-			ttl.StaleReads, noac.StaleReads, ttl.StaleReads < noac.StaleReads,
-			ttl.AggMBps, strict.AggMBps, ttl.AggMBps >= strict.AggMBps)
-	}
-	b.WriteString("every GETATTR a mode skips is a round trip saved and a chance to serve\n")
-	b.WriteString("a page the writers already replaced; the change attribute is what turns\n")
-	b.WriteString("the revalidation that is issued into an actual invalidation\n")
-	return b.String()
-}
-
-// CoherenceWindow is the ttl attribute-cache window the coherence sweep
+// CoherenceWindow is the ttl attribute-cache window the coherence table
 // pins. It must sit between one reader pass over the shared span
 // (shorter and ttl degenerates to strict: every open ages out) and the
 // full run (longer and ttl degenerates to noac: no open ever ages out).
 const CoherenceWindow = sim.Time(40 * time.Millisecond)
 
-// CoherenceSweep runs the cache-coherence grid on the parallel harness:
-// four enhanced clients against the filer, the shared workload (two
-// writers, two readers on one file) under strict, ttl and noac
-// consistency.
-func CoherenceSweep() *CoherenceSweepResult {
-	const fileMB = 2
-	const clients = 4
-	results := runGrid(harness.Grid{
-		Servers:     []nfssim.ServerKind{nfssim.ServerFiler},
-		Configs:     []harness.ClientConfig{{Name: "enhanced", Config: core.EnhancedConfig()}},
-		FileSizesMB: []int{fileMB},
-		Clients:     []int{clients},
-		Workloads:   []bonnie.Workload{bonnie.WorkloadShared},
-		AcTimeouts:  []sim.Time{CoherenceWindow},
-		Consistencies: []core.ConsistencyMode{
-			core.ConsistencyStrict, core.ConsistencyTTL, core.ConsistencyNoac,
-		},
-		TimeLimit: 10 * time.Minute,
-	})
-	r := &CoherenceSweepResult{
-		Server: nfssim.ServerFiler.String(), FileMB: fileMB,
-		Clients: clients, Window: CoherenceWindow,
-	}
-	for _, res := range results {
-		r.Rows = append(r.Rows, CoherenceRow{
-			Mode:          res.Consistency,
-			AggMBps:       res.AggMBps,
-			StaleReads:    res.StaleReads,
-			Invalidations: res.Invalidations,
-			Getattrs:      res.GetattrRPCs,
-			ChangeBumps:   res.ChangeBumps,
-		})
-	}
-	return r
-}
-
-// JumboResult is the §3.5 future-work ablation: jumbo frames cut IP
-// fragmentation, reducing per-RPC sock_sendmsg CPU.
-type JumboResult struct {
-	StandardMBps    float64
-	JumboMBps       float64
-	StandardSendCPU time.Duration // total sock_sendmsg CPU, standard MTU
-	JumboSendCPU    time.Duration
-}
-
-// Render formats the ablation.
-func (r *JumboResult) Render() string {
-	return fmt.Sprintf(`Jumbo-frame ablation (§3.5 future work), filer, enhanced client, 20 MB
-  write throughput: MTU 1500 %.1f MBps -> MTU 9000 %.1f MBps
-  sock_sendmsg CPU: MTU 1500 %v -> MTU 9000 %v
-`, r.StandardMBps, r.JumboMBps, r.StandardSendCPU, r.JumboSendCPU)
-}
-
-// Jumbo runs the jumbo-frame ablation as a harness grid over the MTU
-// axis: filer, enhanced client, 20 MB, standard versus jumbo frames.
-func Jumbo() *JumboResult {
-	results := runGrid(harness.Grid{
-		Servers:     []nfssim.ServerKind{nfssim.ServerFiler},
-		Configs:     []harness.ClientConfig{{Name: "enhanced", Config: core.EnhancedConfig()}},
-		FileSizesMB: []int{20},
-		Jumbo:       []bool{false, true},
-		TimeLimit:   10 * time.Minute,
-	})
-	r := &JumboResult{}
-	for _, res := range results {
-		if res.Jumbo {
-			r.JumboMBps, r.JumboSendCPU = res.FlushMBps, res.SendCPU
-		} else {
-			r.StandardMBps, r.StandardSendCPU = res.FlushMBps, res.SendCPU
-		}
-	}
-	return r
-}
-
-// FleetRow is one cell of the thousand-client fleet table.
-type FleetRow struct {
-	Clients   int
-	PerClient float64 // mean per-client throughput through close, MBps
-	Aggregate float64 // fleet bytes over the span to the last close, MBps
-	Fairness  float64 // Jain's index over per-client throughputs
-	ServerNet float64 // sustained server ingest, MBps
-	// Slot-table convoying: the share of RPCs that found their client's
-	// slot table full, and the mean time such an RPC spent queued. As
-	// the fleet grows the server becomes the bottleneck, replies slow
-	// down, slots stay occupied longer, and new requests convoy behind
-	// them — the client-visible signature of server saturation.
-	SlotWaitShare float64
-	SlotWaitUs    float64 // mean queue time per waiting RPC, microseconds
-}
-
-// FleetResult is the fleet experiment: the Clients axis extended past
-// the paper's hardware to 10/100/1000 client machines in one
-// deterministic simulation (ROADMAP item 2).
-type FleetResult struct {
-	Server string
-	Config string
-	FileMB int
-	Rows   []FleetRow
-}
-
-// Table renders the fleet table.
-func (r *FleetResult) Table() *stats.Table {
-	t := stats.NewTable(
-		fmt.Sprintf("Thousand-client fleet - %d MB per client, full runs, %s/%s", r.FileMB, r.Server, r.Config),
-		"clients", "per-client MBps", "aggregate MBps", "fairness", "server MBps", "slot-wait share", "slot-wait us")
-	for _, row := range r.Rows {
-		t.AddRow(fmt.Sprint(row.Clients),
-			fmt.Sprintf("%.2f", row.PerClient), fmt.Sprintf("%.1f", row.Aggregate),
-			fmt.Sprintf("%.3f", row.Fairness), fmt.Sprintf("%.1f", row.ServerNet),
-			fmt.Sprintf("%.3f", row.SlotWaitShare), fmt.Sprintf("%.0f", row.SlotWaitUs))
-	}
-	return t
-}
-
-// Render formats the table plus the headline observation.
-func (r *FleetResult) Render() string {
-	var b strings.Builder
-	b.WriteString(r.Table().String())
-	b.WriteString("the server's sustained ingest is a fixed ceiling, so per-client\n")
-	b.WriteString("throughput falls as 1/N while fairness holds near 1.0; the slot-wait\n")
-	b.WriteString("columns show requests convoying behind occupied slots as replies slow\n")
-	return b.String()
-}
-
-// Fleet runs the fleet grid: an enhanced client fleet of 10/100/1000
-// machines, each writing a small file through close against the filer.
-// Kept affordable by the kernel's event-queue and allocation work — a
-// thousand-client run is a single simulation with ~3000 live processes.
-func Fleet() *FleetResult {
-	return FleetAt([]int{10, 100, 1000}, 1)
-}
-
-// FleetAt runs the fleet table at explicit client counts and per-client
-// file size — the parameterized form behind Fleet, the shape test, and
-// BenchmarkFleet1000.
-func FleetAt(clients []int, fileMB int) *FleetResult {
-	results := runGrid(harness.Grid{
-		Servers:     []nfssim.ServerKind{nfssim.ServerFiler},
-		Configs:     []harness.ClientConfig{{Name: "enhanced", Config: core.EnhancedConfig()}},
-		FileSizesMB: []int{fileMB},
-		Clients:     clients,
-		TimeLimit:   2 * time.Hour,
-	})
-	r := &FleetResult{Server: nfssim.ServerFiler.String(), Config: "enhanced", FileMB: fileMB}
-	for _, res := range results {
-		row := FleetRow{
-			Clients:   res.Clients,
-			PerClient: res.CloseMBps,
-			Aggregate: res.AggMBps,
-			Fairness:  res.Fairness,
-			ServerNet: res.ServerNetMBps,
-		}
-		total := res.RPCsSent + res.ReadRPCs + res.CommitRPCs +
-			res.LookupRPCs + res.GetattrRPCs + res.CreateRPCs + res.RemoveRPCs
-		if total > 0 {
-			row.SlotWaitShare = float64(res.SlotWaits) / float64(total)
-		}
-		if res.SlotWaits > 0 {
-			row.SlotWaitUs = res.SlotWaitUs / float64(res.SlotWaits)
-		}
-		r.Rows = append(r.Rows, row)
-	}
-	return r
+// Coherence is the cache-coherence table: two clients rewrite one shared
+// file while two re-open and re-read it. Strict revalidates every open
+// and is never stale, at the cost of GETATTRs; ttl bounds staleness by
+// the window; noac ("never revalidate an open") is fastest and stalest.
+var Coherence = &Experiment{
+	Name: "coherence", Desc: "cache coherence: staleness vs throughput across consistency modes on one shared file",
+	Grid: &harness.Grid{
+		Servers:       onFiler,
+		Configs:       configs("enhanced"),
+		FileSizesMB:   []int{2},
+		Clients:       []int{4},
+		Workloads:     []bonnie.Workload{bonnie.WorkloadShared},
+		AcTimeouts:    []sim.Time{CoherenceWindow},
+		Consistencies: []core.ConsistencyMode{core.ConsistencyStrict, core.ConsistencyTTL, core.ConsistencyNoac},
+		TimeLimit:     10 * time.Minute,
+	},
+	Title: fmt.Sprintf("Cache coherence - 4 clients sharing one 2 MB file, filer, enhanced client, ttl window %v",
+		time.Duration(CoherenceWindow)),
+	Columns: []Column[harness.Result]{
+		col("mode", "%s", func(r harness.Result) string { return r.Consistency }),
+		col("agg MBps", "%.2f", aggMBps),
+		col("stale reads", "%d", func(r harness.Result) int64 { return r.StaleReads }),
+		col("invalidations", "%d", func(r harness.Result) int64 { return r.Invalidations }),
+		col("GETATTRs", "%d", getattrs),
+		col("change bumps", "%d", func(r harness.Result) int64 { return r.ChangeBumps }),
+	},
+	Notes: func(e *Experiment, rows []harness.Result) string {
+		strict, ttl, noac := e.Row(rows, "strict"), e.Row(rows, "ttl"), e.Row(rows, "noac")
+		return fmt.Sprintf("strict close-to-open: %d stale reads (zero: %v); %d GETATTRs vs ttl's %d (more: %v)\n",
+			strict.StaleReads, strict.StaleReads == 0,
+			strict.GetattrRPCs, ttl.GetattrRPCs, strict.GetattrRPCs > ttl.GetattrRPCs) +
+			fmt.Sprintf("ttl window: %d stale reads vs noac's %d (bounded: %v); %.2f vs strict's %.2f MBps (no slower: %v)\n",
+				ttl.StaleReads, noac.StaleReads, ttl.StaleReads < noac.StaleReads,
+				ttl.AggMBps, strict.AggMBps, ttl.AggMBps >= strict.AggMBps)
+	},
+	Footer: "every GETATTR a mode skips is a round trip saved and a chance to serve\n" +
+		"a page the writers already replaced; the change attribute is what turns\n" +
+		"the revalidation that is issued into an actual invalidation\n",
 }

@@ -5,26 +5,39 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/harness"
 	"repro/internal/stats"
 )
+
+// withGrid runs e's grid after edit adjusts a copy of it.
+func withGrid(e *Experiment, edit func(*harness.Grid)) []harness.Result {
+	g := *e.Grid
+	edit(&g)
+	return RunGrid(g)
+}
+
+// sweepAt runs a Figure 1/7 spec at the given sizes.
+func sweepAt(e *Experiment, sizes ...int) (linux, filer, local *stats.Series) {
+	return SweepSeries(withGrid(e, func(g *harness.Grid) { g.FileSizesMB = sizes }))
+}
 
 // These are the integration tests that pin the paper's shapes. Sweeps use
 // a reduced size grid to stay fast; trace/table experiments run at the
 // paper's own parameters.
 
 func TestFig1Shape(t *testing.T) {
-	r := Fig1([]int{25, 100, 250, 450})
+	linux, filer, local := sweepAt(Fig1, 25, 100, 250, 450)
 	// Local peaks at memory speed (>150 MB/s), NFS stays at network
 	// speed (<40 MB/s) at every size.
-	if r.Local.MaxY() < 150_000 {
-		t.Fatalf("local peak = %.0f KB/s, want > 150 MB/s", r.Local.MaxY())
+	if local.MaxY() < 150_000 {
+		t.Fatalf("local peak = %.0f KB/s, want > 150 MB/s", local.MaxY())
 	}
-	for _, p := range r.Filer.Points {
+	for _, p := range filer.Points {
 		if p.Y > 40_000 || p.Y < 15_000 {
 			t.Fatalf("filer NFS throughput %.0f KB/s at %g MB outside 15-40 MB/s", p.Y, p.X)
 		}
 	}
-	for _, p := range r.Linux.Points {
+	for _, p := range linux.Points {
 		if p.Y > 35_000 || p.Y < 10_000 {
 			t.Fatalf("linux NFS throughput %.0f KB/s at %g MB outside 10-35 MB/s", p.Y, p.X)
 		}
@@ -32,18 +45,15 @@ func TestFig1Shape(t *testing.T) {
 	// "the large peak in memory write performance for local files does
 	// not appear for NFS files": NFS curves are flat (max/min < 1.5x)
 	// while local varies by > 3x.
-	if flat := r.Filer.MaxY() / minY(r.Filer); flat > 1.5 {
+	if flat := filer.MaxY() / minY(filer); flat > 1.5 {
 		t.Fatalf("filer curve not flat: max/min = %.2f", flat)
 	}
-	if dyn := r.Local.MaxY() / minY(r.Local); dyn < 3 {
+	if dyn := local.MaxY() / minY(local); dyn < 3 {
 		t.Fatalf("local curve should peak then collapse: max/min = %.2f", dyn)
 	}
 	// Local writes beat NFS while memory lasts.
-	if r.Local.YAt(25) < 3*r.Filer.YAt(25) {
+	if local.YAt(25) < 3*filer.YAt(25) {
 		t.Fatal("local memory writes should dwarf stock NFS writes")
-	}
-	if !strings.Contains(r.Render(), "Figure 1") {
-		t.Fatal("render missing title")
 	}
 }
 
@@ -105,8 +115,8 @@ func TestFig3Fig4Shapes(t *testing.T) {
 		t.Fatalf("fig3 mean %v should be >3x fig4 mean %v", f3.MeanAll, f4.MeanAll)
 	}
 	// Paper: fig4 sustains ~115 MB/s vs 28 MB/s before the fixes.
-	if f4.Result.WriteMBps() < 90 {
-		t.Fatalf("fig4 write throughput = %.1f MB/s, want >90", f4.Result.WriteMBps())
+	if f4.Result.WriteMBps < 90 {
+		t.Fatalf("fig4 write throughput = %.1f MB/s, want >90", f4.Result.WriteMBps)
 	}
 	// The paper's §3.3 result: removing the flushes alone does NOT
 	// improve mean latency (484.7 vs 482.1 µs there).
@@ -123,43 +133,43 @@ func TestFig5Fig6Shapes(t *testing.T) {
 
 	// Figure 5: the faster filer has MORE slow calls than the Linux
 	// server when the BKL is held across sends.
-	if f5.FilerTail <= f5.LinuxTail {
+	if f5.FilerHist.TailCount(TailCutoff) <= f5.LinuxHist.TailCount(TailCutoff) {
 		t.Fatalf("fig5: filer tail %d <= linux tail %d; faster server should contend more",
-			f5.FilerTail, f5.LinuxTail)
+			f5.FilerHist.TailCount(TailCutoff), f5.LinuxHist.TailCount(TailCutoff))
 	}
 	// Figure 6: the lock fix shrinks the tail on both servers...
-	if f6.FilerTail >= f5.FilerTail {
-		t.Fatalf("fig6 filer tail %d >= fig5 %d", f6.FilerTail, f5.FilerTail)
+	if f6.FilerHist.TailCount(TailCutoff) >= f5.FilerHist.TailCount(TailCutoff) {
+		t.Fatalf("fig6 filer tail %d >= fig5 %d", f6.FilerHist.TailCount(TailCutoff), f5.FilerHist.TailCount(TailCutoff))
 	}
-	if f6.LinuxTail > f5.LinuxTail {
-		t.Fatalf("fig6 linux tail %d > fig5 %d", f6.LinuxTail, f5.LinuxTail)
+	if f6.LinuxHist.TailCount(TailCutoff) > f5.LinuxHist.TailCount(TailCutoff) {
+		t.Fatalf("fig6 linux tail %d > fig5 %d", f6.LinuxHist.TailCount(TailCutoff), f5.LinuxHist.TailCount(TailCutoff))
 	}
 	// ...means drop...
-	if f6.FilerMean >= f5.FilerMean || f6.LinuxMean >= f5.LinuxMean {
+	if f6.Filer.Mean >= f5.Filer.Mean || f6.Linux.Mean >= f5.Linux.Mean {
 		t.Fatalf("means did not drop: filer %v->%v linux %v->%v",
-			f5.FilerMean, f6.FilerMean, f5.LinuxMean, f6.LinuxMean)
+			f5.Filer.Mean, f6.Filer.Mean, f5.Linux.Mean, f6.Linux.Mean)
 	}
 	// ...and maximum latency drops for the filer (381 -> 292 µs in §3.5).
-	if f6.FilerMax >= f5.FilerMax {
-		t.Fatalf("filer max did not drop: %v -> %v", f5.FilerMax, f6.FilerMax)
+	if f6.Filer.Max >= f5.Filer.Max {
+		t.Fatalf("filer max did not drop: %v -> %v", f5.Filer.Max, f6.Filer.Max)
 	}
 	// "minimum latency hardly changes" (±20%).
-	if f6.FilerMin < f5.FilerMin*8/10 || f6.FilerMin > f5.FilerMin*12/10 {
-		t.Fatalf("filer min moved: %v -> %v", f5.FilerMin, f6.FilerMin)
+	if f6.Filer.Min < f5.Filer.Min*8/10 || f6.Filer.Min > f5.Filer.Min*12/10 {
+		t.Fatalf("filer min moved: %v -> %v", f5.Filer.Min, f6.Filer.Min)
 	}
 	// Figure 5: filer writes take longer than Linux-server writes on
 	// average. Figure 6: "the difference is small" — the gap shrinks and
 	// stays within a few percent.
-	if f5.FilerMean <= f5.LinuxMean {
-		t.Fatalf("fig5: filer mean %v <= linux mean %v", f5.FilerMean, f5.LinuxMean)
+	if f5.Filer.Mean <= f5.Linux.Mean {
+		t.Fatalf("fig5: filer mean %v <= linux mean %v", f5.Filer.Mean, f5.Linux.Mean)
 	}
-	gap5 := f5.FilerMean - f5.LinuxMean
-	gap6 := f6.FilerMean - f6.LinuxMean
+	gap5 := f5.Filer.Mean - f5.Linux.Mean
+	gap6 := f6.Filer.Mean - f6.Linux.Mean
 	if gap6 >= gap5 {
 		t.Fatalf("filer-linux mean gap did not shrink: %v -> %v", gap5, gap6)
 	}
-	if gap6 > f6.LinuxMean*3/100 || gap6 < -f6.LinuxMean*3/100 {
-		t.Fatalf("fig6 gap %v not small relative to %v", gap6, f6.LinuxMean)
+	if gap6 > f6.Linux.Mean*3/100 || gap6 < -f6.Linux.Mean*3/100 {
+		t.Fatalf("fig6 gap %v not small relative to %v", gap6, f6.Linux.Mean)
 	}
 	if !strings.Contains(f5.Render(), "histogram") {
 		t.Fatal("render broken")
@@ -167,52 +177,52 @@ func TestFig5Fig6Shapes(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	r := Table1()
+	rows := RunGrid(*Table1.Grid)
+	// Config-major grid order: BKL held (hash) first, then released.
+	fLock, lLock, fNoLock, lNoLock := rows[0].WriteMBps, rows[1].WriteMBps, rows[2].WriteMBps, rows[3].WriteMBps
+	fNet, lNet := rows[0].ServerNetMBps, rows[1].ServerNetMBps
 	// Both servers improve without the lock.
-	if r.FilerNoLockMBps <= r.FilerLockMBps {
+	if fNoLock <= fLock {
 		t.Fatalf("filer: %0.1f -> %0.1f; lock removal should help",
-			r.FilerLockMBps, r.FilerNoLockMBps)
+			fLock, fNoLock)
 	}
-	if r.LinuxNoLockMBps <= r.LinuxLockMBps {
+	if lNoLock <= lLock {
 		t.Fatalf("linux: %0.1f -> %0.1f; lock removal should help",
-			r.LinuxLockMBps, r.LinuxNoLockMBps)
+			lLock, lNoLock)
 	}
 	// The filer (faster server) gains more (+22% vs +6.5% in Table 1).
-	fGain := r.FilerNoLockMBps / r.FilerLockMBps
-	lGain := r.LinuxNoLockMBps / r.LinuxLockMBps
+	fGain := fNoLock / fLock
+	lGain := lNoLock / lLock
 	if fGain <= lGain {
 		t.Fatalf("filer gain %.3f <= linux gain %.3f", fGain, lGain)
 	}
 	// With the lock, memory writes to the faster filer are SLOWER.
-	if r.FilerLockMBps >= r.LinuxLockMBps {
-		t.Fatalf("with BKL: filer %.1f >= linux %.1f MBps", r.FilerLockMBps, r.LinuxLockMBps)
+	if fLock >= lLock {
+		t.Fatalf("with BKL: filer %.1f >= linux %.1f MBps", fLock, lLock)
 	}
 	// §3.5 framing: filer sustains more network throughput than linux.
-	if r.FilerNetMBps <= r.LinuxNetMBps {
-		t.Fatalf("filer net %.1f <= linux net %.1f", r.FilerNetMBps, r.LinuxNetMBps)
+	if fNet <= lNet {
+		t.Fatalf("filer net %.1f <= linux net %.1f", fNet, lNet)
 	}
 	// Linux server's ingest is in the paper's ballpark (26 MBps).
-	if r.LinuxNetMBps < 18 || r.LinuxNetMBps > 33 {
-		t.Fatalf("linux ingest %.1f MBps, want ~26", r.LinuxNetMBps)
+	if lNet < 18 || lNet > 33 {
+		t.Fatalf("linux ingest %.1f MBps, want ~26", lNet)
 	}
-	tbl := r.Table()
-	if tbl.Rows() != 2 {
-		t.Fatal("table should have 2 rows")
-	}
-	if !strings.Contains(r.Render(), "Table 1") {
-		t.Fatal("render missing title")
+	if out := Table1.Render(rows); !strings.Contains(out, "Table 1") || strings.Count(out, "MBps  ") != 4 {
+		t.Fatalf("render broken:\n%s", out)
 	}
 }
 
 func TestSlow100Shape(t *testing.T) {
-	r := Slow100()
-	if r.SlowMBps <= r.FilerMBps {
-		t.Fatalf("slow-server memory writes %.1f <= filer %.1f", r.SlowMBps, r.FilerMBps)
+	rows := RunGrid(*Slow100.Grid)
+	slow, filer := rows[0], rows[1]
+	if slow.WriteMBps <= filer.WriteMBps {
+		t.Fatalf("slow-server memory writes %.1f <= filer %.1f", slow.WriteMBps, filer.WriteMBps)
 	}
-	if r.SlowNetMBps >= 10.5 {
-		t.Fatalf("slow server ingest %.1f, want <10 MBps", r.SlowNetMBps)
+	if slow.ServerNetMBps >= 10.5 {
+		t.Fatalf("slow server ingest %.1f, want <10 MBps", slow.ServerNetMBps)
 	}
-	if !strings.Contains(r.Render(), "Slow-server") {
+	if !strings.Contains(Slow100.Render(rows), "Slow-server") {
 		t.Fatal("render broken")
 	}
 }
@@ -245,42 +255,43 @@ func TestProfileShape(t *testing.T) {
 }
 
 func TestJumboShape(t *testing.T) {
-	r := Jumbo()
+	rows := RunGrid(*Jumbo.Grid)
+	std, jumbo := rows[0], rows[1]
 	// Jumbo frames must reduce sock_sendmsg CPU per §3.5's conjecture.
-	if r.JumboSendCPU >= r.StandardSendCPU {
-		t.Fatalf("jumbo send CPU %v >= standard %v", r.JumboSendCPU, r.StandardSendCPU)
+	if jumbo.SendCPU >= std.SendCPU {
+		t.Fatalf("jumbo send CPU %v >= standard %v", jumbo.SendCPU, std.SendCPU)
 	}
 	// End-to-end throughput should not get worse.
-	if r.JumboMBps < r.StandardMBps*95/100 {
-		t.Fatalf("jumbo throughput %.1f well below standard %.1f", r.JumboMBps, r.StandardMBps)
+	if jumbo.FlushMBps < std.FlushMBps*95/100 {
+		t.Fatalf("jumbo throughput %.1f well below standard %.1f", jumbo.FlushMBps, std.FlushMBps)
 	}
-	if !strings.Contains(r.Render(), "Jumbo") {
+	if !strings.Contains(Jumbo.Render(rows), "Jumbo") {
 		t.Fatal("render broken")
 	}
 }
 
 func TestFig7Shape(t *testing.T) {
-	r := Fig7([]int{25, 200, 450})
+	linux, filer, local := sweepAt(Fig7, 25, 200, 450)
 	// Enhanced NFS memory writes approach local speed for small files
 	// (same order of magnitude; paper: 115-150 vs ~170-200 MB/s)...
-	if r.Filer.YAt(25) < 90_000 {
-		t.Fatalf("enhanced filer writes %.0f KB/s at 25 MB, want >90 MB/s", r.Filer.YAt(25))
+	if filer.YAt(25) < 90_000 {
+		t.Fatalf("enhanced filer writes %.0f KB/s at 25 MB, want >90 MB/s", filer.YAt(25))
 	}
 	// ...NFS no longer tracks network throughput...
-	if r.Filer.YAt(25) < 2.5*35_000 {
+	if filer.YAt(25) < 2.5*35_000 {
 		t.Fatal("enhanced client still pinned to network speed")
 	}
 	// ...and the filer sustains high throughput longer than the Linux
 	// server as memory runs out (NVRAM + faster ingest).
-	if r.Filer.YAt(450) <= r.Linux.YAt(450) {
-		t.Fatalf("at 450 MB filer %.0f <= linux %.0f KB/s", r.Filer.YAt(450), r.Linux.YAt(450))
+	if filer.YAt(450) <= linux.YAt(450) {
+		t.Fatalf("at 450 MB filer %.0f <= linux %.0f KB/s", filer.YAt(450), linux.YAt(450))
 	}
 	// Local ext2 trails off hardest (EIDE disk).
-	if r.Local.YAt(450) >= r.Linux.YAt(450) {
-		t.Fatalf("local %.0f should trail linux %.0f at 450 MB", r.Local.YAt(450), r.Linux.YAt(450))
+	if local.YAt(450) >= linux.YAt(450) {
+		t.Fatalf("local %.0f should trail linux %.0f at 450 MB", local.YAt(450), linux.YAt(450))
 	}
 	// Throughput at 25 MB far exceeds throughput at 450 MB (memory cliff).
-	if r.Filer.YAt(25) < 15*r.Filer.YAt(450)/10 {
+	if filer.YAt(25) < 15*filer.YAt(450)/10 {
 		t.Fatal("no memory cliff visible for the filer curve")
 	}
 }
@@ -299,29 +310,30 @@ func TestConcurrencyShape(t *testing.T) {
 }
 
 func TestScalingShape(t *testing.T) {
-	r := Scaling()
-	if len(r.Rows) != 8 { // 2 configs x {1, 2, 4, 8} clients
-		t.Fatalf("rows = %d, want 8", len(r.Rows))
+	rows := RunGrid(*Scaling.Grid)
+	if len(rows) != 8 { // 2 configs x {1, 2, 4, 8} clients
+		t.Fatalf("rows = %d, want 8", len(rows))
 	}
-	byConfig := map[string][]ScalingRow{}
-	for _, row := range r.Rows {
-		if row.PerClient <= 0 || row.Aggregate <= 0 {
-			t.Fatalf("empty throughput in row %+v", row)
+	byConfig := map[string][]harness.Result{}
+	for _, row := range rows {
+		if row.CloseMBps <= 0 || row.AggMBps <= 0 {
+			t.Fatalf("empty throughput in row %s", row.Name)
 		}
 		if row.Fairness <= 0 || row.Fairness > 1 {
-			t.Fatalf("fairness %v out of (0, 1] in row %+v", row.Fairness, row)
+			t.Fatalf("fairness %v out of (0, 1] in row %s", row.Fairness, row.Name)
 		}
 		byConfig[row.Config] = append(byConfig[row.Config], row)
 	}
-	for cfg, rows := range byConfig {
+	for _, cfg := range []string{"stock", "enhanced"} {
+		rows := byConfig[cfg]
 		if len(rows) != 4 {
 			t.Fatalf("%s has %d client counts, want 4", cfg, len(rows))
 		}
 		// Two clients outrun one: the shared server is not saturated by a
 		// single client machine's full write+flush+close run.
-		if rows[1].Aggregate <= rows[0].Aggregate {
+		if rows[1].AggMBps <= rows[0].AggMBps {
 			t.Fatalf("%s: 2-client aggregate %.1f <= 1-client %.1f",
-				cfg, rows[1].Aggregate, rows[0].Aggregate)
+				cfg, rows[1].AggMBps, rows[0].AggMBps)
 		}
 		// Identical machines split the server evenly.
 		for _, row := range rows {
@@ -330,12 +342,12 @@ func TestScalingShape(t *testing.T) {
 			}
 		}
 		// Per-client share shrinks once the fleet shares the ingest ceiling.
-		if rows[3].PerClient >= rows[0].PerClient {
+		if rows[3].CloseMBps >= rows[0].CloseMBps {
 			t.Fatalf("%s: 8-client per-client %.1f >= 1-client %.1f",
-				cfg, rows[3].PerClient, rows[0].PerClient)
+				cfg, rows[3].CloseMBps, rows[0].CloseMBps)
 		}
 	}
-	out := r.Render()
+	out := Scaling.Table(rows)
 	for _, want := range []string{"scale-out", "fairness", "stock", "enhanced"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
@@ -347,25 +359,25 @@ func TestScalingShape(t *testing.T) {
 // at 1% and 5% fragment loss, TCP's end-to-end throughput degrades
 // strictly less than UDP's, for both the stock and the enhanced client.
 func TestLossSweepShape(t *testing.T) {
-	r := LossSweep()
-	if len(r.Rows) != 16 { // 2 configs x 2 transports x 4 loss rates
-		t.Fatalf("rows = %d, want 16", len(r.Rows))
+	rows := RunGrid(*Loss.Grid)
+	if len(rows) != 16 { // 2 configs x 2 transports x 4 loss rates
+		t.Fatalf("rows = %d, want 16", len(rows))
 	}
-	for _, row := range r.Rows {
+	for _, row := range rows {
 		if row.AggMBps <= 0 {
-			t.Fatalf("empty throughput in row %+v", row)
+			t.Fatalf("empty throughput in row %s", row.Name)
 		}
 		if row.Loss == 0 && row.Retransmits != 0 {
-			t.Fatalf("lossless row has retransmissions: %+v", row)
+			t.Fatalf("lossless row has retransmissions: %s", row.Name)
 		}
 		if row.Loss >= 0.01 && row.Retransmits == 0 {
-			t.Fatalf("lossy row repaired nothing: %+v", row)
+			t.Fatalf("lossy row repaired nothing: %s", row.Name)
 		}
 	}
 	for _, cfg := range []string{"stock", "enhanced"} {
 		for _, loss := range []float64{0.01, 0.05} {
-			udp := r.degradation(cfg, "udp", loss)
-			tcp := r.degradation(cfg, "tcp", loss)
+			udp := LossDegradation(rows, cfg, "udp", loss)
+			tcp := LossDegradation(rows, cfg, "tcp", loss)
 			if udp < 0 || tcp < 0 {
 				t.Fatalf("%s @ %g: missing baseline", cfg, loss)
 			}
@@ -378,11 +390,11 @@ func TestLossSweepShape(t *testing.T) {
 		// And UDP at >= 1% loss must show the paper's catastrophe: more
 		// than half the throughput gone to loss amplification + timer
 		// stalls.
-		if d := r.degradation(cfg, "udp", 0.01); d < 0.5 {
+		if d := LossDegradation(rows, cfg, "udp", 0.01); d < 0.5 {
 			t.Fatalf("%s: UDP degradation at 1%% loss only %.3f; loss amplification missing", cfg, d)
 		}
 	}
-	out := r.Render()
+	out := Loss.Table(rows)
 	for _, want := range []string{"Lossy network", "udp", "tcp", "strictly better: true"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
@@ -399,35 +411,34 @@ func TestLossSweepShape(t *testing.T) {
 // while staying within noise of its own sequential rate, and random
 // reads defeat the sequential readahead window.
 func TestRandomSweepShape(t *testing.T) {
-	r := RandomSweep()
-	if len(r.Rows) != 16 { // 4 configs x 4 workloads
-		t.Fatalf("rows = %d, want 16", len(r.Rows))
+	rows := RunGrid(*Random.Grid)
+	if len(rows) != 16 { // 4 configs x 4 workloads
+		t.Fatalf("rows = %d, want 16", len(rows))
 	}
-	for _, row := range r.Rows {
-		if row.MBps <= 0 {
-			t.Fatalf("empty throughput in row %+v", row)
+	for _, row := range rows {
+		if row.WriteMBps <= 0 {
+			t.Fatalf("empty throughput in row %s", row.Name)
 		}
-		if row.RPCs == 0 {
-			t.Fatalf("row moved no RPCs: %+v", row)
+		if row.RPCsSent+row.ReadRPCs == 0 {
+			t.Fatalf("row moved no RPCs: %s", row.Name)
 		}
 	}
+	mbps := func(cfg, wl string) float64 { return Random.Row(rows, cfg, wl).WriteMBps }
 	// The acceptance criterion: the hash client beats the stock client on
 	// random writes, by the margin the fix progression promises.
-	hashRand := r.Throughput("hash", "randwrite")
-	stockRand := r.Throughput("stock", "randwrite")
+	hashRand, stockRand := mbps("hash", "randwrite"), mbps("stock", "randwrite")
 	if hashRand <= 2*stockRand {
 		t.Fatalf("hash random writes %.1f MBps not > 2x stock %.1f", hashRand, stockRand)
 	}
 	// Fix 2 in isolation: against the same cache-all flushing, the hash
 	// table beats the linear list on random writes, where every lookup
 	// rescans a non-adjacent backlog (figure-3/4 divergence).
-	listRand := r.Throughput("nolimits", "randwrite")
-	if hashRand <= 1.3*listRand {
+	if listRand := mbps("nolimits", "randwrite"); hashRand <= 1.3*listRand {
 		t.Fatalf("hash random writes %.1f MBps not >= 1.3x linear list %.1f", hashRand, listRand)
 	}
 	// Parity sequentially: random access costs the hash client nothing —
 	// its random-write rate stays within noise of its sequential rate.
-	hashSeq := r.Throughput("hash", "write")
+	hashSeq := mbps("hash", "write")
 	if ratio := hashRand / hashSeq; ratio < 0.9 || ratio > 1.1 {
 		t.Fatalf("hash random/sequential ratio %.3f outside [0.9, 1.1] (%.1f vs %.1f MBps)",
 			ratio, hashRand, hashSeq)
@@ -435,19 +446,17 @@ func TestRandomSweepShape(t *testing.T) {
 	// The stock client is also at parity with itself: its request-count
 	// limits bound the list, so the scans never grow — random access is
 	// only expensive once fix 1 removes the limits and the list is long.
-	stockSeq := r.Throughput("stock", "write")
-	if ratio := stockRand / stockSeq; ratio < 0.85 || ratio > 1.15 {
+	if ratio := stockRand / mbps("stock", "write"); ratio < 0.85 || ratio > 1.15 {
 		t.Fatalf("stock random/sequential ratio %.3f outside [0.85, 1.15]", ratio)
 	}
 	// Random reads defeat readahead: every seek collapses the window, so
 	// the reader pays a round trip per miss instead of streaming.
-	seqRead, randRead := r.Throughput("enhanced", "read"), r.Throughput("enhanced", "randread")
-	if seqRead <= 3*randRead {
+	if seqRead, randRead := mbps("enhanced", "read"), mbps("enhanced", "randread"); seqRead <= 3*randRead {
 		t.Fatalf("sequential read %.1f MBps not > 3x random read %.1f", seqRead, randRead)
 	}
 	// The stock client's write-family rows hit the soft limit (random
 	// requests count against MAX_REQUEST_SOFT like any other).
-	for _, row := range r.Rows {
+	for _, row := range rows {
 		wantSoft := row.Config == "stock" && (row.Workload == "write" || row.Workload == "randwrite")
 		if wantSoft && row.SoftFlushes == 0 {
 			t.Fatalf("stock %s row recorded no soft flushes", row.Workload)
@@ -456,7 +465,7 @@ func TestRandomSweepShape(t *testing.T) {
 			t.Fatalf("%s/%s row recorded %d soft flushes", row.Config, row.Workload, row.SoftFlushes)
 		}
 	}
-	out := r.Render()
+	out := Random.Table(rows)
 	for _, want := range []string{"Random access", "randwrite", "parity"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
@@ -470,20 +479,20 @@ func TestRandomSweepShape(t *testing.T) {
 // waits on the disk), and the patched client beats the stock client on
 // both servers even under a fsync-bound transactional load.
 func TestDBLoadShape(t *testing.T) {
-	r := DBLoad()
-	if len(r.Rows) != 4 { // 2 servers x 2 configs
-		t.Fatalf("rows = %d, want 4", len(r.Rows))
+	rows := RunGrid(*DB.Grid)
+	if len(rows) != 4 { // 2 servers x 2 configs
+		t.Fatalf("rows = %d, want 4", len(rows))
 	}
-	for _, row := range r.Rows {
-		if row.MBps <= 0 || row.TxPerSec <= 0 {
-			t.Fatalf("empty throughput in row %+v", row)
+	for _, row := range rows {
+		if row.WriteMBps <= 0 || TxPerSec(row) <= 0 {
+			t.Fatalf("empty throughput in row %s", row.Name)
 		}
 		// 20 MB / 8 KB chunks = 2560 writes, one fsync per 50.
 		if want := int64(2560 / 50); row.FsyncCount != want {
-			t.Fatalf("fsync count = %d, want %d: %+v", row.FsyncCount, want, row)
+			t.Fatalf("fsync count = %d, want %d: %s", row.FsyncCount, want, row.Name)
 		}
-		if row.FsyncTime == 0 {
-			t.Fatalf("no fsync time recorded: %+v", row)
+		if FsyncTime(row) == 0 {
+			t.Fatalf("no fsync time recorded: %s", row.Name)
 		}
 		switch row.Server {
 		case "filer":
@@ -498,24 +507,24 @@ func TestDBLoadShape(t *testing.T) {
 		}
 	}
 	for _, cfg := range []string{"stock", "enhanced"} {
-		f, l := r.Row("filer", cfg), r.Row("linux", cfg)
+		f, l := DB.Row(rows, "filer", cfg), DB.Row(rows, "linux", cfg)
 		if f == nil || l == nil {
 			t.Fatalf("missing %s rows", cfg)
 		}
-		if f.FsyncTime >= l.FsyncTime {
-			t.Fatalf("%s: filer fsync %v not below linux %v", cfg, f.FsyncTime, l.FsyncTime)
+		if FsyncTime(*f) >= FsyncTime(*l) {
+			t.Fatalf("%s: filer fsync %v not below linux %v", cfg, FsyncTime(*f), FsyncTime(*l))
 		}
-		if f.TxPerSec <= l.TxPerSec {
-			t.Fatalf("%s: filer tx/sec %.0f not above linux %.0f", cfg, f.TxPerSec, l.TxPerSec)
+		if TxPerSec(*f) <= TxPerSec(*l) {
+			t.Fatalf("%s: filer tx/sec %.0f not above linux %.0f", cfg, TxPerSec(*f), TxPerSec(*l))
 		}
 	}
 	for _, srv := range []string{"filer", "linux"} {
-		stock, enh := r.Row(srv, "stock"), r.Row(srv, "enhanced")
-		if enh.MBps <= stock.MBps {
-			t.Fatalf("%s: enhanced %.1f MBps not above stock %.1f", srv, enh.MBps, stock.MBps)
+		stock, enh := DB.Row(rows, srv, "stock"), DB.Row(rows, srv, "enhanced")
+		if enh.WriteMBps <= stock.WriteMBps {
+			t.Fatalf("%s: enhanced %.1f MBps not above stock %.1f", srv, enh.WriteMBps, stock.WriteMBps)
 		}
 	}
-	out := r.Render()
+	out := DB.Table(rows)
 	for _, want := range []string{"Database load", "COMMIT", "filer faster: true"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
@@ -527,24 +536,24 @@ func TestDBLoadShape(t *testing.T) {
 }
 
 func TestReadSweepShape(t *testing.T) {
-	r := ReadSweep()
-	if len(r.Rows) != 9 { // 3 configs x 3 workloads
-		t.Fatalf("rows = %d, want 9", len(r.Rows))
+	rows := RunGrid(*Read.Grid)
+	if len(rows) != 9 { // 3 configs x 3 workloads
+		t.Fatalf("rows = %d, want 9", len(rows))
 	}
-	for _, row := range r.Rows {
-		if row.MBps <= 0 || row.AggMBps <= 0 {
-			t.Fatalf("empty throughput in row %+v", row)
+	for _, row := range rows {
+		if row.WriteMBps <= 0 || row.AggMBps <= 0 {
+			t.Fatalf("empty throughput in row %s", row.Name)
 		}
 		if row.ReadRPCs == 0 {
-			t.Fatalf("row fetched nothing over READ RPCs: %+v", row)
+			t.Fatalf("row fetched nothing over READ RPCs: %s", row.Name)
 		}
-		if row.HitRate <= 0 || row.HitRate >= 1 {
-			t.Fatalf("hit rate %.3f outside (0, 1): %+v", row.HitRate, row)
+		if hr := ReadHitRate(row); hr <= 0 || hr >= 1 {
+			t.Fatalf("hit rate %.3f outside (0, 1): %s", hr, row.Name)
 		}
 	}
 	// The acceptance criterion: on sequential reads, enhanced readahead
 	// strictly outperforms readahead-off.
-	on, off := r.Throughput("enhanced", "read"), r.Throughput("ra-off", "read")
+	on, off := Read.Row(rows, "enhanced", "read").WriteMBps, Read.Row(rows, "ra-off", "read").WriteMBps
 	if on <= off {
 		t.Fatalf("enhanced readahead %.2f MBps not strictly above readahead-off %.2f", on, off)
 	}
@@ -555,15 +564,15 @@ func TestReadSweepShape(t *testing.T) {
 	}
 	// The enhanced window must also turn most lookups into hits, while
 	// readahead-off misses on every chunk's first page.
-	for _, row := range r.Rows {
-		switch {
-		case row.Config == "enhanced" && row.HitRate < 0.9:
-			t.Fatalf("enhanced hit rate %.3f, want >= 0.9: %+v", row.HitRate, row)
-		case row.Config == "ra-off" && row.HitRate > 0.6:
-			t.Fatalf("ra-off hit rate %.3f, want <= 0.6: %+v", row.HitRate, row)
+	for _, row := range rows {
+		switch hr := ReadHitRate(row); {
+		case row.Config == "enhanced" && hr < 0.9:
+			t.Fatalf("enhanced hit rate %.3f, want >= 0.9: %s", hr, row.Name)
+		case row.Config == "ra-off" && hr > 0.6:
+			t.Fatalf("ra-off hit rate %.3f, want <= 0.6: %s", hr, row.Name)
 		}
 	}
-	out := r.Render()
+	out := Read.Table(rows)
 	for _, want := range []string{"Read path", "readahead", "strictly better: true"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
@@ -572,51 +581,48 @@ func TestReadSweepShape(t *testing.T) {
 }
 
 func TestZipfSweepShape(t *testing.T) {
-	r := ZipfSweep()
-	if len(r.Rows) != 4 { // {zipf, uniform} x {ac on, ac off}
-		t.Fatalf("rows = %d, want 4", len(r.Rows))
+	rows := RunGrid(*Zipf.Grid)
+	if len(rows) != 4 { // {zipf, uniform} x {ac on, ac off}
+		t.Fatalf("rows = %d, want 4", len(rows))
 	}
 	for _, skew := range []string{"zipf", "uniform"} {
-		on, off := r.Cell(skew, "on"), r.Cell(skew, "off")
+		on, off := Zipf.Row(rows, skew, "on"), Zipf.Row(rows, skew, "off")
 		if on == nil || off == nil {
 			t.Fatalf("missing %s cells", skew)
 		}
 		// Every cell does real work across the whole op mix.
-		for _, row := range []*ZipfRow{on, off} {
-			if row.AggMBps <= 0 || row.Lookups == 0 || row.Creates == 0 || row.Removes == 0 {
-				t.Fatalf("hollow cell %+v", row)
+		for _, row := range []*harness.Result{on, off} {
+			if row.AggMBps <= 0 || row.LookupRPCs == 0 || row.CreateRPCs == 0 || row.RemoveRPCs == 0 {
+				t.Fatalf("hollow cell %s", row.Name)
 			}
 		}
 		// The acceptance criterion: attribute caching cuts GETATTR RPCs
 		// and raises aggregate throughput vs. ac=0, at either skew.
-		if on.Getattrs >= off.Getattrs {
-			t.Fatalf("%s: %d GETATTRs with the cache, %d without", skew, on.Getattrs, off.Getattrs)
+		if on.GetattrRPCs >= off.GetattrRPCs {
+			t.Fatalf("%s: %d GETATTRs with the cache, %d without", skew, on.GetattrRPCs, off.GetattrRPCs)
 		}
 		if on.AggMBps <= off.AggMBps {
 			t.Fatalf("%s: cache-on %.2f MBps not above cache-off %.2f", skew, on.AggMBps, off.AggMBps)
 		}
-		if on.HitRate <= 0 {
-			t.Fatalf("%s: cache on but hit rate %.3f", skew, on.HitRate)
+		if on.AttrCacheHitRate <= 0 {
+			t.Fatalf("%s: cache on but hit rate %.3f", skew, on.AttrCacheHitRate)
 		}
-		if off.HitRate != 0 {
-			t.Fatalf("%s: cache off but hit rate %.3f", skew, off.HitRate)
+		if off.AttrCacheHitRate != 0 {
+			t.Fatalf("%s: cache off but hit rate %.3f", skew, off.AttrCacheHitRate)
 		}
 	}
 	// Hot-set skew: the popular files keep their cache entries warm, so
 	// Zipfian access hits more often and spends fewer metadata RPCs than
 	// uniform access over the same op count. (Throughput is not compared
-	// across skews — the hot set's real data confounds it; see the
-	// ZipfSweepResult doc.)
-	z, u := r.Cell("zipf", "on"), r.Cell("uniform", "on")
-	if z.HitRate <= u.HitRate {
-		t.Fatalf("zipf hit rate %.3f not above uniform %.3f", z.HitRate, u.HitRate)
+	// across skews — the hot set's real data confounds it; see Zipf.)
+	z, u := Zipf.Row(rows, "zipf", "on"), Zipf.Row(rows, "uniform", "on")
+	if z.AttrCacheHitRate <= u.AttrCacheHitRate {
+		t.Fatalf("zipf hit rate %.3f not above uniform %.3f", z.AttrCacheHitRate, u.AttrCacheHitRate)
 	}
-	zMeta := z.Lookups + z.Getattrs + z.Creates
-	uMeta := u.Lookups + u.Getattrs + u.Creates
-	if zMeta >= uMeta {
-		t.Fatalf("zipf spent %d metadata RPCs, uniform %d; skew should save RPCs", zMeta, uMeta)
+	if zm, um := MetadataRPCs(*z), MetadataRPCs(*u); zm >= um {
+		t.Fatalf("zipf spent %d metadata RPCs, uniform %d; skew should save RPCs", zm, um)
 	}
-	out := r.Render()
+	out := Zipf.Table(rows)
 	for _, want := range []string{"Many-file metadata", "attribute cache:", "hot-set skew:"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
@@ -628,20 +634,20 @@ func TestZipfSweepShape(t *testing.T) {
 }
 
 func TestCoherenceSweepShape(t *testing.T) {
-	r := CoherenceSweep()
-	if len(r.Rows) != 3 { // strict, ttl, noac
-		t.Fatalf("rows = %d, want 3", len(r.Rows))
+	rows := RunGrid(*Coherence.Grid)
+	if len(rows) != 3 { // strict, ttl, noac
+		t.Fatalf("rows = %d, want 3", len(rows))
 	}
-	strict, ttl, noac := r.Cell("strict"), r.Cell("ttl"), r.Cell("noac")
+	strict, ttl, noac := Coherence.Row(rows, "strict"), Coherence.Row(rows, "ttl"), Coherence.Row(rows, "noac")
 	if strict == nil || ttl == nil || noac == nil {
-		t.Fatalf("missing mode cells: %+v", r.Rows)
+		t.Fatalf("missing mode cells:\n%s", Coherence.Table(rows))
 	}
 	// Every mode moves real data and the writers bump the server's
 	// change attribute; the write mix is identical across modes, so the
 	// bump counts must match exactly.
-	for _, row := range []*CoherenceRow{strict, ttl, noac} {
+	for _, row := range []*harness.Result{strict, ttl, noac} {
 		if row.AggMBps <= 0 || row.ChangeBumps == 0 {
-			t.Fatalf("hollow cell %+v", row)
+			t.Fatalf("hollow cell %s", row.Name)
 		}
 	}
 	if strict.ChangeBumps != ttl.ChangeBumps || ttl.ChangeBumps != noac.ChangeBumps {
@@ -654,8 +660,8 @@ func TestCoherenceSweepShape(t *testing.T) {
 	if strict.StaleReads != 0 {
 		t.Fatalf("strict mode served %d stale reads, want 0", strict.StaleReads)
 	}
-	if strict.Getattrs <= ttl.Getattrs {
-		t.Fatalf("strict spent %d GETATTRs, not above ttl's %d", strict.Getattrs, ttl.Getattrs)
+	if strict.GetattrRPCs <= ttl.GetattrRPCs {
+		t.Fatalf("strict spent %d GETATTRs, not above ttl's %d", strict.GetattrRPCs, ttl.GetattrRPCs)
 	}
 	// The ttl window bounds staleness strictly below noac's unbounded
 	// trust, without giving up strict's throughput.
@@ -674,7 +680,7 @@ func TestCoherenceSweepShape(t *testing.T) {
 	if strict.Invalidations == 0 {
 		t.Fatalf("strict revalidations never invalidated a cache")
 	}
-	out := r.Render()
+	out := Coherence.Table(rows)
 	for _, want := range []string{"Cache coherence", "strict close-to-open:", "ttl window:"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
@@ -693,9 +699,9 @@ func TestCoherenceSweepShape(t *testing.T) {
 func TestCoherenceSweepDeterminism(t *testing.T) {
 	defer func(w int) { Workers = w }(Workers)
 	Workers = 1
-	first := CoherenceSweep().Render()
+	first := Coherence.Output(false)
 	Workers = 8
-	second := CoherenceSweep().Render()
+	second := Coherence.Output(false)
 	if first != second {
 		t.Fatalf("coherence sweep differs between -workers 1 and 8:\n--- workers=1\n%s\n--- workers=8\n%s", first, second)
 	}
@@ -704,38 +710,38 @@ func TestCoherenceSweepDeterminism(t *testing.T) {
 func TestFleetShape(t *testing.T) {
 	// Reduced fleet sizes keep the test fast; the 1000-client row runs
 	// in CI's smoke step and in BenchmarkFleet1000.
-	r := FleetAt([]int{10, 100}, 1)
-	if len(r.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(r.Rows))
+	rows := withGrid(Fleet, func(g *harness.Grid) { g.Clients = []int{10, 100} })
+	if len(rows) != 2 {
+		t.Fatalf("rows = %d, want 2", len(rows))
 	}
-	small, big := r.Rows[0], r.Rows[1]
+	small, big := rows[0], rows[1]
 	if small.Clients != 10 || big.Clients != 100 {
 		t.Fatalf("client counts %d, %d; want 10, 100", small.Clients, big.Clients)
 	}
-	for _, row := range r.Rows {
-		if row.PerClient <= 0 || row.Aggregate <= 0 || row.ServerNet <= 0 {
-			t.Fatalf("empty throughput in row %+v", row)
+	for _, row := range rows {
+		if row.CloseMBps <= 0 || row.AggMBps <= 0 || row.ServerNetMBps <= 0 {
+			t.Fatalf("empty throughput in row %s", row.Name)
 		}
 		if row.Fairness <= 0 || row.Fairness > 1 {
-			t.Fatalf("fairness %v out of (0, 1] in row %+v", row.Fairness, row)
+			t.Fatalf("fairness %v out of (0, 1] in row %s", row.Fairness, row.Name)
 		}
-		if row.SlotWaitShare < 0 || row.SlotWaitShare > 1 {
-			t.Fatalf("slot-wait share %v out of [0, 1] in row %+v", row.SlotWaitShare, row)
+		if share := SlotWaitShare(row); share < 0 || share > 1 {
+			t.Fatalf("slot-wait share %v out of [0, 1] in row %s", share, row.Name)
 		}
 	}
 	// The server's ingest ceiling is fixed, so ten times the clients get
 	// roughly a tenth of the bandwidth each...
-	if big.PerClient >= small.PerClient/2 {
+	if big.CloseMBps >= small.CloseMBps/2 {
 		t.Fatalf("per-client did not collapse: %d clients %.2f, %d clients %.2f MBps",
-			small.Clients, small.PerClient, big.Clients, big.PerClient)
+			small.Clients, small.CloseMBps, big.Clients, big.CloseMBps)
 	}
 	// ...and requests convoy longer behind the slot table as replies
 	// slow down under the larger fleet.
-	if big.SlotWaitUs <= small.SlotWaitUs {
+	if SlotWaitMeanUs(big) <= SlotWaitMeanUs(small) {
 		t.Fatalf("slot-wait did not grow: %d clients %.0fus, %d clients %.0fus",
-			small.Clients, small.SlotWaitUs, big.Clients, big.SlotWaitUs)
+			small.Clients, SlotWaitMeanUs(small), big.Clients, SlotWaitMeanUs(big))
 	}
-	out := r.Render()
+	out := Fleet.Table(rows)
 	for _, want := range []string{"Thousand-client fleet", "slot-wait share"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)

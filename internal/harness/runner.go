@@ -232,49 +232,29 @@ func RunScenarioOn(sc Scenario, prepare func(*nfssim.Testbed)) Result {
 		Scenario: sc,
 	}
 
-	if clients == 1 {
-		res := bonnie.RunWorkload(tb.Sim, sc.Name(), tb.OpenSet(), bcfg)
-		out.Calls = res.Calls
-		out.WriteMBps = res.WriteMBps()
-		out.WriteKBps = res.WriteKBps()
-		out.FlushMBps = res.FlushMBps()
-		out.CloseMBps = res.CloseMBps()
-		out.FsyncCount = int64(res.FsyncCount)
-		out.FsyncUs = usec(res.FsyncTime)
-		out.Trace = res.Trace
-		out.AggMBps = clientMBps(res, sc.SkipFlushClose)
-		out.PerClientMBps = []float64{out.AggMBps}
-		out.MinClientMBps, out.MaxClientMBps = out.AggMBps, out.AggMBps
-		out.Fairness = 1
-	} else {
-		res := bonnie.RunConcurrentWorkload(tb.Sim, sc.Name(),
-			func(i int) vfs.OpenSet { return tb.Machine(i).OpenSet() }, clients, bcfg)
-		trace := stats.NewTrace(sc.Name())
-		var writeSum, kbSum, flushSum, closeSum float64
-		for _, w := range res.PerWriter {
-			out.Calls += w.Calls
-			writeSum += w.WriteMBps()
-			kbSum += w.WriteKBps()
-			flushSum += w.FlushMBps()
-			closeSum += w.CloseMBps()
-			out.FsyncCount += int64(w.FsyncCount)
-			out.FsyncUs += usec(w.FsyncTime)
-			out.PerClientMBps = append(out.PerClientMBps, clientMBps(w, sc.SkipFlushClose))
-			for _, s := range w.Trace.Samples() {
-				trace.Add(s)
-			}
-		}
-		n := float64(clients)
-		out.WriteMBps = writeSum / n
-		out.WriteKBps = kbSum / n
-		out.FlushMBps = flushSum / n
-		out.CloseMBps = closeSum / n
-		out.Trace = trace
-		out.AggMBps = res.AggregateMBps()
-		out.Fairness = stats.JainFairness(out.PerClientMBps)
-		out.MinClientMBps = slices.Min(out.PerClientMBps)
-		out.MaxClientMBps = slices.Max(out.PerClientMBps)
+	res := bonnie.RunConcurrentWorkload(tb.Sim, sc.Name(),
+		func(i int) vfs.OpenSet { return tb.Machine(i).OpenSet() }, clients, bcfg)
+	var writeSum, kbSum, flushSum, closeSum float64
+	for _, w := range res.PerWriter {
+		out.Calls += w.Calls
+		writeSum += w.WriteMBps()
+		kbSum += w.WriteKBps()
+		flushSum += w.FlushMBps()
+		closeSum += w.CloseMBps()
+		out.FsyncCount += int64(w.FsyncCount)
+		out.FsyncUs += usec(w.FsyncTime)
+		out.PerClientMBps = append(out.PerClientMBps, clientMBps(w, sc.SkipFlushClose))
 	}
+	n := float64(clients)
+	out.WriteMBps = writeSum / n
+	out.WriteKBps = kbSum / n
+	out.FlushMBps = flushSum / n
+	out.CloseMBps = closeSum / n
+	out.Trace = mergeTraces(sc.Name(), res.PerWriter)
+	out.AggMBps = res.AggregateMBps()
+	out.Fairness = stats.JainFairness(out.PerClientMBps)
+	out.MinClientMBps = slices.Min(out.PerClientMBps)
+	out.MaxClientMBps = slices.Max(out.PerClientMBps)
 
 	sum := out.Trace.Summary()
 	out.MeanLatUs = usec(sum.Mean)
@@ -330,6 +310,21 @@ func clientMBps(r *bonnie.Result, skipFlushClose bool) float64 {
 		return r.WriteMBps()
 	}
 	return r.CloseMBps()
+}
+
+// mergeTraces concatenates the writers' per-call traces in machine
+// order. A lone writer's trace is returned as is, not copied.
+func mergeTraces(name string, writers []*bonnie.Result) *stats.Trace {
+	if len(writers) == 1 {
+		return writers[0].Trace
+	}
+	trace := stats.NewTrace(name)
+	for _, w := range writers {
+		for _, s := range w.Trace.Samples() {
+			trace.Add(s)
+		}
+	}
+	return trace
 }
 
 // Runner executes scenarios across a worker pool. Each worker builds its

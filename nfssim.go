@@ -12,7 +12,7 @@
 //
 //	tb := nfssim.NewTestbed(nfssim.Options{Server: nfssim.ServerFiler,
 //		Client: core.EnhancedConfig()})
-//	res := bonnie.Run(tb.Sim, "bench", tb.Open, bonnie.Config{FileSize: 40 << 20})
+//	res := bonnie.RunWorkload(tb.Sim, "bench", tb.OpenSet(), bonnie.Config{FileSize: 40 << 20})
 //	fmt.Println(res)
 //
 // The paper's servers exist to serve many clients; Options.Clients
@@ -190,18 +190,8 @@ type Testbed struct {
 	Net *netsim.Network
 
 	// Machines are the client machines, in host order (client0, ...).
+	// The paper's single-client topology is Machine(0).
 	Machines []*ClientMachine
-
-	// CPU, BKL, Cache, Client, Transport, and LocalDisk alias
-	// Machines[0], the paper's single-client topology. Code that
-	// predates multi-client test beds (and every single-client caller)
-	// reads these directly.
-	CPU       *sim.CPUPool
-	BKL       *sim.Mutex
-	Cache     *mm.PageCache
-	Client    *core.Client
-	Transport *rpcsim.Transport
-	LocalDisk *disksim.Disk
 
 	// Server is the mounted server's front-end (nil for ServerNone).
 	Server *server.Server
@@ -294,7 +284,6 @@ func NewTestbed(opts Options) *Testbed {
 		tb.Server, tb.Linux = server.NewSlow100(s, net, mtu, opts.Transport)
 		remote = server.HostSlow
 	case ServerNone:
-		tb.alias()
 		return tb
 	}
 
@@ -320,27 +309,14 @@ func NewTestbed(opts Options) *Testbed {
 		// never use it to decide anything.
 		m.Client.SetChangeProbe(tb.Server.Names().Change)
 	}
-	tb.alias()
 	return tb
-}
-
-// alias points the single-machine convenience fields at Machines[0].
-func (tb *Testbed) alias() {
-	m := tb.Machines[0]
-	tb.CPU, tb.BKL, tb.Cache = m.CPU, m.BKL, m.Cache
-	tb.Client, tb.Transport, tb.LocalDisk = m.Client, m.Transport, m.LocalDisk
 }
 
 // Machine returns the i'th client machine.
 func (tb *Testbed) Machine(i int) *ClientMachine { return tb.Machines[i] }
 
 // OpenNFS opens a fresh file on machine 0's NFS mount.
-func (tb *Testbed) OpenNFS() *core.File {
-	if tb.Client == nil {
-		panic("nfssim: test bed has no NFS mount")
-	}
-	return tb.Machines[0].OpenNFS()
-}
+func (tb *Testbed) OpenNFS() *core.File { return tb.Machines[0].OpenNFS() }
 
 // OpenLocal opens a fresh file on machine 0's local ext2 filesystem.
 func (tb *Testbed) OpenLocal() vfs.File { return tb.Machines[0].OpenLocal() }

@@ -29,20 +29,20 @@ func TestServerKindString(t *testing.T) {
 
 func TestNewTestbedDefaults(t *testing.T) {
 	tb := NewTestbed(Options{Server: ServerFiler})
-	if tb.CPU.CPUs() != 2 {
-		t.Fatalf("default CPUs = %d, want 2 (the paper's dual P-III)", tb.CPU.CPUs())
+	if tb.Machine(0).CPU.CPUs() != 2 {
+		t.Fatalf("default CPUs = %d, want 2 (the paper's dual P-III)", tb.Machine(0).CPU.CPUs())
 	}
-	if tb.Client == nil || tb.Server == nil || tb.Filer == nil || tb.Transport == nil {
+	if tb.Machine(0).Client == nil || tb.Server == nil || tb.Filer == nil || tb.Machine(0).Transport == nil {
 		t.Fatal("filer test bed incomplete")
 	}
 	if tb.Linux != nil {
 		t.Fatal("filer test bed has a linux backend")
 	}
-	if tb.Client.Config().FlushPolicy != core.FlushLimits24 {
+	if tb.Machine(0).Client.Config().FlushPolicy != core.FlushLimits24 {
 		t.Fatal("default client should be the stock 2.4.4 configuration")
 	}
-	if tb.Cache.Limit() <= 0 || tb.Cache.Limit() >= 256<<20 {
-		t.Fatalf("cache limit = %d, want under the 256 MB RAM", tb.Cache.Limit())
+	if tb.Machine(0).Cache.Limit() <= 0 || tb.Machine(0).Cache.Limit() >= 256<<20 {
+		t.Fatalf("cache limit = %d, want under the 256 MB RAM", tb.Machine(0).Cache.Limit())
 	}
 }
 
@@ -56,10 +56,10 @@ func TestNewTestbedServerVariants(t *testing.T) {
 		t.Fatal("slow test bed backend wrong")
 	}
 	local := NewTestbed(Options{Server: ServerNone})
-	if local.Client != nil || local.Server != nil {
+	if local.Machine(0).Client != nil || local.Server != nil {
 		t.Fatal("local test bed should have no NFS parts")
 	}
-	if local.LocalDisk == nil {
+	if local.Machine(0).LocalDisk == nil {
 		t.Fatal("local test bed missing the EIDE disk")
 	}
 }
@@ -125,19 +125,19 @@ func TestJumboOptionReducesFragments(t *testing.T) {
 
 func TestCustomSeedAndCPUs(t *testing.T) {
 	tb := NewTestbed(Options{Server: ServerLinux, Seed: 99, ClientCPUs: 4})
-	if tb.CPU.CPUs() != 4 {
-		t.Fatalf("CPUs = %d", tb.CPU.CPUs())
+	if tb.Machine(0).CPU.CPUs() != 4 {
+		t.Fatalf("CPUs = %d", tb.Machine(0).CPU.CPUs())
 	}
 }
 
 func TestJitterOption(t *testing.T) {
 	off := NewTestbed(Options{Server: ServerFiler, Jitter: -1})
-	if off.CPU.Jitter != 0 {
-		t.Fatalf("Jitter -1 should disable noise, got %v", off.CPU.Jitter)
+	if off.Machine(0).CPU.Jitter != 0 {
+		t.Fatalf("Jitter -1 should disable noise, got %v", off.Machine(0).CPU.Jitter)
 	}
 	def := NewTestbed(Options{Server: ServerFiler})
-	if def.CPU.Jitter != 0.04 {
-		t.Fatalf("default jitter = %v", def.CPU.Jitter)
+	if def.Machine(0).CPU.Jitter != 0.04 {
+		t.Fatalf("default jitter = %v", def.Machine(0).CPU.Jitter)
 	}
 }
 
@@ -184,12 +184,6 @@ func TestMultiClientTestbed(t *testing.T) {
 	if tb.Machines[0].Host != server.HostClient {
 		t.Fatalf("machine 0 host = %q, want %q", tb.Machines[0].Host, server.HostClient)
 	}
-	// The single-machine aliases point at machine 0.
-	m0 := tb.Machines[0]
-	if tb.CPU != m0.CPU || tb.BKL != m0.BKL || tb.Cache != m0.Cache ||
-		tb.Client != m0.Client || tb.Transport != m0.Transport {
-		t.Fatal("testbed aliases do not point at machine 0")
-	}
 	// Distinct FSIDs: files opened on different machines never share a
 	// handle, even at the same per-machine file index.
 	fhs := map[nfsproto.FileHandle]bool{}
@@ -225,13 +219,13 @@ func TestTransportAndLossOptions(t *testing.T) {
 		Loss:      0.02,
 		NetJitter: 50 * time.Microsecond,
 	})
-	if tb.Transport.Stream() == nil {
+	if tb.Machine(0).Transport.Stream() == nil {
 		t.Fatal("TCP test bed has no stream endpoint")
 	}
 	if tb.Net.Loss().Rate != 0.02 {
 		t.Fatalf("loss = %v, want 0.02", tb.Net.Loss().Rate)
 	}
-	res := bonnie.Run(tb.Sim, "tcp-lossy", tb.Open, bonnie.Config{
+	res := bonnie.RunWorkload(tb.Sim, "tcp-lossy", tb.OpenSet(), bonnie.Config{
 		FileSize: 1 << 20, TimeLimit: 10 * time.Minute,
 	})
 	if res.Calls != 128 {
@@ -241,7 +235,7 @@ func TestTransportAndLossOptions(t *testing.T) {
 		t.Fatal("lossy run dropped nothing")
 	}
 
-	if NewTestbed(Options{Server: ServerFiler}).Transport.Stream() != nil {
+	if NewTestbed(Options{Server: ServerFiler}).Machine(0).Transport.Stream() != nil {
 		t.Fatal("default test bed should be UDP")
 	}
 	defer func() {
