@@ -232,7 +232,8 @@ func LossDegradation(rows []harness.Result, config, transport string, loss float
 	return 1 - at/base
 }
 
-// PaperSizesMB is the Figure 1/7 x-axis: 25–450 MB in 25 MB steps.
+// PaperSizesMB is the Figure 1/7 x-axis: 25–450 MB in 25 MB steps. (The
+// error is dropped: ParseSizes cannot fail on this literal.)
 var PaperSizesMB, _ = harness.ParseSizes("25..450:25")
 
 // SweepSeries splits Figure 1/7 rows into the three write-phase

@@ -15,6 +15,9 @@
 //	res := bonnie.RunWorkload(tb.Sim, "bench", tb.OpenSet(), bonnie.Config{FileSize: 40 << 20})
 //	fmt.Println(res)
 //
+// internal/harness wraps exactly this in a Scenario (RunScenario), the
+// path every sweep and paper experiment runs through.
+//
 // The paper's servers exist to serve many clients; Options.Clients
 // attaches N independent client machines (each a full ClientMachine:
 // CPU pool, BKL, page cache, RPC transport, NFS client) to the same
