@@ -14,6 +14,7 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/sim"
 )
@@ -322,24 +323,58 @@ func (n *Network) Send(dg Datagram) SendResult {
 		deliverAt += sim.Time(n.lrng.Int63n(int64(n.loss.DelayJitter) + 1))
 	}
 
-	// Receive accounting happens at delivery time: a datagram in flight
-	// when the destination link goes down dies at the dead port instead of
-	// reassembling.
-	n.s.At(deliverAt, func() {
-		if dst.down {
-			dst.FramesDropped += int64(frags)
-			dst.LostDatagrams++
-			dst.DownDrops++
-			return
-		}
-		dst.BytesReceived += wire
-		dst.FramesRecv += int64(frags)
-		if dst.handler != nil {
-			dst.handler(dg)
-		}
-	})
+	d := acquireInFlight()
+	d.dst, d.dg, d.frags, d.wire = dst, dg, frags, wire
+	n.s.At(deliverAt, d.fire)
 	res.DeliverAt = deliverAt
 	return res
+}
+
+// inFlight is one datagram between Send and its delivery event. The
+// records are pooled, and each binds its fire callback once, so a send
+// schedules its delivery without allocating a closure. The pool is a
+// sync.Pool rather than a per-network free list: a fleet can have tens of
+// thousands of datagrams queued on a slow link at once, and a free list
+// sized to that peak would outlive the burst.
+type inFlight struct {
+	dst   *host
+	dg    Datagram
+	frags int
+	wire  int64
+	fire  func()
+}
+
+var inFlightPool sync.Pool
+
+func acquireInFlight() *inFlight {
+	if d, ok := inFlightPool.Get().(*inFlight); ok {
+		return d
+	}
+	d := &inFlight{}
+	d.fire = d.deliver
+	return d
+}
+
+// deliver runs at delivery time. Receive accounting happens here: a
+// datagram in flight when the destination link goes down dies at the
+// dead port instead of reassembling. The record goes back to the pool
+// before the handler runs, so a handler that sends (an ACK, a reply) can
+// reuse it.
+func (d *inFlight) deliver() {
+	dst, dg, frags, wire := d.dst, d.dg, d.frags, d.wire
+	d.dst, d.dg = nil, Datagram{}
+	inFlightPool.Put(d)
+	if dst.down {
+		dst.FramesDropped += int64(frags)
+		dst.LostDatagrams++
+		dst.DownDrops++
+		return
+	}
+	dst.BytesReceived += wire
+	dst.FramesRecv += int64(frags)
+	if dst.handler != nil {
+		dst.handler(dg)
+	}
 }
 
 // Stats describes a host's traffic counters.

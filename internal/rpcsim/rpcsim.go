@@ -15,6 +15,7 @@ package rpcsim
 import (
 	"fmt"
 
+	"repro/internal/fifo"
 	"repro/internal/netsim"
 	"repro/internal/nfsproto"
 	"repro/internal/sim"
@@ -220,7 +221,7 @@ type Transport struct {
 	pending  map[uint32]*pendingCall
 	slotWait *sim.WaitQueue
 
-	rxq     [][]byte
+	rxq     fifo.Queue[[]byte]
 	rxWait  *sim.WaitQueue
 	softirq *sim.Proc
 
@@ -251,13 +252,13 @@ func New(s *sim.Sim, net *netsim.Network, cpu *sim.CPUPool, bkl *sim.Mutex, cfg 
 	if cfg.Transport == TransportTCP {
 		t.stream = streamsim.NewEndpoint(s, net, streamsim.DefaultConfig(cfg.MTU), local, remote,
 			func(rec []byte) {
-				t.rxq = append(t.rxq, rec)
+				t.rxq.Push(rec)
 				t.rxWait.Signal()
 			})
 		net.SetHandler(local, func(dg netsim.Datagram) { t.stream.HandleDatagram(dg.Payload) })
 	} else {
 		net.SetHandler(local, func(dg netsim.Datagram) {
-			t.rxq = append(t.rxq, dg.Payload)
+			t.rxq.Push(dg.Payload)
 			t.rxWait.Signal()
 		})
 	}
@@ -412,11 +413,10 @@ func (t *Transport) retransmit(xid uint32) {
 // callback.
 func (t *Transport) softirqLoop(p *sim.Proc) {
 	for {
-		for len(t.rxq) == 0 {
+		for t.rxq.Len() == 0 {
 			t.rxWait.Wait(p)
 		}
-		payload := t.rxq[0]
-		t.rxq = t.rxq[1:]
+		payload := t.rxq.Pop()
 
 		t.cpu.Use(p, "udp_rcv",
 			t.cfg.ReplyCPUBase+sim.Time(t.msgUnits(len(payload)))*t.cfg.ReplyCPUPerFragment)
@@ -468,9 +468,9 @@ func (t *Transport) softirqLoop(p *sim.Proc) {
 			pc.enc = nil
 		}
 		// The reply buffer is uniquely ours (UDP: the server's encode
-		// buffer, delivered once; TCP: a fresh record copy) and decoded
-		// aliases die with the callback — except under CallSync, whose
-		// caller reads the decoder after we loop on.
+		// buffer, delivered once; TCP: a record the stream handed over)
+		// and decoded aliases die with the callback — except under
+		// CallSync, whose caller reads the decoder after we loop on.
 		if !pc.sync {
 			xdr.RecycleBuffer(payload)
 		}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"repro/internal/disksim"
+	"repro/internal/fifo"
 	"repro/internal/nfsproto"
 	"repro/internal/rangeset"
 	"repro/internal/sim"
@@ -52,7 +53,7 @@ type LinuxServer struct {
 	// queue is the FIFO of acked-but-unstable page-cache ranges awaiting
 	// writeback; its byte total always equals dirty. A crash discards it —
 	// that is exactly the data knfsd loses.
-	queue []unstableEntry
+	queue fifo.Queue[unstableEntry]
 	// stable is the per-file byte coverage confirmed on disk.
 	stable map[nfsproto.FileHandle]*rangeset.Set
 
@@ -128,8 +129,8 @@ func (l *LinuxServer) writeback(p *sim.Proc) {
 // per-file stable coverage, splitting the front entry when a writeback
 // chunk ends inside it.
 func (l *LinuxServer) markStable(n int64) {
-	for n > 0 && len(l.queue) > 0 {
-		e := &l.queue[0]
+	for n > 0 && l.queue.Len() > 0 {
+		e := &l.queue.Items()[0]
 		take := e.n
 		if take > n {
 			take = n
@@ -139,7 +140,7 @@ func (l *LinuxServer) markStable(n int64) {
 		e.n -= take
 		n -= take
 		if e.n == 0 {
-			l.queue = l.queue[1:]
+			l.queue.Drop(1)
 		}
 	}
 }
@@ -151,10 +152,10 @@ func (l *LinuxServer) markStable(n int64) {
 func (l *LinuxServer) Crash() {
 	l.gen++
 	l.Crashes++
-	for _, e := range l.queue {
+	for _, e := range l.queue.Items() {
 		l.Lost += e.n
 	}
-	l.queue = nil
+	l.queue.Reset()
 	l.dirty = 0
 	l.dirtyWait.Broadcast()
 	l.cleanWait.Broadcast()
@@ -175,7 +176,7 @@ func (l *LinuxServer) HandleWrite(p *sim.Proc, args *nfsproto.WriteArgs) *nfspro
 		l.dirtyWait.Wait(p)
 	}
 	l.dirty += n
-	l.queue = append(l.queue, unstableEntry{fh: args.File, off: int64(args.Offset), n: n})
+	l.queue.Push(unstableEntry{fh: args.File, off: int64(args.Offset), n: n})
 	l.drainWork.Signal()
 
 	committed := nfsproto.Unstable

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/fifo"
 	"repro/internal/netsim"
 	"repro/internal/nfsproto"
 	"repro/internal/rangeset"
@@ -98,7 +99,7 @@ type Server struct {
 	cfg     Config
 	backend Backend
 
-	rxq    []rxItem
+	rxq    fifo.Queue[rxItem]
 	rxWait *sim.WaitQueue
 
 	// down marks the server crashed; requests are dropped at the NIC. gen
@@ -170,7 +171,7 @@ func New(s *sim.Sim, net *netsim.Network, link netsim.LinkConfig, cfg Config, ba
 				srv.DroppedWhileDown++
 				return
 			}
-			srv.rxq = append(srv.rxq, rxItem{
+			srv.rxq.Push(rxItem{
 				from:    dg.From,
 				payload: dg.Payload,
 				frags:   netsim.FragmentCount(len(dg.Payload), cfg.MTU),
@@ -194,7 +195,7 @@ func (srv *Server) conn(from string) *streamsim.Endpoint {
 		scfg := streamsim.DefaultConfig(srv.cfg.MTU)
 		ep = streamsim.NewEndpoint(srv.s, srv.net, scfg, srv.cfg.Host, from,
 			func(rec []byte) {
-				srv.rxq = append(srv.rxq, rxItem{
+				srv.rxq.Push(rxItem{
 					from:    from,
 					payload: rec,
 					frags:   streamsim.SegmentCount(len(rec)+4, scfg.MSS),
@@ -222,8 +223,8 @@ func (srv *Server) Crash() {
 	srv.down = true
 	srv.gen++
 	srv.Crashes++
-	srv.DroppedWhileDown += int64(len(srv.rxq))
-	srv.rxq = nil
+	srv.DroppedWhileDown += int64(srv.rxq.Len())
+	srv.rxq.Reset()
 	if cr, ok := srv.backend.(CrashRestarter); ok {
 		cr.Crash()
 	}
@@ -287,11 +288,10 @@ func (srv *Server) NetworkThroughputMBps() float64 {
 
 func (srv *Server) worker(p *sim.Proc) {
 	for {
-		for len(srv.rxq) == 0 {
+		for srv.rxq.Len() == 0 {
 			srv.rxWait.Wait(p)
 		}
-		item := srv.rxq[0]
-		srv.rxq = srv.rxq[1:]
+		item := srv.rxq.Pop()
 
 		srv.BusyWorkers++
 		if srv.BusyWorkers > srv.MaxBusy {
@@ -299,8 +299,8 @@ func (srv *Server) worker(p *sim.Proc) {
 		}
 		srv.serve(p, item, srv.gen)
 		if srv.cfg.Transport == rpcsim.TransportTCP {
-			// TCP requests are fresh record copies from the stream
-			// reassembler; all decoded aliases died with serve. (UDP
+			// A TCP request is a record buffer the stream handed over
+			// to us; all decoded aliases died with serve. (UDP
 			// payloads belong to the client's pending call — it recycles
 			// them when the reply lands.)
 			xdr.RecycleBuffer(item.payload)

@@ -23,6 +23,21 @@
 // never blocks, and delivery happens through the onRecord callback. CPU
 // costs are charged by the layers above (rpcsim, server), not here —
 // exactly as netsim leaves sock_sendmsg accounting to its callers.
+//
+// The steady-state data path allocates nothing. The send window and the
+// segment cuts live in reused FIFOs; segment and record payloads are
+// buffers from the xdr wire-buffer pool, each with one owner at a time:
+//
+//   - a segment payload belongs to its datagram: the sender recycles it
+//     when the network drops it on send, the receiving endpoint when
+//     HandleDatagram is done with it, or, for a segment that arrived
+//     ahead of a hole, when the hole fills and its bytes are consumed;
+//   - a record passed to onRecord belongs to the callback, which
+//     recycles it (xdr.RecycleBuffer) once its bytes are dead or simply
+//     drops it for the GC.
+//
+// In-order stream bytes are copied once, from the segment straight into
+// the record they belong to; there is no separate reassembly buffer.
 package streamsim
 
 import (
@@ -30,8 +45,10 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/fifo"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/xdr"
 )
 
 // Segment header layout: flags (4 bytes), seq (8), ack (8), then payload.
@@ -106,16 +123,16 @@ type Endpoint struct {
 	remote   string
 	onRecord func([]byte)
 
-	// Sender state. sndBuf holds the unacknowledged window: byte i of
-	// sndBuf is stream sequence sndUna+i. segs records the original
+	// Sender state. snd holds the unacknowledged window: byte i of
+	// snd.Items() is stream sequence sndUna+i. segs records the original
 	// segment cuts of the window, front first: retransmissions must
 	// reproduce those cuts exactly, because the receiver's out-of-order
 	// buffer is keyed by segment start sequence — a retransmission that
 	// re-sliced the stream (e.g. a short record-tail segment regrown to
 	// a full MSS once more data was queued) would land mid-boundary and
 	// wedge reassembly.
-	sndBuf   []byte
-	segs     []sndSeg
+	snd      fifo.Queue[byte]
+	segs     fifo.Queue[sndSeg]
 	sndUna   int64
 	sndNxt   int64
 	rtxTimer sim.Event
@@ -124,6 +141,9 @@ type Endpoint struct {
 	rttvar   sim.Time
 	hasSRTT  bool
 	backoff  uint
+	// timeout is onTimeout bound once, so arming the timer does not
+	// allocate a method-value closure each time.
+	timeout func()
 
 	// Karn timing: one segment is timed at a time; any retransmission
 	// invalidates the sample.
@@ -133,10 +153,19 @@ type Endpoint struct {
 
 	dupAcks int
 
-	// Receiver state.
+	// Receiver state. ooo holds segments that arrived beyond a hole,
+	// whole datagram payloads keyed by start sequence. In-order bytes go
+	// straight into rec, the record under assembly, once its 4-byte
+	// length mark (collected in mark) is complete; finished records wait
+	// in ready until the segment that completed them has been fully
+	// integrated, then go to onRecord in stream order.
 	rcvNxt int64
-	ooo    map[int64][]byte // out-of-order segments keyed by start seq
-	asm    []byte           // contiguous bytes not yet parsed into records
+	ooo    map[int64][]byte
+	mark   [4]byte
+	markN  int
+	rec    []byte
+	recN   int
+	ready  fifo.Queue[[]byte]
 
 	stats Stats
 }
@@ -160,12 +189,14 @@ func NewEndpoint(s *sim.Sim, net *netsim.Network, cfg Config, local, remote stri
 	if cfg.DupAckThreshold < 1 {
 		panic("streamsim: DupAckThreshold must be positive")
 	}
-	return &Endpoint{
+	e := &Endpoint{
 		s: s, net: net, cfg: cfg, local: local, remote: remote,
 		onRecord: onRecord,
 		rto:      cfg.InitialRTO,
 		ooo:      make(map[int64][]byte),
 	}
+	e.timeout = e.onTimeout
+	return e
 }
 
 // Stats returns a copy of the endpoint's counters.
@@ -183,16 +214,16 @@ func (e *Endpoint) RTO() sim.Time { return e.curRTO() }
 func (e *Endpoint) SendRecord(rec []byte) int {
 	var mark [4]byte
 	binary.BigEndian.PutUint32(mark[:], uint32(len(rec)))
-	e.sndBuf = append(e.sndBuf, mark[:]...)
-	e.sndBuf = append(e.sndBuf, rec...)
+	e.snd.Append(mark[:])
+	e.snd.Append(rec)
 	e.stats.RecordsSent++
 	sent := 0
-	for end := e.sndUna + int64(len(e.sndBuf)); e.sndNxt < end; {
+	for end := e.sndUna + int64(e.snd.Len()); e.sndNxt < end; {
 		n := int(end - e.sndNxt)
 		if n > e.cfg.MSS {
 			n = e.cfg.MSS
 		}
-		e.segs = append(e.segs, sndSeg{seq: e.sndNxt, n: n})
+		e.segs.Push(sndSeg{seq: e.sndNxt, n: n})
 		e.sendSegment(e.sndNxt, n, false)
 		e.sndNxt += int64(n)
 		sent++
@@ -202,8 +233,9 @@ func (e *Endpoint) SendRecord(rec []byte) int {
 
 // sendSegment transmits stream bytes [seq, seq+n) (or a pure ACK when
 // n == 0) and manages the Karn timing state and the retransmit timer.
+// The payload is a pooled buffer whose ownership passes to the datagram.
 func (e *Endpoint) sendSegment(seq int64, n int, isRtx bool) {
-	payload := make([]byte, HeaderSize+n)
+	payload := xdr.AcquireBuffer(HeaderSize + n)
 	var flags uint32
 	if n == 0 {
 		flags = flagAck
@@ -212,9 +244,14 @@ func (e *Endpoint) sendSegment(seq int64, n int, isRtx bool) {
 	binary.BigEndian.PutUint64(payload[4:12], uint64(seq))
 	binary.BigEndian.PutUint64(payload[12:20], uint64(e.rcvNxt))
 	if n > 0 {
-		copy(payload[HeaderSize:], e.sndBuf[seq-e.sndUna:seq-e.sndUna+int64(n)])
+		off := int(seq - e.sndUna)
+		copy(payload[HeaderSize:], e.snd.Items()[off:off+n])
 	}
 	res := e.net.Send(netsim.Datagram{From: e.local, To: e.remote, Payload: payload})
+	if res.Dropped {
+		// Lost on the way out: no delivery will ever hand it over.
+		xdr.RecycleBuffer(payload)
+	}
 	e.stats.WireBytes += res.WireBytes
 	if n == 0 {
 		e.stats.AcksSent++
@@ -244,7 +281,7 @@ func (e *Endpoint) curRTO() sim.Time {
 }
 
 func (e *Endpoint) armTimer() {
-	e.rtxTimer = e.s.After(e.curRTO(), e.onTimeout)
+	e.rtxTimer = e.s.After(e.curRTO(), e.timeout)
 }
 
 func (e *Endpoint) stopTimer() {
@@ -272,10 +309,10 @@ func (e *Endpoint) onTimeout() {
 // retransmitFront resends the oldest unacknowledged segment with its
 // original cut.
 func (e *Endpoint) retransmitFront() {
-	if len(e.segs) == 0 {
+	if e.segs.Len() == 0 {
 		return
 	}
-	front := e.segs[0]
+	front := e.segs.Items()[0]
 	e.sendSegment(front.seq, front.n, true)
 }
 
@@ -305,7 +342,9 @@ func (e *Endpoint) sampleRTT(r sim.Time) {
 }
 
 // HandleDatagram processes one segment arriving at the local host. The
-// owner's netsim handler must route datagrams from the peer here.
+// owner's netsim handler must route datagrams from the peer here. The
+// endpoint takes ownership of payload: it recycles the buffer into the
+// xdr pool, so the caller must not touch it afterwards.
 func (e *Endpoint) HandleDatagram(payload []byte) {
 	if len(payload) < HeaderSize {
 		panic(fmt.Sprintf("streamsim %s<-%s: short segment (%d bytes)", e.local, e.remote, len(payload)))
@@ -317,12 +356,17 @@ func (e *Endpoint) HandleDatagram(payload []byte) {
 	e.stats.SegmentsRecv++
 
 	e.handleAck(ack, flags&flagAck != 0 && len(data) == 0)
-	if len(data) > 0 {
-		e.acceptData(seq, data)
-		// Acknowledge every data segment immediately; duplicate ACKs are
-		// what lets the peer fast-retransmit.
-		e.sendSegment(0, 0, false)
+	if len(data) == 0 {
+		xdr.RecycleBuffer(payload)
+		return
 	}
+	if !e.acceptData(seq, payload) {
+		xdr.RecycleBuffer(payload)
+	}
+	e.deliverReady()
+	// Acknowledge every data segment immediately; duplicate ACKs are
+	// what lets the peer fast-retransmit.
+	e.sendSegment(0, 0, false)
 }
 
 // handleAck advances the send window and runs fast retransmit.
@@ -333,10 +377,13 @@ func (e *Endpoint) handleAck(ack int64, pure bool) {
 			e.sampleRTT(e.s.Now() - e.timedAt)
 			e.timedValid = false
 		}
-		e.sndBuf = e.sndBuf[ack-e.sndUna:]
+		e.snd.Drop(int(ack - e.sndUna))
 		e.sndUna = ack
-		for len(e.segs) > 0 && e.segs[0].seq+int64(e.segs[0].n) <= ack {
-			e.segs = e.segs[1:]
+		for e.segs.Len() > 0 {
+			if front := e.segs.Items()[0]; front.seq+int64(front.n) > ack {
+				break
+			}
+			e.segs.Drop(1)
 		}
 		e.dupAcks = 0
 		e.backoff = 0
@@ -355,46 +402,68 @@ func (e *Endpoint) handleAck(ack int64, pure bool) {
 	}
 }
 
-// acceptData integrates one data segment into the receive stream.
-func (e *Endpoint) acceptData(seq int64, data []byte) {
+// acceptData integrates one data segment (its whole datagram payload)
+// into the receive stream. It reports whether the endpoint kept the
+// payload, parked as an out-of-order segment; otherwise the caller owns
+// it still.
+func (e *Endpoint) acceptData(seq int64, payload []byte) (kept bool) {
 	switch {
 	case seq == e.rcvNxt:
-		e.asm = append(e.asm, data...)
-		e.rcvNxt += int64(len(data))
+		e.consume(payload[HeaderSize:])
 		for {
 			next, ok := e.ooo[e.rcvNxt]
 			if !ok {
 				break
 			}
 			delete(e.ooo, e.rcvNxt)
-			e.asm = append(e.asm, next...)
-			e.rcvNxt += int64(len(next))
+			e.consume(next[HeaderSize:])
+			xdr.RecycleBuffer(next)
 		}
-		e.parseRecords()
 	case seq > e.rcvNxt:
 		if _, dup := e.ooo[seq]; !dup {
-			buf := make([]byte, len(data))
-			copy(buf, data)
-			e.ooo[seq] = buf
+			e.ooo[seq] = payload
+			return true
 		}
 	}
 	// seq < rcvNxt: spurious retransmission of delivered data; drop.
+	return false
 }
 
-// parseRecords delivers every complete record sitting in the assembly
-// buffer.
-func (e *Endpoint) parseRecords() {
-	for len(e.asm) >= 4 {
-		n := int(binary.BigEndian.Uint32(e.asm[0:4]))
-		if len(e.asm) < 4+n {
+// consume appends in-order stream bytes to the record under assembly,
+// moving each record to ready as its last byte arrives.
+func (e *Endpoint) consume(data []byte) {
+	e.rcvNxt += int64(len(data))
+	for {
+		if e.markN < len(e.mark) {
+			k := copy(e.mark[e.markN:], data)
+			e.markN += k
+			data = data[k:]
+			if e.markN < len(e.mark) {
+				return
+			}
+			e.rec = xdr.AcquireBuffer(int(binary.BigEndian.Uint32(e.mark[:])))
+			e.recN = 0
+		}
+		k := copy(e.rec[e.recN:], data)
+		e.recN += k
+		data = data[k:]
+		if e.recN < len(e.rec) {
 			return
 		}
-		rec := make([]byte, n)
-		copy(rec, e.asm[4:4+n])
-		e.asm = e.asm[4+n:]
+		e.ready.Push(e.rec)
+		e.rec, e.markN = nil, 0
+	}
+}
+
+// deliverReady hands every completed record to onRecord, in stream order.
+func (e *Endpoint) deliverReady() {
+	for e.ready.Len() > 0 {
+		rec := e.ready.Pop()
 		e.stats.RecordsDelivered++
 		if e.onRecord != nil {
 			e.onRecord(rec)
+		} else {
+			xdr.RecycleBuffer(rec)
 		}
 	}
 }

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/racebuild"
 	"repro/internal/sim"
+	"repro/internal/xdr"
 )
 
 // pair wires two endpoints over a gigabit switch and routes datagrams
@@ -281,4 +283,108 @@ func TestStatsShape(t *testing.T) {
 		t.Fatalf("wire accounting: %+v", st)
 	}
 	t.Log(fmt.Sprintf("%+v", st))
+}
+
+// recyclingPair wires two endpoints whose record consumer behaves like
+// rpcsim's and the server's: it checks each record and hands its buffer
+// back to the pool at once. Before recycling it scribbles over the
+// record, so a buffer the endpoint kept using after handing it over
+// would corrupt a later record.
+func recyclingPair(t testing.TB, seed int64, loss netsim.LossConfig) (s *sim.Sim, a *Endpoint, delivered *int) {
+	s = sim.New(seed)
+	n := netsim.New(s)
+	cfg := netsim.LinkConfig{Bandwidth: netsim.BandwidthGigabit, Propagation: 20 * time.Microsecond, MTU: netsim.MTUEthernet}
+	n.AddHost("a", cfg, nil)
+	n.AddHost("b", cfg, nil)
+	if loss.Rate > 0 {
+		n.SetLoss(loss)
+	}
+	delivered = new(int)
+	a = NewEndpoint(s, n, DefaultConfig(netsim.MTUEthernet), "a", "b", nil)
+	b := NewEndpoint(s, n, DefaultConfig(netsim.MTUEthernet), "b", "a", func(rec []byte) {
+		for j := range rec {
+			if rec[j] != byte(*delivered+j) {
+				t.Fatalf("record %d corrupted at byte %d", *delivered, j)
+			}
+			rec[j] = 0xEE
+		}
+		*delivered++
+		xdr.RecycleBuffer(rec)
+	})
+	n.SetHandler("a", func(dg netsim.Datagram) { a.HandleDatagram(dg.Payload) })
+	n.SetHandler("b", func(dg netsim.Datagram) { b.HandleDatagram(dg.Payload) })
+	return s, a, delivered
+}
+
+// Pooled segment and record buffers have exactly one owner: with every
+// record recycled (and poisoned) the moment it is delivered, a lossy
+// stream still delivers every record intact and in order.
+func TestRecycledBuffersStayIntactUnderLoss(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		s, a, delivered := recyclingPair(t, seed, netsim.LossConfig{Rate: 0.05})
+		const records = 60
+		for i := 0; i < records; i++ {
+			a.SendRecord(record(i, 1000+i*271))
+		}
+		s.Run(10 * time.Minute)
+		if *delivered != records {
+			t.Fatalf("seed %d: delivered %d records, want %d", seed, *delivered, records)
+		}
+		if a.Stats().Retransmits == 0 {
+			t.Fatalf("seed %d: no retransmissions, so no segment waited out of order", seed)
+		}
+	}
+}
+
+// The steady-state record path allocates nothing: the send window and
+// the segment cuts reuse their arrays, segments and records come from the
+// wire-buffer pool, and the layers below pool deliveries and timers.
+func TestSteadyStateRecordAllocatesNothing(t *testing.T) {
+	if racebuild.Enabled {
+		t.Skip("sync.Pool drops objects at random under the race detector")
+	}
+	s, a, delivered := recyclingPair(t, 1, netsim.LossConfig{})
+	rec := make([]byte, 8300)
+	sendOne := func() {
+		for j := range rec {
+			rec[j] = byte(*delivered + j)
+		}
+		a.SendRecord(rec)
+		s.Run(0)
+	}
+	for i := 0; i < 50; i++ {
+		sendOne() // grow the windows, the pools and the event heap
+	}
+	if n := testing.AllocsPerRun(200, sendOne); n != 0 {
+		t.Fatalf("an 8 KB record costs %.2f allocations", n)
+	}
+	if a.Outstanding() != 0 {
+		t.Fatalf("%d bytes unacknowledged", a.Outstanding())
+	}
+}
+
+// BenchmarkRecord8k sends one 8 KB record per op across an endpoint
+// pair and runs the stream until it is delivered and acknowledged: six
+// data segments, six ACKs and the record reassembly.
+func BenchmarkRecord8k(b *testing.B) { benchRecords(b, 0) }
+
+// BenchmarkRecord8kLoss1 is the same stream at 1% fragment loss, so
+// retransmissions and out-of-order parking are on the path.
+func BenchmarkRecord8kLoss1(b *testing.B) { benchRecords(b, 0.01) }
+
+func benchRecords(b *testing.B, loss float64) {
+	s, a, delivered := recyclingPair(b, 1, netsim.LossConfig{Rate: loss})
+	rec := make([]byte, 8300)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range rec {
+			rec[j] = byte(i + j)
+		}
+		a.SendRecord(rec)
+		s.Run(0)
+	}
+	if *delivered != b.N {
+		b.Fatalf("delivered %d of %d records", *delivered, b.N)
+	}
 }

@@ -35,25 +35,32 @@ func NewEncoder(capacity int) *Encoder {
 // pressure. Buffer contents never influence behaviour (every byte is
 // written before it is read), so pooling cannot change simulation
 // output; sync.Pool keeps concurrent sweep workers race-free.
+//
+// Both pools hold *Encoder, never a bare []byte: putting a slice into a
+// sync.Pool boxes its header, one allocation per recycle. full holds
+// encoders carrying a buffer; empty holds the bufferless shells that
+// AcquireBuffer and RecycleBuffer move buffers in and out of.
 var (
-	encPool sync.Pool
-	bufPool sync.Pool
+	full  sync.Pool
+	empty sync.Pool
 )
+
+// shell returns a bufferless encoder.
+func shell() *Encoder {
+	if e, ok := empty.Get().(*Encoder); ok {
+		return e
+	}
+	return &Encoder{}
+}
 
 // AcquireEncoder returns a pooled encoder. Pair with Release once the
 // encoded bytes are no longer referenced by anyone.
 func AcquireEncoder() *Encoder {
-	e, _ := encPool.Get().(*Encoder)
-	if e == nil {
-		e = &Encoder{}
+	if e, ok := full.Get().(*Encoder); ok {
+		return e
 	}
-	if e.buf == nil {
-		if b, ok := bufPool.Get().([]byte); ok {
-			e.buf = b
-		} else {
-			e.buf = make([]byte, 0, 256)
-		}
-	}
+	e := shell()
+	e.buf = make([]byte, 0, 256)
 	return e
 }
 
@@ -61,17 +68,39 @@ func AcquireEncoder() *Encoder {
 // asserts that no slice of the buffer (Bytes, decoded aliases) is still
 // live.
 func (e *Encoder) Release() {
-	if e.buf != nil {
-		bufPool.Put(e.buf[:0])
-		e.buf = nil
+	if e.buf == nil {
+		empty.Put(e)
+		return
 	}
-	encPool.Put(e)
+	e.buf = e.buf[:0]
+	full.Put(e)
+}
+
+// AcquireBuffer returns a pooled wire buffer of length n with unspecified
+// contents, for a transport to fill (a reassembled stream record, a stream
+// segment). Whoever ends up owning the bytes hands them back with
+// RecycleBuffer.
+func AcquireBuffer(n int) []byte {
+	var b []byte
+	if e, ok := full.Get().(*Encoder); ok {
+		b, e.buf = e.buf, nil
+		empty.Put(e)
+	}
+	if cap(b) < n {
+		b = make([]byte, n)
+	}
+	return b[:n]
 }
 
 // RecycleBuffer returns a wire payload whose bytes are dead — fully
 // consumed by a decoder whose aliases have been dropped — to the encode
-// buffer pool.
-func RecycleBuffer(b []byte) { bufPool.Put(b[:0]) }
+// buffer pool. b must be the whole buffer as acquired (it may be
+// re-sliced to a shorter length, but not advanced past its first byte).
+func RecycleBuffer(b []byte) {
+	e := shell()
+	e.buf = b[:0]
+	full.Put(e)
+}
 
 // Bytes returns the encoded buffer (not a copy).
 func (e *Encoder) Bytes() []byte { return e.buf }
