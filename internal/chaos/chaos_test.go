@@ -318,6 +318,16 @@ func TestExampleScenarios(t *testing.T) {
 		t.Fatalf("flap scenario failed:\n%s", rep.Render())
 	}
 
+	tcpFlap, err := Load(filepath.Join(dir, "tcpflap.yaml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The stream repairs what the network broke: segments were
+	// retransmitted, and every acked byte still reached stable storage.
+	if rep := Run(tcpFlap[0]); rep.Failed || rep.Retransmits == 0 {
+		t.Fatalf("tcp flap scenario failed or never retransmitted:\n%s", rep.Render())
+	}
+
 	shared, err := Load(filepath.Join(dir, "sharedcrash.yaml"))
 	if err != nil {
 		t.Fatal(err)
