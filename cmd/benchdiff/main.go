@@ -10,7 +10,8 @@
 // ns/op and iteration counts vary with the runner and are ignored —
 // except under -wallclock, which additionally gates ns_per_op on the
 // kernel-speed benchmarks (BenchmarkKernel*, BenchmarkRandomSweep,
-// BenchmarkFleet1000) at its own, looser threshold:
+// BenchmarkFleet1000) and every host-speed rate (events/s) at its own,
+// looser threshold:
 //
 //	benchdiff -old BENCH_PR7.json -new BENCH_PR8.json -threshold 0.15 -wallclock 0.5
 //
@@ -21,8 +22,10 @@
 //
 // Gating polarity comes from the metric unit: MB/s- and tx/s-style
 // units regress when they fall, while -us/-ms/ns-per-call latencies
-// regress when they rise. Units naming neither a rate nor a latency
-// (spike counts, call positions) are compared for information only.
+// regress when they rise. The kernel benchmarks' events/s is a rate too,
+// but of the host, so only -wallclock gates it. Units naming neither a
+// rate nor a latency (spike counts, call positions) are compared for
+// information only.
 // Benchmarks present on only one side are reported but never fatal, so
 // adding a benchmark in a PR does not break the gate.
 package main
@@ -31,7 +34,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -50,13 +55,16 @@ const (
 	ungated      polarity = iota // informational only
 	higherBetter                 // throughput-style: regression = drop
 	lowerBetter                  // latency-style: regression = rise
+	hostRate                     // host-speed throughput: gated by -wallclock only
 )
 
 // classify maps a metric unit to its gating polarity.
 func classify(unit string) polarity {
 	switch {
+	case strings.Contains(unit, "events/s"):
+		return hostRate
 	case strings.Contains(unit, "MB/s"), strings.Contains(unit, "tx/s"),
-		strings.Contains(unit, "events/sec"), strings.Contains(unit, "hit-rate"):
+		strings.Contains(unit, "hit-rate"):
 		return higherBetter
 	case strings.HasSuffix(unit, "-us"), strings.HasSuffix(unit, "-ms"),
 		strings.Contains(unit, "ns/call"):
@@ -67,7 +75,7 @@ func classify(unit string) polarity {
 
 // regression returns the fractional regression of new vs old under the
 // unit's polarity: positive means worse, zero or negative means fine.
-// Ungated units and zero baselines never regress.
+// Ungated and host-rate units and zero baselines never regress here.
 func regression(unit string, oldV, newV float64) float64 {
 	if oldV == 0 {
 		return 0
@@ -149,10 +157,11 @@ func wallclockGated(name string) bool {
 		strings.HasPrefix(name, "BenchmarkFleet1000")
 }
 
-// DiffWallclock gates ns_per_op on the wallclockGated benchmarks:
-// lower is better, and only slowdowns beyond the threshold fail.
-// Benchmarks missing from either artifact are skipped (reported by Diff
-// as notes already).
+// DiffWallclock gates host speed: ns_per_op of the wallclockGated
+// benchmarks (lower is better) and every host-rate metric (higher is
+// better). Only slowdowns beyond the threshold fail. Benchmarks and
+// metrics missing from either artifact are skipped (reported by Diff as
+// notes already).
 func DiffWallclock(oldSet, newSet map[string]Result, threshold float64) (failures []string) {
 	names := make([]string, 0, len(oldSet))
 	for name := range oldSet {
@@ -160,17 +169,30 @@ func DiffWallclock(oldSet, newSet map[string]Result, threshold float64) (failure
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		if !wallclockGated(name) {
-			continue
-		}
 		oldR := oldSet[name]
 		newR, ok := newSet[name]
-		if !ok || oldR.NsPerOp == 0 {
+		if !ok {
 			continue
 		}
-		if reg := (newR.NsPerOp - oldR.NsPerOp) / oldR.NsPerOp; reg > threshold {
-			failures = append(failures, fmt.Sprintf("%s: wall-clock regressed %.1f%% (%.3gns -> %.3gns)",
-				name, 100*reg, oldR.NsPerOp, newR.NsPerOp))
+		if wallclockGated(name) && oldR.NsPerOp != 0 {
+			if reg := (newR.NsPerOp - oldR.NsPerOp) / oldR.NsPerOp; reg > threshold {
+				failures = append(failures, fmt.Sprintf("%s: wall-clock regressed %.1f%% (%.3gns -> %.3gns)",
+					name, 100*reg, oldR.NsPerOp, newR.NsPerOp))
+			}
+		}
+		for _, unit := range slices.Sorted(maps.Keys(oldR.Metrics)) {
+			if classify(unit) != hostRate {
+				continue
+			}
+			oldV := oldR.Metrics[unit]
+			newV, ok := newR.Metrics[unit]
+			if !ok || oldV == 0 {
+				continue
+			}
+			if reg := (oldV - newV) / oldV; reg > threshold {
+				failures = append(failures, fmt.Sprintf("%s: %s regressed %.1f%% (%.3g -> %.3g)",
+					name, unit, 100*reg, oldV, newV))
+			}
 		}
 	}
 	return failures
@@ -180,7 +202,7 @@ func main() {
 	oldPath := flag.String("old", "", "baseline benchjson artifact")
 	newPath := flag.String("new", "", "candidate benchjson artifact")
 	threshold := flag.Float64("threshold", 0.15, "fractional regression that fails the gate")
-	wallclock := flag.Float64("wallclock", 0, "if > 0, also gate ns_per_op of the kernel-speed benchmarks at this looser threshold")
+	wallclock := flag.Float64("wallclock", 0, "if > 0, also gate the kernel-speed benchmarks' ns_per_op and every events/s rate at this looser threshold")
 	flag.Parse()
 	if *oldPath == "" || *newPath == "" || *threshold < 0 || *wallclock < 0 {
 		fmt.Fprintln(os.Stderr, "usage: benchdiff -old baseline.json -new candidate.json [-threshold 0.15] [-wallclock 0.5]")

@@ -15,6 +15,8 @@ func TestClassifyPolarity(t *testing.T) {
 		"filer-MB/s@100MB":   higherBetter,
 		"filer-tx/s":         higherBetter,
 		"ac-hit-rate":        higherBetter,
+		"events/s":           hostRate,
+		"events/sec":         hostRate,
 		"mean-us":            lowerBetter,
 		"filer-fsync-ms":     lowerBetter,
 		"slope-ns/call":      lowerBetter,
@@ -154,5 +156,28 @@ func TestWallclockSkipsMissingAndZero(t *testing.T) {
 	}
 	if failures := DiffWallclock(oldSet, newSet, 0.5); len(failures) != 0 {
 		t.Fatalf("membership changes or zero baselines must not fail: %v", failures)
+	}
+}
+
+// The kernel benchmarks report host speed as events/s: -wallclock gates it
+// at its own threshold, and the simulated-metric gate leaves it alone.
+func TestHostRateGatedAtWallclockThreshold(t *testing.T) {
+	rate := func(v float64) map[string]Result {
+		return map[string]Result{"BenchmarkKernelFleetHandoff": res("BenchmarkKernelFleetHandoff",
+			map[string]float64{"events/s": v})}
+	}
+	oldSet := rate(1e6)
+	if failures, _ := Diff(oldSet, rate(0.1e6), 0.15); len(failures) != 0 {
+		t.Fatalf("simulated-metric gate flagged host speed: %v", failures)
+	}
+	if failures := DiffWallclock(oldSet, rate(0.6e6), 0.5); len(failures) != 0 {
+		t.Fatalf("40%% drop flagged at a 50%% threshold: %v", failures)
+	}
+	if failures := DiffWallclock(oldSet, rate(5e6), 0.5); len(failures) != 0 {
+		t.Fatalf("speedup flagged: %v", failures)
+	}
+	failures := DiffWallclock(oldSet, rate(0.4e6), 0.5)
+	if len(failures) != 1 || !strings.Contains(failures[0], "events/s regressed 60.0%") {
+		t.Fatalf("60%% drop: failures = %v", failures)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"repro/internal/fifo"
 	"repro/internal/sim"
 )
 
@@ -32,20 +33,23 @@ const pageSize = 4096
 // increasing page offset" (§3.4). The Go implementation uses binary
 // search so the simulator itself stays fast; the *modeled* cost of each
 // operation — how many entries the 2.4.4 code would have traversed — is
-// returned to the caller, which charges it as virtual CPU time.
+// returned to the caller, which charges it as virtual CPU time. Runs
+// leave from the front, so the list is a fifo.Queue: PopRun drops a run
+// without shifting the requests behind it.
 type reqList struct {
-	items []*Request
+	q fifo.Queue[*Request]
 }
 
 // Len returns the number of queued requests.
-func (l *reqList) Len() int { return len(l.items) }
+func (l *reqList) Len() int { return l.q.Len() }
 
 // Empty reports whether the list has no requests.
-func (l *reqList) Empty() bool { return len(l.items) == 0 }
+func (l *reqList) Empty() bool { return l.q.Len() == 0 }
 
 // search returns the index of the first request with page >= pg.
 func (l *reqList) search(pg int64) int {
-	return sort.Search(len(l.items), func(i int) bool { return l.items[i].Page >= pg })
+	items := l.q.Items()
+	return sort.Search(len(items), func(i int) bool { return items[i].Page >= pg })
 }
 
 // Find returns the request covering page pg, if any, plus the number of
@@ -56,8 +60,8 @@ func (l *reqList) search(pg int64) int {
 func (l *reqList) Find(pg int64) (req *Request, scanned int) {
 	i := l.search(pg)
 	scanned = i
-	if i < len(l.items) && l.items[i].Page == pg {
-		return l.items[i], scanned + 1
+	if items := l.q.Items(); i < len(items) && items[i].Page == pg {
+		return items[i], scanned + 1
 	}
 	return nil, scanned
 }
@@ -66,18 +70,19 @@ func (l *reqList) Find(pg int64) (req *Request, scanned int) {
 // 2.4.4 insertion scan would have traversed.
 func (l *reqList) Insert(r *Request) (scanned int) {
 	i := l.search(r.Page)
-	l.items = append(l.items, nil)
-	copy(l.items[i+1:], l.items[i:])
-	l.items[i] = r
+	l.q.Push(r)
+	items := l.q.Items()
+	copy(items[i+1:], items[i:len(items)-1])
+	items[i] = r
 	return i
 }
 
 // Front returns the first (lowest-page) request, or nil.
 func (l *reqList) Front() *Request {
-	if len(l.items) == 0 {
+	if l.q.Len() == 0 {
 		return nil
 	}
-	return l.items[0]
+	return l.q.Items()[0]
 }
 
 // PopRun removes and returns the longest byte-contiguous run of requests
@@ -86,17 +91,18 @@ func (l *reqList) Front() *Request {
 // RPCs" step of §3.4. The second result is the number of entries the
 // coalescing scan examined.
 func (l *reqList) PopRun(maxBytes int) (run []*Request, scanned int) {
-	if len(l.items) == 0 {
+	items := l.q.Items()
+	if len(items) == 0 {
 		return nil, 0
 	}
 	total := 0
 	n := 0
-	for n < len(l.items) {
-		r := l.items[n]
+	for n < len(items) {
+		r := items[n]
 		if total+r.Count > maxBytes {
 			break
 		}
-		if n > 0 && l.items[n-1].End() != r.Start() {
+		if n > 0 && items[n-1].End() != r.Start() {
 			break
 		}
 		total += r.Count
@@ -108,10 +114,10 @@ func (l *reqList) PopRun(maxBytes int) (run []*Request, scanned int) {
 		n = 1
 	}
 	run = make([]*Request, n)
-	copy(run, l.items[:n])
-	l.items = append(l.items[:0], l.items[n:]...)
+	copy(run, items[:n])
+	l.q.Drop(n)
 	return run, n + 1
 }
 
 // At returns the i'th request.
-func (l *reqList) At(i int) *Request { return l.items[i] }
+func (l *reqList) At(i int) *Request { return l.q.Items()[i] }

@@ -138,3 +138,96 @@ func TestReqListProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// refList is the plain sorted slice reqList replaced: every operation
+// returns the scan count the 2.4.4 list walk would have paid.
+type refList []*Request
+
+func (r *refList) search(pg int64) int {
+	i := 0
+	for i < len(*r) && (*r)[i].Page < pg {
+		i++
+	}
+	return i
+}
+
+func (r *refList) insert(q *Request) int {
+	i := r.search(q.Page)
+	*r = append(*r, nil)
+	copy((*r)[i+1:], (*r)[i:])
+	(*r)[i] = q
+	return i
+}
+
+func (r *refList) popRun(maxBytes int) ([]*Request, int) {
+	if len(*r) == 0 {
+		return nil, 0
+	}
+	total, n := 0, 0
+	for n < len(*r) && total+(*r)[n].Count <= maxBytes && (n == 0 || (*r)[n-1].End() == (*r)[n].Start()) {
+		total += (*r)[n].Count
+		n++
+	}
+	n = max(n, 1)
+	run := append([]*Request(nil), (*r)[:n]...)
+	*r = (*r)[n:]
+	return run, n + 1
+}
+
+// Property: interleaved inserts (some before the front), lookups and run
+// pops on the queue-backed list return the same requests and the same
+// modeled scan counts as the plain sorted slice.
+func TestReqListMatchesSortedSlice(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var l reqList
+		var ref refList
+		used := map[int64]bool{}
+		for step := 0; step < 400; step++ {
+			switch op := rng.Intn(10); {
+			case op < 5:
+				pg := int64(rng.Intn(200))
+				if used[pg] {
+					continue
+				}
+				used[pg] = true
+				q := req(pg)
+				if l.Insert(q) != ref.insert(q) {
+					return false
+				}
+			case op < 8:
+				pg := int64(rng.Intn(200))
+				got, gotScan := l.Find(pg)
+				i := ref.search(pg)
+				var want *Request
+				wantScan := i
+				if i < len(ref) && ref[i].Page == pg {
+					want, wantScan = ref[i], i+1
+				}
+				if got != want || gotScan != wantScan {
+					return false
+				}
+			default:
+				maxBytes := (rng.Intn(8) + 1) * pageSize
+				run, scan := l.PopRun(maxBytes)
+				wantRun, wantScan := ref.popRun(maxBytes)
+				if scan != wantScan || len(run) != len(wantRun) {
+					return false
+				}
+				for i := range run {
+					if run[i] != wantRun[i] {
+						return false
+					}
+					delete(used, run[i].Page)
+				}
+			}
+			if l.Len() != len(ref) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -743,5 +744,37 @@ func TestSubMBCacheLimitsDoNotAlias(t *testing.T) {
 		if a.CacheBytes != scens[i].CacheLimit {
 			t.Fatalf("cell %d cache bytes %d, want %d", i, a.CacheBytes, scens[i].CacheLimit)
 		}
+	}
+}
+
+// RunScenario closes its simulation: the daemons, softirq loops and
+// stream timers still parked when the workload ends must not outlive
+// it, on either transport, and neither may those of a run that panics.
+func TestRunScenarioLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	scens := Grid{
+		Servers:     []nfssim.ServerKind{nfssim.ServerFiler, nfssim.ServerLinux},
+		FileSizesMB: []int{1},
+		Clients:     []int{1, 3},
+		Transports:  []rpcsim.TransportKind{rpcsim.TransportUDP, rpcsim.TransportTCP},
+	}.Expand()
+	for _, sc := range scens {
+		RunScenario(sc)
+		if n := runtime.NumGoroutine(); n != base {
+			t.Fatalf("%s: %d goroutines after the run, want the baseline %d", sc.Name(), n, base)
+		}
+	}
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "sim: process panicked") {
+				t.Errorf("recovered %v, want the simulator's process panic", r)
+			}
+		}()
+		RunScenarioOn(scens[0], func(tb *nfssim.Testbed) {
+			tb.Sim.After(time.Millisecond, func() { panic("injected") })
+		})
+	}()
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("%d goroutines after a panicking run, want the baseline %d", n, base)
 	}
 }

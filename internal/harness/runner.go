@@ -158,7 +158,8 @@ func RunScenario(sc Scenario) Result {
 // RunScenarioOn is RunScenario with a prepare hook: after the test bed is
 // assembled and before the workload starts, prepare may schedule
 // virtual-time events against it (the chaos engine injects faults this
-// way). A nil prepare is RunScenario.
+// way). A nil prepare is RunScenario. The simulation is closed when
+// RunScenarioOn returns: a test bed the hook kept can be read, not run.
 func RunScenarioOn(sc Scenario, prepare func(*nfssim.Testbed)) Result {
 	clients := sc.Clients
 	if clients < 1 {
@@ -193,6 +194,9 @@ func RunScenarioOn(sc Scenario, prepare func(*nfssim.Testbed)) Result {
 		}
 	}
 	tb := nfssim.NewTestbed(opts)
+	// The scenario ends here: its daemons and softirq loops are still
+	// parked, and would keep the whole test bed reachable.
+	defer tb.Sim.Close()
 	if prepare != nil {
 		prepare(tb)
 	}

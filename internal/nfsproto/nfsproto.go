@@ -135,8 +135,8 @@ type CallHeader struct {
 
 // authUnixBody is a fixed AUTH_UNIX credential: stamp, machinename
 // ("client"), uid, gid, 1 supplementary gid. Matches what the 2.4 client
-// sends by default.
-func encodeAuthUnix(e *xdr.Encoder) {
+// sends by default. It is encoded once; every call header copies it.
+var authUnixBody = func() []byte {
 	body := xdr.NewEncoder(64)
 	body.Uint32(0)        // stamp
 	body.String("client") // machine name
@@ -144,8 +144,12 @@ func encodeAuthUnix(e *xdr.Encoder) {
 	body.Uint32(0)        // gid
 	body.Uint32(1)        // gids count
 	body.Uint32(0)        // gid[0]
+	return body.Bytes()
+}()
+
+func encodeAuthUnix(e *xdr.Encoder) {
 	e.Uint32(AuthUnix)
-	e.Opaque(body.Bytes())
+	e.Opaque(authUnixBody)
 }
 
 func skipAuth(d *xdr.Decoder) error {

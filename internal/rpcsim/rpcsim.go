@@ -199,6 +199,7 @@ type pendingCall struct {
 	enc     *xdr.Encoder // pooled encoder backing payload; nil once released
 	onReply func(body *xdr.Decoder)
 	timer   sim.Event
+	resend  func() // the UDP retransmit timer's callback, bound once
 	sentAt  sim.Time
 	rto     sim.Time
 	retrans int
@@ -377,7 +378,8 @@ func (t *Transport) transmit(p *sim.Proc, pc *pendingCall) {
 	t.stats.BytesSent += res.WireBytes
 	xid := pc.xid
 	pc.rto = t.cfg.RetransmitTimeout
-	pc.timer = t.s.After(pc.rto, func() { t.retransmit(xid) })
+	pc.resend = func() { t.retransmit(xid) }
+	pc.timer = t.s.After(pc.rto, pc.resend)
 }
 
 // retransmit resends an unanswered call and doubles its timeout,
@@ -405,7 +407,7 @@ func (t *Transport) retransmit(xid uint32) {
 	if pc.rto > t.cfg.MaxRetransmitTimeout {
 		pc.rto = t.cfg.MaxRetransmitTimeout
 	}
-	pc.timer = t.s.After(pc.rto, func() { t.retransmit(xid) })
+	pc.timer = t.s.After(pc.rto, pc.resend)
 }
 
 // softirqLoop drains received datagrams: IP reassembly + UDP receive CPU,

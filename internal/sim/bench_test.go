@@ -28,9 +28,9 @@ func BenchmarkKernelSchedule(b *testing.B) {
 }
 
 // BenchmarkKernelFleetHandoff measures the scheduler↔process handoff at
-// fleet shape: 1000 processes sleeping staggered intervals, so every
-// event is a cross-goroutine baton pass (the dominant kernel cost of a
-// thousand-client simulation).
+// fleet shape: 1000 processes sleeping staggered intervals, so nearly
+// every event is a switch between process coroutines (the dominant
+// kernel cost of a thousand-client simulation).
 func BenchmarkKernelFleetHandoff(b *testing.B) {
 	const procs = 1000
 	s := sim.New(1)

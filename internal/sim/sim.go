@@ -3,23 +3,26 @@
 // The reproduction models the Linux 2.4.4 kernel's NFS client write path as
 // a set of cooperating processes (application writer threads, nfs_flushd,
 // network softirq handlers, server daemons) that execute on a virtual clock.
-// Exactly one process runs at a time; control is handed between goroutines
-// through a single "baton" so a given seed and workload always produce
-// bit-identical schedules. This is what lets us reproduce the paper's
-// queueing and lock-contention phenomena without the run-to-run variance
-// the authors complain about in §2.2.
+// Exactly one process runs at a time: each is a coroutine (iter.Pull) that
+// Run resumes and that hands control back only when it parks, so a given
+// seed and workload always produce bit-identical schedules. This is what
+// lets us reproduce the paper's queueing and lock-contention phenomena
+// without the run-to-run variance the authors complain about in §2.2.
 //
 // The kernel is built for thousand-client fleets (DESIGN.md §12): events
 // live in a pooled 4-ary heap keyed on (time, sequence) so same-timestamp
 // events fire in scheduling order, process wakeups are heap entries rather
-// than closures, and the event loop itself migrates to whichever process
-// goroutine parks — a process whose own wakeup is the next event resumes
-// without touching a channel at all.
+// than closures, and a parking process runs the event loop itself — one
+// whose own wakeup is the next event resumes without switching at all.
+// Close ends a simulation's parked processes and hands its event storage
+// to the next New.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
+	"sync"
 	"time"
 )
 
@@ -129,9 +132,8 @@ func (q *eventQueue) pop() *event {
 const eventBlock = 128
 
 // Sim is a discrete-event simulation instance. It is not safe for use from
-// multiple OS threads; all interaction happens from the goroutine that
-// currently holds the scheduling baton (the Run caller or a process the
-// kernel handed control to).
+// multiple OS threads; all interaction happens from the Run caller or the
+// process Run has resumed.
 type Sim struct {
 	now    Time
 	seq    uint64
@@ -141,24 +143,22 @@ type Sim struct {
 	limit  Time     // current Run's time limit (0 = none)
 	rng    *rand.Rand
 	prof   *Profiler
-	fail   any // panic value captured from a process
-
-	// mainWake returns the baton to the Run caller when the queue drains,
-	// the limit is reached, or a process panics.
-	mainWake chan struct{}
 
 	procSeq int
-	live    int // live (spawned, unterminated) processes
+	procs   []*Proc // live (spawned, unterminated) processes
+	closed  bool
 }
 
 // New returns a simulator with the given deterministic seed.
 func New(seed int64) *Sim {
-	return &Sim{
-		mainWake: make(chan struct{}),
-		seed:     seed,
-		rng:      rand.New(rand.NewSource(seed)),
-		prof:     NewProfiler(),
+	s := &Sim{
+		seed: seed,
+		rng:  rand.New(rand.NewSource(seed)),
+		prof: NewProfiler(),
 	}
+	st := takeSpare()
+	s.events, s.pool = st.heap, st.pool
+	return s
 }
 
 // Now returns the current virtual time.
@@ -226,11 +226,11 @@ func (s *Sim) wake(t Time, p *Proc) {
 	s.events.push(ev)
 }
 
-// schedule runs the event loop on the calling goroutine: it pops and
-// executes events until control must transfer to a process goroutine
-// (returning that process), or until the queue drains, the limit is
-// reached, or a process has panicked (returning nil, meaning the baton
-// goes back to the Run caller).
+// schedule runs the event loop: it pops and executes events until a
+// process wakeup comes due (returning that process), or until the queue
+// drains or the limit is reached (returning nil). It runs on the Run
+// caller or inline in a parking process; a panic in a callback unwinds
+// whichever of the two that is.
 func (s *Sim) schedule() *Proc {
 	for len(s.events) > 0 {
 		next := s.events[0]
@@ -253,59 +253,143 @@ func (s *Sim) schedule() *Proc {
 			return p
 		}
 		fn()
-		if s.fail != nil {
-			return nil
-		}
 	}
 	return nil
 }
 
-// handoff passes the baton: to a process goroutine, or back to the Run
-// caller when next is nil.
-func (s *Sim) handoff(next *Proc) {
-	if next != nil {
-		next.resume <- struct{}{}
-	} else {
-		s.mainWake <- struct{}{}
+// handoff resumes p until it parks, returning the process it chose to run
+// next (nil when the queue drained or the limit was reached). If p ends
+// instead, handoff runs the event loop on p's behalf.
+func (s *Sim) handoff(p *Proc) *Proc {
+	if next, ok := p.resume(); ok {
+		return next
 	}
+	return s.schedule()
 }
 
 // Run executes events until the event queue is empty or the virtual clock
 // would pass limit (limit <= 0 means no limit). It returns the final
-// virtual time. Run panics if any process panicked, preserving the value.
+// virtual time. Once a process has run, any panic — in a process, or in a
+// callback run on its behalf — leaves Run as one formatted panic carrying
+// the value; a callback's panic before that propagates unchanged.
 func (s *Sim) Run(limit Time) Time {
 	s.limit = limit
-	for {
-		next := s.schedule()
-		if next == nil {
-			if s.fail != nil {
-				panic(fmt.Sprintf("sim: process panicked at t=%v: %v", s.now, s.fail))
-			}
-			return s.now
-		}
-		next.resume <- struct{}{}
-		<-s.mainWake
-		if s.fail != nil {
-			panic(fmt.Sprintf("sim: process panicked at t=%v: %v", s.now, s.fail))
-		}
+	p := s.schedule()
+	if p == nil {
+		return s.now
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			panic(fmt.Sprintf("sim: process panicked at t=%v: %v", s.now, r))
+		}
+	}()
+	for p != nil {
+		p = s.handoff(p)
+	}
+	return s.now
 }
 
 // Idle reports whether no events remain.
 func (s *Sim) Idle() bool { return len(s.events) == 0 }
 
 // Live returns the number of spawned processes that have not terminated.
-func (s *Sim) Live() int { return s.live }
+func (s *Sim) Live() int { return len(s.procs) }
+
+// Close ends the simulation. Every process that has not terminated is
+// unwound where it is parked — its deferred calls run, and must not block
+// — and its coroutine is freed; queued events are discarded and the event
+// storage goes to a later New. Run must not be called again, but Now,
+// Profiler and the other accessors stay valid. Close is idempotent.
+func (s *Sim) Close() {
+	if s.closed {
+		return
+	}
+	s.closed = true
+	for len(s.procs) > 0 {
+		p := s.procs[len(s.procs)-1]
+		p.stop()
+		if !p.ended { // never started, so its body never ran
+			s.retire(p)
+		}
+	}
+	for _, ev := range s.events {
+		s.recycle(ev)
+	}
+	clear(s.events)
+	putSpare(eventStore{heap: s.events[:0], pool: s.pool})
+	s.events, s.pool = nil, nil
+}
+
+// retire removes an ended process from the live set.
+func (s *Sim) retire(p *Proc) {
+	p.ended = true
+	last := s.procs[len(s.procs)-1]
+	s.procs[p.slot], last.slot = last, p.slot
+	s.procs[len(s.procs)-1] = nil
+	s.procs = s.procs[:len(s.procs)-1]
+}
+
+// maxSpares bounds how many closed simulations' event storage is kept for
+// reuse: enough for a worker pool's concurrent scenarios.
+const maxSpares = 8
+
+// eventStore is a closed simulation's event storage: its empty heap array
+// and its pool, which holds every event the simulation allocated.
+type eventStore struct {
+	heap eventQueue
+	pool []*event
+}
+
+// spares keeps closed simulations' event storage for New, so a run does
+// not pay again for the event blocks and heap array a previous run grew.
+var spares struct {
+	mu     sync.Mutex
+	stores []eventStore
+}
+
+// takeSpare returns a closed simulation's event storage, or the zero
+// store when none is kept.
+func takeSpare() eventStore {
+	spares.mu.Lock()
+	defer spares.mu.Unlock()
+	n := len(spares.stores)
+	if n == 0 {
+		return eventStore{}
+	}
+	st := spares.stores[n-1]
+	spares.stores[n-1] = eventStore{}
+	spares.stores = spares.stores[:n-1]
+	return st
+}
+
+// putSpare keeps st for a later takeSpare, unless maxSpares are kept.
+func putSpare(st eventStore) {
+	spares.mu.Lock()
+	defer spares.mu.Unlock()
+	if len(spares.stores) < maxSpares {
+		spares.stores = append(spares.stores, st)
+	}
+}
 
 // Proc is a simulated thread of control. Every blocking primitive takes the
-// Proc so the scheduler knows which goroutine to park and resume.
+// Proc so the scheduler knows which coroutine to park and resume.
 type Proc struct {
-	s      *Sim
-	id     int
-	name   string
-	resume chan struct{}
-	ended  bool
+	s     *Sim
+	id    int
+	name  string
+	slot  int // index in s.procs while live
+	ended bool
+
+	// resume runs the coroutine until it yields the process to run next
+	// (ok) or its body returns (!ok); yield is the coroutine's side of
+	// that, and reports false once Close has stopped it.
+	resume func() (next *Proc, ok bool)
+	yield  func(next *Proc) bool
+	stop   func()
 }
+
+// stopped is the panic value that unwinds a process Close has stopped.
+type stopped struct{}
 
 // Name returns the process's diagnostic name.
 func (p *Proc) Name() string { return p.name }
@@ -316,51 +400,40 @@ func (p *Proc) Sim() *Sim { return p.s }
 // Go spawns a process that begins running at the current virtual time.
 func (s *Sim) Go(name string, fn func(p *Proc)) *Proc {
 	s.procSeq++
-	s.live++
-	p := &Proc{s: s, id: s.procSeq, name: name, resume: make(chan struct{})}
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				s.fail = r
-			}
-			p.ended = true
-			s.live--
-			var next *Proc
-			if s.fail == nil {
-				// Keep driving the event loop from the dying goroutine;
-				// a panic in a callback here must still reach Run.
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							s.fail = r
-						}
-					}()
-					next = s.schedule()
-				}()
-				if s.fail != nil {
-					next = nil
-				}
-			}
-			s.handoff(next)
-		}()
-		<-p.resume
+	p := &Proc{s: s, id: s.procSeq, name: name, slot: len(s.procs)}
+	s.procs = append(s.procs, p)
+	p.resume, p.stop = iter.Pull(func(yield func(*Proc) bool) {
+		p.yield = yield
+		defer p.exit()
 		fn(p)
-	}()
+	})
 	s.wake(s.now, p)
 	return p
 }
 
+// exit retires p when its body returns or unwinds. It absorbs the stopped
+// signal of Close; any other panic continues on to Run.
+func (p *Proc) exit() {
+	p.s.retire(p)
+	if r := recover(); r != nil && r != (stopped{}) {
+		panic(r)
+	}
+}
+
 // park yields control until something schedules a wakeup for p. The
-// parking goroutine itself runs the event loop: when p's own wakeup is the
+// parking process runs the event loop itself: when its own wakeup is the
 // next transfer of control — the common case for a process sleeping
-// through its service time — it simply returns, with no channel traffic.
+// through its service time — it simply returns without switching.
+// Otherwise it hands the chosen process (or nil, to end the Run) back to
+// Run and waits to be resumed.
 func (p *Proc) park() {
 	next := p.s.schedule()
 	if next == p {
 		return
 	}
-	p.s.handoff(next)
-	<-p.resume
+	if !p.yield(next) {
+		panic(stopped{})
+	}
 }
 
 // Sleep advances the process's virtual time by d without consuming a CPU
