@@ -123,7 +123,7 @@ func (c *Client) createRPC(p *sim.Proc, name string) (nfsproto.FileHandle, nfspr
 // server (its reply carries current attributes, so it doubles as an
 // open-time revalidation).
 func (c *Client) resolve(p *sim.Proc, name string) (e *attrEntry, ok, fetched bool) {
-	c.cpu.Use(p, "nfs_lookup", c.cfg.Costs.MetaOpBase)
+	c.cpu.Use(p, labelNFSLookup, c.cfg.Costs.MetaOpBase)
 	if c.acEnabled() {
 		if e, ok := c.attrCache[name]; ok &&
 			(e.fresh(c.s.Now()) || c.cfg.Consistency != ConsistencyTTL) {
@@ -256,7 +256,7 @@ func (c *Client) Stat(p *sim.Proc, name string) (int64, bool) {
 // Remove unlinks name at the server and invalidates its cached
 // attributes and cached inode, reporting whether it existed.
 func (c *Client) Remove(p *sim.Proc, name string) bool {
-	c.cpu.Use(p, "nfs_remove", c.cfg.Costs.MetaOpBase)
+	c.cpu.Use(p, labelNFSRemove, c.cfg.Costs.MetaOpBase)
 	c.invalidateAttr(name)
 	if ino, ok := c.namedInodes[name]; ok {
 		// The name is dead; a re-create mints a new handle. An inode

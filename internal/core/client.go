@@ -388,11 +388,11 @@ func (ino *Inode) Outstanding() int { return ino.reqs.Len() + ino.inflightPages 
 func (c *Client) lookup(p *sim.Proc, ino *Inode, page int64) *Request {
 	switch c.cfg.IndexPolicy {
 	case IndexHashTable:
-		c.cpu.Use(p, "nfs_find_request(hash)", c.cfg.Costs.HashLookup)
+		c.cpu.Use(p, labelNFSFindRequestHash, c.cfg.Costs.HashLookup)
 		return ino.hash[page]
 	default:
 		r, scanned := ino.reqs.Find(page)
-		c.cpu.Use(p, "nfs_find_request", sim.Time(scanned)*c.cfg.Costs.ListScanPerEntry)
+		c.cpu.Use(p, labelNFSFindRequest, sim.Time(scanned)*c.cfg.Costs.ListScanPerEntry)
 		return r
 	}
 }
@@ -411,15 +411,15 @@ func (c *Client) lookup(p *sim.Proc, ino *Inode, page int64) *Request {
 // so EndWriteback's credit exactly balances the charges.
 func (c *Client) commitPage(p *sim.Proc, ino *Inode, page int64, offset, count int) int {
 	for {
-		c.bkl.Lock(p, "nfs_commit_write")
-		c.cpu.Use(p, "nfs_commit_write", c.cfg.Costs.CommitWriteBase)
+		c.bkl.Lock(p, labelNFSCommitWrite)
+		c.cpu.Use(p, labelNFSCommitWrite, c.cfg.Costs.CommitWriteBase)
 
 		// First search: incompatible requests that would need flushing.
 		existing := c.lookup(p, ino, page)
 
 		// Second search + update/insert: nfs_update_request. Either way
 		// the page ends up in the page cache, readable without an RPC.
-		c.cpu.Use(p, "nfs_update_request", c.cfg.Costs.UpdateRequestBase)
+		c.cpu.Use(p, labelNFSUpdateRequest, c.cfg.Costs.UpdateRequestBase)
 		ino.markResident(page)
 		if existing == nil {
 			r := &Request{Page: page, Offset: offset, Count: count, CreatedAt: c.s.Now()}
@@ -429,7 +429,7 @@ func (c *Client) commitPage(p *sim.Proc, ino *Inode, page int64, offset, count i
 			} else {
 				// The real code walks the sorted list again to insert.
 				scanned := ino.reqs.Insert(r)
-				c.cpu.Use(p, "nfs_update_request(scan)", sim.Time(scanned)*c.cfg.Costs.ListScanPerEntry)
+				c.cpu.Use(p, labelNFSUpdateRequestScan, sim.Time(scanned)*c.cfg.Costs.ListScanPerEntry)
 			}
 			c.mountRequests++
 			c.bkl.Unlock(p)
@@ -535,9 +535,9 @@ type flushTicket struct {
 // completed when this RPC's reply arrives. The caller must not hold the
 // BKL.
 func (c *Client) sendOne(p *sim.Proc, ino *Inode, ticket *flushTicket) int {
-	c.bkl.Lock(p, "nfs_coalesce")
+	c.bkl.Lock(p, labelNFSCoalesce)
 	run, scanned := ino.reqs.PopRun(c.cfg.WSize)
-	c.cpu.Use(p, "nfs_coalesce",
+	c.cpu.Use(p, labelNFSCoalesce,
 		c.cfg.Costs.CoalesceBase+sim.Time(scanned)*c.cfg.Costs.ListScanPerEntry)
 	if len(run) == 0 {
 		c.bkl.Unlock(p)

@@ -28,6 +28,19 @@ import (
 	"repro/internal/vfs"
 )
 
+// Profiler and BKL labels for the client's code paths.
+var (
+	labelNFSFindRequestHash   = sim.NewLabel("nfs_find_request(hash)")
+	labelNFSFindRequest       = sim.NewLabel("nfs_find_request")
+	labelNFSCommitWrite       = sim.NewLabel("nfs_commit_write")
+	labelNFSUpdateRequest     = sim.NewLabel("nfs_update_request")
+	labelNFSUpdateRequestScan = sim.NewLabel("nfs_update_request(scan)")
+	labelNFSCoalesce          = sim.NewLabel("nfs_coalesce")
+	labelNFSLookup            = sim.NewLabel("nfs_lookup")
+	labelNFSRemove            = sim.NewLabel("nfs_remove")
+	labelNFSReadpage          = sim.NewLabel("nfs_readpage")
+)
+
 // FlushPolicy selects how the client bounds cached write requests.
 type FlushPolicy int
 

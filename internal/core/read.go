@@ -61,8 +61,8 @@ func (ino *Inode) ReadaheadWindow() int { return ino.ra.Window() }
 // lookups; the RPC wait does not (sleeping paths drop the lock).
 func (c *Client) readPage(p *sim.Proc, ino *Inode, page int64) {
 	c.ensureReadState(ino)
-	c.bkl.Lock(p, "nfs_readpage")
-	c.cpu.Use(p, "nfs_readpage", c.cfg.Costs.ReadPageBase)
+	c.bkl.Lock(p, labelNFSReadpage)
+	c.cpu.Use(p, labelNFSReadpage, c.cfg.Costs.ReadPageBase)
 	hit := ino.resident(page)
 	c.cache.NoteRead(hit)
 	if hit && ino.staleOpen {

@@ -38,6 +38,9 @@ type File struct {
 	resident rangeset.Set
 }
 
+// labelExt2CommitWrite is the profiler label for ext2_commit_write.
+var labelExt2CommitWrite = sim.NewLabel("ext2_commit_write")
+
 // ext2CommitCPU is ext2_commit_write + block allocation per page.
 const ext2CommitCPU = 1_000 // 1 µs
 
@@ -91,7 +94,7 @@ func (f *File) WriteAt(p *sim.Proc, off int64, n int) {
 		panic("ext2: negative write offset or length")
 	}
 	vfs.WriteSyscall(p, f.cpu, f.costs, off, n, func(span vfs.PageSpan) {
-		f.cpu.Use(p, "ext2_commit_write", ext2CommitCPU)
+		f.cpu.Use(p, labelExt2CommitWrite, ext2CommitCPU)
 		f.cache.ChargeDirty(p, int64(span.Count))
 		f.dirty += int64(span.Count)
 	})

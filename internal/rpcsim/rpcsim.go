@@ -57,6 +57,14 @@ func ParseTransport(name string) (TransportKind, error) {
 	return 0, fmt.Errorf("rpcsim: unknown transport %q (have udp, tcp)", name)
 }
 
+// Profiler and BKL labels for the transport's code paths.
+var (
+	labelXprtTransmit = sim.NewLabel("xprt_transmit")
+	labelSockSendmsg  = sim.NewLabel("sock_sendmsg")
+	labelUDPRcv       = sim.NewLabel("udp_rcv")
+	labelRPCReply     = sim.NewLabel("rpc_reply")
+)
+
 // defaultMaxRetransmitTimeout caps UDP retransmit backoff (the 2.4
 // xprt's to_maxval): applied by DefaultConfig and by New when the
 // config leaves MaxRetransmitTimeout zero.
@@ -328,8 +336,8 @@ func (t *Transport) call(p *sim.Proc, proc uint32, encodeArgs func(*xdr.Encoder)
 	t.stats.Calls++
 
 	// xprt_transmit: RPC bookkeeping under the BKL in both policies.
-	t.bkl.Lock(p, "xprt_transmit")
-	t.cpu.Use(p, "xprt_transmit", t.cfg.RPCPrepCPU)
+	t.bkl.Lock(p, labelXprtTransmit)
+	t.cpu.Use(p, labelXprtTransmit, t.cfg.RPCPrepCPU)
 	t.transmit(p, pc)
 	t.bkl.Unlock(p)
 }
@@ -352,15 +360,15 @@ func (t *Transport) transmit(p *sim.Proc, pc *pendingCall) {
 	switch t.cfg.LockPolicy {
 	case HoldBKLAcrossSend:
 		// Stock 2.4.4: the network layer runs entirely under the BKL.
-		t.bkl.Relabel(p, "sock_sendmsg")
-		t.cpu.Use(p, "sock_sendmsg", sendCPU)
-		t.bkl.Relabel(p, "xprt_transmit")
+		t.bkl.Relabel(p, labelSockSendmsg)
+		t.cpu.Use(p, labelSockSendmsg, sendCPU)
+		t.bkl.Relabel(p, labelXprtTransmit)
 	case ReleaseBKLForSend:
 		// The fix: "release the lock before calling sock_sendmsg, then
 		// reacquire the lock when it returns" (§3.5).
 		t.bkl.Unlock(p)
-		t.cpu.Use(p, "sock_sendmsg", sendCPU)
-		t.bkl.Lock(p, "xprt_transmit")
+		t.cpu.Use(p, labelSockSendmsg, sendCPU)
+		t.bkl.Lock(p, labelXprtTransmit)
 	}
 
 	if t.cfg.Transport == TransportTCP {
@@ -420,7 +428,7 @@ func (t *Transport) softirqLoop(p *sim.Proc) {
 		}
 		payload := t.rxq.Pop()
 
-		t.cpu.Use(p, "udp_rcv",
+		t.cpu.Use(p, labelUDPRcv,
 			t.cfg.ReplyCPUBase+sim.Time(t.msgUnits(len(payload)))*t.cfg.ReplyCPUPerFragment)
 
 		d := xdr.NewDecoder(payload)
@@ -441,8 +449,8 @@ func (t *Transport) softirqLoop(p *sim.Proc) {
 		}
 
 		// rpc reply state update holds the BKL briefly in both policies.
-		t.bkl.Lock(p, "rpc_reply")
-		t.cpu.Use(p, "rpc_reply", t.cfg.ReplyBKLHold)
+		t.bkl.Lock(p, labelRPCReply)
+		t.cpu.Use(p, labelRPCReply, t.cfg.ReplyBKLHold)
 		pc.timer.Cancel()
 		delete(t.pending, hdr.XID)
 		t.stats.Replies++

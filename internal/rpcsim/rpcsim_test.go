@@ -191,7 +191,7 @@ func TestLockPolicyContention(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				p.Sleep(30 * time.Microsecond)
 				t0 := rig.s.Now()
-				rig.bkl.Lock(p, "nfs_commit_write")
+				rig.bkl.Lock(p, sim.NewLabel("nfs_commit_write"))
 				waited += rig.s.Now() - t0
 				p.Sleep(2 * time.Microsecond)
 				rig.bkl.Unlock(p)
@@ -225,7 +225,7 @@ func TestWaitAttributionDominatedBySend(t *testing.T) {
 	rig.s.Go("writer", func(p *sim.Proc) {
 		for i := 0; i < 50; i++ {
 			p.Sleep(25 * time.Microsecond)
-			rig.bkl.Lock(p, "nfs_commit_write")
+			rig.bkl.Lock(p, sim.NewLabel("nfs_commit_write"))
 			rig.bkl.Unlock(p)
 		}
 	})

@@ -28,6 +28,19 @@ import (
 	"repro/internal/xdr"
 )
 
+// Profiler labels for the nfsd service paths.
+var (
+	labelNFSDRecv    = sim.NewLabel("nfsd_recv")
+	labelNFSDRead    = sim.NewLabel("nfsd_read")
+	labelNFSDWrite   = sim.NewLabel("nfsd_write")
+	labelNFSDLookup  = sim.NewLabel("nfsd_lookup")
+	labelNFSDGetattr = sim.NewLabel("nfsd_getattr")
+	labelNFSDCreate  = sim.NewLabel("nfsd_create")
+	labelNFSDRemove  = sim.NewLabel("nfsd_remove")
+	labelNFSDCommit  = sim.NewLabel("nfsd_commit")
+	labelNFSDSend    = sim.NewLabel("nfsd_send")
+)
+
 // Backend is an NFS read/write/commit implementation behind the RPC
 // front-end. Handlers run on an nfsd worker process and may block in
 // virtual time.
@@ -321,7 +334,7 @@ func (srv *Server) metaCPU() sim.Time {
 // it: if the server crashes while the request is in service, the computed
 // reply is discarded instead of being sent by the restarted instance.
 func (srv *Server) serve(p *sim.Proc, item rxItem, gen int) {
-	srv.cpu.Use(p, "nfsd_recv", srv.cfg.RecvCPUBase+sim.Time(item.frags)*srv.cfg.RecvCPUPerFragment)
+	srv.cpu.Use(p, labelNFSDRecv, srv.cfg.RecvCPUBase+sim.Time(item.frags)*srv.cfg.RecvCPUPerFragment)
 
 	d := xdr.NewDecoder(item.payload)
 	hdr, err := nfsproto.DecodeCall(d)
@@ -342,7 +355,7 @@ func (srv *Server) serve(p *sim.Proc, item rxItem, gen int) {
 		if readCPU == 0 {
 			readCPU = srv.cfg.ServiceCPU / 2
 		}
-		srv.cpu.Use(p, "nfsd_read", readCPU)
+		srv.cpu.Use(p, labelNFSDRead, readCPU)
 		res := srv.backend.HandleRead(p, args)
 		if res.Status == nfsproto.NFS3OK {
 			srv.Reads++
@@ -357,7 +370,7 @@ func (srv *Server) serve(p *sim.Proc, item rxItem, gen int) {
 		if srv.firstWriteAt == 0 && srv.Writes == 0 {
 			srv.firstWriteAt = srv.s.Now()
 		}
-		srv.cpu.Use(p, "nfsd_write", srv.cfg.ServiceCPU)
+		srv.cpu.Use(p, labelNFSDWrite, srv.cfg.ServiceCPU)
 		res := srv.backend.HandleWrite(p, args)
 		if res.Status == nfsproto.NFS3OK {
 			srv.Writes++
@@ -372,7 +385,7 @@ func (srv *Server) serve(p *sim.Proc, item rxItem, gen int) {
 		if err != nil {
 			panic(fmt.Sprintf("server %s: bad LOOKUP args: %v", srv.cfg.Host, err))
 		}
-		srv.cpu.Use(p, "nfsd_lookup", srv.metaCPU())
+		srv.cpu.Use(p, labelNFSDLookup, srv.metaCPU())
 		srv.Lookups++
 		res := nfsproto.LookupRes{Status: nfsproto.NFS3ErrNoEnt}
 		if ino, st := srv.ns.Lookup(args.Dir, args.Name); st == nfsproto.NFS3OK {
@@ -384,7 +397,7 @@ func (srv *Server) serve(p *sim.Proc, item rxItem, gen int) {
 		if err != nil {
 			panic(fmt.Sprintf("server %s: bad GETATTR args: %v", srv.cfg.Host, err))
 		}
-		srv.cpu.Use(p, "nfsd_getattr", srv.metaCPU())
+		srv.cpu.Use(p, labelNFSDGetattr, srv.metaCPU())
 		srv.Getattrs++
 		attrs, st := srv.ns.Getattr(args.File)
 		res := nfsproto.GetattrRes{Status: st, Attrs: attrs}
@@ -394,7 +407,7 @@ func (srv *Server) serve(p *sim.Proc, item rxItem, gen int) {
 		if err != nil {
 			panic(fmt.Sprintf("server %s: bad CREATE args: %v", srv.cfg.Host, err))
 		}
-		srv.cpu.Use(p, "nfsd_create", srv.metaCPU())
+		srv.cpu.Use(p, labelNFSDCreate, srv.metaCPU())
 		srv.Creates++
 		ino, wcc := srv.ns.Create(args.Dir, args.Name)
 		res := nfsproto.CreateRes{Status: nfsproto.NFS3OK, File: ino.fh, Attrs: ino.Attrs(), Wcc: wcc}
@@ -404,7 +417,7 @@ func (srv *Server) serve(p *sim.Proc, item rxItem, gen int) {
 		if err != nil {
 			panic(fmt.Sprintf("server %s: bad REMOVE args: %v", srv.cfg.Host, err))
 		}
-		srv.cpu.Use(p, "nfsd_remove", srv.metaCPU())
+		srv.cpu.Use(p, labelNFSDRemove, srv.metaCPU())
 		srv.Removes++
 		st, wcc := srv.ns.Remove(args.Dir, args.Name)
 		res := nfsproto.RemoveRes{Status: st, Wcc: wcc}
@@ -414,7 +427,7 @@ func (srv *Server) serve(p *sim.Proc, item rxItem, gen int) {
 		if err != nil {
 			panic(fmt.Sprintf("server %s: bad COMMIT args: %v", srv.cfg.Host, err))
 		}
-		srv.cpu.Use(p, "nfsd_commit", srv.cfg.ServiceCPU/2)
+		srv.cpu.Use(p, labelNFSDCommit, srv.cfg.ServiceCPU/2)
 		res := srv.backend.HandleCommit(p, args)
 		srv.Commits++
 		res.Encode(reply)
@@ -431,7 +444,7 @@ func (srv *Server) serve(p *sim.Proc, item rxItem, gen int) {
 		reply.Release()
 		return
 	}
-	srv.cpu.Use(p, "nfsd_send", srv.cfg.SendCPU)
+	srv.cpu.Use(p, labelNFSDSend, srv.cfg.SendCPU)
 	if srv.cfg.Transport == rpcsim.TransportTCP {
 		// SendRecord copies, so the reply encoder is immediately dead.
 		srv.conn(item.from).SendRecord(reply.Bytes())

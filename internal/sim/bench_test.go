@@ -49,3 +49,36 @@ func BenchmarkKernelFleetHandoff(b *testing.B) {
 	s.Run(0)
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "events/s")
 }
+
+// BenchmarkKernelTimerCancel measures timer churn in the UDP retransmit
+// pattern: 16 processes that each arm a 1.1 s timer, sleep 200 µs for
+// the reply and cancel the timer. One op is one timeout's worth of
+// virtual time, 5,500 calls per process, so even CI's single iteration
+// runs long enough for canceled timers to pile up in a queue that kept
+// them until they came due. events/s counts the wakeups and timers
+// handled.
+func BenchmarkKernelTimerCancel(b *testing.B) {
+	const (
+		procs   = 16
+		timeout = 1100 * time.Millisecond
+		reply   = 200 * time.Microsecond
+	)
+	s := sim.New(1)
+	defer s.Close()
+	calls := b.N * int(timeout/reply)
+	total := 0
+	noop := func() {}
+	for i := 0; i < procs; i++ {
+		s.Go("caller", func(p *sim.Proc) {
+			for j := 0; j < calls; j++ {
+				timer := s.After(timeout, noop)
+				p.Sleep(reply)
+				timer.Cancel()
+				total++
+			}
+		})
+	}
+	b.ResetTimer()
+	s.Run(0)
+	b.ReportMetric(float64(2*total)/b.Elapsed().Seconds(), "events/s")
+}

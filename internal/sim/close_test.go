@@ -26,11 +26,11 @@ func TestCloseEndsParkedProcesses(t *testing.T) {
 		})
 	}
 	s.Go("holder", func(p *Proc) {
-		m.Lock(p, "held")
+		m.Lock(p, NewLabel("held"))
 		sem.Acquire(p)
 	})
 	park("sleeper", func(p *Proc) { p.Sleep(time.Hour) })
-	park("locker", func(p *Proc) { m.Lock(p, "wait") })
+	park("locker", func(p *Proc) { m.Lock(p, NewLabel("wait")) })
 	park("acquirer", func(p *Proc) { sem.Acquire(p) })
 	park("waiter", func(p *Proc) { q.Wait(p) })
 	s.Run(time.Millisecond)
@@ -116,7 +116,7 @@ func TestConcurrentSimsReuseStorage(t *testing.T) {
 			s.Go("p", func(p *Proc) {
 				for j := 0; j < 50; j++ {
 					p.Sleep(Time(s.Rand().Intn(100)) * time.Microsecond)
-					m.Lock(p, "x")
+					m.Lock(p, NewLabel("x"))
 					p.Sleep(time.Microsecond)
 					m.Unlock(p)
 					last = s.Now()

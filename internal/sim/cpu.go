@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
+	"sync"
 )
 
 // CPUPool models a machine's processors. Executing code costs virtual time
@@ -37,7 +39,7 @@ func (c *CPUPool) CPUs() int { return c.sem.Capacity() }
 // Use executes d of CPU work on some processor, blocking first if all
 // processors are busy. The label attributes the cost in the profiler,
 // mirroring the sample-driven kernel profiler the paper uses in §3.4.
-func (c *CPUPool) Use(p *Proc, label string, d Time) {
+func (c *CPUPool) Use(p *Proc, label Label, d Time) {
 	if d <= 0 {
 		return
 	}
@@ -52,37 +54,101 @@ func (c *CPUPool) Use(p *Proc, label string, d Time) {
 	c.prof.Add(label, d)
 }
 
+// Label is an interned code-path name for the profiler and for lock
+// contention attribution. Each layer registers its names once, in
+// package-level variables, so charging CPU time indexes a slice instead
+// of hashing a string. The zero Label is the empty name.
+type Label struct{ id int32 }
+
+// labels is the process-wide intern table: names by Label, and the
+// reverse index that makes NewLabel idempotent.
+var labels = struct {
+	mu    sync.RWMutex
+	names []string
+	ids   map[string]Label
+}{names: []string{""}, ids: map[string]Label{"": {}}}
+
+// NewLabel returns the Label for name, registering it on first use; every
+// call with the same name returns the same Label.
+func NewLabel(name string) Label {
+	labels.mu.Lock()
+	defer labels.mu.Unlock()
+	if l, ok := labels.ids[name]; ok {
+		return l
+	}
+	l := Label{int32(len(labels.names))}
+	labels.names = append(labels.names, name)
+	labels.ids[name] = l
+	return l
+}
+
+// lookupLabel returns the Label registered for name, if any.
+func lookupLabel(name string) (Label, bool) {
+	labels.mu.RLock()
+	defer labels.mu.RUnlock()
+	l, ok := labels.ids[name]
+	return l, ok
+}
+
+// labelNames returns the names registered so far, indexed by Label. The
+// table only grows by appending, so the snapshot stays valid unlocked.
+func labelNames() []string {
+	labels.mu.RLock()
+	defer labels.mu.RUnlock()
+	return labels.names
+}
+
+// tally is one label's accumulated time and count.
+type tally struct {
+	total Time
+	calls int
+}
+
 // Profiler accumulates virtual CPU time per code-path label. It stands in
 // for the sample-driven histogram profiler the paper used to find
 // nfs_find_request / nfs_update_request (§3.4) and the lock section
 // (§3.5) among the kernel's top CPU consumers.
 type Profiler struct {
-	byLabel map[string]Time
-	calls   map[string]int
+	by []tally // indexed by Label
 }
 
 // NewProfiler returns an empty profiler.
-func NewProfiler() *Profiler {
-	return &Profiler{byLabel: make(map[string]Time), calls: make(map[string]int)}
-}
+func NewProfiler() *Profiler { return &Profiler{} }
 
 // Add records d of CPU time against label.
-func (pr *Profiler) Add(label string, d Time) {
-	pr.byLabel[label] += d
-	pr.calls[label]++
+func (pr *Profiler) Add(label Label, d Time) {
+	if int(label.id) >= len(pr.by) {
+		pr.grow(label)
+	}
+	t := &pr.by[label.id]
+	t.total += d
+	t.calls++
 }
 
-// Total returns the accumulated CPU time for label.
-func (pr *Profiler) Total(label string) Time { return pr.byLabel[label] }
+// grow sizes the tallies for l and every other label registered so far,
+// which in practice is all of them: layers register theirs at package
+// initialization.
+func (pr *Profiler) grow(l Label) {
+	n := max(int(l.id)+1, len(labelNames()))
+	pr.by = append(pr.by, make([]tally, n-len(pr.by))...)
+}
 
-// Calls returns how many times label was recorded.
-func (pr *Profiler) Calls(label string) int { return pr.calls[label] }
+// get returns the tally for the label registered as name.
+func (pr *Profiler) get(name string) tally {
+	if l, ok := lookupLabel(name); ok && int(l.id) < len(pr.by) {
+		return pr.by[l.id]
+	}
+	return tally{}
+}
+
+// Total returns the accumulated CPU time for the label named name.
+func (pr *Profiler) Total(name string) Time { return pr.get(name).total }
+
+// Calls returns how many times the label named name was recorded.
+func (pr *Profiler) Calls(name string) int { return pr.get(name).calls }
 
 // Reset clears all accumulated data.
-func (pr *Profiler) Reset() {
-	pr.byLabel = make(map[string]Time)
-	pr.calls = make(map[string]int)
-}
+func (pr *Profiler) Reset() { clear(pr.by) }
 
 // ProfileEntry is one row of a profile report.
 type ProfileEntry struct {
@@ -92,16 +158,20 @@ type ProfileEntry struct {
 }
 
 // Top returns the n largest CPU consumers, descending; n <= 0 means all.
+// Only labels recorded since the last Reset appear.
 func (pr *Profiler) Top(n int) []ProfileEntry {
-	out := make([]ProfileEntry, 0, len(pr.byLabel))
-	for l, t := range pr.byLabel {
-		out = append(out, ProfileEntry{Label: l, Total: t, Calls: pr.calls[l]})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Total != out[j].Total {
-			return out[i].Total > out[j].Total
+	names := labelNames()
+	out := make([]ProfileEntry, 0, len(pr.by))
+	for l, t := range pr.by {
+		if t.calls > 0 {
+			out = append(out, ProfileEntry{Label: names[l], Total: t.total, Calls: t.calls})
 		}
-		return out[i].Label < out[j].Label
+	}
+	slices.SortFunc(out, func(a, b ProfileEntry) int {
+		if c := cmp.Compare(b.Total, a.Total); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Label, b.Label)
 	})
 	if n > 0 && len(out) > n {
 		out = out[:n]

@@ -4,16 +4,19 @@ import (
 	"container/heap"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
+	"repro/internal/racebuild"
 	"repro/internal/sim"
 )
 
 // These tests pin the event queue's contract: events fire in (time,
 // schedule-order) order — the exact total order the old container/heap
-// kernel used — and Cancel is safe before, after, and long after an
-// event fires, including once its pooled object has been recycled.
+// kernel used — the queue holds only live events, and Cancel is safe
+// before, after, and long after an event fires, including once its
+// pooled object has been recycled.
 
 // TestSameTimestampFIFO schedules batches at equal timestamps in several
 // interleavings; within a timestamp, firing order must be insertion
@@ -92,6 +95,139 @@ func TestCancelThenFire(t *testing.T) {
 	}
 }
 
+// TestCancelInsideCallbacks covers handles used from within callbacks: a
+// callback's own handle is already spent when it runs, even once a child
+// it schedules has reused the event's pooled object; it can cancel other
+// pending handles, twice over; and every cancel takes the event out of
+// the queue at once.
+func TestCancelInsideCallbacks(t *testing.T) {
+	s := sim.New(1)
+	var fired []string
+	var self, victim, child sim.Event
+	self = s.At(time.Microsecond, func() {
+		fired = append(fired, "self")
+		child = s.At(s.Now(), func() { fired = append(fired, "child") })
+		self.Cancel() // spent, and its entry may now be child's
+		victim.Cancel()
+		victim.Cancel()
+		if n := s.QueueLen(); n != 2 {
+			t.Errorf("queue holds %d events after the cancels, want child and last", n)
+		}
+	})
+	victim = s.At(2*time.Microsecond, func() { fired = append(fired, "victim") })
+	s.At(3*time.Microsecond, func() { fired = append(fired, "last") })
+	s.Run(0)
+	if want := []string{"self", "child", "last"}; !reflect.DeepEqual(fired, want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+	for _, h := range []sim.Event{self, victim, child} {
+		h.Cancel() // fired or canceled already: inert
+	}
+
+	// After Close every handle is inert, including one whose event was
+	// still queued, and New may reuse the storage it pointed into.
+	pending := s.At(time.Hour, func() { t.Error("event of a closed sim fired") })
+	s.Close()
+	pending.Cancel()
+	pending.Cancel()
+	next := sim.New(1)
+	defer next.Close()
+	ran := false
+	next.At(time.Microsecond, func() { ran = true })
+	pending.Cancel()
+	next.Run(0)
+	if !ran {
+		t.Fatal("a handle from a closed sim canceled a later sim's event")
+	}
+}
+
+// TestRunLimitIgnoresCanceledEvents pins Run's clock when only canceled
+// events lie beyond the limit. They are no longer in the queue, so the
+// queue has drained: Run returns with the clock at the last event that
+// fired rather than at the limit, and the simulation is idle.
+func TestRunLimitIgnoresCanceledEvents(t *testing.T) {
+	s := sim.New(1)
+	s.At(time.Millisecond, func() {})
+	timer := s.At(time.Second, func() { t.Error("canceled timer fired") })
+	timer.Cancel()
+	if end := s.Run(100 * time.Millisecond); end != time.Millisecond {
+		t.Fatalf("Run returned at %v, want the last event's time %v", end, time.Millisecond)
+	}
+	if !s.Idle() {
+		t.Fatal("a canceled event kept the simulation busy")
+	}
+
+	// A live event beyond the limit still holds the clock at the limit.
+	s.At(time.Second, func() {})
+	if end := s.Run(200 * time.Millisecond); end != 200*time.Millisecond {
+		t.Fatalf("Run returned at %v, want the limit", end)
+	}
+}
+
+// TestScheduleCancelAllocatesNothing pins the retransmit-timer pattern:
+// once the event pool has grown, arming a timer and canceling it
+// allocates nothing.
+func TestScheduleCancelAllocatesNothing(t *testing.T) {
+	if racebuild.Enabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	s := sim.New(1)
+	defer s.Close()
+	fn := func() { t.Error("canceled timer fired") }
+	armCancel := func() { s.After(time.Second, fn).Cancel() }
+	armCancel()
+	if n := testing.AllocsPerRun(100, armCancel); n != 0 {
+		t.Fatalf("a schedule/cancel pair costs %.2f allocations", n)
+	}
+	if n := s.QueueLen(); n != 0 {
+		t.Fatalf("canceled timers left %d events queued", n)
+	}
+}
+
+// TestCancelAnywhereKeepsOrder cancels events from every depth of a
+// large queue in random order, so the entry moved into each hole must
+// sometimes sift up and sometimes down. The survivors must fire in
+// exactly (time, schedule-order) order, and the queue must shrink by one
+// per cancel.
+func TestCancelAnywhereKeepsOrder(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		rng := rand.New(rand.NewSource(seed))
+		s := sim.New(seed)
+		const n = 2000
+		type sched struct {
+			at time.Duration
+			id int
+		}
+		var fired []int
+		handles := make([]sim.Event, n)
+		all := make([]sched, n)
+		for id := range handles {
+			at := time.Duration(rng.Intn(500)) * time.Microsecond
+			all[id] = sched{at, id}
+			handles[id] = s.At(at, func() { fired = append(fired, id) })
+		}
+		canceled := make(map[int]bool)
+		for k, id := range rng.Perm(n)[:n/2] {
+			handles[id].Cancel()
+			canceled[id] = true
+			if got, want := s.QueueLen(), n-k-1; got != want {
+				t.Fatalf("seed %d: %d events queued after %d cancels, want %d", seed, got, k+1, want)
+			}
+		}
+		s.Run(0)
+		var want []int
+		sort.SliceStable(all, func(i, j int) bool { return all[i].at < all[j].at })
+		for _, e := range all {
+			if !canceled[e.id] {
+				want = append(want, e.id)
+			}
+		}
+		if !reflect.DeepEqual(fired, want) {
+			t.Fatalf("seed %d: survivors fired out of (time, schedule) order", seed)
+		}
+	}
+}
+
 // refHeap is the old kernel's event queue: a container/heap binary heap
 // ordered by (at, seq) with lazy-cancelled dead events. The randomized
 // cross-check below replays identical schedules through it.
@@ -125,7 +261,9 @@ func (h *refHeap) Pop() any {
 // pseudo-random schedule — every fired event may spawn children at
 // random future offsets and cancel a pending sibling — and replays the
 // same decision stream through the container/heap reference. The firing
-// sequences must match exactly.
+// sequences must match exactly, and after every step the kernel's queue
+// must hold exactly the live events: those scheduled, not yet fired and
+// not canceled, which the reference counts as its non-dead entries.
 func TestRandomizedScheduleMatchesReferenceHeap(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1234} {
 		const initial = 40
@@ -152,8 +290,14 @@ func TestRandomizedScheduleMatchesReferenceHeap(t *testing.T) {
 
 		// Simulation run.
 		s := sim.New(seed)
-		var simFired []int
+		var simFired, simLive []int
 		handles := make(map[int]sim.Event)
+		pending := make(map[int]bool) // scheduled, not yet fired or canceled
+		checkLive := func(step string) {
+			if got := s.QueueLen(); got != len(pending) {
+				t.Fatalf("seed %d: after %s the queue holds %d events, %d live", seed, step, got, len(pending))
+			}
+		}
 		nextID := 0
 		var schedule func(delay int64) // schedules the next id at now+delay
 		schedule = func(delay int64) {
@@ -164,16 +308,23 @@ func TestRandomizedScheduleMatchesReferenceHeap(t *testing.T) {
 			}
 			handles[id] = s.At(s.Now()+sim.Time(delay)*time.Microsecond, func() {
 				simFired = append(simFired, id)
+				delete(pending, id)
+				checkLive("firing")
 				d := decisions(id)
 				if d.cancel >= 0 {
 					if h, ok := handles[d.cancel]; ok {
 						h.Cancel()
+						delete(pending, d.cancel)
+						checkLive("a cancel")
 					}
 				}
 				for _, cd := range d.children {
 					schedule(cd)
 				}
+				checkLive("scheduling")
+				simLive = append(simLive, s.QueueLen())
 			})
+			pending[id] = true
 		}
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < initial; i++ {
@@ -184,7 +335,7 @@ func TestRandomizedScheduleMatchesReferenceHeap(t *testing.T) {
 		// Reference replay with the identical decision stream.
 		var h refHeap
 		byID := make(map[int]*refEvent)
-		var refFired []int
+		var refFired, refLive []int
 		refNext := 0
 		seq := 0
 		var now int64
@@ -219,6 +370,13 @@ func TestRandomizedScheduleMatchesReferenceHeap(t *testing.T) {
 			for _, cd := range d.children {
 				push(cd)
 			}
+			live := 0
+			for _, e := range h {
+				if !e.dead {
+					live++
+				}
+			}
+			refLive = append(refLive, live)
 		}
 
 		if !reflect.DeepEqual(simFired, refFired) {
@@ -228,6 +386,9 @@ func TestRandomizedScheduleMatchesReferenceHeap(t *testing.T) {
 			}
 			t.Fatalf("seed %d: firing order diverges from the reference heap at position %d (sim %v..., ref %v...)",
 				seed, i, tailof(simFired, i), tailof(refFired, i))
+		}
+		if !reflect.DeepEqual(simLive, refLive) {
+			t.Fatalf("seed %d: live event counts diverge from the reference heap", seed)
 		}
 	}
 }

@@ -9,13 +9,17 @@
 // lets us reproduce the paper's queueing and lock-contention phenomena
 // without the run-to-run variance the authors complain about in §2.2.
 //
-// The kernel is built for thousand-client fleets (DESIGN.md §12): events
-// live in a pooled 4-ary heap keyed on (time, sequence) so same-timestamp
-// events fire in scheduling order, process wakeups are heap entries rather
-// than closures, and a parking process runs the event loop itself — one
-// whose own wakeup is the next event resumes without switching at all.
-// Close ends a simulation's parked processes and hands its event storage
-// to the next New.
+// The kernel is built for thousand-client fleets (DESIGN.md §12), and
+// each event costs in proportion to the live work. Events live in a
+// pooled 4-ary heap keyed on (time, sequence), so same-timestamp events
+// fire in scheduling order; the heap holds only live events, because
+// Cancel takes a retransmit timer out at once instead of leaving it to
+// come due. Process wakeups are heap entries rather than closures, and a
+// parking process runs the event loop itself — one whose own wakeup is
+// the next event resumes without switching at all. CPU time and lock
+// waits are charged to interned Labels, slice indexes rather than string
+// keys. Close ends a simulation's parked processes and hands its event
+// storage to the next New.
 package sim
 
 import (
@@ -38,7 +42,7 @@ type event struct {
 	at   Time
 	seq  uint64
 	gen  uint32
-	dead bool  // canceled
+	idx  int32 // position in the heap while queued
 	proc *Proc // wakeup target; nil for callback events
 	fn   func()
 }
@@ -47,23 +51,28 @@ type event struct {
 // fires (used for retransmit timers). The zero value is a valid no-op
 // handle.
 type Event struct {
+	s   *Sim
 	ev  *event
 	gen uint32
 }
 
-// Cancel prevents the event from firing. Canceling an already-fired or
-// already-canceled event is a no-op (the underlying entry has been
-// recycled under a new generation by then).
+// Cancel removes the event from the queue before it fires and recycles
+// it. Canceling an already-fired or already-canceled event, or one whose
+// simulation has been closed, is a no-op: the underlying entry has been
+// recycled under a new generation by then.
 func (e Event) Cancel() {
 	if e.ev != nil && e.ev.gen == e.gen {
-		e.ev.dead = true
+		e.s.events.remove(int(e.ev.idx))
+		e.s.recycle(e.ev)
 	}
 }
 
-// eventQueue is a 4-ary min-heap on (at, seq). Four-way fanout halves the
-// tree depth of a binary heap and keeps sibling comparisons inside one
-// cache line of pointers, and the hand-rolled sift paths avoid
-// container/heap's interface boxing on every operation.
+// eventQueue is a 4-ary min-heap on (at, seq) that holds only live
+// events: each event records its index, so Cancel removes it at once
+// instead of leaving it to sift through later pushes and pops. Four-way
+// fanout halves the tree depth of a binary heap and keeps sibling
+// comparisons inside one cache line of pointers, and the hand-rolled
+// sift paths avoid container/heap's interface boxing on every operation.
 type eventQueue []*event
 
 func eventLess(a, b *event) bool {
@@ -73,58 +82,71 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-func (q *eventQueue) push(ev *event) {
-	h := append(*q, ev)
-	i := len(h) - 1
+// up moves ev from index i toward the root until its parent is smaller.
+// Every entry it stores records its new index.
+func (q *eventQueue) up(i int, ev *event) {
+	h := *q
 	for i > 0 {
 		parent := (i - 1) >> 2
-		if !eventLess(ev, h[parent]) {
+		p := h[parent]
+		if !eventLess(ev, p) {
 			break
 		}
-		h[i] = h[parent]
+		h[i], p.idx = p, int32(i)
 		i = parent
 	}
-	h[i] = ev
-	*q = h
+	h[i], ev.idx = ev, int32(i)
 }
 
-func (q *eventQueue) pop() *event {
+// down moves ev from index i toward the leaves until no child is smaller.
+// Every entry it stores records its new index.
+func (q *eventQueue) down(i int, ev *event) {
 	h := *q
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	h = h[:n]
-	*q = h
-	if n == 0 {
-		return top
-	}
-	i := 0
+	n := len(h)
 	for {
 		c := i<<2 + 1
 		if c >= n {
 			break
 		}
-		min := h[c]
-		end := c + 4
-		if end > n {
-			end = n
-		}
+		least := h[c]
+		end := min(c+4, n)
 		for j := c + 1; j < end; j++ {
-			if eventLess(h[j], min) {
-				min = h[j]
+			if eventLess(h[j], least) {
+				least = h[j]
 				c = j
 			}
 		}
-		// c now indexes the smallest child; walk last down past it.
-		if !eventLess(min, last) {
+		// c now indexes the smallest child; walk ev down past it.
+		if !eventLess(least, ev) {
 			break
 		}
-		h[i] = min
+		h[i], least.idx = least, int32(i)
 		i = c
 	}
-	h[i] = last
-	return top
+	h[i], ev.idx = ev, int32(i)
+}
+
+func (q *eventQueue) push(ev *event) {
+	*q = append(*q, ev)
+	q.up(len(*q)-1, ev)
+}
+
+// remove takes the event at index i out of the heap, filling the hole
+// with the last entry and sifting it whichever way restores the order.
+func (q *eventQueue) remove(i int) {
+	h := *q
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	h = h[:n]
+	*q = h
+	if i < n {
+		if i > 0 && eventLess(last, h[(i-1)>>2]) {
+			q.up(i, last)
+		} else {
+			q.down(i, last)
+		}
+	}
 }
 
 // eventBlock is how many events one pool refill allocates: a single
@@ -157,7 +179,7 @@ func New(seed int64) *Sim {
 		prof: NewProfiler(),
 	}
 	st := takeSpare()
-	s.events, s.pool = st.heap, st.pool
+	s.events, s.pool, s.procs = st.heap, st.pool, st.procs
 	return s
 }
 
@@ -193,7 +215,6 @@ func (s *Sim) alloc() *event {
 // stale Event handles can no longer cancel it.
 func (s *Sim) recycle(ev *event) {
 	ev.gen++
-	ev.dead = false
 	ev.proc = nil
 	ev.fn = nil
 	s.pool = append(s.pool, ev)
@@ -208,7 +229,7 @@ func (s *Sim) At(t Time, fn func()) Event {
 	ev.at, ev.seq, ev.fn = t, s.seq, fn
 	s.seq++
 	s.events.push(ev)
-	return Event{ev: ev, gen: ev.gen}
+	return Event{s: s, ev: ev, gen: ev.gen}
 }
 
 // After schedules fn to run d from now.
@@ -238,11 +259,7 @@ func (s *Sim) schedule() *Proc {
 			s.now = s.limit
 			return nil
 		}
-		s.events.pop()
-		if next.dead {
-			s.recycle(next)
-			continue
-		}
+		s.events.remove(0)
 		s.now = next.at
 		p, fn := next.proc, next.fn
 		s.recycle(next)
@@ -298,7 +315,7 @@ func (s *Sim) Live() int { return len(s.procs) }
 // Close ends the simulation. Every process that has not terminated is
 // unwound where it is parked — its deferred calls run, and must not block
 // — and its coroutine is freed; queued events are discarded and the event
-// storage goes to a later New. Run must not be called again, but Now,
+// and process storage goes to a later New. Run must not be called again, but Now,
 // Profiler and the other accessors stay valid. Close is idempotent.
 func (s *Sim) Close() {
 	if s.closed {
@@ -316,8 +333,8 @@ func (s *Sim) Close() {
 		s.recycle(ev)
 	}
 	clear(s.events)
-	putSpare(eventStore{heap: s.events[:0], pool: s.pool})
-	s.events, s.pool = nil, nil
+	putSpare(eventStore{heap: s.events[:0], pool: s.pool, procs: s.procs})
+	s.events, s.pool, s.procs = nil, nil, nil
 }
 
 // retire removes an ended process from the live set.
@@ -333,15 +350,18 @@ func (s *Sim) retire(p *Proc) {
 // reuse: enough for a worker pool's concurrent scenarios.
 const maxSpares = 8
 
-// eventStore is a closed simulation's event storage: its empty heap array
-// and its pool, which holds every event the simulation allocated.
+// eventStore is a closed simulation's event storage: its empty heap array,
+// its pool, which holds every event the simulation allocated, and its
+// empty process list.
 type eventStore struct {
-	heap eventQueue
-	pool []*event
+	heap  eventQueue
+	pool  []*event
+	procs []*Proc
 }
 
 // spares keeps closed simulations' event storage for New, so a run does
-// not pay again for the event blocks and heap array a previous run grew.
+// not pay again for the event blocks, heap array and process list a
+// previous run grew.
 var spares struct {
 	mu     sync.Mutex
 	stores []eventStore
@@ -472,7 +492,7 @@ type Mutex struct {
 	s       *Sim
 	name    string
 	holder  *Proc
-	because string // profiling label the holder supplied
+	because Label // profiling label the holder supplied
 	waiters []*Proc
 
 	// Contention statistics, used to reproduce the paper's kernel-profile
@@ -482,13 +502,13 @@ type Mutex struct {
 	Contentions  int
 	TotalWait    Time
 	TotalHold    Time
-	waitBy       map[string]Time // wait time attributed to the holder's label
+	waits        Profiler // wait time and contentions by the holder's label
 	lockedAt     Time
 }
 
 // NewMutex returns a named FIFO mutex.
 func (s *Sim) NewMutex(name string) *Mutex {
-	return &Mutex{s: s, name: name, waitBy: make(map[string]Time)}
+	return &Mutex{s: s, name: name}
 }
 
 // Name returns the mutex's diagnostic name.
@@ -496,7 +516,7 @@ func (m *Mutex) Name() string { return m.name }
 
 // Lock acquires the mutex for p, blocking in virtual time if it is held.
 // The label names the critical section for contention attribution.
-func (m *Mutex) Lock(p *Proc, label string) {
+func (m *Mutex) Lock(p *Proc, label Label) {
 	m.Acquisitions++
 	if m.holder == nil {
 		m.holder = p
@@ -512,7 +532,7 @@ func (m *Mutex) Lock(p *Proc, label string) {
 	// Unlock made us the holder before dispatching us.
 	w := m.s.now - t0
 	m.TotalWait += w
-	m.waitBy[blame] += w
+	m.waits.Add(blame, w)
 	m.because = label
 }
 
@@ -524,7 +544,7 @@ func (m *Mutex) Unlock(p *Proc) {
 	m.TotalHold += m.s.now - m.lockedAt
 	if len(m.waiters) == 0 {
 		m.holder = nil
-		m.because = ""
+		m.because = Label{}
 		return
 	}
 	next := popWaiter(&m.waiters)
@@ -543,7 +563,7 @@ func (m *Mutex) HeldBy(p *Proc) bool { return m.holder == p }
 // mutex, so contention is attributed to the right code path (e.g. the
 // send path relabels to "sock_sendmsg" for the duration of the network
 // call).
-func (m *Mutex) Relabel(p *Proc, label string) {
+func (m *Mutex) Relabel(p *Proc, label Label) {
 	if m.holder != p {
 		panic(fmt.Sprintf("sim: %s relabeled by %s, held by %v", m.name, p.name, m.holder))
 	}
@@ -553,9 +573,9 @@ func (m *Mutex) Relabel(p *Proc, label string) {
 // WaitBreakdown returns, per critical-section label, the total time other
 // processes spent waiting while that label held the mutex.
 func (m *Mutex) WaitBreakdown() map[string]Time {
-	out := make(map[string]Time, len(m.waitBy))
-	for k, v := range m.waitBy {
-		out[k] = v
+	out := make(map[string]Time)
+	for _, e := range m.waits.Top(0) {
+		out[e.Label] = e.Total
 	}
 	return out
 }
@@ -633,13 +653,14 @@ func (q *WaitQueue) Signal() {
 	q.s.wake(q.s.now, next)
 }
 
-// Broadcast wakes every waiter.
+// Broadcast wakes every waiter. Waking only schedules, so the waiters
+// array is emptied in place and reused by the next Wait.
 func (q *WaitQueue) Broadcast() {
-	ws := q.waiters
-	q.waiters = nil
-	for _, p := range ws {
+	for _, p := range q.waiters {
 		q.s.wake(q.s.now, p)
 	}
+	clear(q.waiters)
+	q.waiters = q.waiters[:0]
 }
 
 // Waiting returns the number of parked processes.

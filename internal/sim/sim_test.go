@@ -179,7 +179,7 @@ func TestMutexExclusionAndFIFO(t *testing.T) {
 	hold := func(name string, start, dur Time) {
 		s.Go(name, func(p *Proc) {
 			p.Sleep(start)
-			m.Lock(p, name)
+			m.Lock(p, NewLabel(name))
 			order = append(order, name+"+")
 			p.Sleep(dur)
 			order = append(order, name+"-")
@@ -211,13 +211,13 @@ func TestMutexWaitAttribution(t *testing.T) {
 	s := New(1)
 	m := s.NewMutex("bkl")
 	s.Go("sender", func(p *Proc) {
-		m.Lock(p, "sock_sendmsg")
+		m.Lock(p, NewLabel("sock_sendmsg"))
 		p.Sleep(50 * time.Microsecond)
 		m.Unlock(p)
 	})
 	s.Go("writer", func(p *Proc) {
 		p.Sleep(time.Microsecond)
-		m.Lock(p, "nfs_commit_write")
+		m.Lock(p, NewLabel("nfs_commit_write"))
 		m.Unlock(p)
 	})
 	s.Run(0)
@@ -238,7 +238,7 @@ func TestMutexWrongUnlockPanics(t *testing.T) {
 	}()
 	s := New(1)
 	m := s.NewMutex("m")
-	s.Go("a", func(p *Proc) { m.Lock(p, "a"); p.Sleep(time.Second) })
+	s.Go("a", func(p *Proc) { m.Lock(p, NewLabel("a")); p.Sleep(time.Second) })
 	s.Go("b", func(p *Proc) { p.Sleep(time.Millisecond); m.Unlock(p) })
 	s.Run(0)
 }
@@ -326,7 +326,7 @@ func TestCPUPoolSerializesOnUniprocessor(t *testing.T) {
 	s := New(1)
 	cpu := s.NewCPUPool("cpu", 1)
 	for i := 0; i < 2; i++ {
-		s.Go("w", func(p *Proc) { cpu.Use(p, "work", time.Millisecond) })
+		s.Go("w", func(p *Proc) { cpu.Use(p, NewLabel("work"), time.Millisecond) })
 	}
 	end := s.Run(0)
 	if end != 2*time.Millisecond {
@@ -341,7 +341,7 @@ func TestCPUPoolOverlapsOnSMP(t *testing.T) {
 	s := New(1)
 	cpu := s.NewCPUPool("cpu", 2)
 	for i := 0; i < 2; i++ {
-		s.Go("w", func(p *Proc) { cpu.Use(p, "work", time.Millisecond) })
+		s.Go("w", func(p *Proc) { cpu.Use(p, NewLabel("work"), time.Millisecond) })
 	}
 	end := s.Run(0)
 	if end != time.Millisecond {
@@ -352,7 +352,7 @@ func TestCPUPoolOverlapsOnSMP(t *testing.T) {
 func TestCPUUseZeroIsFree(t *testing.T) {
 	s := New(1)
 	cpu := s.NewCPUPool("cpu", 1)
-	s.Go("w", func(p *Proc) { cpu.Use(p, "noop", 0) })
+	s.Go("w", func(p *Proc) { cpu.Use(p, NewLabel("noop"), 0) })
 	if end := s.Run(0); end != 0 {
 		t.Fatalf("end = %v, want 0", end)
 	}
@@ -360,9 +360,9 @@ func TestCPUUseZeroIsFree(t *testing.T) {
 
 func TestProfilerAccounting(t *testing.T) {
 	pr := NewProfiler()
-	pr.Add("a", 2*time.Microsecond)
-	pr.Add("a", 3*time.Microsecond)
-	pr.Add("b", 10*time.Microsecond)
+	pr.Add(NewLabel("a"), 2*time.Microsecond)
+	pr.Add(NewLabel("a"), 3*time.Microsecond)
+	pr.Add(NewLabel("b"), 10*time.Microsecond)
 	if pr.Total("a") != 5*time.Microsecond || pr.Calls("a") != 2 {
 		t.Fatalf("a: %v/%d", pr.Total("a"), pr.Calls("a"))
 	}
@@ -388,7 +388,7 @@ func TestDeterminism(t *testing.T) {
 			s.Go("p", func(p *Proc) {
 				for j := 0; j < 3; j++ {
 					p.Sleep(Time(s.Rand().Intn(100)) * time.Microsecond)
-					m.Lock(p, "x")
+					m.Lock(p, NewLabel("x"))
 					p.Sleep(5 * time.Microsecond)
 					m.Unlock(p)
 					stamps = append(stamps, s.Now())
@@ -462,11 +462,11 @@ func TestMutexHeldByAndRelabel(t *testing.T) {
 	s := New(1)
 	m := s.NewMutex("m")
 	s.Go("holder", func(p *Proc) {
-		m.Lock(p, "phase1")
+		m.Lock(p, NewLabel("phase1"))
 		if !m.HeldBy(p) {
 			t.Error("HeldBy false for holder")
 		}
-		m.Relabel(p, "phase2")
+		m.Relabel(p, NewLabel("phase2"))
 		p.Sleep(10 * time.Microsecond)
 		m.Unlock(p)
 		if m.HeldBy(p) {
@@ -475,7 +475,7 @@ func TestMutexHeldByAndRelabel(t *testing.T) {
 	})
 	s.Go("waiter", func(p *Proc) {
 		p.Sleep(time.Microsecond)
-		m.Lock(p, "w")
+		m.Lock(p, NewLabel("w"))
 		m.Unlock(p)
 	})
 	s.Run(0)
@@ -496,7 +496,7 @@ func TestMutexRelabelByNonHolderPanics(t *testing.T) {
 	}()
 	s := New(1)
 	m := s.NewMutex("m")
-	s.Go("a", func(p *Proc) { m.Relabel(p, "x") })
+	s.Go("a", func(p *Proc) { m.Relabel(p, NewLabel("x")) })
 	s.Run(0)
 }
 
@@ -508,7 +508,7 @@ func TestCPUJitterBounded(t *testing.T) {
 	s.Go("w", func(p *Proc) {
 		for i := 0; i < 200; i++ {
 			t0 := s.Now()
-			cpu.Use(p, "work", 100*time.Microsecond)
+			cpu.Use(p, NewLabel("work"), 100*time.Microsecond)
 			d := s.Now() - t0
 			if min == 0 || d < min {
 				min = d

@@ -13,6 +13,14 @@ import (
 	"repro/internal/sim"
 )
 
+// Profiler labels for the generic system-call paths.
+var (
+	labelSysWrite         = sim.NewLabel("sys_write")
+	labelGenericFileWrite = sim.NewLabel("generic_file_write")
+	labelSysRead          = sim.NewLabel("sys_read")
+	labelGenericFileRead  = sim.NewLabel("generic_file_read")
+)
+
 // PageSize is the i386 page size; an 8 KB benchmark write is two pages
 // ("8192 bytes is two pages, thus two requests", §3.3).
 const PageSize = 4096
@@ -126,10 +134,10 @@ func SplitPages(off int64, n int) []PageSpan {
 // returns the spans processed. This is the shared skeleton of
 // sys_write -> generic_file_write for both ext2 and NFS files.
 func WriteSyscall(p *sim.Proc, cpu *sim.CPUPool, costs Costs, off int64, n int, commit func(PageSpan)) []PageSpan {
-	cpu.Use(p, "sys_write", costs.SyscallEntry)
+	cpu.Use(p, labelSysWrite, costs.SyscallEntry)
 	spans := SplitPages(off, n)
 	for _, span := range spans {
-		cpu.Use(p, "generic_file_write", costs.PerPagePrepare+costs.PerPageCopy)
+		cpu.Use(p, labelGenericFileWrite, costs.PerPagePrepare+costs.PerPageCopy)
 		commit(span)
 	}
 	return spans
@@ -141,11 +149,11 @@ func WriteSyscall(p *sim.Proc, cpu *sim.CPUPool, costs Costs, off int64, n int, 
 // by the copy_to_user charge. This is the shared skeleton of
 // sys_read -> generic_file_read for both ext2 and NFS files.
 func ReadSyscall(p *sim.Proc, cpu *sim.CPUPool, costs Costs, off int64, n int, fetch func(PageSpan)) []PageSpan {
-	cpu.Use(p, "sys_read", costs.SyscallEntry)
+	cpu.Use(p, labelSysRead, costs.SyscallEntry)
 	spans := SplitPages(off, n)
 	for _, span := range spans {
 		fetch(span)
-		cpu.Use(p, "generic_file_read", costs.PerPageCopy)
+		cpu.Use(p, labelGenericFileRead, costs.PerPageCopy)
 	}
 	return spans
 }

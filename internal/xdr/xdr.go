@@ -36,14 +36,31 @@ func NewEncoder(capacity int) *Encoder {
 // written before it is read), so pooling cannot change simulation
 // output; sync.Pool keeps concurrent sweep workers race-free.
 //
-// Both pools hold *Encoder, never a bare []byte: putting a slice into a
+// The pools hold *Encoder, never a bare []byte: putting a slice into a
 // sync.Pool boxes its header, one allocation per recycle. full holds
-// encoders carrying a buffer; empty holds the bufferless shells that
-// AcquireBuffer and RecycleBuffer move buffers in and out of.
+// encoders carrying a buffer, in two size classes split at largeBuffer,
+// so a recycled 20-byte ACK or 200-byte reply never meets a request for
+// an 8 KiB call or record. empty holds the bufferless shells that
+// AcquireBuffer and RecycleBuffer move buffers in and out of. A class
+// only separates sizes: buffers are allocated at exactly the size asked
+// for, because rounding 8.3 KB records up to 16 KiB doubles the bytes
+// every one of them holds.
 var (
-	full  sync.Pool
+	full  [2]sync.Pool // by sizeClass
 	empty sync.Pool
 )
+
+// largeBuffer is the capacity from which a buffer belongs to the large
+// class: above a 1472-byte stream segment, below an 8 KiB call.
+const largeBuffer = 4096
+
+// sizeClass returns the pool class for a buffer of capacity n.
+func sizeClass(n int) int {
+	if n >= largeBuffer {
+		return 1
+	}
+	return 0
+}
 
 // shell returns a bufferless encoder.
 func shell() *Encoder {
@@ -53,10 +70,16 @@ func shell() *Encoder {
 	return &Encoder{}
 }
 
+// put returns an encoder carrying a buffer to its size class.
+func put(e *Encoder) {
+	e.buf = e.buf[:0]
+	full[sizeClass(cap(e.buf))].Put(e)
+}
+
 // AcquireEncoder returns a pooled encoder. Pair with Release once the
 // encoded bytes are no longer referenced by anyone.
 func AcquireEncoder() *Encoder {
-	if e, ok := full.Get().(*Encoder); ok {
+	if e, ok := full[0].Get().(*Encoder); ok {
 		return e
 	}
 	e := shell()
@@ -72,8 +95,7 @@ func (e *Encoder) Release() {
 		empty.Put(e)
 		return
 	}
-	e.buf = e.buf[:0]
-	full.Put(e)
+	put(e)
 }
 
 // AcquireBuffer returns a pooled wire buffer of length n with unspecified
@@ -82,11 +104,14 @@ func (e *Encoder) Release() {
 // RecycleBuffer.
 func AcquireBuffer(n int) []byte {
 	var b []byte
-	if e, ok := full.Get().(*Encoder); ok {
+	if e, ok := full[sizeClass(n)].Get().(*Encoder); ok {
 		b, e.buf = e.buf, nil
 		empty.Put(e)
 	}
 	if cap(b) < n {
+		// Dropping a too-small buffer, rather than putting it back where
+		// the next Get would return it again, lets the class settle on
+		// buffers that fit its requests.
 		b = make([]byte, n)
 	}
 	return b[:n]
@@ -98,8 +123,8 @@ func AcquireBuffer(n int) []byte {
 // re-sliced to a shorter length, but not advanced past its first byte).
 func RecycleBuffer(b []byte) {
 	e := shell()
-	e.buf = b[:0]
-	full.Put(e)
+	e.buf = b
+	put(e)
 }
 
 // Bytes returns the encoded buffer (not a copy).
@@ -113,13 +138,19 @@ func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 
 // Grow reserves capacity for at least n more bytes, so that encoding a
 // payload whose size is known up front costs one reallocation instead of
-// a doubling series of appends.
+// a doubling series of appends. The larger buffer comes from the pool,
+// and the one it replaces goes back to it, so Grow must not run once the
+// encoder's Bytes have been taken.
 func (e *Encoder) Grow(n int) {
-	if cap(e.buf)-len(e.buf) < n {
-		nb := make([]byte, len(e.buf), len(e.buf)+n)
-		copy(nb, e.buf)
-		e.buf = nb
+	if cap(e.buf)-len(e.buf) >= n {
+		return
 	}
+	nb := AcquireBuffer(len(e.buf) + n)[:len(e.buf)]
+	copy(nb, e.buf)
+	if cap(e.buf) > 0 {
+		RecycleBuffer(e.buf)
+	}
+	e.buf = nb
 }
 
 // Uint32 encodes a 32-bit unsigned integer.
