@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/nfsproto"
 	"repro/internal/rangeset"
+	"repro/internal/rpcsim"
 	"repro/internal/sim"
 	"repro/internal/vfs"
 )
@@ -78,8 +79,7 @@ func (c *Client) AttrCacheLen() int { return len(c.attrCache) }
 func (c *Client) lookupRPC(p *sim.Proc, name string) *nfsproto.LookupRes {
 	c.LookupRPCs++
 	args := nfsproto.LookupArgs{Dir: c.rootFH, Name: name}
-	d := c.tr.CallSync(p, nfsproto.ProcLookup, args.Encode)
-	res, err := nfsproto.DecodeLookupRes(d)
+	res, err := rpcsim.CallSync(c.tr, p, nfsproto.ProcLookup, args.Encode, nfsproto.DecodeLookupRes)
 	if err != nil {
 		panic(fmt.Sprintf("core: bad LOOKUP reply: %v", err))
 	}
@@ -90,8 +90,7 @@ func (c *Client) lookupRPC(p *sim.Proc, name string) *nfsproto.LookupRes {
 func (c *Client) getattrRPC(p *sim.Proc, fh nfsproto.FileHandle) nfsproto.FileAttrs {
 	c.GetattrRPCs++
 	args := nfsproto.GetattrArgs{File: fh}
-	d := c.tr.CallSync(p, nfsproto.ProcGetattr, args.Encode)
-	res, err := nfsproto.DecodeGetattrRes(d)
+	res, err := rpcsim.CallSync(c.tr, p, nfsproto.ProcGetattr, args.Encode, nfsproto.DecodeGetattrRes)
 	if err != nil || res.Status != nfsproto.NFS3OK {
 		panic(fmt.Sprintf("core: GETATTR failed: %v %v", res, err))
 	}
@@ -102,8 +101,7 @@ func (c *Client) getattrRPC(p *sim.Proc, fh nfsproto.FileHandle) nfsproto.FileAt
 func (c *Client) createRPC(p *sim.Proc, name string) (nfsproto.FileHandle, nfsproto.FileAttrs) {
 	c.CreateRPCs++
 	args := nfsproto.CreateArgs{Dir: c.rootFH, Name: name}
-	d := c.tr.CallSync(p, nfsproto.ProcCreate, args.Encode)
-	res, err := nfsproto.DecodeCreateRes(d)
+	res, err := rpcsim.CallSync(c.tr, p, nfsproto.ProcCreate, args.Encode, nfsproto.DecodeCreateRes)
 	if err != nil || res.Status != nfsproto.NFS3OK {
 		panic(fmt.Sprintf("core: CREATE failed: %v %v", res, err))
 	}
@@ -271,8 +269,7 @@ func (c *Client) Remove(p *sim.Proc, name string) bool {
 	}
 	c.RemoveRPCs++
 	args := nfsproto.RemoveArgs{Dir: c.rootFH, Name: name}
-	d := c.tr.CallSync(p, nfsproto.ProcRemove, args.Encode)
-	res, err := nfsproto.DecodeRemoveRes(d)
+	res, err := rpcsim.CallSync(c.tr, p, nfsproto.ProcRemove, args.Encode, nfsproto.DecodeRemoveRes)
 	if err != nil {
 		panic(fmt.Sprintf("core: bad REMOVE reply: %v", err))
 	}

@@ -738,8 +738,7 @@ func (c *Client) writeSyncSpan(p *sim.Proc, ino *Inode, span vfs.PageSpan) {
 	}
 	c.RPCsSent++
 	c.PagesSent++
-	d := c.tr.CallSync(p, nfsproto.ProcWrite, args.Encode)
-	res, err := nfsproto.DecodeWriteRes(d)
+	res, err := rpcsim.CallSync(c.tr, p, nfsproto.ProcWrite, args.Encode, nfsproto.DecodeWriteRes)
 	if err != nil || res.Status != nfsproto.NFS3OK {
 		panic(fmt.Sprintf("core: sync WRITE failed: %v %v", res, err))
 	}
@@ -755,8 +754,7 @@ func (c *Client) writeSyncSpan(p *sim.Proc, ino *Inode, span vfs.PageSpan) {
 func (c *Client) commitSync(p *sim.Proc, ino *Inode) bool {
 	c.CommitRPCs++
 	args := nfsproto.CommitArgs{File: ino.FH, Offset: 0, Count: 0}
-	d := c.tr.CallSync(p, nfsproto.ProcCommit, args.Encode)
-	res, err := nfsproto.DecodeCommitRes(d)
+	res, err := rpcsim.CallSync(c.tr, p, nfsproto.ProcCommit, args.Encode, nfsproto.DecodeCommitRes)
 	if err != nil || res.Status != nfsproto.NFS3OK {
 		panic(fmt.Sprintf("core: COMMIT failed: %v %v", res, err))
 	}

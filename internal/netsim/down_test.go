@@ -139,3 +139,42 @@ func TestLossStreamIndependentOfEnableTime(t *testing.T) {
 		t.Fatal("no drops at 30% loss; the pattern comparison is vacuous")
 	}
 }
+
+// countingOwner records the payloads released to it.
+type countingOwner struct{ released [][]byte }
+
+func (o *countingOwner) Release(b []byte) { o.released = append(o.released, b) }
+
+// The network ends a copy of a datagram only when it discards it at a
+// downed host on arrival. A delivered copy is the handler's to release,
+// and a copy dropped on send was never made.
+func TestOwnerReleasedOnlyByArrivalDiscard(t *testing.T) {
+	s, n, got := twoHosts(t, DefaultGigabit())
+	var o countingOwner
+	delivered := []byte("delivered")
+	n.Send(Datagram{From: "client", To: "server", Payload: delivered, Owner: &o})
+	s.Run(time.Second)
+	if len(*got) != 1 || len(o.released) != 0 {
+		t.Fatalf("delivered %d, released %d: a delivered copy belongs to the handler", len(*got), len(o.released))
+	}
+
+	n.SetDown("server", true)
+	if res := n.Send(Datagram{From: "client", To: "server", Payload: []byte("refused"), Owner: &o}); !res.Dropped {
+		t.Fatal("send to a downed host not dropped")
+	}
+	n.SetDown("server", false)
+	if len(o.released) != 0 {
+		t.Fatal("a datagram dropped on send was released; the sender still owns it")
+	}
+
+	inFlight := []byte("in flight")
+	res := n.Send(Datagram{From: "client", To: "server", Payload: inFlight, Owner: &o})
+	s.At(res.DeliverAt-1, func() { n.SetDown("server", true) })
+	s.Run(time.Second)
+	if len(o.released) != 1 || &o.released[0][0] != &inFlight[0] {
+		t.Fatalf("released %q, want the in-flight payload exactly once", o.released)
+	}
+	if len(*got) != 1 {
+		t.Fatalf("%d datagrams delivered, want only the first", len(*got))
+	}
+}

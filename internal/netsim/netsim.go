@@ -48,6 +48,19 @@ type Datagram struct {
 	From    string
 	To      string
 	Payload []byte
+	// Owner, if set, owns the Payload buffer and counts the copies of it
+	// the network carries. Each datagram Send accepts is one copy, and
+	// whoever ends that copy releases it: the receiving handler once it
+	// is done with the bytes, or the network itself when it discards the
+	// datagram at a downed host on arrival. A copy Send drops is never
+	// made, so the sender keeps its buffer.
+	Owner Owner
+}
+
+// Owner is told when a receiver is done with one copy of a datagram's
+// payload.
+type Owner interface {
+	Release(payload []byte)
 }
 
 // Handler receives datagrams delivered to a host. It runs in event
@@ -357,9 +370,9 @@ func acquireInFlight() *inFlight {
 
 // deliver runs at delivery time. Receive accounting happens here: a
 // datagram in flight when the destination link goes down dies at the
-// dead port instead of reassembling. The record goes back to the pool
-// before the handler runs, so a handler that sends (an ACK, a reply) can
-// reuse it.
+// dead port instead of reassembling, and its copy goes back to its
+// owner. The record goes back to the pool before the handler runs, so a
+// handler that sends (an ACK, a reply) can reuse it.
 func (d *inFlight) deliver() {
 	dst, dg, frags, wire := d.dst, d.dg, d.frags, d.wire
 	d.dst, d.dg = nil, Datagram{}
@@ -368,6 +381,9 @@ func (d *inFlight) deliver() {
 		dst.FramesDropped += int64(frags)
 		dst.LostDatagrams++
 		dst.DownDrops++
+		if dg.Owner != nil {
+			dg.Owner.Release(dg.Payload)
+		}
 		return
 	}
 	dst.BytesReceived += wire

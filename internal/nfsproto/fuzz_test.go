@@ -26,7 +26,7 @@ func decodeArgsFor(proc uint32, d *xdr.Decoder) (encoder, bool, error) {
 	switch proc {
 	case ProcWrite:
 		a, err := DecodeWriteArgs(d)
-		return a, true, err
+		return &a, true, err
 	case ProcRead:
 		a, err := DecodeReadArgs(d)
 		return a, true, err
@@ -54,7 +54,7 @@ func decodeResFor(proc uint32, d *xdr.Decoder) (encoder, bool, error) {
 	switch proc {
 	case ProcWrite:
 		r, err := DecodeWriteRes(d)
-		return r, true, err
+		return &r, true, err
 	case ProcRead:
 		r, err := DecodeReadRes(d)
 		return r, true, err

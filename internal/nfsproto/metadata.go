@@ -232,9 +232,11 @@ func DecodeWccData(d *xdr.Decoder) (WccData, error) {
 	return w, nil
 }
 
+// decodeFH decodes a file handle straight into its array: the wire
+// bytes are read in place and copied once.
 func decodeFH(d *xdr.Decoder) (FileHandle, error) {
 	var out FileHandle
-	fh, err := d.Opaque()
+	fh, err := d.OpaqueRef()
 	if err != nil {
 		return out, err
 	}

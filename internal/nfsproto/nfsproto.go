@@ -152,12 +152,13 @@ func encodeAuthUnix(e *xdr.Encoder) {
 	e.Opaque(authUnixBody)
 }
 
+// skipAuth steps over an opaque_auth (flavor and body) without copying
+// the body.
 func skipAuth(d *xdr.Decoder) error {
-	_, err := d.Uint32()
-	if err != nil {
+	if _, err := d.Uint32(); err != nil {
 		return err
 	}
-	_, err = d.Opaque()
+	_, err := d.OpaqueRef()
 	return err
 }
 
@@ -280,17 +281,13 @@ func (a *WriteArgs) Encode(e *xdr.Encoder) {
 	e.Opaque(a.Data)
 }
 
-// DecodeWriteArgs decodes WRITE3args.
-func DecodeWriteArgs(d *xdr.Decoder) (*WriteArgs, error) {
-	fh, err := d.Opaque()
-	if err != nil {
-		return nil, err
-	}
-	if len(fh) != FHSize {
-		return nil, fmt.Errorf("nfsproto: file handle size %d", len(fh))
-	}
+// DecodeWriteArgs decodes WRITE3args into a value, allocating nothing.
+func DecodeWriteArgs(d *xdr.Decoder) (WriteArgs, error) {
 	var a WriteArgs
-	copy(a.File[:], fh)
+	fh, err := decodeFH(d)
+	if err != nil {
+		return a, err
+	}
 	off, e1 := d.Uint64()
 	count, e2 := d.Uint32()
 	stable, e3 := d.Uint32()
@@ -298,13 +295,14 @@ func DecodeWriteArgs(d *xdr.Decoder) (*WriteArgs, error) {
 	// size only and never inspect or retain the bytes.
 	data, e4 := d.OpaqueRef()
 	if err := xdr.Check(e1, e2, e3, e4); err != nil {
-		return nil, err
+		return a, err
 	}
+	a.File = fh
 	a.Offset = off
 	a.Count = count
 	a.Stable = StableHow(stable)
 	a.Data = data
-	return &a, nil
+	return a, nil
 }
 
 // WriteRes is WRITE3res with the file's wcc_data: pre-op size/mtime/
@@ -330,17 +328,18 @@ func (r *WriteRes) Encode(e *xdr.Encoder) {
 	}
 }
 
-// DecodeWriteRes decodes WRITE3res.
-func DecodeWriteRes(d *xdr.Decoder) (*WriteRes, error) {
+// DecodeWriteRes decodes WRITE3res into a value, allocating nothing.
+func DecodeWriteRes(d *xdr.Decoder) (WriteRes, error) {
+	var r WriteRes
 	st, err := d.Uint32()
 	if err != nil {
-		return nil, err
+		return r, err
 	}
 	wcc, err := DecodeWccData(d)
 	if err != nil {
-		return nil, err
+		return r, err
 	}
-	r := &WriteRes{Status: Status(st), Wcc: wcc}
+	r.Status, r.Wcc = Status(st), wcc
 	if r.Status != NFS3OK {
 		return r, nil
 	}
@@ -348,7 +347,7 @@ func DecodeWriteRes(d *xdr.Decoder) (*WriteRes, error) {
 	committed, e2 := d.Uint32()
 	verf, e3 := d.Uint64()
 	if err := xdr.Check(e1, e2, e3); err != nil {
-		return nil, err
+		return WriteRes{}, err
 	}
 	r.Count = count
 	r.Committed = StableHow(committed)
@@ -372,15 +371,11 @@ func (a *ReadArgs) Encode(e *xdr.Encoder) {
 
 // DecodeReadArgs decodes READ3args.
 func DecodeReadArgs(d *xdr.Decoder) (*ReadArgs, error) {
-	fh, err := d.Opaque()
+	fh, err := decodeFH(d)
 	if err != nil {
 		return nil, err
 	}
-	if len(fh) != FHSize {
-		return nil, fmt.Errorf("nfsproto: file handle size %d", len(fh))
-	}
-	var a ReadArgs
-	copy(a.File[:], fh)
+	a := ReadArgs{File: fh}
 	off, e1 := d.Uint64()
 	count, e2 := d.Uint32()
 	if err := xdr.Check(e1, e2); err != nil {
@@ -459,15 +454,11 @@ func (a *CommitArgs) Encode(e *xdr.Encoder) {
 
 // DecodeCommitArgs decodes COMMIT3args.
 func DecodeCommitArgs(d *xdr.Decoder) (*CommitArgs, error) {
-	fh, err := d.Opaque()
+	fh, err := decodeFH(d)
 	if err != nil {
 		return nil, err
 	}
-	if len(fh) != FHSize {
-		return nil, fmt.Errorf("nfsproto: file handle size %d", len(fh))
-	}
-	var a CommitArgs
-	copy(a.File[:], fh)
+	a := CommitArgs{File: fh}
 	off, e1 := d.Uint64()
 	count, e2 := d.Uint32()
 	if err := xdr.Check(e1, e2); err != nil {

@@ -95,7 +95,7 @@ func TestWriteResRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *got != *r {
+	if got != *r {
 		t.Fatalf("got %+v want %+v", got, r)
 	}
 }

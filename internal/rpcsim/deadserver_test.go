@@ -23,7 +23,7 @@ func TestDeadServerGivesUp(t *testing.T) {
 	rig := newRig(t, cfg, 100*time.Microsecond, 1<<30) // server never answers
 	completed := false
 	rig.s.Go("caller", func(p *sim.Proc) {
-		rig.tr.CallSync(p, nfsproto.ProcNull, nullArgs)
+		CallSync(rig.tr, p, nfsproto.ProcNull, nullArgs, nullReply)
 		completed = true
 	})
 	var msg string
@@ -123,7 +123,7 @@ func TestBadReplyCountedAndDropped(t *testing.T) {
 	tr := New(s, net, s.NewCPUPool("cpus", 2), s.NewMutex("bkl"), DefaultConfig(), "c", "srv")
 	done := false
 	s.Go("caller", func(p *sim.Proc) {
-		tr.CallSync(p, nfsproto.ProcNull, nullArgs)
+		CallSync(tr, p, nfsproto.ProcNull, nullArgs, nullReply)
 		done = true
 	})
 	s.Run(time.Second)

@@ -201,20 +201,46 @@ func (e *DeadServerError) Error() string {
 		e.Server, e.XID, e.Retries)
 }
 
+// pendingCall is one outstanding RPC. It owns the request's wire buffer
+// (enc) and counts the references to it in refs:
+//
+//   - one for the call itself, dropped when an asynchronous call's reply
+//     callback returns or the call is abandoned, or when CallSync's
+//     caller has decoded the reply;
+//   - one per request datagram the network accepted, dropped by whoever
+//     ends that copy: the server after serving it, a crashed or downed
+//     server discarding it, or the network discarding it at a downed host
+//     (Release, netsim.Owner).
+//
+// Under a retransmit storm a call is often answered while copies of it
+// still wait in the server's queue; the buffer must outlive them. When
+// refs reaches zero the buffer goes back to the pool and the record to
+// the transport's free list.
 type pendingCall struct {
+	t       *Transport
 	xid     uint32
-	payload []byte
-	enc     *xdr.Encoder // pooled encoder backing payload; nil once released
+	enc     *xdr.Encoder // pooled encoder holding the request; nil once released
 	onReply func(body *xdr.Decoder)
 	timer   sim.Event
-	resend  func() // the UDP retransmit timer's callback, bound once
+	resend  func() // the UDP retransmit timer's callback, bound once per record
 	sentAt  sim.Time
 	rto     sim.Time
 	retrans int
-	// sync marks CallSync: its decoder outlives the softirq iteration, so
-	// the reply buffer must not be recycled there.
-	sync bool
+	refs    int
+	// dec is the reply decoder, positioned after the reply header. It
+	// reads reply, which stays valid until the call's reference is
+	// dropped.
+	dec   xdr.Decoder
+	reply []byte
+	// sync marks CallSync, whose caller waits on done and decodes the
+	// reply itself once replied is set.
+	sync    bool
+	replied bool
+	done    *sim.WaitQueue
 }
+
+// Release ends one copy of the request datagram (netsim.Owner).
+func (pc *pendingCall) Release([]byte) { pc.t.release(pc) }
 
 // Transport is a client-side RPC transport bound to one server.
 type Transport struct {
@@ -228,6 +254,7 @@ type Transport struct {
 
 	nextXID  uint32
 	pending  map[uint32]*pendingCall
+	free     []*pendingCall // recycled records, each with resend bound
 	slotWait *sim.WaitQueue
 
 	rxq     fifo.Queue[[]byte]
@@ -238,6 +265,10 @@ type Transport struct {
 	stream *streamsim.Endpoint
 
 	stats Stats
+
+	// recycled, when set, sees each request buffer just before it goes
+	// back to the pool (tests poison it there).
+	recycled func(xid uint32, payload []byte)
 }
 
 // New creates a transport between local and remote hosts. It installs
@@ -304,14 +335,15 @@ func (t *Transport) SlotsAvailable() bool { return len(t.pending) < t.cfg.MaxSlo
 // Call issues an RPC. It blocks the calling process until a transport
 // slot is free and the request is handed to the network, then returns;
 // the reply callback runs later in softirq context with the decoder
-// positioned after the reply header. The caller must NOT hold the BKL
-// (kernel sleeping paths drop it); Call manages the BKL internally
-// according to the configured LockPolicy.
+// positioned after the reply header; the decoder and every slice decoded
+// from it are valid only until the callback returns. The caller must NOT
+// hold the BKL (kernel sleeping paths drop it); Call manages the BKL
+// internally according to the configured LockPolicy.
 func (t *Transport) Call(p *sim.Proc, proc uint32, encodeArgs func(*xdr.Encoder), onReply func(*xdr.Decoder)) {
 	t.call(p, proc, encodeArgs, onReply, false)
 }
 
-func (t *Transport) call(p *sim.Proc, proc uint32, encodeArgs func(*xdr.Encoder), onReply func(*xdr.Decoder), sync bool) {
+func (t *Transport) call(p *sim.Proc, proc uint32, encodeArgs func(*xdr.Encoder), onReply func(*xdr.Decoder), sync bool) *pendingCall {
 	// Reserve a slot; sleeping here does not hold the BKL, which is why a
 	// slow server (slots always full) leaves the writer thread unimpeded
 	// — the paper's §3.5 paradox.
@@ -325,14 +357,16 @@ func (t *Transport) call(p *sim.Proc, proc uint32, encodeArgs func(*xdr.Encoder)
 	}
 
 	t.nextXID++
-	xid := t.nextXID
-	enc := xdr.AcquireEncoder()
-	nfsproto.CallHeader{XID: xid, Proc: proc}.Encode(enc)
-	encodeArgs(enc)
-	payload := enc.Bytes()
-
-	pc := &pendingCall{xid: xid, payload: payload, enc: enc, onReply: onReply, sentAt: t.s.Now(), sync: sync}
-	t.pending[xid] = pc
+	pc := t.acquire()
+	pc.xid = t.nextXID
+	pc.enc = xdr.AcquireEncoder()
+	nfsproto.CallHeader{XID: pc.xid, Proc: proc}.Encode(pc.enc)
+	encodeArgs(pc.enc)
+	pc.onReply, pc.sentAt, pc.sync = onReply, t.s.Now(), sync
+	if sync && pc.done == nil {
+		pc.done = t.s.NewWaitQueue("rpc-sync")
+	}
+	t.pending[pc.xid] = pc
 	t.stats.Calls++
 
 	// xprt_transmit: RPC bookkeeping under the BKL in both policies.
@@ -340,6 +374,41 @@ func (t *Transport) call(p *sim.Proc, proc uint32, encodeArgs func(*xdr.Encoder)
 	t.cpu.Use(p, labelXprtTransmit, t.cfg.RPCPrepCPU)
 	t.transmit(p, pc)
 	t.bkl.Unlock(p)
+	return pc
+}
+
+// acquire returns a call record holding the call's own reference.
+func (t *Transport) acquire() *pendingCall {
+	var pc *pendingCall
+	if n := len(t.free); n > 0 {
+		pc = t.free[n-1]
+		t.free = t.free[:n-1]
+	} else {
+		pc = &pendingCall{t: t}
+		pc.resend = pc.retransmit
+	}
+	pc.refs = 1
+	return pc
+}
+
+// release drops one reference to a call; the last one recycles its
+// request buffer and the record.
+func (t *Transport) release(pc *pendingCall) {
+	pc.refs--
+	if pc.refs > 0 {
+		return
+	}
+	if pc.refs < 0 {
+		panic(fmt.Sprintf("rpcsim: xid %d released more often than referenced", pc.xid))
+	}
+	if pc.enc != nil {
+		if t.recycled != nil {
+			t.recycled(pc.xid, pc.enc.Bytes())
+		}
+		pc.enc.Release()
+	}
+	*pc = pendingCall{t: t, resend: pc.resend, done: pc.done}
+	t.free = append(t.free, pc)
 }
 
 // msgUnits returns how many wire units an RPC message costs the CPU:
@@ -355,7 +424,7 @@ func (t *Transport) msgUnits(msgLen int) int {
 
 // transmit performs the sock_sendmsg portion; caller holds the BKL.
 func (t *Transport) transmit(p *sim.Proc, pc *pendingCall) {
-	sendCPU := t.cfg.SendCPUBase + sim.Time(t.msgUnits(len(pc.payload)))*t.cfg.SendCPUPerFragment
+	sendCPU := t.cfg.SendCPUBase + sim.Time(t.msgUnits(pc.enc.Len()))*t.cfg.SendCPUPerFragment
 
 	switch t.cfg.LockPolicy {
 	case HoldBKLAcrossSend:
@@ -376,18 +445,24 @@ func (t *Transport) transmit(p *sim.Proc, pc *pendingCall) {
 		// adaptive RTO. No whole-message timer, no duplicate replies.
 		// SendRecord copies the record into the stream buffer, so the
 		// encode buffer is dead as soon as it returns.
-		t.stream.SendRecord(pc.payload)
-		pc.payload = nil
+		t.stream.SendRecord(pc.enc.Bytes())
 		pc.enc.Release()
 		pc.enc = nil
 		return
 	}
-	res := t.net.Send(netsim.Datagram{From: t.local, To: t.remote, Payload: pc.payload})
-	t.stats.BytesSent += res.WireBytes
-	xid := pc.xid
+	t.send(pc)
 	pc.rto = t.cfg.RetransmitTimeout
-	pc.resend = func() { t.retransmit(xid) }
 	pc.timer = t.s.After(pc.rto, pc.resend)
+}
+
+// send puts one copy of a UDP call on the wire. A copy the network
+// accepts holds a reference until its receiver releases it.
+func (t *Transport) send(pc *pendingCall) {
+	res := t.net.Send(netsim.Datagram{From: t.local, To: t.remote, Payload: pc.enc.Bytes(), Owner: pc})
+	t.stats.BytesSent += res.WireBytes
+	if !res.Dropped {
+		pc.refs++
+	}
 }
 
 // retransmit resends an unanswered call and doubles its timeout,
@@ -395,22 +470,25 @@ func (t *Transport) transmit(p *sim.Proc, pc *pendingCall) {
 // timer firing. The resend's CPU cost is not charged — under loss the
 // stall, not the CPU, dominates). With MaxRetries set, a call that has
 // exhausted its budget is abandoned: the slot is freed and a
-// DeadServerError raised instead of retransmitting forever.
-func (t *Transport) retransmit(xid uint32) {
-	pc, ok := t.pending[xid]
-	if !ok {
-		return
-	}
+// DeadServerError raised instead of retransmitting forever. The timer
+// is canceled when the reply lands, so it only fires for a pending call.
+func (pc *pendingCall) retransmit() {
+	t := pc.t
 	if t.cfg.MaxRetries > 0 && pc.retrans >= t.cfg.MaxRetries {
-		delete(t.pending, xid)
+		delete(t.pending, pc.xid)
 		t.stats.MajorTimeouts++
 		t.slotWait.Signal()
-		panic(&DeadServerError{Server: t.remote, XID: xid, Retries: pc.retrans})
+		err := &DeadServerError{Server: t.remote, XID: pc.xid, Retries: pc.retrans}
+		if !pc.sync {
+			// A CallSync caller keeps its reference: it stays parked
+			// on the reply, and the run ends with this panic.
+			t.release(pc)
+		}
+		panic(err)
 	}
 	t.stats.Retransmits++
 	pc.retrans++
-	res := t.net.Send(netsim.Datagram{From: t.local, To: t.remote, Payload: pc.payload})
-	t.stats.BytesSent += res.WireBytes
+	t.send(pc)
 	pc.rto *= 2
 	if pc.rto > t.cfg.MaxRetransmitTimeout {
 		pc.rto = t.cfg.MaxRetransmitTimeout
@@ -422,6 +500,7 @@ func (t *Transport) retransmit(xid uint32) {
 // then RPC reply matching under a short BKL hold, then the completion
 // callback.
 func (t *Transport) softirqLoop(p *sim.Proc) {
+	var d xdr.Decoder
 	for {
 		for t.rxq.Len() == 0 {
 			t.rxWait.Wait(p)
@@ -431,8 +510,8 @@ func (t *Transport) softirqLoop(p *sim.Proc) {
 		t.cpu.Use(p, labelUDPRcv,
 			t.cfg.ReplyCPUBase+sim.Time(t.msgUnits(len(payload)))*t.cfg.ReplyCPUPerFragment)
 
-		d := xdr.NewDecoder(payload)
-		hdr, err := nfsproto.DecodeReply(d)
+		d.Reset(payload)
+		hdr, err := nfsproto.DecodeReply(&d)
 		if err != nil {
 			// A truncated or stale datagram (possible around a server
 			// restart) must not kill the run: count it and drop it.
@@ -464,41 +543,35 @@ func (t *Transport) softirqLoop(p *sim.Proc) {
 		t.bkl.Unlock(p)
 
 		t.slotWait.Signal()
-		if pc.onReply != nil {
-			pc.onReply(d)
-		}
-		// The call's encode buffer: with zero retransmissions exactly one
-		// request datagram existed and the server is done with it (the
-		// reply proves delivery and service), so it can be recycled. A
-		// retransmitted call may still have copies in flight — leak those
-		// to the GC.
-		if pc.enc != nil && pc.retrans == 0 {
-			pc.payload = nil
-			pc.enc.Release()
-			pc.enc = nil
-		}
 		// The reply buffer is uniquely ours (UDP: the server's encode
-		// buffer, delivered once; TCP: a record the stream handed over)
-		// and decoded aliases die with the callback — except under
-		// CallSync, whose caller reads the decoder after we loop on.
-		if !pc.sync {
-			xdr.RecycleBuffer(payload)
+		// buffer, delivered once; TCP: a record the stream handed over).
+		pc.dec, pc.reply = d, payload
+		if pc.sync {
+			// CallSync's caller decodes it and drops the reference.
+			pc.replied = true
+			pc.done.Broadcast()
+			continue
 		}
+		if pc.onReply != nil {
+			pc.onReply(&pc.dec)
+		}
+		xdr.RecycleBuffer(payload)
+		t.release(pc)
 	}
 }
 
-// CallSync issues an RPC and blocks the calling process until the reply
-// arrives, returning the positioned decoder. Used for COMMIT and for
-// synchronous flush waits.
-func (t *Transport) CallSync(p *sim.Proc, proc uint32, encodeArgs func(*xdr.Encoder)) *xdr.Decoder {
-	var reply *xdr.Decoder
-	done := t.s.NewWaitQueue("rpc-sync")
-	t.call(p, proc, encodeArgs, func(d *xdr.Decoder) {
-		reply = d
-		done.Broadcast()
-	}, true)
-	for reply == nil {
-		done.Wait(p)
+// CallSync issues an RPC on t, blocks the calling process until the reply
+// arrives, and returns the reply body as decode reads it. Used for COMMIT,
+// the metadata procedures and synchronous writes. The reply buffer goes
+// back to the pool as soon as decode returns, so the result must not
+// alias it (DESIGN.md §12).
+func CallSync[R any](t *Transport, p *sim.Proc, proc uint32, encodeArgs func(*xdr.Encoder), decode func(*xdr.Decoder) (R, error)) (R, error) {
+	pc := t.call(p, proc, encodeArgs, nil, true)
+	for !pc.replied {
+		pc.done.Wait(p)
 	}
-	return reply
+	r, err := decode(&pc.dec)
+	xdr.RecycleBuffer(pc.reply)
+	t.release(pc)
+	return r, err
 }

@@ -55,12 +55,18 @@ func newRig(t *testing.T, cfg Config, delay sim.Time, dropFirst int) *testRig {
 
 func nullArgs(*xdr.Encoder) {}
 
+// nullReply decodes nothing: a NULL reply has no body.
+func nullReply(*xdr.Decoder) (struct{}, error) { return struct{}{}, nil }
+
+// replyDecoded is a CallSync decoder that reports whether it ran on a
+// reply body.
+func replyDecoded(d *xdr.Decoder) (bool, error) { return d != nil, nil }
+
 func TestCallSyncRoundTrip(t *testing.T) {
 	rig := newRig(t, DefaultConfig(), 100*time.Microsecond, 0)
 	done := false
 	rig.s.Go("caller", func(p *sim.Proc) {
-		d := rig.tr.CallSync(p, nfsproto.ProcNull, nullArgs)
-		if d == nil {
+		if ok, _ := CallSync(rig.tr, p, nfsproto.ProcNull, nullArgs, replyDecoded); !ok {
 			t.Error("nil reply decoder")
 		}
 		done = true
@@ -125,7 +131,7 @@ func TestRetransmit(t *testing.T) {
 	rig := newRig(t, cfg, 100*time.Microsecond, 1) // drop first request
 	done := false
 	rig.s.Go("caller", func(p *sim.Proc) {
-		rig.tr.CallSync(p, nfsproto.ProcNull, nullArgs)
+		CallSync(rig.tr, p, nfsproto.ProcNull, nullArgs, nullReply)
 		done = true
 	})
 	rig.s.Run(time.Second)
@@ -247,7 +253,7 @@ func TestWaitAttributionDominatedBySend(t *testing.T) {
 func TestSendCPUProfiled(t *testing.T) {
 	rig := newRig(t, DefaultConfig(), 50*time.Microsecond, 0)
 	rig.s.Go("caller", func(p *sim.Proc) {
-		rig.tr.CallSync(p, nfsproto.ProcNull, nullArgs)
+		CallSync(rig.tr, p, nfsproto.ProcNull, nullArgs, nullReply)
 	})
 	rig.s.Run(time.Second)
 	prof := rig.s.Profiler()
@@ -316,7 +322,7 @@ func TestRetransmitExponentialBackoff(t *testing.T) {
 	tr := New(s, net, s.NewCPUPool("cpus", 2), s.NewMutex("bkl"), cfg, "c", "srv")
 	done := false
 	s.Go("caller", func(p *sim.Proc) {
-		tr.CallSync(p, nfsproto.ProcNull, nullArgs)
+		CallSync(tr, p, nfsproto.ProcNull, nullArgs, nullReply)
 		done = true
 	})
 	s.Run(time.Minute)
@@ -438,7 +444,7 @@ func TestTCPCallRoundTrip(t *testing.T) {
 	s, tr := tcpRig(t, 7, 0, 100*time.Microsecond)
 	done := false
 	s.Go("caller", func(p *sim.Proc) {
-		if d := tr.CallSync(p, nfsproto.ProcNull, nullArgs); d == nil {
+		if ok, _ := CallSync(tr, p, nfsproto.ProcNull, nullArgs, replyDecoded); !ok {
 			t.Error("nil reply decoder")
 		}
 		done = true

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/nfsproto"
+	"repro/internal/rpcsim"
 	"repro/internal/sim"
 )
 
@@ -20,7 +21,7 @@ func TestFilerRestartSingleLiveCPTimer(t *testing.T) {
 	cfg.CPInterval = 100 * time.Millisecond
 	f := NewFiler(s, cfg, newTestVolume(s))
 	s.Go("w", func(p *sim.Proc) {
-		f.HandleWrite(p, &nfsproto.WriteArgs{Count: 8192})
+		f.HandleWrite(p, nfsproto.WriteArgs{Count: 8192})
 		p.Sleep(30 * time.Millisecond)
 		f.Crash()
 		f.Restart()
@@ -58,7 +59,7 @@ func TestFilerCrashReplaysNVRAM(t *testing.T) {
 	const total = 1 << 20
 	s.Go("w", func(p *sim.Proc) {
 		for off := int64(0); off < total; off += 8192 {
-			f.HandleWrite(p, &nfsproto.WriteArgs{File: fh, Offset: uint64(off), Count: 8192})
+			f.HandleWrite(p, nfsproto.WriteArgs{File: fh, Offset: uint64(off), Count: 8192})
 		}
 		f.Crash()
 		f.Restart()
@@ -93,7 +94,7 @@ func TestLinuxCrashLosesDirtyAndBumpsVerf(t *testing.T) {
 	var verfBefore, verfAfter nfsproto.WriteVerf
 	s.Go("w", func(p *sim.Proc) {
 		for off := int64(0); off < total; off += 8192 {
-			res := l.HandleWrite(p, &nfsproto.WriteArgs{
+			res := l.HandleWrite(p, nfsproto.WriteArgs{
 				File: fh, Offset: uint64(off), Count: 8192, Stable: nfsproto.Unstable})
 			verfBefore = res.Verf
 		}
@@ -101,7 +102,7 @@ func TestLinuxCrashLosesDirtyAndBumpsVerf(t *testing.T) {
 		// the CPU yet, so the whole file is dirty when the power goes out.
 		l.Crash()
 		l.Restart()
-		res := l.HandleWrite(p, &nfsproto.WriteArgs{
+		res := l.HandleWrite(p, nfsproto.WriteArgs{
 			File: fh, Offset: 0, Count: 8192, Stable: nfsproto.Unstable})
 		verfAfter = res.Verf
 	})
@@ -141,7 +142,7 @@ func TestServerFrontEndDropsWhileDownThenRecovers(t *testing.T) {
 	r.s.Go("w", func(p *sim.Proc) {
 		args := nfsproto.WriteArgs{File: fh, Count: 8192, Stable: nfsproto.Unstable,
 			Data: make([]byte, 8192)}
-		r.tr.CallSync(p, nfsproto.ProcWrite, args.Encode)
+		rpcsim.CallSync(r.tr, p, nfsproto.ProcWrite, args.Encode, nfsproto.DecodeWriteRes)
 		done = true
 	})
 	r.s.Run(time.Minute)

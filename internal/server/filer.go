@@ -184,7 +184,7 @@ func (f *Filer) Restart() {
 }
 
 // HandleWrite implements Backend: log to NVRAM, reply FILE_SYNC.
-func (f *Filer) HandleWrite(p *sim.Proc, args *nfsproto.WriteArgs) *nfsproto.WriteRes {
+func (f *Filer) HandleWrite(p *sim.Proc, args nfsproto.WriteArgs) nfsproto.WriteRes {
 	n := int64(args.Count)
 	for {
 		// Stop responding while a consistency point starts.
@@ -207,7 +207,7 @@ func (f *Filer) HandleWrite(p *sim.Proc, args *nfsproto.WriteArgs) *nfsproto.Wri
 	}
 	f.active += n
 	f.stableSet(args.File).Add(int64(args.Offset), int64(args.Offset)+n)
-	return &nfsproto.WriteRes{
+	return nfsproto.WriteRes{
 		Status:    nfsproto.NFS3OK,
 		Count:     args.Count,
 		Committed: nfsproto.FileSync,

@@ -168,7 +168,7 @@ func (l *LinuxServer) Restart() {
 }
 
 // HandleWrite implements Backend.
-func (l *LinuxServer) HandleWrite(p *sim.Proc, args *nfsproto.WriteArgs) *nfsproto.WriteRes {
+func (l *LinuxServer) HandleWrite(p *sim.Proc, args nfsproto.WriteArgs) nfsproto.WriteRes {
 	n := int64(args.Count)
 	for l.dirty+n > l.cfg.DirtyLimit {
 		l.Throttled++
@@ -189,7 +189,7 @@ func (l *LinuxServer) HandleWrite(p *sim.Proc, args *nfsproto.WriteArgs) *nfspro
 		}
 		committed = nfsproto.FileSync
 	}
-	return &nfsproto.WriteRes{
+	return nfsproto.WriteRes{
 		Status:    nfsproto.NFS3OK,
 		Count:     args.Count,
 		Committed: committed,

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/nfsproto"
+	"repro/internal/rpcsim"
 	"repro/internal/sim"
 )
 
@@ -94,12 +95,11 @@ func TestChangeSurvivesCrashRestart(t *testing.T) {
 	r, _ := newRig(t, "filer")
 	fh := nfsproto.MakeFileHandle(1, 3)
 
-	var before, after *nfsproto.WriteRes
+	var before, after nfsproto.WriteRes
 	r.s.Go("w", func(p *sim.Proc) {
-		write := func() *nfsproto.WriteRes {
+		write := func() nfsproto.WriteRes {
 			args := nfsproto.WriteArgs{File: fh, Offset: 0, Count: 8192, Stable: nfsproto.Unstable, Data: make([]byte, 8192)}
-			d := r.tr.CallSync(p, nfsproto.ProcWrite, args.Encode)
-			res, err := nfsproto.DecodeWriteRes(d)
+			res, err := rpcsim.CallSync(r.tr, p, nfsproto.ProcWrite, args.Encode, nfsproto.DecodeWriteRes)
 			if err != nil {
 				t.Errorf("decode: %v", err)
 			}
@@ -112,10 +112,10 @@ func TestChangeSurvivesCrashRestart(t *testing.T) {
 	})
 	r.s.Run(time.Minute)
 
-	if before == nil || before.Status != nfsproto.NFS3OK || !before.Wcc.HavePost {
+	if before.Status != nfsproto.NFS3OK || !before.Wcc.HavePost {
 		t.Fatalf("pre-crash write: %+v", before)
 	}
-	if after == nil || after.Status != nfsproto.NFS3OK {
+	if after.Status != nfsproto.NFS3OK {
 		t.Fatalf("post-restart write: %+v", after)
 	}
 	if after.Wcc.Pre.Change != before.Wcc.Post.Change {
@@ -134,18 +134,17 @@ func TestChangeSurvivesCrashRestart(t *testing.T) {
 func TestWriteReplyCarriesWccOnWire(t *testing.T) {
 	r, _ := newRig(t, "linux")
 	fh := nfsproto.MakeFileHandle(1, 5)
-	var res *nfsproto.WriteRes
+	var res nfsproto.WriteRes
 	r.s.Go("w", func(p *sim.Proc) {
 		args := nfsproto.WriteArgs{File: fh, Offset: 8192, Count: 8192, Stable: nfsproto.Unstable, Data: make([]byte, 8192)}
-		d := r.tr.CallSync(p, nfsproto.ProcWrite, args.Encode)
 		var err error
-		res, err = nfsproto.DecodeWriteRes(d)
+		res, err = rpcsim.CallSync(r.tr, p, nfsproto.ProcWrite, args.Encode, nfsproto.DecodeWriteRes)
 		if err != nil {
 			t.Errorf("decode: %v", err)
 		}
 	})
 	r.s.Run(time.Minute)
-	if res == nil || res.Status != nfsproto.NFS3OK {
+	if res.Status != nfsproto.NFS3OK {
 		t.Fatalf("write failed: %+v", res)
 	}
 	if !res.Wcc.HavePre || !res.Wcc.HavePost {

@@ -49,8 +49,10 @@ type Backend interface {
 	// Count bytes long — its length is what puts read wire time on the
 	// reply path.
 	HandleRead(p *sim.Proc, args *nfsproto.ReadArgs) *nfsproto.ReadRes
-	// HandleWrite services a WRITE3 request.
-	HandleWrite(p *sim.Proc, args *nfsproto.WriteArgs) *nfsproto.WriteRes
+	// HandleWrite services a WRITE3 request. Arguments and result pass
+	// by value, so the hot path allocates nothing; args.Data aliases the
+	// request buffer and must not be kept.
+	HandleWrite(p *sim.Proc, args nfsproto.WriteArgs) nfsproto.WriteRes
 	// HandleCommit services a COMMIT3 request.
 	HandleCommit(p *sim.Proc, args *nfsproto.CommitArgs) *nfsproto.CommitRes
 }
@@ -150,10 +152,20 @@ type Server struct {
 	DroppedReplies   int64 // replies suppressed because their instance died
 }
 
+// rxItem is one queued request. owner holds its payload buffer and is
+// released once the request is served or discarded.
 type rxItem struct {
 	from    string
 	payload []byte
+	owner   netsim.Owner
 	frags   int
+}
+
+// release ends the server's copy of the request.
+func (it rxItem) release() {
+	if it.owner != nil {
+		it.owner.Release(it.payload)
+	}
 }
 
 // New creates a server, registers its host on the network with the given
@@ -182,11 +194,15 @@ func New(s *sim.Sim, net *netsim.Network, link netsim.LinkConfig, cfg Config, ba
 		net.AddHost(cfg.Host, link, func(dg netsim.Datagram) {
 			if srv.down {
 				srv.DroppedWhileDown++
+				if dg.Owner != nil {
+					dg.Owner.Release(dg.Payload)
+				}
 				return
 			}
 			srv.rxq.Push(rxItem{
 				from:    dg.From,
 				payload: dg.Payload,
+				owner:   dg.Owner,
 				frags:   netsim.FragmentCount(len(dg.Payload), cfg.MTU),
 			})
 			srv.rxWait.Signal()
@@ -211,6 +227,7 @@ func (srv *Server) conn(from string) *streamsim.Endpoint {
 				srv.rxq.Push(rxItem{
 					from:    from,
 					payload: rec,
+					owner:   xdr.Recycler{}, // the stream handed the record over
 					frags:   streamsim.SegmentCount(len(rec)+4, scfg.MSS),
 				})
 				srv.rxWait.Signal()
@@ -237,7 +254,9 @@ func (srv *Server) Crash() {
 	srv.gen++
 	srv.Crashes++
 	srv.DroppedWhileDown += int64(srv.rxq.Len())
-	srv.rxq.Reset()
+	for srv.rxq.Len() > 0 {
+		srv.rxq.Pop().release()
+	}
 	if cr, ok := srv.backend.(CrashRestarter); ok {
 		cr.Crash()
 	}
@@ -300,6 +319,7 @@ func (srv *Server) NetworkThroughputMBps() float64 {
 }
 
 func (srv *Server) worker(p *sim.Proc) {
+	var d xdr.Decoder
 	for {
 		for srv.rxq.Len() == 0 {
 			srv.rxWait.Wait(p)
@@ -310,14 +330,10 @@ func (srv *Server) worker(p *sim.Proc) {
 		if srv.BusyWorkers > srv.MaxBusy {
 			srv.MaxBusy = srv.BusyWorkers
 		}
-		srv.serve(p, item, srv.gen)
-		if srv.cfg.Transport == rpcsim.TransportTCP {
-			// A TCP request is a record buffer the stream handed over
-			// to us; all decoded aliases died with serve. (UDP
-			// payloads belong to the client's pending call — it recycles
-			// them when the reply lands.)
-			xdr.RecycleBuffer(item.payload)
-		}
+		d.Reset(item.payload)
+		srv.serve(p, &d, item, srv.gen)
+		// Every decoded alias of the request died with serve.
+		item.release()
 		srv.BusyWorkers--
 	}
 }
@@ -330,13 +346,13 @@ func (srv *Server) metaCPU() sim.Time {
 	return srv.cfg.ServiceCPU / 4
 }
 
-// serve handles one request. gen is the server generation that dequeued
-// it: if the server crashes while the request is in service, the computed
-// reply is discarded instead of being sent by the restarted instance.
-func (srv *Server) serve(p *sim.Proc, item rxItem, gen int) {
+// serve handles one request, read through the worker's decoder d. gen is
+// the server generation that dequeued it: if the server crashes while the
+// request is in service, the computed reply is discarded instead of being
+// sent by the restarted instance.
+func (srv *Server) serve(p *sim.Proc, d *xdr.Decoder, item rxItem, gen int) {
 	srv.cpu.Use(p, labelNFSDRecv, srv.cfg.RecvCPUBase+sim.Time(item.frags)*srv.cfg.RecvCPUPerFragment)
 
-	d := xdr.NewDecoder(item.payload)
 	hdr, err := nfsproto.DecodeCall(d)
 	if err != nil {
 		panic(fmt.Sprintf("server %s: bad call: %v", srv.cfg.Host, err))
@@ -450,8 +466,13 @@ func (srv *Server) serve(p *sim.Proc, item rxItem, gen int) {
 		srv.conn(item.from).SendRecord(reply.Bytes())
 		reply.Release()
 	} else {
-		// Ownership of the reply buffer moves to the datagram; the
-		// client's softirq loop recycles it after the completion callback.
-		srv.net.Send(netsim.Datagram{From: srv.cfg.Host, To: item.from, Payload: reply.Bytes()})
+		// The reply buffer goes with the datagram: the client's softirq
+		// loop recycles it after decoding, the network if it discards it
+		// at a downed client. A datagram the network drops on send never
+		// leaves, so its buffer is still ours.
+		payload := reply.Take()
+		if srv.net.Send(netsim.Datagram{From: srv.cfg.Host, To: item.from, Payload: payload, Owner: xdr.Recycler{}}).Dropped {
+			xdr.RecycleBuffer(payload)
+		}
 	}
 }

@@ -78,8 +78,7 @@ func writeFile(r *rig, fh nfsproto.FileHandle, total int64, commit bool) sim.Tim
 		}
 		if commit {
 			args := nfsproto.CommitArgs{File: fh, Offset: 0, Count: 0}
-			d := r.tr.CallSync(p, nfsproto.ProcCommit, args.Encode)
-			if res, err := nfsproto.DecodeCommitRes(d); err != nil || res.Status != nfsproto.NFS3OK {
+			if res, err := rpcsim.CallSync(r.tr, p, nfsproto.ProcCommit, args.Encode, nfsproto.DecodeCommitRes); err != nil || res.Status != nfsproto.NFS3OK {
 				panic("bad commit result")
 			}
 		}
@@ -95,8 +94,7 @@ func TestFilerWriteRepliesFileSync(t *testing.T) {
 	var committed nfsproto.StableHow
 	r.s.Go("w", func(p *sim.Proc) {
 		args := nfsproto.WriteArgs{File: fh, Offset: 0, Count: 8192, Stable: nfsproto.Unstable, Data: make([]byte, 8192)}
-		d := r.tr.CallSync(p, nfsproto.ProcWrite, args.Encode)
-		res, err := nfsproto.DecodeWriteRes(d)
+		res, err := rpcsim.CallSync(r.tr, p, nfsproto.ProcWrite, args.Encode, nfsproto.DecodeWriteRes)
 		if err != nil {
 			t.Errorf("decode: %v", err)
 			return
@@ -116,14 +114,12 @@ func TestLinuxWriteRepliesUnstableAndCommitWorks(t *testing.T) {
 	var committed nfsproto.StableHow
 	r.s.Go("w", func(p *sim.Proc) {
 		args := nfsproto.WriteArgs{File: fh, Offset: 0, Count: 8192, Stable: nfsproto.Unstable, Data: make([]byte, 8192)}
-		d := r.tr.CallSync(p, nfsproto.ProcWrite, args.Encode)
-		res, _ := nfsproto.DecodeWriteRes(d)
+		res, _ := rpcsim.CallSync(r.tr, p, nfsproto.ProcWrite, args.Encode, nfsproto.DecodeWriteRes)
 		committed = res.Committed
 		if l.Dirty() != 8192 {
 			t.Errorf("dirty = %d after unstable write", l.Dirty())
 		}
-		cd := r.tr.CallSync(p, nfsproto.ProcCommit, (&nfsproto.CommitArgs{File: fh}).Encode)
-		if res, err := nfsproto.DecodeCommitRes(cd); err != nil || res.Status != nfsproto.NFS3OK {
+		if res, err := rpcsim.CallSync(r.tr, p, nfsproto.ProcCommit, (&nfsproto.CommitArgs{File: fh}).Encode, nfsproto.DecodeCommitRes); err != nil || res.Status != nfsproto.NFS3OK {
 			t.Errorf("commit failed: %v %v", res, err)
 		}
 		if l.Dirty() != 0 {
@@ -143,13 +139,12 @@ func TestLinuxStableWriteWaitsForDisk(t *testing.T) {
 	r.s.Go("w", func(p *sim.Proc) {
 		t0 := r.s.Now()
 		args := nfsproto.WriteArgs{File: fh, Offset: 0, Count: 8192, Stable: nfsproto.Unstable, Data: make([]byte, 8192)}
-		r.tr.CallSync(p, nfsproto.ProcWrite, args.Encode)
+		rpcsim.CallSync(r.tr, p, nfsproto.ProcWrite, args.Encode, nfsproto.DecodeWriteRes)
 		fastRTT = r.s.Now() - t0
 
 		t0 = r.s.Now()
 		args2 := nfsproto.WriteArgs{File: fh, Offset: 8192, Count: 8192, Stable: nfsproto.FileSync, Data: make([]byte, 8192)}
-		d := r.tr.CallSync(p, nfsproto.ProcWrite, args2.Encode)
-		res, _ := nfsproto.DecodeWriteRes(d)
+		res, _ := rpcsim.CallSync(r.tr, p, nfsproto.ProcWrite, args2.Encode, nfsproto.DecodeWriteRes)
 		if res.Committed != nfsproto.FileSync {
 			t.Errorf("stable write committed = %v", res.Committed)
 		}
@@ -216,7 +211,7 @@ func TestFilerTimerCheckpoint(t *testing.T) {
 	cfg.CPInterval = 100 * time.Millisecond
 	f := NewFiler(s, cfg, newTestVolume(s))
 	s.Go("w", func(p *sim.Proc) {
-		f.HandleWrite(p, &nfsproto.WriteArgs{Count: 8192})
+		f.HandleWrite(p, nfsproto.WriteArgs{Count: 8192})
 	})
 	s.Run(300 * time.Millisecond)
 	if f.Checkpoints == 0 {
@@ -249,7 +244,7 @@ func TestLinuxDirtyThrottling(t *testing.T) {
 	l := NewLinuxServer(s, cfg, newTestDisk(s))
 	s.Go("w", func(p *sim.Proc) {
 		for i := 0; i < 512; i++ { // 4 MB total, 4x the dirty limit
-			l.HandleWrite(p, &nfsproto.WriteArgs{Count: 8192, Stable: nfsproto.Unstable})
+			l.HandleWrite(p, nfsproto.WriteArgs{Count: 8192, Stable: nfsproto.Unstable})
 		}
 	})
 	s.Run(time.Minute)
@@ -280,10 +275,18 @@ func TestReadServedByBothBackends(t *testing.T) {
 		r, _ := newRig(t, kind)
 		fh := nfsproto.MakeFileHandle(1, 3)
 		var got *nfsproto.ReadRes
+		var dataLen int
 		r.s.Go("r", func(p *sim.Proc) {
 			args := nfsproto.ReadArgs{File: fh, Offset: 16384, Count: 8192}
-			d := r.tr.CallSync(p, nfsproto.ProcRead, args.Encode)
-			res, err := nfsproto.DecodeReadRes(d)
+			// The data aliases the reply buffer, which is recycled once
+			// the decode returns: measure it inside.
+			res, err := rpcsim.CallSync(r.tr, p, nfsproto.ProcRead, args.Encode, func(d *xdr.Decoder) (*nfsproto.ReadRes, error) {
+				res, err := nfsproto.DecodeReadRes(d)
+				if err == nil {
+					dataLen, res.Data = len(res.Data), nil
+				}
+				return res, err
+			})
 			if err != nil {
 				t.Errorf("%s: decode: %v", kind, err)
 				return
@@ -294,8 +297,8 @@ func TestReadServedByBothBackends(t *testing.T) {
 		if got == nil || got.Status != nfsproto.NFS3OK || got.Count != 8192 {
 			t.Fatalf("%s: READ reply %+v", kind, got)
 		}
-		if len(got.Data) != 8192 {
-			t.Fatalf("%s: reply carries %d data bytes, want 8192", kind, len(got.Data))
+		if dataLen != 8192 {
+			t.Fatalf("%s: reply carries %d data bytes, want 8192", kind, dataLen)
 		}
 		if r.srv.Reads != 1 || r.srv.BytesRead != 8192 {
 			t.Fatalf("%s: server stats reads=%d bytes=%d", kind, r.srv.Reads, r.srv.BytesRead)
@@ -312,7 +315,7 @@ func TestSequentialReadsAvoidSeeks(t *testing.T) {
 	r.s.Go("r", func(p *sim.Proc) {
 		for off := int64(0); off < 10*8192; off += 8192 {
 			args := nfsproto.ReadArgs{File: nfsproto.MakeFileHandle(1, 4), Offset: uint64(off), Count: 8192}
-			if res, err := nfsproto.DecodeReadRes(r.tr.CallSync(p, nfsproto.ProcRead, args.Encode)); err != nil || res.Status != nfsproto.NFS3OK {
+			if res, err := rpcsim.CallSync(r.tr, p, nfsproto.ProcRead, args.Encode, nfsproto.DecodeReadRes); err != nil || res.Status != nfsproto.NFS3OK {
 				t.Errorf("read failed: %v %v", res, err)
 			}
 		}

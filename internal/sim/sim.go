@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"iter"
 	"math/rand"
+	"runtime"
 	"sync"
 	"time"
 )
@@ -153,6 +154,18 @@ func (q *eventQueue) remove(i int) {
 // backing array keeps pooled events cache-adjacent.
 const eventBlock = 128
 
+// yieldEvery is how many events the loop fires between yields to the Go
+// scheduler. Coroutine switches bypass the scheduler, so on one P a
+// garbage collection's background mark worker would otherwise get the
+// CPU only when sysmon preempts the simulation, up to 10 ms later. Until
+// the marking finishes, every pointer store pays the write barrier, and
+// a request-list insert shifts thousands of pointers. A simulation that
+// allocates little leaves most of the marking to that worker, so without
+// the yield it ran with the barrier on for several times as long as one
+// whose allocations pay for the marking (DESIGN.md §12). The yield costs
+// about 0.1 µs and cannot change output: only Go's scheduler sees it.
+const yieldEvery = 128
+
 // Sim is a discrete-event simulation instance. It is not safe for use from
 // multiple OS threads; all interaction happens from the Run caller or the
 // process Run has resumed.
@@ -161,6 +174,7 @@ type Sim struct {
 	seq    uint64
 	seed   int64
 	events eventQueue
+	fired  uint64   // events popped, for yieldEvery
 	pool   []*event // recycled event entries
 	limit  Time     // current Run's time limit (0 = none)
 	rng    *rand.Rand
@@ -261,6 +275,9 @@ func (s *Sim) schedule() *Proc {
 		}
 		s.events.remove(0)
 		s.now = next.at
+		if s.fired++; s.fired%yieldEvery == 0 {
+			runtime.Gosched()
+		}
 		p, fn := next.proc, next.fn
 		s.recycle(next)
 		if p != nil {

@@ -29,9 +29,11 @@
 // buffers from the xdr wire-buffer pool, each with one owner at a time:
 //
 //   - a segment payload belongs to its datagram: the sender recycles it
-//     when the network drops it on send, the receiving endpoint when
-//     HandleDatagram is done with it, or, for a segment that arrived
-//     ahead of a hole, when the hole fills and its bytes are consumed;
+//     when the network drops it on send, the network when it discards
+//     it at a downed host (xdr.Recycler is the datagram's owner), the
+//     receiving endpoint when HandleDatagram is done with it, or, for a
+//     segment that arrived ahead of a hole, when the hole fills and its
+//     bytes are consumed;
 //   - a record passed to onRecord belongs to the callback, which
 //     recycles it (xdr.RecycleBuffer) once its bytes are dead or simply
 //     drops it for the GC.
@@ -247,7 +249,7 @@ func (e *Endpoint) sendSegment(seq int64, n int, isRtx bool) {
 		off := int(seq - e.sndUna)
 		copy(payload[HeaderSize:], e.snd.Items()[off:off+n])
 	}
-	res := e.net.Send(netsim.Datagram{From: e.local, To: e.remote, Payload: payload})
+	res := e.net.Send(netsim.Datagram{From: e.local, To: e.remote, Payload: payload, Owner: xdr.Recycler{}})
 	if res.Dropped {
 		// Lost on the way out: no delivery will ever hand it over.
 		xdr.RecycleBuffer(payload)

@@ -15,12 +15,13 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{4, 4, 4}, []byte{0, 0, 0, 5, 'h', 'e', 'l', 'l', 'o', 0, 0, 0})
 	f.Add([]byte{5, 3}, bytes.Repeat([]byte{0xff}, 256))
 	f.Add([]byte{2, 2, 2}, []byte{0, 0, 0})
+	f.Add([]byte{7, 7, 7}, []byte{0, 0, 0, 3, 'a', 'b', 'c', 0, 0, 0, 0, 9})
 	f.Fuzz(func(t *testing.T, script, data []byte) {
 		d := NewDecoder(data)
 		for _, op := range script {
 			before := d.Offset()
 			var err error
-			switch op % 7 {
+			switch op % 8 {
 			case 0:
 				_, err = d.Uint32()
 			case 1:
@@ -37,6 +38,8 @@ func FuzzDecode(f *testing.F) {
 				_, err = d.FixedOpaque(int(op) % 97)
 			case 6:
 				_, err = d.String()
+			case 7:
+				_, err = d.OpaqueRef()
 			}
 			off := d.Offset()
 			if off < 0 || off > len(data) {

@@ -127,6 +127,24 @@ func RecycleBuffer(b []byte) {
 	put(e)
 }
 
+// Recycler owns wire buffers that have no other owner: its Release
+// hands them to RecycleBuffer. A sender sets it as a datagram's owner
+// (netsim.Owner) when the one copy it sends is the receiver's to keep.
+type Recycler struct{}
+
+// Release recycles b.
+func (Recycler) Release(b []byte) { RecycleBuffer(b) }
+
+// Take returns the encoded bytes and puts the emptied encoder back in the
+// pool. The caller owns the buffer and hands it back with RecycleBuffer;
+// the encoder must not be used again.
+func (e *Encoder) Take() []byte {
+	b := e.buf
+	e.buf = nil
+	empty.Put(e)
+	return b
+}
+
 // Bytes returns the encoded buffer (not a copy).
 func (e *Encoder) Bytes() []byte { return e.buf }
 
@@ -202,6 +220,10 @@ type Decoder struct {
 
 // NewDecoder returns a decoder reading from b.
 func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
+
+// Reset points the decoder at b with the cursor at its start, so one
+// decoder can serve a stream of messages without allocating.
+func (d *Decoder) Reset(b []byte) { d.buf, d.off = b, 0 }
 
 // Remaining returns the number of unread bytes.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
@@ -302,9 +324,9 @@ func (d *Decoder) OpaqueRef() ([]byte, error) {
 	return b, nil
 }
 
-// String decodes an XDR string.
+// String decodes an XDR string. The string conversion is the only copy.
 func (d *Decoder) String() (string, error) {
-	b, err := d.Opaque()
+	b, err := d.OpaqueRef()
 	return string(b), err
 }
 
