@@ -42,12 +42,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 
 	"repro/internal/bonnie"
 	"repro/internal/chaos"
 	"repro/internal/harness"
+	"repro/internal/rpcsim"
 )
 
 var (
@@ -86,124 +85,83 @@ func fatalf(f string, args ...any) {
 	os.Exit(2)
 }
 
-func parseIntList(spec string) ([]int, error) {
-	if spec == "" {
-		return nil, nil
+// parse parses the value of flag -name, keeping the first error in
+// *err, prefixed with the flag's name.
+func parse[T any](err *error, name, spec string, p func(string) (T, error)) T {
+	v, e := p(spec)
+	if e != nil && *err == nil {
+		*err = fmt.Errorf("-%s: %w", name, e)
 	}
-	var out []int
-	for _, f := range strings.Split(spec, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad value %q", f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
+	return v
 }
 
-func buildGrid() harness.Grid {
-	var g harness.Grid
-	var err error
-	if g.Servers, err = harness.ParseServers(*servers); err != nil {
-		fatalf("%v", err)
-	}
-	if g.Configs, err = harness.ParseConfigs(*configs); err != nil {
-		fatalf("%v", err)
-	}
-	if g.FileSizesMB, err = harness.ParseSizes(*sizes); err != nil {
-		fatalf("%v", err)
-	}
-	if g.WSizes, err = parseIntList(*wsizes); err != nil {
-		fatalf("-wsizes: %v", err)
-	}
-	for _, ws := range g.WSizes {
-		if ws%4096 != 0 {
-			fatalf("-wsizes: %d is not a multiple of the 4096-byte page size", ws)
-		}
-	}
-	if g.ClientCPUs, err = parseIntList(*cpus); err != nil {
-		fatalf("-cpus: %v", err)
-	}
-	if g.Clients, err = parseIntList(*clients); err != nil {
-		fatalf("-clients: %v", err)
-	}
-	cacheMBs, err := parseIntList(*caches)
-	if err != nil {
-		fatalf("-cache: %v", err)
-	}
-	for _, mb := range cacheMBs {
-		g.CacheLimits = append(g.CacheLimits, int64(mb)<<20)
-	}
-	switch *jumbo {
+// list parses the comma-list axis flag -name with an element parser.
+func list[T any](err *error, name, spec string, elem func(string) (T, error)) []T {
+	return parse(err, name, spec, func(s string) ([]T, error) { return harness.ParseList(s, elem) })
+}
+
+// cacheBytes parses one -cache element, in megabytes.
+func cacheBytes(s string) (int64, error) {
+	mb, err := harness.PositiveInt(s)
+	return int64(mb) << 20, err
+}
+
+// jumboAxis maps -jumbo to the Jumbo axis.
+func jumboAxis(s string) ([]bool, error) {
+	switch s {
 	case "off":
+		return nil, nil
 	case "on":
-		g.Jumbo = []bool{true}
+		return []bool{true}, nil
 	case "both":
-		g.Jumbo = []bool{false, true}
-	default:
-		fatalf("-jumbo must be off, on, or both")
+		return []bool{false, true}, nil
 	}
-	if g.Transports, err = harness.ParseTransports(*trans); err != nil {
-		fatalf("-transport: %v", err)
-	}
-	if g.LossRates, err = harness.ParseLossRates(*loss); err != nil {
-		fatalf("-loss: %v", err)
-	}
-	if g.Workloads, err = harness.ParseWorkloads(*workld); err != nil {
-		fatalf("-workload: %v", err)
-	}
-	if *files != "" {
-		if g.FileCounts, err = harness.ParseFileCounts(*files); err != nil {
-			fatalf("-files: %v", err)
-		}
-	}
-	if *zipfS != "" {
-		if g.ZipfSs, err = harness.ParseZipfSs(*zipfS); err != nil {
-			fatalf("-zipf-s: %v", err)
-		}
-	}
+	return nil, fmt.Errorf("must be off, on, or both")
+}
+
+// buildGrid declares the grid the flags describe, one line per axis
+// flag; the error names the first bad flag.
+func buildGrid() (g harness.Grid, err error) {
+	g.Servers = list(&err, "servers", *servers, harness.ServerByName)
+	g.Configs = list(&err, "configs", *configs, harness.ConfigByName)
+	g.FileSizesMB = parse(&err, "sizes", *sizes, harness.ParseSizes)
+	g.WSizes = list(&err, "wsizes", *wsizes, harness.WSize)
+	g.ClientCPUs = list(&err, "cpus", *cpus, harness.PositiveInt)
+	g.Clients = list(&err, "clients", *clients, harness.PositiveInt)
+	g.CacheLimits = list(&err, "cache", *caches, cacheBytes)
+	g.Jumbo = parse(&err, "jumbo", *jumbo, jumboAxis)
+	g.Transports = list(&err, "transport", *trans, rpcsim.ParseTransport)
+	g.LossRates = list(&err, "loss", *loss, harness.LossRate)
+	g.Workloads = list(&err, "workload", *workld, bonnie.ParseWorkload)
+	g.FileCounts = list(&err, "files", *files, harness.PositiveInt)
+	g.ZipfSs = list(&err, "zipf-s", *zipfS, harness.ZipfS)
+	g.AcTimeouts = list(&err, "actimeout", *acTime, harness.AcTimeout)
+	g.Sharings = list(&err, "shared", *shared, harness.Sharing)
+	g.Consistencies = list(&err, "consistency", *consist, harness.ConsistencyByName)
 	if *opMix != "" {
-		if g.Mix, err = bonnie.ParseOpMix(*opMix); err != nil {
-			fatalf("-opmix: %v", err)
-		}
+		g.Mix = parse(&err, "opmix", *opMix, bonnie.ParseOpMix)
 	}
-	if *acTime != "" {
-		if g.AcTimeouts, err = harness.ParseAcTimeouts(*acTime); err != nil {
-			fatalf("-actimeout: %v", err)
-		}
-	}
-	if *shared != "" {
-		if g.Sharings, err = harness.ParseSharings(*shared); err != nil {
-			fatalf("-shared: %v", err)
-		}
-	}
-	if *readLag < 0 {
-		fatalf("-readlag must be non-negative")
+	switch {
+	case err != nil:
+		return g, err
+	case *readLag < 0:
+		return g, fmt.Errorf("-readlag must be non-negative")
+	case *fsyncEv < 0:
+		return g, fmt.Errorf("-fsync-every must be non-negative")
+	case *jitter < 0:
+		return g, fmt.Errorf("-netjitter must be non-negative")
+	case *seed <= 0:
+		return g, fmt.Errorf("-seed must be positive")
+	case *repeats < 1:
+		return g, fmt.Errorf("-repeats must be >= 1")
 	}
 	g.ReadLag = *readLag
-	if *consist != "" {
-		if g.Consistencies, err = harness.ParseConsistencies(*consist); err != nil {
-			fatalf("-consistency: %v", err)
-		}
-	}
-	if *fsyncEv < 0 {
-		fatalf("-fsync-every must be non-negative")
-	}
 	g.FsyncEvery = *fsyncEv
-	if *jitter < 0 {
-		fatalf("-netjitter must be non-negative")
-	}
 	g.NetJitter = *jitter
-	if *seed <= 0 {
-		fatalf("-seed must be positive")
-	}
 	g.Seeds = []int64{*seed}
-	if *repeats < 1 {
-		fatalf("-repeats must be >= 1")
-	}
 	g.Repeats = *repeats
 	g.SkipFlushClose = !*full
-	return g
+	return g, nil
 }
 
 type renderers struct {
@@ -262,7 +220,10 @@ func main() {
 		return
 	}
 	render := renderersFor(*format)
-	g := buildGrid()
+	g, err := buildGrid()
+	if err != nil {
+		fatalf("%v", err)
+	}
 	scenarios := g.Expand()
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "nfssweep: %d scenarios (%d cells x %d repeats)\n",

@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"os"
 	"strings"
 	"testing"
 
@@ -26,10 +27,20 @@ func setFlags(t *testing.T, kv map[string]string) {
 	}
 }
 
+// mustGrid builds the grid the current flag values declare.
+func mustGrid(t *testing.T) harness.Grid {
+	t.Helper()
+	g, err := buildGrid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // The default flag values build the classic one-cell write grid, with
 // none of the newer axes leaking into the scenario key.
 func TestBuildGridDefaults(t *testing.T) {
-	scens := buildGrid().Expand()
+	scens := mustGrid(t).Expand()
 	if len(scens) != 1 {
 		t.Fatalf("default grid expanded to %d scenarios, want 1", len(scens))
 	}
@@ -53,8 +64,7 @@ func TestBuildGridZipfAxes(t *testing.T) {
 		"opmix":     "10/30/40/15/5",
 		"actimeout": "off,default",
 	})
-	g := buildGrid()
-	scens := g.Expand()
+	scens := mustGrid(t).Expand()
 	if len(scens) != 8 { // 2 populations x 2 skews x 2 cache windows
 		t.Fatalf("zipf grid expanded to %d scenarios, want 8", len(scens))
 	}
@@ -71,19 +81,61 @@ func TestBuildGridZipfAxes(t *testing.T) {
 	}
 }
 
-func TestParseIntList(t *testing.T) {
-	got, err := parseIntList("1, 2,8")
-	if err != nil || len(got) != 3 || got[0] != 1 || got[2] != 8 {
-		t.Fatalf("got %v, %v", got, err)
+// Every axis flag rejects a bad value, and the error names the flag.
+func TestBuildGridRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct{ flag, value string }{
+		{"servers", "netapp"},
+		{"configs", "turbo"},
+		{"sizes", "0"},
+		{"wsizes", "1000"},
+		{"wsizes", "-8192"},
+		{"cpus", "1,,2"},
+		{"clients", "0"},
+		{"cache", "x"},
+		{"jumbo", "maybe"},
+		{"transport", "sctp"},
+		{"loss", "1"},
+		{"workload", "scan"},
+		{"files", "-3"},
+		{"zipf-s", "-2"},
+		{"opmix", "50/50"},
+		{"actimeout", "soon"},
+		{"shared", "101"},
+		{"consistency", "eventual"},
+		{"readlag", "-1ms"},
+		{"fsync-every", "-1"},
+		{"netjitter", "-1us"},
+		{"seed", "0"},
+		{"repeats", "0"},
+	} {
+		t.Run(tc.flag+"="+tc.value, func(t *testing.T) {
+			setFlags(t, map[string]string{tc.flag: tc.value})
+			_, err := buildGrid()
+			if err == nil {
+				t.Fatalf("-%s=%s accepted", tc.flag, tc.value)
+			}
+			if !strings.HasPrefix(err.Error(), "-"+tc.flag+" ") &&
+				!strings.HasPrefix(err.Error(), "-"+tc.flag+":") {
+				t.Fatalf("-%s=%s: error %q does not name the flag", tc.flag, tc.value, err)
+			}
+		})
 	}
-	if out, err := parseIntList(""); err != nil || out != nil {
-		t.Fatalf("empty spec: %v, %v", out, err)
+}
+
+// docs/experiments.md lists every flag nfssweep has.
+func TestFlagsDocumented(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/experiments.md")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, bad := range []string{"0", "-3", "x", "1,,2"} {
-		if _, err := parseIntList(bad); err == nil {
-			t.Fatalf("parseIntList(%q) accepted", bad)
+	flag.VisitAll(func(f *flag.Flag) {
+		if strings.HasPrefix(f.Name, "test.") {
+			return // the testing package's own flags
 		}
-	}
+		if !strings.Contains(string(doc), "`-"+f.Name+"`") {
+			t.Errorf("docs/experiments.md does not document `-%s`", f.Name)
+		}
+	})
 }
 
 func TestRenderersFor(t *testing.T) {
@@ -100,7 +152,7 @@ func TestRenderersFor(t *testing.T) {
 // output format.
 func TestOneScenarioRuns(t *testing.T) {
 	setFlags(t, map[string]string{"sizes": "1"})
-	scens := buildGrid().Expand()
+	scens := mustGrid(t).Expand()
 	if len(scens) != 1 {
 		t.Fatalf("expanded %d scenarios", len(scens))
 	}

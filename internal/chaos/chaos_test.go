@@ -6,6 +6,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	nfssim "repro"
+	"repro/internal/core"
 )
 
 const sampleYAML = `
@@ -248,6 +251,24 @@ scenarios:
       - action: assert_stale_max
         max_stale: -1
 `, "non-negative"},
+		{"wsize not a page multiple", `
+scenarios:
+  - name: x
+    fleet:
+      server: filer
+      wsize: 1000
+    events:
+      - action: assert_completes
+`, "fleet.wsize"},
+		{"negative wsize", `
+scenarios:
+  - name: x
+    fleet:
+      server: filer
+      wsize: -8192
+    events:
+      - action: assert_completes
+`, "fleet.wsize"},
 		{"bad consistency mode", `
 scenarios:
   - name: x
@@ -425,6 +446,41 @@ scenarios:
 	}
 	if i := strings.Index(a, "loss_burst"); i < 0 || i > strings.Index(a, "disk_degrade") {
 		t.Fatalf("event log not in simulation order:\n%s", a)
+	}
+}
+
+// The report's result describes the test bed the scenario ran on: a
+// fleet that leaves CPUs, cache and wsize unset gets the same defaults
+// a sweep cell gets, not zeros.
+func TestReportDescribesTestbed(t *testing.T) {
+	scs, err := Parse([]byte(`
+scenarios:
+  - name: defaults
+    fleet:
+      server: filer
+      file_mb: 1
+    events:
+      - action: assert_completes
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := Run(scs[0])
+	if rep.Failed {
+		t.Fatalf("run failed:\n%s", rep.Render())
+	}
+	tb := nfssim.NewTestbed(nfssim.Options{Server: nfssim.ServerFiler, Client: core.EnhancedConfig()})
+	defer tb.Sim.Close()
+	m := tb.Machines[0]
+	cpus, cache, wsize := m.CPU.CPUs(), m.Cache.Limit(), m.Client.Config().WSize
+	res := rep.Result
+	if res.CPUs != cpus || res.CacheBytes != cache || res.WSize != wsize {
+		t.Fatalf("report says cpus=%d cache_bytes=%d wsize=%d, test bed has %d, %d, %d",
+			res.CPUs, res.CacheBytes, res.WSize, cpus, cache, wsize)
+	}
+	want := fmt.Sprintf("filer/enhanced/1MB/w%d/c%d/n1/m%dB/jfalse/s1.0", wsize, cpus, cache)
+	if res.Name != want {
+		t.Fatalf("report name %q, want %q", res.Name, want)
 	}
 }
 

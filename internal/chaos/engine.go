@@ -8,8 +8,6 @@ import (
 	"sync"
 
 	nfssim "repro"
-	"repro/internal/bonnie"
-	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/rpcsim"
 	"repro/internal/server"
@@ -60,25 +58,6 @@ type Report struct {
 // in virtual time, drive the workload, then evaluate the assertions.
 func Run(sc *Scenario) *Report {
 	rep := &Report{Scenario: sc}
-	serverKind, _ := harness.ServerByName(sc.Fleet.Server)
-	config, _ := harness.ConfigByName(sc.Fleet.Config)
-	transport, _ := rpcsim.ParseTransport(sc.Fleet.Transport)
-	workload, _ := bonnie.ParseWorkload(sc.Fleet.Workload)
-	consistency, _ := core.ParseConsistency(sc.Fleet.Consistency)
-	hsc := harness.Scenario{
-		Server:      serverKind,
-		Config:      config,
-		FileMB:      sc.Fleet.FileMB,
-		WSize:       sc.Fleet.WSize,
-		Clients:     sc.Fleet.Clients,
-		Transport:   transport,
-		Loss:        sc.Fleet.Loss,
-		Workload:    workload,
-		Consistency: consistency,
-		Seed:        sc.Fleet.Seed,
-		TimeLimit:   sc.Fleet.TimeLimit,
-	}
-
 	// Timed events fire in At order; same-time events keep file order.
 	timed := make([]Event, 0, len(sc.Events))
 	for _, ev := range sc.Events {
@@ -97,12 +76,12 @@ func Run(sc *Scenario) *Report {
 		for i := range timed {
 			ev := timed[i] // copy: the closure must not share the loop slot
 			t.Sim.At(ev.At, func() {
-				rep.EventLog = append(rep.EventLog, fireEvent(t, serverKind, ev))
+				rep.EventLog = append(rep.EventLog, fireEvent(t, sc.bed.Server, ev))
 			})
 		}
 	}
 
-	res, err := runGuarded(hsc, prepare)
+	res, err := runGuarded(sc.bed, prepare)
 	if err != nil {
 		rep.Err = err.Error()
 	} else {

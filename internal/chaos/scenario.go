@@ -93,6 +93,10 @@ type Scenario struct {
 	Description string  `json:"description,omitempty"`
 	Fleet       Fleet   `json:"fleet"`
 	Events      []Event `json:"events"`
+
+	// bed is the fleet resolved by validate to the harness scenario Run
+	// drives, every default filled in the way a sweep fills it.
+	bed harness.Scenario
 }
 
 // actionSpec declares each action's allowed keys beyond "at"/"action";
@@ -445,13 +449,15 @@ func (sc *Scenario) validate() error {
 	if f.Server == "" {
 		return fmt.Errorf("fleet.server is required (filer, linux, or slow100)")
 	}
-	if _, err := harness.ServerByName(f.Server); err != nil || f.Server == "local" || f.Server == "none" {
+	server, err := harness.ServerByName(f.Server)
+	if err != nil || server == nfssim.ServerNone {
 		return fmt.Errorf("fleet.server: %q is not an NFS server kind (want filer, linux, or slow100)", f.Server)
 	}
 	if f.Config == "" {
 		f.Config = "enhanced"
 	}
-	if _, err := harness.ConfigByName(f.Config); err != nil {
+	config, err := harness.ConfigByName(f.Config)
+	if err != nil {
 		return fmt.Errorf("fleet.config: %w", err)
 	}
 	if f.Clients == 0 {
@@ -466,14 +472,23 @@ func (sc *Scenario) validate() error {
 	if f.FileMB < 1 {
 		return fmt.Errorf("fleet.file_mb must be >= 1")
 	}
+	var wsizes []int // empty: the config's own wsize
+	if f.WSize != 0 {
+		if err := harness.CheckWSize(f.WSize); err != nil {
+			return fmt.Errorf("fleet.wsize: %w", err)
+		}
+		wsizes = []int{f.WSize}
+	}
 	if f.Workload == "" {
 		f.Workload = "write"
 	}
-	if _, err := bonnie.ParseWorkload(f.Workload); err != nil {
+	workload, err := bonnie.ParseWorkload(f.Workload)
+	if err != nil {
 		return fmt.Errorf("fleet.workload: %w", err)
 	}
-	if _, ok := core.ParseConsistency(f.Consistency); !ok {
-		return fmt.Errorf("fleet.consistency: unknown mode %q (want ttl, strict, or noac)", f.Consistency)
+	consistency, err := harness.ConsistencyByName(f.Consistency)
+	if err != nil {
+		return fmt.Errorf("fleet.consistency: %w", err)
 	}
 	if f.Transport == "" {
 		f.Transport = "udp"
@@ -497,6 +512,19 @@ func (sc *Scenario) validate() error {
 	if f.TimeLimit < 0 {
 		return fmt.Errorf("fleet.time_limit must be positive")
 	}
+	sc.bed = harness.Grid{
+		Servers:       []nfssim.ServerKind{server},
+		Configs:       []harness.ClientConfig{config},
+		FileSizesMB:   []int{f.FileMB},
+		WSizes:        wsizes,
+		Clients:       []int{f.Clients},
+		Transports:    []rpcsim.TransportKind{transport},
+		LossRates:     []float64{f.Loss},
+		Workloads:     []bonnie.Workload{workload},
+		Consistencies: []core.ConsistencyMode{consistency},
+		Seeds:         []int64{f.Seed},
+		TimeLimit:     f.TimeLimit,
+	}.Expand()[0]
 
 	crashed := false
 	for i := range sc.Events {

@@ -148,7 +148,7 @@ var Registry = []*Experiment{
 
 // configs resolves canonical client configuration names.
 func configs(names ...string) []harness.ClientConfig {
-	cs, err := harness.ParseConfigs(strings.Join(names, ","))
+	cs, err := harness.ParseList(strings.Join(names, ","), harness.ConfigByName)
 	if err != nil {
 		panic(err)
 	}

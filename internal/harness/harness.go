@@ -12,7 +12,9 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -23,6 +25,7 @@ import (
 	"repro/internal/mm"
 	"repro/internal/rpcsim"
 	"repro/internal/sim"
+	"repro/internal/vfs"
 )
 
 // ClientConfig is a named client configuration, so results carry a
@@ -45,13 +48,11 @@ func NamedConfigs() []ClientConfig {
 
 // ConfigByName resolves one canonical configuration name.
 func ConfigByName(name string) (ClientConfig, error) {
+	var names []string
 	for _, c := range NamedConfigs() {
 		if c.Name == name {
 			return c, nil
 		}
-	}
-	names := make([]string, 0, 4)
-	for _, c := range NamedConfigs() {
 		names = append(names, c.Name)
 	}
 	return ClientConfig{}, fmt.Errorf("harness: unknown config %q (have %s)", name, strings.Join(names, ", "))
@@ -209,43 +210,30 @@ func (sc Scenario) Name() string {
 // Grid declares the sweep axes. Expand produces the exact cross-product
 // of every non-empty axis; empty axes fall back to the listed default.
 type Grid struct {
-	Servers     []nfssim.ServerKind    // default: filer
-	Configs     []ClientConfig         // default: stock
-	FileSizesMB []int                  // default: 40 (per client)
-	WSizes      []int                  // default: each config's own wsize
-	ClientCPUs  []int                  // default: 2 (the paper's dual P-III)
-	Clients     []int                  // default: 1 (client machines per run)
-	CacheLimits []int64                // default: mm.DefaultDirtyLimit
-	Jumbo       []bool                 // default: false
-	Transports  []rpcsim.TransportKind // default: udp
-	LossRates   []float64              // default: 0 (lossless)
-	Workloads   []bonnie.Workload      // default: write
-	FileCounts  []int                  // default: 0 (bonnie's DefaultZipfFiles)
-	ZipfSs      []float64              // default: 0 (bonnie's DefaultZipfS)
-	AcTimeouts  []sim.Time             // default: 0 (client's adaptive defaults)
-	// Sharings is the shared workload's writer-percentage axis (default:
-	// 0, bonnie's DefaultSharedWriterPct; ignored by other workloads).
-	Sharings []int
-	// Consistencies is the client cache-consistency mode axis (default:
-	// core.ConsistencyTTL).
-	Consistencies []core.ConsistencyMode
-	Seeds         []int64 // default: 1
+	Servers       []nfssim.ServerKind    // default: filer
+	Configs       []ClientConfig         // default: stock
+	FileSizesMB   []int                  // default: 40 (per client)
+	WSizes        []int                  // default: each config's own wsize
+	ClientCPUs    []int                  // default: 2 (the paper's dual P-III)
+	Clients       []int                  // default: 1 (client machines per run)
+	CacheLimits   []int64                // default: mm.DefaultDirtyLimit
+	Jumbo         []bool                 // default: false
+	Transports    []rpcsim.TransportKind // default: udp
+	LossRates     []float64              // default: 0 (lossless)
+	Workloads     []bonnie.Workload      // default: write
+	FileCounts    []int                  // default: 0 (bonnie's DefaultZipfFiles)
+	ZipfSs        []float64              // default: 0 (bonnie's DefaultZipfS)
+	AcTimeouts    []sim.Time             // default: 0 (client's adaptive defaults)
+	Sharings      []int                  // default: 0 (bonnie's DefaultSharedWriterPct)
+	Consistencies []core.ConsistencyMode // default: ttl
+	Seeds         []int64                // default: 1
 
-	// NetJitter applies the same max delivery jitter to every scenario
-	// (a scalar, not an axis).
-	NetJitter sim.Time
-
-	// FsyncEvery applies the same group-commit cadence to every scenario
-	// (a scalar knob, not an axis; see Scenario.FsyncEvery).
+	// Scalar knobs, not axes: each sets the Scenario field of the same
+	// name (ReadLag sets SharedReadLag) to one value in every scenario.
+	NetJitter  sim.Time
 	FsyncEvery int
-
-	// Mix applies the same zipf op mix to every scenario (a scalar knob,
-	// not an axis; see Scenario.Mix).
-	Mix bonnie.OpMix
-
-	// ReadLag applies the same shared-workload reader lag to every
-	// scenario (a scalar knob, not an axis; see Scenario.SharedReadLag).
-	ReadLag sim.Time
+	Mix        bonnie.OpMix
+	ReadLag    sim.Time
 
 	// Repeats re-runs every cell Repeats times, offsetting each base
 	// seed per repeat by the span of the Seeds list (max-min+1, so a
@@ -259,11 +247,27 @@ type Grid struct {
 	TimeLimit      sim.Time
 }
 
-func orInts(xs []int, def int) []int {
+// or returns the axis xs, or the one-value axis {def} when xs is empty.
+func or[T any](xs []T, def T) []T {
 	if len(xs) == 0 {
-		return []int{def}
+		return []T{def}
 	}
 	return xs
+}
+
+// cross returns the cross-product of scs with one more axis: every
+// scenario of scs, in order, once per value, with set applied to a
+// copy. The new axis varies fastest.
+func cross[T any](scs []Scenario, vals []T, set func(*Scenario, T)) []Scenario {
+	out := make([]Scenario, 0, len(scs)*len(vals))
+	for _, sc := range scs {
+		for _, v := range vals {
+			c := sc
+			set(&c, v)
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 // Expand returns the cross-product of all axes in a fixed nesting order
@@ -273,344 +277,188 @@ func orInts(xs []int, def int) []int {
 // resolved to its concrete value. The order is deterministic: the same
 // Grid always expands to the same slice.
 func (g Grid) Expand() []Scenario {
-	servers := g.Servers
-	if len(servers) == 0 {
-		servers = []nfssim.ServerKind{nfssim.ServerFiler}
+	scs := []Scenario{{
+		NetJitter:      g.NetJitter,
+		FsyncEvery:     g.FsyncEvery,
+		Mix:            g.Mix,
+		SharedReadLag:  g.ReadLag,
+		SkipFlushClose: g.SkipFlushClose,
+		TimeLimit:      cmp.Or(g.TimeLimit, 30*time.Minute),
+	}}
+	stock := ClientConfig{"stock", core.Stock244Config()}
+	scs = cross(scs, or(g.Configs, stock), func(sc *Scenario, v ClientConfig) {
+		sc.Config = v
+		sc.WSize = v.Config.WSize // unless the wsize axis overrides it
+	})
+	scs = cross(scs, or(g.Servers, nfssim.ServerFiler), func(sc *Scenario, v nfssim.ServerKind) { sc.Server = v })
+	scs = cross(scs, or(g.FileSizesMB, 40), func(sc *Scenario, v int) { sc.FileMB = v })
+	if len(g.WSizes) > 0 {
+		scs = cross(scs, g.WSizes, func(sc *Scenario, v int) { sc.WSize = v })
 	}
-	configs := g.Configs
-	if len(configs) == 0 {
-		configs = []ClientConfig{{"stock", core.Stock244Config()}}
-	}
-	sizes := orInts(g.FileSizesMB, 40)
-	cpus := orInts(g.ClientCPUs, 2)
-	clients := orInts(g.Clients, 1)
-	caches := g.CacheLimits
-	if len(caches) == 0 {
-		caches = []int64{mm.DefaultDirtyLimit}
-	}
-	jumbos := g.Jumbo
-	if len(jumbos) == 0 {
-		jumbos = []bool{false}
-	}
-	transports := g.Transports
-	if len(transports) == 0 {
-		transports = []rpcsim.TransportKind{rpcsim.TransportUDP}
-	}
-	losses := g.LossRates
-	if len(losses) == 0 {
-		losses = []float64{0}
-	}
-	workloads := g.Workloads
-	if len(workloads) == 0 {
-		workloads = []bonnie.Workload{bonnie.WorkloadWrite}
-	}
-	fileCounts := orInts(g.FileCounts, 0)
-	zipfSs := g.ZipfSs
-	if len(zipfSs) == 0 {
-		zipfSs = []float64{0}
-	}
-	acTimeouts := g.AcTimeouts
-	if len(acTimeouts) == 0 {
-		acTimeouts = []sim.Time{0}
-	}
-	sharings := orInts(g.Sharings, 0)
-	consistencies := g.Consistencies
-	if len(consistencies) == 0 {
-		consistencies = []core.ConsistencyMode{core.ConsistencyTTL}
-	}
-	seeds := g.Seeds
-	if len(seeds) == 0 {
-		seeds = []int64{1}
-	}
+	scs = cross(scs, or(g.ClientCPUs, 2), func(sc *Scenario, v int) { sc.ClientCPUs = v })
+	scs = cross(scs, or(g.Clients, 1), func(sc *Scenario, v int) { sc.Clients = v })
+	scs = cross(scs, or(g.CacheLimits, mm.DefaultDirtyLimit), func(sc *Scenario, v int64) { sc.CacheLimit = v })
+	scs = cross(scs, or(g.Jumbo, false), func(sc *Scenario, v bool) { sc.Jumbo = v })
+	scs = cross(scs, or(g.Transports, rpcsim.TransportUDP), func(sc *Scenario, v rpcsim.TransportKind) { sc.Transport = v })
+	scs = cross(scs, or(g.LossRates, 0), func(sc *Scenario, v float64) { sc.Loss = v })
+	scs = cross(scs, or(g.Workloads, bonnie.WorkloadWrite), func(sc *Scenario, v bonnie.Workload) { sc.Workload = v })
+	scs = cross(scs, or(g.FileCounts, 0), func(sc *Scenario, v int) { sc.FileCount = v })
+	scs = cross(scs, or(g.ZipfSs, 0), func(sc *Scenario, v float64) { sc.ZipfS = v })
+	scs = cross(scs, or(g.AcTimeouts, 0), func(sc *Scenario, v sim.Time) { sc.AcTimeout = v })
+	scs = cross(scs, or(g.Sharings, 0), func(sc *Scenario, v int) { sc.SharedWriterPct = v })
+	scs = cross(scs, or(g.Consistencies, core.ConsistencyTTL), func(sc *Scenario, v core.ConsistencyMode) { sc.Consistency = v })
+	seeds := or(g.Seeds, 1)
+	scs = cross(scs, seeds, func(sc *Scenario, v int64) { sc.Seed = v })
 	// Repeat r shifts every base seed by r*span; span covers the whole
 	// base-seed range, so no two (seed, repeat) pairs share a seed.
-	minSeed, maxSeed := seeds[0], seeds[0]
-	for _, s := range seeds {
-		if s < minSeed {
-			minSeed = s
-		}
-		if s > maxSeed {
-			maxSeed = s
-		}
+	span := slices.Max(seeds) - slices.Min(seeds) + 1
+	repeats := make([]int, max(g.Repeats, 1))
+	for r := range repeats {
+		repeats[r] = r
 	}
-	span := maxSeed - minSeed + 1
-	repeats := g.Repeats
-	if repeats < 1 {
-		repeats = 1
-	}
-	timeLimit := g.TimeLimit
-	if timeLimit == 0 {
-		timeLimit = 30 * time.Minute
-	}
-
-	var out []Scenario
-	for _, cfg := range configs {
-		wsizes := orInts(g.WSizes, cfg.Config.WSize)
-		for _, srv := range servers {
-			for _, mb := range sizes {
-				for _, ws := range wsizes {
-					for _, ncpu := range cpus {
-						for _, ncli := range clients {
-							for _, cache := range caches {
-								for _, jumbo := range jumbos {
-									for _, tr := range transports {
-										for _, loss := range losses {
-											for _, wl := range workloads {
-												for _, fc := range fileCounts {
-													for _, zs := range zipfSs {
-														for _, ac := range acTimeouts {
-															for _, sw := range sharings {
-																for _, cons := range consistencies {
-																	for _, seed := range seeds {
-																		for rep := 0; rep < repeats; rep++ {
-																			out = append(out, Scenario{
-																				Server:          srv,
-																				Config:          cfg,
-																				FileMB:          mb,
-																				WSize:           ws,
-																				ClientCPUs:      ncpu,
-																				Clients:         ncli,
-																				CacheLimit:      cache,
-																				Jumbo:           jumbo,
-																				Transport:       tr,
-																				Loss:            loss,
-																				NetJitter:       g.NetJitter,
-																				Workload:        wl,
-																				FsyncEvery:      g.FsyncEvery,
-																				FileCount:       fc,
-																				ZipfS:           zs,
-																				Mix:             g.Mix,
-																				AcTimeout:       ac,
-																				SharedWriterPct: sw,
-																				SharedReadLag:   g.ReadLag,
-																				Consistency:     cons,
-																				Seed:            seed + int64(rep)*span,
-																				Repeat:          rep,
-																				SkipFlushClose:  g.SkipFlushClose,
-																				TimeLimit:       timeLimit,
-																			})
-																		}
-																	}
-																}
-															}
-														}
-													}
-												}
-											}
-										}
-									}
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	return out
+	return cross(scs, repeats, func(sc *Scenario, r int) {
+		sc.Seed += int64(r) * span
+		sc.Repeat = r
+	})
 }
 
 // ParseSizes parses a file-size axis spec: either a comma list
 // ("25,100,450") or a range with step ("25..450:25", step defaulting
 // to 25). Values are megabytes.
 func ParseSizes(spec string) ([]int, error) {
-	if spec == "" {
-		return nil, fmt.Errorf("harness: empty size spec")
+	lo, rest, isRange := strings.Cut(spec, "..")
+	if !isRange {
+		if spec == "" {
+			return nil, fmt.Errorf("harness: empty size spec")
+		}
+		return ParseList(spec, PositiveInt)
 	}
-	if lo, rest, ok := strings.Cut(spec, ".."); ok {
-		hi, stepStr, _ := strings.Cut(rest, ":")
-		step := 25
-		var err error
-		if stepStr != "" {
-			if step, err = strconv.Atoi(stepStr); err != nil || step <= 0 {
-				return nil, fmt.Errorf("harness: bad size step %q", stepStr)
-			}
+	hi, stepStr, _ := strings.Cut(rest, ":")
+	a, err := PositiveInt(lo)
+	if err != nil {
+		return nil, err
+	}
+	b, err := PositiveInt(hi)
+	if err != nil || b < a {
+		return nil, fmt.Errorf("harness: bad size range %q", spec)
+	}
+	step := 25
+	if stepStr != "" {
+		if step, err = PositiveInt(stepStr); err != nil {
+			return nil, err
 		}
-		a, err := strconv.Atoi(lo)
-		if err != nil {
-			return nil, fmt.Errorf("harness: bad size %q", lo)
-		}
-		b, err := strconv.Atoi(hi)
-		if err != nil {
-			return nil, fmt.Errorf("harness: bad size %q", hi)
-		}
-		if a <= 0 || b < a {
-			return nil, fmt.Errorf("harness: bad size range %d..%d", a, b)
-		}
-		var out []int
-		for mb := a; mb <= b; mb += step {
-			out = append(out, mb)
-		}
-		return out, nil
 	}
 	var out []int
-	for _, f := range strings.Split(spec, ",") {
-		mb, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || mb <= 0 {
-			return nil, fmt.Errorf("harness: bad size %q", f)
-		}
+	for mb := a; mb <= b; mb += step {
 		out = append(out, mb)
 	}
 	return out, nil
 }
 
-// ParseServers parses a comma list of server names.
-func ParseServers(spec string) ([]nfssim.ServerKind, error) {
-	var out []nfssim.ServerKind
+// ParseList parses a comma-separated axis spec ("filer,linux"), each
+// trimmed element through parse; the first bad element fails the list.
+// An empty spec is an empty list, so the axis keeps its default.
+func ParseList[T any](spec string, parse func(string) (T, error)) ([]T, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	var out []T
 	for _, f := range strings.Split(spec, ",") {
-		k, err := ServerByName(strings.TrimSpace(f))
+		v, err := parse(strings.TrimSpace(f))
 		if err != nil {
 			return nil, err
-		}
-		out = append(out, k)
-	}
-	return out, nil
-}
-
-// ParseConfigs parses a comma list of canonical configuration names.
-func ParseConfigs(spec string) ([]ClientConfig, error) {
-	var out []ClientConfig
-	for _, f := range strings.Split(spec, ",") {
-		c, err := ConfigByName(strings.TrimSpace(f))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, c)
-	}
-	return out, nil
-}
-
-// ParseTransports parses a comma list of transport names ("udp,tcp").
-func ParseTransports(spec string) ([]rpcsim.TransportKind, error) {
-	var out []rpcsim.TransportKind
-	for _, f := range strings.Split(spec, ",") {
-		k, err := rpcsim.ParseTransport(strings.TrimSpace(f))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, k)
-	}
-	return out, nil
-}
-
-// ParseLossRates parses a comma list of per-fragment drop probabilities
-// ("0,0.01,0.05"), each in [0, 1).
-func ParseLossRates(spec string) ([]float64, error) {
-	var out []float64
-	for _, f := range strings.Split(spec, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || v < 0 || v >= 1 {
-			return nil, fmt.Errorf("harness: bad loss rate %q (want a probability in [0, 1))", f)
 		}
 		out = append(out, v)
 	}
 	return out, nil
 }
 
-// ParseWorkloads parses a comma list of workload names
-// ("write,rewrite,read,mixed").
-func ParseWorkloads(spec string) ([]bonnie.Workload, error) {
-	var out []bonnie.Workload
-	for _, f := range strings.Split(spec, ",") {
-		w, err := bonnie.ParseWorkload(strings.TrimSpace(f))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, w)
+// PositiveInt parses a count: CPUs, clients, megabytes, files.
+func PositiveInt(s string) (int, error) {
+	n, err := strconv.Atoi(s)
+	if err != nil || n <= 0 {
+		return 0, fmt.Errorf("harness: bad value %q (want a positive integer)", s)
 	}
-	return out, nil
+	return n, nil
 }
 
-// ParseFileCounts parses a comma list of zipf file populations
-// ("100,1000"), each positive.
-func ParseFileCounts(spec string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(spec, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("harness: bad file count %q", f)
-		}
-		out = append(out, n)
+// CheckWSize is the rule core.NewClient enforces on a write size: a
+// positive multiple of the page size.
+func CheckWSize(ws int) error {
+	if ws <= 0 || ws%vfs.PageSize != 0 {
+		return fmt.Errorf("harness: wsize %d is not a positive multiple of the %d-byte page size", ws, vfs.PageSize)
 	}
-	return out, nil
+	return nil
 }
 
-// ParseZipfSs parses a comma list of Zipf skew exponents
-// ("0.8,1.2,uniform"); "uniform" (or bonnie.ZipfUniform's -1) selects
-// uniform file choice.
-func ParseZipfSs(spec string) ([]float64, error) {
-	var out []float64
-	for _, f := range strings.Split(spec, ",") {
-		f = strings.TrimSpace(f)
-		if f == "uniform" {
-			out = append(out, bonnie.ZipfUniform)
-			continue
-		}
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil || (v < 0 && v != bonnie.ZipfUniform) {
-			return nil, fmt.Errorf("harness: bad zipf exponent %q (want a non-negative number or \"uniform\")", f)
-		}
-		out = append(out, v)
+// WSize parses a write size in bytes, checked by CheckWSize.
+func WSize(s string) (int, error) {
+	ws, err := strconv.Atoi(s)
+	if err != nil {
+		return 0, fmt.Errorf("harness: bad wsize %q", s)
 	}
-	return out, nil
+	return ws, CheckWSize(ws)
 }
 
-// ParseAcTimeouts parses a comma list of attribute-cache windows
-// ("off,3s,60s"); "off" disables the cache (mount -o noac), "default"
-// (or 0) keeps the client's adaptive acregmin/acregmax aging.
-func ParseAcTimeouts(spec string) ([]sim.Time, error) {
-	var out []sim.Time
-	for _, f := range strings.Split(spec, ",") {
-		f = strings.TrimSpace(f)
-		switch f {
-		case "off":
-			out = append(out, core.AcOff)
-			continue
-		case "default", "0":
-			out = append(out, 0)
-			continue
-		}
-		d, err := time.ParseDuration(f)
-		if err != nil || d < 0 {
-			return nil, fmt.Errorf("harness: bad attribute-cache timeout %q (want a duration, \"off\", or \"default\")", f)
-		}
-		out = append(out, d)
+// LossRate parses a per-fragment drop probability in [0, 1).
+func LossRate(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil || !(v >= 0 && v < 1) {
+		return 0, fmt.Errorf("harness: bad loss rate %q (want a probability in [0, 1))", s)
 	}
-	return out, nil
+	return v, nil
 }
 
-// ParseSharings parses a comma list of shared-workload writer
-// percentages ("25,50,75"); "default" (or 0) keeps bonnie's
-// DefaultSharedWriterPct.
-func ParseSharings(spec string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(spec, ",") {
-		f = strings.TrimSpace(f)
-		if f == "default" || f == "0" {
-			out = append(out, 0)
-			continue
-		}
-		n, err := strconv.Atoi(f)
-		if err != nil || n < 1 || n > 100 {
-			return nil, fmt.Errorf("harness: bad writer percentage %q (want 1-100 or \"default\")", f)
-		}
-		out = append(out, n)
+// ZipfS parses a Zipf skew exponent; "uniform" (or bonnie.ZipfUniform's
+// -1) selects uniform file choice.
+func ZipfS(s string) (float64, error) {
+	if s == "uniform" {
+		return bonnie.ZipfUniform, nil
 	}
-	return out, nil
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil || (v < 0 && v != bonnie.ZipfUniform) {
+		return 0, fmt.Errorf("harness: bad zipf exponent %q (want a non-negative number or \"uniform\")", s)
+	}
+	return v, nil
 }
 
-// ParseConsistencies parses a comma list of cache-consistency modes
-// ("ttl,strict,noac").
-func ParseConsistencies(spec string) ([]core.ConsistencyMode, error) {
-	var out []core.ConsistencyMode
-	for _, f := range strings.Split(spec, ",") {
-		m, ok := core.ParseConsistency(strings.TrimSpace(f))
-		if !ok {
-			return nil, fmt.Errorf("harness: unknown consistency mode %q (have ttl, strict, noac)", f)
-		}
-		out = append(out, m)
+// AcTimeout parses an attribute-cache window: "off" disables the cache
+// (mount -o noac), "default" (or 0) keeps the client's adaptive
+// acregmin/acregmax aging, and a duration pins the window.
+func AcTimeout(s string) (sim.Time, error) {
+	switch s {
+	case "off":
+		return core.AcOff, nil
+	case "default", "0":
+		return 0, nil
 	}
-	return out, nil
+	d, err := time.ParseDuration(s)
+	if err != nil || d < 0 {
+		return 0, fmt.Errorf("harness: bad attribute-cache timeout %q (want a duration, \"off\", or \"default\")", s)
+	}
+	return d, nil
+}
+
+// Sharing parses a shared-workload writer percentage; "default" (or 0)
+// keeps bonnie's DefaultSharedWriterPct.
+func Sharing(s string) (int, error) {
+	if s == "default" || s == "0" {
+		return 0, nil
+	}
+	n, err := strconv.Atoi(s)
+	if err != nil || n < 1 || n > 100 {
+		return 0, fmt.Errorf("harness: bad writer percentage %q (want 1-100 or \"default\")", s)
+	}
+	return n, nil
+}
+
+// ConsistencyByName parses a cache-consistency mode: ttl, strict, or noac.
+func ConsistencyByName(s string) (core.ConsistencyMode, error) {
+	m, ok := core.ParseConsistency(s)
+	if !ok {
+		return 0, fmt.Errorf("harness: unknown consistency mode %q (have ttl, strict, noac)", s)
+	}
+	return m, nil
 }
 
 // appearanceOrder deduplicates keys preserving first appearance, so

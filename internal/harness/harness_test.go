@@ -1,8 +1,11 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -263,7 +266,7 @@ func TestParseSizes(t *testing.T) {
 }
 
 func TestParseServersAndConfigs(t *testing.T) {
-	srvs, err := ParseServers("filer, linux,slow100,local")
+	srvs, err := ParseList("filer, linux,slow100,local", ServerByName)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,10 +274,10 @@ func TestParseServersAndConfigs(t *testing.T) {
 	if !reflect.DeepEqual(srvs, want) {
 		t.Fatalf("servers = %v", srvs)
 	}
-	if _, err := ParseServers("netapp"); err == nil {
+	if _, err := ParseList("netapp", ServerByName); err == nil {
 		t.Fatal("bad server name should fail")
 	}
-	cfgs, err := ParseConfigs("stock,enhanced")
+	cfgs, err := ParseList("stock,enhanced", ConfigByName)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,8 +287,48 @@ func TestParseServersAndConfigs(t *testing.T) {
 	if cfgs[1].Config.IndexPolicy != core.IndexHashTable {
 		t.Fatal("enhanced config not resolved")
 	}
-	if _, err := ParseConfigs("turbo"); err == nil {
+	if _, err := ParseList("turbo", ConfigByName); err == nil {
 		t.Fatal("bad config name should fail")
+	}
+}
+
+func TestParseList(t *testing.T) {
+	if xs, err := ParseList("", PositiveInt); xs != nil || err != nil {
+		t.Fatalf("empty spec = %v, %v; want the empty axis", xs, err)
+	}
+	if xs, err := ParseList("1, 2,8", PositiveInt); err != nil || !reflect.DeepEqual(xs, []int{1, 2, 8}) {
+		t.Fatalf("ParseList = %v, %v", xs, err)
+	}
+	for _, bad := range []string{"0", "-3", "x", "1,,2"} {
+		if _, err := ParseList(bad, PositiveInt); err == nil {
+			t.Fatalf("ParseList(%q) accepted", bad)
+		}
+	}
+	if xs, err := ParseList("8192, 32768", WSize); err != nil || !reflect.DeepEqual(xs, []int{8192, 32768}) {
+		t.Fatalf("wsizes = %v, %v", xs, err)
+	}
+	for _, ws := range []int{0, -8192, 1000} {
+		if CheckWSize(ws) == nil {
+			t.Fatalf("wsize %d accepted", ws)
+		}
+	}
+	for _, bad := range []string{"1", "-0.1", "NaN"} {
+		if _, err := LossRate(bad); err == nil {
+			t.Fatalf("loss rate %q accepted", bad)
+		}
+	}
+	if zs, err := ParseList("1.2,uniform", ZipfS); err != nil || !reflect.DeepEqual(zs, []float64{1.2, bonnie.ZipfUniform}) {
+		t.Fatalf("zipf exponents = %v, %v", zs, err)
+	}
+	if acs, err := ParseList("off,default,3s", AcTimeout); err != nil || !reflect.DeepEqual(acs, []time.Duration{core.AcOff, 0, 3 * time.Second}) {
+		t.Fatalf("ac timeouts = %v, %v", acs, err)
+	}
+	if sws, err := ParseList("default,25", Sharing); err != nil || !reflect.DeepEqual(sws, []int{0, 25}) {
+		t.Fatalf("sharings = %v, %v", sws, err)
+	}
+	if ms, err := ParseList("ttl,strict,noac", ConsistencyByName); err != nil ||
+		!reflect.DeepEqual(ms, []core.ConsistencyMode{core.ConsistencyTTL, core.ConsistencyStrict, core.ConsistencyNoac}) {
+		t.Fatalf("consistencies = %v, %v", ms, err)
 	}
 }
 
@@ -776,5 +819,102 @@ func TestRunScenarioLeavesNoGoroutines(t *testing.T) {
 	}()
 	if n := runtime.NumGoroutine(); n != base {
 		t.Fatalf("%d goroutines after a panicking run, want the baseline %d", n, base)
+	}
+}
+
+// expandPinSHA256 is the SHA-256 of the Name() and %+v lines of every
+// scenario randomExpandGrids expands to, recorded from the nested-loop
+// Expand this package used to have. Any change to the nesting order,
+// the seed-span repeat rule, or a default shows up here.
+const expandPinSHA256 = "d35ecce3cb6a406068a66b2802583d6f404bf86ed557298415b88a994a4218ad"
+
+// randomExpandGrids draws a fixed, seeded set of grids: each axis gets
+// 0-2 values (0 leaves it to its default), and the scalar knobs and
+// Repeats are drawn too.
+func randomExpandGrids(n int) []Grid {
+	rng := rand.New(rand.NewSource(17))
+	pick := func() int { return rng.Intn(3) }
+	configs := NamedConfigs()
+	grids := make([]Grid, 0, n)
+	for range n {
+		var g Grid
+		for range pick() {
+			g.Servers = append(g.Servers, nfssim.ServerKind(rng.Intn(4)))
+		}
+		for range pick() {
+			g.Configs = append(g.Configs, configs[rng.Intn(len(configs))])
+		}
+		for range pick() {
+			g.FileSizesMB = append(g.FileSizesMB, rng.Intn(100))
+		}
+		for range pick() {
+			g.WSizes = append(g.WSizes, 4096*rng.Intn(9))
+		}
+		for range pick() {
+			g.ClientCPUs = append(g.ClientCPUs, rng.Intn(5))
+		}
+		for range pick() {
+			g.Clients = append(g.Clients, rng.Intn(9))
+		}
+		for range pick() {
+			g.CacheLimits = append(g.CacheLimits, int64(rng.Intn(1<<30)))
+		}
+		for range pick() {
+			g.Jumbo = append(g.Jumbo, rng.Intn(2) == 1)
+		}
+		for range pick() {
+			g.Transports = append(g.Transports, rpcsim.TransportKind(rng.Intn(2)))
+		}
+		for range pick() {
+			g.LossRates = append(g.LossRates, float64(rng.Intn(10))/100)
+		}
+		for range pick() {
+			g.Workloads = append(g.Workloads, bonnie.Workload(rng.Intn(9)))
+		}
+		for range pick() {
+			g.FileCounts = append(g.FileCounts, rng.Intn(1000))
+		}
+		for range pick() {
+			g.ZipfSs = append(g.ZipfSs, float64(rng.Intn(30)-1)/10)
+		}
+		for range pick() {
+			g.AcTimeouts = append(g.AcTimeouts, time.Duration(rng.Intn(5)-1)*time.Second)
+		}
+		for range pick() {
+			g.Sharings = append(g.Sharings, rng.Intn(101))
+		}
+		for range pick() {
+			g.Consistencies = append(g.Consistencies, core.ConsistencyMode(rng.Intn(3)))
+		}
+		for range pick() {
+			g.Seeds = append(g.Seeds, int64(rng.Intn(20)-5))
+		}
+		g.NetJitter = time.Duration(rng.Intn(3)) * 100 * time.Microsecond
+		g.FsyncEvery = rng.Intn(3) * 16
+		if rng.Intn(2) == 1 {
+			g.Mix = bonnie.OpMix{Create: 10, Write: 30, Read: 40, Stat: 15, Remove: 5}
+		}
+		g.ReadLag = time.Duration(rng.Intn(3)) * time.Millisecond
+		g.Repeats = rng.Intn(4)
+		g.SkipFlushClose = rng.Intn(2) == 1
+		g.TimeLimit = time.Duration(rng.Intn(2)) * time.Minute
+		grids = append(grids, g)
+	}
+	return grids
+}
+
+// Expand is pinned byte for byte on random grids, not only on the
+// hand-picked ones above: every axis, every default, every scalar knob.
+func TestGridExpandMatchesPin(t *testing.T) {
+	h := sha256.New()
+	var n int
+	for _, g := range randomExpandGrids(400) {
+		for _, sc := range g.Expand() {
+			fmt.Fprintf(h, "%s %+v\n", sc.Name(), sc)
+			n++
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != expandPinSHA256 {
+		t.Fatalf("%d scenarios hash to %s, want %s", n, got, expandPinSHA256)
 	}
 }
