@@ -76,7 +76,7 @@ func (c *Client) invalidateAttr(name string) {
 func (c *Client) AttrCacheLen() int { return len(c.attrCache) }
 
 // lookupRPC issues a LOOKUP for name in the mount's root directory.
-func (c *Client) lookupRPC(p *sim.Proc, name string) *nfsproto.LookupRes {
+func (c *Client) lookupRPC(p *sim.Proc, name string) nfsproto.LookupRes {
 	c.LookupRPCs++
 	args := nfsproto.LookupArgs{Dir: c.rootFH, Name: name}
 	res, err := rpcsim.CallSync(c.tr, p, nfsproto.ProcLookup, args.Encode, nfsproto.DecodeLookupRes)

@@ -51,12 +51,6 @@ func ResultsCSV(results []Result) string {
 	return b.String()
 }
 
-// CSVHeader returns the results CSV header row (for streaming writers).
-func CSVHeader() string { return strings.Join(resultColumns, ",") + "\n" }
-
-// CSVRow returns one result's CSV row (for streaming writers).
-func CSVRow(r Result) string { return strings.Join(r.csvRow(), ",") + "\n" }
-
 // ResultsJSON renders results as an indented JSON array.
 func ResultsJSON(results []Result) string {
 	if results == nil {

@@ -29,22 +29,22 @@ func decodeArgsFor(proc uint32, d *xdr.Decoder) (encoder, bool, error) {
 		return &a, true, err
 	case ProcRead:
 		a, err := DecodeReadArgs(d)
-		return a, true, err
+		return &a, true, err
 	case ProcCommit:
 		a, err := DecodeCommitArgs(d)
-		return a, true, err
+		return &a, true, err
 	case ProcGetattr:
 		a, err := DecodeGetattrArgs(d)
-		return a, true, err
+		return &a, true, err
 	case ProcLookup:
 		a, err := DecodeLookupArgs(d)
-		return a, true, err
+		return &a, true, err
 	case ProcCreate:
 		a, err := DecodeCreateArgs(d)
-		return a, true, err
+		return &a, true, err
 	case ProcRemove:
 		a, err := DecodeRemoveArgs(d)
-		return a, true, err
+		return &a, true, err
 	}
 	return nil, false, nil
 }
@@ -57,22 +57,22 @@ func decodeResFor(proc uint32, d *xdr.Decoder) (encoder, bool, error) {
 		return &r, true, err
 	case ProcRead:
 		r, err := DecodeReadRes(d)
-		return r, true, err
+		return &r, true, err
 	case ProcCommit:
 		r, err := DecodeCommitRes(d)
-		return r, true, err
+		return &r, true, err
 	case ProcGetattr:
 		r, err := DecodeGetattrRes(d)
-		return r, true, err
+		return &r, true, err
 	case ProcLookup:
 		r, err := DecodeLookupRes(d)
-		return r, true, err
+		return &r, true, err
 	case ProcCreate:
 		r, err := DecodeCreateRes(d)
-		return r, true, err
+		return &r, true, err
 	case ProcRemove:
 		r, err := DecodeRemoveRes(d)
-		return r, true, err
+		return &r, true, err
 	}
 	return nil, false, nil
 }

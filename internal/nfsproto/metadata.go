@@ -102,48 +102,31 @@ func encodeTime(e *xdr.Encoder, ns uint64) {
 	e.Uint32(uint32(ns % 1e9))
 }
 
-func decodeTime(d *xdr.Decoder) (uint64, error) {
-	sec, e1 := d.Uint32()
-	nsec, e2 := d.Uint32()
-	if err := xdr.Check(e1, e2); err != nil {
-		return 0, err
-	}
-	return uint64(sec)*1e9 + uint64(nsec), nil
+func decodeTime(d *xdr.Decoder) uint64 {
+	sec := d.Uint32()
+	nsec := d.Uint32()
+	return uint64(sec)*1e9 + uint64(nsec)
 }
 
-// DecodeFileAttrs decodes a fattr3, keeping the modeled fields.
-func DecodeFileAttrs(d *xdr.Decoder) (FileAttrs, error) {
+// decodeFileAttrs decodes a fattr3, keeping the modeled fields.
+func decodeFileAttrs(d *xdr.Decoder) FileAttrs {
 	var a FileAttrs
-	_, e1 := d.Uint32() // type
-	_, e2 := d.Uint32() // mode
-	_, e3 := d.Uint32() // nlink
-	_, e4 := d.Uint32() // uid
-	_, e5 := d.Uint32() // gid
-	size, e6 := d.Uint64()
-	_, e7 := d.Uint64()  // used
-	_, e8 := d.Uint32()  // rdev major
-	_, e9 := d.Uint32()  // rdev minor
-	_, e10 := d.Uint64() // fsid
-	fileid, e11 := d.Uint64()
-	change, e12 := d.Uint64()
-	if err := xdr.Check(e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, e11, e12); err != nil {
-		return a, err
-	}
-	if _, err := decodeTime(d); err != nil { // atime
-		return a, err
-	}
-	mtime, err := decodeTime(d)
-	if err != nil {
-		return a, err
-	}
-	if _, err := decodeTime(d); err != nil { // ctime
-		return a, err
-	}
-	a.Size = size
-	a.FileID = fileid
-	a.MTime = mtime
-	a.Change = change
-	return a, nil
+	d.Uint32() // type
+	d.Uint32() // mode
+	d.Uint32() // nlink
+	d.Uint32() // uid
+	d.Uint32() // gid
+	a.Size = d.Uint64()
+	d.Uint64() // used
+	d.Uint32() // rdev major
+	d.Uint32() // rdev minor
+	d.Uint64() // fsid
+	a.FileID = d.Uint64()
+	a.Change = d.Uint64()
+	decodeTime(d) // atime
+	a.MTime = decodeTime(d)
+	decodeTime(d) // ctime
+	return a
 }
 
 // WccAttr is the pre-op attribute subset of wcc_data (RFC 1813 §2.6
@@ -163,23 +146,9 @@ func (w *WccAttr) Encode(e *xdr.Encoder) {
 	e.Uint64(w.Change) // ctime slot carries the change counter
 }
 
-// DecodeWccAttr decodes a wcc_attr.
-func DecodeWccAttr(d *xdr.Decoder) (WccAttr, error) {
-	var w WccAttr
-	size, err := d.Uint64()
-	if err != nil {
-		return w, err
-	}
-	mtime, err := decodeTime(d)
-	if err != nil {
-		return w, err
-	}
-	change, err := d.Uint64()
-	if err != nil {
-		return w, err
-	}
-	w.Size, w.MTime, w.Change = size, mtime, change
-	return w, nil
+// decodeWccAttr decodes a wcc_attr.
+func decodeWccAttr(d *xdr.Decoder) WccAttr {
+	return WccAttr{Size: d.Uint64(), MTime: decodeTime(d), Change: d.Uint64()}
 }
 
 // WccData is the weak-cache-consistency payload on mutating replies:
@@ -206,45 +175,28 @@ func (w *WccData) Encode(e *xdr.Encoder) {
 	}
 }
 
-// DecodeWccData decodes a wcc_data.
-func DecodeWccData(d *xdr.Decoder) (WccData, error) {
+// decodeWccData decodes a wcc_data.
+func decodeWccData(d *xdr.Decoder) WccData {
 	var w WccData
-	havePre, err := d.Bool()
-	if err != nil {
-		return w, err
+	if w.HavePre = d.Bool(); w.HavePre {
+		w.Pre = decodeWccAttr(d)
 	}
-	if havePre {
-		w.HavePre = true
-		if w.Pre, err = DecodeWccAttr(d); err != nil {
-			return w, err
-		}
+	if w.HavePost = d.Bool(); w.HavePost {
+		w.Post = decodeFileAttrs(d)
 	}
-	havePost, err := d.Bool()
-	if err != nil {
-		return w, err
-	}
-	if havePost {
-		w.HavePost = true
-		if w.Post, err = DecodeFileAttrs(d); err != nil {
-			return w, err
-		}
-	}
-	return w, nil
+	return w
 }
 
 // decodeFH decodes a file handle straight into its array: the wire
 // bytes are read in place and copied once.
-func decodeFH(d *xdr.Decoder) (FileHandle, error) {
-	var out FileHandle
-	fh, err := d.OpaqueRef()
-	if err != nil {
-		return out, err
+func decodeFH(d *xdr.Decoder) FileHandle {
+	var fh FileHandle
+	b := d.OpaqueRef()
+	if len(b) != FHSize {
+		d.Fail(fmt.Errorf("nfsproto: file handle size %d", len(b)))
 	}
-	if len(fh) != FHSize {
-		return out, fmt.Errorf("nfsproto: file handle size %d", len(fh))
-	}
-	copy(out[:], fh)
-	return out, nil
+	copy(fh[:], b)
+	return fh
 }
 
 // GetattrArgs is GETATTR3args: just the object handle.
@@ -258,12 +210,8 @@ func (a *GetattrArgs) Encode(e *xdr.Encoder) {
 }
 
 // DecodeGetattrArgs decodes GETATTR3args.
-func DecodeGetattrArgs(d *xdr.Decoder) (*GetattrArgs, error) {
-	fh, err := decodeFH(d)
-	if err != nil {
-		return nil, err
-	}
-	return &GetattrArgs{File: fh}, nil
+func DecodeGetattrArgs(d *xdr.Decoder) (GetattrArgs, error) {
+	return GetattrArgs{File: decodeFH(d)}, d.Err()
 }
 
 // GetattrRes is GETATTR3res. The success arm carries a mandatory fattr3
@@ -282,20 +230,12 @@ func (r *GetattrRes) Encode(e *xdr.Encoder) {
 }
 
 // DecodeGetattrRes decodes GETATTR3res.
-func DecodeGetattrRes(d *xdr.Decoder) (*GetattrRes, error) {
-	st, err := d.Uint32()
-	if err != nil {
-		return nil, err
+func DecodeGetattrRes(d *xdr.Decoder) (GetattrRes, error) {
+	r := GetattrRes{Status: Status(d.Uint32())}
+	if r.Status == NFS3OK {
+		r.Attrs = decodeFileAttrs(d)
 	}
-	r := &GetattrRes{Status: Status(st)}
-	if r.Status != NFS3OK {
-		return r, nil
-	}
-	r.Attrs, err = DecodeFileAttrs(d)
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
+	return r, d.Err()
 }
 
 // LookupArgs is LOOKUP3args: directory handle plus name.
@@ -311,16 +251,8 @@ func (a *LookupArgs) Encode(e *xdr.Encoder) {
 }
 
 // DecodeLookupArgs decodes LOOKUP3args.
-func DecodeLookupArgs(d *xdr.Decoder) (*LookupArgs, error) {
-	fh, err := decodeFH(d)
-	if err != nil {
-		return nil, err
-	}
-	name, err := d.String()
-	if err != nil {
-		return nil, err
-	}
-	return &LookupArgs{Dir: fh, Name: name}, nil
+func DecodeLookupArgs(d *xdr.Decoder) (LookupArgs, error) {
+	return LookupArgs{Dir: decodeFH(d), Name: d.String()}, d.Err()
 }
 
 // LookupRes is LOOKUP3res: on success the object handle plus post-op
@@ -344,32 +276,16 @@ func (r *LookupRes) Encode(e *xdr.Encoder) {
 }
 
 // DecodeLookupRes decodes LOOKUP3res.
-func DecodeLookupRes(d *xdr.Decoder) (*LookupRes, error) {
-	st, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	r := &LookupRes{Status: Status(st)}
+func DecodeLookupRes(d *xdr.Decoder) (LookupRes, error) {
+	r := LookupRes{Status: Status(d.Uint32())}
 	if r.Status == NFS3OK {
-		r.File, err = decodeFH(d)
-		if err != nil {
-			return nil, err
-		}
-		present, err := d.Bool()
-		if err != nil {
-			return nil, err
-		}
-		if present {
-			r.Attrs, err = DecodeFileAttrs(d)
-			if err != nil {
-				return nil, err
-			}
+		r.File = decodeFH(d)
+		if d.Bool() { // object attributes present
+			r.Attrs = decodeFileAttrs(d)
 		}
 	}
-	if _, err := d.Bool(); err != nil { // dir attributes arm
-		return nil, err
-	}
-	return r, nil
+	d.Bool() // dir attributes arm
+	return r, d.Err()
 }
 
 // CreateArgs is CREATE3args in UNCHECKED mode with the 2.4 client's
@@ -395,70 +311,38 @@ func (a *CreateArgs) Encode(e *xdr.Encoder) {
 }
 
 // DecodeCreateArgs decodes CREATE3args.
-func DecodeCreateArgs(d *xdr.Decoder) (*CreateArgs, error) {
-	fh, err := decodeFH(d)
-	if err != nil {
-		return nil, err
+func DecodeCreateArgs(d *xdr.Decoder) (CreateArgs, error) {
+	a := CreateArgs{Dir: decodeFH(d), Name: d.String()}
+	// UNCHECKED and GUARDED carry an sattr3, EXCLUSIVE a verifier.
+	switch how := d.Uint32(); how {
+	case 0, 1:
+		skipSattr(d)
+	case 2:
+		d.Uint64()
+	default:
+		d.Fail(fmt.Errorf("nfsproto: createhow3 %d", how))
 	}
-	name, err := d.String()
-	if err != nil {
-		return nil, err
-	}
-	how, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	if how > 2 {
-		return nil, fmt.Errorf("nfsproto: createhow3 %d", how)
-	}
-	// Consume the sattr3 (EXCLUSIVE carries a verifier instead; we only
-	// model UNCHECKED/GUARDED).
-	if how != 2 {
-		if err := skipSattr(d); err != nil {
-			return nil, err
-		}
-	} else if _, err := d.Uint64(); err != nil {
-		return nil, err
-	}
-	return &CreateArgs{Dir: fh, Name: name}, nil
+	return a, d.Err()
 }
 
-func skipSattr(d *xdr.Decoder) error {
+func skipSattr(d *xdr.Decoder) {
 	for i := 0; i < 3; i++ { // mode, uid, gid
-		set, err := d.Bool()
-		if err != nil {
-			return err
-		}
-		if set {
-			if _, err := d.Uint32(); err != nil {
-				return err
-			}
+		if d.Bool() {
+			d.Uint32()
 		}
 	}
-	set, err := d.Bool() // size
-	if err != nil {
-		return err
-	}
-	if set {
-		if _, err := d.Uint64(); err != nil {
-			return err
-		}
+	if d.Bool() { // size
+		d.Uint64()
 	}
 	for i := 0; i < 2; i++ { // atime, mtime set_time enums
-		how, err := d.Uint32()
-		if err != nil {
-			return err
-		}
-		if how > 2 {
-			return fmt.Errorf("nfsproto: set_time %d", how)
-		}
-		if how == 2 { // SET_TO_CLIENT_TIME carries an nfstime3
-			if _, err := decodeTime(d); err != nil {
-				return err
-			}
+		switch how := d.Uint32(); how {
+		case 0, 1:
+		case 2: // SET_TO_CLIENT_TIME carries an nfstime3
+			decodeTime(d)
+		default:
+			d.Fail(fmt.Errorf("nfsproto: set_time %d", how))
 		}
 	}
-	return nil
 }
 
 // CreateRes is CREATE3res: on success the post-op handle and attributes
@@ -484,39 +368,18 @@ func (r *CreateRes) Encode(e *xdr.Encoder) {
 }
 
 // DecodeCreateRes decodes CREATE3res.
-func DecodeCreateRes(d *xdr.Decoder) (*CreateRes, error) {
-	st, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	r := &CreateRes{Status: Status(st)}
+func DecodeCreateRes(d *xdr.Decoder) (CreateRes, error) {
+	r := CreateRes{Status: Status(d.Uint32())}
 	if r.Status == NFS3OK {
-		present, err := d.Bool()
-		if err != nil {
-			return nil, err
+		if d.Bool() { // post-op handle present
+			r.File = decodeFH(d)
 		}
-		if present {
-			r.File, err = decodeFH(d)
-			if err != nil {
-				return nil, err
-			}
-		}
-		present, err = d.Bool()
-		if err != nil {
-			return nil, err
-		}
-		if present {
-			r.Attrs, err = DecodeFileAttrs(d)
-			if err != nil {
-				return nil, err
-			}
+		if d.Bool() { // post-op attributes present
+			r.Attrs = decodeFileAttrs(d)
 		}
 	}
-	r.Wcc, err = DecodeWccData(d)
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
+	r.Wcc = decodeWccData(d)
+	return r, d.Err()
 }
 
 // RemoveArgs is REMOVE3args: directory handle plus name.
@@ -532,16 +395,8 @@ func (a *RemoveArgs) Encode(e *xdr.Encoder) {
 }
 
 // DecodeRemoveArgs decodes REMOVE3args.
-func DecodeRemoveArgs(d *xdr.Decoder) (*RemoveArgs, error) {
-	fh, err := decodeFH(d)
-	if err != nil {
-		return nil, err
-	}
-	name, err := d.String()
-	if err != nil {
-		return nil, err
-	}
-	return &RemoveArgs{Dir: fh, Name: name}, nil
+func DecodeRemoveArgs(d *xdr.Decoder) (RemoveArgs, error) {
+	return RemoveArgs{Dir: decodeFH(d), Name: d.String()}, d.Err()
 }
 
 // RemoveRes is REMOVE3res: status plus directory wcc_data carrying the
@@ -558,16 +413,7 @@ func (r *RemoveRes) Encode(e *xdr.Encoder) {
 }
 
 // DecodeRemoveRes decodes REMOVE3res.
-func DecodeRemoveRes(d *xdr.Decoder) (*RemoveRes, error) {
-	st, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	r := &RemoveRes{Status: Status(st)}
-	var err2 error
-	r.Wcc, err2 = DecodeWccData(d)
-	if err2 != nil {
-		return nil, err2
-	}
-	return r, nil
+func DecodeRemoveRes(d *xdr.Decoder) (RemoveRes, error) {
+	r := RemoveRes{Status: Status(d.Uint32()), Wcc: decodeWccData(d)}
+	return r, d.Err()
 }

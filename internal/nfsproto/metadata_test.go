@@ -362,8 +362,9 @@ func TestFileAttrsFullFattr3(t *testing.T) {
 	if got, want := len(e.Bytes()), 92; got != want {
 		t.Fatalf("fattr3 encodes to %d bytes, want %d", got, want)
 	}
-	got, err := DecodeFileAttrs(xdr.NewDecoder(e.Bytes()))
-	if err != nil || got != a {
+	d := xdr.NewDecoder(e.Bytes())
+	got := decodeFileAttrs(d)
+	if err := d.Err(); err != nil || got != a {
 		t.Fatalf("round trip: %+v err %v", got, err)
 	}
 }
@@ -377,8 +378,9 @@ func TestWccAttrWire(t *testing.T) {
 	if got, want := len(e.Bytes()), 24; got != want {
 		t.Fatalf("wcc_attr encodes to %d bytes, want %d", got, want)
 	}
-	got, err := DecodeWccAttr(xdr.NewDecoder(e.Bytes()))
-	if err != nil || got != w {
+	d := xdr.NewDecoder(e.Bytes())
+	got := decodeWccAttr(d)
+	if err := d.Err(); err != nil || got != w {
 		t.Fatalf("round trip: %+v err %v", got, err)
 	}
 }

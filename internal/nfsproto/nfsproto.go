@@ -154,12 +154,9 @@ func encodeAuthUnix(e *xdr.Encoder) {
 
 // skipAuth steps over an opaque_auth (flavor and body) without copying
 // the body.
-func skipAuth(d *xdr.Decoder) error {
-	if _, err := d.Uint32(); err != nil {
-		return err
-	}
-	_, err := d.OpaqueRef()
-	return err
+func skipAuth(d *xdr.Decoder) {
+	d.Uint32()
+	d.OpaqueRef()
 }
 
 // EncodeCall encodes the RPC call header (xid, call, rpcvers, prog, vers,
@@ -178,37 +175,20 @@ func (h CallHeader) Encode(e *xdr.Encoder) {
 
 // DecodeCall decodes an RPC call header.
 func DecodeCall(d *xdr.Decoder) (CallHeader, error) {
-	var h CallHeader
-	xid, err := d.Uint32()
-	if err != nil {
-		return h, err
+	h := CallHeader{XID: d.Uint32()}
+	if d.Uint32() != MsgCall {
+		d.Fail(errors.New("nfsproto: not a call"))
 	}
-	mtype, err := d.Uint32()
-	if err != nil {
-		return h, err
-	}
-	if mtype != MsgCall {
-		return h, errors.New("nfsproto: not a call")
-	}
-	rv, e1 := d.Uint32()
-	prog, e2 := d.Uint32()
-	vers, e3 := d.Uint32()
-	proc, e4 := d.Uint32()
-	if err := xdr.Check(e1, e2, e3, e4); err != nil {
-		return h, err
-	}
+	rv := d.Uint32()
+	prog := d.Uint32()
+	vers := d.Uint32()
+	h.Proc = d.Uint32()
 	if rv != RPCVersion || prog != ProgramNFS || vers != NFSVersion3 {
-		return h, fmt.Errorf("nfsproto: bad rpc header rpcvers=%d prog=%d vers=%d", rv, prog, vers)
+		d.Fail(fmt.Errorf("nfsproto: bad rpc header rpcvers=%d prog=%d vers=%d", rv, prog, vers))
 	}
-	if err := skipAuth(d); err != nil {
-		return h, err
-	}
-	if err := skipAuth(d); err != nil { // verf is flavor+opaque too
-		return h, err
-	}
-	h.XID = xid
-	h.Proc = proc
-	return h, nil
+	skipAuth(d) // cred
+	skipAuth(d) // verf
+	return h, d.Err()
 }
 
 // ReplyHeader is the SunRPC accepted-reply envelope.
@@ -229,37 +209,18 @@ func (h ReplyHeader) Encode(e *xdr.Encoder) {
 
 // DecodeReply decodes a reply header.
 func DecodeReply(d *xdr.Decoder) (ReplyHeader, error) {
-	var h ReplyHeader
-	xid, err := d.Uint32()
-	if err != nil {
-		return h, err
+	h := ReplyHeader{XID: d.Uint32()}
+	if d.Uint32() != MsgReply {
+		d.Fail(errors.New("nfsproto: not a reply"))
 	}
-	mtype, err := d.Uint32()
-	if err != nil {
-		return h, err
+	if d.Uint32() != 0 {
+		d.Fail(errors.New("nfsproto: rpc denied"))
 	}
-	if mtype != MsgReply {
-		return h, errors.New("nfsproto: not a reply")
+	skipAuth(d)
+	if astat := d.Uint32(); astat != 0 {
+		d.Fail(fmt.Errorf("nfsproto: accept_stat=%d", astat))
 	}
-	stat, err := d.Uint32()
-	if err != nil {
-		return h, err
-	}
-	if stat != 0 {
-		return h, errors.New("nfsproto: rpc denied")
-	}
-	if err := skipAuth(d); err != nil {
-		return h, err
-	}
-	astat, err := d.Uint32()
-	if err != nil {
-		return h, err
-	}
-	if astat != 0 {
-		return h, fmt.Errorf("nfsproto: accept_stat=%d", astat)
-	}
-	h.XID = xid
-	return h, nil
+	return h, d.Err()
 }
 
 // WriteArgs is WRITE3args (RFC 1813 §3.3.7).
@@ -281,28 +242,18 @@ func (a *WriteArgs) Encode(e *xdr.Encoder) {
 	e.Opaque(a.Data)
 }
 
-// DecodeWriteArgs decodes WRITE3args into a value, allocating nothing.
+// DecodeWriteArgs decodes WRITE3args. The payload is aliased, not
+// copied: servers model WRITE data by size only and never inspect or
+// retain the bytes.
 func DecodeWriteArgs(d *xdr.Decoder) (WriteArgs, error) {
-	var a WriteArgs
-	fh, err := decodeFH(d)
-	if err != nil {
-		return a, err
+	a := WriteArgs{
+		File:   decodeFH(d),
+		Offset: d.Uint64(),
+		Count:  d.Uint32(),
+		Stable: StableHow(d.Uint32()),
+		Data:   d.OpaqueRef(),
 	}
-	off, e1 := d.Uint64()
-	count, e2 := d.Uint32()
-	stable, e3 := d.Uint32()
-	// The payload is aliased, not copied: servers model WRITE data by
-	// size only and never inspect or retain the bytes.
-	data, e4 := d.OpaqueRef()
-	if err := xdr.Check(e1, e2, e3, e4); err != nil {
-		return a, err
-	}
-	a.File = fh
-	a.Offset = off
-	a.Count = count
-	a.Stable = StableHow(stable)
-	a.Data = data
-	return a, nil
+	return a, d.Err()
 }
 
 // WriteRes is WRITE3res with the file's wcc_data: pre-op size/mtime/
@@ -328,31 +279,15 @@ func (r *WriteRes) Encode(e *xdr.Encoder) {
 	}
 }
 
-// DecodeWriteRes decodes WRITE3res into a value, allocating nothing.
+// DecodeWriteRes decodes WRITE3res.
 func DecodeWriteRes(d *xdr.Decoder) (WriteRes, error) {
-	var r WriteRes
-	st, err := d.Uint32()
-	if err != nil {
-		return r, err
+	r := WriteRes{Status: Status(d.Uint32()), Wcc: decodeWccData(d)}
+	if r.Status == NFS3OK {
+		r.Count = d.Uint32()
+		r.Committed = StableHow(d.Uint32())
+		r.Verf = WriteVerf(d.Uint64())
 	}
-	wcc, err := DecodeWccData(d)
-	if err != nil {
-		return r, err
-	}
-	r.Status, r.Wcc = Status(st), wcc
-	if r.Status != NFS3OK {
-		return r, nil
-	}
-	count, e1 := d.Uint32()
-	committed, e2 := d.Uint32()
-	verf, e3 := d.Uint64()
-	if err := xdr.Check(e1, e2, e3); err != nil {
-		return WriteRes{}, err
-	}
-	r.Count = count
-	r.Committed = StableHow(committed)
-	r.Verf = WriteVerf(verf)
-	return r, nil
+	return r, d.Err()
 }
 
 // ReadArgs is READ3args (RFC 1813 §3.3.6).
@@ -370,20 +305,9 @@ func (a *ReadArgs) Encode(e *xdr.Encoder) {
 }
 
 // DecodeReadArgs decodes READ3args.
-func DecodeReadArgs(d *xdr.Decoder) (*ReadArgs, error) {
-	fh, err := decodeFH(d)
-	if err != nil {
-		return nil, err
-	}
-	a := ReadArgs{File: fh}
-	off, e1 := d.Uint64()
-	count, e2 := d.Uint32()
-	if err := xdr.Check(e1, e2); err != nil {
-		return nil, err
-	}
-	a.Offset = off
-	a.Count = count
-	return &a, nil
+func DecodeReadArgs(d *xdr.Decoder) (ReadArgs, error) {
+	a := ReadArgs{File: decodeFH(d), Offset: d.Uint64(), Count: d.Uint32()}
+	return a, d.Err()
 }
 
 // ReadRes is READ3res (success arm; post-op attributes elided as "not
@@ -409,31 +333,17 @@ func (r *ReadRes) Encode(e *xdr.Encoder) {
 	}
 }
 
-// DecodeReadRes decodes READ3res.
-func DecodeReadRes(d *xdr.Decoder) (*ReadRes, error) {
-	st, err := d.Uint32()
-	if err != nil {
-		return nil, err
+// DecodeReadRes decodes READ3res. The data is aliased, not copied:
+// clients count READ bytes, they never look at the (all-zero) payload.
+func DecodeReadRes(d *xdr.Decoder) (ReadRes, error) {
+	r := ReadRes{Status: Status(d.Uint32())}
+	d.Bool() // post-op attributes
+	if r.Status == NFS3OK {
+		r.Count = d.Uint32()
+		r.EOF = d.Bool()
+		r.Data = d.OpaqueRef()
 	}
-	if _, err := d.Bool(); err != nil {
-		return nil, err
-	}
-	r := &ReadRes{Status: Status(st)}
-	if r.Status != NFS3OK {
-		return r, nil
-	}
-	count, e1 := d.Uint32()
-	eof, e2 := d.Bool()
-	// Aliased, not copied: clients count READ bytes, they never look at
-	// the (all-zero) payload.
-	data, e3 := d.OpaqueRef()
-	if err := xdr.Check(e1, e2, e3); err != nil {
-		return nil, err
-	}
-	r.Count = count
-	r.EOF = eof
-	r.Data = data
-	return r, nil
+	return r, d.Err()
 }
 
 // CommitArgs is COMMIT3args (RFC 1813 §3.3.21). Count == 0 means "commit
@@ -453,20 +363,9 @@ func (a *CommitArgs) Encode(e *xdr.Encoder) {
 }
 
 // DecodeCommitArgs decodes COMMIT3args.
-func DecodeCommitArgs(d *xdr.Decoder) (*CommitArgs, error) {
-	fh, err := decodeFH(d)
-	if err != nil {
-		return nil, err
-	}
-	a := CommitArgs{File: fh}
-	off, e1 := d.Uint64()
-	count, e2 := d.Uint32()
-	if err := xdr.Check(e1, e2); err != nil {
-		return nil, err
-	}
-	a.Offset = off
-	a.Count = count
-	return &a, nil
+func DecodeCommitArgs(d *xdr.Decoder) (CommitArgs, error) {
+	a := CommitArgs{File: decodeFH(d), Offset: d.Uint64(), Count: d.Uint32()}
+	return a, d.Err()
 }
 
 // CommitRes is COMMIT3res.
@@ -486,27 +385,14 @@ func (r *CommitRes) Encode(e *xdr.Encoder) {
 }
 
 // DecodeCommitRes decodes COMMIT3res.
-func DecodeCommitRes(d *xdr.Decoder) (*CommitRes, error) {
-	st, err := d.Uint32()
-	if err != nil {
-		return nil, err
+func DecodeCommitRes(d *xdr.Decoder) (CommitRes, error) {
+	r := CommitRes{Status: Status(d.Uint32())}
+	d.Bool() // pre-op attributes
+	d.Bool() // post-op attributes
+	if r.Status == NFS3OK {
+		r.Verf = WriteVerf(d.Uint64())
 	}
-	if _, err := d.Bool(); err != nil {
-		return nil, err
-	}
-	if _, err := d.Bool(); err != nil {
-		return nil, err
-	}
-	r := &CommitRes{Status: Status(st)}
-	if r.Status != NFS3OK {
-		return r, nil
-	}
-	verf, err := d.Uint64()
-	if err != nil {
-		return nil, err
-	}
-	r.Verf = WriteVerf(verf)
-	return r, nil
+	return r, d.Err()
 }
 
 // WriteCallSize returns the full encoded size of a WRITE call carrying n

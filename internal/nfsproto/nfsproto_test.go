@@ -115,14 +115,14 @@ func TestCommitRoundTrip(t *testing.T) {
 	e := xdr.NewEncoder(64)
 	a.Encode(e)
 	got, err := DecodeCommitArgs(xdr.NewDecoder(e.Bytes()))
-	if err != nil || *got != *a {
+	if err != nil || got != *a {
 		t.Fatalf("got %+v err %v", got, err)
 	}
 	r := &CommitRes{Status: NFS3OK, Verf: 0xbeef}
 	e2 := xdr.NewEncoder(64)
 	r.Encode(e2)
 	gr, err := DecodeCommitRes(xdr.NewDecoder(e2.Bytes()))
-	if err != nil || *gr != *r {
+	if err != nil || gr != *r {
 		t.Fatalf("gr %+v err %v", gr, err)
 	}
 }
@@ -142,7 +142,7 @@ func TestReadArgsRoundTrip(t *testing.T) {
 	e := xdr.NewEncoder(64)
 	a.Encode(e)
 	got, err := DecodeReadArgs(xdr.NewDecoder(e.Bytes()))
-	if err != nil || *got != *a {
+	if err != nil || got != *a {
 		t.Fatalf("got %+v err %v", got, err)
 	}
 }

@@ -53,10 +53,7 @@ func newStormServer(t *testing.T, s *sim.Sim, net *netsim.Network) *stormServer 
 
 var stormLink = netsim.LinkConfig{Bandwidth: netsim.BandwidthGigabit, Propagation: 10 * time.Microsecond, MTU: netsim.MTUEthernet}
 
-func xidOf(payload []byte) uint32 {
-	xid, _ := xdr.NewDecoder(payload).Uint32()
-	return xid
-}
+func xidOf(payload []byte) uint32 { return xdr.NewDecoder(payload).Uint32() }
 
 // ready reports whether a call has been retransmitted enough to answer.
 func (ss *stormServer) ready(xid uint32) bool {

@@ -220,9 +220,9 @@ func (f *Filer) HandleWrite(p *sim.Proc, args nfsproto.WriteArgs) nfsproto.Write
 // so reads proceed during a CP — but they share the volume's FIFO queue
 // with the NVRAM drain, so a read issued mid-checkpoint waits behind the
 // stripe writes.
-func (f *Filer) HandleRead(p *sim.Proc, args *nfsproto.ReadArgs) *nfsproto.ReadRes {
+func (f *Filer) HandleRead(p *sim.Proc, args nfsproto.ReadArgs) nfsproto.ReadRes {
 	f.disk.Read(p, int64(args.Offset), int64(args.Count))
-	return &nfsproto.ReadRes{
+	return nfsproto.ReadRes{
 		Status: nfsproto.NFS3OK,
 		Count:  args.Count,
 		Data:   nfsproto.Zeroes(int(args.Count)),
@@ -231,8 +231,8 @@ func (f *Filer) HandleRead(p *sim.Proc, args *nfsproto.ReadArgs) *nfsproto.ReadR
 
 // HandleCommit implements Backend: everything is already in NVRAM, so a
 // COMMIT (clients rarely send one to a filer) completes immediately.
-func (f *Filer) HandleCommit(p *sim.Proc, args *nfsproto.CommitArgs) *nfsproto.CommitRes {
-	return &nfsproto.CommitRes{Status: nfsproto.NFS3OK, Verf: f.verf}
+func (f *Filer) HandleCommit(p *sim.Proc, args nfsproto.CommitArgs) nfsproto.CommitRes {
+	return nfsproto.CommitRes{Status: nfsproto.NFS3OK, Verf: f.verf}
 }
 
 // NVRAMActive returns the bytes currently logged in the filling half.

@@ -203,9 +203,9 @@ func (l *LinuxServer) HandleWrite(p *sim.Proc, args nfsproto.WriteArgs) nfsproto
 // cost; a read interleaved with the writeback drain (or a client seek)
 // repositions the head. The returned data is Count zero bytes — content
 // is not modeled, but the reply's wire size is.
-func (l *LinuxServer) HandleRead(p *sim.Proc, args *nfsproto.ReadArgs) *nfsproto.ReadRes {
+func (l *LinuxServer) HandleRead(p *sim.Proc, args nfsproto.ReadArgs) nfsproto.ReadRes {
 	l.disk.Read(p, int64(args.Offset), int64(args.Count))
-	return &nfsproto.ReadRes{
+	return nfsproto.ReadRes{
 		Status: nfsproto.NFS3OK,
 		Count:  args.Count,
 		Data:   nfsproto.Zeroes(int(args.Count)),
@@ -213,12 +213,12 @@ func (l *LinuxServer) HandleRead(p *sim.Proc, args *nfsproto.ReadArgs) *nfsproto
 }
 
 // HandleCommit implements Backend: block until dirty data reaches disk.
-func (l *LinuxServer) HandleCommit(p *sim.Proc, args *nfsproto.CommitArgs) *nfsproto.CommitRes {
+func (l *LinuxServer) HandleCommit(p *sim.Proc, args nfsproto.CommitArgs) nfsproto.CommitRes {
 	for l.dirty > 0 {
 		l.drainWork.Signal()
 		l.cleanWait.Wait(p)
 	}
-	return &nfsproto.CommitRes{Status: nfsproto.NFS3OK, Verf: l.verf}
+	return nfsproto.CommitRes{Status: nfsproto.NFS3OK, Verf: l.verf}
 }
 
 // Dirty returns the bytes of unstable data held in the page cache.

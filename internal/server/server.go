@@ -43,18 +43,18 @@ var (
 
 // Backend is an NFS read/write/commit implementation behind the RPC
 // front-end. Handlers run on an nfsd worker process and may block in
-// virtual time.
+// virtual time. Arguments and results pass by value, so serving a
+// request allocates nothing.
 type Backend interface {
 	// HandleRead services a READ3 request. The returned Data must be
 	// Count bytes long — its length is what puts read wire time on the
 	// reply path.
-	HandleRead(p *sim.Proc, args *nfsproto.ReadArgs) *nfsproto.ReadRes
-	// HandleWrite services a WRITE3 request. Arguments and result pass
-	// by value, so the hot path allocates nothing; args.Data aliases the
+	HandleRead(p *sim.Proc, args nfsproto.ReadArgs) nfsproto.ReadRes
+	// HandleWrite services a WRITE3 request. args.Data aliases the
 	// request buffer and must not be kept.
 	HandleWrite(p *sim.Proc, args nfsproto.WriteArgs) nfsproto.WriteRes
 	// HandleCommit services a COMMIT3 request.
-	HandleCommit(p *sim.Proc, args *nfsproto.CommitArgs) *nfsproto.CommitRes
+	HandleCommit(p *sim.Proc, args nfsproto.CommitArgs) nfsproto.CommitRes
 }
 
 // CrashRestarter is implemented by backends with a crash/restart
@@ -86,16 +86,11 @@ type Config struct {
 	RecvCPUPerFragment sim.Time
 	// ServiceCPU is per-request protocol processing (decode, cache/NVRAM
 	// management, reply construction). This is the knob that sets a
-	// server's peak ingest rate.
+	// server's peak ingest rate. READ and COMMIT are charged half of it
+	// (no NVRAM log or dirty accounting), the metadata procedures a
+	// quarter (a directory or inode-cache probe and a small reply, no
+	// data movement).
 	ServiceCPU sim.Time
-	// ReadServiceCPU is the READ path's per-request processing (no NVRAM
-	// log or dirty accounting, but a buffer-cache lookup and reply data
-	// setup). Zero falls back to ServiceCPU/2.
-	ReadServiceCPU sim.Time
-	// MetaServiceCPU is the metadata path's per-request processing
-	// (LOOKUP/GETATTR/CREATE/REMOVE: a directory or inode-cache probe and
-	// a small reply, no data movement). Zero falls back to ServiceCPU/4.
-	MetaServiceCPU sim.Time
 	// SendCPU is the reply transmit cost.
 	SendCPU sim.Time
 	// MTU for fragment-count computation; must match the network's.
@@ -338,12 +333,12 @@ func (srv *Server) worker(p *sim.Proc) {
 	}
 }
 
-// metaCPU is the per-request charge for a metadata procedure.
-func (srv *Server) metaCPU() sim.Time {
-	if srv.cfg.MetaServiceCPU != 0 {
-		return srv.cfg.MetaServiceCPU
+// checkArgs panics if a request's arguments did not decode. Clients only
+// send what nfsproto encodes, so a malformed request is a simulator bug.
+func (srv *Server) checkArgs(hdr nfsproto.CallHeader, err error) {
+	if err != nil {
+		panic(fmt.Sprintf("server %s: bad args for proc %d: %v", srv.cfg.Host, hdr.Proc, err))
 	}
-	return srv.cfg.ServiceCPU / 4
 }
 
 // serve handles one request, read through the worker's decoder d. gen is
@@ -364,14 +359,8 @@ func (srv *Server) serve(p *sim.Proc, d *xdr.Decoder, item rxItem, gen int) {
 	switch hdr.Proc {
 	case nfsproto.ProcRead:
 		args, err := nfsproto.DecodeReadArgs(d)
-		if err != nil {
-			panic(fmt.Sprintf("server %s: bad READ args: %v", srv.cfg.Host, err))
-		}
-		readCPU := srv.cfg.ReadServiceCPU
-		if readCPU == 0 {
-			readCPU = srv.cfg.ServiceCPU / 2
-		}
-		srv.cpu.Use(p, labelNFSDRead, readCPU)
+		srv.checkArgs(hdr, err)
+		srv.cpu.Use(p, labelNFSDRead, srv.cfg.ServiceCPU/2)
 		res := srv.backend.HandleRead(p, args)
 		if res.Status == nfsproto.NFS3OK {
 			srv.Reads++
@@ -380,9 +369,7 @@ func (srv *Server) serve(p *sim.Proc, d *xdr.Decoder, item rxItem, gen int) {
 		res.Encode(reply)
 	case nfsproto.ProcWrite:
 		args, err := nfsproto.DecodeWriteArgs(d)
-		if err != nil {
-			panic(fmt.Sprintf("server %s: bad WRITE args: %v", srv.cfg.Host, err))
-		}
+		srv.checkArgs(hdr, err)
 		if srv.firstWriteAt == 0 && srv.Writes == 0 {
 			srv.firstWriteAt = srv.s.Now()
 		}
@@ -398,10 +385,8 @@ func (srv *Server) serve(p *sim.Proc, d *xdr.Decoder, item rxItem, gen int) {
 		res.Encode(reply)
 	case nfsproto.ProcLookup:
 		args, err := nfsproto.DecodeLookupArgs(d)
-		if err != nil {
-			panic(fmt.Sprintf("server %s: bad LOOKUP args: %v", srv.cfg.Host, err))
-		}
-		srv.cpu.Use(p, labelNFSDLookup, srv.metaCPU())
+		srv.checkArgs(hdr, err)
+		srv.cpu.Use(p, labelNFSDLookup, srv.cfg.ServiceCPU/4)
 		srv.Lookups++
 		res := nfsproto.LookupRes{Status: nfsproto.NFS3ErrNoEnt}
 		if ino, st := srv.ns.Lookup(args.Dir, args.Name); st == nfsproto.NFS3OK {
@@ -410,39 +395,31 @@ func (srv *Server) serve(p *sim.Proc, d *xdr.Decoder, item rxItem, gen int) {
 		res.Encode(reply)
 	case nfsproto.ProcGetattr:
 		args, err := nfsproto.DecodeGetattrArgs(d)
-		if err != nil {
-			panic(fmt.Sprintf("server %s: bad GETATTR args: %v", srv.cfg.Host, err))
-		}
-		srv.cpu.Use(p, labelNFSDGetattr, srv.metaCPU())
+		srv.checkArgs(hdr, err)
+		srv.cpu.Use(p, labelNFSDGetattr, srv.cfg.ServiceCPU/4)
 		srv.Getattrs++
 		attrs, st := srv.ns.Getattr(args.File)
 		res := nfsproto.GetattrRes{Status: st, Attrs: attrs}
 		res.Encode(reply)
 	case nfsproto.ProcCreate:
 		args, err := nfsproto.DecodeCreateArgs(d)
-		if err != nil {
-			panic(fmt.Sprintf("server %s: bad CREATE args: %v", srv.cfg.Host, err))
-		}
-		srv.cpu.Use(p, labelNFSDCreate, srv.metaCPU())
+		srv.checkArgs(hdr, err)
+		srv.cpu.Use(p, labelNFSDCreate, srv.cfg.ServiceCPU/4)
 		srv.Creates++
 		ino, wcc := srv.ns.Create(args.Dir, args.Name)
 		res := nfsproto.CreateRes{Status: nfsproto.NFS3OK, File: ino.fh, Attrs: ino.Attrs(), Wcc: wcc}
 		res.Encode(reply)
 	case nfsproto.ProcRemove:
 		args, err := nfsproto.DecodeRemoveArgs(d)
-		if err != nil {
-			panic(fmt.Sprintf("server %s: bad REMOVE args: %v", srv.cfg.Host, err))
-		}
-		srv.cpu.Use(p, labelNFSDRemove, srv.metaCPU())
+		srv.checkArgs(hdr, err)
+		srv.cpu.Use(p, labelNFSDRemove, srv.cfg.ServiceCPU/4)
 		srv.Removes++
 		st, wcc := srv.ns.Remove(args.Dir, args.Name)
 		res := nfsproto.RemoveRes{Status: st, Wcc: wcc}
 		res.Encode(reply)
 	case nfsproto.ProcCommit:
 		args, err := nfsproto.DecodeCommitArgs(d)
-		if err != nil {
-			panic(fmt.Sprintf("server %s: bad COMMIT args: %v", srv.cfg.Host, err))
-		}
+		srv.checkArgs(hdr, err)
 		srv.cpu.Use(p, labelNFSDCommit, srv.cfg.ServiceCPU/2)
 		res := srv.backend.HandleCommit(p, args)
 		srv.Commits++

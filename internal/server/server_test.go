@@ -227,7 +227,7 @@ func TestFilerCommitImmediate(t *testing.T) {
 	f := NewFiler(s, DefaultFilerConfig(), newTestVolume(s))
 	s.Go("w", func(p *sim.Proc) {
 		t0 := s.Now()
-		res := f.HandleCommit(p, &nfsproto.CommitArgs{})
+		res := f.HandleCommit(p, nfsproto.CommitArgs{})
 		if res.Status != nfsproto.NFS3OK {
 			t.Errorf("commit status %v", res.Status)
 		}
@@ -274,13 +274,13 @@ func TestReadServedByBothBackends(t *testing.T) {
 	for _, kind := range []string{"filer", "linux"} {
 		r, _ := newRig(t, kind)
 		fh := nfsproto.MakeFileHandle(1, 3)
-		var got *nfsproto.ReadRes
+		var got nfsproto.ReadRes
 		var dataLen int
 		r.s.Go("r", func(p *sim.Proc) {
 			args := nfsproto.ReadArgs{File: fh, Offset: 16384, Count: 8192}
 			// The data aliases the reply buffer, which is recycled once
 			// the decode returns: measure it inside.
-			res, err := rpcsim.CallSync(r.tr, p, nfsproto.ProcRead, args.Encode, func(d *xdr.Decoder) (*nfsproto.ReadRes, error) {
+			res, err := rpcsim.CallSync(r.tr, p, nfsproto.ProcRead, args.Encode, func(d *xdr.Decoder) (nfsproto.ReadRes, error) {
 				res, err := nfsproto.DecodeReadRes(d)
 				if err == nil {
 					dataLen, res.Data = len(res.Data), nil
@@ -294,7 +294,7 @@ func TestReadServedByBothBackends(t *testing.T) {
 			got = res
 		})
 		r.s.Run(time.Minute)
-		if got == nil || got.Status != nfsproto.NFS3OK || got.Count != 8192 {
+		if got.Status != nfsproto.NFS3OK || got.Count != 8192 {
 			t.Fatalf("%s: READ reply %+v", kind, got)
 		}
 		if dataLen != 8192 {

@@ -2,6 +2,7 @@ package xdr
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -9,37 +10,37 @@ import (
 // and checks the cursor invariants that every nfsproto decoder relies
 // on: the offset never exceeds the buffer, Offset+Remaining is always
 // exactly the buffer length, a successful read advances the cursor,
-// and a failed read leaves it where it was.
+// and a failed read leaves it where it was. The script runs on past the
+// first failure to check that the error is sticky: every later read
+// returns its zero value, the cursor stays put, and Err stays the first
+// error. Op 5 is a Fail, which must not overwrite an earlier error.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5}, bytes.Repeat([]byte{0xff}, 7))
 	f.Add([]byte{4, 4, 4}, []byte{0, 0, 0, 5, 'h', 'e', 'l', 'l', 'o', 0, 0, 0})
 	f.Add([]byte{5, 3}, bytes.Repeat([]byte{0xff}, 256))
 	f.Add([]byte{2, 2, 2}, []byte{0, 0, 0})
-	f.Add([]byte{7, 7, 7}, []byte{0, 0, 0, 3, 'a', 'b', 'c', 0, 0, 0, 0, 9})
+	f.Add([]byte{3, 3, 3, 0}, []byte{0, 0, 0, 3, 'a', 'b', 'c', 0, 0, 0, 0, 9})
+	invalid := errors.New("invalid value")
 	f.Fuzz(func(t *testing.T, script, data []byte) {
 		d := NewDecoder(data)
+		var first error
 		for _, op := range script {
 			before := d.Offset()
-			var err error
-			switch op % 8 {
+			var zero bool
+			switch op % 6 {
 			case 0:
-				_, err = d.Uint32()
+				zero = d.Uint32() == 0
 			case 1:
-				_, err = d.Int32()
+				zero = d.Uint64() == 0
 			case 2:
-				_, err = d.Uint64()
+				zero = !d.Bool()
 			case 3:
-				_, err = d.Bool()
+				zero = d.OpaqueRef() == nil
 			case 4:
-				_, err = d.Opaque()
+				zero = d.String() == ""
 			case 5:
-				// Length byte comes from the script so the fuzzer can
-				// aim it at the padding edge cases.
-				_, err = d.FixedOpaque(int(op) % 97)
-			case 6:
-				_, err = d.String()
-			case 7:
-				_, err = d.OpaqueRef()
+				d.Fail(invalid)
+				zero = true
 			}
 			off := d.Offset()
 			if off < 0 || off > len(data) {
@@ -49,11 +50,19 @@ func FuzzDecode(f *testing.F) {
 				t.Fatalf("op %d: offset %d + remaining %d != len %d",
 					op, off, d.Remaining(), len(data))
 			}
-			if err != nil {
+			switch {
+			case first != nil:
+				if !zero || off != before || d.Err() != first {
+					t.Fatalf("op %d after error %v: zero=%v cursor %d -> %d err %v",
+						op, first, zero, before, off, d.Err())
+				}
+			case d.Err() != nil:
+				first = d.Err()
 				if off != before {
 					t.Fatalf("op %d: failed read moved cursor %d -> %d", op, before, off)
 				}
-				return
+			case off <= before:
+				t.Fatalf("op %d: successful read left the cursor at %d", op, off)
 			}
 		}
 	})
@@ -68,20 +77,20 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, u32 uint32, i32 int32, u64 uint64, b bool, op []byte, s string) {
 		e := NewEncoder(64)
 		e.Uint32(u32)
-		e.Int32(i32)
+		e.Uint32(uint32(i32))
 		e.Uint64(u64)
 		e.Bool(b)
 		e.Opaque(op)
 		e.String(s)
 
 		d := NewDecoder(e.Bytes())
-		gu32, e1 := d.Uint32()
-		gi32, e2 := d.Int32()
-		gu64, e3 := d.Uint64()
-		gb, e4 := d.Bool()
-		gop, e5 := d.Opaque()
-		gs, e6 := d.String()
-		if err := Check(e1, e2, e3, e4, e5, e6); err != nil {
+		gu32 := d.Uint32()
+		gi32 := int32(d.Uint32())
+		gu64 := d.Uint64()
+		gb := d.Bool()
+		gop := d.OpaqueRef()
+		gs := d.String()
+		if err := d.Err(); err != nil {
 			t.Fatalf("decoding own encoding: %v", err)
 		}
 		if gu32 != u32 || gi32 != i32 || gu64 != u64 || gb != b ||

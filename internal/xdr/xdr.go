@@ -8,7 +8,6 @@ package xdr
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"sync"
 )
 
@@ -176,9 +175,6 @@ func (e *Encoder) Uint32(v uint32) {
 	e.buf = binary.BigEndian.AppendUint32(e.buf, v)
 }
 
-// Int32 encodes a 32-bit signed integer.
-func (e *Encoder) Int32(v int32) { e.Uint32(uint32(v)) }
-
 // Uint64 encodes a 64-bit unsigned integer (XDR hyper).
 func (e *Encoder) Uint64(v uint64) {
 	e.buf = binary.BigEndian.AppendUint64(e.buf, v)
@@ -212,18 +208,23 @@ func (e *Encoder) FixedOpaque(b []byte) {
 // String encodes an XDR string (same wire form as Opaque).
 func (e *Encoder) String(s string) { e.Opaque([]byte(s)) }
 
-// Decoder consumes XDR-encoded values from a buffer.
+// Decoder consumes XDR-encoded values from a buffer. Its error is
+// sticky: the first read that fails records the error, and every later
+// read returns its zero value without moving the cursor, so a message
+// decoder is a plain run of reads that checks Err once at the end.
 type Decoder struct {
 	buf []byte
 	off int
+	err error
 }
 
 // NewDecoder returns a decoder reading from b.
 func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
 
-// Reset points the decoder at b with the cursor at its start, so one
-// decoder can serve a stream of messages without allocating.
-func (d *Decoder) Reset(b []byte) { d.buf, d.off = b, 0 }
+// Reset points the decoder at b with the cursor at its start and clears
+// any error, so one decoder can serve a stream of messages without
+// allocating.
+func (d *Decoder) Reset(b []byte) { d.buf, d.off, d.err = b, 0, nil }
 
 // Remaining returns the number of unread bytes.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
@@ -231,104 +232,73 @@ func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 // Offset returns the number of consumed bytes.
 func (d *Decoder) Offset() int { return d.off }
 
-// Uint32 decodes a 32-bit unsigned integer.
-func (d *Decoder) Uint32() (uint32, error) {
-	if d.Remaining() < 4 {
-		return 0, ErrShortBuffer
+// Err returns the first error the decoder met, or nil.
+func (d *Decoder) Err() error { return d.err }
+
+// Fail records err unless an earlier error is already recorded. Message
+// decoders use it to reject a value that decoded cleanly but is not
+// valid, such as a file handle of the wrong size.
+func (d *Decoder) Fail(err error) {
+	if d.err == nil {
+		d.err = err
 	}
-	v := binary.BigEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v, nil
 }
 
-// Int32 decodes a 32-bit signed integer.
-func (d *Decoder) Int32() (int32, error) {
-	v, err := d.Uint32()
-	return int32(v), err
+// take returns the next n bytes and advances past them, or fails with
+// ErrShortBuffer and leaves the cursor where it was.
+func (d *Decoder) take(n int) []byte {
+	if d.err != nil {
+		return nil
+	}
+	if d.Remaining() < n {
+		d.err = ErrShortBuffer
+		return nil
+	}
+	b := d.buf[d.off : d.off+n : d.off+n]
+	d.off += n
+	return b
+}
+
+// Uint32 decodes a 32-bit unsigned integer.
+func (d *Decoder) Uint32() uint32 {
+	if b := d.take(4); b != nil {
+		return binary.BigEndian.Uint32(b)
+	}
+	return 0
 }
 
 // Uint64 decodes a 64-bit unsigned integer.
-func (d *Decoder) Uint64() (uint64, error) {
-	if d.Remaining() < 8 {
-		return 0, ErrShortBuffer
+func (d *Decoder) Uint64() uint64 {
+	if b := d.take(8); b != nil {
+		return binary.BigEndian.Uint64(b)
 	}
-	v := binary.BigEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v, nil
+	return 0
 }
 
 // Bool decodes a boolean; any nonzero word is true (per RFC 1832 booleans
 // are 0 or 1, but we are liberal in what we accept).
-func (d *Decoder) Bool() (bool, error) {
-	v, err := d.Uint32()
-	return v != 0, err
-}
+func (d *Decoder) Bool() bool { return d.Uint32() != 0 }
 
-// Opaque decodes variable-length opaque data, returning a copy. Like
-// every other read, it is atomic on failure: a bad length restores the
-// cursor to before the length word.
-func (d *Decoder) Opaque() ([]byte, error) {
+// OpaqueRef decodes variable-length opaque data as a subslice of the
+// decoder's buffer, not a copy. The result is only valid while the
+// underlying buffer is, and must not be mutated. A bad length fails the
+// read with the cursor restored to before the length word.
+func (d *Decoder) OpaqueRef() []byte {
 	start := d.off
-	n, err := d.Uint32()
-	if err != nil {
-		return nil, err
+	n := d.Uint32()
+	if d.err == nil && n > uint32(d.Remaining()) {
+		d.err = ErrBadLength
 	}
-	if n > uint32(d.Remaining()) {
+	b := d.take(FixedLen(int(n)))
+	if d.err != nil {
 		d.off = start
-		return nil, ErrBadLength
+		return nil
 	}
-	b, err := d.FixedOpaque(int(n))
-	if err != nil {
-		d.off = start
-	}
-	return b, err
-}
-
-// FixedOpaque decodes n bytes of fixed-length opaque data plus padding.
-func (d *Decoder) FixedOpaque(n int) ([]byte, error) {
-	if n < 0 {
-		return nil, ErrBadLength
-	}
-	padded := n + (4-n%4)%4
-	if d.Remaining() < padded {
-		return nil, ErrShortBuffer
-	}
-	out := make([]byte, n)
-	copy(out, d.buf[d.off:d.off+n])
-	d.off += padded
-	return out, nil
-}
-
-// OpaqueRef decodes variable-length opaque data like Opaque but returns
-// a subslice of the decoder's buffer instead of a copy. The result is
-// only valid while the underlying buffer is, and must not be mutated.
-// Hot paths (bulk WRITE/READ payloads) use it to avoid copying data the
-// simulation never inspects.
-func (d *Decoder) OpaqueRef() ([]byte, error) {
-	start := d.off
-	n, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint32(d.Remaining()) {
-		d.off = start
-		return nil, ErrBadLength
-	}
-	padded := int(n) + (4-int(n)%4)%4
-	if d.Remaining() < padded {
-		d.off = start
-		return nil, ErrShortBuffer
-	}
-	b := d.buf[d.off : d.off+int(n) : d.off+int(n)]
-	d.off += padded
-	return b, nil
+	return b[:n:n]
 }
 
 // String decodes an XDR string. The string conversion is the only copy.
-func (d *Decoder) String() (string, error) {
-	b, err := d.OpaqueRef()
-	return string(b), err
-}
+func (d *Decoder) String() string { return string(d.OpaqueRef()) }
 
 // OpaqueLen returns the encoded size of variable-length opaque data of n
 // bytes: 4-byte length word plus the payload rounded up to 4 bytes.
@@ -339,14 +309,3 @@ func FixedLen(n int) int { return n + (4-n%4)%4 }
 
 // StringLen returns the encoded size of an XDR string.
 func StringLen(s string) int { return OpaqueLen(len(s)) }
-
-// Check is a convenience for decode sequences: it returns the first
-// non-nil error.
-func Check(errs ...error) error {
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("xdr: field %d: %w", i, err)
-		}
-	}
-	return nil
-}

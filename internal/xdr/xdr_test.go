@@ -2,6 +2,7 @@ package xdr
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -9,18 +10,16 @@ import (
 func TestUint32RoundTrip(t *testing.T) {
 	e := NewEncoder(16)
 	e.Uint32(0xdeadbeef)
-	e.Int32(-1)
+	e.Uint32(0xffffffff)
 	d := NewDecoder(e.Bytes())
-	u, err := d.Uint32()
-	if err != nil || u != 0xdeadbeef {
-		t.Fatalf("u=%x err=%v", u, err)
+	if u := d.Uint32(); u != 0xdeadbeef {
+		t.Fatalf("u=%x", u)
 	}
-	i, err := d.Int32()
-	if err != nil || i != -1 {
-		t.Fatalf("i=%d err=%v", i, err)
+	if u := d.Uint32(); u != 0xffffffff {
+		t.Fatalf("u=%x", u)
 	}
-	if d.Remaining() != 0 {
-		t.Fatalf("remaining = %d", d.Remaining())
+	if d.Err() != nil || d.Remaining() != 0 {
+		t.Fatalf("err=%v remaining=%d", d.Err(), d.Remaining())
 	}
 }
 
@@ -28,9 +27,8 @@ func TestUint64RoundTrip(t *testing.T) {
 	e := NewEncoder(8)
 	e.Uint64(0x0123456789abcdef)
 	d := NewDecoder(e.Bytes())
-	v, err := d.Uint64()
-	if err != nil || v != 0x0123456789abcdef {
-		t.Fatalf("v=%x err=%v", v, err)
+	if v := d.Uint64(); v != 0x0123456789abcdef || d.Err() != nil {
+		t.Fatalf("v=%x err=%v", v, d.Err())
 	}
 }
 
@@ -39,10 +37,10 @@ func TestBoolRoundTrip(t *testing.T) {
 	e.Bool(true)
 	e.Bool(false)
 	d := NewDecoder(e.Bytes())
-	a, _ := d.Bool()
-	b, err := d.Bool()
-	if err != nil || !a || b {
-		t.Fatalf("a=%v b=%v err=%v", a, b, err)
+	a := d.Bool()
+	b := d.Bool()
+	if d.Err() != nil || !a || b {
+		t.Fatalf("a=%v b=%v err=%v", a, b, d.Err())
 	}
 }
 
@@ -58,9 +56,9 @@ func TestOpaquePadding(t *testing.T) {
 			t.Fatalf("n=%d: len=%d, OpaqueLen=%d", n, e.Len(), OpaqueLen(n))
 		}
 		d := NewDecoder(e.Bytes())
-		got, err := d.Opaque()
-		if err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("n=%d: got %v err %v", n, got, err)
+		got := d.OpaqueRef()
+		if d.Err() != nil || !bytes.Equal(got, data) || cap(got) != n {
+			t.Fatalf("n=%d: got %v (cap %d) err %v", n, got, cap(got), d.Err())
 		}
 		if d.Remaining() != 0 {
 			t.Fatalf("n=%d: %d bytes left over", n, d.Remaining())
@@ -75,9 +73,8 @@ func TestStringRoundTrip(t *testing.T) {
 		t.Fatalf("len=%d want %d", e.Len(), StringLen("nfs_flushd"))
 	}
 	d := NewDecoder(e.Bytes())
-	s, err := d.String()
-	if err != nil || s != "nfs_flushd" {
-		t.Fatalf("s=%q err=%v", s, err)
+	if s := d.String(); s != "nfs_flushd" || d.Err() != nil {
+		t.Fatalf("s=%q err=%v", s, d.Err())
 	}
 }
 
@@ -87,24 +84,28 @@ func TestFixedOpaqueRoundTrip(t *testing.T) {
 	if e.Len() != 4 {
 		t.Fatalf("len = %d, want 4 (padded)", e.Len())
 	}
-	d := NewDecoder(e.Bytes())
-	got, err := d.FixedOpaque(3)
-	if err != nil || !bytes.Equal(got, []byte{1, 2, 3}) {
-		t.Fatalf("got %v err %v", got, err)
+	if got := NewDecoder(e.Bytes()).Uint32(); got != 0x01020300 {
+		t.Fatalf("got %#x, want the bytes then one zero pad byte", got)
 	}
 }
 
 func TestDecodeShortBuffer(t *testing.T) {
 	d := NewDecoder([]byte{0, 0})
-	if _, err := d.Uint32(); err != ErrShortBuffer {
-		t.Fatalf("err = %v", err)
+	if d.Uint32(); d.Err() != ErrShortBuffer {
+		t.Fatalf("err = %v", d.Err())
 	}
 	d = NewDecoder([]byte{0, 0, 0})
-	if _, err := d.Uint64(); err != ErrShortBuffer {
-		t.Fatalf("err = %v", err)
+	if d.Uint64(); d.Err() != ErrShortBuffer {
+		t.Fatalf("err = %v", d.Err())
 	}
-	if _, err := NewDecoder(nil).Opaque(); err != ErrShortBuffer {
-		t.Fatalf("err = %v", err)
+	d = NewDecoder(nil)
+	if d.OpaqueRef(); d.Err() != ErrShortBuffer {
+		t.Fatalf("err = %v", d.Err())
+	}
+	// A length that fits but whose padding does not.
+	d = NewDecoder([]byte{0, 0, 0, 1, 0xab})
+	if b := d.OpaqueRef(); b != nil || d.Err() != ErrShortBuffer || d.Offset() != 0 {
+		t.Fatalf("b=%v err=%v offset=%d", b, d.Err(), d.Offset())
 	}
 }
 
@@ -112,11 +113,63 @@ func TestDecodeBadLength(t *testing.T) {
 	e := NewEncoder(8)
 	e.Uint32(100) // claims 100 bytes follow; none do
 	d := NewDecoder(e.Bytes())
-	if _, err := d.Opaque(); err != ErrBadLength {
-		t.Fatalf("err = %v", err)
+	if b := d.OpaqueRef(); b != nil || d.Err() != ErrBadLength {
+		t.Fatalf("b=%v err=%v", b, d.Err())
 	}
-	if _, err := NewDecoder(nil).FixedOpaque(-1); err != ErrBadLength {
-		t.Fatalf("err = %v", err)
+	if d.Offset() != 0 {
+		t.Fatalf("a bad length left the cursor at %d, not before the length word", d.Offset())
+	}
+}
+
+// Once a read fails, every later read returns its zero value and leaves
+// the cursor and the first error alone.
+func TestDecodeErrorIsSticky(t *testing.T) {
+	d := NewDecoder([]byte{0, 0, 0, 7, 0, 0})
+	if v := d.Uint32(); v != 7 {
+		t.Fatalf("v=%d", v)
+	}
+	d.Uint64()
+	if d.Err() != ErrShortBuffer || d.Offset() != 4 {
+		t.Fatalf("err=%v offset=%d", d.Err(), d.Offset())
+	}
+	if d.Uint32() != 0 || d.Bool() || d.OpaqueRef() != nil || d.String() != "" {
+		t.Fatal("a read after the first error returned a nonzero value")
+	}
+	if d.Err() != ErrShortBuffer || d.Offset() != 4 {
+		t.Fatalf("later reads changed err=%v offset=%d", d.Err(), d.Offset())
+	}
+}
+
+// Fail records a message-level error only when no earlier error is
+// recorded, and Reset clears whatever is.
+func TestFailKeepsFirstError(t *testing.T) {
+	invalid := errors.New("invalid value")
+	d := NewDecoder([]byte{0, 0})
+	d.Uint32()
+	d.Fail(invalid)
+	if d.Err() != ErrShortBuffer {
+		t.Fatalf("Fail overwrote the read error: %v", d.Err())
+	}
+	d = NewDecoder([]byte{0, 0, 0, 1})
+	d.Fail(invalid)
+	d.Fail(ErrBadLength)
+	if d.Err() != invalid {
+		t.Fatalf("err = %v, want the first Fail's", d.Err())
+	}
+	if d.Uint32() != 0 || d.Offset() != 0 {
+		t.Fatal("a read after Fail decoded a value")
+	}
+}
+
+func TestResetClearsError(t *testing.T) {
+	d := NewDecoder(nil)
+	d.Uint32()
+	d.Reset([]byte{0, 0, 0, 9})
+	if d.Err() != nil {
+		t.Fatalf("err after Reset = %v", d.Err())
+	}
+	if v := d.Uint32(); v != 9 || d.Err() != nil {
+		t.Fatalf("v=%d err=%v", v, d.Err())
 	}
 }
 
@@ -126,15 +179,6 @@ func TestEncoderReset(t *testing.T) {
 	e.Reset()
 	if e.Len() != 0 {
 		t.Fatalf("len after reset = %d", e.Len())
-	}
-}
-
-func TestCheck(t *testing.T) {
-	if Check(nil, nil) != nil {
-		t.Fatal("Check(nil, nil) != nil")
-	}
-	if Check(nil, ErrShortBuffer) == nil {
-		t.Fatal("Check missed error")
 	}
 }
 
@@ -148,15 +192,12 @@ func TestMixedRoundTripProperty(t *testing.T) {
 		e.Opaque(o)
 		e.Bool(flag)
 		d := NewDecoder(e.Bytes())
-		ga, e1 := d.Uint32()
-		gb, e2 := d.Uint64()
-		gs, e3 := d.String()
-		gob, e4 := d.Opaque()
-		gf, e5 := d.Bool()
-		if Check(e1, e2, e3, e4, e5) != nil {
-			return false
-		}
-		return ga == a && gb == b && gs == s && bytes.Equal(gob, o) && gf == flag && d.Remaining() == 0
+		ga := d.Uint32()
+		gb := d.Uint64()
+		gs := d.String()
+		gob := d.OpaqueRef()
+		gf := d.Bool()
+		return d.Err() == nil && ga == a && gb == b && gs == s && bytes.Equal(gob, o) && gf == flag && d.Remaining() == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -321,9 +321,6 @@ func (tb *Testbed) Machine(i int) *ClientMachine { return tb.Machines[i] }
 // OpenNFS opens a fresh file on machine 0's NFS mount.
 func (tb *Testbed) OpenNFS() *core.File { return tb.Machines[0].OpenNFS() }
 
-// OpenLocal opens a fresh file on machine 0's local ext2 filesystem.
-func (tb *Testbed) OpenLocal() vfs.File { return tb.Machines[0].OpenLocal() }
-
 // Open opens a file on the test bed's configured target: local ext2 for
 // ServerNone, NFS otherwise. Multi-client workloads open on a specific
 // machine via Machine(i).Open instead.
