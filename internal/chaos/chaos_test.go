@@ -1,7 +1,9 @@
 package chaos
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -57,9 +59,9 @@ scenarios:
         min_mbps: 0.5
 `
 
-// YAML → EncodeJSON → Parse must round-trip to the identical Scenario,
-// proving the two front ends decode to the same thing and EncodeJSON
-// loses nothing.
+// YAML → json.Marshal → Parse must round-trip to the identical Scenario,
+// proving the two front ends decode to the same thing and the json tags
+// name every key.
 func TestJSONRoundTrip(t *testing.T) {
 	scs, err := Parse([]byte(sampleYAML))
 	if err != nil {
@@ -68,7 +70,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if len(scs) != 1 {
 		t.Fatalf("got %d scenarios", len(scs))
 	}
-	js, err := scs[0].EncodeJSON()
+	js, err := json.Marshal(scs[0])
 	if err != nil {
 		t.Fatalf("encode json: %v", err)
 	}
@@ -107,11 +109,12 @@ scenarios:
 	}
 }
 
-func TestRejections(t *testing.T) {
-	cases := []struct {
-		name, src, want string
-	}{
-		{"unknown action", `
+// rejections are malformed scenario sources, each with a substring its
+// error must mention. FuzzParse starts from them too.
+var rejections = []struct {
+	name, src, want string
+}{
+	{"unknown action", `
 scenarios:
   - name: x
     fleet:
@@ -119,7 +122,7 @@ scenarios:
     events:
       - action: server_explode
 `, "unknown action"},
-		{"misplaced key", `
+	{"misplaced key", `
 scenarios:
   - name: x
     fleet:
@@ -129,7 +132,7 @@ scenarios:
         at: 1ms
         rate: 0.5
 `, `does not take "rate"`},
-		{"unknown fleet key", `
+	{"unknown fleet key", `
 scenarios:
   - name: x
     fleet:
@@ -138,7 +141,7 @@ scenarios:
     events:
       - action: assert_completes
 `, "flavor"},
-		{"unknown scenario key", `
+	{"unknown scenario key", `
 scenarios:
   - name: x
     fleet:
@@ -147,7 +150,7 @@ scenarios:
     events:
       - action: assert_completes
 `, "priority"},
-		{"unknown server", `
+	{"unknown server", `
 scenarios:
   - name: x
     fleet:
@@ -155,7 +158,7 @@ scenarios:
     events:
       - action: assert_completes
 `, "server"},
-		{"restart without crash", `
+	{"restart without crash", `
 scenarios:
   - name: x
     fleet:
@@ -164,7 +167,7 @@ scenarios:
       - at: 10ms
         action: server_restart
 `, "server_restart"},
-		{"crash over tcp", `
+	{"crash over tcp", `
 scenarios:
   - name: x
     fleet:
@@ -176,7 +179,7 @@ scenarios:
       - at: 20ms
         action: server_restart
 `, "udp"},
-		{"loss out of range", `
+	{"loss out of range", `
 scenarios:
   - name: x
     fleet:
@@ -185,7 +188,7 @@ scenarios:
     events:
       - action: assert_completes
 `, "loss"},
-		{"bad host", `
+	{"bad host", `
 scenarios:
   - name: x
     fleet:
@@ -195,7 +198,7 @@ scenarios:
         action: link_down
         host: client5
 `, "host"},
-		{"duplicate scenario names", `
+	{"duplicate scenario names", `
 scenarios:
   - name: same
     fleet:
@@ -208,7 +211,7 @@ scenarios:
     events:
       - action: assert_completes
 `, "duplicate"},
-		{"extra top-level key", `
+	{"extra top-level key", `
 scenarios:
   - name: x
     fleet:
@@ -217,8 +220,8 @@ scenarios:
       - action: assert_completes
 version: 2
 `, "top level"},
-		{"tab indentation", "scenarios:\n\t- name: x\n", "tab"},
-		{"duplicate map keys", `
+	{"tab indentation", "scenarios:\n\t- name: x\n", "tab"},
+	{"duplicate map keys", `
 scenarios:
   - name: x
     fleet:
@@ -227,13 +230,13 @@ scenarios:
     events:
       - action: assert_completes
 `, "duplicate"},
-		{"no events", `
+	{"no events", `
 scenarios:
   - name: x
     fleet:
       server: filer
 `, "events"},
-		{"stale_max takes max_stale not bytes", `
+	{"stale_max takes max_stale not bytes", `
 scenarios:
   - name: x
     fleet:
@@ -242,7 +245,7 @@ scenarios:
       - action: assert_stale_max
         bytes: 100
 `, "does not take"},
-		{"negative max_stale", `
+	{"negative max_stale", `
 scenarios:
   - name: x
     fleet:
@@ -251,7 +254,7 @@ scenarios:
       - action: assert_stale_max
         max_stale: -1
 `, "non-negative"},
-		{"wsize not a page multiple", `
+	{"wsize not a page multiple", `
 scenarios:
   - name: x
     fleet:
@@ -260,7 +263,7 @@ scenarios:
     events:
       - action: assert_completes
 `, "fleet.wsize"},
-		{"negative wsize", `
+	{"negative wsize", `
 scenarios:
   - name: x
     fleet:
@@ -269,7 +272,7 @@ scenarios:
     events:
       - action: assert_completes
 `, "fleet.wsize"},
-		{"bad consistency mode", `
+	{"bad consistency mode", `
 scenarios:
   - name: x
     fleet:
@@ -278,8 +281,10 @@ scenarios:
     events:
       - action: assert_completes
 `, "consistency"},
-	}
-	for _, c := range cases {
+}
+
+func TestRejections(t *testing.T) {
+	for _, c := range rejections {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := Parse([]byte(c.src))
 			if err == nil {
@@ -290,6 +295,108 @@ scenarios:
 			}
 		})
 	}
+}
+
+// A file with two bad keys names the same one on every parse: the
+// decoder visits a map's keys in sorted order, not Go's random map
+// order.
+func TestDecodeErrorsDeterministic(t *testing.T) {
+	for name, src := range map[string]string{
+		"two unknown fleet keys": `
+name: x
+fleet:
+  server: filer
+  flavor: spicy
+  color: red
+events:
+  - action: assert_completes
+`,
+		"two misplaced event keys": `
+name: x
+fleet:
+  server: filer
+events:
+  - action: server_crash
+    rate: 0.5
+    host: server
+`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, first := Parse([]byte(src))
+			if first == nil {
+				t.Fatal("accepted invalid input")
+			}
+			for range 100 {
+				if _, err := Parse([]byte(src)); err == nil || err.Error() != first.Error() {
+					t.Fatalf("error changed between parses: %q, then %v", first, err)
+				}
+			}
+		})
+	}
+}
+
+// Both front ends read an integer exactly: a seed above 2^53 is the same
+// in YAML and JSON, not rounded through float64.
+func TestYAMLJSONIntegerParity(t *testing.T) {
+	yml, err := Parse([]byte(`
+name: big-seed
+fleet:
+  server: filer
+  seed: 9007199254740993
+events:
+  - action: assert_completes
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := Parse([]byte(`{"name": "big-seed", "fleet": {"server": "filer", "seed": 9007199254740993},
+		"events": [{"action": "assert_completes"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if yml[0].Fleet.Seed != 9007199254740993 || !reflect.DeepEqual(yml, js) {
+		t.Fatalf("yaml seed %d, json seed %d; want both 9007199254740993",
+			yml[0].Fleet.Seed, js[0].Fleet.Seed)
+	}
+}
+
+// FuzzParse checks three properties of Parse on any input: it never
+// panics, it gives the same answer twice, and a scenario it accepts
+// survives json.Marshal and Parse unchanged.
+func FuzzParse(f *testing.F) {
+	f.Add([]byte(sampleYAML))
+	f.Add([]byte(`{"": {"": 5}}`)) // an empty key must not match the untagged bed field
+	for _, c := range rejections {
+		f.Add([]byte(c.src))
+	}
+	files, _ := filepath.Glob(filepath.Join("..", "..", "examples", "chaos", "*.yaml"))
+	for _, path := range append(files, filepath.Join("..", "experiments", "chaos.yaml")) {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src []byte) {
+		scs, err := Parse(src)
+		again, err2 := Parse(src)
+		if fmt.Sprint(err) != fmt.Sprint(err2) || !reflect.DeepEqual(scs, again) {
+			t.Fatalf("two parses differ: %v / %v", err, err2)
+		}
+		for _, sc := range scs {
+			js, err := json.Marshal(sc)
+			if err != nil {
+				t.Fatalf("marshal %q: %v", sc.Name, err)
+			}
+			back, err := Parse(js)
+			if err != nil {
+				t.Fatalf("re-parse %s: %v", js, err)
+			}
+			if !reflect.DeepEqual(back, []*Scenario{sc}) {
+				t.Fatalf("round trip diverged:\nfirst: %+v\nagain: %+v", sc, back[0])
+			}
+		}
+	})
 }
 
 // The checked-in example scenarios are the CLI's front door: they must
@@ -383,9 +490,9 @@ func TestChaosRunByteIdentical(t *testing.T) {
 		}
 		return b.String()
 	}
-	w1, w8, again := render(1), render(8), render(8)
-	if w1 != w8 {
-		t.Fatal("chaos output differs between -workers 1 and 8")
+	w0, w1, w8, again := render(0), render(1), render(8), render(8)
+	if w0 != w1 || w1 != w8 {
+		t.Fatal("chaos output differs between -workers 0, 1 and 8")
 	}
 	if w8 != again {
 		t.Fatal("chaos output differs between identical reruns")

@@ -5,11 +5,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	nfssim "repro"
 	"repro/internal/harness"
-	"repro/internal/rpcsim"
 	"repro/internal/server"
 	"repro/internal/sim"
 )
@@ -104,13 +102,8 @@ func runGuarded(hsc harness.Scenario, prepare func(*nfssim.Testbed)) (res harnes
 		if r == nil {
 			return
 		}
-		switch v := r.(type) {
-		case *rpcsim.DeadServerError:
-			err = v
-		case error:
-			err = v
-		default:
-			err = fmt.Errorf("%v", v)
+		if err, _ = r.(error); err == nil {
+			err = fmt.Errorf("%v", r)
 		}
 	}()
 	res = harness.RunScenarioOn(hsc, prepare)
@@ -338,34 +331,10 @@ func (r *Report) Render() string {
 	return b.String()
 }
 
-// RunAll executes every scenario across a worker pool (workers <= 0 means
-// one). Reports come back in scenario order regardless of worker count —
-// each scenario is its own deterministic simulation, so the combined
-// output is byte-identical at any pool size.
+// RunAll executes every scenario on the harness worker pool (workers
+// <= 0 means one per CPU). Reports come back in scenario order
+// regardless of worker count — each scenario is its own deterministic
+// simulation, so the combined output is byte-identical at any pool size.
 func RunAll(scs []*Scenario, workers int) []*Report {
-	n := len(scs)
-	reports := make([]*Report, n)
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				reports[i] = Run(scs[i])
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return reports
+	return harness.Ordered(len(scs), workers, func(i int) *Report { return Run(scs[i]) }, nil)
 }

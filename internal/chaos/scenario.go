@@ -9,11 +9,16 @@ package chaos
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
+	"math"
 	"os"
+	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	nfssim "repro"
 	"repro/internal/bonnie"
@@ -54,14 +59,14 @@ type Fleet struct {
 	// classic hard-mount behavior (retry until the run's time limit).
 	MaxRetries int `json:"max_retries,omitempty"`
 	// TimeLimit bounds the run's virtual time (default 30m).
-	TimeLimit sim.Time `json:"-"`
+	TimeLimit sim.Time `json:"time_limit,omitempty"`
 }
 
 // Event is one timed fault injection or end-of-run assertion.
 type Event struct {
 	// At is the virtual time the event fires (ignored for assert_*
 	// actions, which are evaluated when the run ends).
-	At sim.Time `json:"-"`
+	At sim.Time `json:"at,omitempty"`
 	// Action names the event; see actionSpec for the catalogue.
 	Action string `json:"action"`
 	// Host targets link_down/link_up: "server" or "clientN".
@@ -69,10 +74,10 @@ type Event struct {
 	// Rate is loss_burst's per-fragment drop probability, in [0, 1].
 	Rate float64 `json:"rate,omitempty"`
 	// Jitter is jitter_burst's max extra delivery delay.
-	Jitter sim.Time `json:"-"`
+	Jitter sim.Time `json:"jitter,omitempty"`
 	// For is how long a loss/jitter burst or disk_degrade lasts
 	// (0 for disk_degrade means until the end of the run).
-	For sim.Time `json:"-"`
+	For sim.Time `json:"for,omitempty"`
 	// Factor is disk_degrade's service-time multiplier (>= 1).
 	Factor float64 `json:"factor,omitempty"`
 	// MinMBps is assert_agg_mbps_min's threshold.
@@ -100,7 +105,7 @@ type Scenario struct {
 }
 
 // actionSpec declares each action's allowed keys beyond "at"/"action";
-// decode rejects unknown actions and misplaced keys against it.
+// Event.checkKeys rejects unknown actions and misplaced keys against it.
 var actionSpec = map[string][]string{
 	"server_crash":         {},
 	"server_restart":       {},
@@ -139,13 +144,19 @@ func Load(path string) ([]*Scenario, error) {
 	return scs, nil
 }
 
-// Parse parses scenario source (YAML subset or JSON).
+// Parse parses scenario source (YAML subset or JSON). Both front ends
+// yield the same generic tree — maps, lists, and scalars — which
+// decodeValue reads into the typed scenario.
 func Parse(src []byte) ([]*Scenario, error) {
+	if !utf8.Valid(src) {
+		return nil, fmt.Errorf("scenario source is not valid UTF-8")
+	}
 	trimmed := strings.TrimSpace(string(src))
 	var root any
 	var err error
 	if strings.HasPrefix(trimmed, "{") || strings.HasPrefix(trimmed, "[") {
 		dec := json.NewDecoder(strings.NewReader(trimmed))
+		dec.UseNumber()
 		err = dec.Decode(&root)
 	} else {
 		root, err = parseYAML(src)
@@ -156,122 +167,44 @@ func Parse(src []byte) ([]*Scenario, error) {
 	return decodeRoot(root)
 }
 
-// EncodeJSON serializes the scenario to JSON that Parse round-trips,
-// durations rendered as strings ("200ms").
-func (sc *Scenario) EncodeJSON() ([]byte, error) {
-	events := make([]map[string]any, 0, len(sc.Events))
-	for i := range sc.Events {
-		ev := &sc.Events[i]
-		m := map[string]any{"action": ev.Action}
-		if !ev.IsAssert() || ev.At != 0 {
-			m["at"] = ev.At.String()
-		}
-		if ev.Host != "" {
-			m["host"] = ev.Host
-		}
-		if ev.Rate != 0 {
-			m["rate"] = ev.Rate
-		}
-		if ev.Jitter != 0 {
-			m["jitter"] = ev.Jitter.String()
-		}
-		if ev.For != 0 {
-			m["for"] = ev.For.String()
-		}
-		if ev.Factor != 0 {
-			m["factor"] = ev.Factor
-		}
-		if ev.MinMBps != 0 {
-			m["min_mbps"] = ev.MinMBps
-		}
-		if ev.Bytes != 0 {
-			m["bytes"] = ev.Bytes
-		}
-		if ev.MaxStale != 0 {
-			m["max_stale"] = ev.MaxStale
-		}
-		events = append(events, m)
-	}
-	fleet := map[string]any{"server": sc.Fleet.Server}
-	if sc.Fleet.Config != "" {
-		fleet["config"] = sc.Fleet.Config
-	}
-	if sc.Fleet.Clients != 0 {
-		fleet["clients"] = sc.Fleet.Clients
-	}
-	if sc.Fleet.FileMB != 0 {
-		fleet["file_mb"] = sc.Fleet.FileMB
-	}
-	if sc.Fleet.WSize != 0 {
-		fleet["wsize"] = sc.Fleet.WSize
-	}
-	if sc.Fleet.Workload != "" {
-		fleet["workload"] = sc.Fleet.Workload
-	}
-	if sc.Fleet.Consistency != "" {
-		fleet["consistency"] = sc.Fleet.Consistency
-	}
-	if sc.Fleet.Transport != "" {
-		fleet["transport"] = sc.Fleet.Transport
-	}
-	if sc.Fleet.Loss != 0 {
-		fleet["loss"] = sc.Fleet.Loss
-	}
-	if sc.Fleet.Seed != 0 {
-		fleet["seed"] = sc.Fleet.Seed
-	}
-	if sc.Fleet.MaxRetries != 0 {
-		fleet["max_retries"] = sc.Fleet.MaxRetries
-	}
-	if sc.Fleet.TimeLimit != 0 {
-		fleet["time_limit"] = sc.Fleet.TimeLimit.String()
-	}
-	doc := map[string]any{"name": sc.Name, "fleet": fleet, "events": events}
-	if sc.Description != "" {
-		doc["description"] = sc.Description
-	}
-	return json.MarshalIndent(doc, "", "  ")
-}
-
+// decodeRoot decodes the top level: one scenario map, a list of them,
+// or a map holding nothing but a "scenarios" list. Errors inside a list
+// name the scenario's index.
 func decodeRoot(root any) ([]*Scenario, error) {
-	switch v := root.(type) {
-	case []any:
-		return decodeScenarioList(v)
-	case map[string]any:
-		if list, ok := v["scenarios"]; ok {
-			if len(v) != 1 {
+	items, isList := root.([]any)
+	if m, ok := root.(map[string]any); ok {
+		items = []any{m}
+		if list, ok := m["scenarios"]; ok {
+			if len(m) != 1 {
 				return nil, fmt.Errorf("a \"scenarios:\" file must contain nothing else at top level")
 			}
-			items, ok := list.([]any)
-			if !ok {
+			if items, isList = list.([]any); !isList {
 				return nil, fmt.Errorf("\"scenarios\" must be a list")
 			}
-			return decodeScenarioList(items)
 		}
-		sc, err := decodeScenario(v)
-		if err != nil {
-			return nil, err
-		}
-		return []*Scenario{sc}, nil
-	default:
+	} else if !isList {
 		return nil, fmt.Errorf("top level must be a scenario map or a scenario list")
 	}
-}
-
-func decodeScenarioList(items []any) ([]*Scenario, error) {
 	if len(items) == 0 {
 		return nil, fmt.Errorf("empty scenario list")
 	}
 	out := make([]*Scenario, 0, len(items))
 	seen := make(map[string]bool)
 	for i, item := range items {
-		m, ok := item.(map[string]any)
-		if !ok {
-			return nil, fmt.Errorf("scenario %d: expected a map", i)
+		sc := &Scenario{}
+		err := decodeValue(reflect.ValueOf(sc).Elem(), item)
+		if err == nil && sc.Name == "" {
+			err = fmt.Errorf("scenario needs a name")
+		} else if err == nil {
+			if verr := sc.validate(); verr != nil {
+				err = fmt.Errorf("scenario %q: %w", sc.Name, verr)
+			}
 		}
-		sc, err := decodeScenario(m)
+		if err != nil && isList {
+			err = fmt.Errorf("scenario %d: %w", i, err)
+		}
 		if err != nil {
-			return nil, fmt.Errorf("scenario %d: %w", i, err)
+			return nil, err
 		}
 		if seen[sc.Name] {
 			return nil, fmt.Errorf("duplicate scenario name %q", sc.Name)
@@ -282,161 +215,143 @@ func decodeScenarioList(items []any) ([]*Scenario, error) {
 	return out, nil
 }
 
-func decodeScenario(m map[string]any) (*Scenario, error) {
-	sc := &Scenario{}
-	for key, val := range m {
-		switch key {
-		case "name":
-			s, err := asString(val)
-			if err != nil {
-				return nil, fmt.Errorf("name: %w", err)
-			}
-			sc.Name = s
-		case "description":
-			s, err := asString(val)
-			if err != nil {
-				return nil, fmt.Errorf("description: %w", err)
-			}
-			sc.Description = s
-		case "fleet":
-			fm, ok := val.(map[string]any)
-			if !ok {
-				return nil, fmt.Errorf("fleet: expected a map")
-			}
-			fleet, err := decodeFleet(fm)
-			if err != nil {
-				return nil, err
-			}
-			sc.Fleet = fleet
-		case "events":
-			list, ok := val.([]any)
-			if !ok {
-				return nil, fmt.Errorf("events: expected a list")
-			}
-			for i, item := range list {
-				em, ok := item.(map[string]any)
-				if !ok {
-					return nil, fmt.Errorf("events[%d]: expected a map", i)
-				}
-				ev, err := decodeEvent(em)
-				if err != nil {
-					return nil, fmt.Errorf("events[%d]: %w", i, err)
-				}
-				sc.Events = append(sc.Events, ev)
-			}
-		default:
-			return nil, fmt.Errorf("unknown scenario key %q", key)
-		}
+// checkKeys rejects an event with no action, an unknown action, or a
+// key its action does not take. decodeValue calls it with the event's
+// source map once the fields are set.
+func (e *Event) checkKeys(m map[string]any) error {
+	if e.Action == "" {
+		return fmt.Errorf("event needs an action")
 	}
-	if sc.Name == "" {
-		return nil, fmt.Errorf("scenario needs a name")
-	}
-	if err := sc.validate(); err != nil {
-		return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
-	}
-	return sc, nil
-}
-
-func decodeFleet(m map[string]any) (Fleet, error) {
-	f := Fleet{}
-	for key, val := range m {
-		var err error
-		switch key {
-		case "server":
-			f.Server, err = asString(val)
-		case "config":
-			f.Config, err = asString(val)
-		case "clients":
-			f.Clients, err = asInt(val)
-		case "file_mb":
-			f.FileMB, err = asInt(val)
-		case "wsize":
-			f.WSize, err = asInt(val)
-		case "workload":
-			f.Workload, err = asString(val)
-		case "consistency":
-			f.Consistency, err = asString(val)
-		case "transport":
-			f.Transport, err = asString(val)
-		case "loss":
-			f.Loss, err = asFloat(val)
-		case "seed":
-			var n int64
-			n, err = asInt64(val)
-			f.Seed = n
-		case "max_retries":
-			f.MaxRetries, err = asInt(val)
-		case "time_limit":
-			f.TimeLimit, err = asDuration(val)
-		default:
-			return f, fmt.Errorf("fleet: unknown key %q", key)
-		}
-		if err != nil {
-			return f, fmt.Errorf("fleet.%s: %w", key, err)
-		}
-	}
-	return f, nil
-}
-
-func decodeEvent(m map[string]any) (Event, error) {
-	ev := Event{}
-	for key, val := range m {
-		var err error
-		switch key {
-		case "at":
-			ev.At, err = asDuration(val)
-		case "action":
-			ev.Action, err = asString(val)
-		case "host":
-			ev.Host, err = asString(val)
-		case "rate":
-			ev.Rate, err = asFloat(val)
-		case "jitter":
-			ev.Jitter, err = asDuration(val)
-		case "for":
-			ev.For, err = asDuration(val)
-		case "factor":
-			ev.Factor, err = asFloat(val)
-		case "min_mbps":
-			ev.MinMBps, err = asFloat(val)
-		case "bytes":
-			var n int64
-			n, err = asInt64(val)
-			ev.Bytes = n
-		case "max_stale":
-			var n int64
-			n, err = asInt64(val)
-			ev.MaxStale = n
-		default:
-			return ev, fmt.Errorf("unknown event key %q", key)
-		}
-		if err != nil {
-			return ev, fmt.Errorf("%s: %w", key, err)
-		}
-	}
-	if ev.Action == "" {
-		return ev, fmt.Errorf("event needs an action")
-	}
-	allowed, ok := actionSpec[ev.Action]
+	allowed, ok := actionSpec[e.Action]
 	if !ok {
-		return ev, fmt.Errorf("unknown action %q", ev.Action)
+		return fmt.Errorf("unknown action %q", e.Action)
 	}
-	for key := range m {
-		if key == "at" || key == "action" {
-			continue
+	for _, key := range slices.Sorted(maps.Keys(m)) {
+		if key != "at" && key != "action" && !slices.Contains(allowed, key) {
+			return fmt.Errorf("action %q does not take %q", e.Action, key)
 		}
-		permitted := false
-		for _, a := range allowed {
-			if key == a {
-				permitted = true
-				break
+	}
+	return nil
+}
+
+var timeType = reflect.TypeFor[sim.Time]()
+
+// decodeValue decodes v, a node of the parse tree (map[string]any,
+// []any, or a scalar: a string, or a json.Number from JSON), into dst.
+// The json tags are the schema. A map decodes into a struct key by key,
+// in sorted order so the first error is the same on every run; a key
+// matches only the exported field whose tag names it. A list decodes
+// into a slice. A scalar decodes by the field's type: a string; an
+// integer, written in decimal or as an integral JSON number (2.0, 1e3);
+// a finite float64; a sim.Time, written as a duration string ("200ms")
+// or as JSON nanoseconds (a fraction is truncated).
+func decodeValue(dst reflect.Value, v any) error {
+	switch dst.Kind() {
+	case reflect.Struct:
+		m, ok := v.(map[string]any)
+		if !ok {
+			return fmt.Errorf("expected a map, got %T", v)
+		}
+		for _, key := range slices.Sorted(maps.Keys(m)) {
+			f := fieldByTag(dst, key)
+			if !f.IsValid() {
+				return fmt.Errorf("unknown key %q", key)
+			}
+			if err := decodeValue(f, m[key]); err != nil {
+				return within(key, err)
 			}
 		}
-		if !permitted {
-			return ev, fmt.Errorf("action %q does not take %q", ev.Action, key)
+		if ev, ok := dst.Addr().Interface().(*Event); ok {
+			return ev.checkKeys(m)
+		}
+		return nil
+	case reflect.Slice:
+		list, ok := v.([]any)
+		if !ok {
+			return fmt.Errorf("expected a list, got %T", v)
+		}
+		s := reflect.MakeSlice(dst.Type(), len(list), len(list))
+		for i, item := range list {
+			if err := decodeValue(s.Index(i), item); err != nil {
+				return within(fmt.Sprintf("[%d]", i), err)
+			}
+		}
+		dst.Set(s)
+		return nil
+	}
+	text, isString := v.(string)
+	num, isNumber := v.(json.Number)
+	if isNumber {
+		text = string(num)
+	}
+	isTime := dst.Type() == timeType
+	switch {
+	case !isString && !isNumber:
+	case dst.Kind() == reflect.String && isString:
+		dst.SetString(text)
+		return nil
+	case isTime && isString:
+		d, err := time.ParseDuration(strings.TrimSpace(text))
+		if err != nil {
+			return fmt.Errorf("expected a duration (\"200ms\"), got %q", text)
+		}
+		dst.SetInt(int64(d))
+		return nil
+	case dst.CanInt():
+		n, err := strconv.ParseInt(strings.TrimSpace(text), 10, 64)
+		if err != nil && isNumber {
+			if f, ferr := num.Float64(); ferr == nil && (isTime || f == float64(int64(f))) {
+				n, err = int64(f), nil
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("expected an integer, got %q", text)
+		}
+		dst.SetInt(n)
+		return nil
+	case dst.Kind() == reflect.Float64:
+		f, err := strconv.ParseFloat(strings.TrimSpace(text), 64)
+		if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
+			return fmt.Errorf("expected a finite number, got %q", text)
+		}
+		dst.SetFloat(f)
+		return nil
+	}
+	return fmt.Errorf("expected a %s, got %T", dst.Type(), v)
+}
+
+// fieldByTag returns the exported field of struct dst whose json tag
+// names key, or the zero Value. Untagged and "-" fields never match.
+func fieldByTag(dst reflect.Value, key string) reflect.Value {
+	for i := range dst.NumField() {
+		f := dst.Type().Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if f.IsExported() && name == key && name != "" && name != "-" {
+			return dst.Field(i)
 		}
 	}
-	return ev, nil
+	return reflect.Value{}
+}
+
+// pathError places a decode error at the key path that led to it:
+// "fleet.loss", "events[2].for".
+type pathError struct {
+	path string
+	err  error
+}
+
+func (e *pathError) Error() string { return e.path + ": " + e.err.Error() }
+
+// within puts err under elem, a key or a "[i]" index.
+func within(elem string, err error) error {
+	inner, ok := err.(*pathError)
+	if !ok {
+		return &pathError{elem, err}
+	}
+	if !strings.HasPrefix(inner.path, "[") {
+		elem += "."
+	}
+	return &pathError{elem + inner.path, inner.err}
 }
 
 // validate applies the schema's semantic rules: defaults, ranges, host
@@ -643,70 +558,5 @@ func resolveHost(host string, kind nfssim.ServerKind) string {
 		return server.HostLinux
 	default:
 		return server.HostSlow
-	}
-}
-
-// Typed accessors for the generic parse tree. YAML scalars arrive as
-// strings; JSON numbers arrive as float64.
-
-func asString(v any) (string, error) {
-	s, ok := v.(string)
-	if !ok {
-		return "", fmt.Errorf("expected a string, got %T", v)
-	}
-	return s, nil
-}
-
-func asInt(v any) (int, error) {
-	n, err := asInt64(v)
-	return int(n), err
-}
-
-func asInt64(v any) (int64, error) {
-	switch x := v.(type) {
-	case string:
-		n, err := strconv.ParseInt(strings.TrimSpace(x), 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("expected an integer, got %q", x)
-		}
-		return n, nil
-	case float64:
-		if x != float64(int64(x)) {
-			return 0, fmt.Errorf("expected an integer, got %v", x)
-		}
-		return int64(x), nil
-	default:
-		return 0, fmt.Errorf("expected an integer, got %T", v)
-	}
-}
-
-func asFloat(v any) (float64, error) {
-	switch x := v.(type) {
-	case string:
-		f, err := strconv.ParseFloat(strings.TrimSpace(x), 64)
-		if err != nil {
-			return 0, fmt.Errorf("expected a number, got %q", x)
-		}
-		return f, nil
-	case float64:
-		return x, nil
-	default:
-		return 0, fmt.Errorf("expected a number, got %T", v)
-	}
-}
-
-func asDuration(v any) (sim.Time, error) {
-	switch x := v.(type) {
-	case string:
-		d, err := time.ParseDuration(strings.TrimSpace(x))
-		if err != nil {
-			return 0, fmt.Errorf("expected a duration (\"200ms\"), got %q", x)
-		}
-		return d, nil
-	case float64:
-		// JSON numbers are nanoseconds.
-		return sim.Time(x), nil
-	default:
-		return 0, fmt.Errorf("expected a duration, got %T", v)
 	}
 }

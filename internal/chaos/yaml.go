@@ -4,9 +4,9 @@ package chaos
 // repository takes no dependencies, and the subset is small: nested maps
 // by indentation, "- " list items (inline-map items included), scalar
 // "key: value" pairs, comments, and blank lines. Every scalar stays a
-// string; the typed decode layer in scenario.go interprets numbers,
-// booleans, and durations. Anchors, multi-line scalars, flow collections,
-// and tabs are rejected.
+// string; decodeValue in scenario.go reads it by the type of the field it
+// lands in (an integer, a float, a duration). Anchors, multi-line
+// scalars, flow collections, and tabs are rejected.
 
 import (
 	"fmt"
@@ -26,7 +26,7 @@ type yamlParser struct {
 	pos   int
 }
 
-// parseYAML parses src into the generic form the decode layer consumes:
+// parseYAML parses src into the generic tree decodeValue consumes:
 // map[string]any / []any / string.
 func parseYAML(src []byte) (any, error) {
 	p := &yamlParser{}

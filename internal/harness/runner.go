@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	nfssim "repro"
@@ -352,52 +353,56 @@ type Runner struct {
 
 // Run executes every scenario and returns the results in scenario order.
 func (r *Runner) Run(scenarios []Scenario) []Result {
-	n := len(scenarios)
+	return Ordered(len(scenarios), r.Workers, func(i int) Result {
+		res := RunScenario(scenarios[i])
+		if !r.KeepTraces {
+			res.Trace = nil
+		}
+		return res
+	}, r.OnResult)
+}
+
+// Ordered computes run(0) … run(n-1) across a pool of workers (<= 0
+// means runtime.GOMAXPROCS(0)) and returns the values in index order.
+// If emit is set, it is called with each value in strict index order as
+// soon as that value and all its predecessors are done, so a caller
+// streaming output sees the same sequence whether workers is 1 or 64.
+func Ordered[T any](n, workers int, run func(i int) T, emit func(T)) []T {
 	if n == 0 {
 		return nil
 	}
-	workers := r.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(workers, n)
 
-	results := make([]Result, n)
+	out := make([]T, n)
 	done := make([]chan struct{}, n)
 	for i := range done {
 		done[i] = make(chan struct{})
 	}
-	next := make(chan int)
+	var next atomic.Int64 // the next index a worker claims
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				results[i] = RunScenario(scenarios[i])
-				if !r.KeepTraces {
-					results[i].Trace = nil
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
 				}
+				out[i] = run(i)
 				close(done[i])
 			}
 		}()
 	}
-	go func() {
-		for i := 0; i < n; i++ {
-			next <- i
-		}
-		close(next)
-	}()
-	// Emit in order: wait for scenario i before touching i+1, so the
-	// callback sees the same sequence whether workers is 1 or 64.
-	for i := 0; i < n; i++ {
+	for i := range n {
 		<-done[i]
-		if r.OnResult != nil {
-			r.OnResult(results[i])
+		if emit != nil {
+			emit(out[i])
 		}
 	}
 	wg.Wait()
-	return results
+	return out
 }

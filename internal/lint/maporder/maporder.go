@@ -14,10 +14,12 @@
 //	for _, k := range keys { fmt.Fprintf(w, ...) }
 //
 // The analyzer reports a map range when (a) its body calls an output
-// sink directly, or (b) its body appends to a slice that the enclosing
-// function returns without ever passing it to a sort/slices call.
-// Order-independent iteration (like netsim's Totals summation) is not
-// flagged.
+// sink directly, (b) its body returns a non-constant value — the first
+// match, or the first error, which depends on the iteration order — or
+// (c) its body appends to a slice that the enclosing function returns
+// without ever passing it to a sort/slices call. Each range is reported
+// at most once. Order-independent iteration (like netsim's Totals
+// summation, or an early "return false") is not flagged.
 package maporder
 
 import (
@@ -34,8 +36,9 @@ var Analyzer = &analysis.Analyzer{
 	Name: "maporder",
 	Doc: "flag range-over-map whose body reaches an output sink " +
 		"(fmt.Fprint*, Write*/Encode methods, append to a returned slice) " +
-		"without an intervening sort: map order is randomized per run and " +
-		"would break byte-identical sweep output",
+		"without an intervening sort, or returns a non-constant value: " +
+		"map order is randomized per run and would break byte-identical " +
+		"sweep output",
 	Run: run,
 }
 
@@ -114,6 +117,11 @@ func checkMapRange(pass *analysis.Pass, fd *ast.FuncDecl, rs *ast.RangeStmt) {
 			"map iteration order is randomized per run; collect and sort the keys before writing output")
 		return
 	}
+	if returnsNonConstant(pass, rs.Body) {
+		pass.Reportf(rs.Pos(),
+			"map iteration order is randomized per run; a value returned from inside the loop depends on which key came first")
+		return
+	}
 	for _, v := range appended {
 		if usesVarInSortCall(pass, fd, v) {
 			continue
@@ -124,6 +132,23 @@ func checkMapRange(pass *analysis.Pass, fd *ast.FuncDecl, rs *ast.RangeStmt) {
 				v.Name())
 		}
 	}
+}
+
+// returnsNonConstant reports whether body (outside any function
+// literal) returns a value that is not a constant or nil: the first
+// match of a map range, which differs from run to run.
+func returnsNonConstant(pass *analysis.Pass, body *ast.BlockStmt) (found bool) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if ret, ok := n.(*ast.ReturnStmt); ok {
+			for _, res := range ret.Results {
+				tv := pass.TypesInfo.Types[res]
+				found = found || (tv.Value == nil && !tv.IsNil())
+			}
+		}
+		_, lit := n.(*ast.FuncLit)
+		return !found && !lit
+	})
+	return found
 }
 
 // usesVarInSortCall reports whether fd passes v (anywhere in an

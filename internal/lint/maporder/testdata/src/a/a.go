@@ -40,6 +40,35 @@ func keysUnsorted(m map[string]int) []string {
 	return keys
 }
 
+func firstMatch(m map[string]int, want int) string {
+	for k, v := range m { // want `a value returned from inside the loop`
+		if v == want {
+			return k
+		}
+	}
+	return ""
+}
+
+func firstErr(m map[string]string) error {
+	for k, v := range m { // want `a value returned from inside the loop`
+		if v == "" {
+			return fmt.Errorf("key %q is empty", k)
+		}
+	}
+	return nil
+}
+
+// anyNegative returns only constants: whichever key trips it, the
+// answer is the same.
+func anyNegative(m map[string]int) bool {
+	for _, v := range m {
+		if v < 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // keysSorted is the canonical repair: collect, sort, then emit.
 func keysSorted(m map[string]int, w io.Writer) {
 	keys := make([]string, 0, len(m))
