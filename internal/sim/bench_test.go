@@ -82,3 +82,31 @@ func BenchmarkKernelTimerCancel(b *testing.B) {
 	s.Run(0)
 	b.ReportMetric(float64(2*total)/b.Elapsed().Seconds(), "events/s")
 }
+
+// BenchmarkKernelCPUUse measures the kernel's commonest call: one process
+// charging 10 µs of CPU on a free processor between arming a 1.1 s
+// retransmit-style timer and canceling it, as an RPC caller does. The
+// sleeper's own wakeup is always the next event, so the charge moves the
+// clock in place.
+func BenchmarkKernelCPUUse(b *testing.B) {
+	s := sim.New(1)
+	defer s.Close()
+	cpus := s.NewCPUPool("cpus", 1)
+	work := sim.NewLabel("work")
+	noop := func() {}
+	call := func(p *sim.Proc) {
+		timer := s.After(1100*time.Millisecond, noop)
+		cpus.Use(p, work, 10*time.Microsecond)
+		timer.Cancel()
+	}
+	s.Go("caller", func(p *sim.Proc) {
+		call(p) // grow the event pool and the profiler first
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			call(p)
+		}
+		b.StopTimer()
+	})
+	s.Run(0)
+}

@@ -78,7 +78,7 @@ func TestClosedSimHandleCannotCancelReusedEvent(t *testing.T) {
 
 // Once the pool and heap have grown, passing control between processes —
 // through Run and inline in park — and returning at the limit allocate
-// nothing.
+// nothing, and neither does a sleep that moves the clock in place.
 func TestSteadyStateHandoffAllocatesNothing(t *testing.T) {
 	if racebuild.Enabled {
 		t.Skip("the race detector instruments coroutine switches")
@@ -101,6 +101,31 @@ func TestSteadyStateHandoffAllocatesNothing(t *testing.T) {
 	step()
 	if n := testing.AllocsPerRun(50, step); n != 0 {
 		t.Fatalf("steady-state handoff allocates %v per millisecond", n)
+	}
+
+	// A CPU charge on a free processor, with a retransmit timer armed
+	// behind it, moves the clock in place: nothing is allocated and
+	// nothing is queued.
+	cs := New(1)
+	defer cs.Close()
+	cpus := cs.NewCPUPool("cpus", 1)
+	work := NewLabel("work")
+	cs.After(1100*time.Millisecond, func() {})
+	var allocs float64
+	queued := -1
+	cs.Go("caller", func(p *Proc) {
+		use := func() { cpus.Use(p, work, time.Microsecond) }
+		use()
+		n := cs.QueueLen()
+		allocs = testing.AllocsPerRun(100, use)
+		queued = cs.QueueLen() - n
+	})
+	cs.Run(0)
+	if allocs != 0 {
+		t.Fatalf("CPUPool.Use on a free CPU allocates %v", allocs)
+	}
+	if queued != 0 {
+		t.Fatalf("CPUPool.Use on a free CPU changed the queue length by %d", queued)
 	}
 }
 

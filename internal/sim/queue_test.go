@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -236,6 +237,7 @@ type refEvent struct {
 	seq  int
 	id   int
 	dead bool
+	proc bool // a process wakeup rather than a callback
 }
 
 type refHeap []*refEvent
@@ -401,4 +403,338 @@ func tailof(xs []int, i int) []int {
 		return xs[i : i+5]
 	}
 	return xs[i:]
+}
+
+// The sleep fast path moves the clock in place when a sleeper's own
+// wakeup would be the next event. TestSleepMatchesQueuedReference and
+// FuzzSchedule check it against a reference kernel that always queues
+// the wakeup: processes that sleep, arm and cancel callbacks and spawn
+// processes, callbacks that do the same, and a run split by Run(limit)
+// calls, all driven by one decision stream. The two must act in the
+// same order at the same virtual times, and Run must return the same
+// clock each time.
+
+// A decision is one byte: the op in its low three bits, the argument
+// (a delay in microseconds, or which callback to cancel) in the rest.
+// Processes read opEnd, opArm, opCancel and opSpawn as written and any
+// other op as a sleep; callbacks act on opArm, opCancel and opSpawn and
+// ignore the rest. An exhausted stream reads as opEnd, so every run ends.
+const (
+	opEnd    = 0
+	opSleep  = 1
+	opArm    = 4
+	opCancel = 5
+	opSpawn  = 6
+)
+
+func decide(op, arg int) byte { return byte(op + arg<<3) }
+
+// scheduleProgram lays out a decision stream: up to three Run limits,
+// each given as its step past the previous one less 1 µs (a final Run(0)
+// always follows), up to seven setup actions taken before the first Run,
+// then every later decision in the order the kernel consumes them.
+func scheduleProgram(limits []byte, setup []byte, decisions ...byte) []byte {
+	data := append([]byte{byte(len(limits))}, limits...)
+	data = append(data, byte(len(setup)))
+	data = append(data, setup...)
+	return append(data, decisions...)
+}
+
+// schedKernel is what the decision stream drives: the sim, or the
+// reference. Times are in microseconds.
+type schedKernel interface {
+	now() int64
+	arm(delay int64, id int)
+	cancel(id int)
+	spawn(id int)
+}
+
+// schedDriver reads the decision stream and records what each actor did.
+type schedDriver struct {
+	data  []byte
+	trace []string
+	armed int // callbacks armed so far
+	procs int // processes spawned so far
+}
+
+// nextByte consumes one byte; an exhausted stream reads as zeros.
+func (d *schedDriver) nextByte() byte {
+	if len(d.data) == 0 {
+		return 0
+	}
+	b := d.data[0]
+	d.data = d.data[1:]
+	return b
+}
+
+// next consumes one decision.
+func (d *schedDriver) next() (op, arg int) {
+	b := d.nextByte()
+	return int(b & 7), int(b >> 3)
+}
+
+func (d *schedDriver) logf(k schedKernel, format string, args ...any) {
+	d.trace = append(d.trace, fmt.Sprintf("%d ", k.now())+fmt.Sprintf(format, args...))
+}
+
+// act consumes one decision and performs it as a callback action.
+func (d *schedDriver) act(k schedKernel) {
+	op, arg := d.next()
+	d.do(k, op, arg)
+}
+
+// do performs a callback action.
+func (d *schedDriver) do(k schedKernel, op, arg int) {
+	switch op {
+	case opArm:
+		d.armed++
+		k.arm(int64(arg), d.armed-1)
+	case opCancel:
+		if d.armed > 0 {
+			k.cancel(arg % d.armed)
+		}
+	case opSpawn:
+		d.procs++
+		k.spawn(d.procs - 1)
+	}
+}
+
+// fire runs callback id.
+func (d *schedDriver) fire(k schedKernel, id int) {
+	d.logf(k, "cb%d", id)
+	d.act(k)
+}
+
+// step runs a process's decisions up to its next sleep, returning the
+// sleep's length (0 included), or -1 once the process ends.
+func (d *schedDriver) step(k schedKernel) int64 {
+	for {
+		op, arg := d.next()
+		switch op {
+		case opEnd:
+			return -1
+		case opArm, opCancel, opSpawn:
+			d.do(k, op, arg)
+		default:
+			return int64(arg)
+		}
+	}
+}
+
+// start reads the header, takes the setup actions and returns the Run
+// limits, absolute in microseconds.
+func (d *schedDriver) start(k schedKernel) []int64 {
+	var limits []int64
+	var limit int64
+	for range d.nextByte() % 4 {
+		limit += 1 + int64(d.nextByte()%64)
+		limits = append(limits, limit)
+	}
+	for range d.nextByte() % 8 {
+		d.act(k)
+	}
+	return limits
+}
+
+// simKernel drives the sim.
+type simKernel struct {
+	s      *sim.Sim
+	d      *schedDriver
+	events []sim.Event
+}
+
+func (k *simKernel) now() int64 { return int64(k.s.Now() / time.Microsecond) }
+
+func (k *simKernel) arm(delay int64, id int) {
+	k.events = append(k.events, k.s.After(sim.Time(delay)*time.Microsecond, func() { k.d.fire(k, id) }))
+}
+
+func (k *simKernel) cancel(id int) { k.events[id].Cancel() }
+
+func (k *simKernel) spawn(id int) {
+	k.s.Go("p", func(p *sim.Proc) {
+		k.d.logf(k, "p%d starts", id)
+		for {
+			d := k.d.step(k)
+			if d < 0 {
+				return
+			}
+			p.Sleep(sim.Time(d) * time.Microsecond)
+			k.d.logf(k, "p%d wakes", id)
+		}
+	})
+}
+
+// refKernel is the reference: a container/heap queue, with lazily
+// canceled entries, in which every sleep queues its wakeup.
+type refKernel struct {
+	d       *schedDriver
+	h       refHeap
+	t       int64
+	seq     int
+	cbs     []*refEvent // by callback id
+	started []bool      // by process id
+}
+
+func (k *refKernel) now() int64 { return k.t }
+
+func (k *refKernel) push(at int64, id int, proc bool) *refEvent {
+	e := &refEvent{at: at, seq: k.seq, id: id, proc: proc}
+	k.seq++
+	heap.Push(&k.h, e)
+	return e
+}
+
+func (k *refKernel) arm(delay int64, id int) { k.cbs = append(k.cbs, k.push(k.t+delay, id, false)) }
+func (k *refKernel) cancel(id int)           { k.cbs[id].dead = true }
+func (k *refKernel) spawn(id int) {
+	k.started = append(k.started, false)
+	k.push(k.t, id, true)
+}
+
+// resume runs process id from its start or from a wakeup, until it
+// queues its next wakeup or ends.
+func (k *refKernel) resume(id int) {
+	if k.started[id] {
+		k.d.logf(k, "p%d wakes", id)
+	} else {
+		k.started[id] = true
+		k.d.logf(k, "p%d starts", id)
+	}
+	for {
+		d := k.d.step(k)
+		switch {
+		case d < 0:
+			return
+		case d > 0:
+			k.push(k.t+d, id, true)
+			return
+		}
+		k.d.logf(k, "p%d wakes", id)
+	}
+}
+
+// run is Run: fire live events in (at, seq) order until none is left or
+// the next lies past the limit, which then becomes the clock.
+func (k *refKernel) run(limit int64) int64 {
+	for {
+		for k.h.Len() > 0 && k.h[0].dead {
+			heap.Pop(&k.h)
+		}
+		if k.h.Len() == 0 {
+			return k.t
+		}
+		if limit > 0 && k.h[0].at > limit {
+			k.t = limit
+			return k.t
+		}
+		e := heap.Pop(&k.h).(*refEvent)
+		k.t = e.at
+		if e.proc {
+			k.resume(e.id)
+		} else {
+			k.d.fire(k, e.id)
+		}
+	}
+}
+
+// runSchedule plays data through the sim, or through the reference, and
+// returns the trace.
+func runSchedule(data []byte, reference bool) []string {
+	d := &schedDriver{data: data}
+	var k schedKernel
+	var run func(limit int64) int64
+	if reference {
+		rk := &refKernel{d: d}
+		k, run = rk, rk.run
+	} else {
+		s := sim.New(1)
+		defer s.Close()
+		sk := &simKernel{s: s, d: d}
+		k = sk
+		run = func(limit int64) int64 {
+			return int64(s.Run(sim.Time(limit)*time.Microsecond) / time.Microsecond)
+		}
+	}
+	for _, limit := range append(d.start(k), 0) {
+		d.trace = append(d.trace, fmt.Sprintf("run(%d) = %d", limit, run(limit)))
+	}
+	return d.trace
+}
+
+func checkScheduleMatchesReference(t *testing.T, data []byte) []string {
+	t.Helper()
+	got, want := runSchedule(data, false), runSchedule(data, true)
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			t.Fatalf("step %d: sim %q, reference %q\nsim: %q", i, got[i], want[i], got[:i+1])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("sim took %d steps, reference %d\nsim: %q\nreference: %q", len(got), len(want), got, want)
+	}
+	return got
+}
+
+// The hand-written schedules: a sleep ending on the head's timestamp,
+// one ending at Run's limit, and one ending past it.
+var sleepEdgeCases = []struct {
+	name string
+	data []byte
+	want []string
+}{{
+	// p0's wakeup ties with cb0, which was scheduled first: it queues
+	// behind it, so cb0 fires first.
+	name: "tie with the head",
+	data: scheduleProgram(nil, []byte{decide(opSpawn, 0), decide(opArm, 10)},
+		decide(opSleep, 10), decide(opSleep, 0), decide(opEnd, 0)),
+	want: []string{"0 p0 starts", "10 cb0", "10 p0 wakes", "run(0) = 10"},
+}, {
+	// p0 wakes exactly at the limit inside the first Run; its next sleep
+	// ends past the limit, so it stays parked until the second.
+	name: "ends at the limit",
+	data: scheduleProgram([]byte{9}, []byte{decide(opSpawn, 0), decide(opArm, 20)},
+		decide(opSleep, 10), decide(opSleep, 5), decide(opEnd, 0)),
+	want: []string{"0 p0 starts", "10 p0 wakes", "run(10) = 10", "15 p0 wakes", "20 cb0", "run(0) = 20"},
+}, {
+	// The queue is empty, but the wakeup lies past the limit: Run stops
+	// the clock at the limit with p0 still parked.
+	name: "ends past the limit",
+	data: scheduleProgram([]byte{9}, []byte{decide(opSpawn, 0)},
+		decide(opSleep, 11), decide(opEnd, 0)),
+	want: []string{"0 p0 starts", "run(10) = 10", "11 p0 wakes", "run(0) = 11"},
+}}
+
+// TestSleepMatchesQueuedReference checks the hand-written edge cases
+// against their expected traces, and random decision streams against the
+// reference.
+func TestSleepMatchesQueuedReference(t *testing.T) {
+	for _, c := range sleepEdgeCases {
+		if got := checkScheduleMatchesReference(t, c.data); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: trace %q, want %q", c.name, got, c.want)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 300 {
+		data := make([]byte, 64+rng.Intn(1024))
+		rng.Read(data)
+		for i, b := range data {
+			if b&7 == opEnd && rng.Intn(4) > 0 { // keep processes alive longer, so more overlap
+				data[i] |= opSleep
+			}
+		}
+		checkScheduleMatchesReference(t, data)
+	}
+}
+
+func FuzzSchedule(f *testing.F) {
+	for _, c := range sleepEdgeCases {
+		f.Add(c.data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 512 {
+			data = data[:512]
+		}
+		checkScheduleMatchesReference(t, data)
+	})
 }

@@ -14,12 +14,14 @@
 // pooled 4-ary heap keyed on (time, sequence), so same-timestamp events
 // fire in scheduling order; the heap holds only live events, because
 // Cancel takes a retransmit timer out at once instead of leaving it to
-// come due. Process wakeups are heap entries rather than closures, and a
-// parking process runs the event loop itself — one whose own wakeup is
-// the next event resumes without switching at all. CPU time and lock
-// waits are charged to interned Labels, slice indexes rather than string
-// keys. Close ends a simulation's parked processes and hands its event
-// storage to the next New.
+// come due. A sleep whose wakeup would be the next event anyway, as it
+// is for most CPU charges on a lightly loaded client, moves the clock in
+// place and queues nothing. Other wakeups are heap entries rather than
+// closures, and a parking process runs the event loop itself — one
+// whose own wakeup comes due next resumes without switching at all. CPU
+// time and lock waits are charged to interned Labels, slice indexes
+// rather than string keys. Close ends a simulation's parked processes
+// and hands its event storage to the next New.
 package sim
 
 import (
@@ -250,7 +252,7 @@ func (s *Sim) At(t Time, fn func()) Event {
 func (s *Sim) After(d Time, fn func()) Event { return s.At(s.now+d, fn) }
 
 // wake schedules a process wakeup at absolute time t — the allocation-free
-// fast path behind Sleep, Yield, and every unpark.
+// path behind a queued Sleep and every unpark.
 func (s *Sim) wake(t Time, p *Proc) {
 	if t < s.now {
 		t = s.now
@@ -269,15 +271,13 @@ func (s *Sim) wake(t Time, p *Proc) {
 func (s *Sim) schedule() *Proc {
 	for len(s.events) > 0 {
 		next := s.events[0]
-		if s.limit > 0 && next.at > s.limit {
+		if s.pastLimit(next.at) {
 			s.now = s.limit
 			return nil
 		}
 		s.events.remove(0)
 		s.now = next.at
-		if s.fired++; s.fired%yieldEvery == 0 {
-			runtime.Gosched()
-		}
+		s.tick()
 		p, fn := next.proc, next.fn
 		s.recycle(next)
 		if p != nil {
@@ -289,6 +289,18 @@ func (s *Sim) schedule() *Proc {
 		fn()
 	}
 	return nil
+}
+
+// pastLimit reports whether time t lies beyond the current Run's limit,
+// where the event loop stops the clock.
+func (s *Sim) pastLimit(t Time) bool { return s.limit > 0 && t > s.limit }
+
+// tick counts one fired event and yields to the Go scheduler every
+// yieldEvery of them.
+func (s *Sim) tick() {
+	if s.fired++; s.fired%yieldEvery == 0 {
+		runtime.Gosched()
+	}
 }
 
 // handoff resumes p until it parks, returning the process it chose to run
@@ -474,19 +486,27 @@ func (p *Proc) park() {
 }
 
 // Sleep advances the process's virtual time by d without consuming a CPU
-// (used for pure waiting: wire propagation, timers).
+// (used for pure waiting: wire propagation, timers). When the wakeup would
+// be the next event anyway — the queue is empty or its head is strictly
+// later, and Run's limit does not stop the clock first — Sleep moves the
+// clock in place: no queue entry, no event loop, no switch. The wakeup
+// still counts as a fired event, so the loop yields to the Go scheduler
+// as often as before. A tie with the head queues, so same-timestamp
+// events keep their FIFO order; the fast path takes no sequence number,
+// and sequence numbers are only ever compared, so every other event fires
+// in the same order as if the wakeup had been queued.
 func (p *Proc) Sleep(d Time) {
 	if d <= 0 {
 		return
 	}
-	p.s.wake(p.s.now+d, p)
-	p.park()
-}
-
-// Yield reschedules the process at the current time, letting every other
-// runnable process scheduled at this instant run first.
-func (p *Proc) Yield() {
-	p.s.wake(p.s.now, p)
+	s := p.s
+	t := s.now + d
+	if (len(s.events) == 0 || s.events[0].at > t) && !s.pastLimit(t) {
+		s.now = t
+		s.tick()
+		return
+	}
+	s.wake(t, p)
 	p.park()
 }
 

@@ -409,24 +409,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestYield(t *testing.T) {
-	s := New(1)
-	var order []string
-	s.Go("a", func(p *Proc) {
-		order = append(order, "a1")
-		p.Yield()
-		order = append(order, "a2")
-	})
-	s.Go("b", func(p *Proc) { order = append(order, "b1") })
-	s.Run(0)
-	want := []string{"a1", "b1", "a2"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
 // Property: a semaphore never admits more than its capacity, for random
 // workloads.
 func TestSemaphorePropertyNeverOversubscribed(t *testing.T) {
