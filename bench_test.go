@@ -30,12 +30,31 @@ func sweep(e *experiments.Experiment) (linux, filer, local *stats.Series) {
 	return experiments.SweepSeries(experiments.RunGrid(g))
 }
 
+// yAt returns the y value at x (0 when x is absent).
+func yAt(s *stats.Series, x float64) float64 {
+	for _, p := range s.Points {
+		if p.X == x {
+			return p.Y
+		}
+	}
+	return 0
+}
+
+// maxY returns the largest y value in the series (0 when empty).
+func maxY(s *stats.Series) float64 {
+	m := 0.0
+	for _, p := range s.Points {
+		m = max(m, p.Y)
+	}
+	return m
+}
+
 func BenchmarkFig1LocalVsNFSStock(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		linux, filer, local := sweep(experiments.Fig1)
-		b.ReportMetric(local.MaxY()/1000, "local-peak-MB/s")
-		b.ReportMetric(filer.YAt(100)/1000, "filer-MB/s@100MB")
-		b.ReportMetric(linux.YAt(100)/1000, "linux-MB/s@100MB")
+		b.ReportMetric(maxY(local)/1000, "local-peak-MB/s")
+		b.ReportMetric(yAt(filer, 100)/1000, "filer-MB/s@100MB")
+		b.ReportMetric(yAt(linux, 100)/1000, "linux-MB/s@100MB")
 	}
 }
 
@@ -99,10 +118,10 @@ func BenchmarkTable1LockVsNoLock(b *testing.B) {
 func BenchmarkFig7LocalVsNFSEnhanced(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		linux, filer, local := sweep(experiments.Fig7)
-		b.ReportMetric(filer.YAt(100)/1000, "filer-MB/s@100MB")
-		b.ReportMetric(filer.YAt(450)/1000, "filer-MB/s@450MB")
-		b.ReportMetric(linux.YAt(450)/1000, "linux-MB/s@450MB")
-		b.ReportMetric(local.YAt(450)/1000, "local-MB/s@450MB")
+		b.ReportMetric(yAt(filer, 100)/1000, "filer-MB/s@100MB")
+		b.ReportMetric(yAt(filer, 450)/1000, "filer-MB/s@450MB")
+		b.ReportMetric(yAt(linux, 450)/1000, "linux-MB/s@450MB")
+		b.ReportMetric(yAt(local, 450)/1000, "local-MB/s@450MB")
 	}
 }
 
@@ -127,7 +146,7 @@ func BenchmarkJumboAblation(b *testing.B) {
 // benchRun runs a 10 MB write-phase benchmark and returns MB/s.
 func benchRun(srv nfssim.ServerKind, cfg core.Config, cpus int) float64 {
 	tb := nfssim.NewTestbed(nfssim.Options{Server: srv, Client: cfg, ClientCPUs: cpus})
-	res := bonnie.RunWorkload(tb.Sim, "bench", tb.OpenSet(), bonnie.Config{
+	res := bonnie.RunWorkload(tb.Sim, "bench", tb.Machines[0].OpenSet(), bonnie.Config{
 		FileSize: 10 << 20, TimeLimit: 10 * time.Minute, SkipFlushClose: true,
 	})
 	return res.WriteMBps()
@@ -213,7 +232,7 @@ func BenchmarkAblationSlotTable(b *testing.B) {
 					Client: core.EnhancedConfig(),
 					RPC:    &rpcCfg,
 				})
-				res := bonnie.RunWorkload(tb.Sim, "slots", tb.OpenSet(), bonnie.Config{
+				res := bonnie.RunWorkload(tb.Sim, "slots", tb.Machines[0].OpenSet(), bonnie.Config{
 					FileSize: 10 << 20, TimeLimit: 10 * time.Minute,
 				})
 				b.ReportMetric(res.FlushMBps(), "flush-MB/s")
@@ -254,7 +273,7 @@ func BenchmarkAblationTransport(b *testing.B) {
 						Transport: tr,
 						Loss:      loss,
 					})
-					res := bonnie.RunWorkload(tb.Sim, "transport", tb.OpenSet(), bonnie.Config{
+					res := bonnie.RunWorkload(tb.Sim, "transport", tb.Machines[0].OpenSet(), bonnie.Config{
 						FileSize: 10 << 20, TimeLimit: 10 * time.Minute,
 					})
 					b.ReportMetric(res.CloseMBps(), "close-MB/s")
@@ -344,7 +363,7 @@ func BenchmarkAblationReadahead(b *testing.B) {
 			cfg.ReadaheadMaxPages = maxPages
 			for i := 0; i < b.N; i++ {
 				tb := nfssim.NewTestbed(nfssim.Options{Server: nfssim.ServerFiler, Client: cfg})
-				res := bonnie.RunWorkload(tb.Sim, "ra", tb.OpenSet(), bonnie.Config{
+				res := bonnie.RunWorkload(tb.Sim, "ra", tb.Machines[0].OpenSet(), bonnie.Config{
 					FileSize: 10 << 20, Workload: bonnie.WorkloadRead, TimeLimit: 10 * time.Minute,
 				})
 				b.ReportMetric(res.WriteMBps(), "read-MB/s")

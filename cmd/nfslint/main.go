@@ -1,175 +1,50 @@
-// Command nfslint runs the determinism analyzers (walltime, seededrand,
-// maporder, keyfmt — see DESIGN.md §11) over Go packages.
+// Command nfslint runs the analyzers of DESIGN.md §11 (walltime,
+// seededrand, maporder, keyfmt, unusedexport) over Go packages.
 //
-// Standalone mode takes package patterns like the go tool:
+// It takes package patterns like the go tool:
 //
 //	go run ./cmd/nfslint ./...
 //
-// It loads the matched packages, runs every analyzer, prints findings to
-// stdout as file:line:col: message (analyzer), and exits 2 if there were
-// any. Standalone mode sees the whole pattern set at once, so the
-// repo-wide seededrand salt-uniqueness check is exact.
-//
-// The binary also speaks the `go vet -vettool` protocol, so the same
-// analyzers run under the build cache's fine-grained invalidation:
-//
-//	go build -o nfslint ./cmd/nfslint
-//	go vet -vettool=./nfslint ./...
-//
-// In that mode the go tool invokes nfslint once per compilation unit
-// with a vet.cfg JSON file; findings go to stderr and the exit status is
-// 2, matching vet's own convention. Per-unit invocation means the salt
-// check only catches collisions within one package there — standalone
-// mode (what CI runs) remains the authority for the repo-wide check.
+// It loads the matched packages, plus as consumers the rest of the
+// main module and every module nested under the working directory
+// (bench/), runs every analyzer, prints findings to stdout as
+// file:line:col: message (analyzer), and exits 2 if there were any.
+// It sees the whole program at once, so the repo-wide seededrand salt
+// check and unusedexport are exact.
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"go/token"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/lint"
 	"repro/internal/lint/loader"
 )
 
-// version is printed for the go tool's -V=full probe. The format is
-// fixed by cmd/go's tool-ID computation: at least three fields, of the
-// form "<name> version <semver-ish>".
-const version = "nfslint version v7.0.0-determinism"
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run is the testable entry point: it dispatches between the -V probe,
-// vet-unit mode, and standalone pattern mode, and returns the process
-// exit code (0 clean, 1 operational error, 2 findings).
+// run is the testable entry point: it returns the process exit code
+// (0 clean, 1 operational error, 2 findings).
 func run(args []string, stdout, stderr io.Writer) int {
-	var patterns []string
-	for _, a := range args {
-		switch {
-		case a == "-V=full" || a == "--V=full":
-			fmt.Fprintln(stdout, version)
-			return 0
-		case a == "-flags" || a == "--flags":
-			// The go tool asks for the analyzer flag set as JSON;
-			// nfslint exposes none.
-			fmt.Fprintln(stdout, "[]")
-			return 0
-		case strings.HasPrefix(a, "-"):
-			// Tolerate flags the go tool forwards (e.g. vet's own
-			// analyzer toggles); nfslint always runs its full suite.
-		default:
-			patterns = append(patterns, a)
-		}
-	}
-	if len(patterns) == 1 && strings.HasSuffix(patterns[0], ".cfg") {
-		return runVetUnit(patterns[0], stderr)
-	}
+	patterns := args
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := loader.Load(".", patterns...)
+	pkgs, consumers, err := loader.Load(".", patterns...)
 	if err != nil {
 		fmt.Fprintln(stderr, "nfslint:", err)
 		return 1
 	}
-	diags, err := lint.Check(pkgs)
+	diags, err := lint.Check(pkgs, consumers)
 	if err != nil {
 		fmt.Fprintln(stderr, "nfslint:", err)
 		return 1
 	}
 	for _, d := range diags {
 		fmt.Fprintln(stdout, d)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// vetConfig mirrors the JSON the go tool writes for -vettool
-// invocations (cmd/go/internal/work).  Fields nfslint does not consume
-// are kept so the decode is strict about shape without erroring.
-type vetConfig struct {
-	ID           string
-	Compiler     string
-	Dir          string
-	ImportPath   string
-	GoFiles      []string
-	NonGoFiles   []string
-	IgnoredFiles []string
-
-	ImportMap   map[string]string
-	PackageFile map[string]string
-	Standard    map[string]bool
-
-	PackageVetx map[string]string
-	VetxOnly    bool
-	VetxOutput  string
-
-	GoVersion                 string
-	SucceedOnTypecheckFailure bool
-}
-
-// runVetUnit analyzes one compilation unit described by a vet.cfg file.
-// The protocol requires writing VetxOutput (facts for dependents; empty
-// here, nfslint's only cross-package state lives in standalone mode)
-// even when there is nothing to report.
-func runVetUnit(cfgPath string, stderr io.Writer) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(stderr, "nfslint:", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(stderr, "nfslint: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-	writeVetx := func() bool {
-		if cfg.VetxOutput == "" {
-			return true
-		}
-		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-			fmt.Fprintln(stderr, "nfslint:", err)
-			return false
-		}
-		return true
-	}
-	if cfg.VetxOnly || cfg.Standard[cfg.ImportPath] || len(cfg.GoFiles) == 0 {
-		if !writeVetx() {
-			return 1
-		}
-		return 0
-	}
-	fset := token.NewFileSet()
-	imp := loader.NewImporter(fset, cfg.ImportMap, cfg.PackageFile)
-	pkg, err := loader.TypeCheck(fset, cfg.ImportPath, cfg.GoFiles, imp)
-	if err != nil {
-		if !writeVetx() {
-			return 1
-		}
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(stderr, "nfslint:", err)
-		return 1
-	}
-	pkg.Dir = cfg.Dir
-	diags, err := lint.Check([]*loader.Package{pkg})
-	if err != nil {
-		fmt.Fprintln(stderr, "nfslint:", err)
-		return 1
-	}
-	if !writeVetx() {
-		return 1
-	}
-	for _, d := range diags {
-		fmt.Fprintln(stderr, d)
 	}
 	if len(diags) > 0 {
 		return 2

@@ -2,26 +2,9 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
-
-// TestVersionProbe checks the -V=full fast path the go tool uses to
-// compute a vettool's cache ID: "<name> version <ver>", at least three
-// fields, version not "devel".
-func TestVersionProbe(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-V=full"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("run(-V=full) = %d, want 0 (stderr: %s)", code, stderr.String())
-	}
-	fields := strings.Fields(stdout.String())
-	if len(fields) < 3 || fields[1] != "version" || fields[2] == "devel" {
-		t.Fatalf("-V=full printed %q; want \"<name> version <ver>\"", stdout.String())
-	}
-}
 
 // TestBadFixture runs the full suite over a package that violates every
 // invariant and asserts each analyzer reports its documented message.
@@ -37,6 +20,7 @@ func TestBadFixture(t *testing.T) {
 		"(seededrand)", "process-global stream",
 		"(maporder)", "map iteration order is randomized",
 		"(keyfmt)", "runtime-chosen precision",
+		"(unusedexport)", "bad.Unreferenced is exported but no non-test file uses it",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("bad-fixture output missing %q; got:\n%s", want, out)
@@ -54,32 +38,5 @@ func TestCleanFixture(t *testing.T) {
 	}
 	if stdout.Len() != 0 {
 		t.Fatalf("run(clean) printed diagnostics:\n%s", stdout.String())
-	}
-}
-
-// TestVetUnitVetxOnly checks the vet protocol's facts-only invocation:
-// nfslint must write the VetxOutput file and exit 0 without analyzing.
-func TestVetUnitVetxOnly(t *testing.T) {
-	dir := t.TempDir()
-	vetx := filepath.Join(dir, "unit.vetx")
-	cfg, err := json.Marshal(vetConfig{
-		ID:         "repro/internal/xdr",
-		ImportPath: "repro/internal/xdr",
-		VetxOnly:   true,
-		VetxOutput: vetx,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgPath := filepath.Join(dir, "vet.cfg")
-	if err := os.WriteFile(cfgPath, cfg, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{cfgPath}, &stdout, &stderr); code != 0 {
-		t.Fatalf("run(vet.cfg VetxOnly) = %d, want 0 (stderr: %s)", code, stderr.String())
-	}
-	if _, err := os.Stat(vetx); err != nil {
-		t.Fatalf("VetxOutput not written: %v", err)
 	}
 }

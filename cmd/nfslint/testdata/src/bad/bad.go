@@ -1,6 +1,6 @@
 // Package bad compiles cleanly but violates every determinism
 // invariant nfslint enforces. cmd/nfslint's tests run the multichecker
-// over it and assert that all four analyzers fire.
+// over it and assert that all five analyzers fire.
 package bad
 
 import (
@@ -35,3 +35,6 @@ func Dump(m map[string]int, b *strings.Builder) {
 		fmt.Fprintf(b, "%s=%d\n", k, v)
 	}
 }
+
+// Unreferenced is exported, but no non-test file uses it: unusedexport.
+func Unreferenced() {}

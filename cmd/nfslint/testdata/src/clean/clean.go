@@ -1,6 +1,7 @@
-// Package clean does the same jobs as package bad the deterministic
-// way; nfslint must stay silent on it.
-package clean
+// Command clean does the same jobs as package bad the deterministic
+// way, and its main uses every one of them; nfslint must stay silent on
+// it.
+package main
 
 import (
 	"fmt"
@@ -40,4 +41,10 @@ func Dump(m map[string]int, b *strings.Builder) {
 	for _, k := range keys {
 		fmt.Fprintf(b, "%s=%d\n", k, m[k])
 	}
+}
+
+func main() {
+	var b strings.Builder
+	Dump(map[string]int{"pick": Pick(&Sim{seed: 1}, 10)}, &b)
+	fmt.Print(Scenario{Loss: 0.01}.Key(), "\n", b.String())
 }

@@ -21,7 +21,7 @@ func main() {
 		Server: nfssim.ServerFiler,
 		Client: core.Stock244Config(),
 	})
-	res := bonnie.RunWorkload(stock.Sim, "stock-2.4.4/filer", stock.OpenSet(), bonnie.Config{FileSize: fileSize})
+	res := bonnie.RunWorkload(stock.Sim, "stock-2.4.4/filer", stock.Machines[0].OpenSet(), bonnie.Config{FileSize: fileSize})
 	fmt.Print(res)
 	spikes := res.Trace.CountAbove(1_000_000) // > 1 ms, the paper's outlier cutoff
 	fmt.Printf("  latency spikes >1ms: %d (every ~%.0f calls)\n\n",
@@ -32,7 +32,7 @@ func main() {
 		Server: nfssim.ServerFiler,
 		Client: core.EnhancedConfig(),
 	})
-	res2 := bonnie.RunWorkload(patched.Sim, "patched/filer", patched.OpenSet(), bonnie.Config{FileSize: fileSize})
+	res2 := bonnie.RunWorkload(patched.Sim, "patched/filer", patched.Machines[0].OpenSet(), bonnie.Config{FileSize: fileSize})
 	fmt.Print(res2)
 	fmt.Printf("  latency spikes >1ms: %d\n\n", res2.Trace.CountAbove(1_000_000))
 

@@ -20,7 +20,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/sim"
@@ -84,52 +86,33 @@ const (
 	WorkloadShared
 )
 
+// workloadNames is each workload's name, as String prints it and
+// ParseWorkload reads it.
+var workloadNames = [...]string{
+	WorkloadWrite:     "write",
+	WorkloadRewrite:   "rewrite",
+	WorkloadRead:      "read",
+	WorkloadMixed:     "mixed",
+	WorkloadRandRead:  "randread",
+	WorkloadRandWrite: "randwrite",
+	WorkloadDB:        "db",
+	WorkloadZipf:      "zipf",
+	WorkloadShared:    "shared",
+}
+
 func (w Workload) String() string {
-	switch w {
-	case WorkloadRewrite:
-		return "rewrite"
-	case WorkloadRead:
-		return "read"
-	case WorkloadMixed:
-		return "mixed"
-	case WorkloadRandRead:
-		return "randread"
-	case WorkloadRandWrite:
-		return "randwrite"
-	case WorkloadDB:
-		return "db"
-	case WorkloadZipf:
-		return "zipf"
-	case WorkloadShared:
-		return "shared"
-	default:
-		return "write"
+	if uint(w) < uint(len(workloadNames)) {
+		return workloadNames[w]
 	}
+	return workloadNames[WorkloadWrite]
 }
 
 // ParseWorkload resolves a workload name as printed by String.
 func ParseWorkload(name string) (Workload, error) {
-	switch name {
-	case "write":
-		return WorkloadWrite, nil
-	case "rewrite":
-		return WorkloadRewrite, nil
-	case "read":
-		return WorkloadRead, nil
-	case "mixed":
-		return WorkloadMixed, nil
-	case "randread":
-		return WorkloadRandRead, nil
-	case "randwrite":
-		return WorkloadRandWrite, nil
-	case "db":
-		return WorkloadDB, nil
-	case "zipf":
-		return WorkloadZipf, nil
-	case "shared":
-		return WorkloadShared, nil
+	if i := slices.Index(workloadNames[:], name); i >= 0 {
+		return Workload(i), nil
 	}
-	return 0, fmt.Errorf("bonnie: unknown workload %q (have write, rewrite, read, mixed, randread, randwrite, db, zipf, shared)", name)
+	return 0, fmt.Errorf("bonnie: unknown workload %q (have %s)", name, strings.Join(workloadNames[:], ", "))
 }
 
 // NeedsExisting reports whether the workload opens a pre-populated file
@@ -137,12 +120,6 @@ func ParseWorkload(name string) (Workload, error) {
 // table). The zipf and shared workloads create their own files by name.
 func (w Workload) NeedsExisting() bool {
 	return w != WorkloadWrite && w != WorkloadZipf && w != WorkloadShared
-}
-
-// Random reports whether the workload visits chunks in a seeded random
-// permutation instead of front to back.
-func (w Workload) Random() bool {
-	return w == WorkloadRandRead || w == WorkloadRandWrite || w == WorkloadDB
 }
 
 // DefaultSharedWriterPct is the shared workload's writer share when

@@ -110,8 +110,8 @@ func TestRunMeasuresPhases(t *testing.T) {
 	if res.Trace.Len() != 128 {
 		t.Fatalf("trace samples = %d", res.Trace.Len())
 	}
-	if res.Trace.At(0) != 100*time.Microsecond {
-		t.Fatalf("latency sample = %v", res.Trace.At(0))
+	if got := res.Trace.Samples()[0]; got != 100*time.Microsecond {
+		t.Fatalf("latency sample = %v", got)
 	}
 }
 

@@ -1,0 +1,7 @@
+package bonnie
+
+// Random reports whether the workload visits chunks in a seeded random
+// permutation instead of front to back.
+func (w Workload) Random() bool {
+	return w == WorkloadRandRead || w == WorkloadRandWrite || w == WorkloadDB
+}

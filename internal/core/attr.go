@@ -71,10 +71,6 @@ func (c *Client) invalidateAttr(name string) {
 	delete(c.attrCache, name)
 }
 
-// AttrCacheLen returns the number of cached attribute entries (test
-// accessor).
-func (c *Client) AttrCacheLen() int { return len(c.attrCache) }
-
 // lookupRPC issues a LOOKUP for name in the mount's root directory.
 func (c *Client) lookupRPC(p *sim.Proc, name string) nfsproto.LookupRes {
 	c.LookupRPCs++

@@ -19,13 +19,13 @@ func churn(t *testing.T, tb *nfssim.Testbed, n int) int {
 	tb.Sim.Go("churn", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
 			name := fmt.Sprintf("churn%06d", i)
-			f := tb.Machine(0).Client.OpenByName(p, name)
+			f := tb.Machines[0].Client.OpenByName(p, name)
 			f.Write(p, 8192)
-			if got := tb.Machine(0).Client.OpenInodes(); got > maxInodes {
+			if got := tb.Machines[0].Client.OpenInodes(); got > maxInodes {
 				maxInodes = got
 			}
 			f.Close(p)
-			if !tb.Machine(0).Client.Remove(p, name) {
+			if !tb.Machines[0].Client.Remove(p, name) {
 				t.Errorf("file %d vanished before remove", i)
 			}
 		}
@@ -46,19 +46,19 @@ func TestChurnBoundedState(t *testing.T) {
 	if maxInodes > 1 {
 		t.Errorf("inode table reached %d entries with 1 file open at a time", maxInodes)
 	}
-	if got := tb.Machine(0).Client.OpenInodes(); got != 0 {
+	if got := tb.Machines[0].Client.OpenInodes(); got != 0 {
 		t.Errorf("%d inodes left after all files were closed and removed", got)
 	}
-	if got := tb.Machine(0).Client.AttrCacheLen(); got != 0 {
+	if got := tb.Machines[0].Client.AttrCacheLen(); got != 0 {
 		t.Errorf("%d attribute-cache entries left after removing every file", got)
 	}
-	if got := tb.Machine(0).Client.MountRequests(); got != 0 {
+	if got := tb.Machines[0].Client.MountRequests(); got != 0 {
 		t.Errorf("%d write requests still tracked after churn", got)
 	}
-	if got := int(tb.Machine(0).Client.CreateRPCs); got != files {
+	if got := int(tb.Machines[0].Client.CreateRPCs); got != files {
 		t.Errorf("CreateRPCs = %d, want %d", got, files)
 	}
-	if got := int(tb.Machine(0).Client.RemoveRPCs); got != files {
+	if got := int(tb.Machines[0].Client.RemoveRPCs); got != files {
 		t.Errorf("RemoveRPCs = %d, want %d", got, files)
 	}
 }
@@ -83,10 +83,10 @@ func TestChurnFlushdScanDoesNotScale(t *testing.T) {
 func TestChurnStockConfig(t *testing.T) {
 	tb := newBed(t, nfssim.ServerFiler, core.Stock244Config())
 	churn(t, tb, 300)
-	if got := tb.Machine(0).Client.OpenInodes(); got != 0 {
+	if got := tb.Machines[0].Client.OpenInodes(); got != 0 {
 		t.Errorf("%d inodes left after stock-config churn", got)
 	}
-	if got := tb.Machine(0).Client.MountRequests(); got != 0 {
+	if got := tb.Machines[0].Client.MountRequests(); got != 0 {
 		t.Errorf("%d requests left after stock-config churn", got)
 	}
 }

@@ -195,21 +195,12 @@ func NewClient(s *sim.Sim, cpu *sim.CPUPool, bkl *sim.Mutex, cache *mm.PageCache
 	return c
 }
 
-// Config returns the client's configuration.
-func (c *Client) Config() Config { return c.cfg }
-
 // SetChangeProbe installs the server-side ground-truth probe used to
 // classify cache hits as stale (see StaleReads). The probe must be
 // cheap and side-effect free; it is consulted only at open time.
 func (c *Client) SetChangeProbe(probe func(nfsproto.FileHandle) (uint64, bool)) {
 	c.changeProbe = probe
 }
-
-// Transport returns the client's RPC transport.
-func (c *Client) Transport() *rpcsim.Transport { return c.tr }
-
-// MountRequests returns the outstanding page-request count for the mount.
-func (c *Client) MountRequests() int { return c.mountRequests }
 
 // Open creates a fresh file on the mount (the benchmark always writes
 // into a fresh file so that no reads are needed, §2.3).
@@ -227,6 +218,11 @@ func (c *Client) Open() *File {
 	return &File{c: c, ino: ino}
 }
 
+// Config returns the client's configuration.
+//
+//lint:allow unusedexport read by the nfssim and chaos tests of the clients a test bed builds
+func (c *Client) Config() Config { return c.cfg }
+
 // OpenExisting opens a file that already holds size bytes on the server
 // with no pages resident client-side — the read workloads' cold target,
 // standing in for a file written by another client or evicted from this
@@ -239,11 +235,6 @@ func (c *Client) OpenExisting(size int64) *File {
 	f.ino.size = size
 	return f
 }
-
-// OpenInodes returns how many inodes the client currently tracks — the
-// set flushd's pickFlushable/queuedAnywhere scans. Closed files leave it
-// (for tests pinning the last-close release).
-func (c *Client) OpenInodes() int { return len(c.inodes) }
 
 // releaseInode drops an inode from the client's inode table on last
 // close, kernel-style: the final close releases the page-cache pages and

@@ -30,7 +30,7 @@ func sharedBed(t *testing.T, mode core.ConsistencyMode) *nfssim.Testbed {
 // flushd scan table still drains to zero.
 func TestNamedInodePersistsAcrossOpenClose(t *testing.T) {
 	tb := nfssim.NewTestbed(nfssim.Options{Server: nfssim.ServerFiler, Client: core.EnhancedConfig(), Seed: 3})
-	c := tb.Machine(0).Client
+	c := tb.Machines[0].Client
 	tb.Sim.Go("w", func(p *sim.Proc) {
 		f := c.OpenByName(p, "shared0")
 		f.(*core.File).WriteAt(p, 0, 8*4096)
@@ -61,7 +61,7 @@ func TestNamedInodePersistsAcrossOpenClose(t *testing.T) {
 // served from superseded cache.
 func TestStrictOpenNeverServesStale(t *testing.T) {
 	tb := sharedBed(t, core.ConsistencyStrict)
-	reader, writer := tb.Machine(0).Client, tb.Machine(1).Client
+	reader, writer := tb.Machines[0].Client, tb.Machines[1].Client
 	const size = 8 * 4096
 	tb.Sim.Go("rw", func(p *sim.Proc) {
 		// Writer populates the file; reader pulls it into cache.
@@ -102,7 +102,7 @@ func TestStrictOpenNeverServesStale(t *testing.T) {
 // write, and every such hit is counted against the ground-truth probe.
 func TestNoacServesStaleReads(t *testing.T) {
 	tb := sharedBed(t, core.ConsistencyNoac)
-	reader, writer := tb.Machine(0).Client, tb.Machine(1).Client
+	reader, writer := tb.Machines[0].Client, tb.Machines[1].Client
 	const size = 8 * 4096
 	tb.Sim.Go("rw", func(p *sim.Proc) {
 		w := writer.OpenByName(p, "hot")
@@ -140,7 +140,7 @@ func TestNoacServesStaleReads(t *testing.T) {
 // reply itself covered and anything durability still needs.
 func TestWccPreOpInvalidatesBetweenWriters(t *testing.T) {
 	tb := sharedBed(t, core.ConsistencyTTL)
-	a, b := tb.Machine(0).Client, tb.Machine(1).Client
+	a, b := tb.Machines[0].Client, tb.Machines[1].Client
 	tb.Sim.Go("ab", func(p *sim.Proc) {
 		// A writes and fully commits four pages; its changeSeen is the
 		// server's current counter and its unstable set is empty.

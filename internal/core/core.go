@@ -128,27 +128,15 @@ const (
 	ConsistencyNoac
 )
 
-func (m ConsistencyMode) String() string {
-	switch m {
-	case ConsistencyStrict:
-		return "strict"
-	case ConsistencyNoac:
-		return "noac"
-	}
-	return "ttl"
-}
+// consistencyNames is each mode's name, as String prints it and
+// harness.ConsistencyByName reads it.
+var consistencyNames = [...]string{ConsistencyTTL: "ttl", ConsistencyStrict: "strict", ConsistencyNoac: "noac"}
 
-// ParseConsistency maps the CLI spelling to a mode.
-func ParseConsistency(s string) (ConsistencyMode, bool) {
-	switch s {
-	case "ttl", "":
-		return ConsistencyTTL, true
-	case "strict":
-		return ConsistencyStrict, true
-	case "noac":
-		return ConsistencyNoac, true
+func (m ConsistencyMode) String() string {
+	if uint(m) < uint(len(consistencyNames)) {
+		return consistencyNames[m]
 	}
-	return ConsistencyTTL, false
+	return consistencyNames[ConsistencyTTL]
 }
 
 // Attribute-cache timeouts (virtual time), matching the Linux mount

@@ -7,6 +7,7 @@ import (
 	nfssim "repro"
 	"repro/internal/bonnie"
 	"repro/internal/core"
+	"repro/internal/nfsproto"
 	"repro/internal/rpcsim"
 	"repro/internal/sim"
 	"repro/internal/vfs"
@@ -17,9 +18,13 @@ func newBed(t *testing.T, srv nfssim.ServerKind, cfg core.Config) *nfssim.Testbe
 	return nfssim.NewTestbed(nfssim.Options{Server: srv, Client: cfg, Seed: 3})
 }
 
+// serverDirty returns the linux server's unstable bytes: what it
+// acknowledged less what its writeback put on disk (no crash drops any).
+func serverDirty(tb *nfssim.Testbed) int64 { return tb.Server.BytesWritten - tb.Linux.Flushed }
+
 func runMB(t *testing.T, tb *nfssim.Testbed, mb int) *bonnie.Result {
 	t.Helper()
-	return bonnie.RunWorkload(tb.Sim, "t", tb.OpenSet(), bonnie.Config{
+	return bonnie.RunWorkload(tb.Sim, "t", tb.Machines[0].OpenSet(), bonnie.Config{
 		FileSize:  int64(mb) << 20,
 		TimeLimit: 20 * time.Minute,
 	})
@@ -76,7 +81,7 @@ func TestDataIntegrityAllConfigs(t *testing.T) {
 	const size = 4 << 20
 	for name, cfg := range configs {
 		tb := newBed(t, nfssim.ServerFiler, cfg)
-		f := tb.OpenNFS()
+		f := tb.Machines[0].OpenNFS()
 		fh := f.Inode().FH
 		done := false
 		tb.Sim.Go("w", func(p *sim.Proc) {
@@ -91,14 +96,14 @@ func TestDataIntegrityAllConfigs(t *testing.T) {
 			t.Fatalf("%s: run did not finish", name)
 		}
 		cov := tb.Server.Coverage(fh)
-		if !cov.IsContiguousFromZero(size) {
+		if cov.Total() != size || !cov.Contains(0, size) {
 			t.Fatalf("%s: server coverage %v, want [0,%d)", name, cov, size)
 		}
-		if tb.Machine(0).Client.MountRequests() != 0 {
-			t.Fatalf("%s: %d requests outstanding after close", name, tb.Machine(0).Client.MountRequests())
+		if tb.Machines[0].Client.MountRequests() != 0 {
+			t.Fatalf("%s: %d requests outstanding after close", name, tb.Machines[0].Client.MountRequests())
 		}
-		if tb.Machine(0).Cache.Usage() != 0 && cfg.FlushPolicy == core.FlushCacheAll {
-			t.Fatalf("%s: page cache not drained: %d", name, tb.Machine(0).Cache.Usage())
+		if tb.Machines[0].Cache.Usage() != 0 && cfg.FlushPolicy == core.FlushCacheAll {
+			t.Fatalf("%s: page cache not drained: %d", name, tb.Machines[0].Cache.Usage())
 		}
 	}
 }
@@ -118,7 +123,7 @@ func TestStockClientPeriodicSpikes(t *testing.T) {
 	if period < 80 || period > 105 {
 		t.Fatalf("spike period = %.1f calls, want ~96 (soft limit 192 / 2 pages)", period)
 	}
-	if tb.Machine(0).Client.SoftFlushes == 0 {
+	if tb.Machines[0].Client.SoftFlushes == 0 {
 		t.Fatal("no soft-limit flushes recorded")
 	}
 	// Spikes should be whole-queue drains: > 10 ms each at the filer's
@@ -142,7 +147,7 @@ func TestNoLimitsRemovesSpikes(t *testing.T) {
 	if n := res.Trace.CountAbove(5 * time.Millisecond); n != 0 {
 		t.Fatalf("%d multi-ms spikes remain without limits", n)
 	}
-	if tb.Machine(0).Client.SoftFlushes != 0 {
+	if tb.Machines[0].Client.SoftFlushes != 0 {
 		t.Fatal("soft flushes recorded with cache-all policy")
 	}
 }
@@ -253,7 +258,7 @@ func TestHardLimitBlocksAcrossFiles(t *testing.T) {
 	tb := newBed(t, nfssim.ServerFiler, core.Stock244Config())
 	done := 0
 	for i := 0; i < 2; i++ {
-		f := tb.OpenNFS()
+		f := tb.Machines[0].OpenNFS()
 		tb.Sim.Go("w", func(p *sim.Proc) {
 			// 180 pages each: under soft (192), joint 360 > hard (256).
 			for j := 0; j < 90; j++ {
@@ -267,10 +272,10 @@ func TestHardLimitBlocksAcrossFiles(t *testing.T) {
 	if done != 2 {
 		t.Fatalf("writers finished: %d of 2 (deadlock?)", done)
 	}
-	if tb.Machine(0).Client.HardBlocks == 0 {
+	if tb.Machines[0].Client.HardBlocks == 0 {
 		t.Fatal("hard limit never engaged")
 	}
-	if tb.Machine(0).Client.SoftFlushes != 0 {
+	if tb.Machines[0].Client.SoftFlushes != 0 {
 		t.Fatal("soft limit should not have fired (per-inode counts stayed low)")
 	}
 }
@@ -284,11 +289,11 @@ func TestEnhancedClientThrottlesOnMemory(t *testing.T) {
 		CacheLimit: 16 << 20, // tiny budget so the test stays fast
 	})
 	res := runMB(t, tb, 64)
-	if tb.Machine(0).Cache.ThrottleEvents == 0 {
+	if tb.Machines[0].Cache.ThrottleEvents == 0 {
 		t.Fatal("writer never throttled despite 4x overcommit")
 	}
-	if tb.Machine(0).Cache.PeakUsage > 16<<20 {
-		t.Fatalf("page cache exceeded its budget: %d", tb.Machine(0).Cache.PeakUsage)
+	if tb.Machines[0].Cache.PeakUsage > 16<<20 {
+		t.Fatalf("page cache exceeded its budget: %d", tb.Machines[0].Cache.PeakUsage)
 	}
 	// Once throttled, write throughput approaches the server rate, far
 	// below memory speed.
@@ -317,14 +322,14 @@ func TestCommitOnlyForUnstableServers(t *testing.T) {
 // client "usually caches only a single write request per page").
 func TestSamePageWritesCoalesce(t *testing.T) {
 	tb := newBed(t, nfssim.ServerFiler, core.HashConfig())
-	f := tb.OpenNFS()
+	f := tb.Machines[0].OpenNFS()
 	tb.Sim.Go("w", func(p *sim.Proc) {
 		// Two 2 KB writes into the same page.
 		f.Write(p, 2048)
 		f.Write(p, 2048)
 	})
 	tb.Sim.Run(time.Second)
-	if got := tb.Machine(0).Client.MountRequests(); got != 1 {
+	if got := tb.Machines[0].Client.MountRequests(); got != 1 {
 		t.Fatalf("mount requests = %d, want 1 (same-page coalescing)", got)
 	}
 	if f.Size() != 4096 {
@@ -335,7 +340,7 @@ func TestSamePageWritesCoalesce(t *testing.T) {
 // Double close is a no-op; write-after-close panics.
 func TestFileLifecycle(t *testing.T) {
 	tb := newBed(t, nfssim.ServerFiler, core.EnhancedConfig())
-	f := tb.OpenNFS()
+	f := tb.Machines[0].OpenNFS()
 	panicked := false
 	tb.Sim.Go("w", func(p *sim.Proc) {
 		f.Write(p, 8192)
@@ -356,14 +361,14 @@ func TestFileLifecycle(t *testing.T) {
 // dirty data for the file.
 func TestFlushDurability(t *testing.T) {
 	tb := newBed(t, nfssim.ServerLinux, core.EnhancedConfig())
-	f := tb.OpenNFS()
+	f := tb.Machines[0].OpenNFS()
 	var dirtyAfter int64 = -1
 	tb.Sim.Go("w", func(p *sim.Proc) {
 		for i := 0; i < 128; i++ {
 			f.Write(p, 8192)
 		}
 		f.Flush(p)
-		dirtyAfter = tb.Linux.Dirty()
+		dirtyAfter = serverDirty(tb)
 	})
 	tb.Sim.Run(time.Minute)
 	if dirtyAfter != 0 {
@@ -398,7 +403,7 @@ func TestProfilerShowsFindRequestHotspot(t *testing.T) {
 func TestBKLWaitDominatedBySockSendmsg(t *testing.T) {
 	tb := newBed(t, nfssim.ServerFiler, core.HashConfig())
 	runMB(t, tb, 10)
-	wb := tb.Machine(0).BKL.WaitBreakdown()
+	wb := tb.Machines[0].BKL.WaitBreakdown()
 	var total, send time.Duration
 	for label, v := range wb {
 		total += v
@@ -431,7 +436,7 @@ func TestRunDeterminism(t *testing.T) {
 func TestSMPvsUP(t *testing.T) {
 	run := func(cpus int, cfg core.Config) float64 {
 		tb := nfssim.NewTestbed(nfssim.Options{Server: nfssim.ServerFiler, Client: cfg, ClientCPUs: cpus})
-		res := bonnie.RunWorkload(tb.Sim, "t", tb.OpenSet(), bonnie.Config{FileSize: 5 << 20, TimeLimit: time.Minute})
+		res := bonnie.RunWorkload(tb.Sim, "t", tb.Machines[0].OpenSet(), bonnie.Config{FileSize: 5 << 20, TimeLimit: time.Minute})
 		return res.WriteMBps()
 	}
 	smp := run(2, core.EnhancedConfig())
@@ -446,7 +451,7 @@ func TestSMPvsUP(t *testing.T) {
 // after each call.
 func TestSyncWrites(t *testing.T) {
 	tb := newBed(t, nfssim.ServerLinux, core.EnhancedConfig())
-	f := tb.OpenNFS()
+	f := tb.Machines[0].OpenNFS()
 	f.SetSync(true)
 	var perCall time.Duration
 	tb.Sim.Go("w", func(p *sim.Proc) {
@@ -455,10 +460,10 @@ func TestSyncWrites(t *testing.T) {
 			f.Write(p, 8192)
 		}
 		perCall = (tb.Sim.Now() - t0) / 8
-		if tb.Machine(0).Client.MountRequests() != 0 {
+		if tb.Machines[0].Client.MountRequests() != 0 {
 			t.Error("sync writes left cached requests")
 		}
-		if tb.Linux.Dirty() != 0 {
+		if serverDirty(tb) != 0 {
 			t.Error("sync writes left server dirty data")
 		}
 	})
@@ -493,7 +498,7 @@ func TestFasterServerWinsWhenFlushing(t *testing.T) {
 // paper's write-ordering example in §3.4).
 func TestIncompatibleSubPageWriteFlushes(t *testing.T) {
 	tb := newBed(t, nfssim.ServerFiler, core.HashConfig())
-	f := tb.OpenNFS()
+	f := tb.Machines[0].OpenNFS()
 	fh := f.Inode().FH
 	tb.Sim.Go("w", func(p *sim.Proc) {
 		f.WriteAt(p, 0, 100)    // bytes [0,100) of page 0
@@ -516,7 +521,7 @@ func TestIncompatibleSubPageWriteFlushes(t *testing.T) {
 func TestConcurrentWritersBenefitFromLockFix(t *testing.T) {
 	run := func(cfg core.Config) float64 {
 		tb := nfssim.NewTestbed(nfssim.Options{Server: nfssim.ServerFiler, Client: cfg})
-		res := bonnie.RunConcurrentWorkload(tb.Sim, "c", func(int) vfs.OpenSet { return tb.OpenSet() }, 2, bonnie.Config{
+		res := bonnie.RunConcurrentWorkload(tb.Sim, "c", func(int) vfs.OpenSet { return tb.Machines[0].OpenSet() }, 2, bonnie.Config{
 			FileSize: 5 << 20, TimeLimit: 10 * time.Minute, SkipFlushClose: true,
 		})
 		return res.AggregateMBps()
@@ -536,7 +541,7 @@ func TestConcurrentWritersBenefitFromLockFix(t *testing.T) {
 // the writer throttled forever.
 func TestOverwriteDirtyAccountingBounded(t *testing.T) {
 	tb := newBed(t, nfssim.ServerFiler, core.EnhancedConfig())
-	f := tb.OpenNFS()
+	f := tb.Machines[0].OpenNFS()
 	const rewrites = 10_000
 	done := false
 	tb.Sim.Go("w", func(p *sim.Proc) {
@@ -545,8 +550,8 @@ func TestOverwriteDirtyAccountingBounded(t *testing.T) {
 		}
 		// Bounded by one dirty page plus whatever writeback is in
 		// flight at this instant.
-		if got := tb.Machine(0).Cache.Usage(); got > vfs.PageSize+tb.Machine(0).Cache.Writeback() {
-			t.Errorf("usage %d exceeds one page + writeback %d", got, tb.Machine(0).Cache.Writeback())
+		if got := tb.Machines[0].Cache.Usage(); got > vfs.PageSize+tb.Machines[0].Cache.Writeback() {
+			t.Errorf("usage %d exceeds one page + writeback %d", got, tb.Machines[0].Cache.Writeback())
 		}
 		f.Close(p)
 		done = true
@@ -558,15 +563,15 @@ func TestOverwriteDirtyAccountingBounded(t *testing.T) {
 	// The run never holds more than the one page dirty plus the RPCs the
 	// flush pushed out; with the leak, peak usage was ~rewrites pages.
 	maxInflight := int64(core.EnhancedConfig().WSize * 16) // full slot table
-	if tb.Machine(0).Cache.PeakUsage > int64(vfs.PageSize)+maxInflight {
+	if tb.Machines[0].Cache.PeakUsage > int64(vfs.PageSize)+maxInflight {
 		t.Fatalf("peak usage %d, want <= one page + in-flight writeback %d",
-			tb.Machine(0).Cache.PeakUsage, int64(vfs.PageSize)+maxInflight)
+			tb.Machines[0].Cache.PeakUsage, int64(vfs.PageSize)+maxInflight)
 	}
-	if tb.Machine(0).Cache.ThrottleEvents != 0 {
-		t.Fatalf("%d throttle events while rewriting a single page", tb.Machine(0).Cache.ThrottleEvents)
+	if tb.Machines[0].Cache.ThrottleEvents != 0 {
+		t.Fatalf("%d throttle events while rewriting a single page", tb.Machines[0].Cache.ThrottleEvents)
 	}
-	if tb.Machine(0).Cache.Usage() != 0 {
-		t.Fatalf("cache not drained after close: %d", tb.Machine(0).Cache.Usage())
+	if tb.Machines[0].Cache.Usage() != 0 {
+		t.Fatalf("cache not drained after close: %d", tb.Machines[0].Cache.Usage())
 	}
 }
 
@@ -574,18 +579,18 @@ func TestOverwriteDirtyAccountingBounded(t *testing.T) {
 // adjacent 2 KB writes into one page dirty 4 KB total, not 6 KB.
 func TestPartialPageExtensionChargesNetNew(t *testing.T) {
 	tb := newBed(t, nfssim.ServerFiler, core.EnhancedConfig())
-	f := tb.OpenNFS()
+	f := tb.Machines[0].OpenNFS()
 	tb.Sim.Go("w", func(p *sim.Proc) {
 		f.WriteAt(p, 0, 2048)
-		if got := tb.Machine(0).Cache.Usage(); got != 2048 {
+		if got := tb.Machines[0].Cache.Usage(); got != 2048 {
 			t.Errorf("after first half: usage = %d, want 2048", got)
 		}
 		f.WriteAt(p, 2048, 2048) // adjacent: extends the cached request
-		if got := tb.Machine(0).Cache.Usage(); got != 4096 {
+		if got := tb.Machines[0].Cache.Usage(); got != 4096 {
 			t.Errorf("after extension: usage = %d, want 4096", got)
 		}
 		f.WriteAt(p, 1024, 2048) // overlap inside the dirty range: net 0
-		if got := tb.Machine(0).Cache.Usage(); got != 4096 {
+		if got := tb.Machines[0].Cache.Usage(); got != 4096 {
 			t.Errorf("after overwrite: usage = %d, want 4096", got)
 		}
 	})
@@ -608,7 +613,7 @@ func TestMultiClientIntegrity(t *testing.T) {
 	finished := 0
 	for i := 0; i < 2; i++ {
 		i := i
-		files[i] = tb.Machine(i).OpenNFS()
+		files[i] = tb.Machines[i].OpenNFS()
 		tb.Sim.Go("w", func(p *sim.Proc) {
 			for w := 0; w < size/8192; w++ {
 				files[i].Write(p, 8192)
@@ -627,9 +632,23 @@ func TestMultiClientIntegrity(t *testing.T) {
 	}
 	for i, f := range files {
 		cov := tb.Server.Coverage(f.Inode().FH)
-		if !cov.IsContiguousFromZero(size) {
+		if cov.Total() != size || !cov.Contains(0, size) {
 			t.Fatalf("machine %d coverage %v, want [0,%d)", i, cov, size)
 		}
+	}
+}
+
+// Distinct FSIDs: files opened on different machines of one test bed
+// never share a handle, even at the same per-machine file index.
+func TestMachinesMintDistinctHandles(t *testing.T) {
+	tb := nfssim.NewTestbed(nfssim.Options{Server: nfssim.ServerFiler, Clients: 3})
+	fhs := map[nfsproto.FileHandle]bool{}
+	for i, m := range tb.Machines {
+		fh := m.OpenNFS().Inode().FH
+		if fhs[fh] {
+			t.Fatalf("machine %d produced a colliding file handle %v", i, fh)
+		}
+		fhs[fh] = true
 	}
 }
 
@@ -646,7 +665,7 @@ func TestThrottledSubPageWritesDoNotOutrunAccounting(t *testing.T) {
 		CacheLimit: 64 << 10,
 		Seed:       3,
 	})
-	f := tb.OpenNFS()
+	f := tb.Machines[0].OpenNFS()
 	done := false
 	tb.Sim.Go("w", func(p *sim.Proc) {
 		for i := 0; i < 1024; i++ { // 2 MB of sequential 2 KB writes
@@ -659,10 +678,10 @@ func TestThrottledSubPageWritesDoNotOutrunAccounting(t *testing.T) {
 	if !done {
 		t.Fatal("run did not finish")
 	}
-	if tb.Machine(0).Cache.Usage() != 0 {
-		t.Fatalf("cache not drained: %d", tb.Machine(0).Cache.Usage())
+	if tb.Machines[0].Cache.Usage() != 0 {
+		t.Fatalf("cache not drained: %d", tb.Machines[0].Cache.Usage())
 	}
-	if !tb.Server.Coverage(f.Inode().FH).IsContiguousFromZero(2 << 20) {
+	if cov := tb.Server.Coverage(f.Inode().FH); cov.Total() != 2<<20 || !cov.Contains(0, 2<<20) {
 		t.Fatal("server coverage incomplete")
 	}
 }
@@ -683,7 +702,7 @@ func TestCacheSmallerThanWatermarkMakesProgress(t *testing.T) {
 			CacheLimit: limit, // well below the 8-page flushd watermark
 			Seed:       3,
 		})
-		f := tb.OpenNFS()
+		f := tb.Machines[0].OpenNFS()
 		done := false
 		tb.Sim.Go("w", func(p *sim.Proc) {
 			for i := 0; i < 256; i++ { // 1 MB in page-sized writes
@@ -696,7 +715,7 @@ func TestCacheSmallerThanWatermarkMakesProgress(t *testing.T) {
 		if !done {
 			t.Fatalf("limit %d: writer wedged, cache below the flushd watermark never drained", limit)
 		}
-		if tb.Machine(0).Cache.ThrottleEvents == 0 {
+		if tb.Machines[0].Cache.ThrottleEvents == 0 {
 			t.Fatalf("limit %d: expected memory-pressure throttling", limit)
 		}
 	}

@@ -22,17 +22,6 @@ type File struct {
 	name string
 }
 
-// SetSync switches the file to O_SYNC semantics: every write() is sent to
-// the server as a stable (FILE_SYNC) WRITE and waits for the reply, like
-// nfs_writepage_sync. The paper contrasts this class of workload in §3.6:
-// "where applications require data permanence before a write() system
-// call returns, the Network Appliance filer ... performs better".
-func (f *File) SetSync(sync bool) { f.sync = sync }
-
-// Inode returns the file's client-side inode (for inspection in tests and
-// experiments).
-func (f *File) Inode() *Inode { return f.ino }
-
 // Write implements vfs.File: the sys_write -> generic_file_write ->
 // nfs_commit_write path, followed by the flush-policy checks. The write
 // appends at the current end of file.

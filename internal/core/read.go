@@ -43,19 +43,6 @@ func (ino *Inode) resident(page int64) bool {
 	return ino.cached.Contains(page, page+1)
 }
 
-// CachedPages returns how many resident pages the inode holds — pages
-// filled by READ replies or dirtied by writes (for tests).
-func (ino *Inode) CachedPages() int { return int(ino.cached.Total()) }
-
-// ResidentSpans returns how many disjoint page runs the resident set
-// holds (for tests: sequential access must coalesce into one span, random
-// access fragments until coverage completes).
-func (ino *Inode) ResidentSpans() int { return ino.cached.Spans() }
-
-// ReadaheadWindow returns the inode's current readahead window in pages
-// (for tests and experiments).
-func (ino *Inode) ReadaheadWindow() int { return ino.ra.Window() }
-
 // readPage is nfs_readpage: make one page resident. The lookup and
 // readahead bookkeeping run under the BKL like the write path's request
 // lookups; the RPC wait does not (sleeping paths drop the lock).

@@ -16,7 +16,7 @@ import (
 func TestReadColdFileFetchesAndCaches(t *testing.T) {
 	tb := newBed(t, nfssim.ServerFiler, core.EnhancedConfig())
 	const size = 1 << 20
-	f := tb.Machine(0).Client.OpenExisting(size)
+	f := tb.Machines[0].Client.OpenExisting(size)
 	var total int
 	tb.Sim.Go("reader", func(p *sim.Proc) {
 		for {
@@ -26,30 +26,30 @@ func TestReadColdFileFetchesAndCaches(t *testing.T) {
 			}
 			total += got
 		}
-		if rpcs := tb.Machine(0).Client.ReadRPCs; rpcs == 0 {
+		if rpcs := tb.Machines[0].Client.ReadRPCs; rpcs == 0 {
 			t.Error("no READ RPCs issued for a cold file")
 		}
 		if f.Inode().CachedPages() != size/4096 {
 			t.Errorf("cached pages = %d, want %d", f.Inode().CachedPages(), size/4096)
 		}
 		// Re-read from the front: all pages resident, no new RPCs.
-		before := tb.Machine(0).Client.ReadRPCs
-		missesBefore := tb.Machine(0).Cache.ReadMisses
+		before := tb.Machines[0].Client.ReadRPCs
+		missesBefore := tb.Machines[0].Cache.ReadMisses
 		if got := f.ReadAt(p, 0, size); got != size {
 			t.Errorf("re-read got %d", got)
 		}
-		if tb.Machine(0).Client.ReadRPCs != before {
-			t.Errorf("re-read issued %d new RPCs", tb.Machine(0).Client.ReadRPCs-before)
+		if tb.Machines[0].Client.ReadRPCs != before {
+			t.Errorf("re-read issued %d new RPCs", tb.Machines[0].Client.ReadRPCs-before)
 		}
-		if tb.Machine(0).Cache.ReadMisses != missesBefore {
-			t.Errorf("re-read missed %d pages", tb.Machine(0).Cache.ReadMisses-missesBefore)
+		if tb.Machines[0].Cache.ReadMisses != missesBefore {
+			t.Errorf("re-read missed %d pages", tb.Machines[0].Cache.ReadMisses-missesBefore)
 		}
 	})
 	tb.Sim.Run(10 * time.Minute)
 	if total != size {
 		t.Fatalf("read %d bytes, want %d", total, size)
 	}
-	if hits, misses := tb.Machine(0).Cache.ReadHits, tb.Machine(0).Cache.ReadMisses; hits+misses != 2*size/4096 {
+	if hits, misses := tb.Machines[0].Cache.ReadHits, tb.Machines[0].Cache.ReadMisses; hits+misses != 2*size/4096 {
 		t.Fatalf("hit/miss accounting: %d + %d lookups, want %d", hits, misses, 2*size/4096)
 	}
 	if tb.Server.Reads == 0 || tb.Server.BytesRead != size {
@@ -63,7 +63,7 @@ func TestReadaheadWindowGrowsAndResets(t *testing.T) {
 	cfg := core.EnhancedConfig()
 	tb := newBed(t, nfssim.ServerFiler, cfg)
 	const size = 4 << 20
-	f := tb.Machine(0).Client.OpenExisting(size)
+	f := tb.Machines[0].Client.OpenExisting(size)
 	tb.Sim.Go("reader", func(p *sim.Proc) {
 		for i := 0; i < 64; i++ {
 			f.Read(p, 8192)
@@ -86,7 +86,7 @@ func TestReadaheadWindowGrowsAndResets(t *testing.T) {
 func TestReadaheadAblationStrictlyOrdered(t *testing.T) {
 	elapsed := func(cfg core.Config) sim.Time {
 		tb := newBed(t, nfssim.ServerFiler, cfg)
-		res := bonnie.RunWorkload(tb.Sim, "read", tb.OpenSet(), bonnie.Config{
+		res := bonnie.RunWorkload(tb.Sim, "read", tb.Machines[0].OpenSet(), bonnie.Config{
 			FileSize: 4 << 20, Workload: bonnie.WorkloadRead, TimeLimit: 10 * time.Minute,
 		})
 		return res.WriteElapsed
@@ -104,17 +104,17 @@ func TestReadaheadAblationStrictlyOrdered(t *testing.T) {
 // not even hold yet.
 func TestReadAfterWriteHitsCache(t *testing.T) {
 	tb := newBed(t, nfssim.ServerFiler, core.EnhancedConfig())
-	f := tb.OpenNFS()
+	f := tb.Machines[0].OpenNFS()
 	tb.Sim.Go("rw", func(p *sim.Proc) {
 		f.Write(p, 64<<10)
 		if got := f.ReadAt(p, 0, 64<<10); got != 64<<10 {
 			t.Errorf("read back %d bytes", got)
 		}
-		if tb.Machine(0).Client.ReadRPCs != 0 {
-			t.Errorf("read-after-write issued %d READ RPCs", tb.Machine(0).Client.ReadRPCs)
+		if tb.Machines[0].Client.ReadRPCs != 0 {
+			t.Errorf("read-after-write issued %d READ RPCs", tb.Machines[0].Client.ReadRPCs)
 		}
-		if tb.Machine(0).Cache.ReadMisses != 0 || tb.Machine(0).Cache.ReadHits != 16 {
-			t.Errorf("hits/misses = %d/%d, want 16/0", tb.Machine(0).Cache.ReadHits, tb.Machine(0).Cache.ReadMisses)
+		if tb.Machines[0].Cache.ReadMisses != 0 || tb.Machines[0].Cache.ReadHits != 16 {
+			t.Errorf("hits/misses = %d/%d, want 16/0", tb.Machines[0].Cache.ReadHits, tb.Machines[0].Cache.ReadMisses)
 		}
 	})
 	tb.Sim.Run(time.Minute)
@@ -127,7 +127,7 @@ func TestHalfSpecifiedReadaheadStaysOn(t *testing.T) {
 	cfg.ReadaheadMinPages = 8
 	cfg.ReadaheadMaxPages = 0
 	tb := newBed(t, nfssim.ServerFiler, cfg)
-	f := tb.Machine(0).Client.OpenExisting(1 << 20)
+	f := tb.Machines[0].Client.OpenExisting(1 << 20)
 	tb.Sim.Go("reader", func(p *sim.Proc) {
 		for i := 0; i < 16; i++ {
 			f.Read(p, 8192)
@@ -142,7 +142,7 @@ func TestHalfSpecifiedReadaheadStaysOn(t *testing.T) {
 // Read must observe EOF: a partial final chunk, then zero.
 func TestReadEOF(t *testing.T) {
 	tb := newBed(t, nfssim.ServerFiler, core.EnhancedConfig())
-	f := tb.Machine(0).Client.OpenExisting(8192 + 100)
+	f := tb.Machines[0].Client.OpenExisting(8192 + 100)
 	tb.Sim.Go("reader", func(p *sim.Proc) {
 		if got := f.Read(p, 8192); got != 8192 {
 			t.Errorf("first read = %d", got)
@@ -171,11 +171,11 @@ func TestConcurrentReadersAndWritersOneServer(t *testing.T) {
 		func(i int) vfs.OpenSet {
 			return vfs.OpenSet{
 				Fresh: func() vfs.File {
-					f := tb.OpenNFS()
+					f := tb.Machines[0].OpenNFS()
 					writeFiles = append(writeFiles, f)
 					return f
 				},
-				Existing: func(sz int64) vfs.File { return tb.Machine(0).Client.OpenExisting(sz) },
+				Existing: func(sz int64) vfs.File { return tb.Machines[0].Client.OpenExisting(sz) },
 			}
 		},
 		workers, bonnie.Config{FileSize: size, Workload: bonnie.WorkloadMixed, TimeLimit: 20 * time.Minute})
@@ -187,14 +187,14 @@ func TestConcurrentReadersAndWritersOneServer(t *testing.T) {
 	}
 	for i, f := range writeFiles {
 		cov := tb.Server.Coverage(f.Inode().FH)
-		if !cov.IsContiguousFromZero(size / 2) {
+		if cov.Total() != size/2 || !cov.Contains(0, size/2) {
 			t.Fatalf("writer %d coverage %v, want [0,%d)", i, cov, size/2)
 		}
 	}
 	if tb.Server.BytesRead != workers*size/2 {
 		t.Fatalf("server read bytes = %d, want %d", tb.Server.BytesRead, workers*size/2)
 	}
-	if tb.Machine(0).Cache.ReadHits == 0 {
+	if tb.Machines[0].Cache.ReadHits == 0 {
 		t.Fatal("no read hits recorded")
 	}
 }

@@ -21,35 +21,35 @@ func TestCloseReleasesInode(t *testing.T) {
 	tb.Sim.Go("w", func(p *sim.Proc) {
 		open := make([]*core.File, 0, files)
 		for i := 0; i < files; i++ {
-			f := tb.OpenNFS()
+			f := tb.Machines[0].OpenNFS()
 			f.Write(p, 64<<10)
 			open = append(open, f)
 		}
-		if got := tb.Machine(0).Client.OpenInodes(); got != files {
+		if got := tb.Machines[0].Client.OpenInodes(); got != files {
 			t.Errorf("open inodes = %d, want %d", got, files)
 		}
 		// Closing shrinks the scan set file by file.
 		for i, f := range open {
 			f.Close(p)
-			if got, want := tb.Machine(0).Client.OpenInodes(), files-i-1; got != want {
+			if got, want := tb.Machines[0].Client.OpenInodes(), files-i-1; got != want {
 				t.Errorf("after close %d: open inodes = %d, want %d", i, got, want)
 			}
 			if f.Inode().CachedPages() != 0 {
 				t.Errorf("closed file %d still pins %d resident pages", i, f.Inode().CachedPages())
 			}
 		}
-		if got := tb.Machine(0).Client.OpenInodes(); got != 0 {
+		if got := tb.Machines[0].Client.OpenInodes(); got != 0 {
 			t.Errorf("all files closed but %d inodes remain", got)
 		}
 		// Double close stays a no-op after the release.
 		open[0].Close(p)
-		if got := tb.Machine(0).Client.OpenInodes(); got != 0 {
+		if got := tb.Machines[0].Client.OpenInodes(); got != 0 {
 			t.Errorf("double close resurrected an inode: %d", got)
 		}
 	})
 	tb.Sim.Run(5 * time.Minute)
-	if tb.Machine(0).Client.MountRequests() != 0 {
-		t.Fatalf("%d requests outstanding after all closes", tb.Machine(0).Client.MountRequests())
+	if tb.Machines[0].Client.MountRequests() != 0 {
+		t.Fatalf("%d requests outstanding after all closes", tb.Machines[0].Client.MountRequests())
 	}
 }
 
@@ -60,12 +60,12 @@ func TestCloseReleasesReadState(t *testing.T) {
 	tb := newBed(t, nfssim.ServerFiler, core.EnhancedConfig())
 	tb.Sim.Go("rw", func(p *sim.Proc) {
 		for i := 0; i < 8; i++ {
-			f := tb.Machine(0).Client.OpenExisting(256 << 10)
+			f := tb.Machines[0].Client.OpenExisting(256 << 10)
 			for f.Read(p, 8192) > 0 {
 			}
 			f.Close(p)
 		}
-		if got := tb.Machine(0).Client.OpenInodes(); got != 0 {
+		if got := tb.Machines[0].Client.OpenInodes(); got != 0 {
 			t.Errorf("open inodes after read/close loop = %d", got)
 		}
 	})
@@ -80,11 +80,11 @@ func TestCloseWithReadaheadInFlight(t *testing.T) {
 	tb := newBed(t, nfssim.ServerFiler, core.EnhancedConfig())
 	done := false
 	tb.Sim.Go("r", func(p *sim.Proc) {
-		f := tb.Machine(0).Client.OpenExisting(4 << 20)
+		f := tb.Machines[0].Client.OpenExisting(4 << 20)
 		// One chunk is enough to launch the window; close immediately.
 		f.Read(p, 8192)
 		f.Close(p)
-		if got := tb.Machine(0).Client.OpenInodes(); got != 0 {
+		if got := tb.Machines[0].Client.OpenInodes(); got != 0 {
 			t.Errorf("open inodes after close = %d", got)
 		}
 		done = true
@@ -102,7 +102,7 @@ func TestCloseWithReadaheadInFlight(t *testing.T) {
 // hit/miss behavior either way.
 func TestResidentSetCoalesces(t *testing.T) {
 	tb := newBed(t, nfssim.ServerFiler, core.EnhancedConfig())
-	f := tb.OpenNFS()
+	f := tb.Machines[0].OpenNFS()
 	tb.Sim.Go("w", func(p *sim.Proc) {
 		// Sequential writes: one growing span.
 		f.Write(p, 64<<10)
@@ -134,9 +134,9 @@ func TestResidentSetCoalesces(t *testing.T) {
 		if got := f.ReadAt(p, 0, 128<<10); got != 128<<10 {
 			t.Errorf("read back %d bytes", got)
 		}
-		if tb.Machine(0).Client.ReadRPCs != 0 || tb.Machine(0).Cache.ReadMisses != 0 {
+		if tb.Machines[0].Client.ReadRPCs != 0 || tb.Machines[0].Cache.ReadMisses != 0 {
 			t.Errorf("read-after-write fetched: %d RPCs, %d misses",
-				tb.Machine(0).Client.ReadRPCs, tb.Machine(0).Cache.ReadMisses)
+				tb.Machines[0].Client.ReadRPCs, tb.Machines[0].Cache.ReadMisses)
 		}
 	})
 	tb.Sim.Run(5 * time.Minute)
@@ -152,21 +152,21 @@ func TestRandWriteFragmentationOnStockClient(t *testing.T) {
 		cfg := core.Stock244Config()
 		cfg.WSize = 32768 // 8 pages: sequential runs coalesce, random cannot
 		tb := nfssim.NewTestbed(nfssim.Options{Server: nfssim.ServerFiler, Client: cfg, Seed: 3})
-		res := bonnie.RunWorkload(tb.Sim, "t", tb.OpenSet(), bonnie.Config{
+		res := bonnie.RunWorkload(tb.Sim, "t", tb.Machines[0].OpenSet(), bonnie.Config{
 			FileSize: 4 << 20, Workload: wl, TimeLimit: 10 * time.Minute,
 		})
 		return tb, res
 	}
 	seqTB, _ := run(bonnie.WorkloadWrite)
 	randTB, _ := run(bonnie.WorkloadRandWrite)
-	if randTB.Machine(0).Client.SoftFlushes == 0 {
+	if randTB.Machines[0].Client.SoftFlushes == 0 {
 		t.Fatal("random writes never hit the soft limit on the stock client")
 	}
-	if seqRPCs, randRPCs := seqTB.Machine(0).Client.RPCsSent, randTB.Machine(0).Client.RPCsSent; randRPCs <= seqRPCs {
+	if seqRPCs, randRPCs := seqTB.Machines[0].Client.RPCsSent, randTB.Machines[0].Client.RPCsSent; randRPCs <= seqRPCs {
 		t.Fatalf("random writes sent %d RPCs vs %d sequential; fragmentation should defeat coalescing",
 			randRPCs, seqRPCs)
 	}
-	if seq, rand := seqTB.Machine(0).Client.PagesSent, randTB.Machine(0).Client.PagesSent; seq != rand {
+	if seq, rand := seqTB.Machines[0].Client.PagesSent, randTB.Machines[0].Client.PagesSent; seq != rand {
 		t.Fatalf("page counts differ: %d sequential vs %d random", seq, rand)
 	}
 }

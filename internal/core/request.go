@@ -118,6 +118,3 @@ func (l *reqList) PopRun(maxBytes int) (run []*Request, scanned int) {
 	l.q.Drop(n)
 	return run, n + 1
 }
-
-// At returns the i'th request.
-func (l *reqList) At(i int) *Request { return l.q.Items()[i] }

@@ -52,12 +52,6 @@ func New(s *sim.Sim, name string, seek sim.Time, bandwidth int64) *Disk {
 	return &Disk{s: s, name: name, seek: seek, bandwidth: bandwidth, nextPos: -1}
 }
 
-// Name returns the disk's diagnostic name.
-func (d *Disk) Name() string { return d.name }
-
-// Bandwidth returns the sequential transfer rate in bytes/s.
-func (d *Disk) Bandwidth() int64 { return d.bandwidth }
-
 // Write performs a blocking write of n bytes at byte offset off,
 // serialized FIFO behind earlier requests. It charges a positioning cost
 // when off does not continue the previous request.
@@ -131,15 +125,6 @@ func (d *Disk) waitFor(p *sim.Proc, t sim.Time) {
 	}
 }
 
-// QueueDelay returns how long a request issued now would wait before
-// service begins.
-func (d *Disk) QueueDelay() sim.Time {
-	if d.freeAt > d.s.Now() {
-		return d.freeAt - d.s.Now()
-	}
-	return 0
-}
-
 func (d *Disk) String() string {
 	return fmt.Sprintf("%s: %d B in %d reqs (%d seeks), busy %v",
 		d.name, d.BytesWritten, d.Requests, d.Seeks, d.BusyTime)
@@ -165,9 +150,6 @@ func NewRAID4(s *sim.Sim, name string, dataDisks int, seek sim.Time, perDisk int
 		dataDisks: dataDisks,
 	}
 }
-
-// DataDisks returns the number of data spindles.
-func (r *RAID4) DataDisks() int { return r.dataDisks }
 
 // Paper-era device presets.
 

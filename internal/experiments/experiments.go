@@ -349,7 +349,7 @@ func Fig3() *TraceResult {
 // lands mid-run: the paper's "gap of greatly reduced jitter".
 func Fig4() *TraceResult {
 	res := harness.RunScenarioOn(scenario(nfssim.ServerFiler, "hash", 100, true), func(tb *nfssim.Testbed) {
-		bonnie.RunWorkload(tb.Sim, "warmup", tb.OpenSet(), bonnie.Config{FileSize: 30 << 20, TimeLimit: 10 * time.Minute})
+		bonnie.RunWorkload(tb.Sim, "warmup", tb.Machines[0].OpenSet(), bonnie.Config{FileSize: 30 << 20, TimeLimit: 10 * time.Minute})
 	})
 	tr := newTraceResult("Figure 4 - Actual write latency over time (scalable data structures)", res)
 	tr.QuietGapStart, tr.QuietGapEnd, tr.HasQuietGap = res.Trace.QuietGap(200, 0.5)
@@ -495,7 +495,7 @@ func Profile() *ProfileResult {
 	r := &ProfileResult{
 		TopPreFix:        list.Sim.Profiler().Top(6),
 		TopPostFix:       hash.Sim.Profiler().Top(6),
-		BKLWaitBySection: hash.Machine(0).BKL.WaitBreakdown(),
+		BKLWaitBySection: hash.Machines[0].BKL.WaitBreakdown(),
 	}
 	var total time.Duration
 	for _, d := range r.BKLWaitBySection {
@@ -553,7 +553,7 @@ func Concurrency() *ConcurrencyResult {
 	const writers = 2
 	run := func(cfg core.Config) (float64, time.Duration) {
 		tb := nfssim.NewTestbed(nfssim.Options{Server: nfssim.ServerFiler, Client: cfg})
-		res := bonnie.RunConcurrentWorkload(tb.Sim, "conc", func(int) vfs.OpenSet { return tb.OpenSet() },
+		res := bonnie.RunConcurrentWorkload(tb.Sim, "conc", func(int) vfs.OpenSet { return tb.Machines[0].OpenSet() },
 			writers, bonnie.Config{FileSize: 5 << 20, TimeLimit: 10 * time.Minute, SkipFlushClose: true})
 		var sum time.Duration
 		var n int

@@ -29,8 +29,8 @@ func TestFig1Shape(t *testing.T) {
 	linux, filer, local := sweepAt(Fig1, 25, 100, 250, 450)
 	// Local peaks at memory speed (>150 MB/s), NFS stays at network
 	// speed (<40 MB/s) at every size.
-	if local.MaxY() < 150_000 {
-		t.Fatalf("local peak = %.0f KB/s, want > 150 MB/s", local.MaxY())
+	if maxY(local) < 150_000 {
+		t.Fatalf("local peak = %.0f KB/s, want > 150 MB/s", maxY(local))
 	}
 	for _, p := range filer.Points {
 		if p.Y > 40_000 || p.Y < 15_000 {
@@ -45,16 +45,35 @@ func TestFig1Shape(t *testing.T) {
 	// "the large peak in memory write performance for local files does
 	// not appear for NFS files": NFS curves are flat (max/min < 1.5x)
 	// while local varies by > 3x.
-	if flat := filer.MaxY() / minY(filer); flat > 1.5 {
+	if flat := maxY(filer) / minY(filer); flat > 1.5 {
 		t.Fatalf("filer curve not flat: max/min = %.2f", flat)
 	}
-	if dyn := local.MaxY() / minY(local); dyn < 3 {
+	if dyn := maxY(local) / minY(local); dyn < 3 {
 		t.Fatalf("local curve should peak then collapse: max/min = %.2f", dyn)
 	}
 	// Local writes beat NFS while memory lasts.
-	if local.YAt(25) < 3*filer.YAt(25) {
+	if yAt(local, 25) < 3*yAt(filer, 25) {
 		t.Fatal("local memory writes should dwarf stock NFS writes")
 	}
+}
+
+// yAt returns the y value at x (0 when x is absent).
+func yAt(s *stats.Series, x float64) float64 {
+	for _, p := range s.Points {
+		if p.X == x {
+			return p.Y
+		}
+	}
+	return 0
+}
+
+// maxY returns the largest y value in the series (0 when empty).
+func maxY(s *stats.Series) float64 {
+	m := 0.0
+	for _, p := range s.Points {
+		m = max(m, p.Y)
+	}
+	return m
 }
 
 func minY(s *stats.Series) float64 {
@@ -274,24 +293,24 @@ func TestFig7Shape(t *testing.T) {
 	linux, filer, local := sweepAt(Fig7, 25, 200, 450)
 	// Enhanced NFS memory writes approach local speed for small files
 	// (same order of magnitude; paper: 115-150 vs ~170-200 MB/s)...
-	if filer.YAt(25) < 90_000 {
-		t.Fatalf("enhanced filer writes %.0f KB/s at 25 MB, want >90 MB/s", filer.YAt(25))
+	if yAt(filer, 25) < 90_000 {
+		t.Fatalf("enhanced filer writes %.0f KB/s at 25 MB, want >90 MB/s", yAt(filer, 25))
 	}
 	// ...NFS no longer tracks network throughput...
-	if filer.YAt(25) < 2.5*35_000 {
+	if yAt(filer, 25) < 2.5*35_000 {
 		t.Fatal("enhanced client still pinned to network speed")
 	}
 	// ...and the filer sustains high throughput longer than the Linux
 	// server as memory runs out (NVRAM + faster ingest).
-	if filer.YAt(450) <= linux.YAt(450) {
-		t.Fatalf("at 450 MB filer %.0f <= linux %.0f KB/s", filer.YAt(450), linux.YAt(450))
+	if yAt(filer, 450) <= yAt(linux, 450) {
+		t.Fatalf("at 450 MB filer %.0f <= linux %.0f KB/s", yAt(filer, 450), yAt(linux, 450))
 	}
 	// Local ext2 trails off hardest (EIDE disk).
-	if local.YAt(450) >= linux.YAt(450) {
-		t.Fatalf("local %.0f should trail linux %.0f at 450 MB", local.YAt(450), linux.YAt(450))
+	if yAt(local, 450) >= yAt(linux, 450) {
+		t.Fatalf("local %.0f should trail linux %.0f at 450 MB", yAt(local, 450), yAt(linux, 450))
 	}
 	// Throughput at 25 MB far exceeds throughput at 450 MB (memory cliff).
-	if filer.YAt(25) < 15*filer.YAt(450)/10 {
+	if yAt(filer, 25) < 15*yAt(filer, 450)/10 {
 		t.Fatal("no memory cliff visible for the filer curve")
 	}
 }

@@ -179,9 +179,6 @@ func (f *File) Close(p *sim.Proc) {
 // Size implements vfs.File.
 func (f *File) Size() int64 { return f.size }
 
-// Dirty returns bytes not yet under writeback (for tests).
-func (f *File) Dirty() int64 { return f.dirty }
-
 // writeback is the kflushd-style daemon: drain dirty pages to disk.
 func (f *File) writeback(p *sim.Proc) {
 	for {

@@ -49,7 +49,7 @@ func TestCloseDoesNotFlush(t *testing.T) {
 	// "dirty data remains in the system's data cache after the final
 	// close() operation" (§2.3). 128 KB < flushChunk, so writeback never
 	// even started.
-	if cache.Dirty() == 0 && f.Dirty() == 0 {
+	if cache.Usage() == 0 && f.Dirty() == 0 {
 		t.Fatal("close flushed the page cache; ext2 must not")
 	}
 }

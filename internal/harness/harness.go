@@ -61,17 +61,23 @@ func ConfigByName(name string) (ClientConfig, error) {
 // ServerByName resolves a server-kind name as printed by
 // nfssim.ServerKind.String.
 func ServerByName(name string) (nfssim.ServerKind, error) {
-	switch name {
-	case "filer":
-		return nfssim.ServerFiler, nil
-	case "linux":
-		return nfssim.ServerLinux, nil
-	case "slow100":
-		return nfssim.ServerSlow100, nil
-	case "local", "none":
-		return nfssim.ServerNone, nil
+	return byName("server", name, nfssim.ServerNone)
+}
+
+// byName returns the value in [0, last] whose String is name, so a
+// parser reads the names the enum's String declares.
+func byName[T interface {
+	~int
+	fmt.Stringer
+}](what, name string, last T) (T, error) {
+	var names []string
+	for v := T(0); v <= last; v++ {
+		if v.String() == name {
+			return v, nil
+		}
+		names = append(names, v.String())
 	}
-	return 0, fmt.Errorf("harness: unknown server %q (have filer, linux, slow100, local)", name)
+	return 0, fmt.Errorf("harness: unknown %s %q (have %s)", what, name, strings.Join(names, ", "))
 }
 
 // Scenario is one fully-specified benchmark run. Expand fills every
@@ -452,13 +458,13 @@ func Sharing(s string) (int, error) {
 	return n, nil
 }
 
-// ConsistencyByName parses a cache-consistency mode: ttl, strict, or noac.
+// ConsistencyByName parses a cache-consistency mode as printed by
+// core.ConsistencyMode.String; "" is ttl, the default.
 func ConsistencyByName(s string) (core.ConsistencyMode, error) {
-	m, ok := core.ParseConsistency(s)
-	if !ok {
-		return 0, fmt.Errorf("harness: unknown consistency mode %q (have ttl, strict, noac)", s)
+	if s == "" {
+		return core.ConsistencyTTL, nil
 	}
-	return m, nil
+	return byName("consistency mode", s, core.ConsistencyNoac)
 }
 
 // appearanceOrder deduplicates keys preserving first appearance, so

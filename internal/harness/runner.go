@@ -238,7 +238,7 @@ func RunScenarioOn(sc Scenario, prepare func(*nfssim.Testbed)) Result {
 	}
 
 	res := bonnie.RunConcurrentWorkload(tb.Sim, sc.Name(),
-		func(i int) vfs.OpenSet { return tb.Machine(i).OpenSet() }, clients, bcfg)
+		func(i int) vfs.OpenSet { return tb.Machines[i].OpenSet() }, clients, bcfg)
 	var writeSum, kbSum, flushSum, closeSum float64
 	for _, w := range res.PerWriter {
 		out.Calls += w.Calls

@@ -5,13 +5,12 @@
 // package re-declares the three types an analyzer touches — Analyzer,
 // Pass, Diagnostic — with field-compatible shapes. Migrating an analyzer
 // to the real x/tools API is a one-line import change; the driver in
-// internal/lint and cmd/nfslint plays the role of multichecker and
-// unitchecker.
+// internal/lint and cmd/nfslint plays the role of multichecker.
 //
 // Facts, Requires-ordering, and SuggestedFixes are not implemented:
 // nfslint's analyzers are independent and repo-wide state (the
-// seededrand salt registry) is aggregated by the driver from analyzer
-// results instead of exported facts.
+// seededrand salt registry, the unusedexport summaries) is aggregated by
+// lint.Check from analyzer results instead of exported facts.
 package analysis
 
 import (

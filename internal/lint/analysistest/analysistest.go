@@ -36,6 +36,8 @@ var wantRe = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
 // TestData returns the absolute path of the calling test's testdata
 // directory (the go tool runs tests with the package directory as the
 // working directory).
+//
+//lint:allow unusedexport test support: the analyzers' tests call it
 func TestData(t *testing.T) string {
 	t.Helper()
 	p, err := filepath.Abs("testdata")
@@ -47,19 +49,22 @@ func TestData(t *testing.T) string {
 
 // Run loads each named fixture package from testdata/src/<pkg>, runs
 // the analyzer through the lint driver (so suppression and the
-// in-package salt check apply), and matches diagnostics against the
+// whole-program checks apply, with the consumers nfslint would load
+// from the fixture's directory), and matches diagnostics against the
 // fixtures' want comments.
+//
+//lint:allow unusedexport test support: the analyzers' tests call it
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	for _, name := range pkgs {
 		dir := filepath.Join(testdata, "src", name)
-		loaded, err := loader.Load(dir, ".")
+		loaded, consumers, err := loader.Load(dir, ".")
 		if err != nil {
 			t.Errorf("%s: loading fixture: %v", name, err)
 			continue
 		}
 		for _, pkg := range loaded {
-			checkPackage(t, pkg, a)
+			checkPackage(t, pkg, consumers, a)
 		}
 	}
 }
@@ -69,9 +74,9 @@ type expectation struct {
 	matched bool
 }
 
-func checkPackage(t *testing.T, pkg *loader.Package, a *analysis.Analyzer) {
+func checkPackage(t *testing.T, pkg *loader.Package, consumers []*loader.Package, a *analysis.Analyzer) {
 	t.Helper()
-	diags, err := lint.Check([]*loader.Package{pkg}, a)
+	diags, err := lint.Check([]*loader.Package{pkg}, consumers, a)
 	if err != nil {
 		t.Errorf("%s: %v", pkg.ImportPath, err)
 		return

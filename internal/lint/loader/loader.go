@@ -3,9 +3,7 @@
 // out to `go list -export -deps -json`, which compiles every dependency
 // into the build cache and reports the path of each package's export
 // data; target packages are then parsed from source and type-checked
-// against that export data with the standard go/importer. This is the
-// same division of labor as a vet unitchecker invocation, so the result
-// feeds both nfslint's standalone mode and its `go vet -vettool` mode.
+// against that export data with the standard go/importer.
 package loader
 
 import (
@@ -13,7 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/importer"
+	goimporter "go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -22,6 +20,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"strings"
 )
 
 // Package is one type-checked target package. Every Package returned by
@@ -75,8 +74,55 @@ const listFields = "-json=ImportPath,Dir,Export,Standard,GoFiles,ImportMap"
 
 // Load resolves patterns (relative to dir) to packages, compiles their
 // dependencies' export data, and returns the matched packages parsed
-// and type-checked from source, in `go list` order.
-func Load(dir string, patterns ...string) ([]*Package, error) {
+// and type-checked from source, in `go list` order. It also returns the
+// consumers whose references a whole-program check counts: the other
+// packages of dir's main module and the packages of every module nested
+// under dir. Directories named testdata or starting with "." or "_"
+// below dir are not searched for nested modules, as `./...` skips them.
+func Load(dir string, patterns ...string) (pkgs, consumers []*Package, err error) {
+	if pkgs, err = load(dir, nil, patterns...); err != nil {
+		return nil, nil, err
+	}
+	skip := make(map[string]bool, len(pkgs))
+	for _, p := range pkgs {
+		skip[p.ImportPath] = true
+	}
+	mod, err := goList(dir, "-m", "-json=Dir")
+	if err != nil {
+		return nil, nil, err
+	}
+	roots := []string{mod[0].Dir}
+	if dir, err = filepath.Abs(dir); err != nil {
+		return nil, nil, err
+	}
+	err = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		switch name := d.Name(); {
+		case d.IsDir() && path != dir && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")):
+			return filepath.SkipDir
+		case name == "go.mod" && filepath.Dir(path) != roots[0]:
+			roots = append(roots, filepath.Dir(path))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, r := range roots {
+		more, err := load(r, skip, "./...")
+		if err != nil {
+			return nil, nil, err
+		}
+		consumers = append(consumers, more...)
+	}
+	return pkgs, consumers, nil
+}
+
+// load parses and type-checks the packages patterns match, leaving out
+// the ones named in skip.
+func load(dir string, skip map[string]bool, patterns ...string) ([]*Package, error) {
 	targets, err := goList(dir, append([]string{listFields}, patterns...)...)
 	if err != nil {
 		return nil, err
@@ -93,18 +139,18 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 
 	fset := token.NewFileSet()
-	imp := NewImporter(fset, nil, exportFile)
+	imp := newImporter(fset, exportFile)
 	out := make([]*Package, 0, len(targets))
 	for _, t := range targets {
-		if len(t.GoFiles) == 0 {
+		if len(t.GoFiles) == 0 || skip[t.ImportPath] {
 			continue
 		}
 		files := make([]string, len(t.GoFiles))
 		for i, f := range t.GoFiles {
 			files[i] = filepath.Join(t.Dir, f)
 		}
-		imp.ImportMap = t.ImportMap
-		pkg, err := TypeCheck(fset, t.ImportPath, files, imp)
+		imp.importMap = t.ImportMap
+		pkg, err := typeCheck(fset, t.ImportPath, files, imp)
 		if err != nil {
 			return nil, err
 		}
@@ -114,10 +160,9 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
-// TypeCheck parses goFiles and type-checks them as one package resolving
-// imports through imp. Shared by Load and the vet-unitchecker mode,
-// which supplies an importer built from the vet.cfg's PackageFile map.
-func TypeCheck(fset *token.FileSet, importPath string, goFiles []string, imp types.Importer) (*Package, error) {
+// typeCheck parses goFiles and type-checks them as one package resolving
+// imports through imp.
+func typeCheck(fset *token.FileSet, importPath string, goFiles []string, imp types.Importer) (*Package, error) {
 	syntax := make([]*ast.File, 0, len(goFiles))
 	for _, name := range goFiles {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -153,34 +198,31 @@ func TypeCheck(fset *token.FileSet, importPath string, goFiles []string, imp typ
 	}, nil
 }
 
-// Importer resolves imports from gc export data files. ImportMap
+// importer resolves imports from gc export data files. importMap
 // translates source-level import paths to canonical package paths (the
-// vendoring and test-variant mapping `go list` reports); it may be
-// swapped between TypeCheck calls that share the underlying cache.
-type Importer struct {
-	ImportMap map[string]string
+// vendoring and test-variant mapping `go list` reports); load swaps it
+// between typeCheck calls that share the underlying cache.
+type importer struct {
+	importMap map[string]string
 	base      types.ImporterFrom
 }
 
-// NewImporter builds an Importer reading export data from the files in
-// packageFile (package path -> export data path).
-func NewImporter(fset *token.FileSet, importMap, packageFile map[string]string) *Importer {
+// newImporter builds an importer reading export data from the files in
+// exportFile (package path -> export data path).
+func newImporter(fset *token.FileSet, exportFile map[string]string) *importer {
 	lookup := func(path string) (io.ReadCloser, error) {
-		file, ok := packageFile[path]
+		file, ok := exportFile[path]
 		if !ok {
 			return nil, fmt.Errorf("loader: no export data for %q", path)
 		}
 		return os.Open(file)
 	}
-	return &Importer{
-		ImportMap: importMap,
-		base:      importer.ForCompiler(fset, "gc", lookup).(types.ImporterFrom),
-	}
+	return &importer{base: goimporter.ForCompiler(fset, "gc", lookup).(types.ImporterFrom)}
 }
 
 // Import implements types.Importer.
-func (im *Importer) Import(path string) (*types.Package, error) {
-	if mapped, ok := im.ImportMap[path]; ok {
+func (im *importer) Import(path string) (*types.Package, error) {
+	if mapped, ok := im.importMap[path]; ok {
 		path = mapped
 	}
 	if path == "unsafe" {

@@ -1,14 +1,15 @@
-// Package lint is nfslint's multichecker: it runs the determinism
-// analyzers over loaded packages, applies //lint:allow suppression, and
-// performs the one repo-wide check (seededrand salt uniqueness) that a
-// per-package analyzer cannot see.
+// Package lint is nfslint's multichecker: it runs the analyzers over
+// loaded packages, applies //lint:allow suppression, and performs the
+// two whole-program checks a per-package analyzer cannot see
+// (seededrand salt uniqueness and unusedexport).
 //
-// The four analyzers codify the invariants DESIGN.md §11 documents:
+// The analyzers codify the invariants DESIGN.md §11 documents:
 //
-//	walltime    virtual time only — no time.Now/Sleep/..., no os.Getenv
-//	seededrand  every rng derives from sim.Seed() with a repo-unique salt
-//	maporder    map iteration order must never reach output
-//	keyfmt      no default %v/%g floats in Scenario.Key or CSV emitters
+//	walltime      virtual time only — no time.Now/Sleep/..., no os.Getenv
+//	seededrand    every rng derives from sim.Seed() with a repo-unique salt
+//	maporder      map iteration order must never reach output
+//	keyfmt        no default %v/%g floats in Scenario.Key or CSV emitters
+//	unusedexport  every export is used by some non-test file
 //
 // A diagnostic is suppressed by a comment "//lint:allow <name> [why]"
 // on the same line or the line directly above; "//lint:allow all"
@@ -26,6 +27,7 @@ import (
 	"repro/internal/lint/loader"
 	"repro/internal/lint/maporder"
 	"repro/internal/lint/seededrand"
+	"repro/internal/lint/unusedexport"
 	"repro/internal/lint/walltime"
 )
 
@@ -36,6 +38,7 @@ func Analyzers() []*analysis.Analyzer {
 		seededrand.Analyzer,
 		maporder.Analyzer,
 		keyfmt.Analyzer,
+		unusedexport.Analyzer,
 	}
 }
 
@@ -51,46 +54,68 @@ func (d Diagnostic) String() string {
 }
 
 // Check runs the given analyzers (default: all) over pkgs in order,
-// filters suppressed findings, and appends the repo-wide salt
-// uniqueness check. All packages must share one token.FileSet (as
-// loader.Load guarantees).
-func Check(pkgs []*loader.Package, analyzers ...*analysis.Analyzer) ([]Diagnostic, error) {
+// filters suppressed findings, and appends the two whole-program
+// checks: repo-wide salt uniqueness and, when unusedexport runs, the
+// exports of pkgs that no non-test file of pkgs or consumers uses.
+// Consumers only contribute references; they are not checked. All of
+// pkgs must share one token.FileSet (as loader.Load guarantees).
+func Check(pkgs, consumers []*loader.Package, analyzers ...*analysis.Analyzer) ([]Diagnostic, error) {
 	if len(analyzers) == 0 {
 		analyzers = Analyzers()
 	}
 	var out []Diagnostic
+	allow := make(map[string]map[int]map[string]bool)
 	saltFirst := make(map[int64]token.Position)
+	var checked []*unusedexport.Summary
 	for _, pkg := range pkgs {
-		allow := allowedLines(pkg)
+		allowedLines(pkg, allow)
 		for _, a := range analyzers {
-			pass := &analysis.Pass{
-				Analyzer:  a,
-				Fset:      pkg.Fset,
-				Files:     pkg.Syntax,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.TypesInfo,
-			}
 			var diags []analysis.Diagnostic
-			pass.Report = func(d analysis.Diagnostic) { diags = append(diags, d) }
-			res, err := a.Run(pass)
+			res, err := a.Run(newPass(pkg, a, &diags))
 			if err != nil {
 				return nil, fmt.Errorf("%s: %s: %v", a.Name, pkg.ImportPath, err)
 			}
-			if a == seededrand.Analyzer {
-				if salts, ok := res.([]seededrand.SaltUse); ok {
-					crossCheckSalts(pkg, salts, saltFirst, allow, &out)
-				}
+			switch res := res.(type) {
+			case []seededrand.SaltUse:
+				crossCheckSalts(pkg, res, saltFirst, allow, &out)
+			case *unusedexport.Summary:
+				checked = append(checked, res)
 			}
-			for _, d := range diags {
-				pos := pkg.Fset.Position(d.Pos)
-				if allowed(allow, a.Name, pos) {
-					continue
-				}
-				out = append(out, Diagnostic{Analyzer: a.Name, Pos: pos, Message: d.Message})
-			}
+			out = appendAllowed(out, pkg.Fset, a.Name, diags, allow)
 		}
 	}
+	if len(checked) > 0 {
+		all := checked
+		for _, pkg := range consumers {
+			res, _ := unusedexport.Analyzer.Run(newPass(pkg, unusedexport.Analyzer, nil)) // a summary never fails
+			all = append(all, res.(*unusedexport.Summary))
+		}
+		out = appendAllowed(out, pkgs[0].Fset, unusedexport.Analyzer.Name, unusedexport.Unused(checked, all), allow)
+	}
 	return out, nil
+}
+
+func newPass(pkg *loader.Package, a *analysis.Analyzer, diags *[]analysis.Diagnostic) *analysis.Pass {
+	return &analysis.Pass{
+		Analyzer:  a,
+		Fset:      pkg.Fset,
+		Files:     pkg.Syntax,
+		Pkg:       pkg.Types,
+		TypesInfo: pkg.TypesInfo,
+		Report:    func(d analysis.Diagnostic) { *diags = append(*diags, d) },
+	}
+}
+
+// appendAllowed resolves diags and appends the ones no //lint:allow
+// comment suppresses.
+func appendAllowed(out []Diagnostic, fset *token.FileSet, analyzer string, diags []analysis.Diagnostic, allow map[string]map[int]map[string]bool) []Diagnostic {
+	for _, d := range diags {
+		pos := fset.Position(d.Pos)
+		if !allowed(allow, analyzer, pos) {
+			out = append(out, Diagnostic{Analyzer: analyzer, Pos: pos, Message: d.Message})
+		}
+	}
+	return out
 }
 
 // crossCheckSalts reports salts already claimed by an earlier package.
@@ -115,11 +140,10 @@ func crossCheckSalts(pkg *loader.Package, salts []seededrand.SaltUse, first map[
 	}
 }
 
-// allowedLines maps file -> line -> analyzer names suppressed there by
-// //lint:allow comments. A comment suppresses its own line (trailing
-// form) and the next line (preceding form).
-func allowedLines(pkg *loader.Package) map[string]map[int]map[string]bool {
-	out := make(map[string]map[int]map[string]bool)
+// allowedLines adds to out, as file -> line -> analyzer names, the
+// suppressions of pkg's //lint:allow comments. A comment suppresses its
+// own line (trailing form) and the next line (preceding form).
+func allowedLines(pkg *loader.Package, out map[string]map[int]map[string]bool) {
 	for _, f := range pkg.Syntax {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -147,7 +171,6 @@ func allowedLines(pkg *loader.Package) map[string]map[int]map[string]bool {
 			}
 		}
 	}
-	return out
 }
 
 func allowed(allow map[string]map[int]map[string]bool, analyzer string, pos token.Position) bool {

@@ -60,14 +60,13 @@ func New(s *sim.Sim, limit int64) *PageCache {
 // Limit returns the configured budget.
 func (c *PageCache) Limit() int64 { return c.limit }
 
-// Dirty returns the bytes dirtied but not yet under writeback.
-func (c *PageCache) Dirty() int64 { return c.dirty }
-
-// Writeback returns the bytes currently being written out.
-func (c *PageCache) Writeback() int64 { return c.writeback }
-
 // Usage returns dirty+writeback.
 func (c *PageCache) Usage() int64 { return c.dirty + c.writeback }
+
+// Writeback returns the bytes currently being written out.
+//
+//lint:allow unusedexport a core test bounds the page cache by the writeback in flight
+func (c *PageCache) Writeback() int64 { return c.writeback }
 
 // Throttled reports whether any writer is currently parked in
 // ChargeDirty waiting for room. Write-behind daemons treat this as
@@ -167,6 +166,8 @@ type Readahead struct {
 }
 
 // Window returns the current window size in pages.
+//
+//lint:allow unusedexport core's tests read an inode's window through it
 func (r *Readahead) Window() int { return r.window }
 
 // Access notes a read of page pg and returns the number of pages to read

@@ -1,6 +1,7 @@
 package mm
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -195,17 +196,20 @@ func TestBudgetInvariantProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw%20) + 2
 		s := sim.New(seed)
+		rng := rand.New(rand.NewSource(seed))
 		limit := int64(8 << 10)
 		c := New(s, limit)
 		ok := true
+		finished := 0
 		for i := 0; i < n; i++ {
 			s.Go("w", func(p *sim.Proc) {
+				defer func() { finished++ }()
 				for j := 0; j < 4; j++ {
 					c.ChargeDirty(p, 1<<10)
 					if c.Usage() > limit {
 						ok = false
 					}
-					p.Sleep(sim.Time(s.Rand().Intn(1000)) * time.Microsecond)
+					p.Sleep(sim.Time(rng.Intn(1000)) * time.Microsecond)
 					c.StartWriteback(1 << 10)
 					p.Sleep(100 * time.Microsecond)
 					c.EndWriteback(1 << 10)
@@ -213,7 +217,7 @@ func TestBudgetInvariantProperty(t *testing.T) {
 			})
 		}
 		s.Run(time.Minute)
-		return ok && c.Usage() == 0 && s.Live() == 0
+		return ok && c.Usage() == 0 && finished == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

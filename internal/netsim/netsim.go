@@ -37,11 +37,8 @@ const (
 	MTUJumbo = 9000
 )
 
-// Gigabit and fast-ethernet link bandwidths in bytes per second.
-const (
-	BandwidthGigabit = 125_000_000 // 1000base-T, 1 Gb/s
-	Bandwidth100Mbit = 12_500_000  // 100base-T (§3.5 slow-server check)
-)
+// BandwidthGigabit is a 1000base-T link's bandwidth in bytes per second.
+const BandwidthGigabit = 125_000_000
 
 // Datagram is one UDP datagram traversing the network.
 type Datagram struct {
@@ -177,9 +174,6 @@ func (n *Network) SetLoss(cfg LossConfig) {
 func (n *Network) SetDown(name string, down bool) {
 	n.mustHost(name).down = down
 }
-
-// Down reports whether a host's link is administratively down.
-func (n *Network) Down(name string) bool { return n.mustHost(name).down }
 
 // Loss returns the network's current loss model.
 func (n *Network) Loss() LossConfig { return n.loss }
@@ -405,6 +399,8 @@ type Stats struct {
 }
 
 // HostStats returns the traffic counters for a host.
+//
+//lint:allow unusedexport the nfssim and rpcsim tests count one host's frames and losses
 func (n *Network) HostStats(name string) Stats {
 	h := n.mustHost(name)
 	return Stats{h.BytesSent, h.BytesReceived, h.FramesSent, h.FramesRecv,

@@ -23,11 +23,8 @@ const (
 	ProcRemove  = 12
 )
 
-// Result codes used by the metadata path.
-const (
-	NFS3ErrNoEnt Status = 2
-	NFS3ErrExist Status = 17
-)
+// NFS3ErrNoEnt is the metadata path's result code for a missing name.
+const NFS3ErrNoEnt Status = 2
 
 // RootFileID is the well-known file id of an export's root directory.
 // It sits at the top of the id space so it can never collide with

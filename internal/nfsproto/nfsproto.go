@@ -65,11 +65,10 @@ type Status uint32
 
 // Result codes used by the simulation.
 const (
-	NFS3OK          Status = 0
-	NFS3ErrIO       Status = 5
-	NFS3ErrStale    Status = 70
-	NFS3ErrJukebox  Status = 10008
-	NFS3ErrBadThing Status = 10001
+	NFS3OK         Status = 0
+	NFS3ErrIO      Status = 5
+	NFS3ErrStale   Status = 70
+	NFS3ErrJukebox Status = 10008
 )
 
 func (s Status) String() string {
@@ -403,14 +402,4 @@ func WriteCallSize(n int) int {
 	CallHeader{XID: 1, Proc: ProcWrite}.Encode(e)
 	hdr := e.Len()
 	return hdr + xdr.OpaqueLen(FHSize) + 8 + 4 + 4 + xdr.OpaqueLen(n)
-}
-
-// ReadReplySize returns the full encoded size of a READ reply carrying n
-// data bytes, envelope included. Used for wire-time estimation without
-// building the message.
-func ReadReplySize(n int) int {
-	e := xdr.NewEncoder(64)
-	ReplyHeader{XID: 1}.Encode(e)
-	hdr := e.Len()
-	return hdr + 4 + 4 + 4 + 4 + xdr.OpaqueLen(n)
 }

@@ -6,4 +6,6 @@
 package racebuild
 
 // Enabled reports whether the binary was built with the race detector.
+//
+//lint:allow unusedexport a test-support switch: only the allocation tests read it
 const Enabled = false

@@ -77,22 +77,11 @@ func (s *Set) Total() int64 {
 	return t
 }
 
-// Spans returns the number of disjoint ranges.
-func (s *Set) Spans() int { return len(s.ranges) }
-
 // Ranges returns a copy of the ranges in ascending order.
 func (s *Set) Ranges() []Range {
 	out := make([]Range, len(s.ranges))
 	copy(out, s.ranges)
 	return out
-}
-
-// IsContiguousFromZero reports whether the set is exactly [0, n).
-func (s *Set) IsContiguousFromZero(n int64) bool {
-	if n == 0 {
-		return len(s.ranges) == 0
-	}
-	return len(s.ranges) == 1 && s.ranges[0].Start == 0 && s.ranges[0].End == n
 }
 
 func (s *Set) String() string {

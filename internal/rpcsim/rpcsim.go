@@ -14,6 +14,8 @@ package rpcsim
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/fifo"
 	"repro/internal/netsim"
@@ -39,22 +41,23 @@ const (
 	TransportTCP
 )
 
+// transportNames is each transport's name, as String prints it and
+// ParseTransport reads it.
+var transportNames = [...]string{TransportUDP: "udp", TransportTCP: "tcp"}
+
 func (k TransportKind) String() string {
-	if k == TransportTCP {
-		return "tcp"
+	if uint(k) < uint(len(transportNames)) {
+		return transportNames[k]
 	}
-	return "udp"
+	return transportNames[TransportUDP]
 }
 
 // ParseTransport resolves a transport name as printed by String.
 func ParseTransport(name string) (TransportKind, error) {
-	switch name {
-	case "udp":
-		return TransportUDP, nil
-	case "tcp":
-		return TransportTCP, nil
+	if i := slices.Index(transportNames[:], name); i >= 0 {
+		return TransportKind(i), nil
 	}
-	return 0, fmt.Errorf("rpcsim: unknown transport %q (have udp, tcp)", name)
+	return 0, fmt.Errorf("rpcsim: unknown transport %q (have %s)", name, strings.Join(transportNames[:], ", "))
 }
 
 // Profiler and BKL labels for the transport's code paths.
@@ -319,18 +322,14 @@ func (t *Transport) Stats() Stats {
 }
 
 // Stream returns the TCP-style endpoint (nil under TransportUDP).
+//
+//lint:allow unusedexport the nfssim tests check which transports a test bed gives a stream
 func (t *Transport) Stream() *streamsim.Endpoint { return t.stream }
 
 // SetMaxRetries adjusts the per-call retransmit cap (0 = retry forever).
 // Chaos scenarios set it after test-bed assembly so a dead server
 // terminates the run with a DeadServerError instead of hanging.
 func (t *Transport) SetMaxRetries(n int) { t.cfg.MaxRetries = n }
-
-// InFlight returns the number of outstanding calls.
-func (t *Transport) InFlight() int { return len(t.pending) }
-
-// SlotsAvailable reports whether a Call would start without blocking.
-func (t *Transport) SlotsAvailable() bool { return len(t.pending) < t.cfg.MaxSlots }
 
 // Call issues an RPC. It blocks the calling process until a transport
 // slot is free and the request is handed to the network, then returns;

@@ -1,6 +1,7 @@
 package rpcsim
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -500,6 +501,7 @@ func TestManyCallersProperty(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.MaxSlots = 4
 		s := sim.New(seed)
+		rng := rand.New(rand.NewSource(seed))
 		net := netsim.New(s)
 		link := netsim.LinkConfig{Bandwidth: netsim.BandwidthGigabit, Propagation: 10 * time.Microsecond, MTU: netsim.MTUEthernet}
 		net.AddHost("c", link, nil)
@@ -509,7 +511,7 @@ func TestManyCallersProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			delay := sim.Time(s.Rand().Intn(500)) * time.Microsecond
+			delay := sim.Time(rng.Intn(500)) * time.Microsecond
 			s.After(delay, func() {
 				e := xdr.NewEncoder(64)
 				nfsproto.ReplyHeader{XID: hdr.XID}.Encode(e)
@@ -527,7 +529,7 @@ func TestManyCallersProperty(t *testing.T) {
 					if tr.InFlight() > cfg.MaxSlots {
 						over = true
 					}
-					p.Sleep(sim.Time(s.Rand().Intn(200)) * time.Microsecond)
+					p.Sleep(sim.Time(rng.Intn(200)) * time.Microsecond)
 				}
 			})
 		}

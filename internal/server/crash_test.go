@@ -71,8 +71,8 @@ func TestFilerCrashReplaysNVRAM(t *testing.T) {
 	if f.LostBytes() != 0 {
 		t.Fatalf("filer lost %d bytes; NVRAM must never lose acked data", f.LostBytes())
 	}
-	if !f.StableCoverage(fh).IsContiguousFromZero(total) {
-		t.Fatalf("stable coverage = %v, want [0,%d)", f.StableCoverage(fh), total)
+	if cov := f.StableCoverage(fh); cov.Total() != total || !cov.Contains(0, total) {
+		t.Fatalf("stable coverage = %v, want [0,%d)", cov, total)
 	}
 	if f.NVRAMActive() != 0 {
 		t.Fatalf("NVRAM active = %d after replay drained", f.NVRAMActive())

@@ -113,10 +113,6 @@ func (f *Filer) scheduleTimerCP() {
 	})
 }
 
-// LiveCPTimers returns the number of scheduled-but-unfired timer-CP
-// closures (test accessor).
-func (f *Filer) LiveCPTimers() int { return f.cpLive }
-
 // startCP swaps NVRAM halves and begins draining the full one. The filer
 // stops accepting writes for CPPause while the consistency point is set
 // up.
@@ -234,9 +230,6 @@ func (f *Filer) HandleRead(p *sim.Proc, args nfsproto.ReadArgs) nfsproto.ReadRes
 func (f *Filer) HandleCommit(p *sim.Proc, args nfsproto.CommitArgs) nfsproto.CommitRes {
 	return nfsproto.CommitRes{Status: nfsproto.NFS3OK, Verf: f.verf}
 }
-
-// NVRAMActive returns the bytes currently logged in the filling half.
-func (f *Filer) NVRAMActive() int64 { return f.active }
 
 // Disk returns the RAID-4 volume the NVRAM log drains to (chaos
 // disk_degrade events slow it mid-run).

@@ -221,9 +221,6 @@ func (l *LinuxServer) HandleCommit(p *sim.Proc, args nfsproto.CommitArgs) nfspro
 	return nfsproto.CommitRes{Status: nfsproto.NFS3OK, Verf: l.verf}
 }
 
-// Dirty returns the bytes of unstable data held in the page cache.
-func (l *LinuxServer) Dirty() int64 { return l.dirty }
-
 // Disk returns the SCSI disk the writeback process drains to (chaos
 // disk_degrade events slow it mid-run).
 func (l *LinuxServer) Disk() *disksim.Disk { return l.disk }

@@ -208,9 +208,3 @@ func (ns *Namespace) ApplyWrite(fh nfsproto.FileHandle, end uint64) nfsproto.Wcc
 		}
 	})
 }
-
-// Files returns how many files currently exist in the export that dir
-// belongs to (test accessor).
-func (ns *Namespace) Files(dir nfsproto.FileHandle) int {
-	return len(ns.export(dir).names)
-}

@@ -9,13 +9,12 @@ import (
 	"repro/internal/sim"
 )
 
-// Canonical host names for the paper's test bed. Client machines are
-// numbered client0, client1, ... (ClientHost); HostClient is machine 0.
+// Canonical host names for the paper's servers. Client machines are
+// numbered client0, client1, ... (ClientHost).
 const (
-	HostClient = "client0"
-	HostFiler  = "filer"
-	HostLinux  = "linuxsrv"
-	HostSlow   = "slowsrv"
+	HostFiler = "filer"
+	HostLinux = "linuxsrv"
+	HostSlow  = "slowsrv"
 )
 
 // ClientHost returns the canonical host name of the i'th client machine.

@@ -268,9 +268,6 @@ func (srv *Server) Restart() {
 	}
 }
 
-// Down reports whether the server is crashed.
-func (srv *Server) Down() bool { return srv.down }
-
 // CoverageFiles returns the file handles with received write coverage in
 // deterministic (byte-wise handle) order.
 func (srv *Server) CoverageFiles() []nfsproto.FileHandle {

@@ -162,7 +162,7 @@ func TestServerCoverageTracksBytes(t *testing.T) {
 	total := int64(1 << 20)
 	writeFile(r, fh, total, false)
 	cov := r.srv.Coverage(fh)
-	if !cov.IsContiguousFromZero(total) {
+	if cov.Total() != total || !cov.Contains(0, total) {
 		t.Fatalf("coverage = %v, want [0,%d)", cov, total)
 	}
 	if r.srv.BytesWritten != total || r.srv.Writes != total/8192 {

@@ -34,6 +34,8 @@ func (s *Sim) NewCPUPool(name string, n int) *CPUPool {
 }
 
 // CPUs returns the number of processors in the pool.
+//
+//lint:allow unusedexport read by the nfssim and chaos tests of the pools a test bed builds
 func (c *CPUPool) CPUs() int { return c.sem.Capacity() }
 
 // Use executes d of CPU work on some processor, blocking first if all
@@ -143,12 +145,6 @@ func (pr *Profiler) get(name string) tally {
 
 // Total returns the accumulated CPU time for the label named name.
 func (pr *Profiler) Total(name string) Time { return pr.get(name).total }
-
-// Calls returns how many times the label named name was recorded.
-func (pr *Profiler) Calls(name string) int { return pr.get(name).calls }
-
-// Reset clears all accumulated data.
-func (pr *Profiler) Reset() { clear(pr.by) }
 
 // ProfileEntry is one row of a profile report.
 type ProfileEntry struct {

@@ -208,9 +208,6 @@ func (s *Sim) Now() Time { return s.now }
 // perturbs the draw sequence other components see.
 func (s *Sim) Seed() int64 { return s.seed }
 
-// Rand returns the simulation's deterministic random source.
-func (s *Sim) Rand() *rand.Rand { return s.rng }
-
 // Profiler returns the simulation's CPU profiler.
 func (s *Sim) Profiler() *Profiler { return s.prof }
 
@@ -335,12 +332,6 @@ func (s *Sim) Run(limit Time) Time {
 	return s.now
 }
 
-// Idle reports whether no events remain.
-func (s *Sim) Idle() bool { return len(s.events) == 0 }
-
-// Live returns the number of spawned processes that have not terminated.
-func (s *Sim) Live() int { return len(s.procs) }
-
 // Close ends the simulation. Every process that has not terminated is
 // unwound where it is parked — its deferred calls run, and must not block
 // — and its coroutine is freed; queued events are discarded and the event
@@ -439,12 +430,6 @@ type Proc struct {
 
 // stopped is the panic value that unwinds a process Close has stopped.
 type stopped struct{}
-
-// Name returns the process's diagnostic name.
-func (p *Proc) Name() string { return p.name }
-
-// Sim returns the simulator the process belongs to.
-func (p *Proc) Sim() *Sim { return p.s }
 
 // Go spawns a process that begins running at the current virtual time.
 func (s *Sim) Go(name string, fn func(p *Proc)) *Proc {
@@ -548,9 +533,6 @@ func (s *Sim) NewMutex(name string) *Mutex {
 	return &Mutex{s: s, name: name}
 }
 
-// Name returns the mutex's diagnostic name.
-func (m *Mutex) Name() string { return m.name }
-
 // Lock acquires the mutex for p, blocking in virtual time if it is held.
 // The label names the critical section for contention attribution.
 func (m *Mutex) Lock(p *Proc, label Label) {
@@ -589,12 +571,6 @@ func (m *Mutex) Unlock(p *Proc) {
 	m.lockedAt = m.s.now
 	m.s.wake(m.s.now, next)
 }
-
-// Held reports whether the mutex is currently held.
-func (m *Mutex) Held() bool { return m.holder != nil }
-
-// HeldBy reports whether p currently holds the mutex.
-func (m *Mutex) HeldBy(p *Proc) bool { return m.holder == p }
 
 // Relabel renames the critical section p is executing while holding the
 // mutex, so contention is attributed to the right code path (e.g. the

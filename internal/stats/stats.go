@@ -25,17 +25,11 @@ type Trace struct {
 // NewTrace returns an empty named trace.
 func NewTrace(name string) *Trace { return &Trace{name: name} }
 
-// Name returns the trace's name.
-func (t *Trace) Name() string { return t.name }
-
 // Add appends one latency sample.
 func (t *Trace) Add(d time.Duration) { t.samples = append(t.samples, d) }
 
 // Len returns the number of samples.
 func (t *Trace) Len() int { return len(t.samples) }
-
-// At returns the i'th sample.
-func (t *Trace) At(i int) time.Duration { return t.samples[i] }
 
 // Samples returns the underlying samples (not a copy; callers must not
 // modify it).
@@ -212,9 +206,8 @@ func (s Summary) String() string {
 		s.Count, s.Min, s.Mean, s.Median, s.P95, s.P99, s.Max)
 }
 
-// Histogram is a fixed-bucket-width latency histogram. Figures 5 and 6 use
-// 60 µs buckets from 0 to 0.48 ms with an implicit overflow bucket; that
-// is the default shape produced by NewPaperHistogram.
+// Histogram is a fixed-bucket-width latency histogram with an implicit
+// overflow bucket, the shape of Figures 5 and 6.
 type Histogram struct {
 	name     string
 	width    time.Duration
@@ -231,15 +224,6 @@ func NewHistogram(name string, width time.Duration, n int) *Histogram {
 	}
 	return &Histogram{name: name, width: width, counts: make([]int, n)}
 }
-
-// NewPaperHistogram returns the Figures 5/6 shape: 60 µs buckets covering
-// 0–540 µs plus overflow.
-func NewPaperHistogram(name string) *Histogram {
-	return NewHistogram(name, 60*time.Microsecond, 9)
-}
-
-// Name returns the histogram's name.
-func (h *Histogram) Name() string { return h.name }
 
 // Add records one sample.
 func (h *Histogram) Add(d time.Duration) {
@@ -262,22 +246,6 @@ func (h *Histogram) AddTrace(tr *Trace) {
 	}
 }
 
-// Buckets returns a copy of the per-bucket counts (overflow excluded).
-func (h *Histogram) Buckets() []int {
-	out := make([]int, len(h.counts))
-	copy(out, h.counts)
-	return out
-}
-
-// Overflow returns the count of samples beyond the last bucket.
-func (h *Histogram) Overflow() int { return h.overflow }
-
-// Total returns the total number of samples recorded.
-func (h *Histogram) Total() int { return h.total }
-
-// BucketWidth returns the bucket width.
-func (h *Histogram) BucketWidth() time.Duration { return h.width }
-
 // TailCount returns the number of samples at or above from; the paper's
 // "jitter" comparison is the relative size of this tail.
 func (h *Histogram) TailCount(from time.Duration) int {
@@ -287,17 +255,6 @@ func (h *Histogram) TailCount(from time.Duration) int {
 		n += h.counts[i]
 	}
 	return n
-}
-
-// Rows renders "bucket_start_ms count" rows like the paper's bar charts.
-func (h *Histogram) Rows() []string {
-	rows := make([]string, 0, len(h.counts)+1)
-	for i, c := range h.counts {
-		start := time.Duration(i) * h.width
-		rows = append(rows, fmt.Sprintf("%.2f %d", float64(start)/float64(time.Millisecond), c))
-	}
-	rows = append(rows, fmt.Sprintf(">%.2f %d", float64(len(h.counts))*float64(h.width)/float64(time.Millisecond), h.overflow))
-	return rows
 }
 
 func (h *Histogram) String() string {
@@ -334,27 +291,6 @@ type Series struct {
 
 // Add appends a point.
 func (s *Series) Add(x, y float64) { s.Points = append(s.Points, Point{x, y}) }
-
-// YAt returns the y value for the first point with the given x, or 0.
-func (s *Series) YAt(x float64) float64 {
-	for _, p := range s.Points {
-		if p.X == x {
-			return p.Y
-		}
-	}
-	return 0
-}
-
-// MaxY returns the largest y value in the series (0 when empty).
-func (s *Series) MaxY() float64 {
-	m := 0.0
-	for _, p := range s.Points {
-		if p.Y > m {
-			m = p.Y
-		}
-	}
-	return m
-}
 
 // CSV renders one or more series with a shared x column. Series are
 // aligned by point index; all series must have equal length.
@@ -401,12 +337,6 @@ func NewTable(title string, columns ...string) *Table {
 
 // AddRow appends a row of cells.
 func (t *Table) AddRow(cells ...string) { t.rows = append(t.rows, cells) }
-
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
-
-// Cell returns the cell at (row, col).
-func (t *Table) Cell(row, col int) string { return t.rows[row][col] }
 
 func (t *Table) String() string {
 	widths := make([]int, len(t.Columns))

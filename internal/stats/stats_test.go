@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -15,7 +16,7 @@ func TestTraceBasics(t *testing.T) {
 	for _, v := range []int{100, 200, 300} {
 		tr.Add(us(v))
 	}
-	if tr.Name() != "w" || tr.Len() != 3 || tr.At(1) != us(200) {
+	if tr.Name() != "w" || tr.Len() != 3 || tr.Samples()[1] != us(200) {
 		t.Fatalf("trace basics wrong: %v", tr.Samples())
 	}
 	s := tr.Summary()
@@ -120,7 +121,7 @@ func TestTraceCSV(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	h := NewPaperHistogram("fig5")
+	h := NewHistogram("fig5", 60*time.Microsecond, 9)
 	h.Add(us(0))
 	h.Add(us(59))
 	h.Add(us(60))
@@ -143,7 +144,7 @@ func TestHistogramBuckets(t *testing.T) {
 }
 
 func TestHistogramTailCount(t *testing.T) {
-	h := NewPaperHistogram("h")
+	h := NewHistogram("h", 60*time.Microsecond, 9)
 	for _, v := range []int{50, 100, 200, 300, 400, 700} {
 		h.Add(us(v))
 	}
@@ -157,7 +158,7 @@ func TestHistogramAddTraceAndRender(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.Add(us(i * 70))
 	}
-	h := NewPaperHistogram("h")
+	h := NewHistogram("h", 60*time.Microsecond, 9)
 	h.AddTrace(tr)
 	if h.Total() != 10 {
 		t.Fatalf("total = %d", h.Total())
@@ -183,7 +184,7 @@ func TestHistogramBadArgsPanics(t *testing.T) {
 // plus overflow equal the total.
 func TestHistogramConservationProperty(t *testing.T) {
 	f := func(raw []uint16) bool {
-		h := NewPaperHistogram("p")
+		h := NewHistogram("p", 60*time.Microsecond, 9)
 		for _, r := range raw {
 			h.Add(time.Duration(r) * time.Microsecond)
 		}
@@ -223,11 +224,8 @@ func TestSeries(t *testing.T) {
 	s := &Series{Name: "filer"}
 	s.Add(25, 28000)
 	s.Add(50, 27000)
-	if s.YAt(50) != 27000 || s.YAt(999) != 0 {
-		t.Fatalf("YAt wrong")
-	}
-	if s.MaxY() != 28000 {
-		t.Fatalf("MaxY = %v", s.MaxY())
+	if want := []Point{{25, 28000}, {50, 27000}}; !slices.Equal(s.Points, want) {
+		t.Fatalf("points = %v, want %v", s.Points, want)
 	}
 }
 

@@ -207,9 +207,6 @@ func (e *Endpoint) Stats() Stats { return e.stats }
 // Outstanding returns the number of sent-but-unacknowledged stream bytes.
 func (e *Endpoint) Outstanding() int64 { return e.sndNxt - e.sndUna }
 
-// RTO returns the current (backed-off) retransmission timeout.
-func (e *Endpoint) RTO() sim.Time { return e.curRTO() }
-
 // SendRecord queues one record (4-byte length mark + payload) on the
 // stream and transmits every new segment immediately. It returns the
 // number of segments generated, so callers can charge per-segment CPU.

@@ -150,9 +150,6 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 // Len returns the number of encoded bytes.
 func (e *Encoder) Len() int { return len(e.buf) }
 
-// Reset discards the buffer contents, retaining capacity.
-func (e *Encoder) Reset() { e.buf = e.buf[:0] }
-
 // Grow reserves capacity for at least n more bytes, so that encoding a
 // payload whose size is known up front costs one reallocation instead of
 // a doubling series of appends. The larger buffer comes from the pool,
@@ -229,9 +226,6 @@ func (d *Decoder) Reset(b []byte) { d.buf, d.off, d.err = b, 0, nil }
 // Remaining returns the number of unread bytes.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 
-// Offset returns the number of consumed bytes.
-func (d *Decoder) Offset() int { return d.off }
-
 // Err returns the first error the decoder met, or nil.
 func (d *Decoder) Err() error { return d.err }
 
@@ -306,6 +300,3 @@ func OpaqueLen(n int) int { return 4 + FixedLen(n) }
 
 // FixedLen returns the encoded size of n bytes of fixed opaque data.
 func FixedLen(n int) int { return n + (4-n%4)%4 }
-
-// StringLen returns the encoded size of an XDR string.
-func StringLen(s string) int { return OpaqueLen(len(s)) }

@@ -69,8 +69,8 @@ func TestOpaquePadding(t *testing.T) {
 func TestStringRoundTrip(t *testing.T) {
 	e := NewEncoder(32)
 	e.String("nfs_flushd")
-	if e.Len() != StringLen("nfs_flushd") {
-		t.Fatalf("len=%d want %d", e.Len(), StringLen("nfs_flushd"))
+	if e.Len() != OpaqueLen(len("nfs_flushd")) {
+		t.Fatalf("len=%d want %d", e.Len(), OpaqueLen(len("nfs_flushd")))
 	}
 	d := NewDecoder(e.Bytes())
 	if s := d.String(); s != "nfs_flushd" || d.Err() != nil {

@@ -12,7 +12,7 @@
 //
 //	tb := nfssim.NewTestbed(nfssim.Options{Server: nfssim.ServerFiler,
 //		Client: core.EnhancedConfig()})
-//	res := bonnie.RunWorkload(tb.Sim, "bench", tb.OpenSet(), bonnie.Config{FileSize: 40 << 20})
+//	res := bonnie.RunWorkload(tb.Sim, "bench", tb.Machines[0].OpenSet(), bonnie.Config{FileSize: 40 << 20})
 //	fmt.Println(res)
 //
 // internal/harness wraps exactly this in a Scenario (RunScenario), the
@@ -51,17 +51,15 @@ const (
 	ServerNone
 )
 
+// serverNames is each server kind's name, as String prints it and
+// harness.ServerByName reads it.
+var serverNames = [...]string{ServerFiler: "filer", ServerLinux: "linux", ServerSlow100: "slow100", ServerNone: "local"}
+
 func (k ServerKind) String() string {
-	switch k {
-	case ServerFiler:
-		return "filer"
-	case ServerLinux:
-		return "linux"
-	case ServerSlow100:
-		return "slow100"
-	default:
-		return "local"
+	if uint(k) < uint(len(serverNames)) {
+		return serverNames[k]
 	}
+	return serverNames[ServerNone]
 }
 
 // Options configures a test bed.
@@ -193,7 +191,7 @@ type Testbed struct {
 	Net *netsim.Network
 
 	// Machines are the client machines, in host order (client0, ...).
-	// The paper's single-client topology is Machine(0).
+	// The paper's single-client topology is Machines[0].
 	Machines []*ClientMachine
 
 	// Server is the mounted server's front-end (nil for ServerNone).
@@ -314,21 +312,3 @@ func NewTestbed(opts Options) *Testbed {
 	}
 	return tb
 }
-
-// Machine returns the i'th client machine.
-func (tb *Testbed) Machine(i int) *ClientMachine { return tb.Machines[i] }
-
-// OpenNFS opens a fresh file on machine 0's NFS mount.
-func (tb *Testbed) OpenNFS() *core.File { return tb.Machines[0].OpenNFS() }
-
-// Open opens a file on the test bed's configured target: local ext2 for
-// ServerNone, NFS otherwise. Multi-client workloads open on a specific
-// machine via Machine(i).Open instead.
-func (tb *Testbed) Open() vfs.File { return tb.Machines[0].Open() }
-
-// OpenExisting opens a cold, pre-populated file of size bytes on machine
-// 0's configured target (the read workloads' starting point).
-func (tb *Testbed) OpenExisting(size int64) vfs.File { return tb.Machines[0].OpenExisting(size) }
-
-// OpenSet returns machine 0's workload openers.
-func (tb *Testbed) OpenSet() vfs.OpenSet { return tb.Machines[0].OpenSet() }
