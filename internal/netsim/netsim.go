@@ -92,6 +92,11 @@ type host struct {
 	// txFreeAt / rxFreeAt serialize this host's uplink and downlink.
 	txFreeAt sim.Time
 	rxFreeAt sim.Time
+	// deliveries queues the datagrams in flight to this host. Each lands
+	// when it clears the downlink, rxFreeAt plus the fixed propagation,
+	// and rxFreeAt only grows, so they come due in the order they were
+	// sent and the kernel keeps only the first in its heap.
+	deliveries sim.Lane
 
 	// Statistics. FramesRecv counts every fragment that physically
 	// arrived — including fragments of datagrams later discarded at
@@ -332,17 +337,19 @@ func (n *Network) Send(dg Datagram) SendResult {
 
 	d := acquireInFlight()
 	d.dst, d.dg, d.frags, d.wire = dst, dg, frags, wire
-	n.s.At(deliverAt, d.fire)
+	n.s.LaneAt(&dst.deliveries, deliverAt, d.fire)
 	res.DeliverAt = deliverAt
 	return res
 }
 
-// inFlight is one datagram between Send and its delivery event. The
-// records are pooled, and each binds its fire callback once, so a send
-// schedules its delivery without allocating a closure. The pool is a
-// sync.Pool rather than a per-network free list: a fleet can have tens of
-// thousands of datagrams queued on a slow link at once, and a free list
-// sized to that peak would outlive the burst.
+// inFlight is one datagram between Send and its delivery event, which
+// waits in the destination's delivery lane. The records are pooled, and
+// each binds its fire callback once, so a send schedules its delivery
+// without allocating a closure. The pool is a sync.Pool rather than a
+// per-network free list: a fleet can have tens of thousands of datagrams
+// queued on a slow link at once — a long lane, but only its head is in
+// the kernel's heap — and a free list sized to that peak would outlive
+// the burst.
 type inFlight struct {
 	dst   *host
 	dg    Datagram

@@ -451,7 +451,7 @@ func (t *Transport) transmit(p *sim.Proc, pc *pendingCall) {
 	}
 	t.send(pc)
 	pc.rto = t.cfg.RetransmitTimeout
-	pc.timer = t.s.After(pc.rto, pc.resend)
+	pc.timer = t.s.AfterFixed(pc.rto, pc.resend)
 }
 
 // send puts one copy of a UDP call on the wire. A copy the network
@@ -492,7 +492,7 @@ func (pc *pendingCall) retransmit() {
 	if pc.rto > t.cfg.MaxRetransmitTimeout {
 		pc.rto = t.cfg.MaxRetransmitTimeout
 	}
-	pc.timer = t.s.After(pc.rto, pc.resend)
+	pc.timer = t.s.AfterFixed(pc.rto, pc.resend)
 }
 
 // softirqLoop drains received datagrams: IP reassembly + UDP receive CPU,

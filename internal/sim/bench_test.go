@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
@@ -109,4 +110,41 @@ func BenchmarkKernelCPUUse(b *testing.B) {
 		b.StopTimer()
 	})
 	s.Run(0)
+}
+
+// BenchmarkKernelSaturatedLink measures the lane path at the fleet
+// server's shape: a 100 Mb/s link kept 1,000 datagrams deep, each armed
+// with a 1.1 s retransmit timer that its delivery cancels, and each
+// delivery sending the next datagram. Deliveries and timers wait in
+// lanes, so the heap holds two heads however deep the link. One op is
+// 1,000 deliveries.
+func BenchmarkKernelSaturatedLink(b *testing.B) {
+	const window = 1000
+	s := sim.New(1)
+	defer s.Close()
+	net := netsim.New(s)
+	payload := make([]byte, 8300)
+	var timers [window]sim.Event
+	sent, delivered, total := 0, 0, b.N*window
+	noop := func() {}
+	send := func() {
+		net.Send(netsim.Datagram{From: "client", To: "server", Payload: payload})
+		timers[sent%window] = s.AfterFixed(1100*time.Millisecond, noop)
+		sent++
+	}
+	net.AddHost("client", saturatedLink, nil)
+	net.AddHost("server", saturatedLink, func(netsim.Datagram) {
+		timers[delivered%window].Cancel()
+		delivered++
+		if sent < total {
+			send()
+		}
+	})
+	for range window {
+		send()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run(0)
+	b.ReportMetric(float64(2*delivered)/b.Elapsed().Seconds(), "events/s")
 }

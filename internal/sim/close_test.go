@@ -56,29 +56,109 @@ func TestCloseEndsParkedProcesses(t *testing.T) {
 }
 
 // A closed sim's event storage is reused by the next New; a stale handle
-// from the closed sim must not cancel the event now occupying its entry.
+// from the closed sim must not cancel the event now occupying its entry,
+// whether that event waited in the heap or in the middle of a lane.
 func TestClosedSimHandleCannotCancelReusedEvent(t *testing.T) {
-	a := New(1)
-	stale := a.At(time.Millisecond, func() { t.Error("closed sim's event fired") })
-	a.Close()
+	var lane Lane
+	for _, c := range []struct {
+		name  string
+		queue func(a *Sim, fn func()) Event
+	}{
+		{"heap", func(a *Sim, fn func()) Event { return a.At(time.Millisecond, fn) }},
+		{"mid-lane", func(a *Sim, fn func()) Event {
+			a.LaneAt(&lane, time.Millisecond, fn)
+			mid := a.LaneAt(&lane, 2*time.Millisecond, fn)
+			a.LaneAt(&lane, 3*time.Millisecond, fn)
+			return mid
+		}},
+	} {
+		a := New(1)
+		stale := c.queue(a, func() { t.Errorf("%s: closed sim's event fired", c.name) })
+		a.Close()
+		if lane != (Lane{}) {
+			t.Fatalf("%s: Close left the lane holding recycled events", c.name)
+		}
 
-	b := New(1)
-	defer b.Close()
-	fired := false
-	fresh := b.At(time.Millisecond, func() { fired = true })
-	if fresh.ev != stale.ev {
-		t.Fatal("New did not reuse the closed sim's event storage; the test proves nothing")
+		b := New(1)
+		fired, reused := 0, false
+		for range 3 {
+			fresh := b.LaneAt(&lane, time.Millisecond, func() { fired++ })
+			reused = reused || fresh.ev == stale.ev
+		}
+		if !reused {
+			t.Fatalf("%s: New did not reuse the closed sim's event storage; the test proves nothing", c.name)
+		}
+		stale.Cancel()
+		b.Run(0)
+		b.Close()
+		if fired != 3 {
+			t.Fatalf("%s: a stale handle canceled a reused event: %d of 3 fired", c.name, fired)
+		}
 	}
-	stale.Cancel()
-	b.Run(0)
-	if !fired {
-		t.Fatal("a stale handle canceled the reused event")
+}
+
+// Close gives every event the simulation allocated back to the spare
+// pool, cleared, wherever it was queued: in the heap, behind a lane's
+// head, at a fixed delay or in the ready FIFO.
+func TestCloseRecyclesEveryEvent(t *testing.T) {
+	spares.mu.Lock()
+	spares.stores = nil // so New starts from an empty pool
+	spares.mu.Unlock()
+
+	s := New(1)
+	fn := func() {}
+	var lane Lane
+	for i := range 300 {
+		s.LaneAt(&lane, Time(i)*time.Microsecond, fn)
+		if i%3 == 0 {
+			s.At(Time(i)*time.Microsecond, fn)
+			s.AfterFixed(Time(i%5)*time.Second, fn)
+		}
+	}
+	q := s.NewWaitQueue("q")
+	for range 20 {
+		s.Go("waiter", func(p *Proc) { q.Wait(p) })
+	}
+	s.Run(100 * time.Microsecond)
+	q.Broadcast() // after the Run, so the wakeups stay in the ready FIFO
+	s.Go("unstarted", func(p *Proc) {})
+	if n := s.QueueLen() - s.HeapLen(); n < 200 {
+		t.Fatalf("only %d events wait outside the heap", n)
+	}
+	allocated := len(s.pool) + s.QueueLen()
+	if allocated == 0 || allocated%eventBlock != 0 {
+		t.Fatalf("%d events pooled or queued, not a whole number of %d-event blocks", allocated, eventBlock)
+	}
+	s.Close()
+	if lane != (Lane{}) || s.ready != (Lane{}) {
+		t.Fatal("Close left a lane or the ready FIFO holding recycled events")
+	}
+	for i := range s.ndelays {
+		if s.delays[i].lane != (Lane{}) {
+			t.Fatalf("Close left fixed-delay lane %v holding recycled events", s.delays[i].d)
+		}
+	}
+
+	st := takeSpare()
+	seen := make(map[*event]bool)
+	for _, ev := range st.pool {
+		if seen[ev] {
+			t.Fatal("an event is pooled twice")
+		}
+		seen[ev] = true
+		if ev.proc != nil || ev.fn != nil || ev.lane != nil || ev.prev != nil || ev.next != nil {
+			t.Fatalf("a pooled event still references a process, callback or lane: %+v", *ev)
+		}
+	}
+	if len(seen) != allocated {
+		t.Fatalf("Close pooled %d of the %d events the simulation allocated", len(seen), allocated)
 	}
 }
 
 // Once the pool and heap have grown, passing control between processes —
-// through Run and inline in park — and returning at the limit allocate
-// nothing, and neither does a sleep that moves the clock in place.
+// through Run, inline in park and through the ready FIFO — and returning
+// at the limit allocate nothing, and neither does a sleep that moves the
+// clock in place.
 func TestSteadyStateHandoffAllocatesNothing(t *testing.T) {
 	if racebuild.Enabled {
 		t.Skip("the race detector instruments coroutine switches")
@@ -90,6 +170,19 @@ func TestSteadyStateHandoffAllocatesNothing(t *testing.T) {
 		s.Go("ticker", func(p *Proc) {
 			for {
 				p.Sleep(d)
+			}
+		})
+	}
+	// Two processes contending for a mutex hand it over through the
+	// ready FIFO.
+	m := s.NewMutex("m")
+	held := NewLabel("held")
+	for range 2 {
+		s.Go("locker", func(p *Proc) {
+			for {
+				m.Lock(p, held)
+				p.Sleep(2 * time.Microsecond)
+				m.Unlock(p)
 			}
 		})
 	}

@@ -15,9 +15,10 @@ import (
 
 // These tests pin the event queue's contract: events fire in (time,
 // schedule-order) order — the exact total order the old container/heap
-// kernel used — the queue holds only live events, and Cancel is safe
-// before, after, and long after an event fires, including once its
-// pooled object has been recycled.
+// kernel used — whether they wait in the heap, in a lane or in the ready
+// FIFO; the queue holds only live events; and Cancel is safe before,
+// after, and long after an event fires, including once its pooled object
+// has been recycled.
 
 // TestSameTimestampFIFO schedules batches at equal timestamps in several
 // interleavings; within a timestamp, firing order must be insertion
@@ -167,7 +168,8 @@ func TestRunLimitIgnoresCanceledEvents(t *testing.T) {
 
 // TestScheduleCancelAllocatesNothing pins the retransmit-timer pattern:
 // once the event pool has grown, arming a timer and canceling it
-// allocates nothing.
+// allocates nothing — in the heap, as a lane's head, behind a lane's
+// head and at a fixed delay.
 func TestScheduleCancelAllocatesNothing(t *testing.T) {
 	if racebuild.Enabled {
 		t.Skip("the race detector adds allocations of its own")
@@ -175,13 +177,28 @@ func TestScheduleCancelAllocatesNothing(t *testing.T) {
 	s := sim.New(1)
 	defer s.Close()
 	fn := func() { t.Error("canceled timer fired") }
-	armCancel := func() { s.After(time.Second, fn).Cancel() }
-	armCancel()
-	if n := testing.AllocsPerRun(100, armCancel); n != 0 {
-		t.Fatalf("a schedule/cancel pair costs %.2f allocations", n)
+	var empty, busy sim.Lane
+	head := s.LaneAt(&busy, time.Second, fn)
+	for _, c := range []struct {
+		name      string
+		armCancel func()
+	}{
+		{"heap", func() { s.After(time.Second, fn).Cancel() }},
+		{"lane head", func() { s.LaneAt(&empty, time.Second, fn).Cancel() }},
+		{"lane tail", func() { s.LaneAt(&busy, 2*time.Second, fn).Cancel() }},
+		{"fixed delay", func() { s.AfterFixed(time.Second, fn).Cancel() }},
+	} {
+		c.armCancel()
+		if n := testing.AllocsPerRun(100, c.armCancel); n != 0 {
+			t.Errorf("%s: a schedule/cancel pair costs %.2f allocations", c.name, n)
+		}
+		if n := s.QueueLen(); n != 1 {
+			t.Errorf("%s: canceled timers left %d events queued beside the lane's standing head", c.name, n-1)
+		}
 	}
+	head.Cancel()
 	if n := s.QueueLen(); n != 0 {
-		t.Fatalf("canceled timers left %d events queued", n)
+		t.Fatalf("%d events queued after the last cancel", n)
 	}
 }
 
@@ -261,11 +278,13 @@ func (h *refHeap) Pop() any {
 
 // TestRandomizedScheduleMatchesReferenceHeap drives the kernel with a
 // pseudo-random schedule — every fired event may spawn children at
-// random future offsets and cancel a pending sibling — and replays the
-// same decision stream through the container/heap reference. The firing
-// sequences must match exactly, and after every step the kernel's queue
-// must hold exactly the live events: those scheduled, not yet fired and
-// not canceled, which the reference counts as its non-dead entries.
+// random future offsets, through At, one of two lanes or a fixed-delay
+// timer, and cancel a pending sibling wherever it waits — and replays
+// the same decision stream through the container/heap reference. The
+// firing sequences must match exactly, and after every step the
+// kernel's queue must hold exactly the live events: those scheduled, not
+// yet fired and not canceled, which the reference counts as its non-dead
+// entries.
 func TestRandomizedScheduleMatchesReferenceHeap(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1234} {
 		const initial = 40
@@ -273,15 +292,21 @@ func TestRandomizedScheduleMatchesReferenceHeap(t *testing.T) {
 
 		// decisions(id) derives an event's behaviour purely from its id,
 		// so the sim run and the reference replay make identical choices.
+		type child struct {
+			delay int64 // microseconds
+			via   int   // 0: At, 1 and 2: a lane, 3: AfterFixed
+		}
 		type decision struct {
-			children []int64 // child delays in microseconds
-			cancel   int     // id of the event to cancel, -1 for none
+			children []child
+			cancel   int // id of the event to cancel, -1 for none
 		}
 		decisions := func(id int) decision {
 			rng := rand.New(rand.NewSource(seed*1_000_003 + int64(id)))
 			var d decision
 			for i, n := 0, rng.Intn(3); i < n; i++ {
-				d.children = append(d.children, int64(rng.Intn(7))) // 0 delays exercise same-timestamp ties
+				// 0 delays exercise same-timestamp ties, and a lane child
+				// due before its lane's tail falls back to the heap.
+				d.children = append(d.children, child{int64(rng.Intn(7)), rng.Intn(4)})
 			}
 			d.cancel = -1
 			if rng.Intn(4) == 0 {
@@ -301,14 +326,16 @@ func TestRandomizedScheduleMatchesReferenceHeap(t *testing.T) {
 			}
 		}
 		nextID := 0
-		var schedule func(delay int64) // schedules the next id at now+delay
-		schedule = func(delay int64) {
+		var lanes [2]sim.Lane
+		var schedule func(c child) // schedules the next id at now+delay
+		schedule = func(c child) {
 			id := nextID
 			nextID++
 			if id >= maxID {
 				return
 			}
-			handles[id] = s.At(s.Now()+sim.Time(delay)*time.Microsecond, func() {
+			at := s.Now() + sim.Time(c.delay)*time.Microsecond
+			fire := func() {
 				simFired = append(simFired, id)
 				delete(pending, id)
 				checkLive("firing")
@@ -320,17 +347,25 @@ func TestRandomizedScheduleMatchesReferenceHeap(t *testing.T) {
 						checkLive("a cancel")
 					}
 				}
-				for _, cd := range d.children {
-					schedule(cd)
+				for _, c := range d.children {
+					schedule(c)
 				}
 				checkLive("scheduling")
 				simLive = append(simLive, s.QueueLen())
-			})
+			}
+			switch c.via {
+			case 0:
+				handles[id] = s.At(at, fire)
+			case 1, 2:
+				handles[id] = s.LaneAt(&lanes[c.via-1], at, fire)
+			default:
+				handles[id] = s.AfterFixed(at-s.Now(), fire)
+			}
 			pending[id] = true
 		}
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < initial; i++ {
-			schedule(int64(rng.Intn(10)))
+			schedule(child{int64(rng.Intn(10)), i % 4})
 		}
 		s.Run(0)
 
@@ -369,8 +404,8 @@ func TestRandomizedScheduleMatchesReferenceHeap(t *testing.T) {
 					victim.dead = true
 				}
 			}
-			for _, cd := range d.children {
-				push(cd)
+			for _, c := range d.children {
+				push(c.delay)
 			}
 			live := 0
 			for _, e := range h {
@@ -406,26 +441,40 @@ func tailof(xs []int, i int) []int {
 }
 
 // The sleep fast path moves the clock in place when a sleeper's own
-// wakeup would be the next event. TestSleepMatchesQueuedReference and
-// FuzzSchedule check it against a reference kernel that always queues
-// the wakeup: processes that sleep, arm and cancel callbacks and spawn
-// processes, callbacks that do the same, and a run split by Run(limit)
-// calls, all driven by one decision stream. The two must act in the
-// same order at the same virtual times, and Run must return the same
-// clock each time.
+// wakeup would be the next event, and lanes and the ready FIFO keep
+// events out of the heap. TestSleepMatchesQueuedReference,
+// TestLanesMatchReference and FuzzSchedule check both against a
+// reference kernel that queues every event and wakeup in one heap:
+// processes that sleep, arm callbacks in the heap or in lanes, cancel
+// them and spawn processes (whose first wakeup is a ready one),
+// callbacks that do the same, and a run split by Run(limit) calls, all
+// driven by one decision stream. The two must act in the same order at
+// the same virtual times, and Run must return the same clock each time.
 
 // A decision is one byte: the op in its low three bits, the argument
 // (a delay in microseconds, or which callback to cancel) in the rest.
-// Processes read opEnd, opArm, opCancel and opSpawn as written and any
-// other op as a sleep; callbacks act on opArm, opCancel and opSpawn and
-// ignore the rest. An exhausted stream reads as opEnd, so every run ends.
+// Processes read opEnd, opArm, opCancel, opSpawn and opLane as written
+// and any other op as a sleep; callbacks act on opArm, opCancel, opSpawn
+// and opLane and ignore the rest. An exhausted stream reads as opEnd, so
+// every run ends. opLane's argument is laneArg's.
 const (
 	opEnd    = 0
 	opSleep  = 1
 	opArm    = 4
 	opCancel = 5
 	opSpawn  = 6
+	opLane   = 7
 )
+
+// laneArg encodes opLane's argument: with fixed false, an arm on lane
+// 0 or 1 at now+delay (delay < 8); with fixed true, AfterFixed(delay)
+// (delay < 16, more distinct delays than the kernel keeps lanes for).
+func laneArg(fixed bool, lane, delay int) int {
+	if fixed {
+		return delay<<1 | 1
+	}
+	return delay<<2 | lane<<1
+}
 
 func decide(op, arg int) byte { return byte(op + arg<<3) }
 
@@ -445,6 +494,8 @@ func scheduleProgram(limits []byte, setup []byte, decisions ...byte) []byte {
 type schedKernel interface {
 	now() int64
 	arm(delay int64, id int)
+	// laneArm arms like arm, on lane 0 or 1, or by AfterFixed for lane -1.
+	laneArm(lane int, delay int64, id int)
 	cancel(id int)
 	spawn(id int)
 }
@@ -496,6 +547,13 @@ func (d *schedDriver) do(k schedKernel, op, arg int) {
 	case opSpawn:
 		d.procs++
 		k.spawn(d.procs - 1)
+	case opLane:
+		d.armed++
+		if arg&1 == 1 {
+			k.laneArm(-1, int64(arg>>1), d.armed-1)
+		} else {
+			k.laneArm(arg>>1&1, int64(arg>>2), d.armed-1)
+		}
 	}
 }
 
@@ -513,7 +571,7 @@ func (d *schedDriver) step(k schedKernel) int64 {
 		switch op {
 		case opEnd:
 			return -1
-		case opArm, opCancel, opSpawn:
+		case opArm, opCancel, opSpawn, opLane:
 			d.do(k, op, arg)
 		default:
 			return int64(arg)
@@ -541,12 +599,23 @@ type simKernel struct {
 	s      *sim.Sim
 	d      *schedDriver
 	events []sim.Event
+	lanes  [2]sim.Lane
 }
 
 func (k *simKernel) now() int64 { return int64(k.s.Now() / time.Microsecond) }
 
 func (k *simKernel) arm(delay int64, id int) {
 	k.events = append(k.events, k.s.After(sim.Time(delay)*time.Microsecond, func() { k.d.fire(k, id) }))
+}
+
+func (k *simKernel) laneArm(lane int, delay int64, id int) {
+	d := sim.Time(delay) * time.Microsecond
+	fire := func() { k.d.fire(k, id) }
+	if lane < 0 {
+		k.events = append(k.events, k.s.AfterFixed(d, fire))
+	} else {
+		k.events = append(k.events, k.s.LaneAt(&k.lanes[lane], k.s.Now()+d, fire))
+	}
 }
 
 func (k *simKernel) cancel(id int) { k.events[id].Cancel() }
@@ -585,8 +654,9 @@ func (k *refKernel) push(at int64, id int, proc bool) *refEvent {
 	return e
 }
 
-func (k *refKernel) arm(delay int64, id int) { k.cbs = append(k.cbs, k.push(k.t+delay, id, false)) }
-func (k *refKernel) cancel(id int)           { k.cbs[id].dead = true }
+func (k *refKernel) arm(delay int64, id int)            { k.cbs = append(k.cbs, k.push(k.t+delay, id, false)) }
+func (k *refKernel) laneArm(_ int, delay int64, id int) { k.arm(delay, id) }
+func (k *refKernel) cancel(id int)                      { k.cbs[id].dead = true }
 func (k *refKernel) spawn(id int) {
 	k.started = append(k.started, false)
 	k.push(k.t, id, true)
@@ -727,8 +797,78 @@ func TestSleepMatchesQueuedReference(t *testing.T) {
 	}
 }
 
+// The hand-written lane schedules, each against its expected trace.
+var laneEdgeCases = []struct {
+	name string
+	data []byte
+	want []string
+}{{
+	// Lane entries fire in time order, and a heap event due at the same
+	// time as lane entries takes its place by schedule order.
+	name: "in order",
+	data: scheduleProgram(nil, []byte{
+		decide(opLane, laneArg(false, 0, 5)), decide(opLane, laneArg(false, 0, 5)),
+		decide(opArm, 5), decide(opLane, laneArg(false, 0, 7))}),
+	want: []string{"5 cb0", "5 cb1", "5 cb2", "7 cb3", "run(0) = 7"},
+}, {
+	// cb1 is due before its lane's tail, so it goes to the heap, and cb2
+	// still queues behind cb0.
+	name: "earlier than the tail",
+	data: scheduleProgram(nil, []byte{
+		decide(opLane, laneArg(false, 0, 6)), decide(opLane, laneArg(false, 0, 4)),
+		decide(opLane, laneArg(false, 0, 6))}),
+	want: []string{"4 cb1", "6 cb0", "6 cb2", "run(0) = 6"},
+}, {
+	// Canceling the head and a middle entry, and then, from cb1, the
+	// tail, leaves cb1 and cb3 linked; cb3 arms cb5 behind itself.
+	name: "cancel head, middle and tail",
+	data: scheduleProgram(nil, []byte{
+		decide(opLane, laneArg(false, 1, 1)), decide(opLane, laneArg(false, 1, 2)),
+		decide(opLane, laneArg(false, 1, 3)), decide(opLane, laneArg(false, 1, 4)),
+		decide(opLane, laneArg(false, 1, 5)),
+		decide(opCancel, 0), decide(opCancel, 2)},
+		decide(opCancel, 4), decide(opLane, laneArg(false, 1, 6))),
+	want: []string{"2 cb1", "4 cb3", "10 cb5", "run(0) = 10"},
+}, {
+	// cb0, firing, cancels its lane's new head cb1; cb2 still fires.
+	name: "cancel from a callback",
+	data: scheduleProgram(nil, []byte{
+		decide(opLane, laneArg(true, 0, 1)), decide(opLane, laneArg(true, 0, 2)),
+		decide(opLane, laneArg(false, 0, 3))},
+		decide(opCancel, 1)),
+	want: []string{"1 cb0", "3 cb2", "run(0) = 3"},
+}, {
+	// p0's first wakeup sits in the ready FIFO between two heap events
+	// due at the same time: it fires after the one scheduled before it
+	// and before the one scheduled after it.
+	name: "ready tie with the heap",
+	data: scheduleProgram(nil, []byte{decide(opArm, 0), decide(opSpawn, 0), decide(opArm, 0)},
+		decide(opEnd, 0), decide(opEnd, 0)),
+	want: []string{"0 cb0", "0 p0 starts", "0 cb1", "run(0) = 0"},
+}, {
+	// Lane heads past Run's limit stay queued; the clock stops at it.
+	name: "lane heads past the limit",
+	data: scheduleProgram([]byte{3}, []byte{
+		decide(opLane, laneArg(false, 0, 2)), decide(opLane, laneArg(false, 0, 7)),
+		decide(opLane, laneArg(true, 0, 15))}),
+	want: []string{"2 cb0", "run(4) = 4", "7 cb1", "15 cb2", "run(0) = 15"},
+}}
+
+// TestLanesMatchReference checks the hand-written lane cases against
+// their expected traces.
+func TestLanesMatchReference(t *testing.T) {
+	for _, c := range laneEdgeCases {
+		if got := checkScheduleMatchesReference(t, c.data); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: trace %q, want %q", c.name, got, c.want)
+		}
+	}
+}
+
 func FuzzSchedule(f *testing.F) {
 	for _, c := range sleepEdgeCases {
+		f.Add(c.data)
+	}
+	for _, c := range laneEdgeCases {
 		f.Add(c.data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -10,18 +10,23 @@
 // without the run-to-run variance the authors complain about in §2.2.
 //
 // The kernel is built for thousand-client fleets (DESIGN.md §12), and
-// each event costs in proportion to the live work. Events live in a
-// pooled 4-ary heap keyed on (time, sequence), so same-timestamp events
-// fire in scheduling order; the heap holds only live events, because
-// Cancel takes a retransmit timer out at once instead of leaving it to
-// come due. A sleep whose wakeup would be the next event anyway, as it
-// is for most CPU charges on a lightly loaded client, moves the clock in
-// place and queues nothing. Other wakeups are heap entries rather than
-// closures, and a parking process runs the event loop itself — one
-// whose own wakeup comes due next resumes without switching at all. CPU
-// time and lock waits are charged to interned Labels, slice indexes
-// rather than string keys. Close ends a simulation's parked processes
-// and hands its event storage to the next New.
+// each event costs in proportion to the live work. Events fire in
+// (time, sequence) order, so same-timestamp events fire in scheduling
+// order. They live in a pooled 4-ary heap that holds only live events,
+// because Cancel takes a retransmit timer out at once instead of
+// leaving it to come due. Runs that arrive already sorted — a link's
+// deliveries, the timers armed at one fixed delay — wait in Lanes, FIFOs
+// of which only the head sits in the heap, so the event loop merges
+// sorted runs rather than sifting every entry; wakeups due now wait in a
+// ready FIFO that never enters the heap at all. A sleep whose wakeup
+// would be the next event anyway, as it is for most CPU charges on a
+// lightly loaded client, moves the clock in place and queues nothing.
+// Other wakeups are queue entries rather than closures, and a parking
+// process runs the event loop itself — one whose own wakeup comes due
+// next resumes without switching at all. CPU time and lock waits are
+// charged to interned Labels, slice indexes rather than string keys.
+// Close ends a simulation's parked processes and hands its event
+// storage to the next New.
 package sim
 
 import (
@@ -40,14 +45,18 @@ type Time = time.Duration
 // (at, seq) order, so same-timestamp events run in the order they were
 // scheduled (FIFO). Fired and canceled events return to the simulator's
 // pool; gen distinguishes a recycled event from the scheduling an Event
-// handle refers to.
+// handle refers to. An event queued in a Lane links to its neighbours
+// there; only a lane's head has a heap index. The struct fills one
+// 64-byte cache line.
 type event struct {
-	at   Time
-	seq  uint64
-	gen  uint32
-	idx  int32 // position in the heap while queued
-	proc *Proc // wakeup target; nil for callback events
-	fn   func()
+	at         Time
+	seq        uint64
+	gen        uint32
+	idx        int32 // position in the heap while queued there; -1 in the ready FIFO
+	proc       *Proc // wakeup target; nil for callback events
+	fn         func()
+	lane       *Lane  // the lane the event waits in; nil for a heap-only event
+	prev, next *event // neighbours in the lane
 }
 
 // Event is a handle to a scheduled callback; it can be canceled before it
@@ -64,10 +73,25 @@ type Event struct {
 // simulation has been closed, is a no-op: the underlying entry has been
 // recycled under a new generation by then.
 func (e Event) Cancel() {
-	if e.ev != nil && e.ev.gen == e.gen {
-		e.s.events.remove(int(e.ev.idx))
-		e.s.recycle(e.ev)
+	if ev := e.ev; ev != nil && ev.gen == e.gen {
+		if ev.lane == nil {
+			e.s.events.remove(int(ev.idx))
+		} else {
+			e.s.unlink(ev)
+		}
+		e.s.recycle(ev)
 	}
+}
+
+// Lane is a FIFO of events whose (at, seq) keys never decrease, such as
+// the deliveries queued behind one link or the timers armed at one fixed
+// delay. Only its head waits in the heap, so the event loop merges
+// already-sorted runs instead of sifting every entry: the firing order
+// is exactly that of one heap, each pop costs the heap one sift-down,
+// and Cancel unlinks an entry in O(1). The zero Lane is empty and ready
+// to use; a Lane belongs to one Sim and must not be copied once used.
+type Lane struct {
+	head, tail *event
 }
 
 // eventQueue is a 4-ary min-heap on (at, seq) that holds only live
@@ -168,6 +192,11 @@ const eventBlock = 128
 // about 0.1 µs and cannot change output: only Go's scheduler sees it.
 const yieldEvery = 128
 
+// delayLanes is how many fixed delays one simulation keeps a lane for
+// (AfterFixed): a UDP retransmit ladder from 1.1 s doubling to the 60 s
+// cap has seven steps.
+const delayLanes = 8
+
 // Sim is a discrete-event simulation instance. It is not safe for use from
 // multiple OS threads; all interaction happens from the Run caller or the
 // process Run has resumed.
@@ -176,11 +205,21 @@ type Sim struct {
 	seq    uint64
 	seed   int64
 	events eventQueue
-	fired  uint64   // events popped, for yieldEvery
-	pool   []*event // recycled event entries
-	limit  Time     // current Run's time limit (0 = none)
-	rng    *rand.Rand
-	prof   *Profiler
+	// ready holds the process wakeups due now (Go and every unpark). Its
+	// head never enters the heap: the event loop compares it with the
+	// heap's head directly.
+	ready Lane
+	// delays are AfterFixed's lanes, claimed by delay in first-use order.
+	delays [delayLanes]struct {
+		d    Time
+		lane Lane
+	}
+	ndelays int      // how many of delays are claimed
+	fired   uint64   // events popped, for yieldEvery
+	pool    []*event // recycled event entries
+	limit   Time     // current Run's time limit (0 = none)
+	rng     *rand.Rand
+	prof    *Profiler
 
 	procSeq int
 	procs   []*Proc // live (spawned, unterminated) processes
@@ -230,6 +269,9 @@ func (s *Sim) recycle(ev *event) {
 	ev.gen++
 	ev.proc = nil
 	ev.fn = nil
+	if ev.lane != nil {
+		ev.lane, ev.prev, ev.next = nil, nil, nil
+	}
 	s.pool = append(s.pool, ev)
 }
 
@@ -248,16 +290,110 @@ func (s *Sim) At(t Time, fn func()) Event {
 // After schedules fn to run d from now.
 func (s *Sim) After(d Time, fn func()) Event { return s.At(s.now+d, fn) }
 
-// wake schedules a process wakeup at absolute time t — the allocation-free
-// path behind a queued Sleep and every unpark.
-func (s *Sim) wake(t Time, p *Proc) {
+// LaneAt schedules fn at absolute virtual time t (clamped to now) at the
+// tail of lane l. It fires exactly when At would fire it. A time earlier
+// than the lane's tail — a delivery that drew less jitter than the one
+// before it — is scheduled by At instead, outside the lane.
+func (s *Sim) LaneAt(l *Lane, t Time, fn func()) Event {
+	tail := l.tail
+	if tail != nil && t < tail.at {
+		return s.At(t, fn)
+	}
 	if t < s.now {
 		t = s.now
 	}
 	ev := s.alloc()
+	ev.at, ev.seq, ev.fn = t, s.seq, fn
+	s.seq++
+	ev.lane, ev.prev, l.tail = l, tail, ev
+	if tail == nil {
+		l.head = ev
+		s.events.push(ev)
+	} else {
+		tail.next = ev
+	}
+	return Event{s: s, ev: ev, gen: ev.gen}
+}
+
+// AfterFixed schedules fn to run d from now, like After, for a timer
+// armed over and over at one fixed delay, such as a retransmit timeout
+// and each of its backoffs. Timers armed at the same delay come due in
+// the order they were armed, so they share a lane; the first delayLanes
+// distinct delays get one each, and any other goes to the heap.
+func (s *Sim) AfterFixed(d Time, fn func()) Event {
+	l := s.delayLane(d)
+	if l == nil {
+		return s.After(d, fn)
+	}
+	return s.LaneAt(l, s.now+d, fn)
+}
+
+// delayLane returns the lane for timers at fixed delay d, claiming a free
+// one on first use, or nil when every lane serves another delay.
+func (s *Sim) delayLane(d Time) *Lane {
+	for i := range s.ndelays {
+		if s.delays[i].d == d {
+			return &s.delays[i].lane
+		}
+	}
+	if s.ndelays == delayLanes {
+		return nil
+	}
+	dl := &s.delays[s.ndelays]
+	s.ndelays++
+	dl.d = d
+	return &dl.lane
+}
+
+// unlink takes an event out of its lane or the ready FIFO. A lane
+// head's successor takes its heap slot; its key is larger, so it can
+// only sift down.
+func (s *Sim) unlink(ev *event) {
+	l := ev.lane
+	prev, next := ev.prev, ev.next
+	if prev == nil {
+		l.head = next
+		if ev.idx >= 0 {
+			if next != nil {
+				s.events.down(int(ev.idx), next)
+			} else {
+				s.events.remove(int(ev.idx))
+			}
+		}
+	} else {
+		prev.next = next
+	}
+	if next == nil {
+		l.tail = prev
+	} else {
+		next.prev = prev
+	}
+}
+
+// wake schedules a process wakeup at time t, later than now — the
+// allocation-free path behind a queued Sleep.
+func (s *Sim) wake(t Time, p *Proc) {
+	ev := s.alloc()
 	ev.at, ev.seq, ev.proc = t, s.seq, p
 	s.seq++
 	s.events.push(ev)
+}
+
+// wakeNow schedules a process wakeup at the current time, at the tail of
+// the ready FIFO. Ready entries are due now and were scheduled in seq
+// order, so the FIFO is sorted; it never feeds the heap.
+func (s *Sim) wakeNow(p *Proc) {
+	ev := s.alloc()
+	ev.at, ev.seq, ev.proc, ev.idx = s.now, s.seq, p, -1
+	s.seq++
+	l := &s.ready
+	ev.lane, ev.prev = l, l.tail
+	if l.tail == nil {
+		l.head = ev
+	} else {
+		l.tail.next = ev
+	}
+	l.tail = ev
 }
 
 // schedule runs the event loop: it pops and executes events until a
@@ -266,13 +402,25 @@ func (s *Sim) wake(t Time, p *Proc) {
 // caller or inline in a parking process; a panic in a callback unwinds
 // whichever of the two that is.
 func (s *Sim) schedule() *Proc {
-	for len(s.events) > 0 {
-		next := s.events[0]
+	for {
+		var next *event
+		if len(s.events) > 0 {
+			next = s.events[0]
+			if r := s.ready.head; r != nil && eventLess(r, next) {
+				next = r
+			}
+		} else if next = s.ready.head; next == nil {
+			return nil
+		}
 		if s.pastLimit(next.at) {
 			s.now = s.limit
 			return nil
 		}
-		s.events.remove(0)
+		if next.lane == nil {
+			s.events.remove(0)
+		} else {
+			s.unlink(next)
+		}
 		s.now = next.at
 		s.tick()
 		p, fn := next.proc, next.fn
@@ -285,7 +433,6 @@ func (s *Sim) schedule() *Proc {
 		}
 		fn()
 	}
-	return nil
 }
 
 // pastLimit reports whether time t lies beyond the current Run's limit,
@@ -350,11 +497,25 @@ func (s *Sim) Close() {
 		}
 	}
 	for _, ev := range s.events {
-		s.recycle(ev)
+		s.recycleLane(ev)
 	}
+	s.recycleLane(s.ready.head)
 	clear(s.events)
 	putSpare(eventStore{heap: s.events[:0], pool: s.pool, procs: s.procs})
 	s.events, s.pool, s.procs = nil, nil, nil
+}
+
+// recycleLane recycles ev and, when it heads a lane, every event behind
+// it, and empties the lane.
+func (s *Sim) recycleLane(ev *event) {
+	if ev != nil && ev.lane != nil {
+		*ev.lane = Lane{}
+	}
+	for ev != nil {
+		next := ev.next
+		s.recycle(ev)
+		ev = next
+	}
 }
 
 // retire removes an ended process from the live set.
@@ -441,7 +602,7 @@ func (s *Sim) Go(name string, fn func(p *Proc)) *Proc {
 		defer p.exit()
 		fn(p)
 	})
-	s.wake(s.now, p)
+	s.wakeNow(p)
 	return p
 }
 
@@ -472,21 +633,21 @@ func (p *Proc) park() {
 
 // Sleep advances the process's virtual time by d without consuming a CPU
 // (used for pure waiting: wire propagation, timers). When the wakeup would
-// be the next event anyway — the queue is empty or its head is strictly
-// later, and Run's limit does not stop the clock first — Sleep moves the
-// clock in place: no queue entry, no event loop, no switch. The wakeup
-// still counts as a fired event, so the loop yields to the Go scheduler
-// as often as before. A tie with the head queues, so same-timestamp
-// events keep their FIFO order; the fast path takes no sequence number,
-// and sequence numbers are only ever compared, so every other event fires
-// in the same order as if the wakeup had been queued.
+// be the next event anyway — no wakeup is ready, the heap is empty or its
+// head is strictly later, and Run's limit does not stop the clock first —
+// Sleep moves the clock in place: no queue entry, no event loop, no
+// switch. The wakeup still counts as a fired event, so the loop yields to
+// the Go scheduler as often as before. A tie with the head queues, so
+// same-timestamp events keep their FIFO order; the fast path takes no
+// sequence number, and sequence numbers are only ever compared, so every
+// other event fires in the same order as if the wakeup had been queued.
 func (p *Proc) Sleep(d Time) {
 	if d <= 0 {
 		return
 	}
 	s := p.s
 	t := s.now + d
-	if (len(s.events) == 0 || s.events[0].at > t) && !s.pastLimit(t) {
+	if s.ready.head == nil && (len(s.events) == 0 || s.events[0].at > t) && !s.pastLimit(t) {
 		s.now = t
 		s.tick()
 		return
@@ -569,7 +730,7 @@ func (m *Mutex) Unlock(p *Proc) {
 	next := popWaiter(&m.waiters)
 	m.holder = next
 	m.lockedAt = m.s.now
-	m.s.wake(m.s.now, next)
+	m.s.wakeNow(next)
 }
 
 // Relabel renames the critical section p is executing while holding the
@@ -628,7 +789,7 @@ func (sem *Semaphore) Acquire(p *Proc) {
 func (sem *Semaphore) Release() {
 	if len(sem.waiters) > 0 {
 		next := popWaiter(&sem.waiters)
-		sem.s.wake(sem.s.now, next)
+		sem.s.wakeNow(next)
 		return
 	}
 	sem.free++
@@ -663,14 +824,14 @@ func (q *WaitQueue) Signal() {
 		return
 	}
 	next := popWaiter(&q.waiters)
-	q.s.wake(q.s.now, next)
+	q.s.wakeNow(next)
 }
 
 // Broadcast wakes every waiter. Waking only schedules, so the waiters
 // array is emptied in place and reused by the next Wait.
 func (q *WaitQueue) Broadcast() {
 	for _, p := range q.waiters {
-		q.s.wake(q.s.now, p)
+		q.s.wakeNow(p)
 	}
 	clear(q.waiters)
 	q.waiters = q.waiters[:0]

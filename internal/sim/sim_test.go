@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -506,5 +507,12 @@ func TestCPUJitterBounded(t *testing.T) {
 	}
 	if min == max {
 		t.Fatal("jitter had no effect")
+	}
+}
+
+// An event, lane links included, fits in one 64-byte cache line.
+func TestEventFitsCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n > 64 {
+		t.Fatalf("an event takes %d bytes", n)
 	}
 }
