@@ -8,7 +8,6 @@ import (
 
 	nfssim "repro"
 	"repro/internal/harness"
-	"repro/internal/server"
 	"repro/internal/sim"
 )
 
@@ -140,39 +139,23 @@ func fireEvent(tb *nfssim.Testbed, kind nfssim.ServerKind, ev Event) string {
 		tb.Sim.After(ev.For, func() { tb.Net.SetLoss(base) })
 		line += " jitter=" + ev.Jitter.String() + " for=" + ev.For.String()
 	case "disk_degrade":
-		disk := serverDisk(tb)
-		disk.SetSlowFactor(ev.Factor)
+		backend := tb.Server.Backend()
+		backend.SetDiskSlowFactor(ev.Factor)
 		line += " factor=" + strconv.FormatFloat(ev.Factor, 'g', -1, 64)
 		if ev.For > 0 {
-			tb.Sim.After(ev.For, func() { disk.SetSlowFactor(1) })
+			tb.Sim.After(ev.For, func() { backend.SetDiskSlowFactor(1) })
 			line += " for=" + ev.For.String()
 		}
 	}
 	return line
 }
 
-// serverDisk returns the backend's drain device.
-func serverDisk(tb *nfssim.Testbed) interface{ SetSlowFactor(float64) } {
-	if tb.Filer != nil {
-		return tb.Filer.Disk()
-	}
-	return tb.Linux.Disk()
-}
-
-// durability returns the backend's DurabilityTracker.
-func durability(tb *nfssim.Testbed) server.DurabilityTracker {
-	if tb.Filer != nil {
-		return tb.Filer
-	}
-	return tb.Linux
-}
-
 // gather collects recovery accounting from the finished (or abandoned)
 // test bed.
 func (r *Report) gather(tb *nfssim.Testbed) {
-	dt := durability(tb)
-	r.LostBytes = dt.LostBytes()
-	r.ReplayedBytes = dt.ReplayedBytes()
+	backend := tb.Server.Backend()
+	r.LostBytes = backend.LostBytes()
+	r.ReplayedBytes = backend.ReplayedBytes()
 	r.Crashes = tb.Server.Crashes
 	for _, m := range tb.Machines {
 		if m.Client != nil {
@@ -266,12 +249,12 @@ func (r *Report) checkNoDataLoss(tb *nfssim.Testbed, runErr error) (bool, string
 	if runErr != nil {
 		return false, "run errored: " + runErr.Error()
 	}
-	dt := durability(tb)
+	backend := tb.Server.Backend()
 	var files int
 	var ackedBytes int64
 	for _, fh := range tb.Server.CoverageFiles() {
 		received := tb.Server.Coverage(fh)
-		stable := dt.StableCoverage(fh)
+		stable := backend.StableCoverage(fh)
 		for _, rng := range received.Ranges() {
 			if !stable.Contains(rng.Start, rng.End) {
 				return false, fmt.Sprintf(

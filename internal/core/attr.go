@@ -260,7 +260,6 @@ func (c *Client) Remove(p *sim.Proc, name string) bool {
 		delete(c.namedInodes, name)
 		if ino.refs == 0 {
 			ino.cached = rangeset.Set{}
-			ino.hash = nil
 		}
 	}
 	c.RemoveRPCs++

@@ -8,7 +8,6 @@ import (
 	"repro/internal/rangeset"
 	"repro/internal/rpcsim"
 	"repro/internal/sim"
-	"repro/internal/vfs"
 	"repro/internal/xdr"
 )
 
@@ -59,10 +58,8 @@ type Client struct {
 	HardBlocks  int64 // writer sleeps on the per-mount hard limit
 	RPCsSent    int64
 	PagesSent   int64
-	// ReadRPCs counts READ calls issued (demand and readahead);
-	// PagesReadRPC counts the pages they fetched.
-	ReadRPCs     int64
-	PagesReadRPC int64
+	// ReadRPCs counts READ calls issued (demand and readahead).
+	ReadRPCs int64
 	// CommitRPCs counts COMMIT calls issued (fsync/close durability after
 	// UNSTABLE write replies — the group-commit cost §3.6 is about).
 	CommitRPCs int64
@@ -95,7 +92,6 @@ type Client struct {
 
 // Inode is one file's client-side write state (struct inode + nfs_inode).
 type Inode struct {
-	c    *Client
 	FH   nfsproto.FileHandle
 	size int64
 
@@ -115,9 +111,8 @@ type Inode struct {
 	hasChange  bool
 	staleOpen  bool
 
-	// reqs is the sorted pending-request list; hash is the fix-2 index.
+	// reqs is the sorted pending-request list; it answers every lookup.
 	reqs reqList
-	hash map[int64]*Request
 
 	inflightPages int
 	flushWait     *sim.WaitQueue
@@ -206,16 +201,15 @@ func (c *Client) SetChangeProbe(probe func(nfsproto.FileHandle) (uint64, bool)) 
 // into a fresh file so that no reads are needed, §2.3).
 func (c *Client) Open() *File {
 	c.nextFH++
-	ino := &Inode{
-		c:         c,
-		FH:        nfsproto.MakeFileHandle(c.cfg.FSID, c.nextFH),
-		flushWait: c.s.NewWaitQueue("nfs-inode-flush"),
-	}
-	if c.cfg.IndexPolicy == IndexHashTable {
-		ino.hash = make(map[int64]*Request)
-	}
+	return &File{c: c, ino: c.newInode(nfsproto.MakeFileHandle(c.cfg.FSID, c.nextFH))}
+}
+
+// newInode builds an inode for handle fh and adds it to the flushd scan
+// table.
+func (c *Client) newInode(fh nfsproto.FileHandle) *Inode {
+	ino := &Inode{FH: fh, flushWait: c.s.NewWaitQueue("nfs-inode-flush")}
 	c.inodes = append(c.inodes, ino)
-	return &File{c: c, ino: ino}
+	return ino
 }
 
 // Config returns the client's configuration.
@@ -248,13 +242,12 @@ func (c *Client) releaseInode(ino *Inode) {
 		panic("core: releasing an inode with outstanding requests")
 	}
 	c.removeFromTable(ino)
-	// Drop the resident-page set and the fix-2 index even if the File
-	// object lingers in caller hands (reads/writes after close panic
-	// anyway). pendingReads and readWait stay: trailing readahead RPCs
-	// the reader never waited for may still be in flight, and their
-	// readDone completions must land harmlessly.
+	// Drop the resident-page set even if the File object lingers in
+	// caller hands (reads/writes after close panic anyway). pendingReads
+	// and readWait stay: trailing readahead RPCs the reader never waited
+	// for may still be in flight, and their readDone completions must
+	// land harmlessly.
 	ino.cached = rangeset.Set{}
-	ino.hash = nil
 }
 
 // removeFromTable takes an inode out of the flushd scan table. Ordered
@@ -275,12 +268,11 @@ func (c *Client) removeFromTable(ino *Inode) {
 }
 
 // closeInode is the last-close bookkeeping. Anonymous inodes (Open)
-// are fully released: pages dropped, index freed. Named inodes
-// (OpenByName) behave like the kernel's inode cache instead: the final
-// close removes the file from flushd's scan table but keeps its
-// resident pages, fix-2 index and change-attribute state for the next
-// open of the same name — which is what makes cross-client staleness
-// observable at all. A named inode whose name no longer resolves to it
+// are fully released: pages dropped. Named inodes (OpenByName) behave
+// like the kernel's inode cache instead: the final close removes the
+// file from flushd's scan table but keeps its resident pages and
+// change-attribute state for the next open of the same name — which is
+// what makes cross-client staleness observable at all. A named inode whose name no longer resolves to it
 // (unlinked, possibly re-created, while open) is released like an
 // anonymous one.
 func (c *Client) closeInode(ino *Inode) {
@@ -315,18 +307,9 @@ func (c *Client) namedInode(name string, fh nfsproto.FileHandle) *Inode {
 		ino.refs++
 		return ino
 	}
-	ino := &Inode{
-		c:         c,
-		FH:        fh,
-		name:      name,
-		refs:      1,
-		flushWait: c.s.NewWaitQueue("nfs-inode-flush"),
-	}
-	if c.cfg.IndexPolicy == IndexHashTable {
-		ino.hash = make(map[int64]*Request)
-	}
+	ino := c.newInode(fh)
+	ino.name, ino.refs = name, 1
 	c.namedInodes[name] = ino
-	c.inodes = append(c.inodes, ino)
 	return ino
 }
 
@@ -374,18 +357,17 @@ func (c *Client) noteChange(ino *Inode, attrs nfsproto.FileAttrs) {
 // the per-inode count MAX_REQUEST_SOFT bounds.
 func (ino *Inode) Outstanding() int { return ino.reqs.Len() + ino.inflightPages }
 
-// lookupCost charges one _nfs_find_request-equivalent lookup for the
-// given inode and returns the located request, if any.
+// lookup charges one _nfs_find_request-equivalent lookup for the given
+// inode and returns the located request, if any: the scan's cost, or one
+// hash probe under IndexHashTable (fix 2).
 func (c *Client) lookup(p *sim.Proc, ino *Inode, page int64) *Request {
-	switch c.cfg.IndexPolicy {
-	case IndexHashTable:
+	r, scanned := ino.reqs.Find(page)
+	if c.cfg.IndexPolicy == IndexHashTable {
 		c.cpu.Use(p, labelNFSFindRequestHash, c.cfg.Costs.HashLookup)
-		return ino.hash[page]
-	default:
-		r, scanned := ino.reqs.Find(page)
+	} else {
 		c.cpu.Use(p, labelNFSFindRequest, sim.Time(scanned)*c.cfg.Costs.ListScanPerEntry)
-		return r
 	}
+	return r
 }
 
 // commitPage is nfs_commit_write: record one page-sized request under the
@@ -414,12 +396,9 @@ func (c *Client) commitPage(p *sim.Proc, ino *Inode, page int64, offset, count i
 		ino.markResident(page)
 		if existing == nil {
 			r := &Request{Page: page, Offset: offset, Count: count, CreatedAt: c.s.Now()}
-			if c.cfg.IndexPolicy == IndexHashTable {
-				ino.hash[page] = r
-				ino.reqs.Insert(r)
-			} else {
+			scanned := ino.reqs.Insert(r)
+			if c.cfg.IndexPolicy == IndexLinearList {
 				// The real code walks the sorted list again to insert.
-				scanned := ino.reqs.Insert(r)
 				c.cpu.Use(p, labelNFSUpdateRequestScan, sim.Time(scanned)*c.cfg.Costs.ListScanPerEntry)
 			}
 			c.mountRequests++
@@ -430,15 +409,7 @@ func (c *Client) commitPage(p *sim.Proc, ino *Inode, page int64, offset, count i
 			// Overlapping or adjacent: extend the cached request in place
 			// (the client "usually caches only a single write request per
 			// page to maintain write ordering").
-			before := existing.Count
-			if offset < existing.Offset {
-				existing.Count += existing.Offset - offset
-				existing.Offset = offset
-			}
-			if end := offset + count; end > existing.Offset+existing.Count {
-				existing.Count = end - existing.Offset
-			}
-			grown := existing.Count - before
+			grown := existing.widen(offset, count)
 			c.bkl.Unlock(p)
 			return grown
 		}
@@ -533,11 +504,6 @@ func (c *Client) sendOne(p *sim.Proc, ino *Inode, ticket *flushTicket) int {
 	if len(run) == 0 {
 		c.bkl.Unlock(p)
 		return 0
-	}
-	if c.cfg.IndexPolicy == IndexHashTable {
-		for _, r := range run {
-			delete(ino.hash, r.Page)
-		}
 	}
 	ino.inflightPages += len(run)
 	c.bkl.Unlock(p)
@@ -671,30 +637,13 @@ func (c *Client) redirtyUnstable(ino *Inode) int64 {
 // existing request on the page is widened to the union (no flush of
 // "incompatible" requests is possible in event context).
 func (c *Client) queueRewrite(ino *Inode, page int64, offset, count int) {
-	var existing *Request
-	if c.cfg.IndexPolicy == IndexHashTable {
-		existing = ino.hash[page]
-	} else {
-		existing, _ = ino.reqs.Find(page)
-	}
-	if existing != nil {
-		before := existing.Count
-		if offset < existing.Offset {
-			existing.Count += existing.Offset - offset
-			existing.Offset = offset
-		}
-		if end := offset + count; end > existing.Offset+existing.Count {
-			existing.Count = end - existing.Offset
-		}
-		if grown := existing.Count - before; grown > 0 && c.cfg.FlushPolicy == FlushCacheAll {
+	if existing, _ := ino.reqs.Find(page); existing != nil {
+		if grown := existing.widen(offset, count); grown > 0 && c.cfg.FlushPolicy == FlushCacheAll {
 			c.cache.ForceDirty(int64(grown))
 		}
 		return
 	}
 	r := &Request{Page: page, Offset: offset, Count: count, CreatedAt: c.s.Now()}
-	if c.cfg.IndexPolicy == IndexHashTable {
-		ino.hash[page] = r
-	}
 	ino.reqs.Insert(r)
 	c.mountRequests++
 	if c.cfg.FlushPolicy == FlushCacheAll {
@@ -712,29 +661,6 @@ func (c *Client) flushInodeSync(p *sim.Proc, ino *Inode) {
 			continue
 		}
 		ino.flushWait.Wait(p)
-	}
-}
-
-// writeSyncSpan is nfs_writepage_sync: an O_SYNC page write, sent as a
-// stable WRITE that blocks until the server has made it durable. The
-// page stays resident afterwards like any other written page.
-func (c *Client) writeSyncSpan(p *sim.Proc, ino *Inode, span vfs.PageSpan) {
-	ino.markResident(span.Page)
-	args := nfsproto.WriteArgs{
-		File:   ino.FH,
-		Offset: uint64(span.Page)*uint64(pageSize) + uint64(span.Offset),
-		Count:  uint32(span.Count),
-		Stable: nfsproto.FileSync,
-		Data:   nfsproto.Zeroes(span.Count),
-	}
-	c.RPCsSent++
-	c.PagesSent++
-	res, err := rpcsim.CallSync(c.tr, p, nfsproto.ProcWrite, args.Encode, nfsproto.DecodeWriteRes)
-	if err != nil || res.Status != nfsproto.NFS3OK {
-		panic(fmt.Sprintf("core: sync WRITE failed: %v %v", res, err))
-	}
-	if res.Committed == nfsproto.Unstable {
-		panic("core: server answered a FILE_SYNC write with UNSTABLE")
 	}
 }
 

@@ -11,7 +11,9 @@
 //     _nfs_find_request from both nfs_find_request and nfs_update_request
 //     (IndexLinearList), or supplemented by a hash table keyed on
 //     (inode, page offset) at a cost of "eight bytes per request and eight
-//     bytes per inode" (IndexHashTable — fix 2).
+//     bytes per inode" (IndexHashTable — fix 2). Fix 2 is modeled as a
+//     cost: one sorted list answers every lookup, and the policy picks
+//     whether a lookup is charged the scan or one hash probe.
 //   - The 2.4.4 memory-bounding limits: MAX_REQUEST_SOFT = 192 per inode
 //     (writer synchronously flushes everything and waits) and
 //     MAX_REQUEST_HARD = 256 per mount (writer sleeps)
@@ -61,7 +63,8 @@ func (f FlushPolicy) String() string {
 	return "2.4.4-limits"
 }
 
-// IndexPolicy selects the pending-request lookup structure.
+// IndexPolicy selects which pending-request lookup structure the cost
+// model charges for.
 type IndexPolicy int
 
 const (
@@ -69,7 +72,8 @@ const (
 	// scanned linearly on every lookup.
 	IndexLinearList IndexPolicy = iota
 	// IndexHashTable is fix 2: a hash table keyed by (inode, page offset)
-	// supplements the list, making lookups O(1).
+	// supplements the list, making lookups O(1). The client charges a
+	// lookup HashLookup instead of the scan and skips the insert scan.
 	IndexHashTable
 )
 

@@ -446,38 +446,6 @@ func TestSMPvsUP(t *testing.T) {
 	}
 }
 
-// O_SYNC writes: every write is a stable RPC that waits for the reply, so
-// nothing is ever left cached and the linux server's page cache is clean
-// after each call.
-func TestSyncWrites(t *testing.T) {
-	tb := newBed(t, nfssim.ServerLinux, core.EnhancedConfig())
-	f := tb.Machines[0].OpenNFS()
-	f.SetSync(true)
-	var perCall time.Duration
-	tb.Sim.Go("w", func(p *sim.Proc) {
-		t0 := tb.Sim.Now()
-		for i := 0; i < 8; i++ {
-			f.Write(p, 8192)
-		}
-		perCall = (tb.Sim.Now() - t0) / 8
-		if tb.Machines[0].Client.MountRequests() != 0 {
-			t.Error("sync writes left cached requests")
-		}
-		if serverDirty(tb) != 0 {
-			t.Error("sync writes left server dirty data")
-		}
-	})
-	tb.Sim.Run(time.Minute)
-	// A sync write to the linux server includes a disk wait: orders of
-	// magnitude slower than the ~65µs async path.
-	if perCall < 500*time.Microsecond {
-		t.Fatalf("sync write per-call %v suspiciously fast", perCall)
-	}
-	if tb.Server.Commits != 0 {
-		t.Fatal("sync writes should not need COMMIT")
-	}
-}
-
 // §3.6: "applications regain control sooner after they flush or close a
 // file when writing to a faster server" — compare close-inclusive
 // throughput on sync-heavy workloads.

@@ -12,13 +12,6 @@ func (c *Client) MountRequests() int { return c.mountRequests }
 // (for tests pinning the last-close release).
 func (c *Client) OpenInodes() int { return len(c.inodes) }
 
-// SetSync switches the file to O_SYNC semantics: every write() is sent to
-// the server as a stable (FILE_SYNC) WRITE and waits for the reply, like
-// nfs_writepage_sync. The paper contrasts this class of workload in §3.6:
-// "where applications require data permanence before a write() system
-// call returns, the Network Appliance filer ... performs better".
-func (f *File) SetSync(sync bool) { f.sync = sync }
-
 // CachedPages returns how many resident pages the inode holds — pages
 // filled by READ replies or dirtied by writes (for tests).
 func (ino *Inode) CachedPages() int { return int(ino.cached.Total()) }

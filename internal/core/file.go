@@ -14,7 +14,6 @@ type File struct {
 	c       *Client
 	ino     *Inode
 	readPos int64
-	sync    bool
 	closed  bool
 
 	// name is set for files opened through the namespace (OpenByName);
@@ -40,10 +39,6 @@ func (f *File) WriteAt(p *sim.Proc, off int64, n int) {
 		panic("core: negative write offset or length")
 	}
 	vfs.WriteSyscall(p, f.c.cpu, f.c.cfg.VFS, off, n, func(span vfs.PageSpan) {
-		if f.sync {
-			f.c.writeSyncSpan(p, f.ino, span)
-			return
-		}
 		f.c.chargeSpan(p, span.Count)
 		netNew := f.c.commitPage(p, f.ino, span.Page, span.Offset, span.Count)
 		f.c.creditSurplus(span.Count, netNew)

@@ -113,7 +113,6 @@ func (c *Client) sendReadRPC(p *sim.Proc, ino *Inode, page int64, pages int) {
 	}
 	args := nfsproto.ReadArgs{File: ino.FH, Offset: uint64(off), Count: uint32(count)}
 	c.ReadRPCs++
-	c.PagesReadRPC += int64(pages)
 	c.tr.Call(p, nfsproto.ProcRead, args.Encode, func(d *xdr.Decoder) {
 		c.readDone(ino, page, pages, int(count), d)
 	})

@@ -27,6 +27,21 @@ func (r *Request) Start() int64 { return r.Page*pageSize + int64(r.Offset) }
 // End returns the absolute byte offset one past the request's data.
 func (r *Request) End() int64 { return r.Start() + int64(r.Count) }
 
+// widen grows the request to the union of its bytes and the overlapping
+// or adjacent span [offset, offset+count) of the same page, and returns
+// how many bytes it grew by.
+func (r *Request) widen(offset, count int) int {
+	before := r.Count
+	if offset < r.Offset {
+		r.Count += r.Offset - offset
+		r.Offset = offset
+	}
+	if end := offset + count; end > r.Offset+r.Count {
+		r.Count = end - r.Offset
+	}
+	return r.Count - before
+}
+
 const pageSize = 4096
 
 // reqList is the per-inode request list, "maintained in order of

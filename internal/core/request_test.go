@@ -176,22 +176,26 @@ func (r *refList) popRun(maxBytes int) ([]*Request, int) {
 
 // Property: interleaved inserts (some before the front), lookups and run
 // pops on the queue-backed list return the same requests and the same
-// modeled scan counts as the plain sorted slice.
+// modeled scan counts as the plain sorted slice, and after every step
+// Find returns the same request for each page as a page-keyed map does.
 func TestReqListMatchesSortedSlice(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var l reqList
 		var ref refList
-		used := map[int64]bool{}
+		// hash is a page-keyed index kept the way a fix-2 hash table
+		// beside the list would be: set on every insert, cleared for
+		// every member of a popped run. Find must return what it holds.
+		hash := map[int64]*Request{}
 		for step := 0; step < 400; step++ {
 			switch op := rng.Intn(10); {
 			case op < 5:
 				pg := int64(rng.Intn(200))
-				if used[pg] {
+				if hash[pg] != nil {
 					continue
 				}
-				used[pg] = true
 				q := req(pg)
+				hash[pg] = q
 				if l.Insert(q) != ref.insert(q) {
 					return false
 				}
@@ -218,11 +222,16 @@ func TestReqListMatchesSortedSlice(t *testing.T) {
 					if run[i] != wantRun[i] {
 						return false
 					}
-					delete(used, run[i].Page)
+					delete(hash, run[i].Page)
 				}
 			}
-			if l.Len() != len(ref) {
+			if l.Len() != len(ref) || l.Len() != len(hash) {
 				return false
+			}
+			for pg := int64(0); pg < 200; pg++ {
+				if got, _ := l.Find(pg); got != hash[pg] {
+					return false
+				}
 			}
 		}
 		return true

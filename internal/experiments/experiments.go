@@ -239,9 +239,9 @@ var PaperSizesMB, _ = harness.ParseSizes("25..450:25")
 // SweepSeries splits Figure 1/7 rows into the three write-phase
 // throughput curves (KB/s vs MB), in plot order.
 func SweepSeries(rows []harness.Result) (linux, filer, local *stats.Series) {
-	linux = &stats.Series{Name: "Linux NFS server", XLabel: "MB", YLabel: "KB/s"}
-	filer = &stats.Series{Name: "Netapp filer", XLabel: "MB", YLabel: "KB/s"}
-	local = &stats.Series{Name: "local ext2", XLabel: "MB", YLabel: "KB/s"}
+	linux = &stats.Series{Name: "Linux NFS server"}
+	filer = &stats.Series{Name: "Netapp filer"}
+	local = &stats.Series{Name: "local ext2"}
 	byServer := map[string]*stats.Series{"linux": linux, "filer": filer, "local": local}
 	for _, r := range rows {
 		byServer[r.Server].Add(float64(r.FileMB), r.WriteKBps)

@@ -83,7 +83,6 @@ func DefaultGigabit() LinkConfig {
 }
 
 type host struct {
-	name    string
 	cfg     LinkConfig
 	handler Handler
 	// down marks the host's link administratively down (chaos link_down):
@@ -192,7 +191,7 @@ func (n *Network) AddHost(name string, cfg LinkConfig, h Handler) {
 	if cfg.Bandwidth <= 0 || cfg.MTU <= IPHeader+UDPHeader {
 		panic("netsim: bad link config for " + name)
 	}
-	n.hosts[name] = &host{name: name, cfg: cfg, handler: h}
+	n.hosts[name] = &host{cfg: cfg, handler: h}
 }
 
 // SetHandler replaces a host's delivery handler.
@@ -244,16 +243,12 @@ func WireBytes(n, mtu int) int64 {
 type SendResult struct {
 	Fragments int
 	WireBytes int64
-	// TxTime is how long the sender's uplink was occupied.
-	TxTime sim.Time
 	// DeliverAt is when the datagram lands at the receiver (meaningless
 	// when Dropped).
 	DeliverAt sim.Time
 	// Dropped reports that the loss model discarded at least one fragment,
 	// so the datagram never reassembles and the handler never runs.
 	Dropped bool
-	// DroppedFragments is how many of the datagram's fragments were lost.
-	DroppedFragments int
 }
 
 // Send transmits a UDP datagram from one host to another. The sender's
@@ -288,7 +283,7 @@ func (n *Network) Send(dg Datagram) SendResult {
 		}
 		// WireBytes is zero: nothing reached the wire, unlike loss-model
 		// drops, which consume wire time for the fragments they carried.
-		return SendResult{Fragments: frags, Dropped: true, DroppedFragments: frags}
+		return SendResult{Fragments: frags, Dropped: true}
 	}
 
 	dropped := 0
@@ -322,13 +317,12 @@ func (n *Network) Send(dg Datagram) SendResult {
 	src.BytesSent += wire
 	src.FramesSent += int64(frags)
 
-	res := SendResult{Fragments: frags, WireBytes: wire, TxTime: txDone - txStart}
+	res := SendResult{Fragments: frags, WireBytes: wire}
 	if dropped > 0 {
 		dst.FramesRecv += int64(frags - dropped)
 		dst.FramesDropped += int64(dropped)
 		dst.LostDatagrams++
 		res.Dropped = true
-		res.DroppedFragments = dropped
 		return res
 	}
 	if n.loss.DelayJitter > 0 {

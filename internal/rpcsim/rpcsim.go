@@ -157,8 +157,8 @@ func DefaultConfig() Config {
 }
 
 // Stats counts transport activity. For TransportTCP, Retransmits counts
-// stream segment retransmissions and BytesSent counts the stream's wire
-// bytes, so the column means "repair traffic" under both transports.
+// stream segment retransmissions, so it means "repair traffic" under both
+// transports.
 type Stats struct {
 	Calls       int64
 	Replies     int64
@@ -167,7 +167,6 @@ type Stats struct {
 	// completed xid (the reply raced a retransmission) and were
 	// suppressed.
 	DuplicateReplies int64
-	BytesSent        int64
 	TotalRTT         sim.Time
 	// RTTSamples is how many calls contributed to TotalRTT. Calls that
 	// were retransmitted are excluded, Karn-style: their RTT is ambiguous.
@@ -260,9 +259,8 @@ type Transport struct {
 	free     []*pendingCall // recycled records, each with resend bound
 	slotWait *sim.WaitQueue
 
-	rxq     fifo.Queue[[]byte]
-	rxWait  *sim.WaitQueue
-	softirq *sim.Proc
+	rxq    fifo.Queue[[]byte]
+	rxWait *sim.WaitQueue
 
 	// stream is the TCP-style connection (nil under TransportUDP).
 	stream *streamsim.Endpoint
@@ -305,7 +303,7 @@ func New(s *sim.Sim, net *netsim.Network, cpu *sim.CPUPool, bkl *sim.Mutex, cfg 
 			t.rxWait.Signal()
 		})
 	}
-	t.softirq = s.Go("softirq/"+local, t.softirqLoop)
+	s.Go("softirq/"+local, t.softirqLoop)
 	return t
 }
 
@@ -314,9 +312,7 @@ func New(s *sim.Sim, net *netsim.Network, cpu *sim.CPUPool, bkl *sim.Mutex, cfg 
 func (t *Transport) Stats() Stats {
 	st := t.stats
 	if t.stream != nil {
-		ss := t.stream.Stats()
-		st.Retransmits += ss.Retransmits
-		st.BytesSent += ss.WireBytes
+		st.Retransmits += t.stream.Stats().Retransmits
 	}
 	return st
 }
@@ -458,7 +454,6 @@ func (t *Transport) transmit(p *sim.Proc, pc *pendingCall) {
 // accepts holds a reference until its receiver releases it.
 func (t *Transport) send(pc *pendingCall) {
 	res := t.net.Send(netsim.Datagram{From: t.local, To: t.remote, Payload: pc.enc.Bytes(), Owner: pc})
-	t.stats.BytesSent += res.WireBytes
 	if !res.Dropped {
 		pc.refs++
 	}

@@ -87,7 +87,7 @@ func TestFilerCrashReplaysNVRAM(t *testing.T) {
 // verifier so clients can detect it.
 func TestLinuxCrashLosesDirtyAndBumpsVerf(t *testing.T) {
 	s := sim.New(1)
-	cfg := LinuxConfig{RAMBytes: 4 << 20, DirtyLimit: 2 << 20, DrainChunk: 256 << 10}
+	cfg := LinuxConfig{DirtyLimit: 2 << 20, DrainChunk: 256 << 10}
 	l := NewLinuxServer(s, cfg, newTestDisk(s))
 	fh := nfsproto.MakeFileHandle(4, 4)
 	const total = 512 << 10

@@ -63,9 +63,6 @@ type Filer struct {
 
 	// Checkpoints counts consistency points taken.
 	Checkpoints int64
-	// Stalls counts writes that blocked on a back-to-back checkpoint
-	// (both NVRAM halves busy).
-	Stalls int64
 	// Crashes counts Crash calls; Replayed counts bytes recovered from the
 	// NVRAM log at restart.
 	Crashes  int64
@@ -107,17 +104,17 @@ func (f *Filer) scheduleTimerCP() {
 			return
 		}
 		if f.active > 0 && !f.draining {
-			f.startCP()
+			f.drain(f.active)
 		}
 		f.scheduleTimerCP()
 	})
 }
 
-// startCP swaps NVRAM halves and begins draining the full one. The filer
-// stops accepting writes for CPPause while the consistency point is set
-// up.
-func (f *Filer) startCP() {
-	bytes := f.active
+// drain starts a consistency point that writes bytes to disk: the
+// filling half's contents when the halves swap, or the whole NVRAM log
+// at restart. The filer stops accepting writes for CPPause while the
+// consistency point is set up.
+func (f *Filer) drain(bytes int64) {
 	f.active = 0
 	f.draining = true
 	f.drainBytes = bytes
@@ -160,21 +157,7 @@ func (f *Filer) Restart() {
 	f.verf++
 	if replay := f.active + f.drainBytes; replay > 0 {
 		f.Replayed += replay
-		f.active = 0
-		f.draining = true
-		f.drainBytes = replay
-		f.Checkpoints++
-		f.pauseUntil = f.s.Now() + f.cfg.CPPause
-		gen := f.gen
-		f.disk.WriteAsync(f.diskOff, replay, func() {
-			if gen != f.gen {
-				return
-			}
-			f.draining = false
-			f.drainBytes = 0
-			f.spaceWait.Broadcast()
-		})
-		f.diskOff += replay
+		f.drain(replay)
 	}
 	f.scheduleTimerCP()
 }
@@ -192,17 +175,16 @@ func (f *Filer) HandleWrite(p *sim.Proc, args nfsproto.WriteArgs) nfsproto.Write
 			break
 		}
 		if !f.draining {
-			f.startCP()
+			f.drain(f.active)
 			continue
 		}
 		// Back-to-back checkpoint: the filling half is full and the other
 		// half has not finished draining. The client sees this as the
 		// server's sustained (disk-limited) ingest rate.
-		f.Stalls++
 		f.spaceWait.Wait(p)
 	}
 	f.active += n
-	f.stableSet(args.File).Add(int64(args.Offset), int64(args.Offset)+n)
+	setFor(f.stable, args.File).Add(int64(args.Offset), int64(args.Offset)+n)
 	return nfsproto.WriteRes{
 		Status:    nfsproto.NFS3OK,
 		Count:     args.Count,
@@ -231,27 +213,18 @@ func (f *Filer) HandleCommit(p *sim.Proc, args nfsproto.CommitArgs) nfsproto.Com
 	return nfsproto.CommitRes{Status: nfsproto.NFS3OK, Verf: f.verf}
 }
 
-// Disk returns the RAID-4 volume the NVRAM log drains to (chaos
-// disk_degrade events slow it mid-run).
-func (f *Filer) Disk() *disksim.RAID4 { return f.disk }
+// SetDiskSlowFactor implements Backend: it slows the RAID-4 volume the
+// NVRAM log drains to.
+func (f *Filer) SetDiskSlowFactor(factor float64) { f.disk.SetSlowFactor(factor) }
 
-func (f *Filer) stableSet(fh nfsproto.FileHandle) *rangeset.Set {
-	set, ok := f.stable[fh]
-	if !ok {
-		set = &rangeset.Set{}
-		f.stable[fh] = set
-	}
-	return set
-}
-
-// StableCoverage implements DurabilityTracker: on a filer every acked
-// byte is in battery-backed NVRAM, so acked coverage is stable coverage.
+// StableCoverage implements Backend: on a filer every acked byte is in
+// battery-backed NVRAM, so acked coverage is stable coverage.
 func (f *Filer) StableCoverage(fh nfsproto.FileHandle) *rangeset.Set {
-	return f.stableSet(fh)
+	return setFor(f.stable, fh)
 }
 
-// LostBytes implements DurabilityTracker: NVRAM never loses acked data.
+// LostBytes implements Backend: NVRAM never loses acked data.
 func (f *Filer) LostBytes() int64 { return 0 }
 
-// ReplayedBytes implements DurabilityTracker.
+// ReplayedBytes implements Backend.
 func (f *Filer) ReplayedBytes() int64 { return f.Replayed }

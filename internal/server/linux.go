@@ -10,11 +10,9 @@ import (
 
 // LinuxConfig describes the four-way Linux 2.4.4 knfsd backend.
 type LinuxConfig struct {
-	// RAMBytes is server memory (512 MB in §3.1).
-	RAMBytes int64
 	// DirtyLimit is how much unstable write data the page cache will hold
 	// before the server throttles incoming writes behind the disk
-	// (bdflush-style, ~40% of RAM).
+	// (bdflush-style, ~40% of the 512 MB of RAM in §3.1).
 	DirtyLimit int64
 	// DrainChunk is the writeback granularity.
 	DrainChunk int64
@@ -23,7 +21,6 @@ type LinuxConfig struct {
 // DefaultLinuxConfig returns the paper's Linux server parameters.
 func DefaultLinuxConfig() LinuxConfig {
 	return LinuxConfig{
-		RAMBytes:   512 << 20,
 		DirtyLimit: 200 << 20,
 		DrainChunk: 1 << 20,
 	}
@@ -34,7 +31,6 @@ func DefaultLinuxConfig() LinuxConfig {
 // blocks until the dirty data it covers is on disk. This is the durability
 // contract the client pays for at close() — the filer never makes it wait.
 type LinuxServer struct {
-	s    *sim.Sim
 	cfg  LinuxConfig
 	disk *disksim.Disk
 
@@ -61,11 +57,9 @@ type LinuxServer struct {
 	Throttled int64
 	// Flushed counts bytes written back to disk.
 	Flushed int64
-	// Crashes counts Crash calls; Lost counts bytes of acked UNSTABLE data
-	// dropped by crashes (the client must detect the verifier change and
-	// rewrite them).
-	Crashes int64
-	Lost    int64
+	// Lost counts bytes of acked UNSTABLE data dropped by crashes (the
+	// client must detect the verifier change and rewrite them).
+	Lost int64
 }
 
 // unstableEntry is one acked write sitting dirty in the page cache.
@@ -82,7 +76,6 @@ func NewLinuxServer(s *sim.Sim, cfg LinuxConfig, disk *disksim.Disk) *LinuxServe
 		panic("server: bad linux config")
 	}
 	l := &LinuxServer{
-		s:         s,
 		cfg:       cfg,
 		disk:      disk,
 		drainWork: s.NewWaitQueue("knfsd-drain"),
@@ -135,7 +128,7 @@ func (l *LinuxServer) markStable(n int64) {
 		if take > n {
 			take = n
 		}
-		l.stableSet(e.fh).Add(e.off, e.off+take)
+		setFor(l.stable, e.fh).Add(e.off, e.off+take)
 		e.off += take
 		e.n -= take
 		n -= take
@@ -151,7 +144,6 @@ func (l *LinuxServer) markStable(n int64) {
 // ranges (RFC 1813 §3.3.7).
 func (l *LinuxServer) Crash() {
 	l.gen++
-	l.Crashes++
 	for _, e := range l.queue.Items() {
 		l.Lost += e.n
 	}
@@ -182,8 +174,8 @@ func (l *LinuxServer) HandleWrite(p *sim.Proc, args nfsproto.WriteArgs) nfsproto
 	committed := nfsproto.Unstable
 	if args.Stable != nfsproto.Unstable {
 		// Synchronous write: wait until the page cache is clean again.
-		// (Coarse — real knfsd waits for just this range — but our client
-		// only uses stable writes in targeted tests.)
+		// (Coarse — real knfsd waits for just this range — but the
+		// modeled client only ever sends UNSTABLE writes.)
 		for l.dirty > 0 {
 			l.cleanWait.Wait(p)
 		}
@@ -221,27 +213,18 @@ func (l *LinuxServer) HandleCommit(p *sim.Proc, args nfsproto.CommitArgs) nfspro
 	return nfsproto.CommitRes{Status: nfsproto.NFS3OK, Verf: l.verf}
 }
 
-// Disk returns the SCSI disk the writeback process drains to (chaos
-// disk_degrade events slow it mid-run).
-func (l *LinuxServer) Disk() *disksim.Disk { return l.disk }
+// SetDiskSlowFactor implements Backend: it slows the SCSI disk the
+// writeback process drains to.
+func (l *LinuxServer) SetDiskSlowFactor(factor float64) { l.disk.SetSlowFactor(factor) }
 
-func (l *LinuxServer) stableSet(fh nfsproto.FileHandle) *rangeset.Set {
-	set, ok := l.stable[fh]
-	if !ok {
-		set = &rangeset.Set{}
-		l.stable[fh] = set
-	}
-	return set
-}
-
-// StableCoverage implements DurabilityTracker: the byte ranges confirmed
-// on the server's disk.
+// StableCoverage implements Backend: the byte ranges confirmed on the
+// server's disk.
 func (l *LinuxServer) StableCoverage(fh nfsproto.FileHandle) *rangeset.Set {
-	return l.stableSet(fh)
+	return setFor(l.stable, fh)
 }
 
-// LostBytes implements DurabilityTracker.
+// LostBytes implements Backend.
 func (l *LinuxServer) LostBytes() int64 { return l.Lost }
 
-// ReplayedBytes implements DurabilityTracker: knfsd has no NVRAM log.
+// ReplayedBytes implements Backend: knfsd has no NVRAM log.
 func (l *LinuxServer) ReplayedBytes() int64 { return 0 }

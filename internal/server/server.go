@@ -42,9 +42,10 @@ var (
 )
 
 // Backend is an NFS read/write/commit implementation behind the RPC
-// front-end. Handlers run on an nfsd worker process and may block in
-// virtual time. Arguments and results pass by value, so serving a
-// request allocates nothing.
+// front-end, with the crash lifecycle, durability accounting and disk
+// the chaos engine drives. Handlers run on an nfsd worker process and may
+// block in virtual time. Arguments and results pass by value, so serving
+// a request allocates nothing.
 type Backend interface {
 	// HandleRead services a READ3 request. The returned Data must be
 	// Count bytes long — its length is what puts read wire time on the
@@ -55,22 +56,23 @@ type Backend interface {
 	HandleWrite(p *sim.Proc, args nfsproto.WriteArgs) nfsproto.WriteRes
 	// HandleCommit services a COMMIT3 request.
 	HandleCommit(p *sim.Proc, args nfsproto.CommitArgs) nfsproto.CommitRes
-}
 
-// CrashRestarter is implemented by backends with a crash/restart
-// lifecycle; Server.Crash/Restart forward to it.
-type CrashRestarter interface {
+	// Crash and Restart apply the backend's own crash semantics;
+	// Server.Crash and Server.Restart forward to them.
 	Crash()
 	Restart()
-}
 
-// DurabilityTracker is implemented by backends that can report which byte
-// ranges of each file have reached stable storage. Chaos integrity
-// asserts compare it against the front-end's received coverage.
-type DurabilityTracker interface {
+	// StableCoverage returns the byte ranges of a file that have reached
+	// stable storage; chaos integrity asserts compare it against the
+	// front-end's received coverage. LostBytes counts acked bytes crashes
+	// discarded, ReplayedBytes those a restart recovered from a log.
 	StableCoverage(fh nfsproto.FileHandle) *rangeset.Set
 	LostBytes() int64
 	ReplayedBytes() int64
+
+	// SetDiskSlowFactor scales the service time of the disk the backend
+	// drains to (chaos disk_degrade; 1 restores healthy service).
+	SetDiskSlowFactor(f float64)
 }
 
 // Config describes the server front-end.
@@ -130,21 +132,14 @@ type Server struct {
 	Writes        int64
 	Commits       int64
 	Reads         int64
-	Lookups       int64
-	Getattrs      int64
-	Creates       int64
-	Removes       int64
 	BytesWritten  int64
 	BytesRead     int64
-	BusyWorkers   int
-	MaxBusy       int
 	firstWriteAt  sim.Time
 	lastWriteDone sim.Time
 
 	// Crash statistics.
 	Crashes          int64
 	DroppedWhileDown int64 // requests discarded at the NIC or from rxq
-	DroppedReplies   int64 // replies suppressed because their instance died
 }
 
 // rxItem is one queued request. owner holds its payload buffer and is
@@ -235,6 +230,9 @@ func (srv *Server) conn(from string) *streamsim.Endpoint {
 // Names returns the server's directory state (test accessor).
 func (srv *Server) Names() *Namespace { return srv.ns }
 
+// Backend returns the server's backend.
+func (srv *Server) Backend() Backend { return srv.backend }
+
 // Crash takes the server down: queued requests vanish, replies to
 // requests already in service are suppressed, and the backend loses (or
 // preserves) its state per its own crash semantics. Front-end statistics
@@ -252,9 +250,7 @@ func (srv *Server) Crash() {
 	for srv.rxq.Len() > 0 {
 		srv.rxq.Pop().release()
 	}
-	if cr, ok := srv.backend.(CrashRestarter); ok {
-		cr.Crash()
-	}
+	srv.backend.Crash()
 }
 
 // Restart brings a crashed server back into service.
@@ -263,9 +259,7 @@ func (srv *Server) Restart() {
 		panic("server: restart while up")
 	}
 	srv.down = false
-	if cr, ok := srv.backend.(CrashRestarter); ok {
-		cr.Restart()
-	}
+	srv.backend.Restart()
 }
 
 // CoverageFiles returns the file handles with received write coverage in
@@ -282,11 +276,15 @@ func (srv *Server) CoverageFiles() []nfsproto.FileHandle {
 }
 
 // Coverage returns the set of byte ranges received for a file handle.
-func (srv *Server) Coverage(fh nfsproto.FileHandle) *rangeset.Set {
-	set, ok := srv.coverage[fh]
+func (srv *Server) Coverage(fh nfsproto.FileHandle) *rangeset.Set { return setFor(srv.coverage, fh) }
+
+// setFor returns fh's byte-range set in m, adding an empty one on first
+// use.
+func setFor(m map[nfsproto.FileHandle]*rangeset.Set, fh nfsproto.FileHandle) *rangeset.Set {
+	set, ok := m[fh]
 	if !ok {
 		set = &rangeset.Set{}
-		srv.coverage[fh] = set
+		m[fh] = set
 	}
 	return set
 }
@@ -317,16 +315,10 @@ func (srv *Server) worker(p *sim.Proc) {
 			srv.rxWait.Wait(p)
 		}
 		item := srv.rxq.Pop()
-
-		srv.BusyWorkers++
-		if srv.BusyWorkers > srv.MaxBusy {
-			srv.MaxBusy = srv.BusyWorkers
-		}
 		d.Reset(item.payload)
 		srv.serve(p, &d, item, srv.gen)
 		// Every decoded alias of the request died with serve.
 		item.release()
-		srv.BusyWorkers--
 	}
 }
 
@@ -384,7 +376,6 @@ func (srv *Server) serve(p *sim.Proc, d *xdr.Decoder, item rxItem, gen int) {
 		args, err := nfsproto.DecodeLookupArgs(d)
 		srv.checkArgs(hdr, err)
 		srv.cpu.Use(p, labelNFSDLookup, srv.cfg.ServiceCPU/4)
-		srv.Lookups++
 		res := nfsproto.LookupRes{Status: nfsproto.NFS3ErrNoEnt}
 		if ino, st := srv.ns.Lookup(args.Dir, args.Name); st == nfsproto.NFS3OK {
 			res = nfsproto.LookupRes{Status: st, File: ino.fh, Attrs: ino.Attrs()}
@@ -394,7 +385,6 @@ func (srv *Server) serve(p *sim.Proc, d *xdr.Decoder, item rxItem, gen int) {
 		args, err := nfsproto.DecodeGetattrArgs(d)
 		srv.checkArgs(hdr, err)
 		srv.cpu.Use(p, labelNFSDGetattr, srv.cfg.ServiceCPU/4)
-		srv.Getattrs++
 		attrs, st := srv.ns.Getattr(args.File)
 		res := nfsproto.GetattrRes{Status: st, Attrs: attrs}
 		res.Encode(reply)
@@ -402,7 +392,6 @@ func (srv *Server) serve(p *sim.Proc, d *xdr.Decoder, item rxItem, gen int) {
 		args, err := nfsproto.DecodeCreateArgs(d)
 		srv.checkArgs(hdr, err)
 		srv.cpu.Use(p, labelNFSDCreate, srv.cfg.ServiceCPU/4)
-		srv.Creates++
 		ino, wcc := srv.ns.Create(args.Dir, args.Name)
 		res := nfsproto.CreateRes{Status: nfsproto.NFS3OK, File: ino.fh, Attrs: ino.Attrs(), Wcc: wcc}
 		res.Encode(reply)
@@ -410,7 +399,6 @@ func (srv *Server) serve(p *sim.Proc, d *xdr.Decoder, item rxItem, gen int) {
 		args, err := nfsproto.DecodeRemoveArgs(d)
 		srv.checkArgs(hdr, err)
 		srv.cpu.Use(p, labelNFSDRemove, srv.cfg.ServiceCPU/4)
-		srv.Removes++
 		st, wcc := srv.ns.Remove(args.Dir, args.Name)
 		res := nfsproto.RemoveRes{Status: st, Wcc: wcc}
 		res.Encode(reply)
@@ -430,7 +418,6 @@ func (srv *Server) serve(p *sim.Proc, d *xdr.Decoder, item rxItem, gen int) {
 	if srv.down || gen != srv.gen {
 		// The instance that accepted this request died before its reply
 		// hit the wire; the client will retransmit against the new one.
-		srv.DroppedReplies++
 		reply.Release()
 		return
 	}

@@ -240,7 +240,7 @@ func TestFilerCommitImmediate(t *testing.T) {
 
 func TestLinuxDirtyThrottling(t *testing.T) {
 	s := sim.New(1)
-	cfg := LinuxConfig{RAMBytes: 4 << 20, DirtyLimit: 1 << 20, DrainChunk: 64 << 10}
+	cfg := LinuxConfig{DirtyLimit: 1 << 20, DrainChunk: 64 << 10}
 	l := NewLinuxServer(s, cfg, newTestDisk(s))
 	s.Go("w", func(p *sim.Proc) {
 		for i := 0; i < 512; i++ { // 4 MB total, 4x the dirty limit

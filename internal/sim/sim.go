@@ -221,9 +221,8 @@ type Sim struct {
 	rng     *rand.Rand
 	prof    *Profiler
 
-	procSeq int
-	procs   []*Proc // live (spawned, unterminated) processes
-	closed  bool
+	procs  []*Proc // live (spawned, unterminated) processes
+	closed bool
 }
 
 // New returns a simulator with the given deterministic seed.
@@ -576,7 +575,6 @@ func putSpare(st eventStore) {
 // Proc so the scheduler knows which coroutine to park and resume.
 type Proc struct {
 	s     *Sim
-	id    int
 	name  string
 	slot  int // index in s.procs while live
 	ended bool
@@ -594,8 +592,7 @@ type stopped struct{}
 
 // Go spawns a process that begins running at the current virtual time.
 func (s *Sim) Go(name string, fn func(p *Proc)) *Proc {
-	s.procSeq++
-	p := &Proc{s: s, id: s.procSeq, name: name, slot: len(s.procs)}
+	p := &Proc{s: s, name: name, slot: len(s.procs)}
 	s.procs = append(s.procs, p)
 	p.resume, p.stop = iter.Pull(func(yield func(*Proc) bool) {
 		p.yield = yield
@@ -684,9 +681,7 @@ type Mutex struct {
 	Acquisitions int
 	Contentions  int
 	TotalWait    Time
-	TotalHold    Time
 	waits        Profiler // wait time and contentions by the holder's label
-	lockedAt     Time
 }
 
 // NewMutex returns a named FIFO mutex.
@@ -701,7 +696,6 @@ func (m *Mutex) Lock(p *Proc, label Label) {
 	if m.holder == nil {
 		m.holder = p
 		m.because = label
-		m.lockedAt = m.s.now
 		return
 	}
 	m.Contentions++
@@ -721,7 +715,6 @@ func (m *Mutex) Unlock(p *Proc) {
 	if m.holder != p {
 		panic(fmt.Sprintf("sim: %s unlocked by %s, held by %v", m.name, p.name, m.holder))
 	}
-	m.TotalHold += m.s.now - m.lockedAt
 	if len(m.waiters) == 0 {
 		m.holder = nil
 		m.because = Label{}
@@ -729,7 +722,6 @@ func (m *Mutex) Unlock(p *Proc) {
 	}
 	next := popWaiter(&m.waiters)
 	m.holder = next
-	m.lockedAt = m.s.now
 	m.s.wakeNow(next)
 }
 

@@ -284,8 +284,6 @@ type Point struct {
 // (x = file size in MB, y = write throughput in KB/s).
 type Series struct {
 	Name   string
-	XLabel string
-	YLabel string
 	Points []Point
 }
 

@@ -102,8 +102,6 @@ func SegmentCount(n, mss int) int {
 // Stats counts one endpoint's activity.
 type Stats struct {
 	SegmentsSent     int64
-	SegmentsRecv     int64
-	AcksSent         int64
 	Retransmits      int64 // all data retransmissions (timeout + fast)
 	FastRetransmits  int64
 	Timeouts         int64
@@ -253,7 +251,6 @@ func (e *Endpoint) sendSegment(seq int64, n int, isRtx bool) {
 	}
 	e.stats.WireBytes += res.WireBytes
 	if n == 0 {
-		e.stats.AcksSent++
 		return
 	}
 	e.stats.SegmentsSent++
@@ -352,7 +349,6 @@ func (e *Endpoint) HandleDatagram(payload []byte) {
 	seq := int64(binary.BigEndian.Uint64(payload[4:12]))
 	ack := int64(binary.BigEndian.Uint64(payload[12:20]))
 	data := payload[HeaderSize:]
-	e.stats.SegmentsRecv++
 
 	e.handleAck(ack, flags&flagAck != 0 && len(data) == 0)
 	if len(data) == 0 {

@@ -105,13 +105,15 @@ type Options struct {
 	// NetJitter is the maximum extra random delivery delay per datagram
 	// (uniform in [0, NetJitter], deterministic per seed). 0 disables it.
 	NetJitter sim.Time
-	// Jitter is the per-execution CPU-cost noise factor on the client
-	// (default 0.04; set negative for none). Deterministic per seed.
-	Jitter float64
 	// RPC optionally overrides the transport cost model; LockPolicy and
 	// MTU are always taken from Client/Jumbo.
 	RPC *rpcsim.Config
 }
+
+// cpuJitter is the per-execution CPU-cost noise factor on every client
+// machine, deterministic per seed, so that latency traces have realistic
+// spread.
+const cpuJitter = 0.04
 
 // ClientMachine is one complete client host: its processors, big kernel
 // lock, page cache, local disk, and — when a server is mounted — its RPC
@@ -200,8 +202,6 @@ type Testbed struct {
 	Filer *server.Filer
 	// Linux is the knfsd backend for ServerLinux / ServerSlow100.
 	Linux *server.LinuxServer
-
-	opts Options
 }
 
 // NewTestbed assembles a test bed.
@@ -225,12 +225,6 @@ func NewTestbed(opts Options) *Testbed {
 		opts.Client = core.Stock244Config()
 	}
 
-	if opts.Jitter == 0 {
-		opts.Jitter = 0.04
-	} else if opts.Jitter < 0 {
-		opts.Jitter = 0
-	}
-
 	if opts.Loss < 0 || opts.Loss >= 1 {
 		panic("nfssim: Loss must be in [0, 1)")
 	}
@@ -243,7 +237,7 @@ func NewTestbed(opts Options) *Testbed {
 	if opts.Loss > 0 || opts.NetJitter > 0 {
 		net.SetLoss(netsim.LossConfig{Rate: opts.Loss, DelayJitter: opts.NetJitter})
 	}
-	tb := &Testbed{Sim: s, Net: net, opts: opts}
+	tb := &Testbed{Sim: s, Net: net}
 
 	mtu := netsim.MTUEthernet
 	if opts.Jumbo {
@@ -263,7 +257,7 @@ func NewTestbed(opts Options) *Testbed {
 			sim:   s,
 			kind:  opts.Server,
 		}
-		m.CPU.Jitter = opts.Jitter
+		m.CPU.Jitter = cpuJitter
 		net.AddHost(m.Host, netsim.LinkConfig{
 			Bandwidth:   netsim.BandwidthGigabit,
 			Propagation: 20_000,

@@ -130,10 +130,6 @@ func TestCustomSeedAndCPUs(t *testing.T) {
 }
 
 func TestJitterOption(t *testing.T) {
-	off := NewTestbed(Options{Server: ServerFiler, Jitter: -1})
-	if off.Machines[0].CPU.Jitter != 0 {
-		t.Fatalf("Jitter -1 should disable noise, got %v", off.Machines[0].CPU.Jitter)
-	}
 	def := NewTestbed(Options{Server: ServerFiler})
 	if def.Machines[0].CPU.Jitter != 0.04 {
 		t.Fatalf("default jitter = %v", def.Machines[0].CPU.Jitter)
