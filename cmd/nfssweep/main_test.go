@@ -1,8 +1,10 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -147,24 +149,47 @@ func TestRenderersFor(t *testing.T) {
 	}
 }
 
-// One tiny scenario through the same path main drives: the default grid
-// shrunk to 1 MB runs, produces a result row, and renders on every
-// output format.
+// One tiny cell, run twice, through the same path main drives: the
+// default grid shrunk to 1 MB runs with two repeats, produces two result
+// rows and one two-run aggregate, and both render on every output format.
 func TestOneScenarioRuns(t *testing.T) {
-	setFlags(t, map[string]string{"sizes": "1"})
+	setFlags(t, map[string]string{"sizes": "1", "repeats": "2"})
 	scens := mustGrid(t).Expand()
-	if len(scens) != 1 {
-		t.Fatalf("expanded %d scenarios", len(scens))
+	if len(scens) != 2 {
+		t.Fatalf("expanded %d scenarios, want 2 repeats of one cell", len(scens))
 	}
 	results := (&harness.Runner{Workers: 1}).Run(scens)
-	if len(results) != 1 || results[0].WriteMBps <= 0 {
+	if len(results) != 2 || results[0].WriteMBps <= 0 {
 		t.Fatalf("results = %+v", results)
 	}
-	for _, render := range []func([]harness.Result) string{
-		harness.ResultsCSV, harness.ResultsJSON, harness.ResultsTable,
-	} {
-		if out := render(results); !strings.Contains(out, "filer") {
-			t.Fatalf("render missing scenario row:\n%s", out)
+	aggs := harness.AggregateResults(results)
+	if len(aggs) != 1 || aggs[0].N != 2 {
+		t.Fatalf("aggregates = %+v, want one cell of 2 runs", aggs)
+	}
+	for _, format := range []string{"csv", "json", "table"} {
+		r := renderersFor(format)
+		if out := r.results(results); !strings.Contains(out, "filer") {
+			t.Fatalf("%s results missing scenario row:\n%s", format, out)
+		}
+		out := r.aggregates(aggs)
+		if !strings.Contains(out, "filer") {
+			t.Fatalf("%s aggregates missing the cell:\n%s", format, out)
+		}
+		switch format {
+		case "csv":
+			rows := strings.Split(strings.TrimSpace(out), "\n")
+			if len(rows) != 2 || strings.Split(rows[1], ",")[8] != "2" {
+				t.Fatalf("aggregate CSV wants a header and one row with n=2:\n%s", out)
+			}
+		case "json":
+			var got []harness.Aggregate
+			if err := json.Unmarshal([]byte(out), &got); err != nil || !reflect.DeepEqual(got, aggs) {
+				t.Fatalf("aggregate JSON does not round-trip (%v):\n%s", err, out)
+			}
+		case "table":
+			if !strings.Contains(out, "write MB/s") || len(strings.Split(strings.TrimSpace(out), "\n")) < 2 {
+				t.Fatalf("aggregate table wants a header and a row:\n%s", out)
+			}
 		}
 	}
 }

@@ -51,6 +51,10 @@ type Client struct {
 	hardWait      *sim.WaitQueue
 
 	flushWork *sim.WaitQueue
+	// pacedBusy marks flushd's paced WRITE as in flight; its reply clears
+	// it and wakes pacedDone. flushd has at most one paced RPC out.
+	pacedBusy bool
+	pacedDone *sim.WaitQueue
 
 	// Statistics. RPCsSent/PagesSent count the write path; the read path
 	// has its own counters.
@@ -168,9 +172,6 @@ func NewClient(s *sim.Sim, cpu *sim.CPUPool, bkl *sim.Mutex, cache *mm.PageCache
 	if cfg.ReadaheadMinPages == 0 {
 		cfg.ReadaheadMinPages = min(StockReadaheadMinPages, cfg.ReadaheadMaxPages)
 	}
-	if cfg.FSID == 0 {
-		cfg.FSID = 1
-	}
 	if cfg.AcRegMin == 0 {
 		cfg.AcRegMin = DefaultAcRegMin
 	}
@@ -183,8 +184,9 @@ func NewClient(s *sim.Sim, cpu *sim.CPUPool, bkl *sim.Mutex, cache *mm.PageCache
 	c := &Client{
 		s: s, cpu: cpu, bkl: bkl, cache: cache, tr: tr, cfg: cfg,
 		rootFH:    nfsproto.RootHandle(cfg.FSID),
-		hardWait:  s.NewWaitQueue("nfs-hard-limit"),
-		flushWork: s.NewWaitQueue("nfs-flushd"),
+		hardWait:  s.NewWaitQueue(),
+		flushWork: s.NewWaitQueue(),
+		pacedDone: s.NewWaitQueue(),
 	}
 	s.Go("nfs_flushd", c.flushd)
 	return c
@@ -207,7 +209,7 @@ func (c *Client) Open() *File {
 // newInode builds an inode for handle fh and adds it to the flushd scan
 // table.
 func (c *Client) newInode(fh nfsproto.FileHandle) *Inode {
-	ino := &Inode{FH: fh, flushWait: c.s.NewWaitQueue("nfs-inode-flush")}
+	ino := &Inode{FH: fh, flushWait: c.s.NewWaitQueue()}
 	c.inodes = append(c.inodes, ino)
 	return ino
 }
@@ -485,18 +487,12 @@ func (c *Client) enforceLimits(p *sim.Proc, ino *Inode) {
 	}
 }
 
-// flushTicket lets a sender wait for one specific RPC's completion.
-type flushTicket struct {
-	done bool
-	wq   *sim.WaitQueue
-}
-
 // sendOne coalesces the front run of an inode's queued requests into one
 // WRITE RPC and hands it to the transport. Returns the number of pages
-// sent (0 if the inode had nothing queued). If ticket is non-nil it is
-// completed when this RPC's reply arrives. The caller must not hold the
-// BKL.
-func (c *Client) sendOne(p *sim.Proc, ino *Inode, ticket *flushTicket) int {
+// sent (0 if the inode had nothing queued). If paced, the RPC is
+// flushd's paced write: pacedBusy holds until its reply arrives. The
+// caller must not hold the BKL.
+func (c *Client) sendOne(p *sim.Proc, ino *Inode, paced bool) int {
 	c.bkl.Lock(p, labelNFSCoalesce)
 	run, scanned := ino.reqs.PopRun(c.cfg.WSize)
 	c.cpu.Use(p, labelNFSCoalesce,
@@ -527,11 +523,14 @@ func (c *Client) sendOne(p *sim.Proc, ino *Inode, ticket *flushTicket) int {
 	pages := len(run)
 	c.RPCsSent++
 	c.PagesSent += int64(pages)
+	if paced {
+		c.pacedBusy = true
+	}
 	c.tr.Call(p, nfsproto.ProcWrite, args.Encode, func(d *xdr.Decoder) {
 		c.writeDone(ino, pages, total, start, d)
-		if ticket != nil {
-			ticket.done = true
-			ticket.wq.Broadcast()
+		if paced {
+			c.pacedBusy = false
+			c.pacedDone.Broadcast()
 		}
 	})
 	return pages
@@ -657,7 +656,7 @@ func (c *Client) queueRewrite(ino *Inode, page int64, offset, count int) {
 func (c *Client) flushInodeSync(p *sim.Proc, ino *Inode) {
 	for ino.Outstanding() > 0 {
 		if ino.reqs.Len() > 0 {
-			c.sendOne(p, ino, nil) // blocks when the slot table is full
+			c.sendOne(p, ino, false) // blocks when the slot table is full
 			continue
 		}
 		ino.flushWait.Wait(p)
@@ -711,7 +710,7 @@ func (c *Client) flushd(p *sim.Proc) {
 				if ino.reqs.Len() == 0 {
 					break
 				}
-				c.sendOne(p, ino, nil)
+				c.sendOne(p, ino, false)
 			}
 			continue
 		}
@@ -723,12 +722,11 @@ func (c *Client) flushd(p *sim.Proc) {
 // sendOneAndAwait sends one RPC and waits for its reply, pacing flushd at
 // one in-flight async task (2.4's single rpciod worker).
 func (c *Client) sendOneAndAwait(p *sim.Proc, ino *Inode) {
-	ticket := &flushTicket{wq: c.s.NewWaitQueue("flushd-ticket")}
-	if c.sendOne(p, ino, ticket) == 0 {
+	if c.sendOne(p, ino, true) == 0 {
 		return
 	}
-	for !ticket.done {
-		ticket.wq.Wait(p)
+	for c.pacedBusy {
+		c.pacedDone.Wait(p)
 	}
 }
 

@@ -219,9 +219,9 @@ type Config struct {
 	ReadaheadMaxPages int
 
 	// FSID identifies this mount in the file handles the client builds
-	// (default 1). Multi-client test beds offset it by the machine index
-	// so handles from different clients never collide in the shared
-	// server's per-file state.
+	// (nfssim.NewTestbed defaults it to 1). Multi-client test beds offset
+	// it by the machine index so handles from different clients never
+	// collide in the shared server's per-file state.
 	FSID uint64
 
 	// AcRegMin/AcRegMax bound the attribute-cache timeout (acregmin /

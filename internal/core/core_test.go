@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/nfsproto"
 	"repro/internal/rpcsim"
+	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/vfs"
 )
@@ -20,7 +21,9 @@ func newBed(t *testing.T, srv nfssim.ServerKind, cfg core.Config) *nfssim.Testbe
 
 // serverDirty returns the linux server's unstable bytes: what it
 // acknowledged less what its writeback put on disk (no crash drops any).
-func serverDirty(tb *nfssim.Testbed) int64 { return tb.Server.BytesWritten - tb.Linux.Flushed }
+func serverDirty(tb *nfssim.Testbed) int64 {
+	return tb.Server.BytesWritten - tb.Server.Backend().(*server.LinuxServer).Flushed
+}
 
 func runMB(t *testing.T, tb *nfssim.Testbed, mb int) *bonnie.Result {
 	t.Helper()
@@ -354,6 +357,61 @@ func TestFileLifecycle(t *testing.T) {
 	tb.Sim.Run(time.Minute)
 	if !panicked {
 		t.Fatal("write after close did not panic")
+	}
+}
+
+// A server reboot that only the COMMIT reveals: every WRITE was acked
+// UNSTABLE under the old verifier, the COMMIT reaches the restarted
+// server and returns the new one, and the client re-queues every acked
+// byte while another process's rewrite of one of those pages is still
+// queued. The re-queue widens that request instead of adding a second
+// one for the page, and the second COMMIT leaves the file stable.
+func TestCommitRevealsReboot(t *testing.T) {
+	const pages, size = 4, 4 * 4096
+	tb := newBed(t, nfssim.ServerLinux, core.EnhancedConfig())
+	c := tb.Machines[0].Client
+	f := tb.Machines[0].OpenNFS()
+	const crashAt = time.Second
+	tb.Sim.At(crashAt, func() {
+		tb.Server.Crash()
+		tb.Sim.After(10*time.Millisecond, tb.Server.Restart)
+	})
+	closed := false
+	tb.Sim.Go("writer", func(p *sim.Proc) {
+		f.Write(p, size)
+		f.WriteBack(p)
+		if c.RPCsSent == 0 || c.CommitRPCs != 0 || tb.Sim.Now() >= crashAt {
+			t.Errorf("write-back: %d WRITEs and %d COMMITs by %v", c.RPCsSent, c.CommitRPCs, tb.Sim.Now())
+		}
+		p.Sleep(crashAt + time.Millisecond - tb.Sim.Now())
+		// The COMMIT dies at the downed server; its retransmission reaches
+		// the restarted one.
+		f.Close(p)
+		closed = true
+	})
+	tb.Sim.Go("rewriter", func(p *sim.Proc) {
+		p.Sleep(crashAt + 500*time.Millisecond)
+		f.WriteAt(p, 4096+1024, 1024) // part of an acked page
+		if got := c.MountRequests(); got != 1 {
+			t.Errorf("mount requests = %d after the rewrite, want 1 queued", got)
+		}
+	})
+	tb.Sim.Run(time.Minute)
+	if !closed {
+		t.Fatal("Close did not return")
+	}
+	if c.VerfChanges != 1 || c.RewrittenBytes != size {
+		t.Fatalf("verifier changes %d, rewritten %d bytes; want 1 and %d", c.VerfChanges, c.RewrittenBytes, size)
+	}
+	// Widened, not duplicated: the reboot re-sends each page once.
+	if c.PagesSent != 2*pages {
+		t.Fatalf("pages sent = %d, want %d (write-back plus one rewrite each)", c.PagesSent, 2*pages)
+	}
+	if c.CommitRPCs != 2 || c.MountRequests() != 0 {
+		t.Fatalf("%d COMMITs, %d requests left; want 2 and 0", c.CommitRPCs, c.MountRequests())
+	}
+	if cov := tb.Server.Backend().StableCoverage(f.Inode().FH); !cov.Contains(0, size) {
+		t.Fatalf("stable coverage %v does not span the %d-byte file", cov, size)
 	}
 }
 

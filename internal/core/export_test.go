@@ -1,5 +1,7 @@
 package core
 
+import "repro/internal/sim"
+
 // AttrCacheLen returns the number of cached attribute entries (test
 // accessor).
 func (c *Client) AttrCacheLen() int { return len(c.attrCache) }
@@ -24,6 +26,11 @@ func (ino *Inode) ResidentSpans() int { return len(ino.cached.Ranges()) }
 // ReadaheadWindow returns the inode's current readahead window in pages
 // (for tests and experiments).
 func (ino *Inode) ReadaheadWindow() int { return ino.ra.Window() }
+
+// WriteBack sends every queued request of the file and waits for their
+// replies, without the COMMIT that Flush adds, so the acked bytes stay
+// UNSTABLE.
+func (f *File) WriteBack(p *sim.Proc) { f.c.flushInodeSync(p, f.ino) }
 
 // Inode returns the file's client-side inode.
 func (f *File) Inode() *Inode { return f.ino }

@@ -26,7 +26,7 @@ func (c *Client) ensureReadState(ino *Inode) {
 		return
 	}
 	ino.pendingReads = make(map[int64]bool)
-	ino.readWait = c.s.NewWaitQueue("nfs-inode-read")
+	ino.readWait = c.s.NewWaitQueue()
 	ino.ra = mm.Readahead{Min: c.cfg.ReadaheadMinPages, Max: c.cfg.ReadaheadMaxPages}
 }
 

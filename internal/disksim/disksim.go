@@ -11,16 +11,11 @@
 // once caches fill (Figures 1 and 7's right-hand side).
 package disksim
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Disk is a FIFO-served storage device.
 type Disk struct {
-	s    *sim.Sim
-	name string
+	s *sim.Sim
 	// seek is the positioning cost charged when a request is not
 	// sequential with the previous one.
 	seek sim.Time
@@ -44,12 +39,12 @@ type Disk struct {
 
 // New returns a disk with the given positioning cost and sequential
 // bandwidth (bytes per second).
-func New(s *sim.Sim, name string, seek sim.Time, bandwidth int64) *Disk {
+func New(s *sim.Sim, seek sim.Time, bandwidth int64) *Disk {
 	if bandwidth <= 0 {
 		panic("disksim: bandwidth must be positive")
 	}
 	// nextPos starts at -1 so the first request always positions the head.
-	return &Disk{s: s, name: name, seek: seek, bandwidth: bandwidth, nextPos: -1}
+	return &Disk{s: s, seek: seek, bandwidth: bandwidth, nextPos: -1}
 }
 
 // Write performs a blocking write of n bytes at byte offset off,
@@ -125,11 +120,6 @@ func (d *Disk) waitFor(p *sim.Proc, t sim.Time) {
 	}
 }
 
-func (d *Disk) String() string {
-	return fmt.Sprintf("%s: %d B in %d reqs (%d seeks), busy %v",
-		d.name, d.BytesWritten, d.Requests, d.Seeks, d.BusyTime)
-}
-
 // RAID4 models the filer's parity-protected volume. WAFL turns incoming
 // writes into full-stripe sequential writes, so the effective bandwidth is
 // the sum of the data spindles; parity is computed on the fly and written
@@ -141,12 +131,12 @@ type RAID4 struct {
 
 // NewRAID4 returns a RAID-4 group of dataDisks spindles (plus an implied
 // parity disk) each with the given per-spindle seek and bandwidth.
-func NewRAID4(s *sim.Sim, name string, dataDisks int, seek sim.Time, perDisk int64) *RAID4 {
+func NewRAID4(s *sim.Sim, dataDisks int, seek sim.Time, perDisk int64) *RAID4 {
 	if dataDisks < 1 {
 		panic("disksim: RAID4 needs at least one data disk")
 	}
 	return &RAID4{
-		Disk:      New(s, name, seek, perDisk*int64(dataDisks)),
+		Disk:      New(s, seek, perDisk*int64(dataDisks)),
 		dataDisks: dataDisks,
 	}
 }
@@ -157,13 +147,13 @@ func NewRAID4(s *sim.Sim, name string, dataDisks int, seek sim.Time, perDisk int
 // §3.1: the ServerWorks south bridge limits the interface to multiword DMA
 // mode 2, 16.7 MB/s, which dominates the media rate.
 func NewDeskstarEIDE(s *sim.Sim) *Disk {
-	return New(s, "deskstar-eide", 8_500_000, 16_600_000) // 8.5 ms seek, 16.6 MB/s
+	return New(s, 8_500_000, 16_600_000) // 8.5 ms seek, 16.6 MB/s
 }
 
 // NewSeagateSCSI returns one of the Linux server's Seagate LVD drives:
 // ~5 ms positioning, ~35 MB/s sequential.
-func NewSeagateSCSI(s *sim.Sim, name string) *Disk {
-	return New(s, name, 5_000_000, 35_000_000)
+func NewSeagateSCSI(s *sim.Sim) *Disk {
+	return New(s, 5_000_000, 35_000_000)
 }
 
 // NewFilerVolume returns the F85 test volume: eight data disks in RAID 4
@@ -172,5 +162,5 @@ func NewSeagateSCSI(s *sim.Sim, name string) *Disk {
 // 6 MB/s per spindle for a conservative 48 MB/s aggregate, comfortably
 // above the filer's measured 38 MB/s network ingest.
 func NewFilerVolume(s *sim.Sim) *RAID4 {
-	return NewRAID4(s, "f85-vol", 8, 4_000_000, 6_000_000)
+	return NewRAID4(s, 8, 4_000_000, 6_000_000)
 }

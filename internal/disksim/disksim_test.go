@@ -10,7 +10,7 @@ import (
 
 func TestSequentialWriteNoSeek(t *testing.T) {
 	s := sim.New(1)
-	d := New(s, "d", 10*time.Millisecond, 10_000_000) // 10 MB/s
+	d := New(s, 10*time.Millisecond, 10_000_000) // 10 MB/s
 	var elapsed sim.Time
 	s.Go("w", func(p *sim.Proc) {
 		d.Write(p, 0, 1_000_000) // first write seeks
@@ -30,7 +30,7 @@ func TestSequentialWriteNoSeek(t *testing.T) {
 
 func TestSequentialReadStreamsAfterOneSeek(t *testing.T) {
 	s := sim.New(1)
-	d := New(s, "d", 10*time.Millisecond, 10_000_000)
+	d := New(s, 10*time.Millisecond, 10_000_000)
 	var elapsed sim.Time
 	s.Go("r", func(p *sim.Proc) {
 		d.Read(p, 0, 1_000_000) // first read positions the head
@@ -49,7 +49,7 @@ func TestSequentialReadStreamsAfterOneSeek(t *testing.T) {
 
 func TestReadsAndWritesShareTheHead(t *testing.T) {
 	s := sim.New(1)
-	d := New(s, "d", 5*time.Millisecond, 10_000_000)
+	d := New(s, 5*time.Millisecond, 10_000_000)
 	s.Go("rw", func(p *sim.Proc) {
 		d.Write(p, 0, 4096)
 		d.Read(p, 4096, 4096) // sequential with the write: no seek
@@ -67,7 +67,7 @@ func TestReadsAndWritesShareTheHead(t *testing.T) {
 
 func TestRandomWriteSeeks(t *testing.T) {
 	s := sim.New(1)
-	d := New(s, "d", 5*time.Millisecond, 10_000_000)
+	d := New(s, 5*time.Millisecond, 10_000_000)
 	s.Go("w", func(p *sim.Proc) {
 		d.Write(p, 0, 4096)
 		d.Write(p, 1_000_000, 4096) // jump
@@ -81,7 +81,7 @@ func TestRandomWriteSeeks(t *testing.T) {
 
 func TestFIFOQueueing(t *testing.T) {
 	s := sim.New(1)
-	d := New(s, "d", 0, 1_000_000) // 1 MB/s, no seek
+	d := New(s, 0, 1_000_000) // 1 MB/s, no seek
 	var t1, t2 sim.Time
 	s.Go("a", func(p *sim.Proc) {
 		d.Write(p, 0, 1_000_000)
@@ -99,7 +99,7 @@ func TestFIFOQueueing(t *testing.T) {
 
 func TestWriteAsync(t *testing.T) {
 	s := sim.New(1)
-	d := New(s, "d", 0, 1_000_000)
+	d := New(s, 0, 1_000_000)
 	var doneAt sim.Time
 	d.WriteAsync(0, 500_000, func() { doneAt = s.Now() })
 	d.WriteAsync(500_000, 0, nil) // zero-size, nil callback: no crash
@@ -111,7 +111,7 @@ func TestWriteAsync(t *testing.T) {
 
 func TestQueueDelay(t *testing.T) {
 	s := sim.New(1)
-	d := New(s, "d", 0, 1_000_000)
+	d := New(s, 0, 1_000_000)
 	d.WriteAsync(0, 1_000_000, nil)
 	if d.QueueDelay() != time.Second {
 		t.Fatalf("queue delay = %v", d.QueueDelay())
@@ -122,22 +122,22 @@ func TestQueueDelay(t *testing.T) {
 	}
 }
 
-func TestStatsAndString(t *testing.T) {
+func TestStats(t *testing.T) {
 	s := sim.New(1)
-	d := New(s, "d", 0, 1_000_000)
+	d := New(s, 0, 1_000_000)
 	d.WriteAsync(0, 100, nil)
 	s.Run(0)
 	if d.BytesWritten != 100 || d.Requests != 1 {
-		t.Fatalf("stats: %v", d)
+		t.Fatalf("stats: %d bytes in %d requests", d.BytesWritten, d.Requests)
 	}
-	if d.String() == "" || d.Name() != "d" || d.Bandwidth() != 1_000_000 {
-		t.Fatal("accessors wrong")
+	if d.Bandwidth() != 1_000_000 {
+		t.Fatal("bandwidth accessor wrong")
 	}
 }
 
 func TestRAID4Bandwidth(t *testing.T) {
 	s := sim.New(1)
-	r := NewRAID4(s, "vol", 8, 0, 5_000_000)
+	r := NewRAID4(s, 8, 0, 5_000_000)
 	if r.Bandwidth() != 40_000_000 {
 		t.Fatalf("raid bandwidth = %d", r.Bandwidth())
 	}
@@ -151,7 +151,7 @@ func TestPresets(t *testing.T) {
 	if NewDeskstarEIDE(s).Bandwidth() != 16_600_000 {
 		t.Fatal("deskstar preset wrong")
 	}
-	if NewSeagateSCSI(s, "sda").Bandwidth() != 35_000_000 {
+	if NewSeagateSCSI(s).Bandwidth() != 35_000_000 {
 		t.Fatal("seagate preset wrong")
 	}
 	v := NewFilerVolume(s)
@@ -163,9 +163,9 @@ func TestPresets(t *testing.T) {
 func TestBadArgsPanic(t *testing.T) {
 	s := sim.New(1)
 	for _, fn := range []func(){
-		func() { New(s, "x", 0, 0) },
-		func() { NewRAID4(s, "x", 0, 0, 1) },
-		func() { New(s, "x", 0, 1).WriteAsync(0, -1, nil) },
+		func() { New(s, 0, 0) },
+		func() { NewRAID4(s, 0, 0, 1) },
+		func() { New(s, 0, 1).WriteAsync(0, -1, nil) },
 	} {
 		func() {
 			defer func() {
@@ -184,7 +184,7 @@ func TestAccountingProperty(t *testing.T) {
 	f := func(sizes []uint16, gap uint8) bool {
 		s := sim.New(1)
 		seek := 3 * time.Millisecond
-		d := New(s, "d", seek, 8_000_000)
+		d := New(s, seek, 8_000_000)
 		var total int64
 		off := int64(0)
 		for i, sz := range sizes {

@@ -2,9 +2,6 @@ package disksim
 
 import "repro/internal/sim"
 
-// Name returns the disk's diagnostic name.
-func (d *Disk) Name() string { return d.name }
-
 // Bandwidth returns the sequential transfer rate in bytes/s.
 func (d *Disk) Bandwidth() int64 { return d.bandwidth }
 

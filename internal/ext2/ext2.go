@@ -17,7 +17,6 @@ import (
 
 // File is a local ext2 file.
 type File struct {
-	s     *sim.Sim
 	cpu   *sim.CPUPool
 	cache *mm.PageCache
 	disk  *disksim.Disk
@@ -55,10 +54,10 @@ const readChunk = 128 << 10
 // to cache and CPU to cpu, and starts its writeback daemon.
 func NewFile(s *sim.Sim, cpu *sim.CPUPool, cache *mm.PageCache, disk *disksim.Disk) *File {
 	f := &File{
-		s: s, cpu: cpu, cache: cache, disk: disk,
+		cpu: cpu, cache: cache, disk: disk,
 		costs: vfs.DefaultCosts(),
-		work:  s.NewWaitQueue("ext2-work"),
-		clean: s.NewWaitQueue("ext2-clean"),
+		work:  s.NewWaitQueue(),
+		clean: s.NewWaitQueue(),
 	}
 	s.Go("kflushd/ext2", f.writeback)
 	return f

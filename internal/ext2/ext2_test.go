@@ -11,7 +11,7 @@ import (
 
 func newRig(seed int64, cacheLimit int64) (*sim.Sim, *File, *mm.PageCache) {
 	s := sim.New(seed)
-	cpu := s.NewCPUPool("cpu", 2)
+	cpu := s.NewCPUPool(2)
 	cache := mm.New(s, cacheLimit)
 	disk := disksim.NewDeskstarEIDE(s)
 	return s, NewFile(s, cpu, cache, disk), cache
@@ -111,7 +111,7 @@ func TestWriteAfterClosePanics(t *testing.T) {
 // re-read and a read-back of written bytes hit the cache.
 func TestColdReadsHitDiskThenCache(t *testing.T) {
 	s := sim.New(1)
-	cpu := s.NewCPUPool("cpu", 2)
+	cpu := s.NewCPUPool(2)
 	cache := mm.New(s, 64<<20)
 	disk := disksim.NewDeskstarEIDE(s)
 	const size = 1 << 20
@@ -150,7 +150,7 @@ func TestColdReadsHitDiskThenCache(t *testing.T) {
 // resident: only the written pages skip the disk.
 func TestAppendDoesNotMarkColdPrefixResident(t *testing.T) {
 	s := sim.New(1)
-	cpu := s.NewCPUPool("cpu", 2)
+	cpu := s.NewCPUPool(2)
 	cache := mm.New(s, 64<<20)
 	disk := disksim.NewDeskstarEIDE(s)
 	const size = 1 << 20

@@ -54,7 +54,7 @@ func New(s *sim.Sim, limit int64) *PageCache {
 	if limit <= 0 {
 		panic("mm: limit must be positive")
 	}
-	return &PageCache{s: s, limit: limit, wait: s.NewWaitQueue("pagecache")}
+	return &PageCache{s: s, limit: limit, wait: s.NewWaitQueue()}
 }
 
 // Limit returns the configured budget.

@@ -12,7 +12,6 @@
 package netsim
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 
@@ -97,19 +96,7 @@ type host struct {
 	// sent and the kernel keeps only the first in its heap.
 	deliveries sim.Lane
 
-	// Statistics. FramesRecv counts every fragment that physically
-	// arrived — including fragments of datagrams later discarded at
-	// reassembly — so FramesSent = FramesRecv + FramesDropped across a
-	// path. BytesReceived counts only fully reassembled datagrams;
-	// LostDatagrams counts the discards. DownDrops counts datagrams that
-	// died against a downed link (at either end).
-	BytesSent     int64
-	BytesReceived int64
-	FramesSent    int64
-	FramesRecv    int64
-	FramesDropped int64
-	LostDatagrams int64
-	DownDrops     int64
+	Stats
 }
 
 // LossConfig degrades the network: every IP fragment is independently
@@ -388,7 +375,12 @@ func (d *inFlight) deliver() {
 	}
 }
 
-// Stats describes a host's traffic counters.
+// Stats describes a host's traffic counters. FramesRecv counts every
+// fragment that physically arrived — including fragments of datagrams
+// later discarded at reassembly — so FramesSent = FramesRecv +
+// FramesDropped across a path. BytesReceived counts only fully
+// reassembled datagrams; LostDatagrams counts the discards. DownDrops
+// counts datagrams that died against a downed link (at either end).
 type Stats struct {
 	BytesSent     int64
 	BytesReceived int64
@@ -402,11 +394,7 @@ type Stats struct {
 // HostStats returns the traffic counters for a host.
 //
 //lint:allow unusedexport the nfssim and rpcsim tests count one host's frames and losses
-func (n *Network) HostStats(name string) Stats {
-	h := n.mustHost(name)
-	return Stats{h.BytesSent, h.BytesReceived, h.FramesSent, h.FramesRecv,
-		h.FramesDropped, h.LostDatagrams, h.DownDrops}
-}
+func (n *Network) HostStats(name string) Stats { return n.mustHost(name).Stats }
 
 // Totals returns the network-wide sums of every host's counters.
 // (Summation is order-independent, so map iteration is safe here.)
@@ -422,9 +410,4 @@ func (n *Network) Totals() Stats {
 		t.DownDrops += h.DownDrops
 	}
 	return t
-}
-
-func (s Stats) String() string {
-	return fmt.Sprintf("tx %d B/%d frames, rx %d B/%d frames",
-		s.BytesSent, s.FramesSent, s.BytesReceived, s.FramesRecv)
 }

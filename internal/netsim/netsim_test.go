@@ -178,13 +178,10 @@ func TestHostStats(t *testing.T) {
 	cs := n.HostStats("client")
 	ss := n.HostStats("server")
 	if cs.BytesSent == 0 || cs.BytesSent != ss.BytesReceived {
-		t.Fatalf("stats mismatch: %v vs %v", cs, ss)
+		t.Fatalf("stats mismatch: %+v vs %+v", cs, ss)
 	}
 	if cs.FramesSent != 6 {
 		t.Fatalf("frames = %d, want 6", cs.FramesSent)
-	}
-	if cs.String() == "" {
-		t.Fatal("empty stats string")
 	}
 }
 

@@ -120,7 +120,7 @@ func TestBadReplyCountedAndDropped(t *testing.T) {
 		nfsproto.ReplyHeader{XID: hdr.XID}.Encode(e)
 		net.Send(netsim.Datagram{From: "srv", To: "c", Payload: e.Bytes()})
 	})
-	tr := New(s, net, s.NewCPUPool("cpus", 2), s.NewMutex("bkl"), DefaultConfig(), "c", "srv")
+	tr := New(s, net, s.NewCPUPool(2), s.NewMutex("bkl"), DefaultConfig(), "c", "srv")
 	done := false
 	s.Go("caller", func(p *sim.Proc) {
 		CallSync(tr, p, nfsproto.ProcNull, nullArgs, nullReply)

@@ -68,11 +68,6 @@ var (
 	labelRPCReply     = sim.NewLabel("rpc_reply")
 )
 
-// defaultMaxRetransmitTimeout caps UDP retransmit backoff (the 2.4
-// xprt's to_maxval): applied by DefaultConfig and by New when the
-// config leaves MaxRetransmitTimeout zero.
-const defaultMaxRetransmitTimeout sim.Time = 60_000_000_000
-
 // LockPolicy selects the BKL discipline around sock_sendmsg.
 type LockPolicy int
 
@@ -118,7 +113,7 @@ type Config struct {
 	// Karn-style, up to MaxRetransmitTimeout.
 	RetransmitTimeout sim.Time
 	// MaxRetransmitTimeout caps the exponential backoff (the 2.4 xprt's
-	// to_maxval; 0 means the New default of 60 s).
+	// to_maxval).
 	MaxRetransmitTimeout sim.Time
 	// MaxRetries bounds how many times one call is retransmitted before
 	// the transport declares a major timeout and gives up with a
@@ -149,7 +144,7 @@ func DefaultConfig() Config {
 		ReplyCPUPerFragment:  1_500, // small replies are one fragment
 		ReplyBKLHold:         4_000, // 4 µs
 		RetransmitTimeout:    1_100_000_000,
-		MaxRetransmitTimeout: defaultMaxRetransmitTimeout,
+		MaxRetransmitTimeout: 60_000_000_000, // 60 s
 		LockPolicy:           HoldBKLAcrossSend,
 		Transport:            TransportUDP,
 		MTU:                  netsim.MTUEthernet,
@@ -280,15 +275,12 @@ func New(s *sim.Sim, net *netsim.Network, cpu *sim.CPUPool, bkl *sim.Mutex, cfg 
 	if cfg.MaxSlots < 1 {
 		panic("rpcsim: MaxSlots must be >= 1")
 	}
-	if cfg.MaxRetransmitTimeout == 0 {
-		cfg.MaxRetransmitTimeout = defaultMaxRetransmitTimeout
-	}
 	t := &Transport{
 		s: s, net: net, cpu: cpu, bkl: bkl, cfg: cfg,
 		local: local, remote: remote,
 		pending:  make(map[uint32]*pendingCall),
-		slotWait: s.NewWaitQueue("rpc-slots"),
-		rxWait:   s.NewWaitQueue("rpc-rx"),
+		slotWait: s.NewWaitQueue(),
+		rxWait:   s.NewWaitQueue(),
 	}
 	if cfg.Transport == TransportTCP {
 		t.stream = streamsim.NewEndpoint(s, net, streamsim.DefaultConfig(cfg.MTU), local, remote,
@@ -359,7 +351,7 @@ func (t *Transport) call(p *sim.Proc, proc uint32, encodeArgs func(*xdr.Encoder)
 	encodeArgs(pc.enc)
 	pc.onReply, pc.sentAt, pc.sync = onReply, t.s.Now(), sync
 	if sync && pc.done == nil {
-		pc.done = t.s.NewWaitQueue("rpc-sync")
+		pc.done = t.s.NewWaitQueue()
 	}
 	t.pending[pc.xid] = pc
 	t.stats.Calls++

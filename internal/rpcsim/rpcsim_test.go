@@ -48,7 +48,7 @@ func newRig(t *testing.T, cfg Config, delay sim.Time, dropFirst int) *testRig {
 			net.Send(netsim.Datagram{From: "srv", To: "c", Payload: e.Bytes()})
 		})
 	})
-	cpu := s.NewCPUPool("client-cpus", 2)
+	cpu := s.NewCPUPool(2)
 	bkl := s.NewMutex("bkl")
 	tr := New(s, net, cpu, bkl, cfg, "c", "srv")
 	return &testRig{s: s, net: net, cpu: cpu, bkl: bkl, tr: tr}
@@ -160,7 +160,7 @@ func TestDuplicateReplyDropped(t *testing.T) {
 			net.Send(netsim.Datagram{From: "srv", To: "c", Payload: e.Bytes()})
 		}
 	})
-	tr := New(s, net, s.NewCPUPool("cpus", 2), s.NewMutex("bkl"), DefaultConfig(), "c", "srv")
+	tr := New(s, net, s.NewCPUPool(2), s.NewMutex("bkl"), DefaultConfig(), "c", "srv")
 	replies := 0
 	s.Go("caller", func(p *sim.Proc) {
 		tr.Call(p, nfsproto.ProcNull, nullArgs, func(*xdr.Decoder) { replies++ })
@@ -289,7 +289,7 @@ func TestBadConfigPanics(t *testing.T) {
 	net.AddHost("c", netsim.DefaultGigabit(), nil)
 	cfg := DefaultConfig()
 	cfg.MaxSlots = 0
-	New(s, net, s.NewCPUPool("c", 1), s.NewMutex("bkl"), cfg, "c", "c")
+	New(s, net, s.NewCPUPool(1), s.NewMutex("bkl"), cfg, "c", "c")
 }
 
 func TestLockPolicyString(t *testing.T) {
@@ -320,7 +320,7 @@ func TestRetransmitExponentialBackoff(t *testing.T) {
 		nfsproto.ReplyHeader{XID: hdr.XID}.Encode(e)
 		net.Send(netsim.Datagram{From: "srv", To: "c", Payload: e.Bytes()})
 	})
-	tr := New(s, net, s.NewCPUPool("cpus", 2), s.NewMutex("bkl"), cfg, "c", "srv")
+	tr := New(s, net, s.NewCPUPool(2), s.NewMutex("bkl"), cfg, "c", "srv")
 	done := false
 	s.Go("caller", func(p *sim.Proc) {
 		CallSync(tr, p, nfsproto.ProcNull, nullArgs, nullReply)
@@ -383,7 +383,7 @@ func TestDuplicateReplyCounted(t *testing.T) {
 			net.Send(netsim.Datagram{From: "srv", To: "c", Payload: e.Bytes()})
 		}
 	})
-	tr := New(s, net, s.NewCPUPool("cpus", 2), s.NewMutex("bkl"), DefaultConfig(), "c", "srv")
+	tr := New(s, net, s.NewCPUPool(2), s.NewMutex("bkl"), DefaultConfig(), "c", "srv")
 	s.Go("caller", func(p *sim.Proc) {
 		tr.Call(p, nfsproto.ProcNull, nullArgs, nil)
 	})
@@ -437,7 +437,7 @@ func tcpRig(t *testing.T, seed int64, loss float64, delay sim.Time) (*sim.Sim, *
 	net.SetHandler("srv", func(dg netsim.Datagram) { srvEp.HandleDatagram(dg.Payload) })
 	cfg := DefaultConfig()
 	cfg.Transport = TransportTCP
-	tr := New(s, net, s.NewCPUPool("cpus", 2), s.NewMutex("bkl"), cfg, "c", "srv")
+	tr := New(s, net, s.NewCPUPool(2), s.NewMutex("bkl"), cfg, "c", "srv")
 	return s, tr
 }
 
@@ -518,7 +518,7 @@ func TestManyCallersProperty(t *testing.T) {
 				net.Send(netsim.Datagram{From: "srv", To: "c", Payload: e.Bytes()})
 			})
 		})
-		tr := New(s, net, s.NewCPUPool("cpus", 2), s.NewMutex("bkl"), cfg, "c", "srv")
+		tr := New(s, net, s.NewCPUPool(2), s.NewMutex("bkl"), cfg, "c", "srv")
 		const callers, perCaller = 6, 10
 		completed := 0
 		over := false

@@ -36,7 +36,7 @@ type stormServer struct {
 const stormService = 300 * time.Microsecond
 
 func newStormServer(t *testing.T, s *sim.Sim, net *netsim.Network) *stormServer {
-	ss := &stormServer{t: t, s: s, net: net, wake: s.NewWaitQueue("storm-rx"),
+	ss := &stormServer{t: t, s: s, net: net, wake: s.NewWaitQueue(),
 		arrived: map[uint32]int{}, want: map[uint32][]byte{}}
 	net.AddHost("srv", stormLink, func(dg netsim.Datagram) {
 		if ss.down {
@@ -132,7 +132,7 @@ func TestRetransmitStormOwnsBuffers(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.MaxSlots = 4
 			cfg.RetransmitTimeout = time.Millisecond
-			tr := New(s, net, s.NewCPUPool("cpus", 2), s.NewMutex("bkl"), cfg, "c", "srv")
+			tr := New(s, net, s.NewCPUPool(2), s.NewMutex("bkl"), cfg, "c", "srv")
 
 			recycled := map[uint32]int{}
 			freed := map[*byte]bool{}

@@ -26,10 +26,10 @@ func TestSteadyStateWriteRoundTripAllocatesNothing(t *testing.T) {
 	s := sim.New(5)
 	net := netsim.New(s)
 	net.AddHost(HostClient, netsim.DefaultGigabit(), nil)
-	srv, _ := NewF85(s, net, 0, rpcsim.TransportUDP)
+	srv := NewF85(s, net, netsim.MTUEthernet, rpcsim.TransportUDP)
 	cfg := rpcsim.DefaultConfig()
 	cfg.RetransmitTimeout = 250 * time.Microsecond
-	tr := rpcsim.New(s, net, s.NewCPUPool("client-cpus", 2), s.NewMutex("bkl"), cfg, HostClient, HostFiler)
+	tr := rpcsim.New(s, net, s.NewCPUPool(2), s.NewMutex("bkl"), cfg, HostClient, HostFiler)
 
 	args := nfsproto.WriteArgs{File: nfsproto.MakeFileHandle(1, 1), Count: 8192,
 		Stable: nfsproto.Unstable, Data: nfsproto.Zeroes(8192)}
@@ -42,7 +42,7 @@ func TestSteadyStateWriteRoundTripAllocatesNothing(t *testing.T) {
 		}
 		replies++
 	}
-	start := s.NewWaitQueue("start")
+	start := s.NewWaitQueue()
 	s.Go("writer", func(p *sim.Proc) {
 		for {
 			start.Wait(p)

@@ -79,7 +79,7 @@ func NewFiler(s *sim.Sim, cfg FilerConfig, vol *disksim.RAID4) *Filer {
 		cfg:       cfg,
 		disk:      vol,
 		halfCap:   cfg.NVRAMBytes / 2,
-		spaceWait: s.NewWaitQueue("filer-nvram"),
+		spaceWait: s.NewWaitQueue(),
 		verf:      0xf85f85f85,
 		stable:    make(map[nfsproto.FileHandle]*rangeset.Set),
 	}

@@ -8,9 +8,9 @@ import (
 )
 
 func newTestVolume(s *sim.Sim) *disksim.RAID4 {
-	return disksim.NewRAID4(s, "testvol", 4, time.Millisecond, 10_000_000)
+	return disksim.NewRAID4(s, 4, time.Millisecond, 10_000_000)
 }
 
 func newTestDisk(s *sim.Sim) *disksim.Disk {
-	return disksim.New(s, "testdisk", time.Millisecond, 20_000_000)
+	return disksim.New(s, time.Millisecond, 20_000_000)
 }

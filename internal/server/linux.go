@@ -78,9 +78,9 @@ func NewLinuxServer(s *sim.Sim, cfg LinuxConfig, disk *disksim.Disk) *LinuxServe
 	l := &LinuxServer{
 		cfg:       cfg,
 		disk:      disk,
-		drainWork: s.NewWaitQueue("knfsd-drain"),
-		dirtyWait: s.NewWaitQueue("knfsd-dirty"),
-		cleanWait: s.NewWaitQueue("knfsd-clean"),
+		drainWork: s.NewWaitQueue(),
+		dirtyWait: s.NewWaitQueue(),
+		cleanWait: s.NewWaitQueue(),
 		verf:      0x11c4411c44,
 		stable:    make(map[nfsproto.FileHandle]*rangeset.Set),
 	}

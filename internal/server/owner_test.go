@@ -36,7 +36,7 @@ func TestServerReleasesEveryRequestCopy(t *testing.T) {
 	s := sim.New(3)
 	net := netsim.New(s)
 	net.AddHost(HostClient, netsim.DefaultGigabit(), nil)
-	srv, _ := NewF85(s, net, 0, rpcsim.TransportUDP)
+	srv := NewF85(s, net, netsim.MTUEthernet, rpcsim.TransportUDP)
 	o := &requestOwner{t: t, srv: srv, released: map[*byte]int{}}
 	var sent [][]byte
 	send := func(xid uint32) {

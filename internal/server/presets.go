@@ -28,11 +28,7 @@ func ClientHost(i int) string { return fmt.Sprintf("client%d", i) }
 // lands in NVRAM — "the filer's NVRAM acts as an extension of the
 // client's page cache" (§3.6) in the sense that nothing waits for disk
 // until a consistency point.
-func NewF85(s *sim.Sim, net *netsim.Network, mtu int, transport rpcsim.TransportKind) (*Server, *Filer) {
-	if mtu <= 0 {
-		mtu = netsim.MTUEthernet
-	}
-	backend := NewFiler(s, DefaultFilerConfig(), disksim.NewFilerVolume(s))
+func NewF85(s *sim.Sim, net *netsim.Network, mtu int, transport rpcsim.TransportKind) *Server {
 	link := netsim.LinkConfig{
 		Bandwidth:   netsim.BandwidthGigabit,
 		Propagation: 20_000, // 20 µs through the switch
@@ -49,18 +45,14 @@ func NewF85(s *sim.Sim, net *netsim.Network, mtu int, transport rpcsim.Transport
 		MTU:                mtu,
 		Transport:          transport,
 	}
-	return New(s, net, link, cfg, backend), backend
+	return New(s, net, link, cfg, NewFiler(s, DefaultFilerConfig(), disksim.NewFilerVolume(s)))
 }
 
 // NewLinuxNFS builds the four-way Linux 2.4.4 knfsd: plenty of CPU, but
 // its Netgear NIC sits in a 32-bit/33 MHz PCI slot (§3.1), capping the
 // network path well below gigabit — the reason the paper measures only
 // ~26 MB/s of network throughput against it.
-func NewLinuxNFS(s *sim.Sim, net *netsim.Network, mtu int, transport rpcsim.TransportKind) (*Server, *LinuxServer) {
-	if mtu <= 0 {
-		mtu = netsim.MTUEthernet
-	}
-	backend := NewLinuxServer(s, DefaultLinuxConfig(), disksim.NewSeagateSCSI(s, "knfsd-sda"))
+func NewLinuxNFS(s *sim.Sim, net *netsim.Network, mtu int, transport rpcsim.TransportKind) *Server {
 	link := netsim.LinkConfig{
 		Bandwidth:   30_000_000, // PCI-constrained effective NIC rate
 		Propagation: 20_000,
@@ -77,17 +69,13 @@ func NewLinuxNFS(s *sim.Sim, net *netsim.Network, mtu int, transport rpcsim.Tran
 		MTU:                mtu,
 		Transport:          transport,
 	}
-	return New(s, net, link, cfg, backend), backend
+	return New(s, net, link, cfg, NewLinuxServer(s, DefaultLinuxConfig(), disksim.NewSeagateSCSI(s)))
 }
 
 // NewSlow100 builds the §3.5 verification server: the same knfsd stack
 // behind a 100 Mb/s link ("The benchmark writes to memory even faster
 // with this server, which sustains less than 10 MBps").
-func NewSlow100(s *sim.Sim, net *netsim.Network, mtu int, transport rpcsim.TransportKind) (*Server, *LinuxServer) {
-	if mtu <= 0 {
-		mtu = netsim.MTUEthernet
-	}
-	backend := NewLinuxServer(s, DefaultLinuxConfig(), disksim.NewSeagateSCSI(s, "slow-sda"))
+func NewSlow100(s *sim.Sim, net *netsim.Network, mtu int, transport rpcsim.TransportKind) *Server {
 	link := netsim.LinkConfig{
 		// 100base-T nominal is 12.5 MB/s; NFS/UDP with fragmentation and
 		// half-duplex-era switch overheads sustains ~10 MB/s of wire rate,
@@ -107,5 +95,5 @@ func NewSlow100(s *sim.Sim, net *netsim.Network, mtu int, transport rpcsim.Trans
 		MTU:                mtu,
 		Transport:          transport,
 	}
-	return New(s, net, link, cfg, backend), backend
+	return New(s, net, link, cfg, NewLinuxServer(s, DefaultLinuxConfig(), disksim.NewSeagateSCSI(s)))
 }

@@ -167,10 +167,10 @@ func New(s *sim.Sim, net *netsim.Network, link netsim.LinkConfig, cfg Config, ba
 	srv := &Server{
 		s:        s,
 		net:      net,
-		cpu:      s.NewCPUPool(cfg.Host+"-cpus", cfg.CPUs),
+		cpu:      s.NewCPUPool(cfg.CPUs),
 		cfg:      cfg,
 		backend:  backend,
-		rxWait:   s.NewWaitQueue(cfg.Host + "-rxq"),
+		rxWait:   s.NewWaitQueue(),
 		conns:    make(map[string]*streamsim.Endpoint),
 		coverage: make(map[nfsproto.FileHandle]*rangeset.Set),
 		ns:       NewNamespace(s),
@@ -227,7 +227,9 @@ func (srv *Server) conn(from string) *streamsim.Endpoint {
 	return ep
 }
 
-// Names returns the server's directory state (test accessor).
+// Names returns the server's directory state: its per-file change
+// counters are the ground truth nfssim's staleness probe and the
+// harness's change-bump count read.
 func (srv *Server) Names() *Namespace { return srv.ns }
 
 // Backend returns the server's backend.

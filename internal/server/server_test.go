@@ -20,34 +20,31 @@ type rig struct {
 
 // newRig builds client + server of the requested kind. kind is one of
 // "filer", "linux", "slow".
-func newRig(t *testing.T, kind string) (*rig, any) {
+func newRig(t *testing.T, kind string) (*rig, Backend) {
 	t.Helper()
 	s := sim.New(11)
 	net := netsim.New(s)
 	net.AddHost(HostClient, netsim.DefaultGigabit(), nil)
 	var srv *Server
-	var backend any
 	var host string
 	switch kind {
 	case "filer":
-		srv, backend = asAny(NewF85(s, net, 0, rpcsim.TransportUDP))
+		srv = NewF85(s, net, netsim.MTUEthernet, rpcsim.TransportUDP)
 		host = HostFiler
 	case "linux":
-		srv, backend = asAny(NewLinuxNFS(s, net, 0, rpcsim.TransportUDP))
+		srv = NewLinuxNFS(s, net, netsim.MTUEthernet, rpcsim.TransportUDP)
 		host = HostLinux
 	case "slow":
-		srv, backend = asAny(NewSlow100(s, net, 0, rpcsim.TransportUDP))
+		srv = NewSlow100(s, net, netsim.MTUEthernet, rpcsim.TransportUDP)
 		host = HostSlow
 	default:
 		t.Fatalf("unknown kind %q", kind)
 	}
-	cpu := s.NewCPUPool("client-cpus", 2)
+	cpu := s.NewCPUPool(2)
 	bkl := s.NewMutex("bkl")
 	tr := rpcsim.New(s, net, cpu, bkl, rpcsim.DefaultConfig(), HostClient, host)
-	return &rig{s: s, net: net, tr: tr, srv: srv}, backend
+	return &rig{s: s, net: net, tr: tr, srv: srv}, srv.Backend()
 }
-
-func asAny[T any](srv *Server, backend T) (*Server, any) { return srv, backend }
 
 // writeFile writes total bytes in 8 KB stable-UNSTABLE WRITEs, pipelined
 // through the transport, then optionally COMMITs. Returns elapsed time.
@@ -56,7 +53,7 @@ func writeFile(r *rig, fh nfsproto.FileHandle, total int64, commit bool) sim.Tim
 	r.s.Go("writer", func(p *sim.Proc) {
 		data := make([]byte, 8192)
 		outstanding := 0
-		done := r.s.NewWaitQueue("writer-done")
+		done := r.s.NewWaitQueue()
 		for off := int64(0); off < total; off += 8192 {
 			n := total - off
 			if n > 8192 {

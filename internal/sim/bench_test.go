@@ -92,7 +92,7 @@ func BenchmarkKernelTimerCancel(b *testing.B) {
 func BenchmarkKernelCPUUse(b *testing.B) {
 	s := sim.New(1)
 	defer s.Close()
-	cpus := s.NewCPUPool("cpus", 1)
+	cpus := s.NewCPUPool(1)
 	work := sim.NewLabel("work")
 	noop := func() {}
 	call := func(p *sim.Proc) {

@@ -15,8 +15,8 @@ func TestCloseEndsParkedProcesses(t *testing.T) {
 	base := runtime.NumGoroutine()
 	s := New(1)
 	m := s.NewMutex("m")
-	sem := s.NewSemaphore("sem", 1)
-	q := s.NewWaitQueue("q")
+	cpus := s.NewCPUPool(1)
+	q := s.NewWaitQueue()
 	unwound := 0
 	park := func(name string, block func(p *Proc)) {
 		s.Go(name, func(p *Proc) {
@@ -27,11 +27,11 @@ func TestCloseEndsParkedProcesses(t *testing.T) {
 	}
 	s.Go("holder", func(p *Proc) {
 		m.Lock(p, NewLabel("held"))
-		sem.Acquire(p)
+		cpus.acquire(p)
 	})
 	park("sleeper", func(p *Proc) { p.Sleep(time.Hour) })
 	park("locker", func(p *Proc) { m.Lock(p, NewLabel("wait")) })
-	park("acquirer", func(p *Proc) { sem.Acquire(p) })
+	park("acquirer", func(p *Proc) { cpus.acquire(p) })
 	park("waiter", func(p *Proc) { q.Wait(p) })
 	s.Run(time.Millisecond)
 	if s.Live() != 4 {
@@ -115,7 +115,7 @@ func TestCloseRecyclesEveryEvent(t *testing.T) {
 			s.AfterFixed(Time(i%5)*time.Second, fn)
 		}
 	}
-	q := s.NewWaitQueue("q")
+	q := s.NewWaitQueue()
 	for range 20 {
 		s.Go("waiter", func(p *Proc) { q.Wait(p) })
 	}
@@ -201,7 +201,7 @@ func TestSteadyStateHandoffAllocatesNothing(t *testing.T) {
 	// nothing is queued.
 	cs := New(1)
 	defer cs.Close()
-	cpus := cs.NewCPUPool("cpus", 1)
+	cpus := cs.NewCPUPool(1)
 	work := NewLabel("work")
 	cs.After(1100*time.Millisecond, func() {})
 	var allocs float64

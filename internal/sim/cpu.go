@@ -2,7 +2,6 @@ package sim
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"strings"
 	"sync"
@@ -14,10 +13,12 @@ import (
 // the mechanism behind §3.5's observation that "even a single writer
 // thread uses more than one CPU".
 type CPUPool struct {
-	s    *Sim
-	sem  *Semaphore
-	prof *Profiler
-	Busy Time // aggregate CPU time consumed across all processors
+	s       *Sim
+	prof    *Profiler
+	cpus    int
+	free    int     // idle processors
+	waiters []*Proc // blocked for a processor, oldest first
+	Busy    Time    // aggregate CPU time consumed across all processors
 
 	// Jitter adds a deterministic pseudo-random factor in
 	// [1-Jitter, 1+Jitter] to every execution, standing in for the cache,
@@ -29,14 +30,17 @@ type CPUPool struct {
 
 // NewCPUPool returns a pool of n processors whose execution time is
 // attributed to the simulation's profiler.
-func (s *Sim) NewCPUPool(name string, n int) *CPUPool {
-	return &CPUPool{s: s, sem: s.NewSemaphore(name, n), prof: s.prof}
+func (s *Sim) NewCPUPool(n int) *CPUPool {
+	if n < 1 {
+		panic("sim: a CPU pool needs at least one processor")
+	}
+	return &CPUPool{s: s, prof: s.prof, cpus: n, free: n}
 }
 
 // CPUs returns the number of processors in the pool.
 //
 //lint:allow unusedexport read by the nfssim and chaos tests of the pools a test bed builds
-func (c *CPUPool) CPUs() int { return c.sem.Capacity() }
+func (c *CPUPool) CPUs() int { return c.cpus }
 
 // Use executes d of CPU work on some processor, blocking first if all
 // processors are busy. The label attributes the cost in the profiler,
@@ -49,11 +53,33 @@ func (c *CPUPool) Use(p *Proc, label Label, d Time) {
 		f := 1 + c.Jitter*(2*c.s.rng.Float64()-1)
 		d = Time(float64(d) * f)
 	}
-	c.sem.Acquire(p)
+	c.acquire(p)
 	p.Sleep(d)
-	c.sem.Release()
+	c.release()
 	c.Busy += d
 	c.prof.Add(label, d)
+}
+
+// acquire takes a processor, blocking in virtual time if none is idle.
+func (c *CPUPool) acquire(p *Proc) {
+	if c.free > 0 {
+		c.free--
+		return
+	}
+	c.waiters = append(c.waiters, p)
+	p.park()
+}
+
+// release frees a processor, handing it to the oldest waiter if any.
+func (c *CPUPool) release() {
+	if len(c.waiters) > 0 {
+		c.s.wakeNow(popWaiter(&c.waiters))
+		return
+	}
+	c.free++
+	if c.free > c.cpus {
+		panic("sim: CPU pool over-released")
+	}
 }
 
 // Label is an interned code-path name for the profiler and for lock
@@ -173,14 +199,4 @@ func (pr *Profiler) Top(n int) []ProfileEntry {
 		out = out[:n]
 	}
 	return out
-}
-
-// String formats the full profile as a table.
-func (pr *Profiler) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-36s %14s %10s\n", "label", "cpu time", "calls")
-	for _, e := range pr.Top(0) {
-		fmt.Fprintf(&b, "%-36s %14v %10d\n", e.Label, e.Total, e.Calls)
-	}
-	return b.String()
 }

@@ -18,7 +18,7 @@ import (
 // tie-breaking — must fall back to the label.
 func TestProfilerTopDeterministic(t *testing.T) {
 	s := sim.New(1)
-	cpus := s.NewCPUPool("cpus", 2)
+	cpus := s.NewCPUPool(2)
 	// Three labels with identical totals via identical charge sequences,
 	// interleaved across two procs, plus one clearly-largest label.
 	s.Go("a", func(p *sim.Proc) {
@@ -57,7 +57,7 @@ func TestProfilerTopDeterministic(t *testing.T) {
 // TestProfileReportTable pins the report for a fixed workload: Top(0)
 // sorts by total, then name, and lists only labels charged since the
 // last Reset — a registered label that was never charged, or was charged
-// only before the Reset, stays out — and String renders that order.
+// only before the Reset, stays out.
 func TestProfileReportTable(t *testing.T) {
 	var (
 		send   = sim.NewLabel("sock_sendmsg")
@@ -67,7 +67,7 @@ func TestProfileReportTable(t *testing.T) {
 	)
 	sim.NewLabel("never_charged")
 	s := sim.New(1)
-	cpus := s.NewCPUPool("cpus", 2)
+	cpus := s.NewCPUPool(2)
 	s.Go("warmup", func(p *sim.Proc) { cpus.Use(p, gone, time.Millisecond) })
 	s.Run(0)
 	s.Profiler().Reset()
@@ -91,14 +91,6 @@ func TestProfileReportTable(t *testing.T) {
 	if got := s.Profiler().Top(0); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Top(0) = %+v, want %+v", got, want)
 	}
-	const table = `label                                      cpu time      calls
-nfs_commit_write                               12µs          4
-nfs_find_request                               12µs          3
-sock_sendmsg                                   12µs          1
-`
-	if got := s.Profiler().String(); got != table {
-		t.Fatalf("String() =\n%s\nwant\n%s", got, table)
-	}
 }
 
 // Charging CPU time to an interned label allocates nothing once the
@@ -109,7 +101,7 @@ func TestCPUUseAllocatesNothing(t *testing.T) {
 	}
 	s := sim.New(1)
 	defer s.Close()
-	cpus := s.NewCPUPool("cpus", 1)
+	cpus := s.NewCPUPool(1)
 	work := sim.NewLabel("work")
 	s.Go("worker", func(p *sim.Proc) {
 		for {

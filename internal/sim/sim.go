@@ -746,62 +746,17 @@ func (m *Mutex) WaitBreakdown() map[string]Time {
 	return out
 }
 
-// Semaphore is a counting semaphore with FIFO wakeup; a capacity-k
-// semaphore models a k-CPU machine.
-type Semaphore struct {
-	s       *Sim
-	name    string
-	free    int
-	cap     int
-	waiters []*Proc
-}
-
-// NewSemaphore returns a semaphore with the given capacity.
-func (s *Sim) NewSemaphore(name string, capacity int) *Semaphore {
-	if capacity < 1 {
-		panic("sim: semaphore capacity must be >= 1")
-	}
-	return &Semaphore{s: s, name: name, free: capacity, cap: capacity}
-}
-
-// Capacity returns the semaphore's capacity.
-func (sem *Semaphore) Capacity() int { return sem.cap }
-
-// Acquire takes one unit, blocking in virtual time if none are free.
-func (sem *Semaphore) Acquire(p *Proc) {
-	if sem.free > 0 {
-		sem.free--
-		return
-	}
-	sem.waiters = append(sem.waiters, p)
-	p.park()
-}
-
-// Release returns one unit, waking the oldest waiter if any.
-func (sem *Semaphore) Release() {
-	if len(sem.waiters) > 0 {
-		next := popWaiter(&sem.waiters)
-		sem.s.wakeNow(next)
-		return
-	}
-	sem.free++
-	if sem.free > sem.cap {
-		panic("sim: semaphore over-released")
-	}
-}
-
 // WaitQueue parks processes until they are signaled, like the kernel's
 // wait_event/wake_up pairs. Callers must re-check their predicate after
 // Wait returns (standard condition-variable discipline).
 type WaitQueue struct {
 	s       *Sim
-	name    string
 	waiters []*Proc
 }
 
-// NewWaitQueue returns a named wait queue.
-func (s *Sim) NewWaitQueue(name string) *WaitQueue {
-	return &WaitQueue{s: s, name: name}
+// NewWaitQueue returns an empty wait queue.
+func (s *Sim) NewWaitQueue() *WaitQueue {
+	return &WaitQueue{s: s}
 }
 
 // Wait parks p until Signal or Broadcast wakes it.

@@ -244,20 +244,20 @@ func TestMutexWrongUnlockPanics(t *testing.T) {
 	s.Run(0)
 }
 
-func TestSemaphoreCapacity(t *testing.T) {
+func TestCPUPoolCapacity(t *testing.T) {
 	s := New(1)
-	sem := s.NewSemaphore("cpus", 2)
+	cpus := s.NewCPUPool(2)
 	var concurrent, maxConcurrent int
 	for i := 0; i < 5; i++ {
 		s.Go("w", func(p *Proc) {
-			sem.Acquire(p)
+			cpus.acquire(p)
 			concurrent++
 			if concurrent > maxConcurrent {
 				maxConcurrent = concurrent
 			}
 			p.Sleep(time.Millisecond)
 			concurrent--
-			sem.Release()
+			cpus.release()
 		})
 	}
 	end := s.Run(0)
@@ -270,29 +270,28 @@ func TestSemaphoreCapacity(t *testing.T) {
 	}
 }
 
-func TestSemaphoreInvalidCapacityPanics(t *testing.T) {
+func TestCPUPoolInvalidCapacityPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(1).NewSemaphore("bad", 0)
+	New(1).NewCPUPool(0)
 }
 
-func TestSemaphoreOverReleasePanics(t *testing.T) {
+func TestCPUPoolOverReleasePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
 	s := New(1)
-	sem := s.NewSemaphore("s", 1)
-	sem.Release()
+	s.NewCPUPool(1).release()
 }
 
 func TestWaitQueueSignalAndBroadcast(t *testing.T) {
 	s := New(1)
-	q := s.NewWaitQueue("q")
+	q := s.NewWaitQueue()
 	woken := 0
 	for i := 0; i < 3; i++ {
 		s.Go("w", func(p *Proc) {
@@ -317,7 +316,7 @@ func TestWaitQueueSignalAndBroadcast(t *testing.T) {
 
 func TestWaitQueueSignalEmpty(t *testing.T) {
 	s := New(1)
-	q := s.NewWaitQueue("q")
+	q := s.NewWaitQueue()
 	q.Signal() // no-op
 	q.Broadcast()
 	s.Run(0)
@@ -325,7 +324,7 @@ func TestWaitQueueSignalEmpty(t *testing.T) {
 
 func TestCPUPoolSerializesOnUniprocessor(t *testing.T) {
 	s := New(1)
-	cpu := s.NewCPUPool("cpu", 1)
+	cpu := s.NewCPUPool(1)
 	for i := 0; i < 2; i++ {
 		s.Go("w", func(p *Proc) { cpu.Use(p, NewLabel("work"), time.Millisecond) })
 	}
@@ -340,7 +339,7 @@ func TestCPUPoolSerializesOnUniprocessor(t *testing.T) {
 
 func TestCPUPoolOverlapsOnSMP(t *testing.T) {
 	s := New(1)
-	cpu := s.NewCPUPool("cpu", 2)
+	cpu := s.NewCPUPool(2)
 	for i := 0; i < 2; i++ {
 		s.Go("w", func(p *Proc) { cpu.Use(p, NewLabel("work"), time.Millisecond) })
 	}
@@ -352,7 +351,7 @@ func TestCPUPoolOverlapsOnSMP(t *testing.T) {
 
 func TestCPUUseZeroIsFree(t *testing.T) {
 	s := New(1)
-	cpu := s.NewCPUPool("cpu", 1)
+	cpu := s.NewCPUPool(1)
 	s.Go("w", func(p *Proc) { cpu.Use(p, NewLabel("noop"), 0) })
 	if end := s.Run(0); end != 0 {
 		t.Fatalf("end = %v, want 0", end)
@@ -370,9 +369,6 @@ func TestProfilerAccounting(t *testing.T) {
 	top := pr.Top(1)
 	if len(top) != 1 || top[0].Label != "b" {
 		t.Fatalf("top = %+v", top)
-	}
-	if pr.String() == "" {
-		t.Fatal("empty report")
 	}
 	pr.Reset()
 	if pr.Total("a") != 0 {
@@ -410,27 +406,27 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// Property: a semaphore never admits more than its capacity, for random
-// workloads.
-func TestSemaphorePropertyNeverOversubscribed(t *testing.T) {
+// Property: a CPU pool never runs more processes than it has
+// processors, for random workloads.
+func TestCPUPoolPropertyNeverOversubscribed(t *testing.T) {
 	f := func(seed int64, capRaw uint8, nRaw uint8) bool {
 		capacity := int(capRaw%4) + 1
 		n := int(nRaw%20) + 1
 		s := New(seed)
-		sem := s.NewSemaphore("s", capacity)
+		cpus := s.NewCPUPool(capacity)
 		inside, bad := 0, false
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < n; i++ {
 			d := Time(rng.Intn(50)+1) * time.Microsecond
 			s.Go("w", func(p *Proc) {
-				sem.Acquire(p)
+				cpus.acquire(p)
 				inside++
 				if inside > capacity {
 					bad = true
 				}
 				p.Sleep(d)
 				inside--
-				sem.Release()
+				cpus.release()
 			})
 		}
 		s.Run(0)
@@ -485,7 +481,7 @@ func TestMutexRelabelByNonHolderPanics(t *testing.T) {
 
 func TestCPUJitterBounded(t *testing.T) {
 	s := New(7)
-	cpu := s.NewCPUPool("cpu", 1)
+	cpu := s.NewCPUPool(1)
 	cpu.Jitter = 0.1
 	var min, max Time
 	s.Go("w", func(p *Proc) {

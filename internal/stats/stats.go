@@ -201,11 +201,6 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 	return sorted[i]
 }
 
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d min=%v mean=%v median=%v p95=%v p99=%v max=%v",
-		s.Count, s.Min, s.Mean, s.Median, s.P95, s.P99, s.Max)
-}
-
 // Histogram is a fixed-bucket-width latency histogram with an implicit
 // overflow bucket, the shape of Figures 5 and 6.
 type Histogram struct {

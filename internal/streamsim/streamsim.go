@@ -178,7 +178,7 @@ type sndSeg struct {
 
 // NewEndpoint creates one side of a connection between local and remote.
 // Complete records arriving from the peer are handed to onRecord in event
-// context.
+// context; the callback owns each record (xdr.RecycleBuffer discards it).
 func NewEndpoint(s *sim.Sim, net *netsim.Network, cfg Config, local, remote string, onRecord func([]byte)) *Endpoint {
 	if cfg.MSS < 1 {
 		panic("streamsim: MSS must be positive")
@@ -455,10 +455,6 @@ func (e *Endpoint) deliverReady() {
 	for e.ready.Len() > 0 {
 		rec := e.ready.Pop()
 		e.stats.RecordsDelivered++
-		if e.onRecord != nil {
-			e.onRecord(rec)
-		} else {
-			xdr.RecycleBuffer(rec)
-		}
+		e.onRecord(rec)
 	}
 }

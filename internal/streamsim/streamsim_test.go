@@ -163,7 +163,7 @@ func TestRTOBackoffUnderBlackout(t *testing.T) {
 	cfg := netsim.LinkConfig{Bandwidth: netsim.BandwidthGigabit, Propagation: 20 * time.Microsecond, MTU: netsim.MTUEthernet}
 	n.AddHost("a", cfg, nil)
 	n.AddHost("b", cfg, func(netsim.Datagram) {}) // black hole: no endpoint, no acks
-	ep := NewEndpoint(s, n, DefaultConfig(netsim.MTUEthernet), "a", "b", nil)
+	ep := NewEndpoint(s, n, DefaultConfig(netsim.MTUEthernet), "a", "b", xdr.RecycleBuffer)
 	ep.SendRecord(record(1, 100))
 	s.Run(10 * time.Second)
 	st := ep.Stats()
@@ -250,7 +250,7 @@ func TestBadConfigPanics(t *testing.T) {
 					t.Fatalf("config %d should panic", i)
 				}
 			}()
-			NewEndpoint(s, n, cfg, "a", "a", nil)
+			NewEndpoint(s, n, cfg, "a", "a", xdr.RecycleBuffer)
 		}()
 	}
 }
@@ -259,7 +259,7 @@ func TestShortSegmentPanics(t *testing.T) {
 	s := sim.New(1)
 	n := netsim.New(s)
 	n.AddHost("a", netsim.DefaultGigabit(), nil)
-	ep := NewEndpoint(s, n, DefaultConfig(netsim.MTUEthernet), "a", "a", nil)
+	ep := NewEndpoint(s, n, DefaultConfig(netsim.MTUEthernet), "a", "a", xdr.RecycleBuffer)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -300,7 +300,7 @@ func recyclingPair(t testing.TB, seed int64, loss netsim.LossConfig) (s *sim.Sim
 		n.SetLoss(loss)
 	}
 	delivered = new(int)
-	a = NewEndpoint(s, n, DefaultConfig(netsim.MTUEthernet), "a", "b", nil)
+	a = NewEndpoint(s, n, DefaultConfig(netsim.MTUEthernet), "a", "b", xdr.RecycleBuffer)
 	b := NewEndpoint(s, n, DefaultConfig(netsim.MTUEthernet), "b", "a", func(rec []byte) {
 		for j := range rec {
 			if rec[j] != byte(*delivered+j) {

@@ -73,7 +73,7 @@ func TestSplitPagesProperty(t *testing.T) {
 
 func TestWriteSyscallChargesCPUAndCommits(t *testing.T) {
 	s := sim.New(1)
-	cpu := s.NewCPUPool("cpu", 1)
+	cpu := s.NewCPUPool(1)
 	costs := DefaultCosts()
 	var committed []PageSpan
 	var elapsed sim.Time
@@ -98,7 +98,7 @@ func TestWriteSyscallChargesCPUAndCommits(t *testing.T) {
 
 func TestReadSyscallChargesCPUAndFetches(t *testing.T) {
 	s := sim.New(1)
-	cpu := s.NewCPUPool("cpu", 1)
+	cpu := s.NewCPUPool(1)
 	costs := DefaultCosts()
 	var fetched []PageSpan
 	var elapsed sim.Time

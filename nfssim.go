@@ -196,12 +196,9 @@ type Testbed struct {
 	// The paper's single-client topology is Machines[0].
 	Machines []*ClientMachine
 
-	// Server is the mounted server's front-end (nil for ServerNone).
+	// Server is the mounted server (nil for ServerNone); Server.Backend()
+	// is its filer or knfsd backend.
 	Server *server.Server
-	// Filer is the filer backend when Server == ServerFiler.
-	Filer *server.Filer
-	// Linux is the knfsd backend for ServerLinux / ServerSlow100.
-	Linux *server.LinuxServer
 }
 
 // NewTestbed assembles a test bed.
@@ -251,7 +248,7 @@ func NewTestbed(opts Options) *Testbed {
 		m := &ClientMachine{
 			Index: i,
 			Host:  server.ClientHost(i),
-			CPU:   s.NewCPUPool(server.ClientHost(i)+"-cpus", opts.ClientCPUs),
+			CPU:   s.NewCPUPool(opts.ClientCPUs),
 			BKL:   s.NewMutex("kernel_flag/" + server.ClientHost(i)),
 			Cache: mm.New(s, opts.CacheLimit),
 			sim:   s,
@@ -270,13 +267,13 @@ func NewTestbed(opts Options) *Testbed {
 	var remote string
 	switch opts.Server {
 	case ServerFiler:
-		tb.Server, tb.Filer = server.NewF85(s, net, mtu, opts.Transport)
+		tb.Server = server.NewF85(s, net, mtu, opts.Transport)
 		remote = server.HostFiler
 	case ServerLinux:
-		tb.Server, tb.Linux = server.NewLinuxNFS(s, net, mtu, opts.Transport)
+		tb.Server = server.NewLinuxNFS(s, net, mtu, opts.Transport)
 		remote = server.HostLinux
 	case ServerSlow100:
-		tb.Server, tb.Linux = server.NewSlow100(s, net, mtu, opts.Transport)
+		tb.Server = server.NewSlow100(s, net, mtu, opts.Transport)
 		remote = server.HostSlow
 	case ServerNone:
 		return tb

@@ -31,11 +31,11 @@ func TestNewTestbedDefaults(t *testing.T) {
 	if tb.Machines[0].CPU.CPUs() != 2 {
 		t.Fatalf("default CPUs = %d, want 2 (the paper's dual P-III)", tb.Machines[0].CPU.CPUs())
 	}
-	if tb.Machines[0].Client == nil || tb.Server == nil || tb.Filer == nil || tb.Machines[0].Transport == nil {
+	if tb.Machines[0].Client == nil || tb.Server == nil || tb.Machines[0].Transport == nil {
 		t.Fatal("filer test bed incomplete")
 	}
-	if tb.Linux != nil {
-		t.Fatal("filer test bed has a linux backend")
+	if _, ok := tb.Server.Backend().(*server.Filer); !ok {
+		t.Fatalf("filer test bed has a %T backend", tb.Server.Backend())
 	}
 	if tb.Machines[0].Client.Config().FlushPolicy != core.FlushLimits24 {
 		t.Fatal("default client should be the stock 2.4.4 configuration")
@@ -47,12 +47,12 @@ func TestNewTestbedDefaults(t *testing.T) {
 
 func TestNewTestbedServerVariants(t *testing.T) {
 	lin := NewTestbed(Options{Server: ServerLinux})
-	if lin.Linux == nil || lin.Filer != nil {
-		t.Fatal("linux test bed backends wrong")
+	if _, ok := lin.Server.Backend().(*server.LinuxServer); !ok {
+		t.Fatalf("linux test bed has a %T backend", lin.Server.Backend())
 	}
 	slow := NewTestbed(Options{Server: ServerSlow100})
-	if slow.Linux == nil {
-		t.Fatal("slow test bed backend wrong")
+	if _, ok := slow.Server.Backend().(*server.LinuxServer); !ok {
+		t.Fatalf("slow test bed has a %T backend", slow.Server.Backend())
 	}
 	local := NewTestbed(Options{Server: ServerNone})
 	if local.Machines[0].Client != nil || local.Server != nil {
