@@ -50,6 +50,13 @@ type Client struct {
 	mountRequests int
 	hardWait      *sim.WaitQueue
 
+	// reqPool recycles Request records: commitPage and queueRewrite take
+	// them, PopRun gives them back. freeWrites and freeReads recycle the
+	// WRITE and READ call records, which their reply callbacks return.
+	reqPool    requestPool
+	freeWrites []*writeCall
+	freeReads  []*readCall
+
 	flushWork *sim.WaitQueue
 	// pacedBusy marks flushd's paced WRITE as in flight; its reply clears
 	// it and wakes pacedDone. flushd has at most one paced RPC out.
@@ -397,8 +404,7 @@ func (c *Client) commitPage(p *sim.Proc, ino *Inode, page int64, offset, count i
 		c.cpu.Use(p, labelNFSUpdateRequest, c.cfg.Costs.UpdateRequestBase)
 		ino.markResident(page)
 		if existing == nil {
-			r := &Request{Page: page, Offset: offset, Count: count, CreatedAt: c.s.Now()}
-			scanned := ino.reqs.Insert(r)
+			scanned := ino.reqs.Insert(c.reqPool.get(page, offset, count, c.s.Now()))
 			if c.cfg.IndexPolicy == IndexLinearList {
 				// The real code walks the sorted list again to insert.
 				c.cpu.Use(p, labelNFSUpdateRequestScan, sim.Time(scanned)*c.cfg.Costs.ListScanPerEntry)
@@ -494,46 +500,77 @@ func (c *Client) enforceLimits(p *sim.Proc, ino *Inode) {
 // caller must not hold the BKL.
 func (c *Client) sendOne(p *sim.Proc, ino *Inode, paced bool) int {
 	c.bkl.Lock(p, labelNFSCoalesce)
-	run, scanned := ino.reqs.PopRun(c.cfg.WSize)
+	start, pages, total, scanned := ino.reqs.PopRun(c.cfg.WSize, &c.reqPool)
 	c.cpu.Use(p, labelNFSCoalesce,
 		c.cfg.Costs.CoalesceBase+sim.Time(scanned)*c.cfg.Costs.ListScanPerEntry)
-	if len(run) == 0 {
+	if pages == 0 {
 		c.bkl.Unlock(p)
 		return 0
 	}
-	ino.inflightPages += len(run)
+	ino.inflightPages += pages
 	c.bkl.Unlock(p)
 
-	start := run[0].Start()
-	var total int
-	for _, r := range run {
-		total += r.Count
-	}
 	if c.cfg.FlushPolicy == FlushCacheAll {
 		c.cache.StartWriteback(int64(total))
 	}
 
-	args := nfsproto.WriteArgs{
+	wc := c.newWriteCall()
+	wc.ino, wc.pages, wc.paced = ino, pages, paced
+	wc.args = nfsproto.WriteArgs{
 		File:   ino.FH,
 		Offset: uint64(start),
 		Count:  uint32(total),
 		Stable: nfsproto.Unstable,
 		Data:   nfsproto.Zeroes(total),
 	}
-	pages := len(run)
 	c.RPCsSent++
 	c.PagesSent += int64(pages)
 	if paced {
 		c.pacedBusy = true
 	}
-	c.tr.Call(p, nfsproto.ProcWrite, args.Encode, func(d *xdr.Decoder) {
-		c.writeDone(ino, pages, total, start, d)
-		if paced {
-			c.pacedBusy = false
-			c.pacedDone.Broadcast()
-		}
-	})
+	c.tr.Call(p, nfsproto.ProcWrite, wc.encode, wc.reply)
 	return pages
+}
+
+// writeCall is one WRITE RPC from sendOne to its reply: the args it
+// encodes and the state writeDone needs. Records come from the client's
+// free list; encode and reply are method values bound once, when the
+// record is made, so a call hands the transport no new closure.
+type writeCall struct {
+	c      *Client
+	ino    *Inode
+	args   nfsproto.WriteArgs
+	pages  int
+	paced  bool
+	encode func(*xdr.Encoder)
+	reply  func(*xdr.Decoder)
+}
+
+// newWriteCall takes a WRITE record from the client's free list.
+func (c *Client) newWriteCall() *writeCall {
+	if n := len(c.freeWrites); n > 0 {
+		wc := c.freeWrites[n-1]
+		c.freeWrites = c.freeWrites[:n-1]
+		return wc
+	}
+	wc := &writeCall{c: c}
+	wc.encode, wc.reply = wc.args.Encode, wc.done
+	return wc
+}
+
+// done is the WRITE's reply callback. rpcsim runs it at most once (it
+// forgets the XID first), so it hands the record back to the free list;
+// a call abandoned by a dead server never gets here and leaves its
+// record to the GC.
+func (wc *writeCall) done(d *xdr.Decoder) {
+	c := wc.c
+	c.writeDone(wc.ino, wc.pages, int(wc.args.Count), int64(wc.args.Offset), d)
+	if wc.paced {
+		c.pacedBusy = false
+		c.pacedDone.Broadcast()
+	}
+	wc.ino = nil
+	c.freeWrites = append(c.freeWrites, wc)
 }
 
 // writeDone runs in softirq context when a WRITE reply arrives. start is
@@ -642,8 +679,7 @@ func (c *Client) queueRewrite(ino *Inode, page int64, offset, count int) {
 		}
 		return
 	}
-	r := &Request{Page: page, Offset: offset, Count: count, CreatedAt: c.s.Now()}
-	ino.reqs.Insert(r)
+	ino.reqs.Insert(c.reqPool.get(page, offset, count, c.s.Now()))
 	c.mountRequests++
 	if c.cfg.FlushPolicy == FlushCacheAll {
 		c.cache.ForceDirty(int64(count))

@@ -111,11 +111,44 @@ func (c *Client) sendReadRPC(p *sim.Proc, ino *Inode, page int64, pages int) {
 	for i := 0; i < pages; i++ {
 		ino.pendingReads[page+int64(i)] = true
 	}
-	args := nfsproto.ReadArgs{File: ino.FH, Offset: uint64(off), Count: uint32(count)}
+	rc := c.newReadCall()
+	rc.ino, rc.page, rc.pages = ino, page, pages
+	rc.args = nfsproto.ReadArgs{File: ino.FH, Offset: uint64(off), Count: uint32(count)}
 	c.ReadRPCs++
-	c.tr.Call(p, nfsproto.ProcRead, args.Encode, func(d *xdr.Decoder) {
-		c.readDone(ino, page, pages, int(count), d)
-	})
+	c.tr.Call(p, nfsproto.ProcRead, rc.encode, rc.reply)
+}
+
+// readCall is one READ RPC from sendReadRPC to its reply, recycled
+// through the client's free list like writeCall.
+type readCall struct {
+	c      *Client
+	ino    *Inode
+	args   nfsproto.ReadArgs
+	page   int64
+	pages  int
+	encode func(*xdr.Encoder)
+	reply  func(*xdr.Decoder)
+}
+
+// newReadCall takes a READ record from the client's free list.
+func (c *Client) newReadCall() *readCall {
+	if n := len(c.freeReads); n > 0 {
+		rc := c.freeReads[n-1]
+		c.freeReads = c.freeReads[:n-1]
+		return rc
+	}
+	rc := &readCall{c: c}
+	rc.encode, rc.reply = rc.args.Encode, rc.done
+	return rc
+}
+
+// done is the READ's reply callback; like writeCall.done it runs at most
+// once and returns the record to the free list.
+func (rc *readCall) done(d *xdr.Decoder) {
+	c := rc.c
+	c.readDone(rc.ino, rc.page, rc.pages, int(rc.args.Count), d)
+	rc.ino = nil
+	c.freeReads = append(c.freeReads, rc)
 }
 
 // readDone runs in softirq context when a READ reply arrives: mark the

@@ -100,36 +100,67 @@ func (l *reqList) Front() *Request {
 	return l.q.Items()[0]
 }
 
-// PopRun removes and returns the longest byte-contiguous run of requests
-// from the front of the list, capped at maxBytes total — this is the
-// "coalesced into wsize chunks just before the client generates write
-// RPCs" step of §3.4. The second result is the number of entries the
-// coalescing scan examined.
-func (l *reqList) PopRun(maxBytes int) (run []*Request, scanned int) {
+// PopRun removes the longest byte-contiguous run of requests from the
+// front of the list, capped at maxBytes total — this is the "coalesced
+// into wsize chunks just before the client generates write RPCs" step of
+// §3.4 — and hands the popped records back to free. It returns the run's
+// first byte offset, its page and byte counts, and the number of entries
+// the coalescing scan examined. This is the only place a request leaves
+// the list.
+func (l *reqList) PopRun(maxBytes int, free *requestPool) (start int64, pages, total, scanned int) {
 	items := l.q.Items()
 	if len(items) == 0 {
-		return nil, 0
+		return 0, 0, 0, 0
 	}
-	total := 0
-	n := 0
-	for n < len(items) {
-		r := items[n]
+	for pages < len(items) {
+		r := items[pages]
 		if total+r.Count > maxBytes {
 			break
 		}
-		if n > 0 && items[n-1].End() != r.Start() {
+		if pages > 0 && items[pages-1].End() != r.Start() {
 			break
 		}
 		total += r.Count
-		n++
+		pages++
 	}
-	if n == 0 {
+	if pages == 0 {
 		// A single request larger than maxBytes cannot happen (requests
 		// are at most a page and wsize >= a page), but guard anyway.
-		n = 1
+		pages, total = 1, items[0].Count
 	}
-	run = make([]*Request, n)
-	copy(run, items[:n])
-	l.q.Drop(n)
-	return run, n + 1
+	start = items[0].Start()
+	for _, r := range items[:pages] {
+		free.put(r)
+	}
+	l.q.Drop(pages)
+	return start, pages, total, pages + 1
 }
+
+// requestBlock is how many Request records one free-list refill
+// allocates: a single backing array keeps them cache-adjacent.
+const requestBlock = 128
+
+// requestPool is a client's free list of Request records, the model's
+// nfs_page slab cache. It refills in blocks, so a warmed client queues
+// pages without allocating.
+type requestPool struct {
+	free []*Request
+}
+
+// get returns a record for the span [offset, offset+count) of page,
+// created at now.
+func (rp *requestPool) get(page int64, offset, count int, now sim.Time) *Request {
+	if len(rp.free) == 0 {
+		block := make([]Request, requestBlock)
+		for i := range block {
+			rp.free = append(rp.free, &block[i])
+		}
+	}
+	r := rp.free[len(rp.free)-1]
+	rp.free = rp.free[:len(rp.free)-1]
+	*r = Request{Page: page, Offset: offset, Count: count, CreatedAt: now}
+	return r
+}
+
+// put takes back a record that has left its request list.
+func (rp *requestPool) put(r *Request) { rp.free = append(rp.free, r) }

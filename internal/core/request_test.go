@@ -1,9 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/mm"
+	"repro/internal/sim"
 )
 
 func req(page int64) *Request {
@@ -66,9 +70,13 @@ func TestPopRunCoalescesContiguous(t *testing.T) {
 	for pg := int64(0); pg < 5; pg++ {
 		l.Insert(req(pg))
 	}
-	run, _ := l.PopRun(8192) // wsize 8 KB = 2 pages
-	if len(run) != 2 || run[0].Page != 0 || run[1].Page != 1 {
-		t.Fatalf("run = %v", run)
+	var free requestPool
+	start, pages, total, _ := l.PopRun(8192, &free) // wsize 8 KB = 2 pages
+	if start != 0 || pages != 2 || total != 8192 {
+		t.Fatalf("run = start %d, %d pages, %d bytes", start, pages, total)
+	}
+	if len(free.free) != 2 || free.free[0].Page != 0 || free.free[1].Page != 1 {
+		t.Fatalf("free list after the pop = %v", free.free)
 	}
 	if l.Len() != 3 {
 		t.Fatalf("remaining = %d", l.Len())
@@ -79,9 +87,9 @@ func TestPopRunStopsAtGap(t *testing.T) {
 	var l reqList
 	l.Insert(req(0))
 	l.Insert(req(5)) // gap
-	run, _ := l.PopRun(65536)
-	if len(run) != 1 || run[0].Page != 0 {
-		t.Fatalf("run crossed a gap: %v", run)
+	start, pages, _, _ := l.PopRun(65536, &requestPool{})
+	if pages != 1 || start != 0 {
+		t.Fatalf("run crossed a gap: start %d, %d pages", start, pages)
 	}
 }
 
@@ -89,17 +97,18 @@ func TestPopRunStopsAtPartialPage(t *testing.T) {
 	var l reqList
 	l.Insert(req(0))
 	l.Insert(&Request{Page: 1, Offset: 100, Count: 200}) // not byte-contiguous
-	run, _ := l.PopRun(65536)
-	if len(run) != 1 {
-		t.Fatalf("run crossed a byte gap: %v", run)
+	_, pages, total, _ := l.PopRun(65536, &requestPool{})
+	if pages != 1 || total != pageSize {
+		t.Fatalf("run crossed a byte gap: %d pages, %d bytes", pages, total)
 	}
 }
 
 func TestPopRunEmpty(t *testing.T) {
 	var l reqList
-	run, scanned := l.PopRun(8192)
-	if run != nil || scanned != 0 {
-		t.Fatalf("empty pop = %v/%d", run, scanned)
+	var free requestPool
+	start, pages, total, scanned := l.PopRun(8192, &free)
+	if start != 0 || pages != 0 || total != 0 || scanned != 0 || len(free.free) != 0 {
+		t.Fatalf("empty pop = %d/%d/%d/%d", start, pages, total, scanned)
 	}
 }
 
@@ -124,15 +133,16 @@ func TestReqListProperty(t *testing.T) {
 				return false
 			}
 		}
+		var free requestPool
 		popped := 0
 		for l.Len() > 0 {
-			run, _ := l.PopRun(8192)
-			if len(run) == 0 || len(run) > 2 {
+			_, pages, _, _ := l.PopRun(8192, &free)
+			if pages == 0 || pages > 2 {
 				return false
 			}
-			popped += len(run)
+			popped += pages
 		}
-		return popped == n
+		return popped == n && len(free.free) == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -183,6 +193,7 @@ func TestReqListMatchesSortedSlice(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		var l reqList
 		var ref refList
+		var free requestPool
 		// hash is a page-keyed index kept the way a fix-2 hash table
 		// beside the list would be: set on every insert, cleared for
 		// every member of a popped run. Find must return what it holds.
@@ -213,16 +224,27 @@ func TestReqListMatchesSortedSlice(t *testing.T) {
 				}
 			default:
 				maxBytes := (rng.Intn(8) + 1) * pageSize
-				run, scan := l.PopRun(maxBytes)
+				start, pages, total, scan := l.PopRun(maxBytes, &free)
 				wantRun, wantScan := ref.popRun(maxBytes)
-				if scan != wantScan || len(run) != len(wantRun) {
+				if scan != wantScan || pages != len(wantRun) {
 					return false
 				}
-				for i := range run {
-					if run[i] != wantRun[i] {
+				if pages == 0 {
+					break
+				}
+				wantTotal := 0
+				for _, r := range wantRun {
+					wantTotal += r.Count
+				}
+				if start != wantRun[0].Start() || total != wantTotal {
+					return false
+				}
+				// The popped records went to the free list, in order.
+				for i, r := range free.free[len(free.free)-pages:] {
+					if r != wantRun[i] {
 						return false
 					}
-					delete(hash, run[i].Page)
+					delete(hash, r.Page)
 				}
 			}
 			if l.Len() != len(ref) || l.Len() != len(hash) {
@@ -238,5 +260,44 @@ func TestReqListMatchesSortedSlice(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkCommitPage measures commitPage, the two request lookups and
+// the sorted insert of nfs_commit_write, at request-list lengths 16, 256
+// and 4096 under both index policies. Each op is a sequential writer's
+// next page, a miss past the end of the list, followed by the coalesce
+// that pops the front page, so the list keeps its length and every
+// popped record returns to the client's free list. Only the virtual CPU
+// charge differs between the policies; the host work is the same.
+func BenchmarkCommitPage(b *testing.B) {
+	for _, policy := range []IndexPolicy{IndexLinearList, IndexHashTable} {
+		for _, n := range []int{16, 256, 4096} {
+			b.Run(fmt.Sprintf("%v/%d", policy, n), func(b *testing.B) {
+				s := sim.New(1)
+				defer s.Close()
+				cfg := EnhancedConfig()
+				cfg.IndexPolicy = policy
+				cfg.FlushdWatermarkPages = n + 1 // flushd stays asleep
+				c := NewClient(s, s.NewCPUPool(1), s.NewMutex("bkl"), mm.New(s, mm.DefaultDirtyLimit), nil, cfg)
+				ino := c.Open().ino
+				s.Go("writer", func(p *sim.Proc) {
+					for pg := 0; pg < n; pg++ {
+						c.commitPage(p, ino, int64(pg), 0, pageSize)
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						c.commitPage(p, ino, int64(n+i), 0, pageSize)
+						ino.reqs.PopRun(pageSize, &c.reqPool)
+					}
+					b.StopTimer()
+				})
+				s.Run(0)
+				if ino.reqs.Len() != n {
+					b.Fatalf("list length %d, want %d", ino.reqs.Len(), n)
+				}
+			})
+		}
 	}
 }

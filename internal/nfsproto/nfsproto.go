@@ -29,7 +29,6 @@ const (
 
 // NFSv3 procedure numbers used by the read and write paths.
 const (
-	ProcNull   = 0
 	ProcRead   = 6
 	ProcWrite  = 7
 	ProcCommit = 21

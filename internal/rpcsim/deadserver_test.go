@@ -23,7 +23,7 @@ func TestDeadServerGivesUp(t *testing.T) {
 	rig := newRig(t, cfg, 100*time.Microsecond, 1<<30) // server never answers
 	completed := false
 	rig.s.Go("caller", func(p *sim.Proc) {
-		CallSync(rig.tr, p, nfsproto.ProcNull, nullArgs, nullReply)
+		CallSync(rig.tr, p, procNull, nullArgs, nullReply)
 		completed = true
 	})
 	var msg string
@@ -64,7 +64,7 @@ func TestZeroMaxRetriesRetriesForever(t *testing.T) {
 	cfg.MaxRetransmitTimeout = 40 * time.Millisecond
 	rig := newRig(t, cfg, 100*time.Microsecond, 1<<30)
 	rig.s.Go("caller", func(p *sim.Proc) {
-		rig.tr.Call(p, nfsproto.ProcNull, nullArgs, nil)
+		rig.tr.Call(p, procNull, nullArgs, nil)
 	})
 	rig.s.Run(2 * time.Second) // must not panic
 	st := rig.tr.Stats()
@@ -87,7 +87,7 @@ func TestSetMaxRetries(t *testing.T) {
 	rig := newRig(t, cfg, 100*time.Microsecond, 1<<30)
 	rig.tr.SetMaxRetries(2)
 	rig.s.Go("caller", func(p *sim.Proc) {
-		rig.tr.Call(p, nfsproto.ProcNull, nullArgs, nil)
+		rig.tr.Call(p, procNull, nullArgs, nil)
 	})
 	var msg string
 	func() {
@@ -123,7 +123,7 @@ func TestBadReplyCountedAndDropped(t *testing.T) {
 	tr := New(s, net, s.NewCPUPool(2), s.NewMutex("bkl"), DefaultConfig(), "c", "srv")
 	done := false
 	s.Go("caller", func(p *sim.Proc) {
-		CallSync(tr, p, nfsproto.ProcNull, nullArgs, nullReply)
+		CallSync(tr, p, procNull, nullArgs, nullReply)
 		done = true
 	})
 	s.Run(time.Second)

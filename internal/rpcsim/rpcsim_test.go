@@ -22,7 +22,7 @@ type testRig struct {
 }
 
 // newRig builds a client and a responder that answers every call after
-// delay with a bare reply header (valid for ProcNull-style calls).
+// delay with a bare reply header (valid for NULL-style calls).
 // dropFirst makes the responder swallow the first n requests (for
 // retransmission tests).
 func newRig(t *testing.T, cfg Config, delay sim.Time, dropFirst int) *testRig {
@@ -67,7 +67,7 @@ func TestCallSyncRoundTrip(t *testing.T) {
 	rig := newRig(t, DefaultConfig(), 100*time.Microsecond, 0)
 	done := false
 	rig.s.Go("caller", func(p *sim.Proc) {
-		if ok, _ := CallSync(rig.tr, p, nfsproto.ProcNull, nullArgs, replyDecoded); !ok {
+		if ok, _ := CallSync(rig.tr, p, procNull, nullArgs, replyDecoded); !ok {
 			t.Error("nil reply decoder")
 		}
 		done = true
@@ -93,7 +93,7 @@ func TestSlotLimiting(t *testing.T) {
 	completed := 0
 	rig.s.Go("caller", func(p *sim.Proc) {
 		for i := 0; i < 6; i++ {
-			rig.tr.Call(p, nfsproto.ProcNull, nullArgs, func(*xdr.Decoder) { completed++ })
+			rig.tr.Call(p, procNull, nullArgs, func(*xdr.Decoder) { completed++ })
 			if rig.tr.InFlight() > maxInFlight {
 				maxInFlight = rig.tr.InFlight()
 			}
@@ -114,7 +114,7 @@ func TestSlotsAvailable(t *testing.T) {
 	rig := newRig(t, cfg, time.Millisecond, 0)
 	var during bool
 	rig.s.Go("caller", func(p *sim.Proc) {
-		rig.tr.Call(p, nfsproto.ProcNull, nullArgs, nil)
+		rig.tr.Call(p, procNull, nullArgs, nil)
 		during = rig.tr.SlotsAvailable()
 	})
 	rig.s.Run(time.Second)
@@ -132,7 +132,7 @@ func TestRetransmit(t *testing.T) {
 	rig := newRig(t, cfg, 100*time.Microsecond, 1) // drop first request
 	done := false
 	rig.s.Go("caller", func(p *sim.Proc) {
-		CallSync(rig.tr, p, nfsproto.ProcNull, nullArgs, nullReply)
+		CallSync(rig.tr, p, procNull, nullArgs, nullReply)
 		done = true
 	})
 	rig.s.Run(time.Second)
@@ -163,7 +163,7 @@ func TestDuplicateReplyDropped(t *testing.T) {
 	tr := New(s, net, s.NewCPUPool(2), s.NewMutex("bkl"), DefaultConfig(), "c", "srv")
 	replies := 0
 	s.Go("caller", func(p *sim.Proc) {
-		tr.Call(p, nfsproto.ProcNull, nullArgs, func(*xdr.Decoder) { replies++ })
+		tr.Call(p, procNull, nullArgs, func(*xdr.Decoder) { replies++ })
 	})
 	s.Run(time.Second)
 	if replies != 1 {
@@ -254,7 +254,7 @@ func TestWaitAttributionDominatedBySend(t *testing.T) {
 func TestSendCPUProfiled(t *testing.T) {
 	rig := newRig(t, DefaultConfig(), 50*time.Microsecond, 0)
 	rig.s.Go("caller", func(p *sim.Proc) {
-		CallSync(rig.tr, p, nfsproto.ProcNull, nullArgs, nullReply)
+		CallSync(rig.tr, p, procNull, nullArgs, nullReply)
 	})
 	rig.s.Run(time.Second)
 	prof := rig.s.Profiler()
@@ -323,7 +323,7 @@ func TestRetransmitExponentialBackoff(t *testing.T) {
 	tr := New(s, net, s.NewCPUPool(2), s.NewMutex("bkl"), cfg, "c", "srv")
 	done := false
 	s.Go("caller", func(p *sim.Proc) {
-		CallSync(tr, p, nfsproto.ProcNull, nullArgs, nullReply)
+		CallSync(tr, p, procNull, nullArgs, nullReply)
 		done = true
 	})
 	s.Run(time.Minute)
@@ -358,7 +358,7 @@ func TestRetransmitBackoffClamped(t *testing.T) {
 	cfg.MaxRetransmitTimeout = 40 * time.Millisecond
 	rig := newRig(t, cfg, 100*time.Microsecond, 1000) // server never answers
 	rig.s.Go("caller", func(p *sim.Proc) {
-		rig.tr.Call(p, nfsproto.ProcNull, nullArgs, nil)
+		rig.tr.Call(p, procNull, nullArgs, nil)
 	})
 	rig.s.Run(time.Second)
 	// 1 s with timeouts 10+20+40+40+... -> about (1000-70)/40 + 3 ~ 26.
@@ -385,7 +385,7 @@ func TestDuplicateReplyCounted(t *testing.T) {
 	})
 	tr := New(s, net, s.NewCPUPool(2), s.NewMutex("bkl"), DefaultConfig(), "c", "srv")
 	s.Go("caller", func(p *sim.Proc) {
-		tr.Call(p, nfsproto.ProcNull, nullArgs, nil)
+		tr.Call(p, procNull, nullArgs, nil)
 	})
 	s.Run(time.Second)
 	st := tr.Stats()
@@ -445,7 +445,7 @@ func TestTCPCallRoundTrip(t *testing.T) {
 	s, tr := tcpRig(t, 7, 0, 100*time.Microsecond)
 	done := false
 	s.Go("caller", func(p *sim.Proc) {
-		if ok, _ := CallSync(tr, p, nfsproto.ProcNull, nullArgs, replyDecoded); !ok {
+		if ok, _ := CallSync(tr, p, procNull, nullArgs, replyDecoded); !ok {
 			t.Error("nil reply decoder")
 		}
 		done = true
@@ -525,7 +525,7 @@ func TestManyCallersProperty(t *testing.T) {
 		for i := 0; i < callers; i++ {
 			s.Go("caller", func(p *sim.Proc) {
 				for j := 0; j < perCaller; j++ {
-					tr.Call(p, nfsproto.ProcNull, nullArgs, func(*xdr.Decoder) { completed++ })
+					tr.Call(p, procNull, nullArgs, func(*xdr.Decoder) { completed++ })
 					if tr.InFlight() > cfg.MaxSlots {
 						over = true
 					}

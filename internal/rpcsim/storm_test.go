@@ -171,7 +171,7 @@ func TestRetransmitStormOwnsBuffers(t *testing.T) {
 				s.Go(fmt.Sprintf("caller%d", c), func(p *sim.Proc) {
 					for j := 0; j < perCaller; j++ {
 						i := c*perCaller + j
-						tr.Call(p, nfsproto.ProcNull, encode(i), func(*xdr.Decoder) { completed[i]++ })
+						tr.Call(p, procNull, encode(i), func(*xdr.Decoder) { completed[i]++ })
 						p.Sleep(100 * time.Microsecond)
 					}
 				})

@@ -174,14 +174,14 @@ func (ns *Namespace) Remove(dir nfsproto.FileHandle, name string) (nfsproto.Stat
 	return nfsproto.NFS3OK, wcc
 }
 
-// Getattr returns the attributes of a handle. Handles the namespace
-// never saw (not created, never written) answer with synthesized
-// attributes so GETATTR against them is still well-formed.
+// Getattr returns the attributes of a handle. A handle the namespace
+// never saw (not created, never written) is stale, as it is to an
+// RFC 1813 server.
 func (ns *Namespace) Getattr(fh nfsproto.FileHandle) (nfsproto.FileAttrs, nfsproto.Status) {
 	if ino, ok := ns.byFH[fh]; ok {
 		return ino.Attrs(), nfsproto.NFS3OK
 	}
-	return nfsproto.FileAttrs{MTime: uint64(ns.s.Now())}, nfsproto.NFS3OK
+	return nfsproto.FileAttrs{}, nfsproto.NFS3ErrStale
 }
 
 // Change returns a file's current change counter and whether the

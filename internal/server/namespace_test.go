@@ -154,3 +154,29 @@ func TestWriteReplyCarriesWccOnWire(t *testing.T) {
 		t.Fatalf("post-op attrs: %+v", res.Wcc.Post)
 	}
 }
+
+// TestGetattrStaleHandle pins GETATTR's answer for handles: a created
+// file and a written client-minted handle answer with their attributes;
+// a handle the namespace never saw, or one whose file was removed, is
+// NFS3ERR_STALE with zero attributes.
+func TestGetattrStaleHandle(t *testing.T) {
+	s := sim.New(1)
+	ns := NewNamespace(s)
+	dir := nfsproto.RootHandle(4)
+	ino, _ := ns.Create(dir, "a")
+	if attrs, st := ns.Getattr(ino.fh); st != nfsproto.NFS3OK || attrs != ino.Attrs() {
+		t.Fatalf("Getattr(created) = %+v, %v", attrs, st)
+	}
+	written := nfsproto.MakeFileHandle(4, 12)
+	ns.ApplyWrite(written, 8192)
+	if attrs, st := ns.Getattr(written); st != nfsproto.NFS3OK || attrs.Size != 8192 || attrs.Change != 1 {
+		t.Fatalf("Getattr(written) = %+v, %v", attrs, st)
+	}
+	if attrs, st := ns.Getattr(nfsproto.MakeFileHandle(4, 99)); st != nfsproto.NFS3ErrStale || attrs != (nfsproto.FileAttrs{}) {
+		t.Fatalf("Getattr(never seen) = %+v, %v, want NFS3ERR_STALE", attrs, st)
+	}
+	ns.Remove(dir, "a")
+	if _, st := ns.Getattr(ino.fh); st != nfsproto.NFS3ErrStale {
+		t.Fatalf("Getattr(removed) = %v, want NFS3ERR_STALE", st)
+	}
+}

@@ -411,8 +411,6 @@ func (srv *Server) serve(p *sim.Proc, d *xdr.Decoder, item rxItem, gen int) {
 		res := srv.backend.HandleCommit(p, args)
 		srv.Commits++
 		res.Encode(reply)
-	case nfsproto.ProcNull:
-		// NULL returns the bare accepted reply.
 	default:
 		panic(fmt.Sprintf("server %s: unsupported proc %d", srv.cfg.Host, hdr.Proc))
 	}

@@ -10,6 +10,8 @@
 package vfs
 
 import (
+	"iter"
+
 	"repro/internal/sim"
 )
 
@@ -108,39 +110,34 @@ type PageSpan struct {
 	Count int
 }
 
-// SplitPages splits a write of n bytes at file offset off into page-sized
-// spans, the way generic_file_write iterates.
-func SplitPages(off int64, n int) []PageSpan {
-	if n <= 0 {
-		return nil
-	}
-	spans := make([]PageSpan, 0, n/PageSize+2)
-	for n > 0 {
-		page := off / PageSize
-		po := int(off % PageSize)
-		c := PageSize - po
-		if c > n {
-			c = n
+// splitPages yields the page-sized spans of a write of n bytes at file
+// offset off, the way generic_file_write iterates. It builds no slice, so
+// a syscall walks its pages without allocating.
+func splitPages(off int64, n int) iter.Seq[PageSpan] {
+	return func(yield func(PageSpan) bool) {
+		for n > 0 {
+			page := off / PageSize
+			po := int(off % PageSize)
+			c := min(PageSize-po, n)
+			if !yield(PageSpan{Page: page, Offset: po, Count: c}) {
+				return
+			}
+			off += int64(c)
+			n -= c
 		}
-		spans = append(spans, PageSpan{Page: page, Offset: po, Count: c})
-		off += int64(c)
-		n -= c
 	}
-	return spans
 }
 
 // WriteSyscall charges the generic write-path CPU for a write of n bytes
-// at offset off and invokes commit for each page span in order. It
-// returns the spans processed. This is the shared skeleton of
-// sys_write -> generic_file_write for both ext2 and NFS files.
-func WriteSyscall(p *sim.Proc, cpu *sim.CPUPool, costs Costs, off int64, n int, commit func(PageSpan)) []PageSpan {
+// at offset off and invokes commit for each page span in order. This is
+// the shared skeleton of sys_write -> generic_file_write for both ext2
+// and NFS files.
+func WriteSyscall(p *sim.Proc, cpu *sim.CPUPool, costs Costs, off int64, n int, commit func(PageSpan)) {
 	cpu.Use(p, labelSysWrite, costs.SyscallEntry)
-	spans := SplitPages(off, n)
-	for _, span := range spans {
+	for span := range splitPages(off, n) {
 		cpu.Use(p, labelGenericFileWrite, costs.PerPagePrepare+costs.PerPageCopy)
 		commit(span)
 	}
-	return spans
 }
 
 // ReadSyscall charges the generic read-path CPU for a read of n bytes at
@@ -148,12 +145,10 @@ func WriteSyscall(p *sim.Proc, cpu *sim.CPUPool, costs Costs, off int64, n int, 
 // filesystem's readpage — it blocks until the page is resident) followed
 // by the copy_to_user charge. This is the shared skeleton of
 // sys_read -> generic_file_read for both ext2 and NFS files.
-func ReadSyscall(p *sim.Proc, cpu *sim.CPUPool, costs Costs, off int64, n int, fetch func(PageSpan)) []PageSpan {
+func ReadSyscall(p *sim.Proc, cpu *sim.CPUPool, costs Costs, off int64, n int, fetch func(PageSpan)) {
 	cpu.Use(p, labelSysRead, costs.SyscallEntry)
-	spans := SplitPages(off, n)
-	for _, span := range spans {
+	for span := range splitPages(off, n) {
 		fetch(span)
 		cpu.Use(p, labelGenericFileRead, costs.PerPageCopy)
 	}
-	return spans
 }

@@ -1,15 +1,17 @@
 package vfs
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"repro/internal/racebuild"
 	"repro/internal/sim"
 )
 
 func TestSplitPagesAligned8K(t *testing.T) {
-	spans := SplitPages(0, 8192)
+	spans := slices.Collect(splitPages(0, 8192))
 	if len(spans) != 2 {
 		t.Fatalf("8 KB write = %d spans, want 2 (\"two pages, thus two requests\")", len(spans))
 	}
@@ -22,7 +24,7 @@ func TestSplitPagesAligned8K(t *testing.T) {
 
 func TestSplitPagesUnaligned(t *testing.T) {
 	// 8000 bytes starting at byte 1000: crosses three pages.
-	spans := SplitPages(1000, 8000)
+	spans := slices.Collect(splitPages(1000, 8000))
 	if len(spans) != 3 {
 		t.Fatalf("spans = %d, want 3", len(spans))
 	}
@@ -38,7 +40,7 @@ func TestSplitPagesUnaligned(t *testing.T) {
 }
 
 func TestSplitPagesEmpty(t *testing.T) {
-	if SplitPages(0, 0) != nil || SplitPages(100, -5) != nil {
+	if slices.Collect(splitPages(0, 0)) != nil || slices.Collect(splitPages(100, -5)) != nil {
 		t.Fatal("degenerate writes should produce no spans")
 	}
 }
@@ -49,9 +51,9 @@ func TestSplitPagesProperty(t *testing.T) {
 	f := func(offRaw uint32, nRaw uint16) bool {
 		off, n := int64(offRaw), int(nRaw)
 		if n == 0 {
-			return SplitPages(off, n) == nil
+			return slices.Collect(splitPages(off, n)) == nil
 		}
-		spans := SplitPages(off, n)
+		spans := slices.Collect(splitPages(off, n))
 		pos := off
 		total := 0
 		for _, sp := range spans {
@@ -129,5 +131,47 @@ func TestDefaultCostsCalibration(t *testing.T) {
 	per8k := c.SyscallEntry + 2*(c.PerPageCopy+c.PerPagePrepare)
 	if per8k < 30*time.Microsecond || per8k > 60*time.Microsecond {
 		t.Fatalf("8 KB syscall cost = %v, want 30-60µs", per8k)
+	}
+}
+
+// A write and a read syscall walk their page spans without allocating:
+// the span iterator builds no slice, so the only per-syscall work left is
+// the CPU charges, which allocate nothing once the event pool has grown.
+func TestSpanWalkAllocatesNothing(t *testing.T) {
+	if racebuild.Enabled {
+		t.Skip("the race detector instruments coroutine switches")
+	}
+	s := sim.New(1)
+	defer s.Close()
+	cpu := s.NewCPUPool(1)
+	costs := DefaultCosts()
+	start := s.NewWaitQueue()
+	pages, bytes := 0, 0
+	s.Go("rw", func(p *sim.Proc) {
+		for {
+			start.Wait(p)
+			// 10000 bytes from byte 1000 cross three page boundaries.
+			WriteSyscall(p, cpu, costs, 1000, 10000, func(sp PageSpan) {
+				pages++
+				bytes += sp.Count
+			})
+			ReadSyscall(p, cpu, costs, 1000, 10000, func(sp PageSpan) {
+				pages++
+				bytes += sp.Count
+			})
+		}
+	})
+	s.Run(s.Now() + time.Millisecond) // park the process
+	step := func() {
+		start.Signal()
+		s.Run(s.Now() + time.Millisecond)
+	}
+	step()
+	if n := testing.AllocsPerRun(100, step); n != 0 {
+		t.Fatalf("a write and a read syscall cost %.2f allocations", n)
+	}
+	// One warm-up step, then AllocsPerRun's own warm-up run and 100 more.
+	if runs := 102; pages != runs*2*3 || bytes != runs*2*10000 {
+		t.Fatalf("walked %d pages and %d bytes in %d runs", pages, bytes, runs)
 	}
 }
