@@ -669,3 +669,34 @@ scenarios:
 	fmt.Println(scs[0].Name, scs[0].Fleet.Server, len(scs[0].Events))
 	// Output: demo filer 3
 }
+
+// Each example scenario file's rendered reports are pinned byte for
+// byte: the event log, the recovery counters, the assert details (the
+// no-data-loss file and byte counts, the dead-server error) and the
+// verdicts. The goldens are nfssweep -scenario output for each file.
+func TestExampleReportsMatchGolden(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "chaos", "*.yaml"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no example scenarios: %v", err)
+	}
+	for _, path := range paths {
+		name := strings.TrimSuffix(filepath.Base(path), ".yaml")
+		t.Run(name, func(t *testing.T) {
+			scs, err := Load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var b strings.Builder
+			for _, rep := range RunAll(scs, 1) {
+				b.WriteString(rep.Render())
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := b.String(); got != string(want) {
+				t.Fatalf("%s report differs from testdata/%s.golden:\ngot:\n%s\nwant:\n%s", name, name, got, want)
+			}
+		})
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"time"
 
 	"repro/internal/disksim"
+	"repro/internal/nfsproto"
+	"repro/internal/rangeset"
 	"repro/internal/sim"
 )
 
@@ -13,4 +15,21 @@ func newTestVolume(s *sim.Sim) *disksim.RAID4 {
 
 func newTestDisk(s *sim.Sim) *disksim.Disk {
 	return disksim.New(s, time.Millisecond, 20_000_000)
+}
+
+// walkedFile is one entry of the no-data-loss walk.
+type walkedFile struct {
+	fh               nfsproto.FileHandle
+	received, stable *rangeset.Set
+}
+
+// noDataLossWalk lists what the chaos engine's no-data-loss check reads:
+// each written handle, in handle order, with its received and stable
+// coverage.
+func noDataLossWalk(srv *Server) []walkedFile {
+	var walk []walkedFile
+	for _, fh := range srv.CoverageFiles() {
+		walk = append(walk, walkedFile{fh, srv.Coverage(fh), srv.Backend().StableCoverage(fh)})
+	}
+	return walk
 }

@@ -180,3 +180,108 @@ func TestGetattrStaleHandle(t *testing.T) {
 		t.Fatalf("Getattr(removed) = %v, want NFS3ERR_STALE", st)
 	}
 }
+
+// rpcWrite sends one 8 KiB UNSTABLE WRITE at off and returns the reply.
+func rpcWrite(t *testing.T, r *rig, p *sim.Proc, fh nfsproto.FileHandle, off uint64) nfsproto.WriteRes {
+	args := nfsproto.WriteArgs{File: fh, Offset: off, Count: 8192, Stable: nfsproto.Unstable, Data: make([]byte, 8192)}
+	res, err := rpcsim.CallSync(r.tr, p, nfsproto.ProcWrite, args.Encode, nfsproto.DecodeWriteRes)
+	if err != nil || res.Status != nfsproto.NFS3OK {
+		t.Errorf("write %d: %+v, %v", off, res, err)
+	}
+	return res
+}
+
+// rpcGetattr sends one GETATTR and returns the reply.
+func rpcGetattr(t *testing.T, r *rig, p *sim.Proc, fh nfsproto.FileHandle) nfsproto.GetattrRes {
+	args := nfsproto.GetattrArgs{File: fh}
+	res, err := rpcsim.CallSync(r.tr, p, nfsproto.ProcGetattr, args.Encode, nfsproto.DecodeGetattrRes)
+	if err != nil {
+		t.Errorf("getattr: %v", err)
+	}
+	return res
+}
+
+// createRemove CREATEs name in dir, WRITEs its first 8 KiB and REMOVEs
+// it, returning the created handle.
+func createRemove(t *testing.T, r *rig, p *sim.Proc, dir nfsproto.FileHandle, name string) nfsproto.FileHandle {
+	cargs := nfsproto.CreateArgs{Dir: dir, Name: name}
+	cres, err := rpcsim.CallSync(r.tr, p, nfsproto.ProcCreate, cargs.Encode, nfsproto.DecodeCreateRes)
+	if err != nil || cres.Status != nfsproto.NFS3OK {
+		t.Fatalf("create: %+v, %v", cres, err)
+	}
+	rpcWrite(t, r, p, cres.File, 0)
+	rargs := nfsproto.RemoveArgs{Dir: dir, Name: name}
+	if rres, err := rpcsim.CallSync(r.tr, p, nfsproto.ProcRemove, rargs.Encode, nfsproto.DecodeRemoveRes); err != nil || rres.Status != nfsproto.NFS3OK {
+		t.Fatalf("remove: %+v, %v", rres, err)
+	}
+	return cres.File
+}
+
+// A client-minted handle becomes visible when its first WRITE is
+// applied, not when the server starts serving it: a GETATTR that
+// arrives while that WRITE waits out a filer consistency-point pause
+// answers NFS3ERR_STALE, and one after the reply sees the write.
+func TestGetattrStaleWhileFirstWriteParked(t *testing.T) {
+	r, backend := newRig(t, "filer")
+	backend.(*Filer).pauseUntil = 50 * time.Millisecond
+	fh := nfsproto.MakeFileHandle(1, 7)
+	var parked, after nfsproto.GetattrRes
+	r.s.Go("w", func(p *sim.Proc) { rpcWrite(t, r, p, fh, 0) })
+	r.s.Go("g", func(p *sim.Proc) {
+		p.Sleep(10 * time.Millisecond)
+		parked = rpcGetattr(t, r, p, fh)
+		p.Sleep(100 * time.Millisecond)
+		after = rpcGetattr(t, r, p, fh)
+	})
+	r.s.Run(time.Minute)
+	if parked.Status != nfsproto.NFS3ErrStale {
+		t.Fatalf("GETATTR during the parked first WRITE = %+v, want NFS3ERR_STALE", parked)
+	}
+	if after.Status != nfsproto.NFS3OK || after.Attrs.Size != 8192 || after.Attrs.Change != 1 {
+		t.Fatalf("GETATTR after the WRITE = %+v, want size 8192, change 1", after)
+	}
+}
+
+// A WRITE to a removed file's handle brings the handle back with
+// attributes that start over: size is the write's end and the change
+// counter is 1, not a continuation of the removed file's.
+func TestWriteAfterRemoveRestartsAttrs(t *testing.T) {
+	r, _ := newRig(t, "filer")
+	var res nfsproto.GetattrRes
+	var dead nfsproto.FileHandle
+	r.s.Go("w", func(p *sim.Proc) {
+		dead = createRemove(t, r, p, nfsproto.RootHandle(1), "a")
+		if st := rpcGetattr(t, r, p, dead).Status; st != nfsproto.NFS3ErrStale {
+			t.Errorf("GETATTR on the removed file = %v, want NFS3ERR_STALE", st)
+		}
+		rpcWrite(t, r, p, dead, 8192)
+		res = rpcGetattr(t, r, p, dead)
+	})
+	r.s.Run(time.Minute)
+	if res.Status != nfsproto.NFS3OK || res.Attrs.Size != 16384 || res.Attrs.Change != 1 ||
+		res.Attrs.FileID != nfsproto.HandleFileID(dead) {
+		t.Fatalf("GETATTR after a WRITE to the removed handle = %+v, want fresh attrs: size 16384, change 1", res)
+	}
+}
+
+// Coverage accounting outlives REMOVE: the no-data-loss walk still
+// finds the removed file's acked bytes, in stable storage.
+func TestRemovedFileStaysInNoDataLossWalk(t *testing.T) {
+	r, _ := newRig(t, "linux")
+	var removed nfsproto.FileHandle
+	r.s.Go("w", func(p *sim.Proc) {
+		removed = createRemove(t, r, p, nfsproto.RootHandle(1), "a")
+		args := nfsproto.CommitArgs{File: removed}
+		if res, err := rpcsim.CallSync(r.tr, p, nfsproto.ProcCommit, args.Encode, nfsproto.DecodeCommitRes); err != nil || res.Status != nfsproto.NFS3OK {
+			t.Errorf("commit: %+v, %v", res, err)
+		}
+	})
+	r.s.Run(time.Minute)
+	walk := noDataLossWalk(r.srv)
+	if len(walk) != 1 || walk[0].fh != removed {
+		t.Fatalf("walk = %+v, want only the removed file %x", walk, removed)
+	}
+	if w := walk[0]; w.received.Total() != 8192 || !w.stable.Contains(0, 8192) {
+		t.Fatalf("removed file: received %v, stable %v, want [0,8192) in both", w.received, w.stable)
+	}
+}
