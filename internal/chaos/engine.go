@@ -249,12 +249,10 @@ func (r *Report) checkNoDataLoss(tb *nfssim.Testbed, runErr error) (bool, string
 	if runErr != nil {
 		return false, "run errored: " + runErr.Error()
 	}
-	backend := tb.Server.Backend()
 	var files int
 	var ackedBytes int64
-	for _, fh := range tb.Server.CoverageFiles() {
-		received := tb.Server.Coverage(fh)
-		stable := backend.StableCoverage(fh)
+	for _, ino := range tb.Server.Names().Written() {
+		received, stable := ino.Received(), ino.Stable()
 		for _, rng := range received.Ranges() {
 			if !stable.Contains(rng.Start, rng.End) {
 				return false, fmt.Sprintf(

@@ -25,6 +25,17 @@ func serverDirty(tb *nfssim.Testbed) int64 {
 	return tb.Server.BytesWritten - tb.Server.Backend().(*server.LinuxServer).Flushed
 }
 
+// fileRecord returns the server's record of fh, or a blank one if the
+// server acked none of its bytes.
+func fileRecord(tb *nfssim.Testbed, fh nfsproto.FileHandle) *server.Inode {
+	for h, ino := range tb.Server.Names().Written() {
+		if h == fh {
+			return ino
+		}
+	}
+	return new(server.Inode)
+}
+
 func runMB(t *testing.T, tb *nfssim.Testbed, mb int) *bonnie.Result {
 	t.Helper()
 	return bonnie.RunWorkload(tb.Sim, "t", tb.Machines[0].OpenSet(), bonnie.Config{
@@ -98,7 +109,7 @@ func TestDataIntegrityAllConfigs(t *testing.T) {
 		if !done {
 			t.Fatalf("%s: run did not finish", name)
 		}
-		cov := tb.Server.Coverage(fh)
+		cov := fileRecord(tb, fh).Received()
 		if cov.Total() != size || !cov.Contains(0, size) {
 			t.Fatalf("%s: server coverage %v, want [0,%d)", name, cov, size)
 		}
@@ -410,7 +421,7 @@ func TestCommitRevealsReboot(t *testing.T) {
 	if c.CommitRPCs != 2 || c.MountRequests() != 0 {
 		t.Fatalf("%d COMMITs, %d requests left; want 2 and 0", c.CommitRPCs, c.MountRequests())
 	}
-	if cov := tb.Server.Backend().StableCoverage(f.Inode().FH); !cov.Contains(0, size) {
+	if cov := fileRecord(tb, f.Inode().FH).Stable(); !cov.Contains(0, size) {
 		t.Fatalf("stable coverage %v does not span the %d-byte file", cov, size)
 	}
 }
@@ -532,7 +543,7 @@ func TestIncompatibleSubPageWriteFlushes(t *testing.T) {
 		f.Close(p)
 	})
 	tb.Sim.Run(time.Minute)
-	cov := tb.Server.Coverage(fh)
+	cov := fileRecord(tb, fh).Received()
 	if !cov.Contains(0, 100) || !cov.Contains(3000, 3100) {
 		t.Fatalf("coverage = %v", cov)
 	}
@@ -657,7 +668,7 @@ func TestMultiClientIntegrity(t *testing.T) {
 		t.Fatalf("file handles collide across machines: %v", fh0)
 	}
 	for i, f := range files {
-		cov := tb.Server.Coverage(f.Inode().FH)
+		cov := fileRecord(tb, f.Inode().FH).Received()
 		if cov.Total() != size || !cov.Contains(0, size) {
 			t.Fatalf("machine %d coverage %v, want [0,%d)", i, cov, size)
 		}
@@ -707,7 +718,7 @@ func TestThrottledSubPageWritesDoNotOutrunAccounting(t *testing.T) {
 	if tb.Machines[0].Cache.Usage() != 0 {
 		t.Fatalf("cache not drained: %d", tb.Machines[0].Cache.Usage())
 	}
-	if cov := tb.Server.Coverage(f.Inode().FH); cov.Total() != 2<<20 || !cov.Contains(0, 2<<20) {
+	if cov := fileRecord(tb, f.Inode().FH).Received(); cov.Total() != 2<<20 || !cov.Contains(0, 2<<20) {
 		t.Fatal("server coverage incomplete")
 	}
 }

@@ -186,7 +186,7 @@ func TestConcurrentReadersAndWritersOneServer(t *testing.T) {
 		t.Fatalf("opened %d fresh files", len(writeFiles))
 	}
 	for i, f := range writeFiles {
-		cov := tb.Server.Coverage(f.Inode().FH)
+		cov := fileRecord(tb, f.Inode().FH).Received()
 		if cov.Total() != size/2 || !cov.Contains(0, size/2) {
 			t.Fatalf("writer %d coverage %v, want [0,%d)", i, cov, size/2)
 		}

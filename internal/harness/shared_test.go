@@ -9,6 +9,7 @@ import (
 	nfssim "repro"
 	"repro/internal/bonnie"
 	"repro/internal/core"
+	"repro/internal/server"
 	"repro/internal/sim"
 )
 
@@ -100,11 +101,14 @@ func TestSharedWriterReaderIntegrity(t *testing.T) {
 		}
 		var tb *nfssim.Testbed
 		res := RunScenarioOn(sc, func(t *nfssim.Testbed) { tb = t })
-		files := tb.Server.CoverageFiles()
+		var files []*server.Inode
+		for _, ino := range tb.Server.Names().Written() {
+			files = append(files, ino)
+		}
 		if len(files) != 1 {
 			t.Fatalf("%v: %d files saw writes, want the one shared file", mode, len(files))
 		}
-		cov := tb.Server.Coverage(files[0])
+		cov := files[0].Received()
 		if !cov.Contains(0, spanBytes) || cov.Total() != spanBytes {
 			t.Fatalf("%v: server coverage %v, want the contiguous span [0, %d)", mode, cov, spanBytes)
 		}

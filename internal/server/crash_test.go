@@ -10,43 +10,63 @@ import (
 	"repro/internal/sim"
 )
 
-// A restarted filer must end up with exactly one live timer-CP chain: the
-// chain armed before the crash fires once, sees the stale generation, and
-// dies without rescheduling. (This pins the fix for the uncancellable
-// scheduleTimerCP chain — before it, every crash/restart cycle leaked a
-// whole extra chain firing checkpoints forever.)
-func TestFilerRestartSingleLiveCPTimer(t *testing.T) {
-	s := sim.New(1)
+// newTimerFiler returns a filer that takes a timer consistency point
+// every 100 ms, with a pause short enough that a writer logging 8 KiB
+// every 10 ms has bytes in NVRAM at each tick.
+func newTimerFiler(s *sim.Sim) *Filer {
 	cfg := DefaultFilerConfig()
 	cfg.CPInterval = 100 * time.Millisecond
-	f := NewFiler(s, cfg, newTestVolume(s))
+	cfg.CPPause = time.Millisecond
+	return NewFiler(s, cfg, newTestVolume(s))
+}
+
+// logEvery10ms logs 8 KiB to the filer every 10 ms until stop.
+func logEvery10ms(s *sim.Sim, f *Filer, stop sim.Time) {
+	ino := &Inode{fh: nfsproto.MakeFileHandle(2, 2)}
 	s.Go("w", func(p *sim.Proc) {
-		f.HandleWrite(p, nfsproto.WriteArgs{Count: 8192})
-		p.Sleep(30 * time.Millisecond)
-		f.Crash()
-		f.Restart()
+		for off := uint64(0); s.Now() < stop; off += 8192 {
+			f.HandleWrite(p, ino, nfsproto.WriteArgs{Offset: off, Count: 8192})
+			p.Sleep(10 * time.Millisecond)
+		}
 	})
-	// Run long enough for the orphaned pre-crash chain to fire and die and
-	// for the fresh chain to reschedule several times.
+}
+
+// Across crash/restart cycles the filer keeps exactly one timer-CP chain:
+// with bytes in NVRAM at every tick, it takes one checkpoint per interval
+// after the last restart. A chain left running by a crash would tick at
+// its own phase and double (here, quadruple) the count.
+func TestFilerRestartSingleLiveCPTimer(t *testing.T) {
+	s := sim.New(1)
+	f := newTimerFiler(s)
+	logEvery10ms(s, f, time.Second)
+	for _, at := range []sim.Time{35 * time.Millisecond, 255 * time.Millisecond, 475 * time.Millisecond} {
+		s.At(at, func() {
+			f.Crash()
+			f.Restart()
+		})
+	}
+	// The last restart's chain ticks at 575, 675, ..., 975 ms.
+	s.Run(500 * time.Millisecond)
+	before := f.Checkpoints
 	s.Run(time.Second)
-	if n := f.LiveCPTimers(); n != 1 {
-		t.Fatalf("live CP timers after crash+restart = %d, want exactly 1", n)
+	if n := f.Checkpoints - before; n != 5 {
+		t.Fatalf("%d checkpoints in the 5 intervals after the last restart, want 5 (one timer chain)", n)
 	}
 }
 
-// A crashed filer that never restarts must wind down to zero live timers.
+// A crashed filer that never restarts takes no timer checkpoint, though
+// its NVRAM still holds the bytes logged before the crash.
 func TestFilerCrashOrphansTimerChain(t *testing.T) {
 	s := sim.New(1)
-	cfg := DefaultFilerConfig()
-	cfg.CPInterval = 100 * time.Millisecond
-	f := NewFiler(s, cfg, newTestVolume(s))
-	s.Go("w", func(p *sim.Proc) {
-		p.Sleep(30 * time.Millisecond)
-		f.Crash()
-	})
+	f := newTimerFiler(s)
+	logEvery10ms(s, f, 30*time.Millisecond)
+	s.At(35*time.Millisecond, f.Crash)
 	s.Run(time.Second)
-	if n := f.LiveCPTimers(); n != 0 {
-		t.Fatalf("live CP timers after unrecovered crash = %d, want 0", n)
+	if f.NVRAMActive() == 0 {
+		t.Fatal("nothing logged before the crash")
+	}
+	if f.Checkpoints != 0 {
+		t.Fatalf("%d checkpoints after an unrecovered crash, want 0", f.Checkpoints)
 	}
 }
 
@@ -55,11 +75,11 @@ func TestFilerCrashOrphansTimerChain(t *testing.T) {
 func TestFilerCrashReplaysNVRAM(t *testing.T) {
 	s := sim.New(1)
 	f := NewFiler(s, DefaultFilerConfig(), newTestVolume(s))
-	fh := nfsproto.MakeFileHandle(3, 3)
+	ino := &Inode{fh: nfsproto.MakeFileHandle(3, 3)}
 	const total = 1 << 20
 	s.Go("w", func(p *sim.Proc) {
 		for off := int64(0); off < total; off += 8192 {
-			f.HandleWrite(p, nfsproto.WriteArgs{File: fh, Offset: uint64(off), Count: 8192})
+			f.HandleWrite(p, ino, nfsproto.WriteArgs{Offset: uint64(off), Count: 8192})
 		}
 		f.Crash()
 		f.Restart()
@@ -71,7 +91,7 @@ func TestFilerCrashReplaysNVRAM(t *testing.T) {
 	if f.LostBytes() != 0 {
 		t.Fatalf("filer lost %d bytes; NVRAM must never lose acked data", f.LostBytes())
 	}
-	if cov := f.StableCoverage(fh); cov.Total() != total || !cov.Contains(0, total) {
+	if cov := ino.Stable(); cov.Total() != total || !cov.Contains(0, total) {
 		t.Fatalf("stable coverage = %v, want [0,%d)", cov, total)
 	}
 	if f.NVRAMActive() != 0 {
@@ -89,21 +109,21 @@ func TestLinuxCrashLosesDirtyAndBumpsVerf(t *testing.T) {
 	s := sim.New(1)
 	cfg := LinuxConfig{DirtyLimit: 2 << 20, DrainChunk: 256 << 10}
 	l := NewLinuxServer(s, cfg, newTestDisk(s))
-	fh := nfsproto.MakeFileHandle(4, 4)
+	ino := &Inode{fh: nfsproto.MakeFileHandle(4, 4)}
 	const total = 512 << 10
 	var verfBefore, verfAfter nfsproto.WriteVerf
 	s.Go("w", func(p *sim.Proc) {
 		for off := int64(0); off < total; off += 8192 {
-			res := l.HandleWrite(p, nfsproto.WriteArgs{
-				File: fh, Offset: uint64(off), Count: 8192, Stable: nfsproto.Unstable})
+			res := l.HandleWrite(p, ino, nfsproto.WriteArgs{
+				Offset: uint64(off), Count: 8192, Stable: nfsproto.Unstable})
 			verfBefore = res.Verf
 		}
 		// All writes land at one instant; the writeback daemon has not had
 		// the CPU yet, so the whole file is dirty when the power goes out.
 		l.Crash()
 		l.Restart()
-		res := l.HandleWrite(p, nfsproto.WriteArgs{
-			File: fh, Offset: 0, Count: 8192, Stable: nfsproto.Unstable})
+		res := l.HandleWrite(p, ino, nfsproto.WriteArgs{
+			Offset: 0, Count: 8192, Stable: nfsproto.Unstable})
 		verfAfter = res.Verf
 	})
 	s.Run(time.Minute)
@@ -117,10 +137,10 @@ func TestLinuxCrashLosesDirtyAndBumpsVerf(t *testing.T) {
 		t.Fatal("restart did not change the write verifier")
 	}
 	// Only the post-restart write should have reached stable storage.
-	if !l.StableCoverage(fh).Contains(0, 8192) {
-		t.Fatalf("post-restart write not stable: %v", l.StableCoverage(fh))
+	if !ino.Stable().Contains(0, 8192) {
+		t.Fatalf("post-restart write not stable: %v", ino.Stable())
 	}
-	if got := l.StableCoverage(fh).Total(); got != 8192 {
+	if got := ino.Stable().Total(); got != 8192 {
 		t.Fatalf("stable bytes = %d, want 8192 (pre-crash dirty data is gone)", got)
 	}
 	if l.Dirty() != 0 {
@@ -155,7 +175,7 @@ func TestServerFrontEndDropsWhileDownThenRecovers(t *testing.T) {
 	if r.srv.DroppedWhileDown == 0 {
 		t.Fatal("no requests counted as dropped while the server was down")
 	}
-	if got := r.srv.Coverage(fh).Total(); got != 8192 {
+	if got := r.srv.ns.record(fh).Received().Total(); got != 8192 {
 		t.Fatalf("coverage = %d bytes, want 8192", got)
 	}
 }

@@ -1,9 +1,5 @@
 package server
 
-// LiveCPTimers returns the number of scheduled-but-unfired timer-CP
-// closures (test accessor).
-func (f *Filer) LiveCPTimers() int { return f.cpLive }
-
 // NVRAMActive returns the bytes currently logged in the filling half.
 func (f *Filer) NVRAMActive() int64 { return f.active }
 

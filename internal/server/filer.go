@@ -3,7 +3,6 @@ package server
 import (
 	"repro/internal/disksim"
 	"repro/internal/nfsproto"
-	"repro/internal/rangeset"
 	"repro/internal/sim"
 )
 
@@ -49,17 +48,14 @@ type Filer struct {
 	diskOff    int64 // WAFL writes sequentially; next stripe offset
 	verf       nfsproto.WriteVerf
 
-	// gen is the lifecycle generation, bumped by Crash. Timer-CP closures
-	// and disk completions capture it when scheduled and die quietly if the
-	// filer has rebooted underneath them.
+	// gen is the lifecycle generation, bumped by Crash. Disk completions
+	// capture it when issued and die quietly if the filer has rebooted
+	// underneath them.
 	gen int
-	// cpLive counts scheduled-but-unfired timer-CP closures (test hook for
-	// the one-live-timer invariant across restarts).
-	cpLive int
-
-	// stable is the per-file byte coverage that has reached NVRAM — on a
-	// filer every acked write is immediately durable.
-	stable map[nfsproto.FileHandle]*rangeset.Set
+	// cpTimer is the armed timer-CP event, which Crash cancels; onCPTimer
+	// is timerCP bound once, so arming it allocates nothing.
+	cpTimer   sim.Event
+	onCPTimer func()
 
 	// Checkpoints counts consistency points taken.
 	Checkpoints int64
@@ -81,33 +77,27 @@ func NewFiler(s *sim.Sim, cfg FilerConfig, vol *disksim.RAID4) *Filer {
 		halfCap:   cfg.NVRAMBytes / 2,
 		spaceWait: s.NewWaitQueue(),
 		verf:      0xf85f85f85,
-		stable:    make(map[nfsproto.FileHandle]*rangeset.Set),
 	}
+	f.onCPTimer = f.timerCP
 	f.scheduleTimerCP()
 	return f
 }
 
-// scheduleTimerCP arms the next timer-driven consistency point. The chain
-// is tied to the filer's lifecycle generation: a closure armed before a
-// crash fires once after it, sees the generation mismatch, and dies
-// without rescheduling — so a restarted filer always ends up with exactly
-// one live chain (the one Restart armed).
+// scheduleTimerCP arms the next timer-driven consistency point. Crash
+// cancels the armed one and Restart arms a fresh one, so the filer has at
+// most one timer chain at any time.
 func (f *Filer) scheduleTimerCP() {
-	if f.cfg.CPInterval <= 0 {
-		return
+	if f.cfg.CPInterval > 0 {
+		f.cpTimer = f.s.After(f.cfg.CPInterval, f.onCPTimer)
 	}
-	gen := f.gen
-	f.cpLive++
-	f.s.After(f.cfg.CPInterval, func() {
-		f.cpLive--
-		if gen != f.gen {
-			return
-		}
-		if f.active > 0 && !f.draining {
-			f.drain(f.active)
-		}
-		f.scheduleTimerCP()
-	})
+}
+
+// timerCP drains the filling half if it holds anything and re-arms.
+func (f *Filer) timerCP() {
+	if f.active > 0 && !f.draining {
+		f.drain(f.active)
+	}
+	f.scheduleTimerCP()
 }
 
 // drain starts a consistency point that writes bytes to disk: the
@@ -137,9 +127,10 @@ func (f *Filer) drain(bytes int64) {
 // Crash models a filer panic/power cut. NVRAM is battery-backed, so the
 // log contents (the filling half plus any half mid-drain whose completion
 // we can no longer trust) survive and are replayed at Restart; nothing
-// acked is ever lost. Pending timer chains and disk completions are
-// orphaned via the generation bump.
+// acked is ever lost. The timer chain is canceled and pending disk
+// completions are orphaned via the generation bump.
 func (f *Filer) Crash() {
+	f.cpTimer.Cancel()
 	f.gen++
 	f.Crashes++
 	f.pauseUntil = 0
@@ -163,7 +154,7 @@ func (f *Filer) Restart() {
 }
 
 // HandleWrite implements Backend: log to NVRAM, reply FILE_SYNC.
-func (f *Filer) HandleWrite(p *sim.Proc, args nfsproto.WriteArgs) nfsproto.WriteRes {
+func (f *Filer) HandleWrite(p *sim.Proc, ino *Inode, args nfsproto.WriteArgs) nfsproto.WriteRes {
 	n := int64(args.Count)
 	for {
 		// Stop responding while a consistency point starts.
@@ -184,7 +175,7 @@ func (f *Filer) HandleWrite(p *sim.Proc, args nfsproto.WriteArgs) nfsproto.Write
 		f.spaceWait.Wait(p)
 	}
 	f.active += n
-	setFor(f.stable, args.File).Add(int64(args.Offset), int64(args.Offset)+n)
+	ino.stable.Add(int64(args.Offset), int64(args.Offset)+n)
 	return nfsproto.WriteRes{
 		Status:    nfsproto.NFS3OK,
 		Count:     args.Count,
@@ -216,12 +207,6 @@ func (f *Filer) HandleCommit(p *sim.Proc, args nfsproto.CommitArgs) nfsproto.Com
 // SetDiskSlowFactor implements Backend: it slows the RAID-4 volume the
 // NVRAM log drains to.
 func (f *Filer) SetDiskSlowFactor(factor float64) { f.disk.SetSlowFactor(factor) }
-
-// StableCoverage implements Backend: on a filer every acked byte is in
-// battery-backed NVRAM, so acked coverage is stable coverage.
-func (f *Filer) StableCoverage(fh nfsproto.FileHandle) *rangeset.Set {
-	return setFor(f.stable, fh)
-}
 
 // LostBytes implements Backend: NVRAM never loses acked data.
 func (f *Filer) LostBytes() int64 { return 0 }

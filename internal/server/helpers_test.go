@@ -28,8 +28,8 @@ type walkedFile struct {
 // coverage.
 func noDataLossWalk(srv *Server) []walkedFile {
 	var walk []walkedFile
-	for _, fh := range srv.CoverageFiles() {
-		walk = append(walk, walkedFile{fh, srv.Coverage(fh), srv.Backend().StableCoverage(fh)})
+	for fh, ino := range srv.Names().Written() {
+		walk = append(walk, walkedFile{fh, ino.Received(), ino.Stable()})
 	}
 	return walk
 }

@@ -1,10 +1,11 @@
 package server
 
 import (
+	"fmt"
+
 	"repro/internal/disksim"
 	"repro/internal/fifo"
 	"repro/internal/nfsproto"
-	"repro/internal/rangeset"
 	"repro/internal/sim"
 )
 
@@ -50,8 +51,6 @@ type LinuxServer struct {
 	// writeback; its byte total always equals dirty. A crash discards it —
 	// that is exactly the data knfsd loses.
 	queue fifo.Queue[unstableEntry]
-	// stable is the per-file byte coverage confirmed on disk.
-	stable map[nfsproto.FileHandle]*rangeset.Set
 
 	// Throttled counts writes that blocked on the dirty limit.
 	Throttled int64
@@ -64,7 +63,7 @@ type LinuxServer struct {
 
 // unstableEntry is one acked write sitting dirty in the page cache.
 type unstableEntry struct {
-	fh  nfsproto.FileHandle
+	ino *Inode
 	off int64
 	n   int64
 }
@@ -82,7 +81,6 @@ func NewLinuxServer(s *sim.Sim, cfg LinuxConfig, disk *disksim.Disk) *LinuxServe
 		dirtyWait: s.NewWaitQueue(),
 		cleanWait: s.NewWaitQueue(),
 		verf:      0x11c4411c44,
-		stable:    make(map[nfsproto.FileHandle]*rangeset.Set),
 	}
 	s.Go("kupdate/knfsd", l.writeback)
 	return l
@@ -118,8 +116,8 @@ func (l *LinuxServer) writeback(p *sim.Proc) {
 	}
 }
 
-// markStable retires n bytes from the front of the unstable FIFO into the
-// per-file stable coverage, splitting the front entry when a writeback
+// markStable retires n bytes from the front of the unstable FIFO into
+// each file's stable coverage, splitting the front entry when a writeback
 // chunk ends inside it.
 func (l *LinuxServer) markStable(n int64) {
 	for n > 0 && l.queue.Len() > 0 {
@@ -128,7 +126,7 @@ func (l *LinuxServer) markStable(n int64) {
 		if take > n {
 			take = n
 		}
-		setFor(l.stable, e.fh).Add(e.off, e.off+take)
+		e.ino.stable.Add(e.off, e.off+take)
 		e.off += take
 		e.n -= take
 		n -= take
@@ -160,7 +158,12 @@ func (l *LinuxServer) Restart() {
 }
 
 // HandleWrite implements Backend.
-func (l *LinuxServer) HandleWrite(p *sim.Proc, args nfsproto.WriteArgs) nfsproto.WriteRes {
+func (l *LinuxServer) HandleWrite(p *sim.Proc, ino *Inode, args nfsproto.WriteArgs) nfsproto.WriteRes {
+	if args.Stable != nfsproto.Unstable {
+		// The modeled client sends only UNSTABLE writes and pays for
+		// durability at COMMIT.
+		panic(fmt.Sprintf("server: knfsd got a %v WRITE", args.Stable))
+	}
 	n := int64(args.Count)
 	for l.dirty+n > l.cfg.DirtyLimit {
 		l.Throttled++
@@ -168,23 +171,12 @@ func (l *LinuxServer) HandleWrite(p *sim.Proc, args nfsproto.WriteArgs) nfsproto
 		l.dirtyWait.Wait(p)
 	}
 	l.dirty += n
-	l.queue.Push(unstableEntry{fh: args.File, off: int64(args.Offset), n: n})
+	l.queue.Push(unstableEntry{ino: ino, off: int64(args.Offset), n: n})
 	l.drainWork.Signal()
-
-	committed := nfsproto.Unstable
-	if args.Stable != nfsproto.Unstable {
-		// Synchronous write: wait until the page cache is clean again.
-		// (Coarse — real knfsd waits for just this range — but the
-		// modeled client only ever sends UNSTABLE writes.)
-		for l.dirty > 0 {
-			l.cleanWait.Wait(p)
-		}
-		committed = nfsproto.FileSync
-	}
 	return nfsproto.WriteRes{
 		Status:    nfsproto.NFS3OK,
 		Count:     args.Count,
-		Committed: committed,
+		Committed: nfsproto.Unstable,
 		Verf:      l.verf,
 	}
 }
@@ -216,12 +208,6 @@ func (l *LinuxServer) HandleCommit(p *sim.Proc, args nfsproto.CommitArgs) nfspro
 // SetDiskSlowFactor implements Backend: it slows the SCSI disk the
 // writeback process drains to.
 func (l *LinuxServer) SetDiskSlowFactor(factor float64) { l.disk.SetSlowFactor(factor) }
-
-// StableCoverage implements Backend: the byte ranges confirmed on the
-// server's disk.
-func (l *LinuxServer) StableCoverage(fh nfsproto.FileHandle) *rangeset.Set {
-	return setFor(l.stable, fh)
-}
 
 // LostBytes implements Backend.
 func (l *LinuxServer) LostBytes() int64 { return l.Lost }

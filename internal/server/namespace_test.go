@@ -18,7 +18,7 @@ func TestApplyWriteWccChain(t *testing.T) {
 	ns := NewNamespace(s)
 	fh := nfsproto.MakeFileHandle(1, 7)
 
-	w1 := ns.ApplyWrite(fh, 8192)
+	w1 := ns.ApplyWrite(ns.record(fh), 8192)
 	if !w1.HavePre || !w1.HavePost {
 		t.Fatalf("wcc arms missing: %+v", w1)
 	}
@@ -28,7 +28,7 @@ func TestApplyWriteWccChain(t *testing.T) {
 	if w1.Post.Size != 8192 {
 		t.Fatalf("post size %d, want 8192", w1.Post.Size)
 	}
-	w2 := ns.ApplyWrite(fh, 4096) // shorter write: size must not shrink
+	w2 := ns.ApplyWrite(ns.record(fh), 4096) // shorter write: size must not shrink
 	if w2.Pre != (nfsproto.WccAttr{Size: w1.Post.Size, MTime: w1.Post.MTime, Change: w1.Post.Change}) {
 		t.Fatalf("second write pre %+v does not chain from first post %+v", w2.Pre, w1.Post)
 	}
@@ -51,10 +51,10 @@ func TestSharedFileChangeAcrossClients(t *testing.T) {
 	ns := NewNamespace(s)
 	fh := nfsproto.MakeFileHandle(1, 9)
 	for i := 0; i < 3; i++ { // client A
-		ns.ApplyWrite(fh, uint64(8192*(i+1)))
+		ns.ApplyWrite(ns.record(fh), uint64(8192*(i+1)))
 	}
 	for i := 0; i < 2; i++ { // client B, same handle
-		ns.ApplyWrite(fh, uint64(4096*(i+1)))
+		ns.ApplyWrite(ns.record(fh), uint64(4096*(i+1)))
 	}
 	if c, _ := ns.Change(fh); c != 5 {
 		t.Fatalf("change after 3+2 writes = %d, want 5", c)
@@ -168,7 +168,7 @@ func TestGetattrStaleHandle(t *testing.T) {
 		t.Fatalf("Getattr(created) = %+v, %v", attrs, st)
 	}
 	written := nfsproto.MakeFileHandle(4, 12)
-	ns.ApplyWrite(written, 8192)
+	ns.ApplyWrite(ns.record(written), 8192)
 	if attrs, st := ns.Getattr(written); st != nfsproto.NFS3OK || attrs.Size != 8192 || attrs.Change != 1 {
 		t.Fatalf("Getattr(written) = %+v, %v", attrs, st)
 	}

@@ -14,14 +14,11 @@
 package server
 
 import (
-	"bytes"
 	"fmt"
-	"sort"
 
 	"repro/internal/fifo"
 	"repro/internal/netsim"
 	"repro/internal/nfsproto"
-	"repro/internal/rangeset"
 	"repro/internal/rpcsim"
 	"repro/internal/sim"
 	"repro/internal/streamsim"
@@ -51,9 +48,10 @@ type Backend interface {
 	// Count bytes long — its length is what puts read wire time on the
 	// reply path.
 	HandleRead(p *sim.Proc, args nfsproto.ReadArgs) nfsproto.ReadRes
-	// HandleWrite services a WRITE3 request. args.Data aliases the
-	// request buffer and must not be kept.
-	HandleWrite(p *sim.Proc, args nfsproto.WriteArgs) nfsproto.WriteRes
+	// HandleWrite services a WRITE3 request to the file whose record is
+	// ino, adding the bytes to ino's stable coverage once they are
+	// durable. args.Data aliases the request buffer and must not be kept.
+	HandleWrite(p *sim.Proc, ino *Inode, args nfsproto.WriteArgs) nfsproto.WriteRes
 	// HandleCommit services a COMMIT3 request.
 	HandleCommit(p *sim.Proc, args nfsproto.CommitArgs) nfsproto.CommitRes
 
@@ -62,11 +60,8 @@ type Backend interface {
 	Crash()
 	Restart()
 
-	// StableCoverage returns the byte ranges of a file that have reached
-	// stable storage; chaos integrity asserts compare it against the
-	// front-end's received coverage. LostBytes counts acked bytes crashes
-	// discarded, ReplayedBytes those a restart recovered from a log.
-	StableCoverage(fh nfsproto.FileHandle) *rangeset.Set
+	// LostBytes counts acked bytes crashes discarded, ReplayedBytes those
+	// a restart recovered from a log.
 	LostBytes() int64
 	ReplayedBytes() int64
 
@@ -102,8 +97,8 @@ type Config struct {
 	Transport rpcsim.TransportKind
 }
 
-// Server is the RPC service front-end: NIC handler, request queue, worker
-// processes, and per-file coverage tracking for integrity checks.
+// Server is the RPC service front-end: NIC handler, request queue and
+// worker processes, with one record per file in its namespace.
 type Server struct {
 	s       *sim.Sim
 	net     *netsim.Network
@@ -123,9 +118,8 @@ type Server struct {
 	// conns holds one stream endpoint per client host (TransportTCP).
 	conns map[string]*streamsim.Endpoint
 
-	coverage map[nfsproto.FileHandle]*rangeset.Set
-
-	// ns is the directory state behind the metadata procedures.
+	// ns holds the file records: the directory state behind the metadata
+	// procedures and the per-file coverage integrity checks read.
 	ns *Namespace
 
 	// Statistics.
@@ -165,15 +159,14 @@ func New(s *sim.Sim, net *netsim.Network, link netsim.LinkConfig, cfg Config, ba
 		panic("server: need at least one worker and one CPU")
 	}
 	srv := &Server{
-		s:        s,
-		net:      net,
-		cpu:      s.NewCPUPool(cfg.CPUs),
-		cfg:      cfg,
-		backend:  backend,
-		rxWait:   s.NewWaitQueue(),
-		conns:    make(map[string]*streamsim.Endpoint),
-		coverage: make(map[nfsproto.FileHandle]*rangeset.Set),
-		ns:       NewNamespace(s),
+		s:       s,
+		net:     net,
+		cpu:     s.NewCPUPool(cfg.CPUs),
+		cfg:     cfg,
+		backend: backend,
+		rxWait:  s.NewWaitQueue(),
+		conns:   make(map[string]*streamsim.Endpoint),
+		ns:      NewNamespace(s),
 	}
 	if cfg.Transport == rpcsim.TransportTCP {
 		// Demultiplex by source host: one stream connection per client.
@@ -227,9 +220,9 @@ func (srv *Server) conn(from string) *streamsim.Endpoint {
 	return ep
 }
 
-// Names returns the server's directory state: its per-file change
-// counters are the ground truth nfssim's staleness probe and the
-// harness's change-bump count read.
+// Names returns the server's file records: their change counters are
+// the ground truth nfssim's staleness probe and the harness's change-bump
+// count read, their coverage what chaos integrity asserts compare.
 func (srv *Server) Names() *Namespace { return srv.ns }
 
 // Backend returns the server's backend.
@@ -262,33 +255,6 @@ func (srv *Server) Restart() {
 	}
 	srv.down = false
 	srv.backend.Restart()
-}
-
-// CoverageFiles returns the file handles with received write coverage in
-// deterministic (byte-wise handle) order.
-func (srv *Server) CoverageFiles() []nfsproto.FileHandle {
-	fhs := make([]nfsproto.FileHandle, 0, len(srv.coverage))
-	for fh := range srv.coverage {
-		fhs = append(fhs, fh)
-	}
-	sort.Slice(fhs, func(i, j int) bool {
-		return bytes.Compare(fhs[i][:], fhs[j][:]) < 0
-	})
-	return fhs
-}
-
-// Coverage returns the set of byte ranges received for a file handle.
-func (srv *Server) Coverage(fh nfsproto.FileHandle) *rangeset.Set { return setFor(srv.coverage, fh) }
-
-// setFor returns fh's byte-range set in m, adding an empty one on first
-// use.
-func setFor(m map[nfsproto.FileHandle]*rangeset.Set, fh nfsproto.FileHandle) *rangeset.Set {
-	set, ok := m[fh]
-	if !ok {
-		set = &rangeset.Set{}
-		m[fh] = set
-	}
-	return set
 }
 
 // IngestWindow returns the time between the first write arriving and the
@@ -365,12 +331,13 @@ func (srv *Server) serve(p *sim.Proc, d *xdr.Decoder, item rxItem, gen int) {
 			srv.firstWriteAt = srv.s.Now()
 		}
 		srv.cpu.Use(p, labelNFSDWrite, srv.cfg.ServiceCPU)
-		res := srv.backend.HandleWrite(p, args)
+		ino := srv.ns.record(args.File)
+		res := srv.backend.HandleWrite(p, ino, args)
 		if res.Status == nfsproto.NFS3OK {
 			srv.Writes++
 			srv.BytesWritten += int64(res.Count)
-			srv.Coverage(args.File).Add(int64(args.Offset), int64(args.Offset)+int64(res.Count))
-			res.Wcc = srv.ns.ApplyWrite(args.File, args.Offset+uint64(res.Count))
+			ino.received.Add(int64(args.Offset), int64(args.Offset)+int64(res.Count))
+			res.Wcc = srv.ns.ApplyWrite(ino, args.Offset+uint64(res.Count))
 			srv.lastWriteDone = srv.s.Now()
 		}
 		res.Encode(reply)

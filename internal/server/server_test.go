@@ -129,36 +129,12 @@ func TestLinuxWriteRepliesUnstableAndCommitWorks(t *testing.T) {
 	}
 }
 
-func TestLinuxStableWriteWaitsForDisk(t *testing.T) {
-	r, _ := newRig(t, "linux")
-	fh := nfsproto.MakeFileHandle(1, 3)
-	var fastRTT, syncRTT sim.Time
-	r.s.Go("w", func(p *sim.Proc) {
-		t0 := r.s.Now()
-		args := nfsproto.WriteArgs{File: fh, Offset: 0, Count: 8192, Stable: nfsproto.Unstable, Data: make([]byte, 8192)}
-		rpcsim.CallSync(r.tr, p, nfsproto.ProcWrite, args.Encode, nfsproto.DecodeWriteRes)
-		fastRTT = r.s.Now() - t0
-
-		t0 = r.s.Now()
-		args2 := nfsproto.WriteArgs{File: fh, Offset: 8192, Count: 8192, Stable: nfsproto.FileSync, Data: make([]byte, 8192)}
-		res, _ := rpcsim.CallSync(r.tr, p, nfsproto.ProcWrite, args2.Encode, nfsproto.DecodeWriteRes)
-		if res.Committed != nfsproto.FileSync {
-			t.Errorf("stable write committed = %v", res.Committed)
-		}
-		syncRTT = r.s.Now() - t0
-	})
-	r.s.Run(time.Minute)
-	if syncRTT <= fastRTT {
-		t.Fatalf("stable write RTT %v should exceed unstable %v (disk wait)", syncRTT, fastRTT)
-	}
-}
-
 func TestServerCoverageTracksBytes(t *testing.T) {
 	r, _ := newRig(t, "filer")
 	fh := nfsproto.MakeFileHandle(9, 9)
 	total := int64(1 << 20)
 	writeFile(r, fh, total, false)
-	cov := r.srv.Coverage(fh)
+	cov := r.srv.ns.record(fh).Received()
 	if cov.Total() != total || !cov.Contains(0, total) {
 		t.Fatalf("coverage = %v, want [0,%d)", cov, total)
 	}
@@ -208,7 +184,7 @@ func TestFilerTimerCheckpoint(t *testing.T) {
 	cfg.CPInterval = 100 * time.Millisecond
 	f := NewFiler(s, cfg, newTestVolume(s))
 	s.Go("w", func(p *sim.Proc) {
-		f.HandleWrite(p, nfsproto.WriteArgs{Count: 8192})
+		f.HandleWrite(p, new(Inode), nfsproto.WriteArgs{Count: 8192})
 	})
 	s.Run(300 * time.Millisecond)
 	if f.Checkpoints == 0 {
@@ -241,7 +217,7 @@ func TestLinuxDirtyThrottling(t *testing.T) {
 	l := NewLinuxServer(s, cfg, newTestDisk(s))
 	s.Go("w", func(p *sim.Proc) {
 		for i := 0; i < 512; i++ { // 4 MB total, 4x the dirty limit
-			l.HandleWrite(p, nfsproto.WriteArgs{Count: 8192, Stable: nfsproto.Unstable})
+			l.HandleWrite(p, new(Inode), nfsproto.WriteArgs{Count: 8192, Stable: nfsproto.Unstable})
 		}
 	})
 	s.Run(time.Minute)
