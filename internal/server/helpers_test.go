@@ -4,8 +4,6 @@ import (
 	"time"
 
 	"repro/internal/disksim"
-	"repro/internal/nfsproto"
-	"repro/internal/rangeset"
 	"repro/internal/sim"
 )
 
@@ -15,21 +13,4 @@ func newTestVolume(s *sim.Sim) *disksim.RAID4 {
 
 func newTestDisk(s *sim.Sim) *disksim.Disk {
 	return disksim.New(s, time.Millisecond, 20_000_000)
-}
-
-// walkedFile is one entry of the no-data-loss walk.
-type walkedFile struct {
-	fh               nfsproto.FileHandle
-	received, stable *rangeset.Set
-}
-
-// noDataLossWalk lists what the chaos engine's no-data-loss check reads:
-// each written handle, in handle order, with its received and stable
-// coverage.
-func noDataLossWalk(srv *Server) []walkedFile {
-	var walk []walkedFile
-	for fh, ino := range srv.Names().Written() {
-		walk = append(walk, walkedFile{fh, ino.Received(), ino.Stable()})
-	}
-	return walk
 }

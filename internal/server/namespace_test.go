@@ -277,11 +277,15 @@ func TestRemovedFileStaysInNoDataLossWalk(t *testing.T) {
 		}
 	})
 	r.s.Run(time.Minute)
-	walk := noDataLossWalk(r.srv)
-	if len(walk) != 1 || walk[0].fh != removed {
-		t.Fatalf("walk = %+v, want only the removed file %x", walk, removed)
+	var walked []nfsproto.FileHandle
+	var ino *Inode
+	for fh, rec := range r.srv.Names().Written() {
+		walked, ino = append(walked, fh), rec
 	}
-	if w := walk[0]; w.received.Total() != 8192 || !w.stable.Contains(0, 8192) {
-		t.Fatalf("removed file: received %v, stable %v, want [0,8192) in both", w.received, w.stable)
+	if len(walked) != 1 || walked[0] != removed {
+		t.Fatalf("walk = %x, want only the removed file %x", walked, removed)
+	}
+	if ino.Received().Total() != 8192 || !ino.Stable().Contains(0, 8192) {
+		t.Fatalf("removed file: received %v, stable %v, want [0,8192) in both", ino.Received(), ino.Stable())
 	}
 }
