@@ -5,9 +5,14 @@ package nfssim_test
 // iteration regenerates the artifact on a fresh deterministic test bed
 // and reports the headline quantity as a custom metric, so
 // `go test -bench=.` prints the same rows/series the paper reports.
+// TestBenchmarkMetricsMatchGolden pins every one of those metrics.
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,9 +20,16 @@ import (
 	"repro/internal/bonnie"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/racebuild"
 	"repro/internal/rpcsim"
 	"repro/internal/stats"
 )
+
+// metric is one custom metric a benchmark reports.
+type metric struct {
+	unit  string
+	value float64
+}
 
 // quickSizes keeps the sweep benches to a practical iteration time while
 // preserving the curve's shape (plateau, knee, tail).
@@ -49,99 +61,24 @@ func maxY(s *stats.Series) float64 {
 	return m
 }
 
-func BenchmarkFig1LocalVsNFSStock(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		linux, filer, local := sweep(experiments.Fig1)
-		b.ReportMetric(maxY(local)/1000, "local-peak-MB/s")
-		b.ReportMetric(yAt(filer, 100)/1000, "filer-MB/s@100MB")
-		b.ReportMetric(yAt(linux, 100)/1000, "linux-MB/s@100MB")
+// traceMetrics reports a Figure 3/4 per-call latency trace.
+func traceMetrics(r *experiments.TraceResult) []metric {
+	return []metric{
+		{"mean-us", float64(r.MeanAll.Microseconds())},
+		{"slope-ns/call", r.SlopeNsCall},
+		{"write-MB/s", r.Result.WriteMBps},
 	}
 }
 
-func BenchmarkFig2PeriodicSpikes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig2()
-		b.ReportMetric(float64(r.MeanAll.Microseconds()), "mean-us")
-		b.ReportMetric(float64(r.MeanBelow.Microseconds()), "mean-excl-spikes-us")
-		b.ReportMetric(r.SpikePeriod, "spike-period-calls")
-		b.ReportMetric(float64(r.Spikes), "spikes")
+// histMetrics reports a Figure 5/6 pair of latency histograms.
+func histMetrics(r *experiments.HistResult) []metric {
+	return []metric{
+		{"filer-mean-us", float64(r.Filer.Mean.Microseconds())},
+		{"linux-mean-us", float64(r.Linux.Mean.Microseconds())},
+		{"filer-tail-calls", float64(r.FilerHist.TailCount(experiments.TailCutoff))},
+		{"linux-tail-calls", float64(r.LinuxHist.TailCount(experiments.TailCutoff))},
 	}
 }
-
-func BenchmarkFig3LinearListGrowth(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig3()
-		b.ReportMetric(float64(r.MeanAll.Microseconds()), "mean-us")
-		b.ReportMetric(r.SlopeNsCall, "slope-ns/call")
-		b.ReportMetric(r.Result.WriteMBps, "write-MB/s")
-	}
-}
-
-func BenchmarkFig4HashTableFlat(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig4()
-		b.ReportMetric(float64(r.MeanAll.Microseconds()), "mean-us")
-		b.ReportMetric(r.SlopeNsCall, "slope-ns/call")
-		b.ReportMetric(r.Result.WriteMBps, "write-MB/s")
-	}
-}
-
-func BenchmarkFig5HistogramsBKL(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		reportHist(b, experiments.Fig5())
-	}
-}
-
-func BenchmarkFig6HistogramsNoLock(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		reportHist(b, experiments.Fig6())
-	}
-}
-
-func reportHist(b *testing.B, r *experiments.HistResult) {
-	b.ReportMetric(float64(r.Filer.Mean.Microseconds()), "filer-mean-us")
-	b.ReportMetric(float64(r.Linux.Mean.Microseconds()), "linux-mean-us")
-	b.ReportMetric(float64(r.FilerHist.TailCount(experiments.TailCutoff)), "filer-tail-calls")
-	b.ReportMetric(float64(r.LinuxHist.TailCount(experiments.TailCutoff)), "linux-tail-calls")
-}
-
-func BenchmarkTable1LockVsNoLock(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.RunGrid(*experiments.Table1.Grid) // hash filer, hash linux, enhanced filer, enhanced linux
-		b.ReportMetric(rows[0].WriteMBps, "filer-lock-MB/s")
-		b.ReportMetric(rows[2].WriteMBps, "filer-nolock-MB/s")
-		b.ReportMetric(rows[1].WriteMBps, "linux-lock-MB/s")
-		b.ReportMetric(rows[3].WriteMBps, "linux-nolock-MB/s")
-	}
-}
-
-func BenchmarkFig7LocalVsNFSEnhanced(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		linux, filer, local := sweep(experiments.Fig7)
-		b.ReportMetric(yAt(filer, 100)/1000, "filer-MB/s@100MB")
-		b.ReportMetric(yAt(filer, 450)/1000, "filer-MB/s@450MB")
-		b.ReportMetric(yAt(linux, 450)/1000, "linux-MB/s@450MB")
-		b.ReportMetric(yAt(local, 450)/1000, "local-MB/s@450MB")
-	}
-}
-
-func BenchmarkSlow100Paradox(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.RunGrid(*experiments.Slow100.Grid) // slow100, filer
-		b.ReportMetric(rows[0].WriteMBps, "slow-mem-MB/s")
-		b.ReportMetric(rows[1].WriteMBps, "filer-mem-MB/s")
-	}
-}
-
-func BenchmarkJumboAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.RunGrid(*experiments.Jumbo.Grid) // standard, jumbo
-		b.ReportMetric(rows[0].FlushMBps, "mtu1500-MB/s")
-		b.ReportMetric(rows[1].FlushMBps, "mtu9000-MB/s")
-	}
-}
-
-// --- Ablation benches (DESIGN.md §4) ---
 
 // benchRun runs a 10 MB write-phase benchmark and returns MB/s.
 func benchRun(srv nfssim.ServerKind, cfg core.Config, cpus int) float64 {
@@ -152,252 +89,331 @@ func benchRun(srv nfssim.ServerKind, cfg core.Config, cpus int) float64 {
 	return res.WriteMBps()
 }
 
-// BenchmarkAblationSoftLimit sweeps MAX_REQUEST_SOFT to show the paper's
-// limit (192) is in the stall-dominated regime.
-func BenchmarkAblationSoftLimit(b *testing.B) {
+// benchCase is one benchmark body under the name go test -bench prints
+// for it (without the -GOMAXPROCS suffix); a sub-benchmark's name
+// carries its path after a slash. The benchmark and the golden pin both
+// report what run returns, so the two cannot drift apart.
+type benchCase struct {
+	name string
+	run  func() []metric
+}
+
+// benchCases holds every root benchmark body, in the order go test
+// -bench runs them.
+var benchCases = func() []benchCase {
+	var cs []benchCase
+	add := func(name string, run func() []metric) { cs = append(cs, benchCase{name, run}) }
+
+	add("BenchmarkFig1LocalVsNFSStock", func() []metric {
+		linux, filer, local := sweep(experiments.Fig1)
+		return []metric{
+			{"local-peak-MB/s", maxY(local) / 1000},
+			{"filer-MB/s@100MB", yAt(filer, 100) / 1000},
+			{"linux-MB/s@100MB", yAt(linux, 100) / 1000},
+		}
+	})
+	add("BenchmarkFig2PeriodicSpikes", func() []metric {
+		r := experiments.Fig2()
+		return []metric{
+			{"mean-us", float64(r.MeanAll.Microseconds())},
+			{"mean-excl-spikes-us", float64(r.MeanBelow.Microseconds())},
+			{"spike-period-calls", r.SpikePeriod},
+			{"spikes", float64(r.Spikes)},
+		}
+	})
+	add("BenchmarkFig3LinearListGrowth", func() []metric { return traceMetrics(experiments.Fig3()) })
+	add("BenchmarkFig4HashTableFlat", func() []metric { return traceMetrics(experiments.Fig4()) })
+	add("BenchmarkFig5HistogramsBKL", func() []metric { return histMetrics(experiments.Fig5()) })
+	add("BenchmarkFig6HistogramsNoLock", func() []metric { return histMetrics(experiments.Fig6()) })
+	add("BenchmarkTable1LockVsNoLock", func() []metric {
+		rows := experiments.RunGrid(*experiments.Table1.Grid) // hash filer, hash linux, enhanced filer, enhanced linux
+		return []metric{
+			{"filer-lock-MB/s", rows[0].WriteMBps},
+			{"filer-nolock-MB/s", rows[2].WriteMBps},
+			{"linux-lock-MB/s", rows[1].WriteMBps},
+			{"linux-nolock-MB/s", rows[3].WriteMBps},
+		}
+	})
+	add("BenchmarkFig7LocalVsNFSEnhanced", func() []metric {
+		linux, filer, local := sweep(experiments.Fig7)
+		return []metric{
+			{"filer-MB/s@100MB", yAt(filer, 100) / 1000},
+			{"filer-MB/s@450MB", yAt(filer, 450) / 1000},
+			{"linux-MB/s@450MB", yAt(linux, 450) / 1000},
+			{"local-MB/s@450MB", yAt(local, 450) / 1000},
+		}
+	})
+	add("BenchmarkSlow100Paradox", func() []metric {
+		rows := experiments.RunGrid(*experiments.Slow100.Grid) // slow100, filer
+		return []metric{{"slow-mem-MB/s", rows[0].WriteMBps}, {"filer-mem-MB/s", rows[1].WriteMBps}}
+	})
+	add("BenchmarkJumboAblation", func() []metric {
+		rows := experiments.RunGrid(*experiments.Jumbo.Grid) // standard, jumbo
+		return []metric{{"mtu1500-MB/s", rows[0].FlushMBps}, {"mtu9000-MB/s", rows[1].FlushMBps}}
+	})
+
+	// --- Ablation benches (DESIGN.md §4) ---
+
+	// The soft-limit sweep shows the paper's MAX_REQUEST_SOFT (192) is in
+	// the stall-dominated regime.
 	for _, soft := range []int{64, 192, 1024, 4096} {
-		b.Run(itoa(soft), func(b *testing.B) {
+		add("BenchmarkAblationSoftLimit/"+strconv.Itoa(soft), func() []metric {
 			cfg := core.Stock244Config()
 			cfg.MaxRequestSoft = soft
 			cfg.MaxRequestHard = soft + 64
-			for i := 0; i < b.N; i++ {
-				b.ReportMetric(benchRun(nfssim.ServerFiler, cfg, 2), "write-MB/s")
-			}
+			return []metric{{"write-MB/s", benchRun(nfssim.ServerFiler, cfg, 2)}}
 		})
 	}
-}
-
-// BenchmarkAblationIndex compares the two request-index structures at a
-// backlog large enough to expose the O(n) scans.
-func BenchmarkAblationIndex(b *testing.B) {
+	// The two request-index structures at a backlog large enough to
+	// expose the O(n) scans.
 	for _, idx := range []core.IndexPolicy{core.IndexLinearList, core.IndexHashTable} {
-		b.Run(idx.String(), func(b *testing.B) {
+		add("BenchmarkAblationIndex/"+idx.String(), func() []metric {
 			cfg := core.NoLimitsConfig()
 			cfg.IndexPolicy = idx
-			for i := 0; i < b.N; i++ {
-				b.ReportMetric(benchRun(nfssim.ServerFiler, cfg, 2), "write-MB/s")
-			}
+			return []metric{{"write-MB/s", benchRun(nfssim.ServerFiler, cfg, 2)}}
 		})
 	}
-}
-
-// BenchmarkAblationLockPolicy isolates fix 3 on both servers.
-func BenchmarkAblationLockPolicy(b *testing.B) {
+	// Fix 3 in isolation, on both servers.
 	for _, srv := range []nfssim.ServerKind{nfssim.ServerFiler, nfssim.ServerLinux} {
 		for _, lp := range []rpcsim.LockPolicy{rpcsim.HoldBKLAcrossSend, rpcsim.ReleaseBKLForSend} {
-			b.Run(srv.String()+"/"+lp.String(), func(b *testing.B) {
+			add("BenchmarkAblationLockPolicy/"+srv.String()+"/"+lp.String(), func() []metric {
 				cfg := core.HashConfig()
 				cfg.LockPolicy = lp
-				for i := 0; i < b.N; i++ {
-					b.ReportMetric(benchRun(srv, cfg, 2), "write-MB/s")
-				}
+				return []metric{{"write-MB/s", benchRun(srv, cfg, 2)}}
 			})
 		}
 	}
-}
-
-// BenchmarkAblationCPUs compares uniprocessor and SMP clients.
-func BenchmarkAblationCPUs(b *testing.B) {
+	// Uniprocessor and SMP clients.
 	for _, cpus := range []int{1, 2} {
-		b.Run(itoa(cpus)+"cpu", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.ReportMetric(benchRun(nfssim.ServerFiler, core.EnhancedConfig(), cpus), "write-MB/s")
-			}
+		add("BenchmarkAblationCPUs/"+strconv.Itoa(cpus)+"cpu", func() []metric {
+			return []metric{{"write-MB/s", benchRun(nfssim.ServerFiler, core.EnhancedConfig(), cpus)}}
 		})
 	}
-}
-
-// BenchmarkAblationWSize sweeps the mount's wsize.
-func BenchmarkAblationWSize(b *testing.B) {
+	// The mount's wsize.
 	for _, w := range []int{4096, 8192, 16384, 32768} {
-		b.Run(itoa(w), func(b *testing.B) {
+		add("BenchmarkAblationWSize/"+strconv.Itoa(w), func() []metric {
 			cfg := core.EnhancedConfig()
 			cfg.WSize = w
-			for i := 0; i < b.N; i++ {
-				b.ReportMetric(benchRun(nfssim.ServerFiler, cfg, 2), "flush-MB/s")
-			}
+			return []metric{{"flush-MB/s", benchRun(nfssim.ServerFiler, cfg, 2)}}
 		})
 	}
-}
-
-// BenchmarkAblationSlotTable sweeps the RPC slot-table depth.
-func BenchmarkAblationSlotTable(b *testing.B) {
+	// The RPC slot-table depth.
 	for _, slots := range []int{2, 8, 16, 64} {
-		b.Run(itoa(slots), func(b *testing.B) {
+		add("BenchmarkAblationSlotTable/"+strconv.Itoa(slots), func() []metric {
 			rpcCfg := rpcsim.DefaultConfig()
 			rpcCfg.MaxSlots = slots
-			for i := 0; i < b.N; i++ {
-				tb := nfssim.NewTestbed(nfssim.Options{
-					Server: nfssim.ServerFiler,
-					Client: core.EnhancedConfig(),
-					RPC:    &rpcCfg,
-				})
-				res := bonnie.RunWorkload(tb.Sim, "slots", tb.Machines[0].OpenSet(), bonnie.Config{
-					FileSize: 10 << 20, TimeLimit: 10 * time.Minute,
-				})
-				b.ReportMetric(res.FlushMBps(), "flush-MB/s")
-			}
+			tb := nfssim.NewTestbed(nfssim.Options{
+				Server: nfssim.ServerFiler,
+				Client: core.EnhancedConfig(),
+				RPC:    &rpcCfg,
+			})
+			res := bonnie.RunWorkload(tb.Sim, "slots", tb.Machines[0].OpenSet(), bonnie.Config{
+				FileSize: 10 << 20, TimeLimit: 10 * time.Minute,
+			})
+			return []metric{{"flush-MB/s", res.FlushMBps()}}
 		})
 	}
-}
 
-// BenchmarkSimulatorEventRate measures the DES kernel itself: simulated
-// RPC round-trips per wall second (regression guard for the substrate).
-func BenchmarkSimulatorEventRate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		benchRun(nfssim.ServerFiler, core.EnhancedConfig(), 2)
-	}
-}
-
-// BenchmarkLossSweep regenerates the lossy-network table: UDP loss
-// amplification versus TCP segment recovery at 1% fragment loss.
-func BenchmarkLossSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
+	// The lossy-network table: UDP loss amplification versus TCP segment
+	// recovery at 1% fragment loss.
+	add("BenchmarkLossSweep", func() []metric {
 		rows := experiments.RunGrid(*experiments.Loss.Grid)
+		var ms []metric
 		for _, tr := range []string{"udp", "tcp"} {
-			b.ReportMetric(experiments.Loss.Row(rows, "enhanced", tr, "1").AggMBps, tr+"-MB/s@1%loss")
+			ms = append(ms, metric{tr + "-MB/s@1%loss", experiments.Loss.Row(rows, "enhanced", tr, "1").AggMBps})
 		}
-	}
-}
-
-// BenchmarkAblationTransport compares the two transports on a clean and
-// on a mildly lossy network, full 10 MB runs against the filer.
-func BenchmarkAblationTransport(b *testing.B) {
+		return ms
+	})
+	// The two transports on a clean and on a mildly lossy network, full
+	// 10 MB runs against the filer.
 	for _, tr := range []rpcsim.TransportKind{rpcsim.TransportUDP, rpcsim.TransportTCP} {
 		for _, loss := range []float64{0, 0.01} {
-			b.Run(fmt.Sprintf("%s/loss%g", tr, loss), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					tb := nfssim.NewTestbed(nfssim.Options{
-						Server:    nfssim.ServerFiler,
-						Client:    core.EnhancedConfig(),
-						Transport: tr,
-						Loss:      loss,
-					})
-					res := bonnie.RunWorkload(tb.Sim, "transport", tb.Machines[0].OpenSet(), bonnie.Config{
-						FileSize: 10 << 20, TimeLimit: 10 * time.Minute,
-					})
-					b.ReportMetric(res.CloseMBps(), "close-MB/s")
-				}
+			add(fmt.Sprintf("BenchmarkAblationTransport/%s/loss%g", tr, loss), func() []metric {
+				tb := nfssim.NewTestbed(nfssim.Options{
+					Server:    nfssim.ServerFiler,
+					Client:    core.EnhancedConfig(),
+					Transport: tr,
+					Loss:      loss,
+				})
+				res := bonnie.RunWorkload(tb.Sim, "transport", tb.Machines[0].OpenSet(), bonnie.Config{
+					FileSize: 10 << 20, TimeLimit: 10 * time.Minute,
+				})
+				return []metric{{"close-MB/s", res.CloseMBps()}}
 			})
 		}
 	}
-}
-
-// BenchmarkReadSweep regenerates the read-path table: sequential read,
-// rewrite and mixed workloads with the readahead ablation.
-func BenchmarkReadSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
+	// The read-path table: sequential read, rewrite and mixed workloads
+	// with the readahead ablation.
+	add("BenchmarkReadSweep", func() []metric {
 		rows := experiments.RunGrid(*experiments.Read.Grid)
 		mbps := func(cfg, wl string) float64 { return experiments.Read.Row(rows, cfg, wl).WriteMBps }
-		b.ReportMetric(mbps("enhanced", "read"), "enhanced-read-MB/s")
-		b.ReportMetric(mbps("ra-off", "read"), "ra-off-read-MB/s")
-		b.ReportMetric(mbps("enhanced", "mixed"), "enhanced-mixed-MB/s")
-	}
-}
-
-// BenchmarkRandomSweep regenerates the random-access table: the fix
-// progression under sequential vs random chunk I/O.
-func BenchmarkRandomSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
+		return []metric{
+			{"enhanced-read-MB/s", mbps("enhanced", "read")},
+			{"ra-off-read-MB/s", mbps("ra-off", "read")},
+			{"enhanced-mixed-MB/s", mbps("enhanced", "mixed")},
+		}
+	})
+	// The random-access table: the fix progression under sequential vs
+	// random chunk I/O.
+	add("BenchmarkRandomSweep", func() []metric {
 		rows := experiments.RunGrid(*experiments.Random.Grid)
 		mbps := func(cfg, wl string) float64 { return experiments.Random.Row(rows, cfg, wl).WriteMBps }
-		b.ReportMetric(mbps("hash", "randwrite"), "hash-randwrite-MB/s")
-		b.ReportMetric(mbps("nolimits", "randwrite"), "list-randwrite-MB/s")
-		b.ReportMetric(mbps("stock", "randwrite"), "stock-randwrite-MB/s")
-		b.ReportMetric(mbps("enhanced", "randread"), "enhanced-randread-MB/s")
-	}
-}
-
-// BenchmarkDBLoad regenerates the database-load table: group-commit
-// fsync cost on the filer vs the Linux server.
-func BenchmarkDBLoad(b *testing.B) {
-	for i := 0; i < b.N; i++ {
+		return []metric{
+			{"hash-randwrite-MB/s", mbps("hash", "randwrite")},
+			{"list-randwrite-MB/s", mbps("nolimits", "randwrite")},
+			{"stock-randwrite-MB/s", mbps("stock", "randwrite")},
+			{"enhanced-randread-MB/s", mbps("enhanced", "randread")},
+		}
+	})
+	// The database-load table: group-commit fsync cost on the filer vs
+	// the Linux server.
+	add("BenchmarkDBLoad", func() []metric {
 		rows := experiments.RunGrid(*experiments.DB.Grid)
+		var ms []metric
 		for _, srv := range []string{"filer", "linux"} {
 			row := *experiments.DB.Row(rows, srv, "enhanced")
-			b.ReportMetric(experiments.TxPerSec(row), srv+"-tx/s")
-			b.ReportMetric(float64(experiments.FsyncTime(row).Milliseconds()), srv+"-fsync-ms")
+			ms = append(ms,
+				metric{srv + "-tx/s", experiments.TxPerSec(row)},
+				metric{srv + "-fsync-ms", float64(experiments.FsyncTime(row).Milliseconds())})
 		}
-	}
-}
-
-// BenchmarkZipfSweep regenerates the many-file metadata table: the
-// Zipfian op mix with the attribute cache on and off.
-func BenchmarkZipfSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
+		return ms
+	})
+	// The many-file metadata table: the Zipfian op mix with the
+	// attribute cache on and off.
+	add("BenchmarkZipfSweep", func() []metric {
 		rows := experiments.RunGrid(*experiments.Zipf.Grid)
 		on, off := experiments.Zipf.Row(rows, "zipf", "on"), experiments.Zipf.Row(rows, "zipf", "off")
-		b.ReportMetric(on.AggMBps, "ac-on-MB/s")
-		b.ReportMetric(on.AttrCacheHitRate, "ac-hit-rate")
-		b.ReportMetric(float64(on.GetattrRPCs), "ac-on-getattrs")
-		b.ReportMetric(off.AggMBps, "noac-MB/s")
-		b.ReportMetric(float64(off.GetattrRPCs), "noac-getattrs")
-	}
-}
-
-func BenchmarkCoherenceSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
+		return []metric{
+			{"ac-on-MB/s", on.AggMBps},
+			{"ac-hit-rate", on.AttrCacheHitRate},
+			{"ac-on-getattrs", float64(on.GetattrRPCs)},
+			{"noac-MB/s", off.AggMBps},
+			{"noac-getattrs", float64(off.GetattrRPCs)},
+		}
+	})
+	add("BenchmarkCoherenceSweep", func() []metric {
 		rows := experiments.RunGrid(*experiments.Coherence.Grid)
 		strict := experiments.Coherence.Row(rows, "strict")
 		ttl := experiments.Coherence.Row(rows, "ttl")
 		noac := experiments.Coherence.Row(rows, "noac")
-		b.ReportMetric(strict.AggMBps, "strict-MB/s")
-		b.ReportMetric(float64(strict.GetattrRPCs), "strict-getattrs")
-		b.ReportMetric(ttl.AggMBps, "ttl-MB/s")
-		b.ReportMetric(float64(ttl.StaleReads), "ttl-stale-reads")
-		b.ReportMetric(noac.AggMBps, "noac-MB/s")
-		b.ReportMetric(float64(noac.StaleReads), "noac-stale-reads")
-	}
-}
-
-// BenchmarkAblationReadahead sweeps the readahead window cap on a
-// sequential cold-file read against the filer.
-func BenchmarkAblationReadahead(b *testing.B) {
+		return []metric{
+			{"strict-MB/s", strict.AggMBps},
+			{"strict-getattrs", float64(strict.GetattrRPCs)},
+			{"ttl-MB/s", ttl.AggMBps},
+			{"ttl-stale-reads", float64(ttl.StaleReads)},
+			{"noac-MB/s", noac.AggMBps},
+			{"noac-stale-reads", float64(noac.StaleReads)},
+		}
+	})
+	// The readahead window cap on a sequential cold-file read against
+	// the filer.
 	for _, maxPages := range []int{core.ReadaheadOff, core.StockReadaheadMaxPages, core.EnhancedReadaheadMaxPages, 256} {
-		name := itoa(maxPages)
+		name := strconv.Itoa(maxPages)
 		if maxPages == core.ReadaheadOff {
 			name = "off"
 		}
-		b.Run(name, func(b *testing.B) {
+		add("BenchmarkAblationReadahead/"+name, func() []metric {
 			cfg := core.EnhancedConfig()
 			cfg.ReadaheadMaxPages = maxPages
-			for i := 0; i < b.N; i++ {
-				tb := nfssim.NewTestbed(nfssim.Options{Server: nfssim.ServerFiler, Client: cfg})
-				res := bonnie.RunWorkload(tb.Sim, "ra", tb.Machines[0].OpenSet(), bonnie.Config{
-					FileSize: 10 << 20, Workload: bonnie.WorkloadRead, TimeLimit: 10 * time.Minute,
-				})
-				b.ReportMetric(res.WriteMBps(), "read-MB/s")
-			}
+			tb := nfssim.NewTestbed(nfssim.Options{Server: nfssim.ServerFiler, Client: cfg})
+			res := bonnie.RunWorkload(tb.Sim, "ra", tb.Machines[0].OpenSet(), bonnie.Config{
+				FileSize: 10 << 20, Workload: bonnie.WorkloadRead, TimeLimit: 10 * time.Minute,
+			})
+			return []metric{{"read-MB/s", res.WriteMBps()}}
 		})
 	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
-// BenchmarkFleet1000 runs the thousand-client fleet row end to end: one
-// simulation, ~3000 live processes, a thousand 1 MB write+flush+close
-// sequences against a single filer. The wall-clock ns/op is the number
-// the kernel work is judged by; the reported metrics pin the simulated
-// outcome.
-func BenchmarkFleet1000(b *testing.B) {
-	for i := 0; i < b.N; i++ {
+	// The thousand-client fleet row end to end: one simulation, ~3000
+	// live processes, a thousand 1 MB write+flush+close sequences against
+	// a single filer. Its wall-clock ns/op is the kernel's whole-run cost
+	// (DESIGN.md §12 profiles it); the metrics pin the simulated outcome.
+	add("BenchmarkFleet1000", func() []metric {
 		g := *experiments.Fleet.Grid
 		g.Clients = []int{1000}
 		row := experiments.RunGrid(g)[0]
-		b.ReportMetric(row.AggMBps, "agg-MB/s")
-		b.ReportMetric(row.Fairness, "fairness")
-		b.ReportMetric(experiments.SlotWaitShare(row), "slot-wait-share")
+		return []metric{
+			{"agg-MB/s", row.AggMBps},
+			{"fairness", row.Fairness},
+			{"slot-wait-share", experiments.SlotWaitShare(row)},
+		}
+	})
+	return cs
+}()
+
+// runBench runs the benchmark case named b.Name(), or each case under
+// that name as a sub-benchmark, reporting its metrics every iteration.
+func runBench(b *testing.B) {
+	found := false
+	for _, c := range benchCases {
+		sub, ok := strings.CutPrefix(c.name, b.Name())
+		if !ok || (sub != "" && sub[0] != '/') {
+			continue
+		}
+		found = true
+		body := func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, m := range c.run() {
+					b.ReportMetric(m.value, m.unit)
+				}
+			}
+		}
+		if sub == "" {
+			body(b)
+		} else {
+			b.Run(sub[1:], body)
+		}
+	}
+	if !found {
+		b.Fatalf("no benchmark case is named %s", b.Name())
+	}
+}
+
+func BenchmarkFig1LocalVsNFSStock(b *testing.B)    { runBench(b) }
+func BenchmarkFig2PeriodicSpikes(b *testing.B)     { runBench(b) }
+func BenchmarkFig3LinearListGrowth(b *testing.B)   { runBench(b) }
+func BenchmarkFig4HashTableFlat(b *testing.B)      { runBench(b) }
+func BenchmarkFig5HistogramsBKL(b *testing.B)      { runBench(b) }
+func BenchmarkFig6HistogramsNoLock(b *testing.B)   { runBench(b) }
+func BenchmarkTable1LockVsNoLock(b *testing.B)     { runBench(b) }
+func BenchmarkFig7LocalVsNFSEnhanced(b *testing.B) { runBench(b) }
+func BenchmarkSlow100Paradox(b *testing.B)         { runBench(b) }
+func BenchmarkJumboAblation(b *testing.B)          { runBench(b) }
+func BenchmarkAblationSoftLimit(b *testing.B)      { runBench(b) }
+func BenchmarkAblationIndex(b *testing.B)          { runBench(b) }
+func BenchmarkAblationLockPolicy(b *testing.B)     { runBench(b) }
+func BenchmarkAblationCPUs(b *testing.B)           { runBench(b) }
+func BenchmarkAblationWSize(b *testing.B)          { runBench(b) }
+func BenchmarkAblationSlotTable(b *testing.B)      { runBench(b) }
+func BenchmarkLossSweep(b *testing.B)              { runBench(b) }
+func BenchmarkAblationTransport(b *testing.B)      { runBench(b) }
+func BenchmarkReadSweep(b *testing.B)              { runBench(b) }
+func BenchmarkRandomSweep(b *testing.B)            { runBench(b) }
+func BenchmarkDBLoad(b *testing.B)                 { runBench(b) }
+func BenchmarkZipfSweep(b *testing.B)              { runBench(b) }
+func BenchmarkCoherenceSweep(b *testing.B)         { runBench(b) }
+func BenchmarkAblationReadahead(b *testing.B)      { runBench(b) }
+func BenchmarkFleet1000(b *testing.B)              { runBench(b) }
+
+// TestBenchmarkMetricsMatchGolden pins every metric the benchmarks above
+// report, at full precision, to testdata/bench_metrics.golden. A
+// mismatch prints the whole file the current code produces.
+func TestBenchmarkMetricsMatchGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every benchmark body once, about 11 s")
+	}
+	if racebuild.Enabled {
+		t.Skip("the race detector slows it many times over; TestQuickAllMatchesGolden drives the same experiments under -race")
+	}
+	var b strings.Builder
+	for _, c := range benchCases {
+		for _, m := range c.run() {
+			fmt.Fprintf(&b, "%s %s %s\n", c.name, m.unit, strconv.FormatFloat(m.value, 'g', -1, 64))
+		}
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "bench_metrics.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Fatalf("benchmark metrics differ from testdata/bench_metrics.golden; the current code gives:\n%s", got)
 	}
 }

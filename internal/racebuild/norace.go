@@ -1,11 +1,11 @@
 //go:build !race
 
 // Package racebuild reports whether the race detector is compiled in.
-// Allocation tests consult it: under -race, sync.Pool discards a random
-// share of the objects put into it, so pooled paths allocate by design.
+// Tests consult it: under -race, sync.Pool discards a random share of
+// what is put into it, so pooled paths allocate, and long runs crawl.
 package racebuild
 
 // Enabled reports whether the binary was built with the race detector.
 //
-//lint:allow unusedexport a test-support switch: only the allocation tests read it
+//lint:allow unusedexport a test-support switch: only tests read it
 const Enabled = false

@@ -10,8 +10,7 @@ import (
 
 // BenchmarkKernelSchedule measures the raw event-queue path: schedule a
 // timer, pop it, run its callback, schedule the next — no processes, no
-// handoffs. This is the floor every simulated microsecond pays, so the
-// CI wall-clock gate watches its ns/op.
+// handoffs. This is the floor every simulated microsecond pays.
 func BenchmarkKernelSchedule(b *testing.B) {
 	s := sim.New(1)
 	n := 0
