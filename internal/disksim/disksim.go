@@ -51,9 +51,20 @@ func New(s *sim.Sim, seek sim.Time, bandwidth int64) *Disk {
 // serialized FIFO behind earlier requests. It charges a positioning cost
 // when off does not continue the previous request.
 func (d *Disk) Write(p *sim.Proc, off, n int64) {
+	p.Sleep(d.bookWrite(off, n))
+}
+
+// WriteThen is Write for task p: k runs once the write completes.
+func (d *Disk) WriteThen(p *sim.Proc, off, n int64, k func()) {
+	p.SleepThen(d.bookWrite(off, n), k)
+}
+
+// bookWrite books a write into the FIFO queue and returns how long until
+// it completes.
+func (d *Disk) bookWrite(off, n int64) sim.Time {
 	at := d.service(off, n)
 	d.BytesWritten += n
-	d.waitFor(p, at)
+	return at - d.s.Now()
 }
 
 // WriteAsync schedules a write and invokes done (in event context) when it
@@ -74,9 +85,15 @@ func (d *Disk) WriteAsync(off, n int64, done func()) {
 // (the model has no zone or direction asymmetry). Sequential reads stream
 // at media rate; any jump charges the positioning cost.
 func (d *Disk) Read(p *sim.Proc, off, n int64) {
+	p.Sleep(d.BookRead(off, n))
+}
+
+// BookRead books a read as Read does without blocking, and returns how
+// long until it completes: the time a caller that cannot block waits.
+func (d *Disk) BookRead(off, n int64) sim.Time {
 	at := d.service(off, n)
 	d.BytesRead += n
-	d.waitFor(p, at)
+	return at - d.s.Now()
 }
 
 // service books a request into the FIFO queue and returns its completion
@@ -112,12 +129,6 @@ func (d *Disk) SetSlowFactor(f float64) {
 		panic("disksim: slow factor must be >= 1")
 	}
 	d.slow = f
-}
-
-func (d *Disk) waitFor(p *sim.Proc, t sim.Time) {
-	if dt := t - d.s.Now(); dt > 0 {
-		p.Sleep(dt)
-	}
 }
 
 // RAID4 models the filer's parity-protected volume. WAFL turns incoming

@@ -195,8 +195,9 @@ func RunScenarioOn(sc Scenario, prepare func(*nfssim.Testbed)) Result {
 		}
 	}
 	tb := nfssim.NewTestbed(opts)
-	// The scenario ends here: its daemons and softirq loops are still
-	// parked, and would keep the whole test bed reachable.
+	// The scenario ends here: its coroutine processes (nfs_flushd and
+	// the other client daemons) are still parked, and would keep the
+	// whole test bed reachable.
 	defer tb.Sim.Close()
 	if prepare != nil {
 		prepare(tb)

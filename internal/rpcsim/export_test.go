@@ -6,7 +6,7 @@ package rpcsim
 const procNull = 0
 
 // InFlight returns the number of outstanding calls.
-func (t *Transport) InFlight() int { return len(t.pending) }
+func (t *Transport) InFlight() int { return t.inflight }
 
 // SlotsAvailable reports whether a Call would start without blocking.
-func (t *Transport) SlotsAvailable() bool { return len(t.pending) < t.cfg.MaxSlots }
+func (t *Transport) SlotsAvailable() bool { return t.inflight < t.cfg.MaxSlots }

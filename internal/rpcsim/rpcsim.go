@@ -221,6 +221,7 @@ type pendingCall struct {
 	timer   sim.Event
 	resend  func() // the UDP retransmit timer's callback, bound once per record
 	sentAt  sim.Time
+	slot    int // index in the transport's slots while in flight
 	rto     sim.Time
 	retrans int
 	refs    int
@@ -249,13 +250,26 @@ type Transport struct {
 
 	local, remote string
 
-	nextXID  uint32
-	pending  map[uint32]*pendingCall
+	nextXID uint32
+	// slots holds the calls in flight in its first inflight entries, in
+	// no particular order; it is MaxSlots long, and a reply finds its
+	// call by XID.
+	slots    []*pendingCall
+	inflight int
 	free     []*pendingCall // recycled records, each with resend bound
 	slotWait *sim.WaitQueue
 
 	rxq    fifo.Queue[[]byte]
 	rxWait *sim.WaitQueue
+
+	// irq is the softirq task that drains rxq. Between its steps it keeps
+	// the datagram in hand (payload), the reply decoder and the call the
+	// reply matched. Its continuations are bound once, in New.
+	irq                              *sim.Proc
+	payload                          []byte
+	dec                              xdr.Decoder
+	matched                          *pendingCall
+	onRx, onMatch, onHold, onReplied func()
 
 	// stream is the TCP-style connection (nil under TransportUDP).
 	stream *streamsim.Endpoint
@@ -268,8 +282,8 @@ type Transport struct {
 }
 
 // New creates a transport between local and remote hosts. It installs
-// itself as the local host's datagram handler and starts a softirq
-// process that drains received replies. Under TransportTCP the handler
+// itself as the local host's datagram handler and starts a softirq task
+// that drains received replies. Under TransportTCP the handler
 // feeds a streamsim endpoint whose reassembled records become replies.
 func New(s *sim.Sim, net *netsim.Network, cpu *sim.CPUPool, bkl *sim.Mutex, cfg Config, local, remote string) *Transport {
 	if cfg.MaxSlots < 1 {
@@ -278,7 +292,7 @@ func New(s *sim.Sim, net *netsim.Network, cpu *sim.CPUPool, bkl *sim.Mutex, cfg 
 	t := &Transport{
 		s: s, net: net, cpu: cpu, bkl: bkl, cfg: cfg,
 		local: local, remote: remote,
-		pending:  make(map[uint32]*pendingCall),
+		slots:    make([]*pendingCall, cfg.MaxSlots),
 		slotWait: s.NewWaitQueue(),
 		rxWait:   s.NewWaitQueue(),
 	}
@@ -295,7 +309,8 @@ func New(s *sim.Sim, net *netsim.Network, cpu *sim.CPUPool, bkl *sim.Mutex, cfg 
 			t.rxWait.Signal()
 		})
 	}
-	s.Go("softirq/"+local, t.softirqLoop)
+	t.onRx, t.onMatch, t.onHold, t.onReplied = t.rx, t.match, t.hold, t.replied
+	t.irq = s.NewTask("softirq/"+local, t.onRx)
 	return t
 }
 
@@ -334,10 +349,10 @@ func (t *Transport) call(p *sim.Proc, proc uint32, encodeArgs func(*xdr.Encoder)
 	// Reserve a slot; sleeping here does not hold the BKL, which is why a
 	// slow server (slots always full) leaves the writer thread unimpeded
 	// — the paper's §3.5 paradox.
-	if len(t.pending) >= t.cfg.MaxSlots {
+	if t.inflight >= t.cfg.MaxSlots {
 		t.stats.SlotWaits++
 		queued := t.s.Now()
-		for len(t.pending) >= t.cfg.MaxSlots {
+		for t.inflight >= t.cfg.MaxSlots {
 			t.slotWait.Wait(p)
 		}
 		t.stats.SlotWaitTime += t.s.Now() - queued
@@ -353,7 +368,9 @@ func (t *Transport) call(p *sim.Proc, proc uint32, encodeArgs func(*xdr.Encoder)
 	if sync && pc.done == nil {
 		pc.done = t.s.NewWaitQueue()
 	}
-	t.pending[pc.xid] = pc
+	pc.slot = t.inflight
+	t.slots[pc.slot] = pc
+	t.inflight++
 	t.stats.Calls++
 
 	// xprt_transmit: RPC bookkeeping under the BKL in both policies.
@@ -362,6 +379,29 @@ func (t *Transport) call(p *sim.Proc, proc uint32, encodeArgs func(*xdr.Encoder)
 	t.transmit(p, pc)
 	t.bkl.Unlock(p)
 	return pc
+}
+
+// find returns the call in flight with the given XID, or nil.
+func (t *Transport) find(xid uint32) *pendingCall {
+	for _, pc := range t.slots[:t.inflight] {
+		if pc.xid == xid {
+			return pc
+		}
+	}
+	return nil
+}
+
+// unslot frees pc's slot, if it is still in flight, moving the last call
+// in flight into it.
+func (t *Transport) unslot(pc *pendingCall) {
+	i := pc.slot
+	if i >= t.inflight || t.slots[i] != pc {
+		return
+	}
+	t.inflight--
+	last := t.slots[t.inflight]
+	t.slots[i], last.slot = last, i
+	t.slots[t.inflight] = nil
 }
 
 // acquire returns a call record holding the call's own reference.
@@ -461,7 +501,7 @@ func (t *Transport) send(pc *pendingCall) {
 func (pc *pendingCall) retransmit() {
 	t := pc.t
 	if t.cfg.MaxRetries > 0 && pc.retrans >= t.cfg.MaxRetries {
-		delete(t.pending, pc.xid)
+		t.unslot(pc)
 		t.stats.MajorTimeouts++
 		t.slotWait.Signal()
 		err := &DeadServerError{Server: t.remote, XID: pc.xid, Retries: pc.retrans}
@@ -482,68 +522,85 @@ func (pc *pendingCall) retransmit() {
 	pc.timer = t.s.AfterFixed(pc.rto, pc.resend)
 }
 
-// softirqLoop drains received datagrams: IP reassembly + UDP receive CPU,
-// then RPC reply matching under a short BKL hold, then the completion
-// callback.
-func (t *Transport) softirqLoop(p *sim.Proc) {
-	var d xdr.Decoder
-	for {
-		for t.rxq.Len() == 0 {
-			t.rxWait.Wait(p)
-		}
-		payload := t.rxq.Pop()
+// rx is the softirq task's loop head: it waits for a received datagram,
+// then charges its IP reassembly and UDP receive CPU. The steps after it
+// match the reply under a short BKL hold and run the completion, and each
+// ends by coming back here.
+func (t *Transport) rx() {
+	if t.rxq.Len() == 0 {
+		t.rxWait.WaitThen(t.irq, t.onRx)
+		return
+	}
+	t.payload = t.rxq.Pop()
+	t.cpu.UseThen(t.irq, labelUDPRcv,
+		t.cfg.ReplyCPUBase+sim.Time(t.msgUnits(len(t.payload)))*t.cfg.ReplyCPUPerFragment, t.onMatch)
+}
 
-		t.cpu.Use(p, labelUDPRcv,
-			t.cfg.ReplyCPUBase+sim.Time(t.msgUnits(len(payload)))*t.cfg.ReplyCPUPerFragment)
+// match decodes the reply header and finds its call, then takes the BKL
+// for the reply state update.
+func (t *Transport) match() {
+	t.dec.Reset(t.payload)
+	hdr, err := nfsproto.DecodeReply(&t.dec)
+	if err != nil {
+		// A truncated or stale datagram (possible around a server
+		// restart) must not kill the run: count it and drop it.
+		t.stats.BadReplies++
+		xdr.RecycleBuffer(t.payload)
+		t.rx()
+		return
+	}
+	pc := t.find(hdr.XID)
+	if pc == nil {
+		// Duplicate reply: the original answer raced a retransmission.
+		t.stats.DuplicateReplies++
+		xdr.RecycleBuffer(t.payload)
+		t.rx()
+		return
+	}
+	t.matched = pc
+	// rpc reply state update holds the BKL briefly in both policies.
+	t.bkl.LockThen(t.irq, labelRPCReply, t.onHold)
+}
 
-		d.Reset(payload)
-		hdr, err := nfsproto.DecodeReply(&d)
-		if err != nil {
-			// A truncated or stale datagram (possible around a server
-			// restart) must not kill the run: count it and drop it.
-			t.stats.BadReplies++
-			xdr.RecycleBuffer(payload)
-			continue
-		}
-		pc, ok := t.pending[hdr.XID]
-		if !ok {
-			// Duplicate reply: the original answer raced a retransmission.
-			t.stats.DuplicateReplies++
-			xdr.RecycleBuffer(payload)
-			continue
-		}
+// hold charges the reply state update's CPU under the BKL.
+func (t *Transport) hold() {
+	t.cpu.UseThen(t.irq, labelRPCReply, t.cfg.ReplyBKLHold, t.onReplied)
+}
 
-		// rpc reply state update holds the BKL briefly in both policies.
-		t.bkl.Lock(p, labelRPCReply)
-		t.cpu.Use(p, labelRPCReply, t.cfg.ReplyBKLHold)
-		pc.timer.Cancel()
-		delete(t.pending, hdr.XID)
-		t.stats.Replies++
-		if pc.retrans == 0 {
-			// Karn: a retransmitted call's RTT is ambiguous — the reply
-			// could answer either transmission — so it contributes no
-			// sample.
-			t.stats.TotalRTT += t.s.Now() - pc.sentAt
-			t.stats.RTTSamples++
-		}
-		t.bkl.Unlock(p)
+// replied retires the matched call, drops the BKL and hands the reply
+// over: to a CallSync caller to decode, or to the reply callback.
+func (t *Transport) replied() {
+	pc := t.matched
+	t.matched = nil
+	pc.timer.Cancel()
+	t.unslot(pc)
+	t.stats.Replies++
+	if pc.retrans == 0 {
+		// Karn: a retransmitted call's RTT is ambiguous — the reply
+		// could answer either transmission — so it contributes no
+		// sample.
+		t.stats.TotalRTT += t.s.Now() - pc.sentAt
+		t.stats.RTTSamples++
+	}
+	t.bkl.Unlock(t.irq)
 
-		t.slotWait.Signal()
-		// The reply buffer is uniquely ours (UDP: the server's encode
-		// buffer, delivered once; TCP: a record the stream handed over).
-		pc.dec, pc.reply = d, payload
-		if pc.sync {
-			// CallSync's caller decodes it and drops the reference.
-			pc.replied = true
-			pc.done.Broadcast()
-			continue
-		}
+	t.slotWait.Signal()
+	// The reply buffer is uniquely ours (UDP: the server's encode
+	// buffer, delivered once; TCP: a record the stream handed over).
+	payload := t.payload
+	pc.dec, pc.reply = t.dec, payload
+	if pc.sync {
+		// CallSync's caller decodes it and drops the reference.
+		pc.replied = true
+		pc.done.Broadcast()
+	} else {
 		if pc.onReply != nil {
 			pc.onReply(&pc.dec)
 		}
 		xdr.RecycleBuffer(payload)
 		t.release(pc)
 	}
+	t.rx()
 }
 
 // CallSync issues an RPC on t, blocks the calling process until the reply

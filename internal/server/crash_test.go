@@ -23,11 +23,14 @@ func newTimerFiler(s *sim.Sim) *Filer {
 // logEvery10ms logs 8 KiB to the filer every 10 ms until stop.
 func logEvery10ms(s *sim.Sim, f *Filer, stop sim.Time) {
 	ino := &Inode{fh: nfsproto.MakeFileHandle(2, 2)}
-	s.Go("w", func(p *sim.Proc) {
-		for off := uint64(0); s.Now() < stop; off += 8192 {
-			f.HandleWrite(p, ino, nfsproto.WriteArgs{Offset: off, Count: 8192})
-			p.Sleep(10 * time.Millisecond)
+	runSteps(s, func(i int) step {
+		if i%2 == 1 {
+			return sleepStep(10 * time.Millisecond)
 		}
+		if s.Now() >= stop {
+			return nil
+		}
+		return writeStep(f, ino, nfsproto.WriteArgs{Offset: uint64(i/2) * 8192, Count: 8192}, nil)
 	})
 }
 
@@ -77,12 +80,17 @@ func TestFilerCrashReplaysNVRAM(t *testing.T) {
 	f := NewFiler(s, DefaultFilerConfig(), newTestVolume(s))
 	ino := &Inode{fh: nfsproto.MakeFileHandle(3, 3)}
 	const total = 1 << 20
-	s.Go("w", func(p *sim.Proc) {
-		for off := int64(0); off < total; off += 8192 {
-			f.HandleWrite(p, ino, nfsproto.WriteArgs{Offset: uint64(off), Count: 8192})
+	runSteps(s, func(i int) step {
+		if off := int64(i) * 8192; off < total {
+			return writeStep(f, ino, nfsproto.WriteArgs{Offset: uint64(off), Count: 8192}, nil)
 		}
-		f.Crash()
-		f.Restart()
+		if i == total/8192 {
+			return doStep(func() {
+				f.Crash()
+				f.Restart()
+			})
+		}
+		return nil
 	})
 	s.Run(time.Minute)
 	if f.Replayed != total {
@@ -111,20 +119,26 @@ func TestLinuxCrashLosesDirtyAndBumpsVerf(t *testing.T) {
 	l := NewLinuxServer(s, cfg, newTestDisk(s))
 	ino := &Inode{fh: nfsproto.MakeFileHandle(4, 4)}
 	const total = 512 << 10
-	var verfBefore, verfAfter nfsproto.WriteVerf
-	s.Go("w", func(p *sim.Proc) {
-		for off := int64(0); off < total; off += 8192 {
-			res := l.HandleWrite(p, ino, nfsproto.WriteArgs{
-				Offset: uint64(off), Count: 8192, Stable: nfsproto.Unstable})
-			verfBefore = res.Verf
+	var before, after nfsproto.WriteRes
+	runSteps(s, func(i int) step {
+		const n = total / 8192
+		switch {
+		case i < n:
+			return writeStep(l, ino, nfsproto.WriteArgs{
+				Offset: uint64(i) * 8192, Count: 8192, Stable: nfsproto.Unstable}, &before)
+		case i == n:
+			// All writes land at one instant; the writeback daemon has
+			// not had the CPU yet, so the whole file is dirty when the
+			// power goes out.
+			return doStep(func() {
+				l.Crash()
+				l.Restart()
+			})
+		case i == n+1:
+			return writeStep(l, ino, nfsproto.WriteArgs{
+				Offset: 0, Count: 8192, Stable: nfsproto.Unstable}, &after)
 		}
-		// All writes land at one instant; the writeback daemon has not had
-		// the CPU yet, so the whole file is dirty when the power goes out.
-		l.Crash()
-		l.Restart()
-		res := l.HandleWrite(p, ino, nfsproto.WriteArgs{
-			Offset: 0, Count: 8192, Stable: nfsproto.Unstable})
-		verfAfter = res.Verf
+		return nil
 	})
 	s.Run(time.Minute)
 	if l.Lost != total {
@@ -133,7 +147,7 @@ func TestLinuxCrashLosesDirtyAndBumpsVerf(t *testing.T) {
 	if l.LostBytes() != l.Lost {
 		t.Fatalf("LostBytes() = %d != Lost %d", l.LostBytes(), l.Lost)
 	}
-	if verfAfter == verfBefore {
+	if after.Verf == before.Verf {
 		t.Fatal("restart did not change the write verifier")
 	}
 	// Only the post-restart write should have reached stable storage.

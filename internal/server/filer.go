@@ -154,13 +154,13 @@ func (f *Filer) Restart() {
 }
 
 // HandleWrite implements Backend: log to NVRAM, reply FILE_SYNC.
-func (f *Filer) HandleWrite(p *sim.Proc, ino *Inode, args nfsproto.WriteArgs) nfsproto.WriteRes {
+func (f *Filer) HandleWrite(p *sim.Proc, ino *Inode, args nfsproto.WriteArgs, retry func()) (nfsproto.WriteRes, bool) {
 	n := int64(args.Count)
 	for {
 		// Stop responding while a consistency point starts.
 		if wait := f.pauseUntil - f.s.Now(); wait > 0 {
-			p.Sleep(wait)
-			continue
+			p.SleepThen(wait, retry)
+			return nfsproto.WriteRes{}, false
 		}
 		if f.active+n <= f.halfCap {
 			break
@@ -172,7 +172,8 @@ func (f *Filer) HandleWrite(p *sim.Proc, ino *Inode, args nfsproto.WriteArgs) nf
 		// Back-to-back checkpoint: the filling half is full and the other
 		// half has not finished draining. The client sees this as the
 		// server's sustained (disk-limited) ingest rate.
-		f.spaceWait.Wait(p)
+		f.spaceWait.WaitThen(p, retry)
+		return nfsproto.WriteRes{}, false
 	}
 	f.active += n
 	ino.stable.Add(int64(args.Offset), int64(args.Offset)+n)
@@ -181,7 +182,7 @@ func (f *Filer) HandleWrite(p *sim.Proc, ino *Inode, args nfsproto.WriteArgs) nf
 		Count:     args.Count,
 		Committed: nfsproto.FileSync,
 		Verf:      f.verf,
-	}
+	}, true
 }
 
 // HandleRead implements Backend: a cold-file read served from the RAID-4
@@ -189,19 +190,19 @@ func (f *Filer) HandleWrite(p *sim.Proc, ino *Inode, args nfsproto.WriteArgs) nf
 // so reads proceed during a CP — but they share the volume's FIFO queue
 // with the NVRAM drain, so a read issued mid-checkpoint waits behind the
 // stripe writes.
-func (f *Filer) HandleRead(p *sim.Proc, args nfsproto.ReadArgs) nfsproto.ReadRes {
-	f.disk.Read(p, int64(args.Offset), int64(args.Count))
+func (f *Filer) HandleRead(args nfsproto.ReadArgs) (nfsproto.ReadRes, sim.Time) {
+	wait := f.disk.BookRead(int64(args.Offset), int64(args.Count))
 	return nfsproto.ReadRes{
 		Status: nfsproto.NFS3OK,
 		Count:  args.Count,
 		Data:   nfsproto.Zeroes(int(args.Count)),
-	}
+	}, wait
 }
 
 // HandleCommit implements Backend: everything is already in NVRAM, so a
 // COMMIT (clients rarely send one to a filer) completes immediately.
-func (f *Filer) HandleCommit(p *sim.Proc, args nfsproto.CommitArgs) nfsproto.CommitRes {
-	return nfsproto.CommitRes{Status: nfsproto.NFS3OK, Verf: f.verf}
+func (f *Filer) HandleCommit(p *sim.Proc, args nfsproto.CommitArgs, retry func()) (nfsproto.CommitRes, bool) {
+	return nfsproto.CommitRes{Status: nfsproto.NFS3OK, Verf: f.verf}, true
 }
 
 // SetDiskSlowFactor implements Backend: it slows the RAID-4 volume the

@@ -28,7 +28,7 @@ func DefaultLinuxConfig() LinuxConfig {
 }
 
 // LinuxServer is the knfsd backend: UNSTABLE writes land in the page
-// cache and a writeback process drains them to a single SCSI disk; COMMIT
+// cache and a writeback task drains them to a single SCSI disk; COMMIT
 // blocks until the dirty data it covers is on disk. This is the durability
 // contract the client pays for at close() — the filer never makes it wait.
 type LinuxServer struct {
@@ -37,20 +37,28 @@ type LinuxServer struct {
 
 	dirty     int64
 	diskOff   int64
-	drainWork *sim.WaitQueue // wakes the writeback process
+	drainWork *sim.WaitQueue // wakes the writeback task
 	dirtyWait *sim.WaitQueue // writers throttled on DirtyLimit
 	cleanWait *sim.WaitQueue // COMMIT waiters
 	verf      nfsproto.WriteVerf
 
 	// gen is the lifecycle generation, bumped by Crash; the writeback
-	// process captures it around each disk write so a chunk that was in
-	// flight when the cache was discarded is not retired against the new
-	// instance's accounting.
+	// task captures it around each disk write (chunkGen) so a chunk that
+	// was in flight when the cache was discarded is not retired against
+	// the new instance's accounting.
 	gen int
+
 	// queue is the FIFO of acked-but-unstable page-cache ranges awaiting
 	// writeback; its byte total always equals dirty. A crash discards it —
 	// that is exactly the data knfsd loses.
 	queue fifo.Queue[unstableEntry]
+
+	// The writeback task, the chunk it has at the disk, and its
+	// continuations, bound once.
+	flusher           *sim.Proc
+	chunk             int64
+	chunkGen          int
+	onFlush, onStored func()
 
 	// Throttled counts writes that blocked on the dirty limit.
 	Throttled int64
@@ -69,7 +77,7 @@ type unstableEntry struct {
 }
 
 // NewLinuxServer creates the backend draining to the given disk and
-// starts its writeback process.
+// starts its writeback task.
 func NewLinuxServer(s *sim.Sim, cfg LinuxConfig, disk *disksim.Disk) *LinuxServer {
 	if cfg.DirtyLimit <= 0 || cfg.DrainChunk <= 0 {
 		panic("server: bad linux config")
@@ -82,29 +90,28 @@ func NewLinuxServer(s *sim.Sim, cfg LinuxConfig, disk *disksim.Disk) *LinuxServe
 		cleanWait: s.NewWaitQueue(),
 		verf:      0x11c4411c44,
 	}
-	s.Go("kupdate/knfsd", l.writeback)
+	l.onFlush, l.onStored = l.flush, l.stored
+	l.flusher = s.NewTask("kupdate/knfsd", l.onFlush)
 	return l
 }
 
-// writeback is the server-side flush daemon: whenever dirty data exists,
-// write it to disk in DrainChunk units and wake throttled writers and
-// COMMIT waiters.
-func (l *LinuxServer) writeback(p *sim.Proc) {
-	for {
-		for l.dirty == 0 {
-			l.drainWork.Wait(p)
-		}
-		chunk := l.cfg.DrainChunk
-		if l.dirty < chunk {
-			chunk = l.dirty
-		}
-		gen := l.gen
-		l.disk.Write(p, l.diskOff, chunk)
-		if gen != l.gen {
-			// The server rebooted while this chunk was at the disk; the
-			// crash already discarded the cache it was drawn from.
-			continue
-		}
+// flush is the server-side flush daemon's loop head: whenever dirty data
+// exists, it writes it to disk in DrainChunk units.
+func (l *LinuxServer) flush() {
+	if l.dirty == 0 {
+		l.drainWork.WaitThen(l.flusher, l.onFlush)
+		return
+	}
+	l.chunk = min(l.cfg.DrainChunk, l.dirty)
+	l.chunkGen = l.gen
+	l.disk.WriteThen(l.flusher, l.diskOff, l.chunk, l.onStored)
+}
+
+// stored retires a chunk the disk has written and wakes throttled
+// writers and COMMIT waiters.
+func (l *LinuxServer) stored() {
+	if l.chunkGen == l.gen {
+		chunk := l.chunk
 		l.diskOff += chunk
 		l.dirty -= chunk
 		l.Flushed += chunk
@@ -114,6 +121,9 @@ func (l *LinuxServer) writeback(p *sim.Proc) {
 			l.cleanWait.Broadcast()
 		}
 	}
+	// Otherwise the server rebooted while this chunk was at the disk; the
+	// crash already discarded the cache it was drawn from.
+	l.flush()
 }
 
 // markStable retires n bytes from the front of the unstable FIFO into
@@ -157,18 +167,20 @@ func (l *LinuxServer) Restart() {
 	l.verf++
 }
 
-// HandleWrite implements Backend.
-func (l *LinuxServer) HandleWrite(p *sim.Proc, ino *Inode, args nfsproto.WriteArgs) nfsproto.WriteRes {
+// HandleWrite implements Backend: a write that would take the page cache
+// past DirtyLimit waits for the writeback task.
+func (l *LinuxServer) HandleWrite(p *sim.Proc, ino *Inode, args nfsproto.WriteArgs, retry func()) (nfsproto.WriteRes, bool) {
 	if args.Stable != nfsproto.Unstable {
 		// The modeled client sends only UNSTABLE writes and pays for
 		// durability at COMMIT.
 		panic(fmt.Sprintf("server: knfsd got a %v WRITE", args.Stable))
 	}
 	n := int64(args.Count)
-	for l.dirty+n > l.cfg.DirtyLimit {
+	if l.dirty+n > l.cfg.DirtyLimit {
 		l.Throttled++
 		l.drainWork.Signal()
-		l.dirtyWait.Wait(p)
+		l.dirtyWait.WaitThen(p, retry)
+		return nfsproto.WriteRes{}, false
 	}
 	l.dirty += n
 	l.queue.Push(unstableEntry{ino: ino, off: int64(args.Offset), n: n})
@@ -178,7 +190,7 @@ func (l *LinuxServer) HandleWrite(p *sim.Proc, ino *Inode, args nfsproto.WriteAr
 		Count:     args.Count,
 		Committed: nfsproto.Unstable,
 		Verf:      l.verf,
-	}
+	}, true
 }
 
 // HandleRead implements Backend: a cold-file read served from the SCSI
@@ -187,26 +199,27 @@ func (l *LinuxServer) HandleWrite(p *sim.Proc, ino *Inode, args nfsproto.WriteAr
 // cost; a read interleaved with the writeback drain (or a client seek)
 // repositions the head. The returned data is Count zero bytes — content
 // is not modeled, but the reply's wire size is.
-func (l *LinuxServer) HandleRead(p *sim.Proc, args nfsproto.ReadArgs) nfsproto.ReadRes {
-	l.disk.Read(p, int64(args.Offset), int64(args.Count))
+func (l *LinuxServer) HandleRead(args nfsproto.ReadArgs) (nfsproto.ReadRes, sim.Time) {
+	wait := l.disk.BookRead(int64(args.Offset), int64(args.Count))
 	return nfsproto.ReadRes{
 		Status: nfsproto.NFS3OK,
 		Count:  args.Count,
 		Data:   nfsproto.Zeroes(int(args.Count)),
-	}
+	}, wait
 }
 
-// HandleCommit implements Backend: block until dirty data reaches disk.
-func (l *LinuxServer) HandleCommit(p *sim.Proc, args nfsproto.CommitArgs) nfsproto.CommitRes {
-	for l.dirty > 0 {
+// HandleCommit implements Backend: wait until the dirty data is on disk.
+func (l *LinuxServer) HandleCommit(p *sim.Proc, args nfsproto.CommitArgs, retry func()) (nfsproto.CommitRes, bool) {
+	if l.dirty > 0 {
 		l.drainWork.Signal()
-		l.cleanWait.Wait(p)
+		l.cleanWait.WaitThen(p, retry)
+		return nfsproto.CommitRes{}, false
 	}
-	return nfsproto.CommitRes{Status: nfsproto.NFS3OK, Verf: l.verf}
+	return nfsproto.CommitRes{Status: nfsproto.NFS3OK, Verf: l.verf}, true
 }
 
 // SetDiskSlowFactor implements Backend: it slows the SCSI disk the
-// writeback process drains to.
+// writeback task drains to.
 func (l *LinuxServer) SetDiskSlowFactor(factor float64) { l.disk.SetSlowFactor(factor) }
 
 // LostBytes implements Backend.

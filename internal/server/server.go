@@ -40,20 +40,26 @@ var (
 
 // Backend is an NFS read/write/commit implementation behind the RPC
 // front-end, with the crash lifecycle, durability accounting and disk
-// the chaos engine drives. Handlers run on an nfsd worker process and may
-// block in virtual time. Arguments and results pass by value, so serving
-// a request allocates nothing.
+// the chaos engine drives. Handlers run on an nfsd worker task (sim.NewTask)
+// and never block it themselves: a handler that must wait parks the task
+// with the retry continuation it was given, and the retry calls it again,
+// so each handler re-checks its condition after every wait. Arguments and
+// results pass by value, so serving a request allocates nothing.
 type Backend interface {
-	// HandleRead services a READ3 request. The returned Data must be
-	// Count bytes long — its length is what puts read wire time on the
-	// reply path.
-	HandleRead(p *sim.Proc, args nfsproto.ReadArgs) nfsproto.ReadRes
+	// HandleRead services a READ3 request: it books the read on the disk
+	// and returns the result and how long the worker waits for the disk.
+	// The returned Data must be Count bytes long — its length is what puts
+	// read wire time on the reply path.
+	HandleRead(args nfsproto.ReadArgs) (nfsproto.ReadRes, sim.Time)
 	// HandleWrite services a WRITE3 request to the file whose record is
 	// ino, adding the bytes to ino's stable coverage once they are
-	// durable. args.Data aliases the request buffer and must not be kept.
-	HandleWrite(p *sim.Proc, ino *Inode, args nfsproto.WriteArgs) nfsproto.WriteRes
-	// HandleCommit services a COMMIT3 request.
-	HandleCommit(p *sim.Proc, args nfsproto.CommitArgs) nfsproto.CommitRes
+	// durable. It returns the result and true, or parks task p with retry
+	// and returns false. args.Data aliases the request buffer and must not
+	// be kept.
+	HandleWrite(p *sim.Proc, ino *Inode, args nfsproto.WriteArgs, retry func()) (nfsproto.WriteRes, bool)
+	// HandleCommit services a COMMIT3 request like HandleWrite: a result
+	// and true, or task p parked with retry and false.
+	HandleCommit(p *sim.Proc, args nfsproto.CommitArgs, retry func()) (nfsproto.CommitRes, bool)
 
 	// Crash and Restart apply the backend's own crash semantics;
 	// Server.Crash and Server.Restart forward to them.
@@ -98,7 +104,7 @@ type Config struct {
 }
 
 // Server is the RPC service front-end: NIC handler, request queue and
-// worker processes, with one record per file in its namespace.
+// worker tasks, with one record per file in its namespace.
 type Server struct {
 	s       *sim.Sim
 	net     *netsim.Network
@@ -153,7 +159,7 @@ func (it rxItem) release() {
 }
 
 // New creates a server, registers its host on the network with the given
-// link configuration, and starts its worker processes.
+// link configuration, and starts its worker tasks.
 func New(s *sim.Sim, net *netsim.Network, link netsim.LinkConfig, cfg Config, backend Backend) *Server {
 	if cfg.Workers < 1 || cfg.CPUs < 1 {
 		panic("server: need at least one worker and one CPU")
@@ -192,7 +198,10 @@ func New(s *sim.Sim, net *netsim.Network, link netsim.LinkConfig, cfg Config, ba
 		})
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		s.Go(fmt.Sprintf("nfsd/%s/%d", cfg.Host, i), srv.worker)
+		w := &nfsd{srv: srv}
+		w.onNext, w.onCall, w.onService = w.next, w.call, w.service
+		w.onRead, w.onWrite, w.onCommit, w.onSend = w.readDone, w.writeFile, w.commitFile, w.send
+		w.p = s.NewTask(fmt.Sprintf("nfsd/%s/%d", cfg.Host, i), w.onNext)
 	}
 	return srv
 }
@@ -276,18 +285,47 @@ func (srv *Server) NetworkThroughputMBps() float64 {
 	return float64(srv.BytesWritten) / 1e6 / w.Seconds()
 }
 
-func (srv *Server) worker(p *sim.Proc) {
-	var d xdr.Decoder
-	for {
-		for srv.rxq.Len() == 0 {
-			srv.rxWait.Wait(p)
-		}
-		item := srv.rxq.Pop()
-		d.Reset(item.payload)
-		srv.serve(p, &d, item, srv.gen)
-		// Every decoded alias of the request died with serve.
-		item.release()
+// nfsd is one service thread, a task. Between its steps it keeps the
+// request in hand: the queue item, the decoder reading it, the server
+// generation that dequeued it, the decoded call and arguments, and the
+// reply being built. Its continuations are bound once, in New.
+type nfsd struct {
+	srv   *Server
+	p     *sim.Proc
+	d     xdr.Decoder
+	item  rxItem
+	gen   int
+	hdr   nfsproto.CallHeader
+	reply *xdr.Encoder
+	ino   *Inode
+
+	read    nfsproto.ReadArgs
+	readRes nfsproto.ReadRes
+	write   nfsproto.WriteArgs
+	commit  nfsproto.CommitArgs
+	lookup  nfsproto.LookupArgs
+	getattr nfsproto.GetattrArgs
+	create  nfsproto.CreateArgs
+	remove  nfsproto.RemoveArgs
+
+	onNext, onCall, onService, onRead, onWrite, onCommit, onSend func()
+}
+
+// next is the worker's loop head: it waits for a request, then charges
+// its interrupt and IP reassembly CPU. The gen that dequeues a request
+// rides with it: if the server crashes while the request is in service,
+// the computed reply is discarded instead of being sent by the restarted
+// instance.
+func (w *nfsd) next() {
+	srv := w.srv
+	if srv.rxq.Len() == 0 {
+		srv.rxWait.WaitThen(w.p, w.onNext)
+		return
 	}
+	w.item = srv.rxq.Pop()
+	w.d.Reset(w.item.payload)
+	w.gen = srv.gen
+	srv.cpu.UseThen(w.p, labelNFSDRecv, srv.cfg.RecvCPUBase+sim.Time(w.item.frags)*srv.cfg.RecvCPUPerFragment, w.onCall)
 }
 
 // checkArgs panics if a request's arguments did not decode. Clients only
@@ -298,109 +336,169 @@ func (srv *Server) checkArgs(hdr nfsproto.CallHeader, err error) {
 	}
 }
 
-// serve handles one request, read through the worker's decoder d. gen is
-// the server generation that dequeued it: if the server crashes while the
-// request is in service, the computed reply is discarded instead of being
-// sent by the restarted instance.
-func (srv *Server) serve(p *sim.Proc, d *xdr.Decoder, item rxItem, gen int) {
-	srv.cpu.Use(p, labelNFSDRecv, srv.cfg.RecvCPUBase+sim.Time(item.frags)*srv.cfg.RecvCPUPerFragment)
-
+// call decodes the request, starts the reply and charges the procedure's
+// service CPU.
+func (w *nfsd) call() {
+	srv, d := w.srv, &w.d
 	hdr, err := nfsproto.DecodeCall(d)
 	if err != nil {
 		panic(fmt.Sprintf("server %s: bad call: %v", srv.cfg.Host, err))
 	}
+	w.hdr = hdr
+	w.reply = xdr.AcquireEncoder()
+	nfsproto.ReplyHeader{XID: hdr.XID}.Encode(w.reply)
 
-	reply := xdr.AcquireEncoder()
-	nfsproto.ReplyHeader{XID: hdr.XID}.Encode(reply)
-
+	var label sim.Label
+	var cost sim.Time
 	switch hdr.Proc {
 	case nfsproto.ProcRead:
-		args, err := nfsproto.DecodeReadArgs(d)
-		srv.checkArgs(hdr, err)
-		srv.cpu.Use(p, labelNFSDRead, srv.cfg.ServiceCPU/2)
-		res := srv.backend.HandleRead(p, args)
-		if res.Status == nfsproto.NFS3OK {
-			srv.Reads++
-			srv.BytesRead += int64(res.Count)
-		}
-		res.Encode(reply)
+		w.read, err = nfsproto.DecodeReadArgs(d)
+		label, cost = labelNFSDRead, srv.cfg.ServiceCPU/2
 	case nfsproto.ProcWrite:
-		args, err := nfsproto.DecodeWriteArgs(d)
-		srv.checkArgs(hdr, err)
-		if srv.firstWriteAt == 0 && srv.Writes == 0 {
-			srv.firstWriteAt = srv.s.Now()
-		}
-		srv.cpu.Use(p, labelNFSDWrite, srv.cfg.ServiceCPU)
-		ino := srv.ns.record(args.File)
-		res := srv.backend.HandleWrite(p, ino, args)
-		if res.Status == nfsproto.NFS3OK {
-			srv.Writes++
-			srv.BytesWritten += int64(res.Count)
-			ino.received.Add(int64(args.Offset), int64(args.Offset)+int64(res.Count))
-			res.Wcc = srv.ns.ApplyWrite(ino, args.Offset+uint64(res.Count))
-			srv.lastWriteDone = srv.s.Now()
-		}
-		res.Encode(reply)
+		w.write, err = nfsproto.DecodeWriteArgs(d)
+		label, cost = labelNFSDWrite, srv.cfg.ServiceCPU
 	case nfsproto.ProcLookup:
-		args, err := nfsproto.DecodeLookupArgs(d)
-		srv.checkArgs(hdr, err)
-		srv.cpu.Use(p, labelNFSDLookup, srv.cfg.ServiceCPU/4)
-		res := nfsproto.LookupRes{Status: nfsproto.NFS3ErrNoEnt}
-		if ino, st := srv.ns.Lookup(args.Dir, args.Name); st == nfsproto.NFS3OK {
-			res = nfsproto.LookupRes{Status: st, File: ino.fh, Attrs: ino.Attrs()}
-		}
-		res.Encode(reply)
+		w.lookup, err = nfsproto.DecodeLookupArgs(d)
+		label, cost = labelNFSDLookup, srv.cfg.ServiceCPU/4
 	case nfsproto.ProcGetattr:
-		args, err := nfsproto.DecodeGetattrArgs(d)
-		srv.checkArgs(hdr, err)
-		srv.cpu.Use(p, labelNFSDGetattr, srv.cfg.ServiceCPU/4)
-		attrs, st := srv.ns.Getattr(args.File)
-		res := nfsproto.GetattrRes{Status: st, Attrs: attrs}
-		res.Encode(reply)
+		w.getattr, err = nfsproto.DecodeGetattrArgs(d)
+		label, cost = labelNFSDGetattr, srv.cfg.ServiceCPU/4
 	case nfsproto.ProcCreate:
-		args, err := nfsproto.DecodeCreateArgs(d)
-		srv.checkArgs(hdr, err)
-		srv.cpu.Use(p, labelNFSDCreate, srv.cfg.ServiceCPU/4)
-		ino, wcc := srv.ns.Create(args.Dir, args.Name)
-		res := nfsproto.CreateRes{Status: nfsproto.NFS3OK, File: ino.fh, Attrs: ino.Attrs(), Wcc: wcc}
-		res.Encode(reply)
+		w.create, err = nfsproto.DecodeCreateArgs(d)
+		label, cost = labelNFSDCreate, srv.cfg.ServiceCPU/4
 	case nfsproto.ProcRemove:
-		args, err := nfsproto.DecodeRemoveArgs(d)
-		srv.checkArgs(hdr, err)
-		srv.cpu.Use(p, labelNFSDRemove, srv.cfg.ServiceCPU/4)
-		st, wcc := srv.ns.Remove(args.Dir, args.Name)
-		res := nfsproto.RemoveRes{Status: st, Wcc: wcc}
-		res.Encode(reply)
+		w.remove, err = nfsproto.DecodeRemoveArgs(d)
+		label, cost = labelNFSDRemove, srv.cfg.ServiceCPU/4
 	case nfsproto.ProcCommit:
-		args, err := nfsproto.DecodeCommitArgs(d)
-		srv.checkArgs(hdr, err)
-		srv.cpu.Use(p, labelNFSDCommit, srv.cfg.ServiceCPU/2)
-		res := srv.backend.HandleCommit(p, args)
-		srv.Commits++
-		res.Encode(reply)
+		w.commit, err = nfsproto.DecodeCommitArgs(d)
+		label, cost = labelNFSDCommit, srv.cfg.ServiceCPU/2
 	default:
 		panic(fmt.Sprintf("server %s: unsupported proc %d", srv.cfg.Host, hdr.Proc))
 	}
+	srv.checkArgs(hdr, err)
+	if hdr.Proc == nfsproto.ProcWrite && srv.firstWriteAt == 0 && srv.Writes == 0 {
+		srv.firstWriteAt = srv.s.Now()
+	}
+	srv.cpu.UseThen(w.p, label, cost, w.onService)
+}
 
-	if srv.down || gen != srv.gen {
-		// The instance that accepted this request died before its reply
-		// hit the wire; the client will retransmit against the new one.
-		reply.Release()
+// service runs the procedure once its service CPU is charged.
+func (w *nfsd) service() {
+	srv := w.srv
+	switch w.hdr.Proc {
+	case nfsproto.ProcRead:
+		res, wait := srv.backend.HandleRead(w.read)
+		w.readRes = res
+		w.p.SleepThen(wait, w.onRead)
+		return
+	case nfsproto.ProcWrite:
+		w.ino = srv.ns.record(w.write.File)
+		w.writeFile()
+		return
+	case nfsproto.ProcCommit:
+		w.commitFile()
+		return
+	case nfsproto.ProcLookup:
+		res := nfsproto.LookupRes{Status: nfsproto.NFS3ErrNoEnt}
+		if ino, st := srv.ns.Lookup(w.lookup.Dir, w.lookup.Name); st == nfsproto.NFS3OK {
+			res = nfsproto.LookupRes{Status: st, File: ino.fh, Attrs: ino.Attrs()}
+		}
+		res.Encode(w.reply)
+	case nfsproto.ProcGetattr:
+		attrs, st := srv.ns.Getattr(w.getattr.File)
+		res := nfsproto.GetattrRes{Status: st, Attrs: attrs}
+		res.Encode(w.reply)
+	case nfsproto.ProcCreate:
+		ino, wcc := srv.ns.Create(w.create.Dir, w.create.Name)
+		res := nfsproto.CreateRes{Status: nfsproto.NFS3OK, File: ino.fh, Attrs: ino.Attrs(), Wcc: wcc}
+		res.Encode(w.reply)
+	case nfsproto.ProcRemove:
+		st, wcc := srv.ns.Remove(w.remove.Dir, w.remove.Name)
+		res := nfsproto.RemoveRes{Status: st, Wcc: wcc}
+		res.Encode(w.reply)
+	}
+	w.finish()
+}
+
+// readDone encodes a READ result once the disk has delivered it.
+func (w *nfsd) readDone() {
+	srv, res := w.srv, w.readRes
+	if res.Status == nfsproto.NFS3OK {
+		srv.Reads++
+		srv.BytesRead += int64(res.Count)
+	}
+	res.Encode(w.reply)
+	w.finish()
+}
+
+// writeFile hands a WRITE to the backend, and is the retry the backend
+// parks the worker with when the write must wait.
+func (w *nfsd) writeFile() {
+	srv, args, ino := w.srv, w.write, w.ino
+	res, ok := srv.backend.HandleWrite(w.p, ino, args, w.onWrite)
+	if !ok {
 		return
 	}
-	srv.cpu.Use(p, labelNFSDSend, srv.cfg.SendCPU)
+	if res.Status == nfsproto.NFS3OK {
+		srv.Writes++
+		srv.BytesWritten += int64(res.Count)
+		ino.received.Add(int64(args.Offset), int64(args.Offset)+int64(res.Count))
+		res.Wcc = srv.ns.ApplyWrite(ino, args.Offset+uint64(res.Count))
+		srv.lastWriteDone = srv.s.Now()
+	}
+	res.Encode(w.reply)
+	w.finish()
+}
+
+// commitFile hands a COMMIT to the backend, and is its retry.
+func (w *nfsd) commitFile() {
+	srv := w.srv
+	res, ok := srv.backend.HandleCommit(w.p, w.commit, w.onCommit)
+	if !ok {
+		return
+	}
+	srv.Commits++
+	res.Encode(w.reply)
+	w.finish()
+}
+
+// finish charges the reply's transmit CPU, unless the instance that
+// accepted the request died before its reply hit the wire: then the
+// client will retransmit against the new one.
+func (w *nfsd) finish() {
+	srv := w.srv
+	if srv.down || w.gen != srv.gen {
+		w.reply.Release()
+		w.done()
+		return
+	}
+	srv.cpu.UseThen(w.p, labelNFSDSend, srv.cfg.SendCPU, w.onSend)
+}
+
+// send puts the reply on the wire.
+func (w *nfsd) send() {
+	srv, reply := w.srv, w.reply
 	if srv.cfg.Transport == rpcsim.TransportTCP {
 		// SendRecord copies, so the reply encoder is immediately dead.
-		srv.conn(item.from).SendRecord(reply.Bytes())
+		srv.conn(w.item.from).SendRecord(reply.Bytes())
 		reply.Release()
 	} else {
 		// The reply buffer goes with the datagram: the client's softirq
-		// loop recycles it after decoding, the network if it discards it
+		// task recycles it after decoding, the network if it discards it
 		// at a downed client. A datagram the network drops on send never
 		// leaves, so its buffer is still ours.
 		payload := reply.Take()
-		if srv.net.Send(netsim.Datagram{From: srv.cfg.Host, To: item.from, Payload: payload, Owner: xdr.Recycler{}}).Dropped {
+		if srv.net.Send(netsim.Datagram{From: srv.cfg.Host, To: w.item.from, Payload: payload, Owner: xdr.Recycler{}}).Dropped {
 			xdr.RecycleBuffer(payload)
 		}
 	}
+	w.done()
+}
+
+// done ends the server's copy of the request, and with it every decoded
+// alias of the request buffer, and goes back to the loop head.
+func (w *nfsd) done() {
+	w.item.release()
+	w.item, w.reply, w.ino, w.write.Data = rxItem{}, nil, nil, nil
+	w.next()
 }

@@ -183,9 +183,7 @@ func TestFilerTimerCheckpoint(t *testing.T) {
 	cfg := DefaultFilerConfig()
 	cfg.CPInterval = 100 * time.Millisecond
 	f := NewFiler(s, cfg, newTestVolume(s))
-	s.Go("w", func(p *sim.Proc) {
-		f.HandleWrite(p, new(Inode), nfsproto.WriteArgs{Count: 8192})
-	})
+	runSteps(s, steps(writeStep(f, new(Inode), nfsproto.WriteArgs{Count: 8192}, nil)))
 	s.Run(300 * time.Millisecond)
 	if f.Checkpoints == 0 {
 		t.Fatal("timer checkpoint never fired")
@@ -198,27 +196,34 @@ func TestFilerTimerCheckpoint(t *testing.T) {
 func TestFilerCommitImmediate(t *testing.T) {
 	s := sim.New(1)
 	f := NewFiler(s, DefaultFilerConfig(), newTestVolume(s))
-	s.Go("w", func(p *sim.Proc) {
-		t0 := s.Now()
-		res := f.HandleCommit(p, nfsproto.CommitArgs{})
+	ran := false
+	runSteps(s, steps(func(p *sim.Proc, retry func()) bool {
+		res, ok := f.HandleCommit(p, nfsproto.CommitArgs{}, retry)
+		if !ok {
+			t.Error("filer commit should not block")
+			return false
+		}
 		if res.Status != nfsproto.NFS3OK {
 			t.Errorf("commit status %v", res.Status)
 		}
-		if s.Now() != t0 {
-			t.Error("filer commit should not block")
-		}
-	})
+		ran = true
+		return true
+	}))
 	s.Run(time.Second)
+	if !ran {
+		t.Fatal("commit never completed")
+	}
 }
 
 func TestLinuxDirtyThrottling(t *testing.T) {
 	s := sim.New(1)
 	cfg := LinuxConfig{DirtyLimit: 1 << 20, DrainChunk: 64 << 10}
 	l := NewLinuxServer(s, cfg, newTestDisk(s))
-	s.Go("w", func(p *sim.Proc) {
-		for i := 0; i < 512; i++ { // 4 MB total, 4x the dirty limit
-			l.HandleWrite(p, new(Inode), nfsproto.WriteArgs{Count: 8192, Stable: nfsproto.Unstable})
+	runSteps(s, func(i int) step {
+		if i == 512 { // 4 MB total, 4x the dirty limit
+			return nil
 		}
+		return writeStep(l, new(Inode), nfsproto.WriteArgs{Count: 8192, Stable: nfsproto.Unstable}, nil)
 	})
 	s.Run(time.Minute)
 	if l.Throttled == 0 {

@@ -60,6 +60,53 @@ func (c *CPUPool) Use(p *Proc, label Label, d Time) {
 	c.prof.Add(label, d)
 }
 
+// UseThen is Use for task p: it charges d of CPU work under label and
+// then runs k. With a processor free and the charge's end the next event
+// anyway, k runs as soon as the current step returns.
+func (c *CPUPool) UseThen(p *Proc, label Label, d Time, k func()) {
+	if d <= 0 {
+		p.proceed(k)
+		return
+	}
+	if c.Jitter > 0 {
+		f := 1 + c.Jitter*(2*c.s.rng.Float64()-1)
+		d = Time(float64(d) * f)
+	}
+	p.then(p.onCPU)
+	p.after, p.pool, p.label, p.charge = k, c, label, d
+	if c.free > 0 {
+		c.free--
+		p.chargeCPU()
+		return
+	}
+	c.waiters = append(c.waiters, p)
+}
+
+// chargeCPU sleeps through a task's CPU charge on the processor it holds.
+func (p *Proc) chargeCPU() {
+	s := p.s
+	t := s.now + p.charge
+	if s.inPlace(t) {
+		s.now = t
+		s.tick()
+		p.charged()
+		return
+	}
+	p.next = p.onCharged
+	s.wake(t, p)
+}
+
+// charged frees a task's processor and books its charge, as Use does
+// after its sleep, and goes on to the task's continuation.
+func (p *Proc) charged() {
+	c, d := p.pool, p.charge
+	c.release()
+	c.Busy += d
+	c.prof.Add(p.label, d)
+	p.pool = nil
+	p.next, p.after, p.inline = p.after, nil, true
+}
+
 // acquire takes a processor, blocking in virtual time if none is idle.
 func (c *CPUPool) acquire(p *Proc) {
 	if c.free > 0 {

@@ -3,9 +3,11 @@
 // The reproduction models the Linux 2.4.4 kernel's NFS client write path as
 // a set of cooperating processes (application writer threads, nfs_flushd,
 // network softirq handlers, server daemons) that execute on a virtual clock.
-// Exactly one process runs at a time: each is a coroutine (iter.Pull) that
-// Run resumes and that hands control back only when it parks, so a given
-// seed and workload always produce bit-identical schedules. This is what
+// Exactly one process runs at a time, so a given seed and workload always
+// produce bit-identical schedules. A process is either a coroutine
+// (iter.Pull, started by Go) that Run resumes and that hands control back
+// only when it parks, or a task (NewTask): a chain of continuations the
+// event loop calls in place, with no coroutine to switch to. This is what
 // lets us reproduce the paper's queueing and lock-contention phenomena
 // without the run-to-run variance the authors complain about in §2.2.
 //
@@ -23,10 +25,11 @@
 // lightly loaded client, moves the clock in place and queues nothing.
 // Other wakeups are queue entries rather than closures, and a parking
 // process runs the event loop itself — one whose own wakeup comes due
-// next resumes without switching at all. CPU time and lock waits are
-// charged to interned Labels, slice indexes rather than string keys.
-// Close ends a simulation's parked processes and hands its event
-// storage to the next New.
+// next resumes without switching at all, and a task's wakeup runs its
+// continuation right there. CPU time and lock waits are charged to
+// interned Labels, slice indexes rather than string keys. Close ends a
+// simulation's parked processes and hands its event storage to the next
+// New.
 package sim
 
 import (
@@ -223,6 +226,9 @@ type Sim struct {
 
 	procs  []*Proc // live (spawned, unterminated) processes
 	closed bool
+	// ran records that the current Run has resumed a process or run a
+	// task, from which point every panic leaves Run wrapped.
+	ran bool
 }
 
 // New returns a simulator with the given deterministic seed.
@@ -428,9 +434,29 @@ func (s *Sim) schedule() *Proc {
 			if p.ended {
 				continue
 			}
+			if p.resume == nil {
+				s.runTask(p)
+				continue
+			}
 			return p
 		}
 		fn()
+	}
+}
+
+// runTask runs task p's stored continuation, and the next one after it
+// for as long as a step finishes in place. A loop rather than a nested
+// call keeps the stack flat however many steps complete inline.
+func (s *Sim) runTask(p *Proc) {
+	s.ran = true
+	for {
+		k := p.next
+		p.next = nil
+		k()
+		if !p.inline {
+			return
+		}
+		p.inline = false
 	}
 }
 
@@ -458,20 +484,24 @@ func (s *Sim) handoff(p *Proc) *Proc {
 
 // Run executes events until the event queue is empty or the virtual clock
 // would pass limit (limit <= 0 means no limit). It returns the final
-// virtual time. Once a process has run, any panic — in a process, or in a
-// callback run on its behalf — leaves Run as one formatted panic carrying
-// the value; a callback's panic before that propagates unchanged.
+// virtual time. Once a process has been resumed or a task has run, any
+// panic — in a process, a task's continuation, or a callback run after
+// them — leaves Run as one formatted panic carrying the value; a
+// callback's panic before that propagates unchanged.
 func (s *Sim) Run(limit Time) Time {
 	s.limit = limit
-	p := s.schedule()
-	if p == nil {
-		return s.now
-	}
+	s.ran = false
 	defer func() {
-		if r := recover(); r != nil {
-			panic(fmt.Sprintf("sim: process panicked at t=%v: %v", s.now, r))
+		if s.ran {
+			if r := recover(); r != nil {
+				panic(fmt.Sprintf("sim: process panicked at t=%v: %v", s.now, r))
+			}
 		}
 	}()
+	p := s.schedule()
+	if p != nil {
+		s.ran = true
+	}
 	for p != nil {
 		p = s.handoff(p)
 	}
@@ -480,9 +510,10 @@ func (s *Sim) Run(limit Time) Time {
 
 // Close ends the simulation. Every process that has not terminated is
 // unwound where it is parked — its deferred calls run, and must not block
-// — and its coroutine is freed; queued events are discarded and the event
-// and process storage goes to a later New. Run must not be called again, but Now,
-// Profiler and the other accessors stay valid. Close is idempotent.
+// — and its coroutine is freed; a task simply never runs again. Queued
+// events are discarded and the event and process storage goes to a later
+// New. Run must not be called again, but Now, Profiler and the other
+// accessors stay valid. Close is idempotent.
 func (s *Sim) Close() {
 	if s.closed {
 		return
@@ -490,8 +521,10 @@ func (s *Sim) Close() {
 	s.closed = true
 	for len(s.procs) > 0 {
 		p := s.procs[len(s.procs)-1]
-		p.stop()
-		if !p.ended { // never started, so its body never ran
+		if p.stop != nil {
+			p.stop()
+		}
+		if !p.ended { // a task, or a process that never started
 			s.retire(p)
 		}
 	}
@@ -572,7 +605,8 @@ func putSpare(st eventStore) {
 }
 
 // Proc is a simulated thread of control. Every blocking primitive takes the
-// Proc so the scheduler knows which coroutine to park and resume.
+// Proc so the scheduler knows which process to park and wake: a coroutine
+// (Go) calls the blocking forms, a task (NewTask) their Then forms.
 type Proc struct {
 	s     *Sim
 	name  string
@@ -581,10 +615,28 @@ type Proc struct {
 
 	// resume runs the coroutine until it yields the process to run next
 	// (ok) or its body returns (!ok); yield is the coroutine's side of
-	// that, and reports false once Close has stopped it.
+	// that, and reports false once Close has stopped it. All three are
+	// nil for a task.
 	resume func() (next *Proc, ok bool)
 	yield  func(next *Proc) bool
 	stop   func()
+
+	// A task's next continuation, which its wakeup runs, and whether the
+	// step that stored it finished in place, so it runs now.
+	next   func()
+	inline bool
+	// The CPU charge or lock acquisition a task is part way through: the
+	// continuation that follows it (after), and what the finishing step
+	// books (UseThen, LockThen).
+	after  func()
+	pool   *CPUPool
+	mu     *Mutex
+	label  Label
+	blame  Label
+	charge Time // the CPU time being charged
+	since  Time // when the lock wait began
+	// The finishing steps, bound once by NewTask.
+	onCPU, onCharged, onLocked func()
 }
 
 // stopped is the panic value that unwinds a process Close has stopped.
@@ -603,6 +655,43 @@ func (s *Sim) Go(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
+// NewTask spawns a task: a process with no coroutine that begins by
+// running start at the current virtual time. A task's code is a chain of
+// continuations. Each ends by calling one Then primitive (SleepThen,
+// CPUPool.UseThen, Mutex.LockThen, WaitQueue.WaitThen) in tail position
+// and returning; the primitive stores the next continuation, and the
+// task's wakeup runs it. Each Then form schedules exactly the events of
+// its blocking form — the same times, sequence numbers, jitter draws,
+// profiler charges and lock bookkeeping — so a task and a coroutine
+// running the same steps produce the same simulation. A continuation
+// bound once (a method value) makes every step allocation-free.
+func (s *Sim) NewTask(name string, start func()) *Proc {
+	p := &Proc{s: s, name: name, slot: len(s.procs), next: start}
+	p.onCPU, p.onCharged, p.onLocked = p.chargeCPU, p.charged, p.locked
+	s.procs = append(s.procs, p)
+	s.wakeNow(p)
+	return p
+}
+
+// then stores k as task p's next continuation. A task blocks once per
+// step, so a continuation already stored is a bug in the caller.
+func (p *Proc) then(k func()) {
+	if p.resume != nil {
+		panic(fmt.Sprintf("sim: process %s used a task primitive", p.name))
+	}
+	if p.next != nil {
+		panic(fmt.Sprintf("sim: task %s blocked twice in one step", p.name))
+	}
+	p.next = k
+}
+
+// proceed stores k as task p's next continuation, to run as soon as the
+// current step returns.
+func (p *Proc) proceed(k func()) {
+	p.then(k)
+	p.inline = true
+}
+
 // exit retires p when its body returns or unwinds. It absorbs the stopped
 // signal of Close; any other panic continues on to Run.
 func (p *Proc) exit() {
@@ -619,6 +708,9 @@ func (p *Proc) exit() {
 // Otherwise it hands the chosen process (or nil, to end the Run) back to
 // Run and waits to be resumed.
 func (p *Proc) park() {
+	if p.resume == nil {
+		panic(fmt.Sprintf("sim: task %s used a blocking primitive", p.name))
+	}
 	next := p.s.schedule()
 	if next == p {
 		return
@@ -644,13 +736,41 @@ func (p *Proc) Sleep(d Time) {
 	}
 	s := p.s
 	t := s.now + d
-	if s.ready.head == nil && (len(s.events) == 0 || s.events[0].at > t) && !s.pastLimit(t) {
+	if s.inPlace(t) {
 		s.now = t
 		s.tick()
 		return
 	}
 	s.wake(t, p)
 	p.park()
+}
+
+// inPlace reports whether a wakeup at t would be the next event anyway:
+// no wakeup is ready, the heap is empty or its head is strictly later,
+// and Run's limit does not stop the clock first. Such a sleep moves the
+// clock in place.
+func (s *Sim) inPlace(t Time) bool {
+	return s.ready.head == nil && (len(s.events) == 0 || s.events[0].at > t) && !s.pastLimit(t)
+}
+
+// SleepThen is Sleep for task p: k runs once d has passed. When the
+// wakeup would be the next event anyway, the clock moves in place and k
+// runs as soon as the current step returns.
+func (p *Proc) SleepThen(d Time, k func()) {
+	if d <= 0 {
+		p.proceed(k)
+		return
+	}
+	p.then(k)
+	s := p.s
+	t := s.now + d
+	if s.inPlace(t) {
+		s.now = t
+		s.tick()
+		p.inline = true
+		return
+	}
+	s.wake(t, p)
 }
 
 // popWaiter removes and returns the oldest waiter, shifting in place so
@@ -710,6 +830,34 @@ func (m *Mutex) Lock(p *Proc, label Label) {
 	m.because = label
 }
 
+// LockThen is Lock for task p: k runs holding the mutex, at once when it
+// is free and otherwise once Unlock hands it over.
+func (m *Mutex) LockThen(p *Proc, label Label, k func()) {
+	m.Acquisitions++
+	if m.holder == nil {
+		m.holder = p
+		m.because = label
+		p.proceed(k)
+		return
+	}
+	p.then(p.onLocked)
+	m.Contentions++
+	p.after, p.mu, p.blame, p.label, p.since = k, m, m.because, label, m.s.now
+	m.waiters = append(m.waiters, p)
+}
+
+// locked books a task's wait for the mutex Unlock just handed it, as Lock
+// does on waking, and goes on to the task's continuation.
+func (p *Proc) locked() {
+	m := p.mu
+	w := m.s.now - p.since
+	m.TotalWait += w
+	m.waits.Add(p.blame, w)
+	m.because = p.label
+	p.mu = nil
+	p.next, p.after, p.inline = p.after, nil, true
+}
+
 // Unlock releases the mutex; ownership passes FIFO to the oldest waiter.
 func (m *Mutex) Unlock(p *Proc) {
 	if m.holder != p {
@@ -763,6 +911,12 @@ func (s *Sim) NewWaitQueue() *WaitQueue {
 func (q *WaitQueue) Wait(p *Proc) {
 	q.waiters = append(q.waiters, p)
 	p.park()
+}
+
+// WaitThen is Wait for task p: k runs once Signal or Broadcast wakes it.
+func (q *WaitQueue) WaitThen(p *Proc, k func()) {
+	p.then(k)
+	q.waiters = append(q.waiters, p)
 }
 
 // Signal wakes the oldest waiter, if any.
