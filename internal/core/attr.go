@@ -10,6 +10,11 @@ import (
 	"repro/internal/vfs"
 )
 
+// metaOpBase is the client-side bookkeeping per metadata operation
+// (dentry/attribute-cache probe and update on LOOKUP, GETATTR, CREATE and
+// REMOVE), charged whether or not an RPC goes out.
+const metaOpBase sim.Time = 3_000 // 3 µs
+
 // attrEntry is one cached LOOKUP/GETATTR result, keyed by name in the
 // mount's root directory. timeout is the adaptive attribute-cache window
 // clamped to [AcRegMin, AcRegMax]: it starts at the minimum and doubles
@@ -117,7 +122,7 @@ func (c *Client) createRPC(p *sim.Proc, name string) (nfsproto.FileHandle, nfspr
 // server (its reply carries current attributes, so it doubles as an
 // open-time revalidation).
 func (c *Client) resolve(p *sim.Proc, name string) (e *attrEntry, ok, fetched bool) {
-	c.cpu.Use(p, labelNFSLookup, c.cfg.Costs.MetaOpBase)
+	c.cpu.Use(p, labelNFSLookup, metaOpBase)
 	if c.acEnabled() {
 		if e, ok := c.attrCache[name]; ok &&
 			(e.fresh(c.s.Now()) || c.cfg.Consistency != ConsistencyTTL) {
@@ -250,7 +255,7 @@ func (c *Client) Stat(p *sim.Proc, name string) (int64, bool) {
 // Remove unlinks name at the server and invalidates its cached
 // attributes and cached inode, reporting whether it existed.
 func (c *Client) Remove(p *sim.Proc, name string) bool {
-	c.cpu.Use(p, labelNFSRemove, c.cfg.Costs.MetaOpBase)
+	c.cpu.Use(p, labelNFSRemove, metaOpBase)
 	c.invalidateAttr(name)
 	if ino, ok := c.namedInodes[name]; ok {
 		// The name is dead; a re-create mints a new handle. An inode

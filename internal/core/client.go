@@ -161,12 +161,6 @@ func NewClient(s *sim.Sim, cpu *sim.CPUPool, bkl *sim.Mutex, cache *mm.PageCache
 	if cfg.WSize < pageSize || cfg.WSize%pageSize != 0 {
 		panic("core: wsize must be a positive multiple of the page size")
 	}
-	if cfg.RSize == 0 {
-		cfg.RSize = cfg.WSize // the paper mounts with rsize=wsize
-	}
-	if cfg.RSize < pageSize || cfg.RSize%pageSize != 0 {
-		panic("core: rsize must be a positive multiple of the page size")
-	}
 	if cfg.ReadaheadMinPages == 0 && cfg.ReadaheadMaxPages == 0 {
 		cfg.ReadaheadMinPages = StockReadaheadMinPages
 		cfg.ReadaheadMaxPages = StockReadaheadMaxPages
@@ -372,9 +366,9 @@ func (ino *Inode) Outstanding() int { return ino.reqs.Len() + ino.inflightPages 
 func (c *Client) lookup(p *sim.Proc, ino *Inode, page int64) *Request {
 	r, scanned := ino.reqs.Find(page)
 	if c.cfg.IndexPolicy == IndexHashTable {
-		c.cpu.Use(p, labelNFSFindRequestHash, c.cfg.Costs.HashLookup)
+		c.cpu.Use(p, labelNFSFindRequestHash, hashLookup)
 	} else {
-		c.cpu.Use(p, labelNFSFindRequest, sim.Time(scanned)*c.cfg.Costs.ListScanPerEntry)
+		c.cpu.Use(p, labelNFSFindRequest, sim.Time(scanned)*listScanPerEntry)
 	}
 	return r
 }
@@ -394,20 +388,20 @@ func (c *Client) lookup(p *sim.Proc, ino *Inode, page int64) *Request {
 func (c *Client) commitPage(p *sim.Proc, ino *Inode, page int64, offset, count int) int {
 	for {
 		c.bkl.Lock(p, labelNFSCommitWrite)
-		c.cpu.Use(p, labelNFSCommitWrite, c.cfg.Costs.CommitWriteBase)
+		c.cpu.Use(p, labelNFSCommitWrite, commitWriteBase)
 
 		// First search: incompatible requests that would need flushing.
 		existing := c.lookup(p, ino, page)
 
 		// Second search + update/insert: nfs_update_request. Either way
 		// the page ends up in the page cache, readable without an RPC.
-		c.cpu.Use(p, labelNFSUpdateRequest, c.cfg.Costs.UpdateRequestBase)
+		c.cpu.Use(p, labelNFSUpdateRequest, updateRequestBase)
 		ino.markResident(page)
 		if existing == nil {
 			scanned := ino.reqs.Insert(c.reqPool.get(page, offset, count, c.s.Now()))
 			if c.cfg.IndexPolicy == IndexLinearList {
 				// The real code walks the sorted list again to insert.
-				c.cpu.Use(p, labelNFSUpdateRequestScan, sim.Time(scanned)*c.cfg.Costs.ListScanPerEntry)
+				c.cpu.Use(p, labelNFSUpdateRequestScan, sim.Time(scanned)*listScanPerEntry)
 			}
 			c.mountRequests++
 			c.bkl.Unlock(p)
@@ -502,7 +496,7 @@ func (c *Client) sendOne(p *sim.Proc, ino *Inode, paced bool) int {
 	c.bkl.Lock(p, labelNFSCoalesce)
 	start, pages, total, scanned := ino.reqs.PopRun(c.cfg.WSize, &c.reqPool)
 	c.cpu.Use(p, labelNFSCoalesce,
-		c.cfg.Costs.CoalesceBase+sim.Time(scanned)*c.cfg.Costs.ListScanPerEntry)
+		coalesceBase+sim.Time(scanned)*listScanPerEntry)
 	if pages == 0 {
 		c.bkl.Unlock(p)
 		return 0
@@ -721,11 +715,22 @@ func (c *Client) commitSync(p *sim.Proc, ino *Inode) bool {
 	return true
 }
 
+const (
+	// flushdAge is the age beyond which the 2.4.4 flushd writes requests
+	// back (FlushLimits24; fs/nfs/flushd.c used ~1 s).
+	flushdAge sim.Time = 1_000_000_000 // 1 s
+	// memoryPressureWindow is how many RPC slots flushd may fill when the
+	// page cache is near its limit (urgent writeback); below pressure it
+	// uses a single slot, modeling 2.4's lone rpciod worker pacing
+	// write-behind to one async task at a time.
+	memoryPressureWindow = 16
+)
+
 // flushd is nfs_flushd, the write-behind daemon. Under FlushCacheAll it
 // writes behind the application once the watermark is reached, normally
 // one async RPC at a time (2.4's single rpciod), opening up to
-// MemoryPressureWindow slots when the page cache nears its limit. Under
-// FlushLimits24 it only writes back requests older than FlushdAge, as
+// memoryPressureWindow slots when the page cache nears its limit. Under
+// FlushLimits24 it only writes back requests older than flushdAge, as
 // fs/nfs/flushd.c did — during the benchmark the write-path limits fire
 // long before any request grows that old.
 func (c *Client) flushd(p *sim.Proc) {
@@ -734,7 +739,7 @@ func (c *Client) flushd(p *sim.Proc) {
 		if ino == nil {
 			if c.cfg.FlushPolicy == FlushLimits24 && c.queuedAnywhere() {
 				// Requests exist but none are old enough yet; poll.
-				p.Sleep(c.cfg.FlushdAge / 4)
+				p.Sleep(flushdAge / 4)
 				continue
 			}
 			c.flushWork.Wait(p)
@@ -742,7 +747,7 @@ func (c *Client) flushd(p *sim.Proc) {
 		}
 		if c.cfg.FlushPolicy == FlushCacheAll && c.underMemoryPressure() {
 			// Urgent writeback: fill the slot table.
-			for i := 0; i < c.cfg.MemoryPressureWindow; i++ {
+			for i := 0; i < memoryPressureWindow; i++ {
 				if ino.reqs.Len() == 0 {
 					break
 				}
@@ -796,7 +801,7 @@ func (c *Client) pickFlushable() *Inode {
 				return ino
 			}
 		case FlushLimits24:
-			if oldest := ino.reqs.Front(); c.s.Now()-oldest.CreatedAt >= c.cfg.FlushdAge {
+			if oldest := ino.reqs.Front(); c.s.Now()-oldest.CreatedAt >= flushdAge {
 				return ino
 			}
 		}

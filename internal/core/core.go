@@ -27,7 +27,6 @@ package core
 import (
 	"repro/internal/rpcsim"
 	"repro/internal/sim"
-	"repro/internal/vfs"
 )
 
 // Profiler and BKL labels for the client's code paths.
@@ -157,52 +156,31 @@ const (
 	AcOff = -1
 )
 
-// Costs is the client-side CPU model for the NFS-specific write path,
-// calibrated (together with vfs.DefaultCosts and rpcsim.DefaultConfig) to
-// the paper's 933 MHz P-III client. Per-byte figures match the paper;
-// see DESIGN.md §2 for the calibration notes.
-type Costs struct {
-	// CommitWriteBase is nfs_commit_write bookkeeping, held under the BKL.
-	CommitWriteBase sim.Time
-	// UpdateRequestBase is nfs_update_request's fixed work (allocation,
+// The client-side CPU model for the NFS-specific write path, calibrated
+// (together with vfs's syscall costs and rpcsim's socket costs) to the
+// paper's 933 MHz P-III client. Per-byte figures match the paper; see
+// DESIGN.md §2 for the calibration notes. nfs_readpage and the metadata
+// operations charge their own constants (read.go, attr.go).
+const (
+	// commitWriteBase is nfs_commit_write bookkeeping, held under the BKL.
+	commitWriteBase sim.Time = 3_000 // 3 µs
+	// updateRequestBase is nfs_update_request's fixed work (allocation,
 	// list insert) beyond the lookup scans.
-	UpdateRequestBase sim.Time
-	// ListScanPerEntry is _nfs_find_request's cost per list entry
+	updateRequestBase sim.Time = 8_000 // 8 µs
+	// listScanPerEntry is _nfs_find_request's cost per list entry
 	// traversed (IndexLinearList).
-	ListScanPerEntry sim.Time
-	// HashLookup is the per-lookup cost with IndexHashTable.
-	HashLookup sim.Time
-	// CoalesceBase is the fixed cost of gathering requests into one RPC.
-	CoalesceBase sim.Time
-	// ReadPageBase is nfs_readpage's bookkeeping per page (cache lookup,
-	// readahead state update), held under the BKL.
-	ReadPageBase sim.Time
-	// MetaOpBase is the client-side bookkeeping per metadata operation
-	// (dentry/attribute-cache probe and update on LOOKUP, GETATTR, CREATE
-	// and REMOVE), charged whether or not an RPC goes out.
-	MetaOpBase sim.Time
-}
-
-// DefaultCosts returns the calibrated cost model.
-func DefaultCosts() Costs {
-	return Costs{
-		CommitWriteBase:   3_000, // 3 µs
-		UpdateRequestBase: 8_000, // 8 µs
-		ListScanPerEntry:  15,    // 15 ns per entry
-		HashLookup:        500,   // 0.5 µs
-		CoalesceBase:      10_000,
-		ReadPageBase:      2_000, // 2 µs
-		MetaOpBase:        3_000, // 3 µs
-	}
-}
+	listScanPerEntry sim.Time = 15 // 15 ns per entry
+	// hashLookup is the per-lookup cost with IndexHashTable.
+	hashLookup sim.Time = 500 // 0.5 µs
+	// coalesceBase is the fixed cost of gathering requests into one RPC.
+	coalesceBase sim.Time = 10_000 // 10 µs
+)
 
 // Config selects the client's policies and parameters.
 type Config struct {
-	WSize int
-	// RSize is the mount's read transfer size (rsize). Zero means "track
-	// WSize", which keeps rsize=wsize through wsize-axis sweeps the way
-	// the paper's mounts were configured.
-	RSize          int
+	// WSize is the mount's transfer size for both WRITE and READ: the
+	// paper mounts with rsize=wsize.
+	WSize          int
 	MaxRequestSoft int
 	MaxRequestHard int
 	FlushPolicy    FlushPolicy
@@ -238,17 +216,6 @@ type Config struct {
 	// FlushdWatermarkPages is how many dirty pages accumulate before the
 	// write-behind daemon starts sending (FlushCacheAll).
 	FlushdWatermarkPages int
-	// FlushdAge is the age beyond which the 2.4.4 flushd writes requests
-	// back (FlushLimits24; fs/nfs/flushd.c used ~1 s).
-	FlushdAge sim.Time
-	// MemoryPressureWindow is how many RPC slots flushd may fill when the
-	// page cache is near its limit (urgent writeback); below pressure it
-	// uses a single slot, modeling 2.4's lone rpciod worker pacing
-	// write-behind to one async task at a time.
-	MemoryPressureWindow int
-
-	Costs Costs
-	VFS   vfs.Costs
 }
 
 // Stock244Config returns the unmodified 2.4.4 client: limit-based
@@ -264,10 +231,6 @@ func Stock244Config() Config {
 		ReadaheadMinPages:    StockReadaheadMinPages,
 		ReadaheadMaxPages:    StockReadaheadMaxPages,
 		FlushdWatermarkPages: 8,
-		FlushdAge:            1_000_000_000, // 1 s
-		MemoryPressureWindow: 16,
-		Costs:                DefaultCosts(),
-		VFS:                  vfs.DefaultCosts(),
 	}
 }
 

@@ -38,7 +38,7 @@ func (f *File) WriteAt(p *sim.Proc, off int64, n int) {
 	if off < 0 || n < 0 {
 		panic("core: negative write offset or length")
 	}
-	vfs.WriteSyscall(p, f.c.cpu, f.c.cfg.VFS, off, n, func(span vfs.PageSpan) {
+	vfs.WriteSyscall(p, f.c.cpu, off, n, func(span vfs.PageSpan) {
 		f.c.chargeSpan(p, span.Count)
 		netNew := f.c.commitPage(p, f.ino, span.Page, span.Offset, span.Count)
 		f.c.creditSurplus(span.Count, netNew)
@@ -82,7 +82,7 @@ func (f *File) ReadAt(p *sim.Proc, off int64, n int) int {
 	if n == 0 {
 		return 0
 	}
-	vfs.ReadSyscall(p, f.c.cpu, f.c.cfg.VFS, off, n, func(span vfs.PageSpan) {
+	vfs.ReadSyscall(p, f.c.cpu, off, n, func(span vfs.PageSpan) {
 		f.c.readPage(p, f.ino, span.Page)
 	})
 	return n

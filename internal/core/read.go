@@ -43,13 +43,17 @@ func (ino *Inode) resident(page int64) bool {
 	return ino.cached.Contains(page, page+1)
 }
 
+// readPageBase is nfs_readpage's bookkeeping per page (cache lookup,
+// readahead state update), held under the BKL.
+const readPageBase sim.Time = 2_000 // 2 µs
+
 // readPage is nfs_readpage: make one page resident. The lookup and
 // readahead bookkeeping run under the BKL like the write path's request
 // lookups; the RPC wait does not (sleeping paths drop the lock).
 func (c *Client) readPage(p *sim.Proc, ino *Inode, page int64) {
 	c.ensureReadState(ino)
 	c.bkl.Lock(p, labelNFSReadpage)
-	c.cpu.Use(p, labelNFSReadpage, c.cfg.Costs.ReadPageBase)
+	c.cpu.Use(p, labelNFSReadpage, readPageBase)
 	hit := ino.resident(page)
 	c.cache.NoteRead(hit)
 	if hit && ino.staleOpen {
@@ -66,7 +70,7 @@ func (c *Client) readPage(p *sim.Proc, ino *Inode, page int64) {
 	// Demand chunk plus the readahead window, all as async READs; the
 	// reader only waits for the page it needs, so the window's fetches
 	// overlap with consumption of earlier pages.
-	c.sendReads(p, ino, page, c.cfg.RSize/pageSize+ahead)
+	c.sendReads(p, ino, page, c.cfg.WSize/pageSize+ahead)
 	for !ino.resident(page) {
 		ino.readWait.Wait(p)
 	}
@@ -78,7 +82,7 @@ func (c *Client) readPage(p *sim.Proc, ino *Inode, page int64) {
 // the transport's slot table — RPC slots are the readahead's natural
 // throttle, as in the 2.4 client.
 func (c *Client) sendReads(p *sim.Proc, ino *Inode, start int64, pages int) {
-	pagesPerRPC := c.cfg.RSize / pageSize
+	pagesPerRPC := c.cfg.WSize / pageSize
 	end := start + int64(pages)
 	if last := (ino.size + pageSize - 1) / pageSize; end > last {
 		end = last

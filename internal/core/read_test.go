@@ -57,6 +57,37 @@ func TestReadColdFileFetchesAndCaches(t *testing.T) {
 	}
 }
 
+// READ transfers follow the mount's wsize (rsize=wsize, §3.1): at a
+// 32 KiB wsize every demand fetch of a cold sequential scan is one 32 KiB
+// READ. Readahead is off because its window is counted in pages, not
+// rsize chunks, so the last run of a window may be a shorter READ.
+func TestReadSizeFollowsWSize(t *testing.T) {
+	cfg := core.EnhancedConfig()
+	cfg.WSize = 32768
+	cfg.ReadaheadMaxPages = core.ReadaheadOff
+	tb := newBed(t, nfssim.ServerFiler, cfg)
+	const size = 1 << 20
+	f := tb.Machines[0].Client.OpenExisting(size)
+	var total int
+	tb.Sim.Go("reader", func(p *sim.Proc) {
+		for {
+			got := f.Read(p, 8192)
+			if got == 0 {
+				break
+			}
+			total += got
+		}
+	})
+	tb.Sim.Run(10 * time.Minute)
+	if total != size {
+		t.Fatalf("read %d bytes, want %d", total, size)
+	}
+	if tb.Server.BytesRead != size || tb.Server.Reads*32768 != tb.Server.BytesRead {
+		t.Fatalf("server served %d READs carrying %d bytes, want %d READs of 32 KiB",
+			tb.Server.Reads, tb.Server.BytesRead, size/32768)
+	}
+}
+
 // The readahead window must grow while the reader streams sequentially
 // and collapse back to the minimum on a seek.
 func TestReadaheadWindowGrowsAndResets(t *testing.T) {

@@ -20,7 +20,6 @@ type File struct {
 	cpu   *sim.CPUPool
 	cache *mm.PageCache
 	disk  *disksim.Disk
-	costs vfs.Costs
 
 	size    int64
 	dirty   int64 // bytes dirtied by this file, not yet under writeback
@@ -55,7 +54,6 @@ const readChunk = 128 << 10
 func NewFile(s *sim.Sim, cpu *sim.CPUPool, cache *mm.PageCache, disk *disksim.Disk) *File {
 	f := &File{
 		cpu: cpu, cache: cache, disk: disk,
-		costs: vfs.DefaultCosts(),
 		work:  s.NewWaitQueue(),
 		clean: s.NewWaitQueue(),
 	}
@@ -92,7 +90,7 @@ func (f *File) WriteAt(p *sim.Proc, off int64, n int) {
 	if off < 0 || n < 0 {
 		panic("ext2: negative write offset or length")
 	}
-	vfs.WriteSyscall(p, f.cpu, f.costs, off, n, func(span vfs.PageSpan) {
+	vfs.WriteSyscall(p, f.cpu, off, n, func(span vfs.PageSpan) {
 		f.cpu.Use(p, labelExt2CommitWrite, ext2CommitCPU)
 		f.cache.ChargeDirty(p, int64(span.Count))
 		f.dirty += int64(span.Count)
@@ -142,7 +140,7 @@ func (f *File) ReadAt(p *sim.Proc, off int64, n int) int {
 	if n <= 0 {
 		return 0
 	}
-	vfs.ReadSyscall(p, f.cpu, f.costs, off, n, func(span vfs.PageSpan) {
+	vfs.ReadSyscall(p, f.cpu, off, n, func(span vfs.PageSpan) {
 		start := span.Page*vfs.PageSize + int64(span.Offset)
 		end := start + int64(span.Count)
 		if f.resident.Contains(pageFloor(start), pageCeil(end)) {

@@ -12,15 +12,15 @@ import (
 	"repro/internal/xdr"
 )
 
-// Regression for the retransmit-forever hang: with MaxRetries set, a call
-// against a permanently-dead server must be abandoned with a
-// DeadServerError instead of retransmitting on a saturated backoff timer
-// until the heat death of the run.
+// Regression for the retransmit-forever hang: with a retransmit cap set
+// (SetMaxRetries), a call against a permanently-dead server must be
+// abandoned with a DeadServerError instead of retransmitting on a
+// saturated backoff timer until the heat death of the run.
 func TestDeadServerGivesUp(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RetransmitTimeout = 10 * time.Millisecond
-	cfg.MaxRetries = 3
 	rig := newRig(t, cfg, 100*time.Microsecond, 1<<30) // server never answers
+	rig.tr.SetMaxRetries(3)
 	completed := false
 	rig.s.Go("caller", func(p *sim.Proc) {
 		CallSync(rig.tr, p, procNull, nullArgs, nullReply)
@@ -49,15 +49,16 @@ func TestDeadServerGivesUp(t *testing.T) {
 		t.Fatalf("major timeouts = %d, want 1", st.MajorTimeouts)
 	}
 	if st.Retransmits != 3 {
-		t.Fatalf("retransmits = %d, want exactly MaxRetries", st.Retransmits)
+		t.Fatalf("retransmits = %d, want exactly the cap", st.Retransmits)
 	}
 	if rig.tr.InFlight() != 0 {
 		t.Fatalf("%d calls still pending; the abandoned slot leaked", rig.tr.InFlight())
 	}
 }
 
-// MaxRetries 0 is the classic hard mount: the transport must keep
-// retransmitting without ever raising the give-up error.
+// Without a retransmit cap (the default, 0) the transport is the classic
+// hard mount: it must keep retransmitting without ever raising the
+// give-up error.
 func TestZeroMaxRetriesRetriesForever(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RetransmitTimeout = 10 * time.Millisecond

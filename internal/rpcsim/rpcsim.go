@@ -92,22 +92,6 @@ type Config struct {
 	// MaxSlots bounds concurrently outstanding RPCs (the 2.4 xprt slot
 	// table holds 16 entries).
 	MaxSlots int
-	// SendCPUBase + SendCPUPerFragment model the sock_sendmsg cost: UDP
-	// send, IP fragmentation and driver work, per datagram and per
-	// fragment. At six fragments per 8 KB WRITE these default to the
-	// paper's ~50 µs.
-	SendCPUBase        sim.Time
-	SendCPUPerFragment sim.Time
-	// RPCPrepCPU is the xprt/xdr work outside the socket call (slot setup,
-	// header marshaling). Held under BKL in both policies.
-	RPCPrepCPU sim.Time
-	// ReplyCPUBase + ReplyCPUPerFragment model softirq receive processing
-	// (IP reassembly + UDP delivery) per reply.
-	ReplyCPUBase        sim.Time
-	ReplyCPUPerFragment sim.Time
-	// ReplyBKLHold is the time the reply path holds the BKL to update RPC
-	// state (not removed by the paper's fix).
-	ReplyBKLHold sim.Time
 	// RetransmitTimeout is the initial timeout for resending an
 	// unanswered call (classic UDP NFS). Each retransmission doubles it,
 	// Karn-style, up to MaxRetransmitTimeout.
@@ -115,13 +99,6 @@ type Config struct {
 	// MaxRetransmitTimeout caps the exponential backoff (the 2.4 xprt's
 	// to_maxval).
 	MaxRetransmitTimeout sim.Time
-	// MaxRetries bounds how many times one call is retransmitted before
-	// the transport declares a major timeout and gives up with a
-	// DeadServerError. 0 retries forever — the classic "hard" NFS mount,
-	// and the historical default. Chaos scenarios set a cap so a
-	// permanently-dead server ends the run with an error instead of
-	// wedging it behind a saturated backoff timer.
-	MaxRetries int
 	// LockPolicy selects the send-path BKL discipline.
 	LockPolicy LockPolicy
 	// Transport selects UDP datagrams or the TCP-style stream.
@@ -131,18 +108,11 @@ type Config struct {
 	MTU int
 }
 
-// DefaultConfig returns the 2.4.4-calibrated cost model: ~50 µs of
-// network-layer CPU per 8 KB WRITE (6 fragments), 16 slots, 1.1 s
-// retransmit.
+// DefaultConfig returns the 2.4.4 transport: 16 slots, 1.1 s
+// retransmit, the BKL held across sends, UDP over Ethernet.
 func DefaultConfig() Config {
 	return Config{
 		MaxSlots:             16,
-		SendCPUBase:          8_000, // 8 µs
-		SendCPUPerFragment:   7_000, // 7 µs × 6 frags + 8 = 50 µs per 8 KB WRITE
-		RPCPrepCPU:           5_000, // 5 µs
-		ReplyCPUBase:         6_000, // 6 µs
-		ReplyCPUPerFragment:  1_500, // small replies are one fragment
-		ReplyBKLHold:         4_000, // 4 µs
 		RetransmitTimeout:    1_100_000_000,
 		MaxRetransmitTimeout: 60_000_000_000, // 60 s
 		LockPolicy:           HoldBKLAcrossSend,
@@ -174,8 +144,8 @@ type Stats struct {
 	// BadReplies counts datagrams that failed reply decoding (truncated
 	// or stale traffic, e.g. around a server restart) and were dropped.
 	BadReplies int64
-	// MajorTimeouts counts calls abandoned after MaxRetries
-	// retransmissions (each one raised a DeadServerError).
+	// MajorTimeouts counts calls abandoned once they used up the
+	// SetMaxRetries cap (each one raised a DeadServerError).
 	MajorTimeouts int64
 }
 
@@ -247,6 +217,10 @@ type Transport struct {
 	cpu *sim.CPUPool
 	bkl *sim.Mutex
 	cfg Config
+	// maxRetries bounds how many times one call is retransmitted before
+	// the transport declares a major timeout and gives up with a
+	// DeadServerError. 0 retries forever: the classic "hard" NFS mount.
+	maxRetries int
 
 	local, remote string
 
@@ -329,10 +303,11 @@ func (t *Transport) Stats() Stats {
 //lint:allow unusedexport the nfssim tests check which transports a test bed gives a stream
 func (t *Transport) Stream() *streamsim.Endpoint { return t.stream }
 
-// SetMaxRetries adjusts the per-call retransmit cap (0 = retry forever).
-// Chaos scenarios set it after test-bed assembly so a dead server
-// terminates the run with a DeadServerError instead of hanging.
-func (t *Transport) SetMaxRetries(n int) { t.cfg.MaxRetries = n }
+// SetMaxRetries sets the per-call retransmit cap (0, the default,
+// retries forever). Chaos scenarios set it after test-bed assembly so a
+// dead server terminates the run with a DeadServerError instead of
+// wedging it behind a saturated backoff timer.
+func (t *Transport) SetMaxRetries(n int) { t.maxRetries = n }
 
 // Call issues an RPC. It blocks the calling process until a transport
 // slot is free and the request is handed to the network, then returns;
@@ -375,7 +350,7 @@ func (t *Transport) call(p *sim.Proc, proc uint32, encodeArgs func(*xdr.Encoder)
 
 	// xprt_transmit: RPC bookkeeping under the BKL in both policies.
 	t.bkl.Lock(p, labelXprtTransmit)
-	t.cpu.Use(p, labelXprtTransmit, t.cfg.RPCPrepCPU)
+	t.cpu.Use(p, labelXprtTransmit, rpcPrepCPU)
 	t.transmit(p, pc)
 	t.bkl.Unlock(p)
 	return pc
@@ -438,6 +413,27 @@ func (t *Transport) release(pc *pendingCall) {
 	t.free = append(t.free, pc)
 }
 
+// The transport's CPU model, calibrated to the paper's 2.4.4 client.
+const (
+	// sendCPUBase + sendCPUPerFragment model the sock_sendmsg cost: UDP
+	// send, IP fragmentation and driver work, per datagram and per
+	// fragment: 7 µs × 6 fragments + 8 µs is the paper's ~50 µs per
+	// 8 KB WRITE.
+	sendCPUBase        sim.Time = 8_000 // 8 µs
+	sendCPUPerFragment sim.Time = 7_000 // 7 µs
+	// rpcPrepCPU is the xprt/xdr work outside the socket call (slot
+	// setup, header marshaling). Held under BKL in both policies.
+	rpcPrepCPU sim.Time = 5_000 // 5 µs
+	// replyCPUBase + replyCPUPerFragment model softirq receive
+	// processing (IP reassembly + UDP delivery) per reply; small replies
+	// are one fragment.
+	replyCPUBase        sim.Time = 6_000 // 6 µs
+	replyCPUPerFragment sim.Time = 1_500 // 1.5 µs
+	// replyBKLHold is the time the reply path holds the BKL to update RPC
+	// state (not removed by the paper's fix).
+	replyBKLHold sim.Time = 4_000 // 4 µs
+)
+
 // msgUnits returns how many wire units an RPC message costs the CPU:
 // IP fragments under UDP, stream segments (record mark included) under
 // TCP. Both feed the same per-fragment cost model — segmentation work is
@@ -451,7 +447,7 @@ func (t *Transport) msgUnits(msgLen int) int {
 
 // transmit performs the sock_sendmsg portion; caller holds the BKL.
 func (t *Transport) transmit(p *sim.Proc, pc *pendingCall) {
-	sendCPU := t.cfg.SendCPUBase + sim.Time(t.msgUnits(pc.enc.Len()))*t.cfg.SendCPUPerFragment
+	sendCPU := sendCPUBase + sim.Time(t.msgUnits(pc.enc.Len()))*sendCPUPerFragment
 
 	switch t.cfg.LockPolicy {
 	case HoldBKLAcrossSend:
@@ -494,13 +490,14 @@ func (t *Transport) send(pc *pendingCall) {
 // retransmit resends an unanswered call and doubles its timeout,
 // Karn-style, up to MaxRetransmitTimeout (event context; models the RPC
 // timer firing. The resend's CPU cost is not charged — under loss the
-// stall, not the CPU, dominates). With MaxRetries set, a call that has
-// exhausted its budget is abandoned: the slot is freed and a
-// DeadServerError raised instead of retransmitting forever. The timer
-// is canceled when the reply lands, so it only fires for a pending call.
+// stall, not the CPU, dominates). With a retransmit cap set
+// (SetMaxRetries), a call that has exhausted its budget is abandoned:
+// the slot is freed and a DeadServerError raised instead of
+// retransmitting forever. The timer is canceled when the reply lands,
+// so it only fires for a pending call.
 func (pc *pendingCall) retransmit() {
 	t := pc.t
-	if t.cfg.MaxRetries > 0 && pc.retrans >= t.cfg.MaxRetries {
+	if t.maxRetries > 0 && pc.retrans >= t.maxRetries {
 		t.unslot(pc)
 		t.stats.MajorTimeouts++
 		t.slotWait.Signal()
@@ -533,7 +530,7 @@ func (t *Transport) rx() {
 	}
 	t.payload = t.rxq.Pop()
 	t.cpu.UseThen(t.irq, labelUDPRcv,
-		t.cfg.ReplyCPUBase+sim.Time(t.msgUnits(len(t.payload)))*t.cfg.ReplyCPUPerFragment, t.onMatch)
+		replyCPUBase+sim.Time(t.msgUnits(len(t.payload)))*replyCPUPerFragment, t.onMatch)
 }
 
 // match decodes the reply header and finds its call, then takes the BKL
@@ -564,7 +561,7 @@ func (t *Transport) match() {
 
 // hold charges the reply state update's CPU under the BKL.
 func (t *Transport) hold() {
-	t.cpu.UseThen(t.irq, labelRPCReply, t.cfg.ReplyBKLHold, t.onReplied)
+	t.cpu.UseThen(t.irq, labelRPCReply, replyBKLHold, t.onReplied)
 }
 
 // replied retires the matched call, drops the BKL and hands the reply

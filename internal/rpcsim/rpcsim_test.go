@@ -272,7 +272,7 @@ func TestEightKWriteCostsFiftyMicroseconds(t *testing.T) {
 	cfg := DefaultConfig()
 	sz := nfsproto.WriteCallSize(8192)
 	frags := netsim.FragmentCount(sz, cfg.MTU)
-	cost := cfg.SendCPUBase + sim.Time(frags)*cfg.SendCPUPerFragment
+	cost := sendCPUBase + sim.Time(frags)*sendCPUPerFragment
 	if cost != 50*time.Microsecond {
 		t.Fatalf("8 KB WRITE sock_sendmsg cost = %v, want 50µs", cost)
 	}

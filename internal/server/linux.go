@@ -60,7 +60,10 @@ type LinuxServer struct {
 	chunkGen          int
 	onFlush, onStored func()
 
-	// Throttled counts writes that blocked on the dirty limit.
+	// Throttled counts dirty-limit waits: each time a WRITE finds no
+	// room under DirtyLimit and parks. Every stored chunk wakes all
+	// throttled writes, and each one that still finds no room waits and
+	// counts again, so one write can count several times.
 	Throttled int64
 	// Flushed counts bytes written back to disk.
 	Flushed int64

@@ -78,27 +78,18 @@ type OpenSet struct {
 	Names    Namespace
 }
 
-// Costs is the syscall-layer CPU model, calibrated to the paper's client:
-// a 933 MHz Pentium III copying from user space through the page cache.
-type Costs struct {
-	// SyscallEntry covers user/kernel transition and fd lookup.
-	SyscallEntry sim.Time
-	// PerPageCopy is copy_from_user for one page.
-	PerPageCopy sim.Time
-	// PerPagePrepare is __grab_cache_page + prepare_write for one page.
-	PerPagePrepare sim.Time
-}
-
-// DefaultCosts returns the calibrated cost model (~42 µs per 8 KB write
-// before filesystem-specific work, ~195 MB/s peak local memory write
-// bandwidth as in Figure 1).
-func DefaultCosts() Costs {
-	return Costs{
-		SyscallEntry:   2_000,  // 2 µs
-		PerPageCopy:    15_000, // 15 µs
-		PerPagePrepare: 5_000,  // 5 µs
-	}
-}
+// The syscall-layer CPU model, calibrated to the paper's client: a
+// 933 MHz Pentium III copying from user space through the page cache.
+// An 8 KB write costs ~42 µs here before filesystem-specific work,
+// ~195 MB/s peak local memory write bandwidth as in Figure 1.
+const (
+	// syscallEntry covers user/kernel transition and fd lookup.
+	syscallEntry sim.Time = 2_000 // 2 µs
+	// perPageCopy is copy_from_user (or copy_to_user) for one page.
+	perPageCopy sim.Time = 15_000 // 15 µs
+	// perPagePrepare is __grab_cache_page + prepare_write for one page.
+	perPagePrepare sim.Time = 5_000 // 5 µs
+)
 
 // PageSpan describes one page-sized piece of a write.
 type PageSpan struct {
@@ -132,10 +123,10 @@ func splitPages(off int64, n int) iter.Seq[PageSpan] {
 // at offset off and invokes commit for each page span in order. This is
 // the shared skeleton of sys_write -> generic_file_write for both ext2
 // and NFS files.
-func WriteSyscall(p *sim.Proc, cpu *sim.CPUPool, costs Costs, off int64, n int, commit func(PageSpan)) {
-	cpu.Use(p, labelSysWrite, costs.SyscallEntry)
+func WriteSyscall(p *sim.Proc, cpu *sim.CPUPool, off int64, n int, commit func(PageSpan)) {
+	cpu.Use(p, labelSysWrite, syscallEntry)
 	for span := range splitPages(off, n) {
-		cpu.Use(p, labelGenericFileWrite, costs.PerPagePrepare+costs.PerPageCopy)
+		cpu.Use(p, labelGenericFileWrite, perPagePrepare+perPageCopy)
 		commit(span)
 	}
 }
@@ -145,10 +136,10 @@ func WriteSyscall(p *sim.Proc, cpu *sim.CPUPool, costs Costs, off int64, n int, 
 // filesystem's readpage — it blocks until the page is resident) followed
 // by the copy_to_user charge. This is the shared skeleton of
 // sys_read -> generic_file_read for both ext2 and NFS files.
-func ReadSyscall(p *sim.Proc, cpu *sim.CPUPool, costs Costs, off int64, n int, fetch func(PageSpan)) {
-	cpu.Use(p, labelSysRead, costs.SyscallEntry)
+func ReadSyscall(p *sim.Proc, cpu *sim.CPUPool, off int64, n int, fetch func(PageSpan)) {
+	cpu.Use(p, labelSysRead, syscallEntry)
 	for span := range splitPages(off, n) {
 		fetch(span)
-		cpu.Use(p, labelGenericFileRead, costs.PerPageCopy)
+		cpu.Use(p, labelGenericFileRead, perPageCopy)
 	}
 }

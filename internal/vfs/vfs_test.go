@@ -76,11 +76,10 @@ func TestSplitPagesProperty(t *testing.T) {
 func TestWriteSyscallChargesCPUAndCommits(t *testing.T) {
 	s := sim.New(1)
 	cpu := s.NewCPUPool(1)
-	costs := DefaultCosts()
 	var committed []PageSpan
 	var elapsed sim.Time
 	s.Go("w", func(p *sim.Proc) {
-		WriteSyscall(p, cpu, costs, 0, 8192, func(sp PageSpan) {
+		WriteSyscall(p, cpu, 0, 8192, func(sp PageSpan) {
 			committed = append(committed, sp)
 		})
 		elapsed = s.Now()
@@ -89,7 +88,7 @@ func TestWriteSyscallChargesCPUAndCommits(t *testing.T) {
 	if len(committed) != 2 {
 		t.Fatalf("committed %d pages", len(committed))
 	}
-	want := costs.SyscallEntry + 2*(costs.PerPageCopy+costs.PerPagePrepare)
+	want := syscallEntry + 2*(perPageCopy+perPagePrepare)
 	if elapsed != want {
 		t.Fatalf("elapsed = %v, want %v", elapsed, want)
 	}
@@ -101,11 +100,10 @@ func TestWriteSyscallChargesCPUAndCommits(t *testing.T) {
 func TestReadSyscallChargesCPUAndFetches(t *testing.T) {
 	s := sim.New(1)
 	cpu := s.NewCPUPool(1)
-	costs := DefaultCosts()
 	var fetched []PageSpan
 	var elapsed sim.Time
 	s.Go("r", func(p *sim.Proc) {
-		ReadSyscall(p, cpu, costs, 0, 8192, func(sp PageSpan) {
+		ReadSyscall(p, cpu, 0, 8192, func(sp PageSpan) {
 			fetched = append(fetched, sp)
 		})
 		elapsed = s.Now()
@@ -115,7 +113,7 @@ func TestReadSyscallChargesCPUAndFetches(t *testing.T) {
 		t.Fatalf("fetched %d pages", len(fetched))
 	}
 	// Reads copy to user space but skip the write path's prepare_write.
-	want := costs.SyscallEntry + 2*costs.PerPageCopy
+	want := syscallEntry + 2*perPageCopy
 	if elapsed != want {
 		t.Fatalf("elapsed = %v, want %v", elapsed, want)
 	}
@@ -127,8 +125,7 @@ func TestReadSyscallChargesCPUAndFetches(t *testing.T) {
 func TestDefaultCostsCalibration(t *testing.T) {
 	// ~42 µs per 8 KB write at the syscall layer -> ~195 MB/s peak local
 	// memory write bandwidth, Figure 1's ext2 plateau.
-	c := DefaultCosts()
-	per8k := c.SyscallEntry + 2*(c.PerPageCopy+c.PerPagePrepare)
+	per8k := syscallEntry + 2*(perPageCopy+perPagePrepare)
 	if per8k < 30*time.Microsecond || per8k > 60*time.Microsecond {
 		t.Fatalf("8 KB syscall cost = %v, want 30-60µs", per8k)
 	}
@@ -144,18 +141,17 @@ func TestSpanWalkAllocatesNothing(t *testing.T) {
 	s := sim.New(1)
 	defer s.Close()
 	cpu := s.NewCPUPool(1)
-	costs := DefaultCosts()
 	start := s.NewWaitQueue()
 	pages, bytes := 0, 0
 	s.Go("rw", func(p *sim.Proc) {
 		for {
 			start.Wait(p)
 			// 10000 bytes from byte 1000 cross three page boundaries.
-			WriteSyscall(p, cpu, costs, 1000, 10000, func(sp PageSpan) {
+			WriteSyscall(p, cpu, 1000, 10000, func(sp PageSpan) {
 				pages++
 				bytes += sp.Count
 			})
-			ReadSyscall(p, cpu, costs, 1000, 10000, func(sp PageSpan) {
+			ReadSyscall(p, cpu, 1000, 10000, func(sp PageSpan) {
 				pages++
 				bytes += sp.Count
 			})

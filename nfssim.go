@@ -105,8 +105,9 @@ type Options struct {
 	// NetJitter is the maximum extra random delivery delay per datagram
 	// (uniform in [0, NetJitter], deterministic per seed). 0 disables it.
 	NetJitter sim.Time
-	// RPC optionally overrides the transport cost model; LockPolicy and
-	// MTU are always taken from Client/Jumbo.
+	// RPC optionally overrides the transport's slot table and
+	// retransmit timeouts; LockPolicy, Transport and MTU are always taken
+	// from Client, Transport and Jumbo. The CPU cost model is fixed.
 	RPC *rpcsim.Config
 }
 
