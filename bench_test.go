@@ -83,6 +83,7 @@ func histMetrics(r *experiments.HistResult) []metric {
 // benchRun runs a 10 MB write-phase benchmark and returns MB/s.
 func benchRun(srv nfssim.ServerKind, cfg core.Config, cpus int) float64 {
 	tb := nfssim.NewTestbed(nfssim.Options{Server: srv, Client: cfg, ClientCPUs: cpus})
+	defer tb.Sim.Close()
 	res := bonnie.RunWorkload(tb.Sim, "bench", tb.Machines[0].OpenSet(), bonnie.Config{
 		FileSize: 10 << 20, TimeLimit: 10 * time.Minute, SkipFlushClose: true,
 	})
@@ -207,6 +208,7 @@ var benchCases = func() []benchCase {
 				Client: core.EnhancedConfig(),
 				RPC:    &rpcCfg,
 			})
+			defer tb.Sim.Close()
 			res := bonnie.RunWorkload(tb.Sim, "slots", tb.Machines[0].OpenSet(), bonnie.Config{
 				FileSize: 10 << 20, TimeLimit: 10 * time.Minute,
 			})
@@ -235,6 +237,7 @@ var benchCases = func() []benchCase {
 					Transport: tr,
 					Loss:      loss,
 				})
+				defer tb.Sim.Close()
 				res := bonnie.RunWorkload(tb.Sim, "transport", tb.Machines[0].OpenSet(), bonnie.Config{
 					FileSize: 10 << 20, TimeLimit: 10 * time.Minute,
 				})
@@ -316,6 +319,7 @@ var benchCases = func() []benchCase {
 			cfg := core.EnhancedConfig()
 			cfg.ReadaheadMaxPages = maxPages
 			tb := nfssim.NewTestbed(nfssim.Options{Server: nfssim.ServerFiler, Client: cfg})
+			defer tb.Sim.Close()
 			res := bonnie.RunWorkload(tb.Sim, "ra", tb.Machines[0].OpenSet(), bonnie.Config{
 				FileSize: 10 << 20, Workload: bonnie.WorkloadRead, TimeLimit: 10 * time.Minute,
 			})

@@ -6,6 +6,7 @@ import (
 
 	nfssim "repro"
 	"repro/internal/core"
+	"repro/internal/nfsproto"
 	"repro/internal/racebuild"
 	"repro/internal/sim"
 )
@@ -40,14 +41,14 @@ func TestSteadyStateWriteCycleAllocatesNothing(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		cycle() // warm the free lists, pools and queues
 	}
-	rpcs, pages := c.RPCsSent, c.PagesSent
+	rpcs, pages := c.RPCs(nfsproto.ProcWrite), c.PagesSent
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {
 		t.Fatalf("an 8 KiB write cycle costs %.2f allocations", n)
 	}
 	// AllocsPerRun runs the cycle once more as its own warm-up.
-	if c.RPCsSent-rpcs != 101 || c.PagesSent-pages != 202 || c.MountRequests() != 0 {
+	if c.RPCs(nfsproto.ProcWrite)-rpcs != 101 || c.PagesSent-pages != 202 || c.MountRequests() != 0 {
 		t.Fatalf("sent %d WRITEs of %d pages with %d requests outstanding, want one 2-page WRITE per cycle, all replied",
-			c.RPCsSent-rpcs, c.PagesSent-pages, c.MountRequests())
+			c.RPCs(nfsproto.ProcWrite)-rpcs, c.PagesSent-pages, c.MountRequests())
 	}
 	if got := f.Size(); got != 121*8192 {
 		t.Fatalf("file size %d", got)

@@ -78,7 +78,6 @@ func (c *Client) invalidateAttr(name string) {
 
 // lookupRPC issues a LOOKUP for name in the mount's root directory.
 func (c *Client) lookupRPC(p *sim.Proc, name string) nfsproto.LookupRes {
-	c.LookupRPCs++
 	args := nfsproto.LookupArgs{Dir: c.rootFH, Name: name}
 	res, err := rpcsim.CallSync(c.tr, p, nfsproto.ProcLookup, args.Encode, nfsproto.DecodeLookupRes)
 	if err != nil {
@@ -89,7 +88,6 @@ func (c *Client) lookupRPC(p *sim.Proc, name string) nfsproto.LookupRes {
 
 // getattrRPC issues a GETATTR for a handle.
 func (c *Client) getattrRPC(p *sim.Proc, fh nfsproto.FileHandle) nfsproto.FileAttrs {
-	c.GetattrRPCs++
 	args := nfsproto.GetattrArgs{File: fh}
 	res, err := rpcsim.CallSync(c.tr, p, nfsproto.ProcGetattr, args.Encode, nfsproto.DecodeGetattrRes)
 	if err != nil || res.Status != nfsproto.NFS3OK {
@@ -100,7 +98,6 @@ func (c *Client) getattrRPC(p *sim.Proc, fh nfsproto.FileHandle) nfsproto.FileAt
 
 // createRPC issues a CREATE for name in the mount's root directory.
 func (c *Client) createRPC(p *sim.Proc, name string) (nfsproto.FileHandle, nfsproto.FileAttrs) {
-	c.CreateRPCs++
 	args := nfsproto.CreateArgs{Dir: c.rootFH, Name: name}
 	res, err := rpcsim.CallSync(c.tr, p, nfsproto.ProcCreate, args.Encode, nfsproto.DecodeCreateRes)
 	if err != nil || res.Status != nfsproto.NFS3OK {
@@ -267,7 +264,6 @@ func (c *Client) Remove(p *sim.Proc, name string) bool {
 			ino.cached = rangeset.Set{}
 		}
 	}
-	c.RemoveRPCs++
 	args := nfsproto.RemoveArgs{Dir: c.rootFH, Name: name}
 	res, err := rpcsim.CallSync(c.tr, p, nfsproto.ProcRemove, args.Encode, nfsproto.DecodeRemoveRes)
 	if err != nil {

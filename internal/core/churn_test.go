@@ -7,6 +7,7 @@ import (
 
 	nfssim "repro"
 	"repro/internal/core"
+	"repro/internal/nfsproto"
 	"repro/internal/sim"
 )
 
@@ -55,10 +56,10 @@ func TestChurnBoundedState(t *testing.T) {
 	if got := tb.Machines[0].Client.MountRequests(); got != 0 {
 		t.Errorf("%d write requests still tracked after churn", got)
 	}
-	if got := int(tb.Machines[0].Client.CreateRPCs); got != files {
+	if got := int(tb.Machines[0].Client.RPCs(nfsproto.ProcCreate)); got != files {
 		t.Errorf("CreateRPCs = %d, want %d", got, files)
 	}
-	if got := int(tb.Machines[0].Client.RemoveRPCs); got != files {
+	if got := int(tb.Machines[0].Client.RPCs(nfsproto.ProcRemove)); got != files {
 		t.Errorf("RemoveRPCs = %d, want %d", got, files)
 	}
 }

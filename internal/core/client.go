@@ -63,23 +63,13 @@ type Client struct {
 	pacedBusy bool
 	pacedDone *sim.WaitQueue
 
-	// Statistics. RPCsSent/PagesSent count the write path; the read path
-	// has its own counters.
+	// Statistics. The transport counts the RPCs, per procedure
+	// (rpcsim.Stats.ByProc); PagesSent counts the pages WRITEs carried.
 	SoftFlushes int64 // writer-forced whole-inode flushes (soft limit)
 	HardBlocks  int64 // writer sleeps on the per-mount hard limit
-	RPCsSent    int64
 	PagesSent   int64
-	// ReadRPCs counts READ calls issued (demand and readahead).
-	ReadRPCs int64
-	// CommitRPCs counts COMMIT calls issued (fsync/close durability after
-	// UNSTABLE write replies — the group-commit cost §3.6 is about).
-	CommitRPCs int64
-	// Metadata-path counters: RPCs by procedure, plus how often the
-	// attribute cache answered a name resolution without one.
-	LookupRPCs      int64
-	GetattrRPCs     int64
-	CreateRPCs      int64
-	RemoveRPCs      int64
+	// How often the attribute cache answered a name resolution without
+	// an RPC (hits), and how often it could not (misses).
 	AttrCacheHits   int64
 	AttrCacheMisses int64
 	// Crash-recovery counters: VerfChanges counts observed write-verifier
@@ -517,7 +507,6 @@ func (c *Client) sendOne(p *sim.Proc, ino *Inode, paced bool) int {
 		Stable: nfsproto.Unstable,
 		Data:   nfsproto.Zeroes(total),
 	}
-	c.RPCsSent++
 	c.PagesSent += int64(pages)
 	if paced {
 		c.pacedBusy = true
@@ -698,7 +687,6 @@ func (c *Client) flushInodeSync(p *sim.Proc, ino *Inode) {
 // mismatch): the unstable ranges were re-queued for rewrite and the
 // caller must flush and commit again.
 func (c *Client) commitSync(p *sim.Proc, ino *Inode) bool {
-	c.CommitRPCs++
 	args := nfsproto.CommitArgs{File: ino.FH, Offset: 0, Count: 0}
 	res, err := rpcsim.CallSync(c.tr, p, nfsproto.ProcCommit, args.Encode, nfsproto.DecodeCommitRes)
 	if err != nil || res.Status != nfsproto.NFS3OK {

@@ -6,6 +6,7 @@ import (
 
 	nfssim "repro"
 	"repro/internal/core"
+	"repro/internal/nfsproto"
 	"repro/internal/sim"
 )
 
@@ -43,12 +44,12 @@ func TestNamedInodePersistsAcrossOpenClose(t *testing.T) {
 		if got := g.(*core.File).Inode().CachedPages(); got != 8 {
 			t.Errorf("reopen found %d resident pages, want 8", got)
 		}
-		before := c.ReadRPCs
+		before := c.RPCs(nfsproto.ProcRead)
 		if got := g.Read(p, 8*4096); got != 8*4096 {
 			t.Errorf("short read: %d", got)
 		}
-		if c.ReadRPCs != before {
-			t.Errorf("reread of cached pages issued %d READ RPCs", c.ReadRPCs-before)
+		if c.RPCs(nfsproto.ProcRead) != before {
+			t.Errorf("reread of cached pages issued %d READ RPCs", c.RPCs(nfsproto.ProcRead)-before)
 		}
 		g.Close(p)
 	})
@@ -77,11 +78,11 @@ func TestStrictOpenNeverServesStale(t *testing.T) {
 		w.(*core.File).WriteAt(p, 0, size)
 		w.Close(p)
 
-		coldReads := reader.ReadRPCs
+		coldReads := reader.RPCs(nfsproto.ProcRead)
 		r = reader.OpenByName(p, "hot")
 		r.Read(p, size)
 		r.Close(p)
-		if reader.ReadRPCs == coldReads {
+		if reader.RPCs(nfsproto.ProcRead) == coldReads {
 			t.Error("strict reopen after a foreign write served superseded pages from cache")
 		}
 		if reader.Invalidations == 0 {
@@ -92,7 +93,7 @@ func TestStrictOpenNeverServesStale(t *testing.T) {
 	if reader.StaleReads != 0 {
 		t.Errorf("strict client counted %d stale reads, want 0", reader.StaleReads)
 	}
-	if reader.GetattrRPCs == 0 {
+	if reader.RPCs(nfsproto.ProcGetattr) == 0 {
 		t.Error("strict client never issued a GETATTR")
 	}
 }
@@ -116,11 +117,11 @@ func TestNoacServesStaleReads(t *testing.T) {
 		w.(*core.File).WriteAt(p, 0, size)
 		w.Close(p)
 
-		warmReads := reader.ReadRPCs
+		warmReads := reader.RPCs(nfsproto.ProcRead)
 		r = reader.OpenByName(p, "hot")
 		r.Read(p, size)
 		r.Close(p)
-		if reader.ReadRPCs != warmReads {
+		if reader.RPCs(nfsproto.ProcRead) != warmReads {
 			t.Error("noac reopen went back to the server")
 		}
 	})

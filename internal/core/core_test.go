@@ -391,8 +391,8 @@ func TestCommitRevealsReboot(t *testing.T) {
 	tb.Sim.Go("writer", func(p *sim.Proc) {
 		f.Write(p, size)
 		f.WriteBack(p)
-		if c.RPCsSent == 0 || c.CommitRPCs != 0 || tb.Sim.Now() >= crashAt {
-			t.Errorf("write-back: %d WRITEs and %d COMMITs by %v", c.RPCsSent, c.CommitRPCs, tb.Sim.Now())
+		if c.RPCs(nfsproto.ProcWrite) == 0 || c.RPCs(nfsproto.ProcCommit) != 0 || tb.Sim.Now() >= crashAt {
+			t.Errorf("write-back: %d WRITEs and %d COMMITs by %v", c.RPCs(nfsproto.ProcWrite), c.RPCs(nfsproto.ProcCommit), tb.Sim.Now())
 		}
 		p.Sleep(crashAt + time.Millisecond - tb.Sim.Now())
 		// The COMMIT dies at the downed server; its retransmission reaches
@@ -418,8 +418,8 @@ func TestCommitRevealsReboot(t *testing.T) {
 	if c.PagesSent != 2*pages {
 		t.Fatalf("pages sent = %d, want %d (write-back plus one rewrite each)", c.PagesSent, 2*pages)
 	}
-	if c.CommitRPCs != 2 || c.MountRequests() != 0 {
-		t.Fatalf("%d COMMITs, %d requests left; want 2 and 0", c.CommitRPCs, c.MountRequests())
+	if c.RPCs(nfsproto.ProcCommit) != 2 || c.MountRequests() != 0 {
+		t.Fatalf("%d COMMITs, %d requests left; want 2 and 0", c.RPCs(nfsproto.ProcCommit), c.MountRequests())
 	}
 	if cov := fileRecord(tb, f.Inode().FH).Stable(); !cov.Contains(0, size) {
 		t.Fatalf("stable coverage %v does not span the %d-byte file", cov, size)

@@ -37,3 +37,7 @@ func (f *File) Inode() *Inode { return f.ino }
 
 // At returns the i'th request.
 func (l *reqList) At(i int) *Request { return l.q.Items()[i] }
+
+// RPCs returns how many calls of NFS procedure proc the client's
+// transport has issued.
+func (c *Client) RPCs(proc uint32) int64 { return c.tr.Stats().ByProc[proc] }

@@ -118,7 +118,6 @@ func (c *Client) sendReadRPC(p *sim.Proc, ino *Inode, page int64, pages int) {
 	rc := c.newReadCall()
 	rc.ino, rc.page, rc.pages = ino, page, pages
 	rc.args = nfsproto.ReadArgs{File: ino.FH, Offset: uint64(off), Count: uint32(count)}
-	c.ReadRPCs++
 	c.tr.Call(p, nfsproto.ProcRead, rc.encode, rc.reply)
 }
 

@@ -7,6 +7,7 @@ import (
 	nfssim "repro"
 	"repro/internal/bonnie"
 	"repro/internal/core"
+	"repro/internal/nfsproto"
 	"repro/internal/sim"
 	"repro/internal/vfs"
 )
@@ -26,20 +27,20 @@ func TestReadColdFileFetchesAndCaches(t *testing.T) {
 			}
 			total += got
 		}
-		if rpcs := tb.Machines[0].Client.ReadRPCs; rpcs == 0 {
+		if rpcs := tb.Machines[0].Client.RPCs(nfsproto.ProcRead); rpcs == 0 {
 			t.Error("no READ RPCs issued for a cold file")
 		}
 		if f.Inode().CachedPages() != size/4096 {
 			t.Errorf("cached pages = %d, want %d", f.Inode().CachedPages(), size/4096)
 		}
 		// Re-read from the front: all pages resident, no new RPCs.
-		before := tb.Machines[0].Client.ReadRPCs
+		before := tb.Machines[0].Client.RPCs(nfsproto.ProcRead)
 		missesBefore := tb.Machines[0].Cache.ReadMisses
 		if got := f.ReadAt(p, 0, size); got != size {
 			t.Errorf("re-read got %d", got)
 		}
-		if tb.Machines[0].Client.ReadRPCs != before {
-			t.Errorf("re-read issued %d new RPCs", tb.Machines[0].Client.ReadRPCs-before)
+		if tb.Machines[0].Client.RPCs(nfsproto.ProcRead) != before {
+			t.Errorf("re-read issued %d new RPCs", tb.Machines[0].Client.RPCs(nfsproto.ProcRead)-before)
 		}
 		if tb.Machines[0].Cache.ReadMisses != missesBefore {
 			t.Errorf("re-read missed %d pages", tb.Machines[0].Cache.ReadMisses-missesBefore)
@@ -141,8 +142,8 @@ func TestReadAfterWriteHitsCache(t *testing.T) {
 		if got := f.ReadAt(p, 0, 64<<10); got != 64<<10 {
 			t.Errorf("read back %d bytes", got)
 		}
-		if tb.Machines[0].Client.ReadRPCs != 0 {
-			t.Errorf("read-after-write issued %d READ RPCs", tb.Machines[0].Client.ReadRPCs)
+		if tb.Machines[0].Client.RPCs(nfsproto.ProcRead) != 0 {
+			t.Errorf("read-after-write issued %d READ RPCs", tb.Machines[0].Client.RPCs(nfsproto.ProcRead))
 		}
 		if tb.Machines[0].Cache.ReadMisses != 0 || tb.Machines[0].Cache.ReadHits != 16 {
 			t.Errorf("hits/misses = %d/%d, want 16/0", tb.Machines[0].Cache.ReadHits, tb.Machines[0].Cache.ReadMisses)

@@ -7,6 +7,7 @@ import (
 	nfssim "repro"
 	"repro/internal/bonnie"
 	"repro/internal/core"
+	"repro/internal/nfsproto"
 	"repro/internal/sim"
 )
 
@@ -134,9 +135,9 @@ func TestResidentSetCoalesces(t *testing.T) {
 		if got := f.ReadAt(p, 0, 128<<10); got != 128<<10 {
 			t.Errorf("read back %d bytes", got)
 		}
-		if tb.Machines[0].Client.ReadRPCs != 0 || tb.Machines[0].Cache.ReadMisses != 0 {
+		if tb.Machines[0].Client.RPCs(nfsproto.ProcRead) != 0 || tb.Machines[0].Cache.ReadMisses != 0 {
 			t.Errorf("read-after-write fetched: %d RPCs, %d misses",
-				tb.Machines[0].Client.ReadRPCs, tb.Machines[0].Cache.ReadMisses)
+				tb.Machines[0].Client.RPCs(nfsproto.ProcRead), tb.Machines[0].Cache.ReadMisses)
 		}
 	})
 	tb.Sim.Run(5 * time.Minute)
@@ -162,7 +163,7 @@ func TestRandWriteFragmentationOnStockClient(t *testing.T) {
 	if randTB.Machines[0].Client.SoftFlushes == 0 {
 		t.Fatal("random writes never hit the soft limit on the stock client")
 	}
-	if seqRPCs, randRPCs := seqTB.Machines[0].Client.RPCsSent, randTB.Machines[0].Client.RPCsSent; randRPCs <= seqRPCs {
+	if seqRPCs, randRPCs := seqTB.Machines[0].Client.RPCs(nfsproto.ProcWrite), randTB.Machines[0].Client.RPCs(nfsproto.ProcWrite); randRPCs <= seqRPCs {
 		t.Fatalf("random writes sent %d RPCs vs %d sequential; fragmentation should defeat coalescing",
 			randRPCs, seqRPCs)
 	}

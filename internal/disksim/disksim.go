@@ -47,49 +47,21 @@ func New(s *sim.Sim, seek sim.Time, bandwidth int64) *Disk {
 	return &Disk{s: s, seek: seek, bandwidth: bandwidth, nextPos: -1}
 }
 
-// Write performs a blocking write of n bytes at byte offset off,
-// serialized FIFO behind earlier requests. It charges a positioning cost
-// when off does not continue the previous request.
-func (d *Disk) Write(p *sim.Proc, off, n int64) {
-	p.Sleep(d.bookWrite(off, n))
-}
-
-// WriteThen is Write for task p: k runs once the write completes.
-func (d *Disk) WriteThen(p *sim.Proc, off, n int64, k func()) {
-	p.SleepThen(d.bookWrite(off, n), k)
-}
-
-// bookWrite books a write into the FIFO queue and returns how long until
-// it completes.
-func (d *Disk) bookWrite(off, n int64) sim.Time {
+// BookWrite books a write of n bytes at byte offset off into the FIFO
+// queue, behind earlier requests, and returns how long until it
+// completes; the caller waits that long in its own process model. It
+// charges a positioning cost when off does not continue the previous
+// request.
+func (d *Disk) BookWrite(off, n int64) sim.Time {
 	at := d.service(off, n)
 	d.BytesWritten += n
 	return at - d.s.Now()
 }
 
-// WriteAsync schedules a write and invokes done (in event context) when it
-// completes, without blocking a process. Used by server elements like the
-// filer's NVRAM drain that are modeled as callbacks.
-func (d *Disk) WriteAsync(off, n int64, done func()) {
-	at := d.service(off, n)
-	d.BytesWritten += n
-	d.s.At(at, func() {
-		if done != nil {
-			done()
-		}
-	})
-}
-
-// Read performs a blocking read of n bytes at byte offset off, sharing
-// the same FIFO queue, head position, and sequential bandwidth as writes
-// (the model has no zone or direction asymmetry). Sequential reads stream
-// at media rate; any jump charges the positioning cost.
-func (d *Disk) Read(p *sim.Proc, off, n int64) {
-	p.Sleep(d.BookRead(off, n))
-}
-
-// BookRead books a read as Read does without blocking, and returns how
-// long until it completes: the time a caller that cannot block waits.
+// BookRead books a read as BookWrite books a write, sharing the same
+// FIFO queue, head position and sequential bandwidth (the model has no
+// zone or direction asymmetry): sequential reads stream at media rate,
+// and any jump charges the positioning cost.
 func (d *Disk) BookRead(off, n int64) sim.Time {
 	at := d.service(off, n)
 	d.BytesRead += n

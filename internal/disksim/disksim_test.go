@@ -13,8 +13,8 @@ func TestSequentialWriteNoSeek(t *testing.T) {
 	d := New(s, 10*time.Millisecond, 10_000_000) // 10 MB/s
 	var elapsed sim.Time
 	s.Go("w", func(p *sim.Proc) {
-		d.Write(p, 0, 1_000_000) // first write seeks
-		d.Write(p, 1_000_000, 1_000_000)
+		p.Sleep(d.BookWrite(0, 1_000_000)) // first write seeks
+		p.Sleep(d.BookWrite(1_000_000, 1_000_000))
 		elapsed = s.Now()
 	})
 	s.Run(0)
@@ -33,8 +33,8 @@ func TestSequentialReadStreamsAfterOneSeek(t *testing.T) {
 	d := New(s, 10*time.Millisecond, 10_000_000)
 	var elapsed sim.Time
 	s.Go("r", func(p *sim.Proc) {
-		d.Read(p, 0, 1_000_000) // first read positions the head
-		d.Read(p, 1_000_000, 1_000_000)
+		p.Sleep(d.BookRead(0, 1_000_000)) // first read positions the head
+		p.Sleep(d.BookRead(1_000_000, 1_000_000))
 		elapsed = s.Now()
 	})
 	s.Run(0)
@@ -51,10 +51,10 @@ func TestReadsAndWritesShareTheHead(t *testing.T) {
 	s := sim.New(1)
 	d := New(s, 5*time.Millisecond, 10_000_000)
 	s.Go("rw", func(p *sim.Proc) {
-		d.Write(p, 0, 4096)
-		d.Read(p, 4096, 4096) // sequential with the write: no seek
-		d.Read(p, 1_000_000, 4096)
-		d.Write(p, 1_000_000+4096, 4096) // sequential with the read
+		p.Sleep(d.BookWrite(0, 4096))
+		p.Sleep(d.BookRead(4096, 4096)) // sequential with the write: no seek
+		p.Sleep(d.BookRead(1_000_000, 4096))
+		p.Sleep(d.BookWrite(1_000_000+4096, 4096)) // sequential with the read
 	})
 	s.Run(0)
 	if d.Seeks != 2 {
@@ -69,9 +69,9 @@ func TestRandomWriteSeeks(t *testing.T) {
 	s := sim.New(1)
 	d := New(s, 5*time.Millisecond, 10_000_000)
 	s.Go("w", func(p *sim.Proc) {
-		d.Write(p, 0, 4096)
-		d.Write(p, 1_000_000, 4096) // jump
-		d.Write(p, 0, 4096)         // jump back
+		p.Sleep(d.BookWrite(0, 4096))
+		p.Sleep(d.BookWrite(1_000_000, 4096)) // jump
+		p.Sleep(d.BookWrite(0, 4096))         // jump back
 	})
 	s.Run(0)
 	if d.Seeks != 3 {
@@ -84,11 +84,11 @@ func TestFIFOQueueing(t *testing.T) {
 	d := New(s, 0, 1_000_000) // 1 MB/s, no seek
 	var t1, t2 sim.Time
 	s.Go("a", func(p *sim.Proc) {
-		d.Write(p, 0, 1_000_000)
+		p.Sleep(d.BookWrite(0, 1_000_000))
 		t1 = s.Now()
 	})
 	s.Go("b", func(p *sim.Proc) {
-		d.Write(p, 1_000_000, 1_000_000)
+		p.Sleep(d.BookWrite(1_000_000, 1_000_000))
 		t2 = s.Now()
 	})
 	s.Run(0)
@@ -97,25 +97,29 @@ func TestFIFOQueueing(t *testing.T) {
 	}
 }
 
-func TestWriteAsync(t *testing.T) {
+func TestBookWriteReturnsWait(t *testing.T) {
 	s := sim.New(1)
 	d := New(s, 0, 1_000_000)
-	var doneAt sim.Time
-	d.WriteAsync(0, 500_000, func() { doneAt = s.Now() })
-	d.WriteAsync(500_000, 0, nil) // zero-size, nil callback: no crash
-	s.Run(0)
-	if doneAt != 500*time.Millisecond {
-		t.Fatalf("async done at %v, want 500ms", doneAt)
+	if wait := d.BookWrite(0, 500_000); wait != 500*time.Millisecond {
+		t.Fatalf("first write waits %v, want 500ms", wait)
+	}
+	// A zero-size write queues behind the first and costs nothing.
+	if wait := d.BookWrite(500_000, 0); wait != 500*time.Millisecond {
+		t.Fatalf("zero-size write waits %v, want 500ms", wait)
+	}
+	if d.Requests != 2 || d.BytesWritten != 500_000 {
+		t.Fatalf("%d requests, %d bytes", d.Requests, d.BytesWritten)
 	}
 }
 
 func TestQueueDelay(t *testing.T) {
 	s := sim.New(1)
 	d := New(s, 0, 1_000_000)
-	d.WriteAsync(0, 1_000_000, nil)
+	wait := d.BookWrite(0, 1_000_000)
 	if d.QueueDelay() != time.Second {
 		t.Fatalf("queue delay = %v", d.QueueDelay())
 	}
+	s.Go("w", func(p *sim.Proc) { p.Sleep(wait) })
 	s.Run(0)
 	if d.QueueDelay() != 0 {
 		t.Fatalf("queue delay after drain = %v", d.QueueDelay())
@@ -125,8 +129,7 @@ func TestQueueDelay(t *testing.T) {
 func TestStats(t *testing.T) {
 	s := sim.New(1)
 	d := New(s, 0, 1_000_000)
-	d.WriteAsync(0, 100, nil)
-	s.Run(0)
+	d.BookWrite(0, 100)
 	if d.BytesWritten != 100 || d.Requests != 1 {
 		t.Fatalf("stats: %d bytes in %d requests", d.BytesWritten, d.Requests)
 	}
@@ -165,7 +168,7 @@ func TestBadArgsPanic(t *testing.T) {
 	for _, fn := range []func(){
 		func() { New(s, 0, 0) },
 		func() { NewRAID4(s, 0, 0, 1) },
-		func() { New(s, 0, 1).WriteAsync(0, -1, nil) },
+		func() { New(s, 0, 1).BookWrite(0, -1) },
 	} {
 		func() {
 			defer func() {
@@ -192,11 +195,10 @@ func TestAccountingProperty(t *testing.T) {
 			if i%int(gap%3+1) == 0 {
 				off += 1 << 20 // force a seek
 			}
-			d.WriteAsync(off, n, nil)
+			d.BookWrite(off, n)
 			off += n
 			total += n
 		}
-		s.Run(0)
 		want := sim.Time(total*1e9/8_000_000) + time.Duration(d.Seeks)*seek
 		return d.BusyTime == want && d.BytesWritten == total
 	}

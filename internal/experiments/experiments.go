@@ -553,6 +553,7 @@ func Concurrency() *ConcurrencyResult {
 	const writers = 2
 	run := func(cfg core.Config) (float64, time.Duration) {
 		tb := nfssim.NewTestbed(nfssim.Options{Server: nfssim.ServerFiler, Client: cfg})
+		defer tb.Sim.Close()
 		res := bonnie.RunConcurrentWorkload(tb.Sim, "conc", func(int) vfs.OpenSet { return tb.Machines[0].OpenSet() },
 			writers, bonnie.Config{FileSize: 5 << 20, TimeLimit: 10 * time.Minute, SkipFlushClose: true})
 		var sum time.Duration

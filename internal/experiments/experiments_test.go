@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -312,6 +313,16 @@ func TestFig7Shape(t *testing.T) {
 	// Throughput at 25 MB far exceeds throughput at 450 MB (memory cliff).
 	if yAt(filer, 25) < 15*yAt(filer, 450)/10 {
 		t.Fatal("no memory cliff visible for the filer curve")
+	}
+}
+
+// Concurrency builds its own test beds; it must close them, or their
+// parked daemons outlive the call.
+func TestConcurrencyLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	Concurrency()
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("%d goroutines after Concurrency, want the baseline %d", n, base)
 	}
 }
 

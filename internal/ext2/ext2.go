@@ -153,7 +153,7 @@ func (f *File) ReadAt(p *sim.Proc, off int64, n int) int {
 		if rem := f.size - off; rem < chunk {
 			chunk = rem
 		}
-		f.disk.Read(p, off, chunk)
+		p.Sleep(f.disk.BookRead(off, chunk))
 		f.resident.Add(off, pageCeil(off+chunk))
 	})
 	return n
@@ -189,7 +189,7 @@ func (f *File) writeback(p *sim.Proc) {
 		f.dirty -= chunk
 		f.inFlush += chunk
 		f.cache.StartWriteback(chunk)
-		f.disk.Write(p, f.diskOff, chunk)
+		p.Sleep(f.disk.BookWrite(f.diskOff, chunk))
 		f.diskOff += chunk
 		f.inFlush -= chunk
 		f.cache.EndWriteback(chunk)

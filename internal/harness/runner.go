@@ -10,6 +10,7 @@ import (
 	nfssim "repro"
 	"repro/internal/bonnie"
 	"repro/internal/core"
+	"repro/internal/nfsproto"
 	"repro/internal/stats"
 	"repro/internal/vfs"
 )
@@ -275,13 +276,6 @@ func RunScenarioOn(sc Scenario, prepare func(*nfssim.Testbed)) Result {
 		if m.Client != nil {
 			out.SoftFlushes += m.Client.SoftFlushes
 			out.HardBlocks += m.Client.HardBlocks
-			out.RPCsSent += m.Client.RPCsSent
-			out.ReadRPCs += m.Client.ReadRPCs
-			out.CommitRPCs += m.Client.CommitRPCs
-			out.LookupRPCs += m.Client.LookupRPCs
-			out.GetattrRPCs += m.Client.GetattrRPCs
-			out.CreateRPCs += m.Client.CreateRPCs
-			out.RemoveRPCs += m.Client.RemoveRPCs
 			out.AttrCacheHits += m.Client.AttrCacheHits
 			out.AttrCacheMisses += m.Client.AttrCacheMisses
 			out.StaleReads += m.Client.StaleReads
@@ -291,6 +285,13 @@ func RunScenarioOn(sc Scenario, prepare func(*nfssim.Testbed)) Result {
 		out.ReadMisses += m.Cache.ReadMisses
 		if m.Transport != nil {
 			st := m.Transport.Stats()
+			out.RPCsSent += st.ByProc[nfsproto.ProcWrite]
+			out.ReadRPCs += st.ByProc[nfsproto.ProcRead]
+			out.CommitRPCs += st.ByProc[nfsproto.ProcCommit]
+			out.LookupRPCs += st.ByProc[nfsproto.ProcLookup]
+			out.GetattrRPCs += st.ByProc[nfsproto.ProcGetattr]
+			out.CreateRPCs += st.ByProc[nfsproto.ProcCreate]
+			out.RemoveRPCs += st.ByProc[nfsproto.ProcRemove]
 			out.Retransmits += st.Retransmits
 			out.DupReplies += st.DuplicateReplies
 			out.SlotWaits += st.SlotWaits

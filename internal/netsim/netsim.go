@@ -194,6 +194,13 @@ func (n *Network) mustHost(name string) *host {
 	return h
 }
 
+// PathMTU returns the MTU of the path between hosts a and b: the smaller
+// of their links' MTUs, the one Send fragments a datagram between them
+// at. Transports size their messages with it.
+func (n *Network) PathMTU(a, b string) int {
+	return min(n.mustHost(a).cfg.MTU, n.mustHost(b).cfg.MTU)
+}
+
 // FragmentCount returns how many IP fragments a UDP payload of n bytes
 // needs at the given MTU. The first fragment carries the UDP header; each
 // fragment's payload is a multiple of 8 bytes except the last.
@@ -251,10 +258,7 @@ type SendResult struct {
 func (n *Network) Send(dg Datagram) SendResult {
 	src := n.mustHost(dg.From)
 	dst := n.mustHost(dg.To)
-	mtu := src.cfg.MTU
-	if dst.cfg.MTU < mtu {
-		mtu = dst.cfg.MTU // path MTU
-	}
+	mtu := min(src.cfg.MTU, dst.cfg.MTU) // PathMTU
 	frags := FragmentCount(len(dg.Payload), mtu)
 	wire := WireBytes(len(dg.Payload), mtu)
 

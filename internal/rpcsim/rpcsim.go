@@ -103,13 +103,10 @@ type Config struct {
 	LockPolicy LockPolicy
 	// Transport selects UDP datagrams or the TCP-style stream.
 	Transport TransportKind
-	// MTU is the path MTU used to compute fragment counts for CPU
-	// charging (must match the network's).
-	MTU int
 }
 
 // DefaultConfig returns the 2.4.4 transport: 16 slots, 1.1 s
-// retransmit, the BKL held across sends, UDP over Ethernet.
+// retransmit, the BKL held across sends, UDP.
 func DefaultConfig() Config {
 	return Config{
 		MaxSlots:             16,
@@ -117,7 +114,6 @@ func DefaultConfig() Config {
 		MaxRetransmitTimeout: 60_000_000_000, // 60 s
 		LockPolicy:           HoldBKLAcrossSend,
 		Transport:            TransportUDP,
-		MTU:                  netsim.MTUEthernet,
 	}
 }
 
@@ -125,6 +121,9 @@ func DefaultConfig() Config {
 // stream segment retransmissions, so it means "repair traffic" under both
 // transports.
 type Stats struct {
+	// ByProc counts the calls issued per NFS procedure number; Calls is
+	// their sum. The transport is the one place an RPC is counted.
+	ByProc      [nfsproto.ProcCommit + 1]int64
 	Calls       int64
 	Replies     int64
 	Retransmits int64
@@ -217,6 +216,9 @@ type Transport struct {
 	cpu *sim.CPUPool
 	bkl *sim.Mutex
 	cfg Config
+	// mtu is the path MTU to the server, which sizes messages in wire
+	// units (WireUnits).
+	mtu int
 	// maxRetries bounds how many times one call is retransmitted before
 	// the transport declares a major timeout and gives up with a
 	// DeadServerError. 0 retries forever: the classic "hard" NFS mount.
@@ -255,7 +257,8 @@ type Transport struct {
 	recycled func(xid uint32, payload []byte)
 }
 
-// New creates a transport between local and remote hosts. It installs
+// New creates a transport between local and remote hosts, both already
+// on the network, sized for the path MTU between them. It installs
 // itself as the local host's datagram handler and starts a softirq task
 // that drains received replies. Under TransportTCP the handler
 // feeds a streamsim endpoint whose reassembled records become replies.
@@ -265,13 +268,14 @@ func New(s *sim.Sim, net *netsim.Network, cpu *sim.CPUPool, bkl *sim.Mutex, cfg 
 	}
 	t := &Transport{
 		s: s, net: net, cpu: cpu, bkl: bkl, cfg: cfg,
+		mtu:   net.PathMTU(local, remote),
 		local: local, remote: remote,
 		slots:    make([]*pendingCall, cfg.MaxSlots),
 		slotWait: s.NewWaitQueue(),
 		rxWait:   s.NewWaitQueue(),
 	}
 	if cfg.Transport == TransportTCP {
-		t.stream = streamsim.NewEndpoint(s, net, streamsim.DefaultConfig(cfg.MTU), local, remote,
+		t.stream = streamsim.NewEndpoint(s, net, streamsim.DefaultConfig(t.mtu), local, remote,
 			func(rec []byte) {
 				t.rxq.Push(rec)
 				t.rxWait.Signal()
@@ -288,10 +292,13 @@ func New(s *sim.Sim, net *netsim.Network, cpu *sim.CPUPool, bkl *sim.Mutex, cfg 
 	return t
 }
 
-// Stats returns a copy of the transport's counters, folding in the
-// stream's repair traffic under TransportTCP.
+// Stats returns a copy of the transport's counters, summing Calls over
+// ByProc and folding in the stream's repair traffic under TransportTCP.
 func (t *Transport) Stats() Stats {
 	st := t.stats
+	for _, n := range st.ByProc {
+		st.Calls += n
+	}
 	if t.stream != nil {
 		st.Retransmits += t.stream.Stats().Retransmits
 	}
@@ -346,7 +353,7 @@ func (t *Transport) call(p *sim.Proc, proc uint32, encodeArgs func(*xdr.Encoder)
 	pc.slot = t.inflight
 	t.slots[pc.slot] = pc
 	t.inflight++
-	t.stats.Calls++
+	t.stats.ByProc[proc]++
 
 	// xprt_transmit: RPC bookkeeping under the BKL in both policies.
 	t.bkl.Lock(p, labelXprtTransmit)
@@ -434,20 +441,22 @@ const (
 	replyBKLHold sim.Time = 4_000 // 4 µs
 )
 
-// msgUnits returns how many wire units an RPC message costs the CPU:
-// IP fragments under UDP, stream segments (record mark included) under
-// TCP. Both feed the same per-fragment cost model — segmentation work is
-// what the paper's per-fragment sock_sendmsg cost measures.
-func (t *Transport) msgUnits(msgLen int) int {
-	if t.cfg.Transport == TransportTCP {
-		return streamsim.SegmentCount(msgLen+4, streamsim.MSSForMTU(t.cfg.MTU))
+// WireUnits returns how many wire units an RPC message of n bytes takes
+// at path MTU mtu: IP fragments of one datagram under UDP, stream
+// segments of one record under TCP, its 4-byte record mark (RFC 1831
+// §10) included. Client and server charge their per-fragment send and
+// receive CPU by it — segmentation work is what the paper's
+// per-fragment sock_sendmsg cost measures.
+func WireUnits(kind TransportKind, n, mtu int) int {
+	if kind == TransportTCP {
+		return streamsim.SegmentCount(n+4, streamsim.MSSForMTU(mtu))
 	}
-	return netsim.FragmentCount(msgLen, t.cfg.MTU)
+	return netsim.FragmentCount(n, mtu)
 }
 
 // transmit performs the sock_sendmsg portion; caller holds the BKL.
 func (t *Transport) transmit(p *sim.Proc, pc *pendingCall) {
-	sendCPU := sendCPUBase + sim.Time(t.msgUnits(pc.enc.Len()))*sendCPUPerFragment
+	sendCPU := sendCPUBase + sim.Time(WireUnits(t.cfg.Transport, pc.enc.Len(), t.mtu))*sendCPUPerFragment
 
 	switch t.cfg.LockPolicy {
 	case HoldBKLAcrossSend:
@@ -530,7 +539,7 @@ func (t *Transport) rx() {
 	}
 	t.payload = t.rxq.Pop()
 	t.cpu.UseThen(t.irq, labelUDPRcv,
-		replyCPUBase+sim.Time(t.msgUnits(len(t.payload)))*replyCPUPerFragment, t.onMatch)
+		replyCPUBase+sim.Time(WireUnits(t.cfg.Transport, len(t.payload), t.mtu))*replyCPUPerFragment, t.onMatch)
 }
 
 // match decodes the reply header and finds its call, then takes the BKL

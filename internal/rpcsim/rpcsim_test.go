@@ -269,12 +269,46 @@ func TestSendCPUProfiled(t *testing.T) {
 func TestEightKWriteCostsFiftyMicroseconds(t *testing.T) {
 	// Validate the calibration: an 8 KB WRITE fragments into 6 packets
 	// and costs 8 + 6*7 = 50 µs of sock_sendmsg CPU.
-	cfg := DefaultConfig()
 	sz := nfsproto.WriteCallSize(8192)
-	frags := netsim.FragmentCount(sz, cfg.MTU)
+	frags := WireUnits(TransportUDP, sz, netsim.MTUEthernet)
 	cost := sendCPUBase + sim.Time(frags)*sendCPUPerFragment
 	if cost != 50*time.Microsecond {
 		t.Fatalf("8 KB WRITE sock_sendmsg cost = %v, want 50µs", cost)
+	}
+}
+
+// The transport sizes its messages for the network's path MTU: between
+// two jumbo hosts an 8 KB WRITE is one fragment, and between a jumbo
+// host and an Ethernet host it is six, the smaller link's count.
+func TestSendCostFollowsPathMTU(t *testing.T) {
+	for _, tc := range []struct {
+		serverMTU int
+		frags     int
+	}{
+		{netsim.MTUJumbo, 1},
+		{netsim.MTUEthernet, 6},
+	} {
+		s := sim.New(1)
+		net := netsim.New(s)
+		link := netsim.DefaultGigabit()
+		link.MTU = netsim.MTUJumbo
+		net.AddHost("c", link, nil)
+		link.MTU = tc.serverMTU
+		net.AddHost("srv", link, nil)
+		tr := New(s, net, s.NewCPUPool(1), s.NewMutex("bkl"), DefaultConfig(), "c", "srv")
+		s.Go("writer", func(p *sim.Proc) {
+			a := nfsproto.WriteArgs{File: nfsproto.MakeFileHandle(1, 1), Count: 8192, Data: make([]byte, 8192)}
+			tr.Call(p, nfsproto.ProcWrite, a.Encode, nil)
+		})
+		s.Run(time.Millisecond)
+		want := sendCPUBase + sim.Time(tc.frags)*sendCPUPerFragment
+		if got := s.Profiler().Total("sock_sendmsg"); got != want {
+			t.Errorf("server MTU %d: sock_sendmsg %v, want %v (%d fragments)", tc.serverMTU, got, want, tc.frags)
+		}
+		if got := tr.Stats().ByProc[nfsproto.ProcWrite]; got != 1 {
+			t.Errorf("server MTU %d: %d WRITEs counted, want 1", tc.serverMTU, got)
+		}
+		s.Close()
 	}
 }
 

@@ -173,7 +173,7 @@ func TestDeepRequestQueueKeepsStackFlat(t *testing.T) {
 	net.AddHost(HostClient, netsim.DefaultGigabit(), nil)
 	net.SetDown(HostClient, true)
 	cfg := Config{Host: HostLinux, Workers: 1, CPUs: 1, RecvCPUBase: 6_000, RecvCPUPerFragment: 2_500,
-		ServiceCPU: 60_000, SendCPU: 6_000, MTU: netsim.MTUEthernet}
+		ServiceCPU: 60_000, SendCPU: 6_000}
 	srv := New(s, net, netsim.DefaultGigabit(), cfg, NewLinuxServer(s, DefaultLinuxConfig(), newTestDisk(s)))
 
 	enc := xdr.AcquireEncoder()
@@ -181,7 +181,7 @@ func TestDeepRequestQueueKeepsStackFlat(t *testing.T) {
 	(&nfsproto.GetattrArgs{File: nfsproto.MakeFileHandle(1, 1)}).Encode(enc)
 	const requests = 20_000
 	for range requests {
-		srv.rxq.Push(rxItem{from: HostClient, payload: enc.Bytes(), frags: 1})
+		srv.rxq.Push(rxItem{from: HostClient, payload: enc.Bytes()}) // one fragment
 	}
 	defer debug.SetMaxStack(debug.SetMaxStack(256 << 10))
 	end := s.Run(0)

@@ -111,7 +111,7 @@ func (f *Filer) drain(bytes int64) {
 	f.Checkpoints++
 	f.pauseUntil = f.s.Now() + f.cfg.CPPause
 	gen := f.gen
-	f.disk.WriteAsync(f.diskOff, bytes, func() {
+	f.s.After(f.disk.BookWrite(f.diskOff, bytes), func() {
 		if gen != f.gen {
 			// The filer rebooted while this stripe was in flight; the
 			// restart replay re-covers these bytes from the NVRAM log.

@@ -107,7 +107,7 @@ func (l *LinuxServer) flush() {
 	}
 	l.chunk = min(l.cfg.DrainChunk, l.dirty)
 	l.chunkGen = l.gen
-	l.disk.WriteThen(l.flusher, l.diskOff, l.chunk, l.onStored)
+	l.flusher.SleepThen(l.disk.BookWrite(l.diskOff, l.chunk), l.onStored)
 }
 
 // stored retires a chunk the disk has written and wakes throttled

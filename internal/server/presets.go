@@ -42,7 +42,6 @@ func NewF85(s *sim.Sim, net *netsim.Network, mtu int, transport rpcsim.Transport
 		RecvCPUPerFragment: 2_000,
 		ServiceCPU:         170_000, // ONTAP WRITE path + NVRAM log copy
 		SendCPU:            5_000,
-		MTU:                mtu,
 		Transport:          transport,
 	}
 	return New(s, net, link, cfg, NewFiler(s, DefaultFilerConfig(), disksim.NewFilerVolume(s)))
@@ -66,7 +65,6 @@ func NewLinuxNFS(s *sim.Sim, net *netsim.Network, mtu int, transport rpcsim.Tran
 		RecvCPUPerFragment: 2_500,
 		ServiceCPU:         60_000, // knfsd WRITE path per request
 		SendCPU:            6_000,
-		MTU:                mtu,
 		Transport:          transport,
 	}
 	return New(s, net, link, cfg, NewLinuxServer(s, DefaultLinuxConfig(), disksim.NewSeagateSCSI(s)))
@@ -92,7 +90,6 @@ func NewSlow100(s *sim.Sim, net *netsim.Network, mtu int, transport rpcsim.Trans
 		RecvCPUPerFragment: 2_500,
 		ServiceCPU:         60_000,
 		SendCPU:            6_000,
-		MTU:                mtu,
 		Transport:          transport,
 	}
 	return New(s, net, link, cfg, NewLinuxServer(s, DefaultLinuxConfig(), disksim.NewSeagateSCSI(s)))

@@ -96,8 +96,6 @@ type Config struct {
 	ServiceCPU sim.Time
 	// SendCPU is the reply transmit cost.
 	SendCPU sim.Time
-	// MTU for fragment-count computation; must match the network's.
-	MTU int
 	// Transport selects how RPC messages reach this server: UDP datagrams
 	// (default) or one streamsim connection per client host.
 	Transport rpcsim.TransportKind
@@ -111,6 +109,9 @@ type Server struct {
 	cpu     *sim.CPUPool
 	cfg     Config
 	backend Backend
+	// mtu is the server's link MTU, which sizes received requests in
+	// wire units (rpcsim.WireUnits).
+	mtu int
 
 	rxq    fifo.Queue[rxItem]
 	rxWait *sim.WaitQueue
@@ -148,7 +149,6 @@ type rxItem struct {
 	from    string
 	payload []byte
 	owner   netsim.Owner
-	frags   int
 }
 
 // release ends the server's copy of the request.
@@ -159,7 +159,8 @@ func (it rxItem) release() {
 }
 
 // New creates a server, registers its host on the network with the given
-// link configuration, and starts its worker tasks.
+// link configuration, and starts its worker tasks. Requests are sized in
+// wire units at the link's MTU.
 func New(s *sim.Sim, net *netsim.Network, link netsim.LinkConfig, cfg Config, backend Backend) *Server {
 	if cfg.Workers < 1 || cfg.CPUs < 1 {
 		panic("server: need at least one worker and one CPU")
@@ -170,6 +171,7 @@ func New(s *sim.Sim, net *netsim.Network, link netsim.LinkConfig, cfg Config, ba
 		cpu:     s.NewCPUPool(cfg.CPUs),
 		cfg:     cfg,
 		backend: backend,
+		mtu:     link.MTU,
 		rxWait:  s.NewWaitQueue(),
 		conns:   make(map[string]*streamsim.Endpoint),
 		ns:      NewNamespace(s),
@@ -192,7 +194,6 @@ func New(s *sim.Sim, net *netsim.Network, link netsim.LinkConfig, cfg Config, ba
 				from:    dg.From,
 				payload: dg.Payload,
 				owner:   dg.Owner,
-				frags:   netsim.FragmentCount(len(dg.Payload), cfg.MTU),
 			})
 			srv.rxWait.Signal()
 		})
@@ -208,19 +209,16 @@ func New(s *sim.Sim, net *netsim.Network, link netsim.LinkConfig, cfg Config, ba
 
 // conn returns (creating on first contact) the stream endpoint for one
 // client host. Reassembled records enter the same request queue the UDP
-// path uses, with the receive cost expressed in stream segments instead
-// of IP fragments.
+// path uses.
 func (srv *Server) conn(from string) *streamsim.Endpoint {
 	ep, ok := srv.conns[from]
 	if !ok {
-		scfg := streamsim.DefaultConfig(srv.cfg.MTU)
-		ep = streamsim.NewEndpoint(srv.s, srv.net, scfg, srv.cfg.Host, from,
+		ep = streamsim.NewEndpoint(srv.s, srv.net, streamsim.DefaultConfig(srv.mtu), srv.cfg.Host, from,
 			func(rec []byte) {
 				srv.rxq.Push(rxItem{
 					from:    from,
 					payload: rec,
 					owner:   xdr.Recycler{}, // the stream handed the record over
-					frags:   streamsim.SegmentCount(len(rec)+4, scfg.MSS),
 				})
 				srv.rxWait.Signal()
 			})
@@ -312,7 +310,8 @@ type nfsd struct {
 }
 
 // next is the worker's loop head: it waits for a request, then charges
-// its interrupt and IP reassembly CPU. The gen that dequeues a request
+// its interrupt and reassembly CPU per wire unit: IP fragments under
+// UDP, stream segments under TCP. The gen that dequeues a request
 // rides with it: if the server crashes while the request is in service,
 // the computed reply is discarded instead of being sent by the restarted
 // instance.
@@ -325,7 +324,8 @@ func (w *nfsd) next() {
 	w.item = srv.rxq.Pop()
 	w.d.Reset(w.item.payload)
 	w.gen = srv.gen
-	srv.cpu.UseThen(w.p, labelNFSDRecv, srv.cfg.RecvCPUBase+sim.Time(w.item.frags)*srv.cfg.RecvCPUPerFragment, w.onCall)
+	units := rpcsim.WireUnits(srv.cfg.Transport, len(w.item.payload), srv.mtu)
+	srv.cpu.UseThen(w.p, labelNFSDRecv, srv.cfg.RecvCPUBase+sim.Time(units)*srv.cfg.RecvCPUPerFragment, w.onCall)
 }
 
 // checkArgs panics if a request's arguments did not decode. Clients only

@@ -106,8 +106,9 @@ type Options struct {
 	// (uniform in [0, NetJitter], deterministic per seed). 0 disables it.
 	NetJitter sim.Time
 	// RPC optionally overrides the transport's slot table and
-	// retransmit timeouts; LockPolicy, Transport and MTU are always taken
-	// from Client, Transport and Jumbo. The CPU cost model is fixed.
+	// retransmit timeouts; LockPolicy and Transport are always taken from
+	// Client and Transport, and the transport sizes its messages for the
+	// network's path MTU, which Jumbo sets. The CPU cost model is fixed.
 	RPC *rpcsim.Config
 }
 
@@ -287,7 +288,6 @@ func NewTestbed(opts Options) *Testbed {
 		}
 		rpcCfg.LockPolicy = opts.Client.LockPolicy
 		rpcCfg.Transport = opts.Transport
-		rpcCfg.MTU = mtu
 		m.Transport = rpcsim.New(s, net, m.CPU, m.BKL, rpcCfg, m.Host, remote)
 		ccfg := opts.Client
 		if ccfg.FSID == 0 {
