@@ -34,7 +34,11 @@
 //	    cache coherence: writers and readers on one shared file, the
 //	    staleness-vs-throughput trade-off across consistency modes
 //
-// See docs/experiments.md for the axis semantics and output schema.
+// The axis flags are harness.Axes. Every cell is checked against the
+// axes' rules before any runs: a value that cannot apply to a cell, such
+// as -transport tcp on -servers local, exits 2 with an error naming both
+// flags. See docs/experiments.md for the axis semantics and output
+// schema.
 package main
 
 import (
@@ -42,35 +46,17 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
-	"repro/internal/bonnie"
 	"repro/internal/chaos"
 	"repro/internal/harness"
-	"repro/internal/rpcsim"
 )
 
+// axisGrid builds the grid the axis flags describe; harness.Axes
+// declares those flags.
+var axisGrid = harness.RegisterAxes(flag.CommandLine)
+
 var (
-	servers = flag.String("servers", "filer", "comma list of servers: filer, linux, slow100, local")
-	configs = flag.String("configs", "stock", "comma list of client configs: stock, nolimits, hash, enhanced")
-	sizes   = flag.String("sizes", "40", "file sizes in MB: comma list (25,100) or range lo..hi:step (25..450:25)")
-	wsizes  = flag.String("wsizes", "", "comma list of wsize bytes (multiples of 4096; default: each config's own)")
-	cpus    = flag.String("cpus", "", "comma list of client CPU counts (default 2)")
-	clients = flag.String("clients", "", "comma list of concurrent client machines per run, e.g. 1,2,4,8 (default 1)")
-	caches  = flag.String("cache", "", "comma list of page-cache limits in MB (default: the 2.4.4 budget)")
-	jumbo   = flag.String("jumbo", "off", "jumbo frames: off, on, or both (an axis)")
-	trans   = flag.String("transport", "udp", "comma list of RPC transports: udp, tcp")
-	loss    = flag.String("loss", "0", "comma list of per-fragment drop probabilities, e.g. 0,0.01,0.05")
-	workld  = flag.String("workload", "write", "comma list of workloads: write, rewrite, read, mixed, randread, randwrite, db, zipf, shared")
-	files   = flag.String("files", "", "comma list of zipf file populations, e.g. 100,1000 (default 100)")
-	zipfS   = flag.String("zipf-s", "", "comma list of zipf skew exponents, e.g. 0.8,1.2,uniform (default 1.2)")
-	opMix   = flag.String("opmix", "", "zipf op mix as create/write/read/stat/remove percentages, e.g. 10/30/40/15/5 (not an axis)")
-	acTime  = flag.String("actimeout", "", "comma list of attribute-cache windows: off, default, or durations like 3s,60s")
-	shared  = flag.String("shared", "", "comma list of shared-workload writer percentages, e.g. 25,50,75 (default 50)")
-	readLag = flag.Duration("readlag", 0, "shared-workload pause between reader passes (e.g. 5ms; not an axis)")
-	consist = flag.String("consistency", "", "comma list of cache-consistency modes: ttl, strict, noac")
-	fsyncEv = flag.Int("fsync-every", 0, "flush (group commit) every N chunks during the I/O phase; 0 = never (db defaults to 32; not an axis)")
-	jitter  = flag.Duration("netjitter", 0, "max extra random delivery delay per datagram (e.g. 200us; not an axis)")
-	seed    = flag.Int64("seed", 1, "base simulation seed")
 	repeats = flag.Int("repeats", 1, "repeats per cell with seeds seed, seed+1, ...")
 	workers = flag.Int("workers", 0, "worker-pool size (0 = one per CPU); does not change results")
 	scnFile = flag.String("scenario", "", "run a chaos scenario file (YAML or JSON) instead of a grid sweep; see docs/experiments.md")
@@ -85,83 +71,30 @@ func fatalf(f string, args ...any) {
 	os.Exit(2)
 }
 
-// parse parses the value of flag -name, keeping the first error in
-// *err, prefixed with the flag's name.
-func parse[T any](err *error, name, spec string, p func(string) (T, error)) T {
-	v, e := p(spec)
-	if e != nil && *err == nil {
-		*err = fmt.Errorf("-%s: %w", name, e)
-	}
-	return v
-}
-
-// list parses the comma-list axis flag -name with an element parser.
-func list[T any](err *error, name, spec string, elem func(string) (T, error)) []T {
-	return parse(err, name, spec, func(s string) ([]T, error) { return harness.ParseList(s, elem) })
-}
-
-// cacheBytes parses one -cache element, in megabytes.
-func cacheBytes(s string) (int64, error) {
-	mb, err := harness.PositiveInt(s)
-	return int64(mb) << 20, err
-}
-
-// jumboAxis maps -jumbo to the Jumbo axis.
-func jumboAxis(s string) ([]bool, error) {
-	switch s {
-	case "off":
-		return nil, nil
-	case "on":
-		return []bool{true}, nil
-	case "both":
-		return []bool{false, true}, nil
-	}
-	return nil, fmt.Errorf("must be off, on, or both")
-}
-
-// buildGrid declares the grid the flags describe, one line per axis
-// flag; the error names the first bad flag.
-func buildGrid() (g harness.Grid, err error) {
-	g.Servers = list(&err, "servers", *servers, harness.ServerByName)
-	g.Configs = list(&err, "configs", *configs, harness.ConfigByName)
-	g.FileSizesMB = parse(&err, "sizes", *sizes, harness.ParseSizes)
-	g.WSizes = list(&err, "wsizes", *wsizes, harness.WSize)
-	g.ClientCPUs = list(&err, "cpus", *cpus, harness.PositiveInt)
-	g.Clients = list(&err, "clients", *clients, harness.PositiveInt)
-	g.CacheLimits = list(&err, "cache", *caches, cacheBytes)
-	g.Jumbo = parse(&err, "jumbo", *jumbo, jumboAxis)
-	g.Transports = list(&err, "transport", *trans, rpcsim.ParseTransport)
-	g.LossRates = list(&err, "loss", *loss, harness.LossRate)
-	g.Workloads = list(&err, "workload", *workld, bonnie.ParseWorkload)
-	g.FileCounts = list(&err, "files", *files, harness.PositiveInt)
-	g.ZipfSs = list(&err, "zipf-s", *zipfS, harness.ZipfS)
-	g.AcTimeouts = list(&err, "actimeout", *acTime, harness.AcTimeout)
-	g.Sharings = list(&err, "shared", *shared, harness.Sharing)
-	g.Consistencies = list(&err, "consistency", *consist, harness.ConsistencyByName)
-	if *opMix != "" {
-		g.Mix = parse(&err, "opmix", *opMix, bonnie.ParseOpMix)
-	}
+// buildGrid declares the grid the flags describe; the error names the
+// first bad flag.
+func buildGrid() (harness.Grid, error) {
+	g, err := axisGrid()
 	switch {
 	case err != nil:
 		return g, err
-	case *readLag < 0:
-		return g, fmt.Errorf("-readlag must be non-negative")
-	case *fsyncEv < 0:
-		return g, fmt.Errorf("-fsync-every must be non-negative")
-	case *jitter < 0:
-		return g, fmt.Errorf("-netjitter must be non-negative")
-	case *seed <= 0:
-		return g, fmt.Errorf("-seed must be positive")
 	case *repeats < 1:
 		return g, fmt.Errorf("-repeats must be >= 1")
 	}
-	g.ReadLag = *readLag
-	g.FsyncEvery = *fsyncEv
-	g.NetJitter = *jitter
-	g.Seeds = []int64{*seed}
 	g.Repeats = *repeats
 	g.SkipFlushClose = !*full
 	return g, nil
+}
+
+// checkScenarioAlone rejects an axis flag set on fs beside -scenario:
+// the file's fleet declares the test bed, so the flag would be ignored.
+func checkScenarioAlone(fs *flag.FlagSet) (err error) {
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && slices.ContainsFunc(harness.Axes, func(a harness.Axis) bool { return a.Flag == f.Name }) {
+			err = fmt.Errorf("-%s cannot be combined with -scenario (the file's fleet sets the test bed)", f.Name)
+		}
+	})
+	return err
 }
 
 type renderers struct {
@@ -216,6 +149,9 @@ func main() {
 		fatalf("unexpected arguments %v (axes are flags; see -h)", flag.Args())
 	}
 	if *scnFile != "" {
+		if err := checkScenarioAlone(flag.CommandLine); err != nil {
+			fatalf("%v", err)
+		}
 		runScenarioFile(*scnFile, *workers, *quiet)
 		return
 	}
@@ -225,6 +161,11 @@ func main() {
 		fatalf("%v", err)
 	}
 	scenarios := g.Expand()
+	for _, sc := range scenarios {
+		if err := sc.Check(); err != nil {
+			fatalf("%v", err)
+		}
+	}
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "nfssweep: %d scenarios (%d cells x %d repeats)\n",
 			len(scenarios), len(scenarios) / *repeats, *repeats)

@@ -193,3 +193,26 @@ func TestOneScenarioRuns(t *testing.T) {
 		}
 	}
 }
+
+// -scenario takes its test bed from the file's fleet, so an axis flag
+// beside it is an error that names the flag, not silently ignored; a
+// run control such as -workers is not an axis and stays allowed.
+func TestScenarioRejectsAxisFlags(t *testing.T) {
+	for args, want := range map[string]string{
+		"-scenario f.yaml -workers 2":         "",
+		"-scenario f.yaml -servers linux":     "-servers ",
+		"-scenario f.yaml -workers 2 -seed 3": "-seed ",
+	} {
+		fs := flag.NewFlagSet("nfssweep", flag.ContinueOnError)
+		harness.RegisterAxes(fs)
+		fs.String("scenario", "", "")
+		fs.Int("workers", 0, "")
+		if err := fs.Parse(strings.Fields(args)); err != nil {
+			t.Fatal(err)
+		}
+		err := checkScenarioAlone(fs)
+		if want == "" && err != nil || want != "" && (err == nil || !strings.HasPrefix(err.Error(), want)) {
+			t.Fatalf("%s: error %v, want one starting %q", args, err, want)
+		}
+	}
+}

@@ -6,17 +6,16 @@
 //	nfstrace fig3 > fig3.csv
 //	nfstrace fig4 > fig4.csv
 //
-// A custom run can be assembled with flags, driving any workload the
-// benchmark supports (write, rewrite, read, mixed, randread, randwrite,
-// db):
+// A custom run traces the one cell that nfssweep's axis flags describe,
+// on any workload the benchmark supports:
 //
-//	nfstrace -server linux -client stock -mb 40 custom
-//	nfstrace -client enhanced -workload read -mb 40 custom
-//	nfstrace -client stock -workload randwrite -mb 40 custom
+//	nfstrace -servers linux -configs stock -sizes 40 custom
+//	nfstrace -configs enhanced -workload read -sizes 40 custom
+//	nfstrace -configs stock -workload randwrite -sizes 40 custom
 //
 // The read shorthand traces the sequential-read workload on the
-// enhanced client (per-call read() latency, readahead visible as the
-// flat stretches between batch-boundary stalls):
+// enhanced client against the filer (per-call read() latency, readahead
+// visible as the flat stretches between batch-boundary stalls):
 //
 //	nfstrace read > read.csv
 package main
@@ -34,12 +33,9 @@ import (
 	"repro/internal/harness"
 )
 
-var (
-	serverFlag   = flag.String("server", "filer", "server: filer, linux, slow100, local")
-	clientFlag   = flag.String("client", "stock", "client: stock, nolimits, hash, enhanced")
-	mbFlag       = flag.Int("mb", 40, "file size in MB")
-	workloadFlag = flag.String("workload", "write", "workload for custom runs: write, rewrite, read, mixed, randread, randwrite, db")
-)
+// axisGrid builds the grid the axis flags describe; harness.Axes
+// declares those flags.
+var axisGrid = harness.RegisterAxes(flag.CommandLine)
 
 // subcommands lists every trace this command can emit, in display order.
 var subcommands = []string{"fig2", "fig3", "fig4", "custom", "read"}
@@ -54,14 +50,18 @@ func traceCSV(name string) (string, error) {
 		return experiments.Fig3().Result.Trace.CSV(), nil
 	case "fig4":
 		return experiments.Fig4().Result.Trace.CSV(), nil
-	case "custom":
-		res, err := custom(*serverFlag, *clientFlag, *workloadFlag, *mbFlag)
+	case "custom", "read":
+		g, err := axisGrid()
 		if err != nil {
 			return "", err
 		}
-		return res.Trace.CSV(), nil
-	case "read":
-		res, err := custom("filer", "enhanced", "read", *mbFlag)
+		if name == "read" {
+			enhanced, _ := harness.ConfigByName("enhanced") // a canonical name, so no error
+			g.Servers = []nfssim.ServerKind{nfssim.ServerFiler}
+			g.Configs = []harness.ClientConfig{enhanced}
+			g.Workloads = []bonnie.Workload{bonnie.WorkloadRead}
+		}
+		res, err := custom(g)
 		if err != nil {
 			return "", err
 		}
@@ -96,27 +96,16 @@ func main() {
 	fmt.Print(out)
 }
 
-// custom runs one write-phase scenario named by server, client
-// configuration and workload on the harness, returning its result.
-func custom(server, client, workload string, mb int) (harness.Result, error) {
-	srv, err := harness.ServerByName(server)
-	if err != nil {
+// custom runs g's one cell, write phase only, and returns its result.
+func custom(g harness.Grid) (harness.Result, error) {
+	g.SkipFlushClose = true
+	g.TimeLimit = time.Hour
+	cells := g.Expand()
+	if len(cells) != 1 {
+		return harness.Result{}, fmt.Errorf("custom traces one cell, and the axis flags describe %d", len(cells))
+	}
+	if err := cells[0].Check(); err != nil {
 		return harness.Result{}, err
 	}
-	cfg, err := harness.ConfigByName(client)
-	if err != nil {
-		return harness.Result{}, err
-	}
-	wl, err := bonnie.ParseWorkload(workload)
-	if err != nil {
-		return harness.Result{}, err
-	}
-	return harness.RunScenario(harness.Grid{
-		Servers:        []nfssim.ServerKind{srv},
-		Configs:        []harness.ClientConfig{cfg},
-		FileSizesMB:    []int{mb},
-		Workloads:      []bonnie.Workload{wl},
-		SkipFlushClose: true,
-		TimeLimit:      time.Hour,
-	}.Expand()[0]), nil
+	return harness.RunScenario(cells[0]), nil
 }

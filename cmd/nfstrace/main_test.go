@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"strconv"
 	"strings"
 	"testing"
@@ -48,14 +49,25 @@ func TestFig2EmitsWellFormedCSV(t *testing.T) {
 	}
 }
 
+// setFlags applies flag values for one test and restores the previous
+// values afterward, since the axis flags are package globals.
+func setFlags(t *testing.T, kv map[string]string) {
+	t.Helper()
+	for name, value := range kv {
+		prev := flag.Lookup(name).Value.String()
+		if err := flag.Set(name, value); err != nil {
+			t.Fatalf("set -%s=%s: %v", name, value, err)
+		}
+		t.Cleanup(func() { flag.Set(name, prev) })
+	}
+}
+
 // custom must honor the flags, including the workload selector — one
 // trace row per chunk call for the sequential, random, and group-commit
 // workloads alike.
 func TestCustomEmitsWellFormedCSV(t *testing.T) {
-	*mbFlag = 2
-	defer func() { *mbFlag = 40 }()
 	for _, wl := range []string{"write", "read", "randread", "randwrite", "db"} {
-		*workloadFlag = wl
+		setFlags(t, map[string]string{"sizes": "2", "workload": wl})
 		out, err := traceCSV("custom")
 		if err != nil {
 			t.Fatalf("%s: %v", wl, err)
@@ -64,21 +76,33 @@ func TestCustomEmitsWellFormedCSV(t *testing.T) {
 			t.Fatalf("%s rows = %d, want %d", wl, rows, 2<<20/8192)
 		}
 	}
-	*workloadFlag = "write"
 }
 
+// A bad flag, a grid of more than one cell, and a cell the axis rules
+// reject each fail custom with an error, before any simulation starts.
 func TestUnknownInputsError(t *testing.T) {
 	if _, err := traceCSV("fig9"); err == nil {
 		t.Fatal("unknown trace should error")
 	}
-	if _, err := custom("netapp", "stock", "write", 1); err == nil {
-		t.Fatal("unknown server should error")
-	}
-	if _, err := custom("filer", "turbo", "write", 1); err == nil {
-		t.Fatal("unknown client should error")
-	}
-	if _, err := custom("filer", "stock", "scan", 1); err == nil {
-		t.Fatal("unknown workload should error")
+	for _, tc := range []struct{ flags, want string }{
+		{"servers=netapp", "-servers"},
+		{"configs=turbo", "-configs"},
+		{"workload=scan", "-workload"},
+		{"sizes=1,2", "describe 2"},
+		{"servers=local workload=shared sizes=1", "-workload shared needs an NFS server (-servers local"},
+		{"servers=local workload=zipf sizes=1", "-workload zipf needs an NFS server (-servers local"},
+	} {
+		t.Run(tc.flags, func(t *testing.T) {
+			kv := map[string]string{}
+			for _, f := range strings.Fields(tc.flags) {
+				name, value, _ := strings.Cut(f, "=")
+				kv[name] = value
+			}
+			setFlags(t, kv)
+			if _, err := traceCSV("custom"); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
 }
 

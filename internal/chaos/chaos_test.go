@@ -8,9 +8,12 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	nfssim "repro"
+	"repro/internal/bonnie"
 	"repro/internal/core"
+	"repro/internal/rpcsim"
 )
 
 const sampleYAML = `
@@ -86,7 +89,8 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// Defaults fill in when the fleet block is minimal.
+// Defaults fill in when the fleet block is minimal: chaos's own config
+// and file size, and every other axis's sweep default.
 func TestFleetDefaults(t *testing.T) {
 	scs, err := Parse([]byte(`
 scenarios:
@@ -99,13 +103,13 @@ scenarios:
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := scs[0].Fleet
-	if f.Config != "enhanced" || f.Clients != 1 || f.FileMB != 8 ||
-		f.Workload != "write" || f.Transport != "udp" || f.Seed != 1 {
-		t.Fatalf("defaults not applied: %+v", f)
+	bed := scs[0].bed
+	if bed.Config.Name != "enhanced" || bed.Clients != 1 || bed.FileMB != 8 ||
+		bed.Workload != bonnie.WorkloadWrite || bed.Transport != rpcsim.TransportUDP || bed.Seed != 1 {
+		t.Fatalf("defaults not applied: %+v", bed)
 	}
-	if f.TimeLimit == 0 {
-		t.Fatal("time limit default not applied")
+	if bed.TimeLimit != 30*time.Minute {
+		t.Fatalf("time limit %v, want the 30m default", bed.TimeLimit)
 	}
 }
 
@@ -272,6 +276,23 @@ scenarios:
     events:
       - action: assert_completes
 `, "fleet.wsize"},
+	{"local server", `
+scenarios:
+  - name: x
+    fleet:
+      server: local
+    events:
+      - action: assert_completes
+`, "not an NFS server"},
+	{"a list where a fleet takes one value", `
+scenarios:
+  - name: x
+    fleet:
+      server: filer
+      workload: write,read
+    events:
+      - action: assert_completes
+`, "fleet.workload"},
 	{"bad consistency mode", `
 scenarios:
   - name: x
@@ -370,7 +391,7 @@ func FuzzParse(f *testing.F) {
 		f.Add([]byte(c.src))
 	}
 	files, _ := filepath.Glob(filepath.Join("..", "..", "examples", "chaos", "*.yaml"))
-	for _, path := range append(files, filepath.Join("..", "experiments", "chaos.yaml")) {
+	for _, path := range files {
 		src, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)

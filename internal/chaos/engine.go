@@ -275,8 +275,8 @@ func (r *Report) Render() string {
 	var b strings.Builder
 	sc := r.Scenario
 	fmt.Fprintf(&b, "scenario %s: server=%s config=%s clients=%d file_mb=%d seed=%d\n",
-		sc.Name, sc.Fleet.Server, sc.Fleet.Config, sc.Fleet.Clients,
-		sc.Fleet.FileMB, sc.Fleet.Seed)
+		sc.Name, sc.bed.Server, sc.bed.Config.Name, sc.bed.Clients,
+		sc.bed.FileMB, sc.bed.Seed)
 	for _, line := range r.EventLog {
 		fmt.Fprintf(&b, "  %s\n", line)
 	}

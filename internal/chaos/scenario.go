@@ -21,15 +21,15 @@ import (
 	"unicode/utf8"
 
 	nfssim "repro"
-	"repro/internal/bonnie"
-	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/rpcsim"
 	"repro/internal/server"
 	"repro/internal/sim"
 )
 
-// Fleet describes the test bed a scenario runs its events against.
+// Fleet describes the test bed a scenario runs its events against. The
+// keys from server through seed are harness.Axes's chaos keys, each read
+// as its nfssweep flag reads one value.
 type Fleet struct {
 	// Server is the backend kind: filer, linux, or slow100.
 	Server string `json:"server"`
@@ -364,82 +364,41 @@ func (sc *Scenario) validate() error {
 	if f.Server == "" {
 		return fmt.Errorf("fleet.server is required (filer, linux, or slow100)")
 	}
-	server, err := harness.ServerByName(f.Server)
-	if err != nil || server == nfssim.ServerNone {
-		return fmt.Errorf("fleet.server: %q is not an NFS server kind (want filer, linux, or slow100)", f.Server)
-	}
 	if f.Config == "" {
 		f.Config = "enhanced"
-	}
-	config, err := harness.ConfigByName(f.Config)
-	if err != nil {
-		return fmt.Errorf("fleet.config: %w", err)
-	}
-	if f.Clients == 0 {
-		f.Clients = 1
-	}
-	if f.Clients < 1 {
-		return fmt.Errorf("fleet.clients must be >= 1")
 	}
 	if f.FileMB == 0 {
 		f.FileMB = 8
 	}
-	if f.FileMB < 1 {
-		return fmt.Errorf("fleet.file_mb must be >= 1")
-	}
-	var wsizes []int // empty: the config's own wsize
-	if f.WSize != 0 {
-		if err := harness.CheckWSize(f.WSize); err != nil {
-			return fmt.Errorf("fleet.wsize: %w", err)
-		}
-		wsizes = []int{f.WSize}
-	}
-	if f.Workload == "" {
-		f.Workload = "write"
-	}
-	workload, err := bonnie.ParseWorkload(f.Workload)
-	if err != nil {
-		return fmt.Errorf("fleet.workload: %w", err)
-	}
-	consistency, err := harness.ConsistencyByName(f.Consistency)
-	if err != nil {
-		return fmt.Errorf("fleet.consistency: %w", err)
-	}
-	if f.Transport == "" {
-		f.Transport = "udp"
-	}
-	transport, err := rpcsim.ParseTransport(f.Transport)
-	if err != nil {
-		return fmt.Errorf("fleet.transport: %w", err)
-	}
-	if f.Loss < 0 || f.Loss >= 1 {
-		return fmt.Errorf("fleet.loss must be in [0, 1); use link_down for a dead link")
-	}
-	if f.Seed == 0 {
-		f.Seed = 1
-	}
 	if f.MaxRetries < 0 {
 		return fmt.Errorf("fleet.max_retries must be >= 0")
-	}
-	if f.TimeLimit == 0 {
-		f.TimeLimit = 30 * time.Minute
 	}
 	if f.TimeLimit < 0 {
 		return fmt.Errorf("fleet.time_limit must be positive")
 	}
-	sc.bed = harness.Grid{
-		Servers:       []nfssim.ServerKind{server},
-		Configs:       []harness.ClientConfig{config},
-		FileSizesMB:   []int{f.FileMB},
-		WSizes:        wsizes,
-		Clients:       []int{f.Clients},
-		Transports:    []rpcsim.TransportKind{transport},
-		LossRates:     []float64{f.Loss},
-		Workloads:     []bonnie.Workload{workload},
-		Consistencies: []core.ConsistencyMode{consistency},
-		Seeds:         []int64{f.Seed},
-		TimeLimit:     f.TimeLimit,
-	}.Expand()[0]
+	// Each axis key sets the bed through the axis table, as its nfssweep
+	// flag would; a zero value keeps the axis default.
+	g := harness.Grid{TimeLimit: f.TimeLimit}
+	fleet := reflect.ValueOf(f).Elem()
+	for _, a := range harness.Axes {
+		if a.Key == "" {
+			continue
+		}
+		spec := ""
+		if v := fieldByTag(fleet, a.Key); !v.IsZero() {
+			spec = fmt.Sprint(v.Interface())
+		}
+		if err := a.Set(&g, spec); err != nil {
+			return fmt.Errorf("fleet.%s: %w", a.Key, err)
+		}
+		if len(g.Expand()) != 1 {
+			return fmt.Errorf("fleet.%s: %q is a list; a fleet takes one value", a.Key, spec)
+		}
+	}
+	sc.bed = g.Expand()[0]
+	if sc.bed.Server == nfssim.ServerNone {
+		return fmt.Errorf("fleet.server: %q is not an NFS server kind (want filer, linux, or slow100)", f.Server)
+	}
 
 	crashed := false
 	for i := range sc.Events {
@@ -449,7 +408,7 @@ func (sc *Scenario) validate() error {
 		}
 		switch ev.Action {
 		case "server_crash":
-			if transport == rpcsim.TransportTCP {
+			if sc.bed.Transport == rpcsim.TransportTCP {
 				return fmt.Errorf("server_crash requires transport udp (stream state across a reboot is not modeled)")
 			}
 			if crashed {
@@ -462,7 +421,7 @@ func (sc *Scenario) validate() error {
 			}
 			crashed = false
 		case "link_down", "link_up":
-			if err := validateHost(ev.Host, f.Clients); err != nil {
+			if err := validateHost(ev.Host, sc.bed.Clients); err != nil {
 				return fmt.Errorf("%s: %w", ev.Action, err)
 			}
 		case "loss_burst":

@@ -132,7 +132,7 @@ const (
 )
 
 // consistencyNames is each mode's name, as String prints it and
-// harness.ConsistencyByName reads it.
+// the harness axis table reads it.
 var consistencyNames = [...]string{ConsistencyTTL: "ttl", ConsistencyStrict: "strict", ConsistencyNoac: "noac"}
 
 func (m ConsistencyMode) String() string {

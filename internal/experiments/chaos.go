@@ -1,20 +1,12 @@
 package experiments
 
 import (
-	_ "embed"
 	"strings"
 
+	examples "repro/examples/chaos"
 	"repro/internal/chaos"
 	"repro/internal/harness"
 )
-
-// chaosScenarios is the canonical failure battery, written in the
-// scenario DSL itself so the sweep exercises the same parse/validate
-// path as `nfssweep -scenario` (see examples/chaos/ for standalone
-// scenario files and docs/experiments.md for the schema).
-//
-//go:embed chaos.yaml
-var chaosScenarios []byte
 
 // Chaos is the failure-injection experiment: crash/reboot and dead-server
 // scenarios through the chaos engine, contrasting the backends'
@@ -26,9 +18,13 @@ var chaosScenarios []byte
 var Chaos = &Experiment{
 	Name: "chaos", Desc: "failure injection: crash/reboot durability, shared-file crash, dead server",
 	Render: func([]harness.Result) string {
-		scs, err := chaos.Parse(chaosScenarios)
-		if err != nil {
-			panic("experiments: bad built-in chaos scenarios: " + err.Error())
+		var scs []*chaos.Scenario
+		for _, src := range examples.Battery {
+			part, err := chaos.Parse(src)
+			if err != nil {
+				panic("experiments: bad built-in chaos scenarios: " + err.Error())
+			}
+			scs = append(scs, part...)
 		}
 		reps := chaos.RunAll(scs, Workers)
 		var b strings.Builder

@@ -25,7 +25,6 @@ import (
 	"repro/internal/mm"
 	"repro/internal/rpcsim"
 	"repro/internal/sim"
-	"repro/internal/vfs"
 )
 
 // ClientConfig is a named client configuration, so results carry a
@@ -56,12 +55,6 @@ func ConfigByName(name string) (ClientConfig, error) {
 		names = append(names, c.Name)
 	}
 	return ClientConfig{}, fmt.Errorf("harness: unknown config %q (have %s)", name, strings.Join(names, ", "))
-}
-
-// ServerByName resolves a server-kind name as printed by
-// nfssim.ServerKind.String.
-func ServerByName(name string) (nfssim.ServerKind, error) {
-	return byName("server", name, nfssim.ServerNone)
 }
 
 // byName returns the value in [0, last] whose String is name, so a
@@ -337,20 +330,20 @@ func ParseSizes(spec string) ([]int, error) {
 		if spec == "" {
 			return nil, fmt.Errorf("harness: empty size spec")
 		}
-		return ParseList(spec, PositiveInt)
+		return ParseList(spec, positiveInt)
 	}
 	hi, stepStr, _ := strings.Cut(rest, ":")
-	a, err := PositiveInt(lo)
+	a, err := positiveInt(lo)
 	if err != nil {
 		return nil, err
 	}
-	b, err := PositiveInt(hi)
+	b, err := positiveInt(hi)
 	if err != nil || b < a {
 		return nil, fmt.Errorf("harness: bad size range %q", spec)
 	}
 	step := 25
 	if stepStr != "" {
-		if step, err = PositiveInt(stepStr); err != nil {
+		if step, err = positiveInt(stepStr); err != nil {
 			return nil, err
 		}
 	}
@@ -377,94 +370,6 @@ func ParseList[T any](spec string, parse func(string) (T, error)) ([]T, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// PositiveInt parses a count: CPUs, clients, megabytes, files.
-func PositiveInt(s string) (int, error) {
-	n, err := strconv.Atoi(s)
-	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("harness: bad value %q (want a positive integer)", s)
-	}
-	return n, nil
-}
-
-// CheckWSize is the rule core.NewClient enforces on a write size: a
-// positive multiple of the page size.
-func CheckWSize(ws int) error {
-	if ws <= 0 || ws%vfs.PageSize != 0 {
-		return fmt.Errorf("harness: wsize %d is not a positive multiple of the %d-byte page size", ws, vfs.PageSize)
-	}
-	return nil
-}
-
-// WSize parses a write size in bytes, checked by CheckWSize.
-func WSize(s string) (int, error) {
-	ws, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("harness: bad wsize %q", s)
-	}
-	return ws, CheckWSize(ws)
-}
-
-// LossRate parses a per-fragment drop probability in [0, 1).
-func LossRate(s string) (float64, error) {
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || !(v >= 0 && v < 1) {
-		return 0, fmt.Errorf("harness: bad loss rate %q (want a probability in [0, 1))", s)
-	}
-	return v, nil
-}
-
-// ZipfS parses a Zipf skew exponent; "uniform" (or bonnie.ZipfUniform's
-// -1) selects uniform file choice.
-func ZipfS(s string) (float64, error) {
-	if s == "uniform" {
-		return bonnie.ZipfUniform, nil
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || (v < 0 && v != bonnie.ZipfUniform) {
-		return 0, fmt.Errorf("harness: bad zipf exponent %q (want a non-negative number or \"uniform\")", s)
-	}
-	return v, nil
-}
-
-// AcTimeout parses an attribute-cache window: "off" disables the cache
-// (mount -o noac), "default" (or 0) keeps the client's adaptive
-// acregmin/acregmax aging, and a duration pins the window.
-func AcTimeout(s string) (sim.Time, error) {
-	switch s {
-	case "off":
-		return core.AcOff, nil
-	case "default", "0":
-		return 0, nil
-	}
-	d, err := time.ParseDuration(s)
-	if err != nil || d < 0 {
-		return 0, fmt.Errorf("harness: bad attribute-cache timeout %q (want a duration, \"off\", or \"default\")", s)
-	}
-	return d, nil
-}
-
-// Sharing parses a shared-workload writer percentage; "default" (or 0)
-// keeps bonnie's DefaultSharedWriterPct.
-func Sharing(s string) (int, error) {
-	if s == "default" || s == "0" {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 1 || n > 100 {
-		return 0, fmt.Errorf("harness: bad writer percentage %q (want 1-100 or \"default\")", s)
-	}
-	return n, nil
-}
-
-// ConsistencyByName parses a cache-consistency mode as printed by
-// core.ConsistencyMode.String; "" is ttl, the default.
-func ConsistencyByName(s string) (core.ConsistencyMode, error) {
-	if s == "" {
-		return core.ConsistencyTTL, nil
-	}
-	return byName("consistency mode", s, core.ConsistencyNoac)
 }
 
 // appearanceOrder deduplicates keys preserving first appearance, so

@@ -266,7 +266,7 @@ func TestParseSizes(t *testing.T) {
 }
 
 func TestParseServersAndConfigs(t *testing.T) {
-	srvs, err := ParseList("filer, linux,slow100,local", ServerByName)
+	srvs, err := ParseList("filer, linux,slow100,local", serverByName)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestParseServersAndConfigs(t *testing.T) {
 	if !reflect.DeepEqual(srvs, want) {
 		t.Fatalf("servers = %v", srvs)
 	}
-	if _, err := ParseList("netapp", ServerByName); err == nil {
+	if _, err := ParseList("netapp", serverByName); err == nil {
 		t.Fatal("bad server name should fail")
 	}
 	cfgs, err := ParseList("stock,enhanced", ConfigByName)
@@ -293,40 +293,40 @@ func TestParseServersAndConfigs(t *testing.T) {
 }
 
 func TestParseList(t *testing.T) {
-	if xs, err := ParseList("", PositiveInt); xs != nil || err != nil {
+	if xs, err := ParseList("", positiveInt); xs != nil || err != nil {
 		t.Fatalf("empty spec = %v, %v; want the empty axis", xs, err)
 	}
-	if xs, err := ParseList("1, 2,8", PositiveInt); err != nil || !reflect.DeepEqual(xs, []int{1, 2, 8}) {
+	if xs, err := ParseList("1, 2,8", positiveInt); err != nil || !reflect.DeepEqual(xs, []int{1, 2, 8}) {
 		t.Fatalf("ParseList = %v, %v", xs, err)
 	}
 	for _, bad := range []string{"0", "-3", "x", "1,,2"} {
-		if _, err := ParseList(bad, PositiveInt); err == nil {
+		if _, err := ParseList(bad, positiveInt); err == nil {
 			t.Fatalf("ParseList(%q) accepted", bad)
 		}
 	}
-	if xs, err := ParseList("8192, 32768", WSize); err != nil || !reflect.DeepEqual(xs, []int{8192, 32768}) {
+	if xs, err := ParseList("8192, 32768", wsize); err != nil || !reflect.DeepEqual(xs, []int{8192, 32768}) {
 		t.Fatalf("wsizes = %v, %v", xs, err)
 	}
-	for _, ws := range []int{0, -8192, 1000} {
-		if CheckWSize(ws) == nil {
-			t.Fatalf("wsize %d accepted", ws)
+	for _, ws := range []string{"0", "-8192", "1000"} {
+		if _, err := wsize(ws); err == nil {
+			t.Fatalf("wsize %s accepted", ws)
 		}
 	}
 	for _, bad := range []string{"1", "-0.1", "NaN"} {
-		if _, err := LossRate(bad); err == nil {
+		if _, err := lossRate(bad); err == nil {
 			t.Fatalf("loss rate %q accepted", bad)
 		}
 	}
-	if zs, err := ParseList("1.2,uniform", ZipfS); err != nil || !reflect.DeepEqual(zs, []float64{1.2, bonnie.ZipfUniform}) {
+	if zs, err := ParseList("1.2,uniform", zipfS); err != nil || !reflect.DeepEqual(zs, []float64{1.2, bonnie.ZipfUniform}) {
 		t.Fatalf("zipf exponents = %v, %v", zs, err)
 	}
-	if acs, err := ParseList("off,default,3s", AcTimeout); err != nil || !reflect.DeepEqual(acs, []time.Duration{core.AcOff, 0, 3 * time.Second}) {
+	if acs, err := ParseList("off,default,3s", acTimeout); err != nil || !reflect.DeepEqual(acs, []time.Duration{core.AcOff, 0, 3 * time.Second}) {
 		t.Fatalf("ac timeouts = %v, %v", acs, err)
 	}
-	if sws, err := ParseList("default,25", Sharing); err != nil || !reflect.DeepEqual(sws, []int{0, 25}) {
+	if sws, err := ParseList("default,25", sharing); err != nil || !reflect.DeepEqual(sws, []int{0, 25}) {
 		t.Fatalf("sharings = %v, %v", sws, err)
 	}
-	if ms, err := ParseList("ttl,strict,noac", ConsistencyByName); err != nil ||
+	if ms, err := ParseList("ttl,strict,noac", consistencyByName); err != nil ||
 		!reflect.DeepEqual(ms, []core.ConsistencyMode{core.ConsistencyTTL, core.ConsistencyStrict, core.ConsistencyNoac}) {
 		t.Fatalf("consistencies = %v, %v", ms, err)
 	}

@@ -52,7 +52,7 @@ const (
 )
 
 // serverNames is each server kind's name, as String prints it and
-// harness.ServerByName reads it.
+// the harness axis table reads it.
 var serverNames = [...]string{ServerFiler: "filer", ServerLinux: "linux", ServerSlow100: "slow100", ServerNone: "local"}
 
 func (k ServerKind) String() string {
