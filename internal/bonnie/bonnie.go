@@ -30,9 +30,9 @@ import (
 	"repro/internal/vfs"
 )
 
-// DefaultChunk is the benchmark's write size: "how quickly an application
-// can write 8 KB chunks into a fresh file" (§2.3).
-const DefaultChunk = 8192
+// chunkSize is the benchmark's per-call size: "how quickly an
+// application can write 8 KB chunks into a fresh file" (§2.3).
+const chunkSize = 8192
 
 // DefaultDBFsyncEvery is the db workload's group-commit batch when
 // Config.FsyncEvery is unset: flush after every 32 chunk writes.
@@ -210,8 +210,6 @@ type Config struct {
 	// and read it is also the file's size; for mixed it splits evenly
 	// between the read stream and the write stream.
 	FileSize int64
-	// ChunkSize is the per-call size (default 8 KB).
-	ChunkSize int
 	// Workload is the I/O pattern (default WorkloadWrite).
 	Workload Workload
 	// FsyncEvery flushes the write stream after every FsyncEvery chunk
@@ -252,11 +250,10 @@ type Config struct {
 
 // Result is one benchmark run's measurements.
 type Result struct {
-	Target    string
-	Workload  Workload
-	FileSize  int64
-	ChunkSize int
-	Calls     int
+	Target   string
+	Workload Workload
+	FileSize int64
+	Calls    int
 
 	// Elapsed virtual time from benchmark start to just after each
 	// phase. WriteElapsed is the I/O phase (named for the paper's
@@ -293,7 +290,7 @@ func (r *Result) WriteKBps() float64 { return stats.KBps(r.FileSize, r.WriteElap
 
 func (r *Result) String() string {
 	s := r.Trace.Summary()
-	out := fmt.Sprintf("%s: %d MB in %d x %d B %s calls\n", r.Target, r.FileSize>>20, r.Calls, r.ChunkSize, r.Workload)
+	out := fmt.Sprintf("%s: %d MB in %d x %d B %s calls\n", r.Target, r.FileSize>>20, r.Calls, chunkSize, r.Workload)
 	out += fmt.Sprintf("  write:  %7.1f MB/s  (elapsed %v)\n", r.WriteMBps(), r.WriteElapsed)
 	if r.FlushElapsed > 0 {
 		out += fmt.Sprintf("  flush:  %7.1f MB/s  (elapsed %v)\n", r.FlushMBps(), r.FlushElapsed)
@@ -444,19 +441,19 @@ func runZipf(p *sim.Proc, s *sim.Sim, worker int, names vfs.Namespace, cfg Confi
 			f.Close(p)
 		case zipfWrite:
 			f := names.OpenByName(p, name)
-			f.Write(p, cfg.ChunkSize)
+			f.Write(p, chunkSize)
 			f.Close(p)
-			moved += int64(cfg.ChunkSize)
+			moved += chunkSize
 		case zipfRead:
 			// Read the file's last chunk — the log-tail pattern: the
 			// freshest data, and a read that never drags readahead
 			// through a hot file's whole history.
 			f := names.OpenByName(p, name)
-			off := f.Size() - int64(cfg.ChunkSize)
+			off := f.Size() - chunkSize
 			if off < 0 {
 				off = 0
 			}
-			moved += int64(f.ReadAt(p, off, cfg.ChunkSize))
+			moved += int64(f.ReadAt(p, off, chunkSize))
 			f.Close(p)
 		case zipfStat:
 			names.Stat(p, name)
@@ -536,12 +533,12 @@ func runShared(p *sim.Proc, s *sim.Sim, worker int, names vfs.Namespace, cfg Con
 	var moved int64
 	for k := 0; k < chunks; k++ {
 		idx := (start + k) % span
-		off := int64(idx) * int64(cfg.ChunkSize)
+		off := int64(idx) * chunkSize
 		t0 := s.Now()
-		f.WriteAt(p, off, cfg.ChunkSize)
+		f.WriteAt(p, off, chunkSize)
 		res.Trace.Add(s.Now() - t0)
 		res.Calls++
-		moved += int64(cfg.ChunkSize)
+		moved += chunkSize
 		maybeFsync(k+1, f)
 	}
 	f.Close(p)
@@ -558,7 +555,7 @@ func runShared(p *sim.Proc, s *sim.Sim, worker int, names vfs.Namespace, cfg Con
 // entry still masking the fill — backs off one poll interval so virtual
 // time always advances.
 func runSharedReader(p *sim.Proc, s *sim.Sim, names vfs.Namespace, cfg Config, res *Result) {
-	span := int64(sharedSpanChunks(cfg)) * int64(cfg.ChunkSize)
+	span := int64(sharedSpanChunks(cfg)) * chunkSize
 	for {
 		if size, ok := names.Stat(p, sharedFileName); ok && size >= span {
 			break
@@ -601,14 +598,11 @@ func runSharedReader(p *sim.Proc, s *sim.Sim, names vfs.Namespace, cfg Config, r
 // chunkCount is how many chunk-sized calls cover FileSize (the final
 // chunk may be partial).
 func chunkCount(cfg Config) int {
-	return int((cfg.FileSize + int64(cfg.ChunkSize) - 1) / int64(cfg.ChunkSize))
+	return int((cfg.FileSize + chunkSize - 1) / chunkSize)
 }
 
 // normalize fills Config defaults and rejects invalid knobs.
 func normalize(cfg Config) Config {
-	if cfg.ChunkSize == 0 {
-		cfg.ChunkSize = DefaultChunk
-	}
 	if cfg.TimeLimit == 0 {
 		cfg.TimeLimit = 30 * time.Minute
 	}
@@ -654,7 +648,7 @@ func normalize(cfg Config) Config {
 }
 
 func chunkFor(cfg Config, rem int64) int {
-	n := cfg.ChunkSize
+	n := chunkSize
 	if rem < int64(n) {
 		n = int(rem)
 	}
@@ -683,7 +677,7 @@ func runIO(p *sim.Proc, s *sim.Sim, worker int, fs ioFiles, cfg Config, res *Res
 		runShared(p, s, worker, fs.names, cfg, res, maybeFsync)
 	case WorkloadRandRead:
 		for _, idx := range chunkPerm(s, worker, chunkCount(cfg)) {
-			off := int64(idx) * int64(cfg.ChunkSize)
+			off := int64(idx) * chunkSize
 			n := chunkFor(cfg, cfg.FileSize-off)
 			t0 := s.Now()
 			got := fs.main.ReadAt(p, off, n)
@@ -695,7 +689,7 @@ func runIO(p *sim.Proc, s *sim.Sim, worker int, fs ioFiles, cfg Config, res *Res
 		}
 	case WorkloadRandWrite, WorkloadDB:
 		for k, idx := range chunkPerm(s, worker, chunkCount(cfg)) {
-			off := int64(idx) * int64(cfg.ChunkSize)
+			off := int64(idx) * chunkSize
 			n := chunkFor(cfg, cfg.FileSize-off)
 			t0 := s.Now()
 			fs.main.WriteAt(p, off, n)
@@ -823,11 +817,10 @@ func RunConcurrentWorkload(s *sim.Sim, target string, open func(worker int) vfs.
 			name = fmt.Sprintf("%s#%d", target, i)
 		}
 		res := &Result{
-			Target:    name,
-			Workload:  cfg.Workload,
-			FileSize:  cfg.FileSize,
-			ChunkSize: cfg.ChunkSize,
-			Trace:     stats.NewTrace(target),
+			Target:   name,
+			Workload: cfg.Workload,
+			FileSize: cfg.FileSize,
+			Trace:    stats.NewTrace(target),
 		}
 		out.PerWriter[i] = res
 		s.Go(name, func(p *sim.Proc) {

@@ -139,15 +139,6 @@ func TestRunPartialFinalChunk(t *testing.T) {
 	}
 }
 
-func TestRunCustomChunk(t *testing.T) {
-	s := sim.New(1)
-	ff := &fakeFile{s: s, perWrite: time.Microsecond}
-	res := RunWorkload(s, "fake", freshSet(ff), Config{FileSize: 64 << 10, ChunkSize: 16384})
-	if res.Calls != 4 {
-		t.Fatalf("calls = %d, want 4 with 16 KB chunks", res.Calls)
-	}
-}
-
 func TestRunTimeLimitPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -571,7 +562,7 @@ func TestSharedWorkload(t *testing.T) {
 		t.Fatalf("%d files created, want 1 (everyone shares)", len(names.files))
 	}
 	f := names.files[sharedFileName]
-	span := int64(sharedSpanChunks(Config{FileSize: size, ChunkSize: DefaultChunk})) * DefaultChunk
+	span := int64(sharedSpanChunks(Config{FileSize: size})) * chunkSize
 	if f.size != span {
 		t.Fatalf("shared file size = %d, want the %d-byte span (budget/%d)", f.size, span, sharedPasses)
 	}
@@ -606,7 +597,7 @@ func TestSharedSingleWorkerIsWriter(t *testing.T) {
 	names := &fakeNames{s: s, perWrite: 100 * time.Microsecond}
 	res := RunWorkload(s, "shared1", vfs.OpenSet{Names: names},
 		Config{FileSize: 1 << 18, Workload: WorkloadShared})
-	span := int64(sharedSpanChunks(Config{FileSize: 1 << 18, ChunkSize: DefaultChunk})) * DefaultChunk
+	span := int64(sharedSpanChunks(Config{FileSize: 1 << 18})) * chunkSize
 	if f := names.files[sharedFileName]; f == nil || f.size != span {
 		t.Fatalf("single worker did not prime the shared file to its %d-byte span: %+v", span, f)
 	}

@@ -73,7 +73,7 @@ func Run(sc *Scenario) *Report {
 		for i := range timed {
 			ev := timed[i] // copy: the closure must not share the loop slot
 			t.Sim.At(ev.At, func() {
-				rep.EventLog = append(rep.EventLog, fireEvent(t, sc.bed.Server, ev))
+				rep.EventLog = append(rep.EventLog, fireEvent(t, ev))
 			})
 		}
 	}
@@ -110,7 +110,7 @@ func runGuarded(hsc harness.Scenario, prepare func(*nfssim.Testbed)) (res harnes
 }
 
 // fireEvent applies one injection and returns its log line.
-func fireEvent(tb *nfssim.Testbed, kind nfssim.ServerKind, ev Event) string {
+func fireEvent(tb *nfssim.Testbed, ev Event) string {
 	line := "t=" + sim.Time(tb.Sim.Now()).String() + " " + ev.Action
 	switch ev.Action {
 	case "server_crash":
@@ -118,10 +118,10 @@ func fireEvent(tb *nfssim.Testbed, kind nfssim.ServerKind, ev Event) string {
 	case "server_restart":
 		tb.Server.Restart()
 	case "link_down":
-		tb.Net.SetDown(resolveHost(ev.Host, kind), true)
+		tb.Net.SetDown(netHost(tb, ev.Host), true)
 		line += " host=" + ev.Host
 	case "link_up":
-		tb.Net.SetDown(resolveHost(ev.Host, kind), false)
+		tb.Net.SetDown(netHost(tb, ev.Host), false)
 		line += " host=" + ev.Host
 	case "loss_burst":
 		base := tb.Net.Loss()

@@ -23,7 +23,6 @@ import (
 	nfssim "repro"
 	"repro/internal/harness"
 	"repro/internal/rpcsim"
-	"repro/internal/server"
 	"repro/internal/sim"
 )
 
@@ -505,17 +504,10 @@ func validateHost(host string, clients int) error {
 	return nil
 }
 
-// resolveHost maps a scenario host name to the netsim host name.
-func resolveHost(host string, kind nfssim.ServerKind) string {
-	if host != "server" {
-		return host // clientN names are the netsim names
+// netHost maps a scenario host name to the test bed's netsim host name.
+func netHost(tb *nfssim.Testbed, host string) string {
+	if host == "server" {
+		return tb.Server.Host()
 	}
-	switch kind {
-	case nfssim.ServerFiler:
-		return server.HostFiler
-	case nfssim.ServerLinux:
-		return server.HostLinux
-	default:
-		return server.HostSlow
-	}
+	return host // clientN names are the netsim names
 }

@@ -21,10 +21,9 @@ func TestSteadyStateWriteCycleAllocatesNothing(t *testing.T) {
 	if racebuild.Enabled {
 		t.Skip("sync.Pool drops objects at random under the race detector")
 	}
-	cfg := core.EnhancedConfig()
-	cfg.FlushdWatermarkPages = 2
-	tb := nfssim.NewTestbed(nfssim.Options{Server: nfssim.ServerFiler, Client: cfg, Seed: 3})
+	tb := nfssim.NewTestbed(nfssim.Options{Server: nfssim.ServerFiler, Client: core.EnhancedConfig(), Seed: 3})
 	s, c := tb.Sim, tb.Machines[0].Client
+	c.SetFlushdWatermark(2)
 	f := c.Open()
 	start := s.NewWaitQueue()
 	s.Go("writer", func(p *sim.Proc) {

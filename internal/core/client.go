@@ -58,6 +58,9 @@ type Client struct {
 	freeReads  []*readCall
 
 	flushWork *sim.WaitQueue
+	// flushdWatermark is flushdWatermarkPages; the package's tests
+	// change it.
+	flushdWatermark int
 	// pacedBusy marks flushd's paced WRITE as in flight; its reply clears
 	// it and wakes pacedDone. flushd has at most one paced RPC out.
 	pacedBusy bool
@@ -174,10 +177,11 @@ func NewClient(s *sim.Sim, cpu *sim.CPUPool, bkl *sim.Mutex, cache *mm.PageCache
 	}
 	c := &Client{
 		s: s, cpu: cpu, bkl: bkl, cache: cache, tr: tr, cfg: cfg,
-		rootFH:    nfsproto.RootHandle(cfg.FSID),
-		hardWait:  s.NewWaitQueue(),
-		flushWork: s.NewWaitQueue(),
-		pacedDone: s.NewWaitQueue(),
+		rootFH:          nfsproto.RootHandle(cfg.FSID),
+		hardWait:        s.NewWaitQueue(),
+		flushWork:       s.NewWaitQueue(),
+		flushdWatermark: flushdWatermarkPages,
+		pacedDone:       s.NewWaitQueue(),
 	}
 	s.Go("nfs_flushd", c.flushd)
 	return c
@@ -471,7 +475,7 @@ func (c *Client) enforceLimits(p *sim.Proc, ino *Inode) {
 	case FlushCacheAll:
 		// Fix 1: no arbitrary limits; let flushd write behind once the
 		// inode passes the watermark.
-		if ino.reqs.Len() >= c.cfg.FlushdWatermarkPages {
+		if ino.reqs.Len() >= c.flushdWatermark {
 			c.flushWork.Signal()
 		}
 	}
@@ -704,6 +708,9 @@ func (c *Client) commitSync(p *sim.Proc, ino *Inode) bool {
 }
 
 const (
+	// flushdWatermarkPages is how many dirty pages of a file accumulate
+	// before the write-behind daemon starts sending them (FlushCacheAll).
+	flushdWatermarkPages = 8
 	// flushdAge is the age beyond which the 2.4.4 flushd writes requests
 	// back (FlushLimits24; fs/nfs/flushd.c used ~1 s).
 	flushdAge sim.Time = 1_000_000_000 // 1 s
@@ -785,7 +792,7 @@ func (c *Client) pickFlushable() *Inode {
 		}
 		switch c.cfg.FlushPolicy {
 		case FlushCacheAll:
-			if ino.reqs.Len() >= c.cfg.FlushdWatermarkPages || c.underMemoryPressure() {
+			if ino.reqs.Len() >= c.flushdWatermark || c.underMemoryPressure() {
 				return ino
 			}
 		case FlushLimits24:

@@ -212,25 +212,20 @@ type Config struct {
 	// Consistency selects the open-time revalidation discipline (see
 	// ConsistencyMode). The zero value is the Linux ttl default.
 	Consistency ConsistencyMode
-
-	// FlushdWatermarkPages is how many dirty pages accumulate before the
-	// write-behind daemon starts sending (FlushCacheAll).
-	FlushdWatermarkPages int
 }
 
 // Stock244Config returns the unmodified 2.4.4 client: limit-based
 // flushing, linear list, BKL held across sock_sendmsg.
 func Stock244Config() Config {
 	return Config{
-		WSize:                DefaultWSize,
-		MaxRequestSoft:       MaxRequestSoft,
-		MaxRequestHard:       MaxRequestHard,
-		FlushPolicy:          FlushLimits24,
-		IndexPolicy:          IndexLinearList,
-		LockPolicy:           rpcsim.HoldBKLAcrossSend,
-		ReadaheadMinPages:    StockReadaheadMinPages,
-		ReadaheadMaxPages:    StockReadaheadMaxPages,
-		FlushdWatermarkPages: 8,
+		WSize:             DefaultWSize,
+		MaxRequestSoft:    MaxRequestSoft,
+		MaxRequestHard:    MaxRequestHard,
+		FlushPolicy:       FlushLimits24,
+		IndexPolicy:       IndexLinearList,
+		LockPolicy:        rpcsim.HoldBKLAcrossSend,
+		ReadaheadMinPages: StockReadaheadMinPages,
+		ReadaheadMaxPages: StockReadaheadMaxPages,
 	}
 }
 

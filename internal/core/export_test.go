@@ -6,6 +6,9 @@ import "repro/internal/sim"
 // accessor).
 func (c *Client) AttrCacheLen() int { return len(c.attrCache) }
 
+// SetFlushdWatermark sets how many dirty pages of a file wake flushd.
+func (c *Client) SetFlushdWatermark(pages int) { c.flushdWatermark = pages }
+
 // MountRequests returns the outstanding page-request count for the mount.
 func (c *Client) MountRequests() int { return c.mountRequests }
 

@@ -278,8 +278,8 @@ func BenchmarkCommitPage(b *testing.B) {
 				defer s.Close()
 				cfg := EnhancedConfig()
 				cfg.IndexPolicy = policy
-				cfg.FlushdWatermarkPages = n + 1 // flushd stays asleep
 				c := NewClient(s, s.NewCPUPool(1), s.NewMutex("bkl"), mm.New(s, mm.DefaultDirtyLimit), nil, cfg)
+				c.flushdWatermark = n + 1 // flushd stays asleep
 				ino := c.Open().ino
 				s.Go("writer", func(p *sim.Proc) {
 					for pg := 0; pg < n; pg++ {

@@ -319,11 +319,39 @@ func TestFig7Shape(t *testing.T) {
 // Concurrency builds its own test beds; it must close them, or their
 // parked daemons outlive the call.
 func TestConcurrencyLeavesNoGoroutines(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := settledGoroutines()
 	Concurrency()
-	if n := runtime.NumGoroutine(); n != base {
-		t.Fatalf("%d goroutines after Concurrency, want the baseline %d", n, base)
+	if n := goroutinesBackTo(base); n > base {
+		t.Fatalf("%d goroutines after Concurrency, want at most the baseline %d", n, base)
 	}
+}
+
+// settledGoroutines returns the goroutine count once it has held still
+// for 10 ms, so goroutines that earlier tests left exiting are gone
+// before it is taken as a baseline.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for held := 0; held < 10; {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			held++
+		} else {
+			n, held = m, 0
+		}
+	}
+	return n
+}
+
+// goroutinesBackTo waits up to a second for the goroutine count to fall
+// to at most base, and returns the last count seen. A leaked goroutine
+// never exits, so the count stays above base.
+func goroutinesBackTo(base int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 1000 && n > base; i++ {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
 }
 
 func TestConcurrencyShape(t *testing.T) {

@@ -130,7 +130,16 @@ var Axes = []Axis{
 				return 0, fmt.Errorf("must be a non-negative integer")
 			}
 			return n, nil
-		})},
+		}),
+		Rule: func(sc Scenario) error {
+			switch sc.Workload {
+			case bonnie.WorkloadRead, bonnie.WorkloadRandRead, bonnie.WorkloadZipf:
+				if sc.FsyncEvery > 0 {
+					return fmt.Errorf("%d applies only to a workload that flushes mid-run (not -workload %s)", sc.FsyncEvery, sc.Workload)
+				}
+			}
+			return nil
+		}},
 	{Flag: "netjitter", Default: "0s", Usage: "max extra random delivery delay per datagram (e.g. 200us; not an axis)",
 		Set: scalar(func(g *Grid) *sim.Time { return &g.NetJitter }, duration),
 		Rule: needsNFS("network", func(sc Scenario) (string, bool) {

@@ -60,8 +60,9 @@ func checkGrids() []Grid {
 // Check runs no simulation: across the whole cross product, each
 // rejection names the flag it rejects and the flag that rules it out,
 // and no accepted cell is one the simulator cannot run (zipf or shared
-// on the local server). Then a pairwise-covering subset of the accepted
-// cells runs at 1 MB without a panic.
+// on the local server) or keys an -fsync-every it ignores. Then a
+// pairwise-covering subset of the accepted cells runs at 1 MB without a
+// panic.
 func TestCheckCrossProduct(t *testing.T) {
 	isAxis := func(name string) bool {
 		return slices.ContainsFunc(Axes, func(a Axis) bool { return a.Flag == name })
@@ -104,6 +105,12 @@ func TestCheckCrossProduct(t *testing.T) {
 			if sc.Server == nfssim.ServerNone && (sc.Workload == bonnie.WorkloadZipf || sc.Workload == bonnie.WorkloadShared) {
 				t.Fatalf("%s accepted", sc.Key())
 			}
+			switch sc.Workload {
+			case bonnie.WorkloadRead, bonnie.WorkloadRandRead, bonnie.WorkloadZipf:
+				if sc.FsyncEvery > 0 { // these never flush mid-run
+					t.Fatalf("%s accepted", sc.Key())
+				}
+			}
 			v, adds := values(sc), false
 			for i := range v {
 				for j := i + 1; j < len(v); j++ {
@@ -145,6 +152,8 @@ func TestCheckNamesBothFlags(t *testing.T) {
 			"-files 1000 applies only to -workload zipf (not -workload write)"},
 		{Grid{Workloads: []bonnie.Workload{bonnie.WorkloadZipf}, ReadLag: 5 * time.Millisecond},
 			"-readlag 5ms applies only to -workload shared (not -workload zipf)"},
+		{Grid{Workloads: []bonnie.Workload{bonnie.WorkloadRandRead}, FsyncEvery: 64},
+			"-fsync-every 64 applies only to a workload that flushes mid-run (not -workload randread)"},
 	} {
 		if err := tc.g.Expand()[0].Check(); err == nil || err.Error() != tc.want {
 			t.Errorf("Check = %v, want %q", err, tc.want)

@@ -345,21 +345,18 @@ type Runner struct {
 	// order as soon as it and all its predecessors have completed —
 	// streaming output stays byte-identical across worker counts.
 	OnResult func(Result)
-	// KeepTraces retains each Result's raw per-call latency Trace (one
-	// sample per write; ~460 KB for a 450 MB run). Off by default: the
-	// latency percentiles are already flattened into the Result, and a
-	// large grid would otherwise pin every trace until the sweep ends.
-	// RunScenario always returns the trace for single-run callers.
-	KeepTraces bool
 }
 
 // Run executes every scenario and returns the results in scenario order.
+// It drops each Result's raw per-call latency Trace (one sample per
+// write; ~460 KB for a 450 MB run): the latency percentiles are already
+// flattened into the Result, and a large grid would otherwise pin every
+// trace until the sweep ends. RunScenario returns the trace for
+// single-run callers.
 func (r *Runner) Run(scenarios []Scenario) []Result {
 	return Ordered(len(scenarios), r.Workers, func(i int) Result {
 		res := RunScenario(scenarios[i])
-		if !r.KeepTraces {
-			res.Trace = nil
-		}
+		res.Trace = nil
 		return res
 	}, r.OnResult)
 }

@@ -17,9 +17,8 @@ import (
 // abandoned with a DeadServerError instead of retransmitting on a
 // saturated backoff timer until the heat death of the run.
 func TestDeadServerGivesUp(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RetransmitTimeout = 10 * time.Millisecond
-	rig := newRig(t, cfg, 100*time.Microsecond, 1<<30) // server never answers
+	rig := newRig(t, DefaultConfig(), 100*time.Microsecond, 1<<30) // server never answers
+	rig.tr.initRTO = 10 * time.Millisecond
 	rig.tr.SetMaxRetries(3)
 	completed := false
 	rig.s.Go("caller", func(p *sim.Proc) {
@@ -60,10 +59,9 @@ func TestDeadServerGivesUp(t *testing.T) {
 // hard mount: it must keep retransmitting without ever raising the
 // give-up error.
 func TestZeroMaxRetriesRetriesForever(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RetransmitTimeout = 10 * time.Millisecond
-	cfg.MaxRetransmitTimeout = 40 * time.Millisecond
-	rig := newRig(t, cfg, 100*time.Microsecond, 1<<30)
+	rig := newRig(t, DefaultConfig(), 100*time.Microsecond, 1<<30)
+	rig.tr.initRTO = 10 * time.Millisecond
+	rig.tr.maxRTO = 40 * time.Millisecond
 	rig.s.Go("caller", func(p *sim.Proc) {
 		rig.tr.Call(p, procNull, nullArgs, nil)
 	})
@@ -83,9 +81,8 @@ func TestZeroMaxRetriesRetriesForever(t *testing.T) {
 // SetMaxRetries must take effect on calls issued after it — the chaos
 // engine sets the cap on an already-assembled test bed.
 func TestSetMaxRetries(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RetransmitTimeout = 10 * time.Millisecond
-	rig := newRig(t, cfg, 100*time.Microsecond, 1<<30)
+	rig := newRig(t, DefaultConfig(), 100*time.Microsecond, 1<<30)
+	rig.tr.initRTO = 10 * time.Millisecond
 	rig.tr.SetMaxRetries(2)
 	rig.s.Go("caller", func(p *sim.Proc) {
 		rig.tr.Call(p, procNull, nullArgs, nil)

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"time"
 
 	"repro/internal/fifo"
 	"repro/internal/netsim"
@@ -87,33 +88,33 @@ func (l LockPolicy) String() string {
 	return "bkl"
 }
 
-// Config holds the transport's cost model and policy.
+// The UDP retransmit timer of classic NFS over UDP: an unanswered call
+// is resent after retransmitTimeout (1.1 s), and each retransmission
+// doubles the timeout, Karn-style, up to maxRetransmitTimeout (60 s, the
+// 2.4 xprt's to_maxval).
+const (
+	retransmitTimeout    sim.Time = 1100 * time.Millisecond
+	maxRetransmitTimeout sim.Time = 60 * time.Second
+)
+
+// Config holds the transport's slot table and policy.
 type Config struct {
 	// MaxSlots bounds concurrently outstanding RPCs (the 2.4 xprt slot
 	// table holds 16 entries).
 	MaxSlots int
-	// RetransmitTimeout is the initial timeout for resending an
-	// unanswered call (classic UDP NFS). Each retransmission doubles it,
-	// Karn-style, up to MaxRetransmitTimeout.
-	RetransmitTimeout sim.Time
-	// MaxRetransmitTimeout caps the exponential backoff (the 2.4 xprt's
-	// to_maxval).
-	MaxRetransmitTimeout sim.Time
 	// LockPolicy selects the send-path BKL discipline.
 	LockPolicy LockPolicy
 	// Transport selects UDP datagrams or the TCP-style stream.
 	Transport TransportKind
 }
 
-// DefaultConfig returns the 2.4.4 transport: 16 slots, 1.1 s
-// retransmit, the BKL held across sends, UDP.
+// DefaultConfig returns the 2.4.4 transport: 16 slots, the BKL held
+// across sends, UDP.
 func DefaultConfig() Config {
 	return Config{
-		MaxSlots:             16,
-		RetransmitTimeout:    1_100_000_000,
-		MaxRetransmitTimeout: 60_000_000_000, // 60 s
-		LockPolicy:           HoldBKLAcrossSend,
-		Transport:            TransportUDP,
+		MaxSlots:   16,
+		LockPolicy: HoldBKLAcrossSend,
+		Transport:  TransportUDP,
 	}
 }
 
@@ -223,6 +224,9 @@ type Transport struct {
 	// the transport declares a major timeout and gives up with a
 	// DeadServerError. 0 retries forever: the classic "hard" NFS mount.
 	maxRetries int
+	// initRTO and maxRTO are retransmitTimeout and maxRetransmitTimeout;
+	// the package's tests shorten them.
+	initRTO, maxRTO sim.Time
 
 	local, remote string
 
@@ -268,7 +272,8 @@ func New(s *sim.Sim, net *netsim.Network, cpu *sim.CPUPool, bkl *sim.Mutex, cfg 
 	}
 	t := &Transport{
 		s: s, net: net, cpu: cpu, bkl: bkl, cfg: cfg,
-		mtu:   net.PathMTU(local, remote),
+		mtu:     net.PathMTU(local, remote),
+		initRTO: retransmitTimeout, maxRTO: maxRetransmitTimeout,
 		local: local, remote: remote,
 		slots:    make([]*pendingCall, cfg.MaxSlots),
 		slotWait: s.NewWaitQueue(),
@@ -483,7 +488,7 @@ func (t *Transport) transmit(p *sim.Proc, pc *pendingCall) {
 		return
 	}
 	t.send(pc)
-	pc.rto = t.cfg.RetransmitTimeout
+	pc.rto = t.initRTO
 	pc.timer = t.s.AfterFixed(pc.rto, pc.resend)
 }
 
@@ -497,7 +502,7 @@ func (t *Transport) send(pc *pendingCall) {
 }
 
 // retransmit resends an unanswered call and doubles its timeout,
-// Karn-style, up to MaxRetransmitTimeout (event context; models the RPC
+// Karn-style, up to maxRTO (event context; models the RPC
 // timer firing. The resend's CPU cost is not charged — under loss the
 // stall, not the CPU, dominates). With a retransmit cap set
 // (SetMaxRetries), a call that has exhausted its budget is abandoned:
@@ -522,8 +527,8 @@ func (pc *pendingCall) retransmit() {
 	pc.retrans++
 	t.send(pc)
 	pc.rto *= 2
-	if pc.rto > t.cfg.MaxRetransmitTimeout {
-		pc.rto = t.cfg.MaxRetransmitTimeout
+	if pc.rto > t.maxRTO {
+		pc.rto = t.maxRTO
 	}
 	pc.timer = t.s.AfterFixed(pc.rto, pc.resend)
 }

@@ -127,9 +127,8 @@ func TestSlotsAvailable(t *testing.T) {
 }
 
 func TestRetransmit(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RetransmitTimeout = 10 * time.Millisecond
-	rig := newRig(t, cfg, 100*time.Microsecond, 1) // drop first request
+	rig := newRig(t, DefaultConfig(), 100*time.Microsecond, 1) // drop first request
+	rig.tr.initRTO = 10 * time.Millisecond
 	done := false
 	rig.s.Go("caller", func(p *sim.Proc) {
 		CallSync(rig.tr, p, procNull, nullArgs, nullReply)
@@ -336,8 +335,6 @@ func TestLockPolicyString(t *testing.T) {
 // swallows the first four transmissions answers the fifth, and the gaps
 // between retransmissions double.
 func TestRetransmitExponentialBackoff(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RetransmitTimeout = 10 * time.Millisecond
 	s := sim.New(7)
 	net := netsim.New(s)
 	link := netsim.LinkConfig{Bandwidth: netsim.BandwidthGigabit, Propagation: 10 * time.Microsecond, MTU: netsim.MTUEthernet}
@@ -354,7 +351,8 @@ func TestRetransmitExponentialBackoff(t *testing.T) {
 		nfsproto.ReplyHeader{XID: hdr.XID}.Encode(e)
 		net.Send(netsim.Datagram{From: "srv", To: "c", Payload: e.Bytes()})
 	})
-	tr := New(s, net, s.NewCPUPool(2), s.NewMutex("bkl"), cfg, "c", "srv")
+	tr := New(s, net, s.NewCPUPool(2), s.NewMutex("bkl"), DefaultConfig(), "c", "srv")
+	tr.initRTO = 10 * time.Millisecond
 	done := false
 	s.Go("caller", func(p *sim.Proc) {
 		CallSync(tr, p, procNull, nullArgs, nullReply)
@@ -385,12 +383,11 @@ func TestRetransmitExponentialBackoff(t *testing.T) {
 	}
 }
 
-// Backoff must clamp at MaxRetransmitTimeout.
+// Backoff must clamp at the maximum timeout.
 func TestRetransmitBackoffClamped(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RetransmitTimeout = 10 * time.Millisecond
-	cfg.MaxRetransmitTimeout = 40 * time.Millisecond
-	rig := newRig(t, cfg, 100*time.Microsecond, 1000) // server never answers
+	rig := newRig(t, DefaultConfig(), 100*time.Microsecond, 1000) // server never answers
+	rig.tr.initRTO = 10 * time.Millisecond
+	rig.tr.maxRTO = 40 * time.Millisecond
 	rig.s.Go("caller", func(p *sim.Proc) {
 		rig.tr.Call(p, procNull, nullArgs, nil)
 	})

@@ -131,8 +131,8 @@ func TestRetransmitStormOwnsBuffers(t *testing.T) {
 			ss := newStormServer(t, s, net)
 			cfg := DefaultConfig()
 			cfg.MaxSlots = 4
-			cfg.RetransmitTimeout = time.Millisecond
 			tr := New(s, net, s.NewCPUPool(2), s.NewMutex("bkl"), cfg, "c", "srv")
+			tr.initRTO = time.Millisecond
 
 			recycled := map[uint32]int{}
 			freed := map[*byte]bool{}

@@ -17,20 +17,25 @@ import (
 // client encodes into a pooled buffer held by a recycled call record,
 // netsim carries it in a pooled delivery record, the server decodes it
 // into values with its worker's decoder, and each buffer goes back to the
-// pool when its last copy ends. The retransmit timeout is shorter than
-// the round trip, so every call also puts a retransmitted copy through
-// the server and draws a duplicate reply.
+// pool when its last copy ends. The client is 600 ms from the switch, so
+// each call's 1.1 s retransmit timer fires before its reply is back: every
+// call also puts a retransmitted copy through the server and draws a
+// duplicate reply. The run spans six virtual minutes, so the filer's
+// timer checkpoints are pushed past its end: each allocates its disk
+// completion, about 30 in 100 round trips, which AllocsPerRun's
+// truncated mean would not show.
 func TestSteadyStateWriteRoundTripAllocatesNothing(t *testing.T) {
 	if racebuild.Enabled {
 		t.Skip("sync.Pool drops objects at random under the race detector")
 	}
 	s := sim.New(5)
 	net := netsim.New(s)
-	net.AddHost(HostClient, netsim.DefaultGigabit(), nil)
+	far := netsim.DefaultGigabit()
+	far.Propagation = 600 * time.Millisecond
+	net.AddHost(HostClient, far, nil)
 	srv := NewF85(s, net, netsim.MTUEthernet, rpcsim.TransportUDP)
-	cfg := rpcsim.DefaultConfig()
-	cfg.RetransmitTimeout = 250 * time.Microsecond
-	tr := rpcsim.New(s, net, s.NewCPUPool(2), s.NewMutex("bkl"), cfg, HostClient, HostFiler)
+	srv.Backend().(*Filer).setCPTiming(time.Hour, cpPause)
+	tr := rpcsim.New(s, net, s.NewCPUPool(2), s.NewMutex("bkl"), rpcsim.DefaultConfig(), HostClient, HostFiler)
 
 	args := nfsproto.WriteArgs{File: nfsproto.MakeFileHandle(1, 1), Count: 8192,
 		Stable: nfsproto.Unstable, Data: nfsproto.Zeroes(8192)}
@@ -53,7 +58,7 @@ func TestSteadyStateWriteRoundTripAllocatesNothing(t *testing.T) {
 	s.Run(s.Now() + time.Millisecond) // park the writer
 	roundTrip := func() {
 		start.Signal()
-		s.Run(s.Now() + 5*time.Millisecond)
+		s.Run(s.Now() + 3*time.Second)
 	}
 	for i := 0; i < 20; i++ {
 		roundTrip() // warm the pools, free lists and queues
@@ -88,7 +93,7 @@ func TestSteadyStateKnfsdCommitRoundTripAllocatesNothing(t *testing.T) {
 	net.AddHost(HostClient, netsim.DefaultGigabit(), nil)
 	srv := NewLinuxNFS(s, net, netsim.MTUEthernet, rpcsim.TransportUDP)
 	l := srv.Backend().(*LinuxServer)
-	l.cfg.DirtyLimit, l.cfg.DrainChunk = 32<<10, 16<<10
+	l.dirtyLimit, l.drainChunk = 32<<10, 16<<10
 	l.SetDiskSlowFactor(10)
 	tr := rpcsim.New(s, net, s.NewCPUPool(2), s.NewMutex("bkl"), rpcsim.DefaultConfig(), HostClient, HostLinux)
 
@@ -172,9 +177,9 @@ func TestDeepRequestQueueKeepsStackFlat(t *testing.T) {
 	net := netsim.New(s)
 	net.AddHost(HostClient, netsim.DefaultGigabit(), nil)
 	net.SetDown(HostClient, true)
-	cfg := Config{Host: HostLinux, Workers: 1, CPUs: 1, RecvCPUBase: 6_000, RecvCPUPerFragment: 2_500,
+	cfg := Config{Host: HostLinux, CPUs: 1, RecvCPUBase: 6_000, RecvCPUPerFragment: 2_500,
 		ServiceCPU: 60_000, SendCPU: 6_000}
-	srv := New(s, net, netsim.DefaultGigabit(), cfg, NewLinuxServer(s, DefaultLinuxConfig(), newTestDisk(s)))
+	srv := newServer(s, net, netsim.DefaultGigabit(), cfg, NewLinuxServer(s, newTestDisk(s)), 1)
 
 	enc := xdr.AcquireEncoder()
 	nfsproto.CallHeader{XID: 1, Proc: nfsproto.ProcGetattr}.Encode(enc)

@@ -14,10 +14,9 @@ import (
 // every 100 ms, with a pause short enough that a writer logging 8 KiB
 // every 10 ms has bytes in NVRAM at each tick.
 func newTimerFiler(s *sim.Sim) *Filer {
-	cfg := DefaultFilerConfig()
-	cfg.CPInterval = 100 * time.Millisecond
-	cfg.CPPause = time.Millisecond
-	return NewFiler(s, cfg, newTestVolume(s))
+	f := NewFiler(s, newTestVolume(s))
+	f.setCPTiming(100*time.Millisecond, time.Millisecond)
+	return f
 }
 
 // logEvery10ms logs 8 KiB to the filer every 10 ms until stop.
@@ -77,7 +76,7 @@ func TestFilerCrashOrphansTimerChain(t *testing.T) {
 // is replayed at restart and nothing is ever lost.
 func TestFilerCrashReplaysNVRAM(t *testing.T) {
 	s := sim.New(1)
-	f := NewFiler(s, DefaultFilerConfig(), newTestVolume(s))
+	f := NewFiler(s, newTestVolume(s))
 	ino := &Inode{fh: nfsproto.MakeFileHandle(3, 3)}
 	const total = 1 << 20
 	runSteps(s, func(i int) step {
@@ -115,8 +114,8 @@ func TestFilerCrashReplaysNVRAM(t *testing.T) {
 // verifier so clients can detect it.
 func TestLinuxCrashLosesDirtyAndBumpsVerf(t *testing.T) {
 	s := sim.New(1)
-	cfg := LinuxConfig{DirtyLimit: 2 << 20, DrainChunk: 256 << 10}
-	l := NewLinuxServer(s, cfg, newTestDisk(s))
+	l := NewLinuxServer(s, newTestDisk(s))
+	l.dirtyLimit, l.drainChunk = 2<<20, 256<<10
 	ino := &Inode{fh: nfsproto.MakeFileHandle(4, 4)}
 	const total = 512 << 10
 	var before, after nfsproto.WriteRes

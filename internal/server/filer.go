@@ -1,45 +1,41 @@
 package server
 
 import (
+	"time"
+
 	"repro/internal/disksim"
 	"repro/internal/nfsproto"
 	"repro/internal/sim"
 )
 
-// FilerConfig describes the F85 backend.
-type FilerConfig struct {
-	// NVRAMBytes is the write log capacity (64 MB on the F85, §3.1),
-	// managed as two halves: one fills while the other drains to disk at a
-	// consistency point, WAFL-style.
-	NVRAMBytes int64
-	// CPPause is how long the filer stops responding to writes when a
-	// consistency point begins — the cause of the Figure 4 quiet gap and
-	// of §3.5's "the filer briefly stops responding to network write
-	// requests during a file system checkpoint".
-	CPPause sim.Time
-	// CPInterval forces a consistency point after this much time even if
-	// the NVRAM half is not full (ONTAP checkpoints every ~10 s).
-	CPInterval sim.Time
-}
-
-// DefaultFilerConfig returns the F85 parameters.
-func DefaultFilerConfig() FilerConfig {
-	return FilerConfig{
-		NVRAMBytes: 64 << 20,
-		CPPause:    60_000_000,     // 60 ms
-		CPInterval: 10_000_000_000, // 10 s
-	}
-}
+// The F85's NVRAM log and consistency-point calibration.
+const (
+	// nvramBytes is the write log capacity (64 MB on the F85, §3.1),
+	// managed as two halves: one fills while the other drains to disk at
+	// a consistency point, WAFL-style.
+	nvramBytes = 64 << 20
+	nvramHalf  = nvramBytes / 2
+	// cpPause (60 ms) is how long the filer stops responding to writes
+	// when a consistency point begins: the cause of the Figure 4 quiet
+	// gap and of §3.5's "the filer briefly stops responding to network
+	// write requests during a file system checkpoint".
+	cpPause sim.Time = 60 * time.Millisecond
+	// cpInterval forces a consistency point after 10 s even if the NVRAM
+	// half is not full, as ONTAP checkpoints.
+	cpInterval sim.Time = 10 * time.Second
+)
 
 // Filer is the NetApp-style backend: writes land in NVRAM and are
 // immediately stable (FILE_SYNC), so clients skip COMMIT; NVRAM drains to
 // a RAID-4 volume in big sequential consistency points.
 type Filer struct {
 	s    *sim.Sim
-	cfg  FilerConfig
 	disk *disksim.RAID4
 
-	halfCap    int64 // capacity of the filling half
+	// cpInterval and cpPause are the constants of the same names; the
+	// package's tests shorten them.
+	cpInterval, cpPause sim.Time
+
 	active     int64 // bytes logged in the filling half
 	draining   bool  // the other half is being written to disk
 	drainBytes int64 // bytes in the draining half, not yet confirmed on disk
@@ -66,17 +62,14 @@ type Filer struct {
 }
 
 // NewFiler creates the backend draining to the given RAID volume.
-func NewFiler(s *sim.Sim, cfg FilerConfig, vol *disksim.RAID4) *Filer {
-	if cfg.NVRAMBytes <= 0 {
-		panic("server: filer needs NVRAM")
-	}
+func NewFiler(s *sim.Sim, vol *disksim.RAID4) *Filer {
 	f := &Filer{
-		s:         s,
-		cfg:       cfg,
-		disk:      vol,
-		halfCap:   cfg.NVRAMBytes / 2,
-		spaceWait: s.NewWaitQueue(),
-		verf:      0xf85f85f85,
+		s:          s,
+		disk:       vol,
+		cpInterval: cpInterval,
+		cpPause:    cpPause,
+		spaceWait:  s.NewWaitQueue(),
+		verf:       0xf85f85f85,
 	}
 	f.onCPTimer = f.timerCP
 	f.scheduleTimerCP()
@@ -87,9 +80,7 @@ func NewFiler(s *sim.Sim, cfg FilerConfig, vol *disksim.RAID4) *Filer {
 // cancels the armed one and Restart arms a fresh one, so the filer has at
 // most one timer chain at any time.
 func (f *Filer) scheduleTimerCP() {
-	if f.cfg.CPInterval > 0 {
-		f.cpTimer = f.s.After(f.cfg.CPInterval, f.onCPTimer)
-	}
+	f.cpTimer = f.s.After(f.cpInterval, f.onCPTimer)
 }
 
 // timerCP drains the filling half if it holds anything and re-arms.
@@ -102,14 +93,14 @@ func (f *Filer) timerCP() {
 
 // drain starts a consistency point that writes bytes to disk: the
 // filling half's contents when the halves swap, or the whole NVRAM log
-// at restart. The filer stops accepting writes for CPPause while the
+// at restart. The filer stops accepting writes for cpPause while the
 // consistency point is set up.
 func (f *Filer) drain(bytes int64) {
 	f.active = 0
 	f.draining = true
 	f.drainBytes = bytes
 	f.Checkpoints++
-	f.pauseUntil = f.s.Now() + f.cfg.CPPause
+	f.pauseUntil = f.s.Now() + f.cpPause
 	gen := f.gen
 	f.s.After(f.disk.BookWrite(f.diskOff, bytes), func() {
 		if gen != f.gen {
@@ -162,7 +153,7 @@ func (f *Filer) HandleWrite(p *sim.Proc, ino *Inode, args nfsproto.WriteArgs, re
 			p.SleepThen(wait, retry)
 			return nfsproto.WriteRes{}, false
 		}
-		if f.active+n <= f.halfCap {
+		if f.active+n <= nvramHalf {
 			break
 		}
 		if !f.draining {

@@ -9,36 +9,30 @@ import (
 	"repro/internal/sim"
 )
 
-// LinuxConfig describes the four-way Linux 2.4.4 knfsd backend.
-type LinuxConfig struct {
-	// DirtyLimit is how much unstable write data the page cache will hold
+// knfsd's page-cache calibration.
+const (
+	// dirtyLimit is how much unstable write data the page cache holds
 	// before the server throttles incoming writes behind the disk
 	// (bdflush-style, ~40% of the 512 MB of RAM in §3.1).
-	DirtyLimit int64
-	// DrainChunk is the writeback granularity.
-	DrainChunk int64
-}
-
-// DefaultLinuxConfig returns the paper's Linux server parameters.
-func DefaultLinuxConfig() LinuxConfig {
-	return LinuxConfig{
-		DirtyLimit: 200 << 20,
-		DrainChunk: 1 << 20,
-	}
-}
+	dirtyLimit = 200 << 20
+	// drainChunk is the writeback granularity.
+	drainChunk = 1 << 20
+)
 
 // LinuxServer is the knfsd backend: UNSTABLE writes land in the page
 // cache and a writeback task drains them to a single SCSI disk; COMMIT
 // blocks until the dirty data it covers is on disk. This is the durability
 // contract the client pays for at close() — the filer never makes it wait.
 type LinuxServer struct {
-	cfg  LinuxConfig
 	disk *disksim.Disk
+	// dirtyLimit and drainChunk are the constants of the same names; the
+	// package's tests shrink them.
+	dirtyLimit, drainChunk int64
 
 	dirty     int64
 	diskOff   int64
 	drainWork *sim.WaitQueue // wakes the writeback task
-	dirtyWait *sim.WaitQueue // writers throttled on DirtyLimit
+	dirtyWait *sim.WaitQueue // writers throttled on dirtyLimit
 	cleanWait *sim.WaitQueue // COMMIT waiters
 	verf      nfsproto.WriteVerf
 
@@ -61,7 +55,7 @@ type LinuxServer struct {
 	onFlush, onStored func()
 
 	// Throttled counts dirty-limit waits: each time a WRITE finds no
-	// room under DirtyLimit and parks. Every stored chunk wakes all
+	// room under dirtyLimit and parks. Every stored chunk wakes all
 	// throttled writes, and each one that still finds no room waits and
 	// counts again, so one write can count several times.
 	Throttled int64
@@ -81,17 +75,15 @@ type unstableEntry struct {
 
 // NewLinuxServer creates the backend draining to the given disk and
 // starts its writeback task.
-func NewLinuxServer(s *sim.Sim, cfg LinuxConfig, disk *disksim.Disk) *LinuxServer {
-	if cfg.DirtyLimit <= 0 || cfg.DrainChunk <= 0 {
-		panic("server: bad linux config")
-	}
+func NewLinuxServer(s *sim.Sim, disk *disksim.Disk) *LinuxServer {
 	l := &LinuxServer{
-		cfg:       cfg,
-		disk:      disk,
-		drainWork: s.NewWaitQueue(),
-		dirtyWait: s.NewWaitQueue(),
-		cleanWait: s.NewWaitQueue(),
-		verf:      0x11c4411c44,
+		disk:       disk,
+		dirtyLimit: dirtyLimit,
+		drainChunk: drainChunk,
+		drainWork:  s.NewWaitQueue(),
+		dirtyWait:  s.NewWaitQueue(),
+		cleanWait:  s.NewWaitQueue(),
+		verf:       0x11c4411c44,
 	}
 	l.onFlush, l.onStored = l.flush, l.stored
 	l.flusher = s.NewTask("kupdate/knfsd", l.onFlush)
@@ -99,13 +91,13 @@ func NewLinuxServer(s *sim.Sim, cfg LinuxConfig, disk *disksim.Disk) *LinuxServe
 }
 
 // flush is the server-side flush daemon's loop head: whenever dirty data
-// exists, it writes it to disk in DrainChunk units.
+// exists, it writes it to disk in drainChunk units.
 func (l *LinuxServer) flush() {
 	if l.dirty == 0 {
 		l.drainWork.WaitThen(l.flusher, l.onFlush)
 		return
 	}
-	l.chunk = min(l.cfg.DrainChunk, l.dirty)
+	l.chunk = min(l.drainChunk, l.dirty)
 	l.chunkGen = l.gen
 	l.flusher.SleepThen(l.disk.BookWrite(l.diskOff, l.chunk), l.onStored)
 }
@@ -171,7 +163,7 @@ func (l *LinuxServer) Restart() {
 }
 
 // HandleWrite implements Backend: a write that would take the page cache
-// past DirtyLimit waits for the writeback task.
+// past dirtyLimit waits for the writeback task.
 func (l *LinuxServer) HandleWrite(p *sim.Proc, ino *Inode, args nfsproto.WriteArgs, retry func()) (nfsproto.WriteRes, bool) {
 	if args.Stable != nfsproto.Unstable {
 		// The modeled client sends only UNSTABLE writes and pays for
@@ -179,7 +171,7 @@ func (l *LinuxServer) HandleWrite(p *sim.Proc, ino *Inode, args nfsproto.WriteAr
 		panic(fmt.Sprintf("server: knfsd got a %v WRITE", args.Stable))
 	}
 	n := int64(args.Count)
-	if l.dirty+n > l.cfg.DirtyLimit {
+	if l.dirty+n > l.dirtyLimit {
 		l.Throttled++
 		l.drainWork.Signal()
 		l.dirtyWait.WaitThen(p, retry)

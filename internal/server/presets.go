@@ -36,7 +36,6 @@ func NewF85(s *sim.Sim, net *netsim.Network, mtu int, transport rpcsim.Transport
 	}
 	cfg := Config{
 		Host:               HostFiler,
-		Workers:            8,
 		CPUs:               1,
 		RecvCPUBase:        5_000,
 		RecvCPUPerFragment: 2_000,
@@ -44,7 +43,7 @@ func NewF85(s *sim.Sim, net *netsim.Network, mtu int, transport rpcsim.Transport
 		SendCPU:            5_000,
 		Transport:          transport,
 	}
-	return New(s, net, link, cfg, NewFiler(s, DefaultFilerConfig(), disksim.NewFilerVolume(s)))
+	return New(s, net, link, cfg, NewFiler(s, disksim.NewFilerVolume(s)))
 }
 
 // NewLinuxNFS builds the four-way Linux 2.4.4 knfsd: plenty of CPU, but
@@ -59,7 +58,6 @@ func NewLinuxNFS(s *sim.Sim, net *netsim.Network, mtu int, transport rpcsim.Tran
 	}
 	cfg := Config{
 		Host:               HostLinux,
-		Workers:            8,
 		CPUs:               4,
 		RecvCPUBase:        6_000,
 		RecvCPUPerFragment: 2_500,
@@ -67,7 +65,7 @@ func NewLinuxNFS(s *sim.Sim, net *netsim.Network, mtu int, transport rpcsim.Tran
 		SendCPU:            6_000,
 		Transport:          transport,
 	}
-	return New(s, net, link, cfg, NewLinuxServer(s, DefaultLinuxConfig(), disksim.NewSeagateSCSI(s)))
+	return New(s, net, link, cfg, NewLinuxServer(s, disksim.NewSeagateSCSI(s)))
 }
 
 // NewSlow100 builds the §3.5 verification server: the same knfsd stack
@@ -84,7 +82,6 @@ func NewSlow100(s *sim.Sim, net *netsim.Network, mtu int, transport rpcsim.Trans
 	}
 	cfg := Config{
 		Host:               HostSlow,
-		Workers:            8,
 		CPUs:               1,
 		RecvCPUBase:        6_000,
 		RecvCPUPerFragment: 2_500,
@@ -92,5 +89,5 @@ func NewSlow100(s *sim.Sim, net *netsim.Network, mtu int, transport rpcsim.Trans
 		SendCPU:            6_000,
 		Transport:          transport,
 	}
-	return New(s, net, link, cfg, NewLinuxServer(s, DefaultLinuxConfig(), disksim.NewSeagateSCSI(s)))
+	return New(s, net, link, cfg, NewLinuxServer(s, disksim.NewSeagateSCSI(s)))
 }

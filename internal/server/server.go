@@ -80,8 +80,6 @@ type Backend interface {
 type Config struct {
 	// Host is the server's network name.
 	Host string
-	// Workers is the number of nfsd service threads.
-	Workers int
 	// CPUs is the number of processors.
 	CPUs int
 	// RecvCPUBase/PerFragment model interrupt + IP reassembly per request.
@@ -158,12 +156,21 @@ func (it rxItem) release() {
 	}
 }
 
+// nfsdWorkers is the number of nfsd service tasks each server runs.
+const nfsdWorkers = 8
+
 // New creates a server, registers its host on the network with the given
-// link configuration, and starts its worker tasks. Requests are sized in
-// wire units at the link's MTU.
+// link configuration, and starts its nfsdWorkers worker tasks. Requests
+// are sized in wire units at the link's MTU.
 func New(s *sim.Sim, net *netsim.Network, link netsim.LinkConfig, cfg Config, backend Backend) *Server {
-	if cfg.Workers < 1 || cfg.CPUs < 1 {
-		panic("server: need at least one worker and one CPU")
+	return newServer(s, net, link, cfg, backend, nfsdWorkers)
+}
+
+// newServer is New with the number of worker tasks given; the package's
+// tests serve with one.
+func newServer(s *sim.Sim, net *netsim.Network, link netsim.LinkConfig, cfg Config, backend Backend, workers int) *Server {
+	if cfg.CPUs < 1 {
+		panic("server: need at least one CPU")
 	}
 	srv := &Server{
 		s:       s,
@@ -198,7 +205,7 @@ func New(s *sim.Sim, net *netsim.Network, link netsim.LinkConfig, cfg Config, ba
 			srv.rxWait.Signal()
 		})
 	}
-	for i := 0; i < cfg.Workers; i++ {
+	for i := range workers {
 		w := &nfsd{srv: srv}
 		w.onNext, w.onCall, w.onService = w.next, w.call, w.service
 		w.onRead, w.onWrite, w.onCommit, w.onSend = w.readDone, w.writeFile, w.commitFile, w.send
@@ -231,6 +238,9 @@ func (srv *Server) conn(from string) *streamsim.Endpoint {
 // the ground truth nfssim's staleness probe and the harness's change-bump
 // count read, their coverage what chaos integrity asserts compare.
 func (srv *Server) Names() *Namespace { return srv.ns }
+
+// Host returns the server's network name.
+func (srv *Server) Host() string { return srv.cfg.Host }
 
 // Backend returns the server's backend.
 func (srv *Server) Backend() Backend { return srv.backend }

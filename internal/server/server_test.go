@@ -180,9 +180,8 @@ func TestFilerCheckpointPausesService(t *testing.T) {
 
 func TestFilerTimerCheckpoint(t *testing.T) {
 	s := sim.New(1)
-	cfg := DefaultFilerConfig()
-	cfg.CPInterval = 100 * time.Millisecond
-	f := NewFiler(s, cfg, newTestVolume(s))
+	f := NewFiler(s, newTestVolume(s))
+	f.setCPTiming(100*time.Millisecond, cpPause)
 	runSteps(s, steps(writeStep(f, new(Inode), nfsproto.WriteArgs{Count: 8192}, nil)))
 	s.Run(300 * time.Millisecond)
 	if f.Checkpoints == 0 {
@@ -195,7 +194,7 @@ func TestFilerTimerCheckpoint(t *testing.T) {
 
 func TestFilerCommitImmediate(t *testing.T) {
 	s := sim.New(1)
-	f := NewFiler(s, DefaultFilerConfig(), newTestVolume(s))
+	f := NewFiler(s, newTestVolume(s))
 	ran := false
 	runSteps(s, steps(func(p *sim.Proc, retry func()) bool {
 		res, ok := f.HandleCommit(p, nfsproto.CommitArgs{}, retry)
@@ -217,8 +216,8 @@ func TestFilerCommitImmediate(t *testing.T) {
 
 func TestLinuxDirtyThrottling(t *testing.T) {
 	s := sim.New(1)
-	cfg := LinuxConfig{DirtyLimit: 1 << 20, DrainChunk: 64 << 10}
-	l := NewLinuxServer(s, cfg, newTestDisk(s))
+	l := NewLinuxServer(s, newTestDisk(s))
+	l.dirtyLimit, l.drainChunk = 1<<20, 64<<10
 	runSteps(s, func(i int) step {
 		if i == 512 { // 4 MB total, 4x the dirty limit
 			return nil
@@ -245,7 +244,7 @@ func TestBadFrontEndConfigPanics(t *testing.T) {
 	}()
 	s := sim.New(1)
 	net := netsim.New(s)
-	New(s, net, netsim.DefaultGigabit(), Config{Host: "x", Workers: 0, CPUs: 1}, nil)
+	New(s, net, netsim.DefaultGigabit(), Config{Host: "x", CPUs: 0}, nil)
 }
 
 // Both backends must serve READ over the front-end: correct status and
@@ -307,22 +306,5 @@ func TestSequentialReadsAvoidSeeks(t *testing.T) {
 	}
 	if l.disk.BytesRead != 10*8192 {
 		t.Fatalf("disk read %d bytes", l.disk.BytesRead)
-	}
-}
-
-func TestBadBackendConfigPanics(t *testing.T) {
-	s := sim.New(1)
-	for _, fn := range []func(){
-		func() { NewFiler(s, FilerConfig{NVRAMBytes: 0}, newTestVolume(s)) },
-		func() { NewLinuxServer(s, LinuxConfig{DirtyLimit: 0, DrainChunk: 1}, newTestDisk(s)) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			fn()
-		}()
 	}
 }

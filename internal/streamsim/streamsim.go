@@ -59,18 +59,23 @@ const HeaderSize = 20
 
 const flagAck = 1 // pure acknowledgement, no payload
 
-// Config holds the stream transport's tuning knobs.
+// The retransmission timer's calibration.
+const (
+	// initialRTO applies until the first RTT sample (RFC 6298's 1 s).
+	initialRTO sim.Time = time.Second
+	// minRTO and maxRTO clamp the computed RTO: 200 ms, as Linux, and
+	// 60 s (RFC 6298's floor for the upper bound; Linux caps at 120 s).
+	minRTO sim.Time = 200 * time.Millisecond
+	maxRTO sim.Time = 60 * time.Second
+	// dupAckThreshold duplicate ACKs trigger fast retransmit.
+	dupAckThreshold = 3
+)
+
+// Config holds the stream transport's segment size.
 type Config struct {
 	// MSS is the maximum data bytes per segment. DefaultConfig sizes it
 	// so header + MSS + UDP/IP framing exactly fills one MTU.
 	MSS int
-	// InitialRTO applies until the first RTT sample (RFC 6298 uses 1 s).
-	InitialRTO sim.Time
-	// MinRTO / MaxRTO clamp the computed RTO (Linux: 200 ms / 120 s).
-	MinRTO sim.Time
-	MaxRTO sim.Time
-	// DupAckThreshold triggers fast retransmit (classically 3).
-	DupAckThreshold int
 }
 
 // MSSForMTU returns the largest segment payload that fits in one fragment
@@ -82,13 +87,7 @@ func MSSForMTU(mtu int) int {
 
 // DefaultConfig returns the calibrated stream config for a path MTU.
 func DefaultConfig(mtu int) Config {
-	return Config{
-		MSS:             MSSForMTU(mtu),
-		InitialRTO:      time.Second,
-		MinRTO:          200 * time.Millisecond,
-		MaxRTO:          60 * time.Second,
-		DupAckThreshold: 3,
-	}
+	return Config{MSS: MSSForMTU(mtu)}
 }
 
 // SegmentCount returns how many MSS-sized segments n stream bytes need.
@@ -183,16 +182,10 @@ func NewEndpoint(s *sim.Sim, net *netsim.Network, cfg Config, local, remote stri
 	if cfg.MSS < 1 {
 		panic("streamsim: MSS must be positive")
 	}
-	if cfg.InitialRTO <= 0 || cfg.MinRTO <= 0 || cfg.MaxRTO < cfg.MinRTO {
-		panic("streamsim: bad RTO bounds")
-	}
-	if cfg.DupAckThreshold < 1 {
-		panic("streamsim: DupAckThreshold must be positive")
-	}
 	e := &Endpoint{
 		s: s, net: net, cfg: cfg, local: local, remote: remote,
 		onRecord: onRecord,
-		rto:      cfg.InitialRTO,
+		rto:      initialRTO,
 		ooo:      make(map[int64][]byte),
 	}
 	e.timeout = e.onTimeout
@@ -270,8 +263,8 @@ func (e *Endpoint) sendSegment(seq int64, n int, isRtx bool) {
 
 func (e *Endpoint) curRTO() sim.Time {
 	rto := e.rto << e.backoff
-	if rto > e.cfg.MaxRTO || rto < e.rto { // clamp, guard shift overflow
-		rto = e.cfg.MaxRTO
+	if rto > maxRTO || rto < e.rto { // clamp, guard shift overflow
+		rto = maxRTO
 	}
 	return rto
 }
@@ -328,11 +321,11 @@ func (e *Endpoint) sampleRTT(r sim.Time) {
 		e.srtt = (7*e.srtt + r) / 8
 	}
 	rto := e.srtt + 4*e.rttvar
-	if rto < e.cfg.MinRTO {
-		rto = e.cfg.MinRTO
+	if rto < minRTO {
+		rto = minRTO
 	}
-	if rto > e.cfg.MaxRTO {
-		rto = e.cfg.MaxRTO
+	if rto > maxRTO {
+		rto = maxRTO
 	}
 	e.rto = rto
 }
@@ -390,7 +383,7 @@ func (e *Endpoint) handleAck(ack int64, pure bool) {
 		// Duplicate ACK with data outstanding: the peer is receiving
 		// segments beyond a hole.
 		e.dupAcks++
-		if e.dupAcks == e.cfg.DupAckThreshold {
+		if e.dupAcks == dupAckThreshold {
 			e.stats.FastRetransmits++
 			e.retransmitFront()
 		}

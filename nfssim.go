@@ -105,10 +105,10 @@ type Options struct {
 	// NetJitter is the maximum extra random delivery delay per datagram
 	// (uniform in [0, NetJitter], deterministic per seed). 0 disables it.
 	NetJitter sim.Time
-	// RPC optionally overrides the transport's slot table and
-	// retransmit timeouts; LockPolicy and Transport are always taken from
-	// Client and Transport, and the transport sizes its messages for the
-	// network's path MTU, which Jumbo sets. The CPU cost model is fixed.
+	// RPC optionally overrides the transport's slot table; LockPolicy
+	// and Transport are always taken from Client and Transport, and the
+	// transport sizes its messages for the network's path MTU, which
+	// Jumbo sets. The CPU cost model and the retransmit timers are fixed.
 	RPC *rpcsim.Config
 }
 
@@ -266,17 +266,13 @@ func NewTestbed(opts Options) *Testbed {
 		tb.Machines = append(tb.Machines, m)
 	}
 
-	var remote string
 	switch opts.Server {
 	case ServerFiler:
 		tb.Server = server.NewF85(s, net, mtu, opts.Transport)
-		remote = server.HostFiler
 	case ServerLinux:
 		tb.Server = server.NewLinuxNFS(s, net, mtu, opts.Transport)
-		remote = server.HostLinux
 	case ServerSlow100:
 		tb.Server = server.NewSlow100(s, net, mtu, opts.Transport)
-		remote = server.HostSlow
 	case ServerNone:
 		return tb
 	}
@@ -288,7 +284,7 @@ func NewTestbed(opts Options) *Testbed {
 		}
 		rpcCfg.LockPolicy = opts.Client.LockPolicy
 		rpcCfg.Transport = opts.Transport
-		m.Transport = rpcsim.New(s, net, m.CPU, m.BKL, rpcCfg, m.Host, remote)
+		m.Transport = rpcsim.New(s, net, m.CPU, m.BKL, rpcCfg, m.Host, tb.Server.Host())
 		ccfg := opts.Client
 		if ccfg.FSID == 0 {
 			ccfg.FSID = 1
