@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -86,41 +85,76 @@ const (
 	WorkloadShared
 )
 
-// workloadNames is each workload's name, as String prints it and
-// ParseWorkload reads it.
-var workloadNames = [...]string{
-	WorkloadWrite:     "write",
-	WorkloadRewrite:   "rewrite",
-	WorkloadRead:      "read",
-	WorkloadMixed:     "mixed",
-	WorkloadRandRead:  "randread",
-	WorkloadRandWrite: "randwrite",
-	WorkloadDB:        "db",
-	WorkloadZipf:      "zipf",
-	WorkloadShared:    "shared",
+// opens is the set of files a workload opens for its I/O phase.
+type opens int
+
+const (
+	openFresh         opens = iota // one fresh, empty file
+	openExisting                   // one cold file holding FileSize bytes
+	openExistingFresh              // a cold file holding half of them, and a fresh one
+	openByName                     // files by name, inside the I/O phase
+)
+
+// workload declares one Workload: what it opens, how its I/O phase runs
+// and how it takes the group-commit cadence.
+type workload struct {
+	name  string
+	opens opens
+	// random visits the chunks in chunkPerm's order, not front to back.
+	random bool
+	// reads and writes are runChunks' per-chunk op: a read, a write, or
+	// a read then a write of the same chunk.
+	reads, writes bool
+	// body, when set, runs the I/O phase instead of runChunks.
+	body func(*worker)
+	// fsyncs is whether the workload honours FsyncEvery, and fsyncEvery
+	// its cadence when FsyncEvery is unset.
+	fsyncs     bool
+	fsyncEvery int
+	// sharedExport is whether every machine must mount the same export.
+	sharedExport bool
 }
 
-func (w Workload) String() string {
-	if uint(w) < uint(len(workloadNames)) {
-		return workloadNames[w]
-	}
-	return workloadNames[WorkloadWrite]
+// workloads declares every Workload, indexed by it.
+var workloads = [...]workload{
+	WorkloadWrite:     {name: "write", opens: openFresh, writes: true, fsyncs: true},
+	WorkloadRewrite:   {name: "rewrite", opens: openExisting, reads: true, writes: true, fsyncs: true},
+	WorkloadRead:      {name: "read", opens: openExisting, reads: true},
+	WorkloadMixed:     {name: "mixed", opens: openExistingFresh, body: runMixed, fsyncs: true},
+	WorkloadRandRead:  {name: "randread", opens: openExisting, random: true, reads: true},
+	WorkloadRandWrite: {name: "randwrite", opens: openExisting, random: true, writes: true, fsyncs: true},
+	WorkloadDB: {name: "db", opens: openExisting, random: true, writes: true,
+		fsyncs: true, fsyncEvery: DefaultDBFsyncEvery},
+	WorkloadZipf: {name: "zipf", opens: openByName, body: runZipf},
+	WorkloadShared: {name: "shared", opens: openByName, body: runShared,
+		fsyncs: true, fsyncEvery: DefaultSharedFsyncEvery, sharedExport: true},
 }
+
+func (w Workload) String() string { return workloads[w].name }
 
 // ParseWorkload resolves a workload name as printed by String.
 func ParseWorkload(name string) (Workload, error) {
-	if i := slices.Index(workloadNames[:], name); i >= 0 {
-		return Workload(i), nil
+	names := make([]string, len(workloads))
+	for i, wl := range workloads {
+		if wl.name == name {
+			return Workload(i), nil
+		}
+		names[i] = wl.name
 	}
-	return 0, fmt.Errorf("bonnie: unknown workload %q (have %s)", name, strings.Join(workloadNames[:], ", "))
+	return 0, fmt.Errorf("bonnie: unknown workload %q (have %s)", name, strings.Join(names, ", "))
 }
 
-// NeedsExisting reports whether the workload opens a pre-populated file
-// (the read workloads' cold target, or the random writers' preallocated
-// table). The zipf and shared workloads create their own files by name.
-func (w Workload) NeedsExisting() bool {
-	return w != WorkloadWrite && w != WorkloadZipf && w != WorkloadShared
-}
+// OpensByName reports whether the workload opens its files by name, so
+// it needs a target with a namespace.
+func (w Workload) OpensByName() bool { return workloads[w].opens == openByName }
+
+// HonoursFsyncEvery reports whether the workload flushes mid-run on the
+// Config.FsyncEvery cadence; the others ignore it.
+func (w Workload) HonoursFsyncEvery() bool { return workloads[w].fsyncs }
+
+// SharedExport reports whether every machine of a multi-client run must
+// mount the same export, so the workers' files collide.
+func (w Workload) SharedExport() bool { return workloads[w].sharedExport }
 
 // DefaultSharedWriterPct is the shared workload's writer share when
 // Config.SharedWriterPct is unset: half the workers write, half read.
@@ -197,11 +231,17 @@ func ParseOpMix(s string) (OpMix, error) {
 	if err != nil || n != 5 {
 		return OpMix{}, fmt.Errorf("bonnie: bad op mix %q (want create/write/read/stat/remove percentages, e.g. 10/30/40/15/5)", s)
 	}
-	if m.Create < 0 || m.Write < 0 || m.Read < 0 || m.Stat < 0 || m.Remove < 0 ||
-		m.Create+m.Write+m.Read+m.Stat+m.Remove != 100 {
+	if !m.valid() {
 		return OpMix{}, fmt.Errorf("bonnie: op mix %q must be non-negative and sum to 100", s)
 	}
 	return m, nil
+}
+
+// valid reports whether every percentage is non-negative and they sum
+// to 100.
+func (m OpMix) valid() bool {
+	return m.Create >= 0 && m.Write >= 0 && m.Read >= 0 && m.Stat >= 0 && m.Remove >= 0 &&
+		m.Create+m.Write+m.Read+m.Stat+m.Remove == 100
 }
 
 // Config parameterizes one benchmark run.
@@ -213,8 +253,10 @@ type Config struct {
 	// Workload is the I/O pattern (default WorkloadWrite).
 	Workload Workload
 	// FsyncEvery flushes the write stream after every FsyncEvery chunk
-	// calls during the I/O phase — group commit. 0 means never, except
-	// for WorkloadDB, which defaults to DefaultDBFsyncEvery.
+	// calls during the I/O phase — group commit. 0 means the workload's
+	// default: DefaultDBFsyncEvery for WorkloadDB,
+	// DefaultSharedFsyncEvery for WorkloadShared, never for the rest.
+	// Workloads that do not honour it (HonoursFsyncEvery) ignore it.
 	FsyncEvery int
 	// TimeLimit aborts a runaway simulation (default 30 virtual minutes).
 	TimeLimit sim.Time
@@ -317,34 +359,68 @@ func (r *ConcurrentResult) AggregateMBps() float64 {
 	return stats.MBps(r.TotalBytes, r.Elapsed)
 }
 
-// ioFiles are one writer's open files: the workload's primary stream
-// (the existing file for rewrite/read/mixed, the fresh file for write)
-// and, for mixed, the fresh write-side file. The zipf workload opens
-// files per op instead and carries the target's namespace.
+// ioFiles are one worker's open files: the workload's primary stream
+// (the fresh file for write, the existing file otherwise) and, for
+// mixed, the fresh write-side file. The by-name workloads open files
+// inside the I/O phase instead and carry the target's namespace.
 type ioFiles struct {
 	main  vfs.File
 	aux   vfs.File
 	names vfs.Namespace
 }
 
-// openFiles opens what the configured workload needs.
+// openFiles opens what the configured workload declares.
 func openFiles(open vfs.OpenSet, cfg Config) ioFiles {
-	if cfg.Workload.NeedsExisting() && open.Existing == nil {
-		panic(fmt.Sprintf("bonnie: %s workload needs an Existing opener", cfg.Workload))
-	}
-	switch cfg.Workload {
-	case WorkloadRewrite, WorkloadRead, WorkloadRandRead, WorkloadRandWrite, WorkloadDB:
-		return ioFiles{main: open.Existing(cfg.FileSize)}
-	case WorkloadMixed:
-		return ioFiles{main: open.Existing(cfg.FileSize / 2), aux: open.Fresh()}
-	case WorkloadZipf, WorkloadShared:
-		if open.Names == nil {
-			panic(fmt.Sprintf("bonnie: %s workload needs a Names opener (a target with a namespace)", cfg.Workload))
-		}
-		return ioFiles{names: open.Names}
-	default:
+	switch o := workloads[cfg.Workload].opens; {
+	case o == openFresh:
 		return ioFiles{main: open.Fresh()}
+	case o == openByName && open.Names == nil:
+		panic(fmt.Sprintf("bonnie: %s workload needs a Names opener (a target with a namespace)", cfg.Workload))
+	case o == openByName:
+		return ioFiles{names: open.Names}
+	case open.Existing == nil:
+		panic(fmt.Sprintf("bonnie: %s workload needs an Existing opener", cfg.Workload))
+	case o == openExistingFresh:
+		return ioFiles{main: open.Existing(cfg.FileSize / 2), aux: open.Fresh()}
 	}
+	return ioFiles{main: open.Existing(cfg.FileSize)}
+}
+
+// worker is one worker's I/O phase: its process, index, files and
+// result.
+type worker struct {
+	ioFiles
+	p     *sim.Proc
+	s     *sim.Sim
+	index int
+	cfg   Config
+	res   *Result
+}
+
+// sample records one call that started at t0.
+func (w *worker) sample(t0 sim.Time) {
+	w.res.Trace.Add(w.s.Now() - t0)
+	w.res.Calls++
+}
+
+// read reads n bytes of f at off and panics on a short read: every
+// chunk a workload reads lies inside the file.
+func (w *worker) read(f vfs.File, off int64, n int) {
+	if got := f.ReadAt(w.p, off, n); got != n {
+		panic(fmt.Sprintf("bonnie: short read %d of %d at %d", got, n, off))
+	}
+}
+
+// maybeFsync applies the FsyncEvery group-commit cadence after the
+// call'th chunk call that wrote f.
+func (w *worker) maybeFsync(call int, f vfs.File) {
+	if w.cfg.FsyncEvery <= 0 || call%w.cfg.FsyncEvery != 0 {
+		return
+	}
+	t0 := w.s.Now()
+	f.Flush(w.p)
+	w.res.FsyncTime += w.s.Now() - t0
+	w.res.FsyncCount++
 }
 
 // chunkPerm returns the order a random workload visits its chunks: a
@@ -426,22 +502,23 @@ func (m OpMix) op(roll int) zipfOp {
 // op exercises the open-time attribute revalidation path. The bytes a
 // run actually moves replace res.FileSize so the throughput accessors
 // report real data motion, not the op budget.
-func runZipf(p *sim.Proc, s *sim.Sim, worker int, names vfs.Namespace, cfg Config, res *Result) {
-	rng := zipfRNG(s, worker)
+func runZipf(w *worker) {
+	p, names, cfg := w.p, w.names, w.cfg
+	rng := zipfRNG(w.s, w.index)
 	picker := newZipfPicker(cfg.FileCount, cfg.ZipfS)
 	ops := chunkCount(cfg)
 	var moved int64
 	for k := 0; k < ops; k++ {
 		name := fmt.Sprintf("f%05d", picker.pick(rng))
 		op := cfg.Mix.op(rng.Intn(100))
-		t0 := s.Now()
+		t0 := w.s.Now()
 		switch op {
 		case zipfCreate:
 			f := names.OpenByName(p, name)
 			f.Close(p)
 		case zipfWrite:
 			f := names.OpenByName(p, name)
-			f.Write(p, chunkSize)
+			f.WriteAt(p, f.Size(), chunkSize)
 			f.Close(p)
 			moved += chunkSize
 		case zipfRead:
@@ -460,10 +537,9 @@ func runZipf(p *sim.Proc, s *sim.Sim, worker int, names vfs.Namespace, cfg Confi
 		case zipfRemove:
 			names.Remove(p, name)
 		}
-		res.Trace.Add(s.Now() - t0)
-		res.Calls++
+		w.sample(t0)
 	}
-	res.FileSize = moved
+	w.res.FileSize = moved
 }
 
 // sharedIsWriter reports whether worker w of n is a shared-workload
@@ -493,13 +569,7 @@ func sharedPrimer(n, pct int) int {
 
 // sharedSpanChunks is the shared file's size in whole chunks: each
 // worker's chunk budget divided by sharedPasses, at least one.
-func sharedSpanChunks(cfg Config) int {
-	n := chunkCount(cfg) / sharedPasses
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
+func sharedSpanChunks(cfg Config) int { return max(chunkCount(cfg)/sharedPasses, 1) }
 
 // runShared performs the cache-coherence workload: every worker targets
 // the one shared file, a span of sharedSpanChunks whole chunks. The
@@ -514,35 +584,29 @@ func sharedSpanChunks(cfg Config) int {
 // client counts the latter as stale reads. Every worker's budget is
 // FileSize bytes; the bytes actually moved replace res.FileSize so
 // throughput reflects real data motion.
-func runShared(p *sim.Proc, s *sim.Sim, worker int, names vfs.Namespace, cfg Config, res *Result, maybeFsync func(call int, f vfs.File)) {
-	n := cfg.workers
-	if n < 1 {
-		n = 1
-	}
-	if !sharedIsWriter(worker, n, cfg.SharedWriterPct) {
-		runSharedReader(p, s, names, cfg, res)
+func runShared(w *worker) {
+	cfg := w.cfg
+	n := max(cfg.workers, 1)
+	if !sharedIsWriter(w.index, n, cfg.SharedWriterPct) {
+		runSharedReader(w)
 		return
 	}
 	chunks := chunkCount(cfg)
 	span := sharedSpanChunks(cfg)
 	start := 0
-	if worker != sharedPrimer(n, cfg.SharedWriterPct) {
-		start = (worker * 7) % span
+	if w.index != sharedPrimer(n, cfg.SharedWriterPct) {
+		start = (w.index * 7) % span
 	}
-	f := names.OpenByName(p, sharedFileName)
-	var moved int64
+	f := w.names.OpenByName(w.p, sharedFileName)
 	for k := 0; k < chunks; k++ {
-		idx := (start + k) % span
-		off := int64(idx) * chunkSize
-		t0 := s.Now()
-		f.WriteAt(p, off, chunkSize)
-		res.Trace.Add(s.Now() - t0)
-		res.Calls++
-		moved += chunkSize
-		maybeFsync(k+1, f)
+		off := int64((start+k)%span) * chunkSize
+		t0 := w.s.Now()
+		f.WriteAt(w.p, off, chunkSize)
+		w.sample(t0)
+		w.maybeFsync(k+1, f)
 	}
-	f.Close(p)
-	res.FileSize = moved
+	f.Close(w.p)
+	w.res.FileSize = int64(chunks) * chunkSize
 }
 
 // runSharedReader is the consumer half of the shared workload. The
@@ -554,7 +618,8 @@ func runShared(p *sim.Proc, s *sim.Sim, worker int, names vfs.Namespace, cfg Con
 // out the lag. A pass that reads nothing — a cached size-zero attribute
 // entry still masking the fill — backs off one poll interval so virtual
 // time always advances.
-func runSharedReader(p *sim.Proc, s *sim.Sim, names vfs.Namespace, cfg Config, res *Result) {
+func runSharedReader(w *worker) {
+	p, names, cfg := w.p, w.names, w.cfg
 	span := int64(sharedSpanChunks(cfg)) * chunkSize
 	for {
 		if size, ok := names.Stat(p, sharedFileName); ok && size >= span {
@@ -567,14 +632,10 @@ func runSharedReader(p *sim.Proc, s *sim.Sim, names vfs.Namespace, cfg Config, r
 		f := names.OpenByName(p, sharedFileName)
 		var pos int64
 		for pos < span && moved < cfg.FileSize {
-			nb := chunkFor(cfg, span-pos)
-			if rem := cfg.FileSize - moved; int64(nb) > rem {
-				nb = int(rem)
-			}
-			t0 := s.Now()
+			nb := chunkFor(min(span-pos, cfg.FileSize-moved))
+			t0 := w.s.Now()
 			got := f.ReadAt(p, pos, nb)
-			res.Trace.Add(s.Now() - t0)
-			res.Calls++
+			w.sample(t0)
 			pos += int64(got)
 			moved += int64(got)
 			if got < nb {
@@ -592,7 +653,7 @@ func runSharedReader(p *sim.Proc, s *sim.Sim, names vfs.Namespace, cfg Config, r
 			p.Sleep(cfg.SharedReadLag)
 		}
 	}
-	res.FileSize = moved
+	w.res.FileSize = moved
 }
 
 // chunkCount is how many chunk-sized calls cover FileSize (the final
@@ -609,13 +670,12 @@ func normalize(cfg Config) Config {
 	if cfg.FsyncEvery < 0 {
 		panic("bonnie: FsyncEvery must be non-negative")
 	}
-	if cfg.Workload == WorkloadDB && cfg.FsyncEvery == 0 {
-		cfg.FsyncEvery = DefaultDBFsyncEvery
+	if wl := workloads[cfg.Workload]; !wl.fsyncs {
+		cfg.FsyncEvery = 0
+	} else if cfg.FsyncEvery == 0 {
+		cfg.FsyncEvery = wl.fsyncEvery
 	}
 	if cfg.Workload == WorkloadShared {
-		if cfg.FsyncEvery == 0 {
-			cfg.FsyncEvery = DefaultSharedFsyncEvery
-		}
 		if cfg.SharedWriterPct == 0 {
 			cfg.SharedWriterPct = DefaultSharedWriterPct
 		}
@@ -639,135 +699,83 @@ func normalize(cfg Config) Config {
 		if cfg.Mix.IsZero() {
 			cfg.Mix = DefaultOpMix()
 		}
-		if sum := cfg.Mix.Create + cfg.Mix.Write + cfg.Mix.Read + cfg.Mix.Stat + cfg.Mix.Remove; sum != 100 ||
-			cfg.Mix.Create < 0 || cfg.Mix.Write < 0 || cfg.Mix.Read < 0 || cfg.Mix.Stat < 0 || cfg.Mix.Remove < 0 {
+		if !cfg.Mix.valid() {
 			panic(fmt.Sprintf("bonnie: op mix %v must be non-negative and sum to 100", cfg.Mix))
 		}
 	}
 	return cfg
 }
 
-func chunkFor(cfg Config, rem int64) int {
-	n := chunkSize
-	if rem < int64(n) {
-		n = int(rem)
+// chunkFor is the size of the call that starts rem bytes before the end
+// of its stream: a whole chunk, or the partial final one.
+func chunkFor(rem int64) int { return int(min(rem, chunkSize)) }
+
+// runChunks is the loop every chunk workload runs. It visits the chunks
+// of the file front to back, or in chunkPerm's order (seeded by the
+// worker's index, so concurrent workers visit their files in distinct
+// deterministic orders), and reads, writes, or reads then writes back
+// each one as one traced call. After the k'th call maybeFsync applies
+// the group-commit cadence, which normalize zeroes for the read-only
+// workloads.
+func runChunks(w *worker, wl *workload) {
+	chunks := chunkCount(w.cfg)
+	var perm []int
+	if wl.random {
+		perm = chunkPerm(w.s, w.index, chunks)
 	}
-	return n
+	for k := 0; k < chunks; k++ {
+		idx := k
+		if perm != nil {
+			idx = perm[k]
+		}
+		off := int64(idx) * chunkSize
+		n := chunkFor(w.cfg.FileSize - off)
+		t0 := w.s.Now()
+		if wl.reads {
+			w.read(w.main, off, n)
+		}
+		if wl.writes {
+			w.main.WriteAt(w.p, off, n)
+		}
+		w.sample(t0)
+		w.maybeFsync(k+1, w.main)
+	}
 }
 
-// runIO performs the workload's I/O phase, recording per-call latencies
-// and the call count. worker seeds the random workloads' permutation, so
-// concurrent workers visit their files in distinct deterministic orders.
-// After each chunk that dirtied data, maybeFsync applies the FsyncEvery
-// group-commit cadence to the stream that was written.
-func runIO(p *sim.Proc, s *sim.Sim, worker int, fs ioFiles, cfg Config, res *Result) {
-	maybeFsync := func(call int, f vfs.File) {
-		if cfg.FsyncEvery <= 0 || call%cfg.FsyncEvery != 0 {
-			return
+// runMixed alternates chunk reads of the cold file, front to back, with
+// chunk writes appended to the fresh file, half the budget each; when
+// one stream runs out the other finishes alone. The writes take the
+// group-commit cadence.
+func runMixed(w *worker) {
+	readSize := w.cfg.FileSize / 2
+	writeSize := w.cfg.FileSize - readSize
+	var readOff, writeOff int64
+	writes := 0
+	for i := 0; readOff < readSize || writeOff < writeSize; i++ {
+		t0 := w.s.Now()
+		if readOff < readSize && (i%2 == 0 || writeOff == writeSize) {
+			n := chunkFor(readSize - readOff)
+			w.read(w.main, readOff, n)
+			readOff += int64(n)
+			w.sample(t0)
+			continue
 		}
-		t0 := s.Now()
-		f.Flush(p)
-		res.FsyncTime += s.Now() - t0
-		res.FsyncCount++
-	}
-	switch cfg.Workload {
-	case WorkloadZipf:
-		runZipf(p, s, worker, fs.names, cfg, res)
-	case WorkloadShared:
-		runShared(p, s, worker, fs.names, cfg, res, maybeFsync)
-	case WorkloadRandRead:
-		for _, idx := range chunkPerm(s, worker, chunkCount(cfg)) {
-			off := int64(idx) * chunkSize
-			n := chunkFor(cfg, cfg.FileSize-off)
-			t0 := s.Now()
-			got := fs.main.ReadAt(p, off, n)
-			res.Trace.Add(s.Now() - t0)
-			res.Calls++
-			if got != n {
-				panic(fmt.Sprintf("bonnie: short random read %d of %d at %d", got, n, off))
-			}
-		}
-	case WorkloadRandWrite, WorkloadDB:
-		for k, idx := range chunkPerm(s, worker, chunkCount(cfg)) {
-			off := int64(idx) * chunkSize
-			n := chunkFor(cfg, cfg.FileSize-off)
-			t0 := s.Now()
-			fs.main.WriteAt(p, off, n)
-			res.Trace.Add(s.Now() - t0)
-			res.Calls++
-			maybeFsync(k+1, fs.main)
-		}
-	case WorkloadRead:
-		var done int64
-		for done < cfg.FileSize {
-			n := chunkFor(cfg, cfg.FileSize-done)
-			t0 := s.Now()
-			got := fs.main.Read(p, n)
-			res.Trace.Add(s.Now() - t0)
-			res.Calls++
-			if got != n {
-				panic(fmt.Sprintf("bonnie: short read %d of %d at %d", got, n, done))
-			}
-			done += int64(got)
-		}
-	case WorkloadRewrite:
-		var pos int64
-		for pos < cfg.FileSize {
-			n := chunkFor(cfg, cfg.FileSize-pos)
-			t0 := s.Now()
-			if got := fs.main.Read(p, n); got != n {
-				panic(fmt.Sprintf("bonnie: short read %d of %d at %d", got, n, pos))
-			}
-			fs.main.WriteAt(p, pos, n)
-			res.Trace.Add(s.Now() - t0)
-			pos += int64(n)
-			res.Calls++
-			maybeFsync(res.Calls, fs.main)
-		}
-	case WorkloadMixed:
-		readRem := cfg.FileSize / 2
-		writeRem := cfg.FileSize - readRem
-		writes := 0
-		for i := 0; readRem > 0 || writeRem > 0; i++ {
-			t0 := s.Now()
-			if readRem > 0 && (i%2 == 0 || writeRem == 0) {
-				n := chunkFor(cfg, readRem)
-				if got := fs.main.Read(p, n); got != n {
-					panic(fmt.Sprintf("bonnie: short read %d of %d", got, n))
-				}
-				readRem -= int64(n)
-				res.Trace.Add(s.Now() - t0)
-				res.Calls++
-			} else {
-				n := chunkFor(cfg, writeRem)
-				fs.aux.Write(p, n)
-				writeRem -= int64(n)
-				res.Trace.Add(s.Now() - t0)
-				res.Calls++
-				writes++
-				maybeFsync(writes, fs.aux)
-			}
-		}
-	default: // WorkloadWrite
-		var written int64
-		for written < cfg.FileSize {
-			n := chunkFor(cfg, cfg.FileSize-written)
-			t0 := s.Now()
-			fs.main.Write(p, n)
-			res.Trace.Add(s.Now() - t0)
-			written += int64(n)
-			res.Calls++
-			maybeFsync(res.Calls, fs.main)
-		}
+		n := chunkFor(writeSize - writeOff)
+		w.aux.WriteAt(w.p, writeOff, n)
+		writeOff += int64(n)
+		w.sample(t0)
+		writes++
+		w.maybeFsync(writes, w.aux)
 	}
 }
 
 // finishPhases stamps the I/O phase time and, unless skipped, runs the
 // flush/close sequence (the fresh write-side file first for mixed, so
 // the dirty data the workload created is what flush measures).
-func finishPhases(p *sim.Proc, s *sim.Sim, fs ioFiles, cfg Config, res *Result, start sim.Time) {
+func (w *worker) finishPhases(start sim.Time) {
+	p, s, fs, res := w.p, w.s, w.ioFiles, w.res
 	res.WriteElapsed = s.Now() - start
-	if cfg.SkipFlushClose {
+	if w.cfg.SkipFlushClose {
 		return
 	}
 	if fs.main == nil {
@@ -808,6 +816,7 @@ func RunConcurrentWorkload(s *sim.Sim, target string, open func(worker int) vfs.
 	cfg = normalize(cfg)
 	cfg.workers = n
 	out := &ConcurrentResult{PerWriter: make([]*Result, n)}
+	workers := make([]worker, n) // one allocation per run, not per worker
 	finished := 0
 	start := s.Now()
 	for i := 0; i < n; i++ {
@@ -824,9 +833,14 @@ func RunConcurrentWorkload(s *sim.Sim, target string, open func(worker int) vfs.
 		}
 		out.PerWriter[i] = res
 		s.Go(name, func(p *sim.Proc) {
-			fs := openFiles(open(i), cfg)
-			runIO(p, s, i, fs, cfg, res)
-			finishPhases(p, s, fs, cfg, res, start)
+			w := &workers[i]
+			*w = worker{ioFiles: openFiles(open(i), cfg), p: p, s: s, index: i, cfg: cfg, res: res}
+			if wl := &workloads[cfg.Workload]; wl.body != nil {
+				wl.body(w)
+			} else {
+				runChunks(w, wl)
+			}
+			w.finishPhases(start)
 			out.TotalBytes += res.FileSize
 			if t := s.Now() - start; t > out.Elapsed {
 				out.Elapsed = t

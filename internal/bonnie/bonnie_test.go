@@ -1,7 +1,9 @@
 package bonnie
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -19,7 +21,6 @@ type fakeFile struct {
 	flushCost  sim.Time
 	closeCost  sim.Time
 	size       int64
-	readPos    int64
 	reads      int
 	rewrites   int
 	flushes    int
@@ -33,9 +34,6 @@ type fakeFile struct {
 	readOffsets  []int64
 }
 
-func (f *fakeFile) Write(p *sim.Proc, n int) {
-	f.WriteAt(p, f.size, n)
-}
 func (f *fakeFile) WriteAt(p *sim.Proc, off int64, n int) {
 	p.Sleep(f.perWrite)
 	f.rewrites++
@@ -43,11 +41,6 @@ func (f *fakeFile) WriteAt(p *sim.Proc, off int64, n int) {
 	if end := off + int64(n); end > f.size {
 		f.size = end
 	}
-}
-func (f *fakeFile) Read(p *sim.Proc, n int) int {
-	got := f.ReadAt(p, f.readPos, n)
-	f.readPos += int64(got)
-	return got
 }
 func (f *fakeFile) ReadAt(p *sim.Proc, off int64, n int) int {
 	p.Sleep(f.perRead)
@@ -205,18 +198,31 @@ func TestWorkloadStringsRoundTrip(t *testing.T) {
 			t.Fatalf("ParseWorkload(%q) = %v, %v", w.String(), got, err)
 		}
 	}
-	if WorkloadWrite.NeedsExisting() {
-		t.Fatal("write workload should not need an existing file")
-	}
-	for _, w := range all[1:] {
-		if !w.NeedsExisting() {
-			t.Fatalf("%s workload should need an existing file", w)
-		}
-	}
 	for _, w := range all {
 		random := w == WorkloadRandRead || w == WorkloadRandWrite || w == WorkloadDB
 		if w.Random() != random {
 			t.Fatalf("%s.Random() = %v", w, w.Random())
+		}
+	}
+}
+
+// The facts the harness asks of a workload: whether it needs a
+// namespace, whether -fsync-every applies, and whether every machine
+// mounts one export.
+func TestWorkloadDeclarations(t *testing.T) {
+	for w, want := range map[Workload][3]bool{
+		WorkloadWrite:     {false, true, false},
+		WorkloadRewrite:   {false, true, false},
+		WorkloadRead:      {false, false, false},
+		WorkloadMixed:     {false, true, false},
+		WorkloadRandRead:  {false, false, false},
+		WorkloadRandWrite: {false, true, false},
+		WorkloadDB:        {false, true, false},
+		WorkloadZipf:      {true, false, false},
+		WorkloadShared:    {true, true, true},
+	} {
+		if got := [3]bool{w.OpensByName(), w.HonoursFsyncEvery(), w.SharedExport()}; got != want {
+			t.Errorf("%s: (by name, fsyncs, shared export) = %v, want %v", w, got, want)
 		}
 	}
 }
@@ -287,8 +293,7 @@ func TestRandWriteWorkloadPermutation(t *testing.T) {
 	}
 }
 
-// A random read visits every chunk exactly once via ReadAt and never
-// moves the sequential read position.
+// A random read visits every chunk exactly once.
 func TestRandReadWorkload(t *testing.T) {
 	s := sim.New(1)
 	var opened []*fakeFile
@@ -298,8 +303,8 @@ func TestRandReadWorkload(t *testing.T) {
 		t.Fatalf("calls = %d", res.Calls)
 	}
 	ff := opened[0]
-	if ff.reads != 128 || ff.readPos != 0 {
-		t.Fatalf("reads = %d, readPos = %d; ReadAt must not move the position", ff.reads, ff.readPos)
+	if ff.reads != 128 {
+		t.Fatalf("reads = %d, want 128", ff.reads)
 	}
 	seen := make(map[int64]bool)
 	for _, off := range ff.readOffsets {
@@ -363,6 +368,118 @@ func TestDBWorkloadFsyncCadence(t *testing.T) {
 	res = RunWorkload(s, "w", openWithFlush, Config{FileSize: 2 << 20, FsyncEvery: 128})
 	if res.FsyncCount != 2 {
 		t.Fatalf("write workload with FsyncEvery=128 issued %d fsyncs, want 2", res.FsyncCount)
+	}
+}
+
+// loggedFile is a fakeFile that appends every call it receives to a log
+// shared by the files of one run: "<file> r|w <offset>+<length>",
+// "<file> flush" and "<file> close", files named A, B, ... in open
+// order.
+type loggedFile struct {
+	*fakeFile
+	name string
+	log  *[]string
+}
+
+func (f loggedFile) WriteAt(p *sim.Proc, off int64, n int) {
+	*f.log = append(*f.log, fmt.Sprintf("%s w %d+%d", f.name, off, n))
+	f.fakeFile.WriteAt(p, off, n)
+}
+func (f loggedFile) ReadAt(p *sim.Proc, off int64, n int) int {
+	*f.log = append(*f.log, fmt.Sprintf("%s r %d+%d", f.name, off, n))
+	return f.fakeFile.ReadAt(p, off, n)
+}
+func (f loggedFile) Flush(p *sim.Proc) { *f.log = append(*f.log, f.name+" flush") }
+func (f loggedFile) Close(p *sim.Proc) { *f.log = append(*f.log, f.name+" close") }
+
+// loggedOpenSet opens loggedFiles that log to log.
+func loggedOpenSet(s *sim.Sim, log *[]string) vfs.OpenSet {
+	opened := 0
+	open := func(size int64) vfs.File {
+		name := string(rune('A' + opened))
+		opened++
+		return loggedFile{&fakeFile{s: s, size: size}, name, log}
+	}
+	return vfs.OpenSet{Fresh: func() vfs.File { return open(0) }, Existing: open}
+}
+
+// TestChunkWorkloadCallSequence pins every call each chunk workload
+// makes, without group commit and at two cadences: the offset and length of each
+// read and write, in the order it visits the chunks, where each
+// FsyncEvery flush falls, and the final flush and close. Eight chunk
+// calls, the last one partial, cover the file; mixed reads half of that
+// budget from its existing file (A) and appends the other half to a
+// fresh one (B), alternating.
+func TestChunkWorkloadCallSequence(t *testing.T) {
+	const size = 7*chunkSize + 100
+	chunk := func(file, op string, k int) string {
+		return fmt.Sprintf("%s %s %d+%d", file, op, k*chunkSize, min(chunkSize, size-k*chunkSize))
+	}
+	for _, every := range []int{0, 2, 3} {
+		// flushAfter reports whether the call'th writing call flushes.
+		flushAfter := func(call int) bool { return every > 0 && call%every == 0 }
+		for _, tc := range []struct {
+			w      Workload
+			ops    []string // per chunk, in order
+			random bool
+		}{
+			{WorkloadWrite, []string{"w"}, false},
+			{WorkloadRewrite, []string{"r", "w"}, false},
+			{WorkloadRead, []string{"r"}, false},
+			{WorkloadRandRead, []string{"r"}, true},
+			{WorkloadRandWrite, []string{"w"}, true},
+			{WorkloadDB, []string{"w"}, true},
+		} {
+			order := []int{0, 1, 2, 3, 4, 5, 6, 7}
+			if tc.random {
+				order = chunkPerm(sim.New(1), 0, len(order))
+			}
+			var want []string
+			fsyncs := 0
+			for k, idx := range order {
+				for _, op := range tc.ops {
+					want = append(want, chunk("A", op, idx))
+				}
+				if slices.Contains(tc.ops, "w") && flushAfter(k+1) {
+					want = append(want, "A flush")
+					fsyncs++
+				}
+			}
+			want = append(want, "A flush", "A close")
+			checkCalls(t, tc.w, every, want, fsyncs)
+		}
+
+		// Mixed: 28,722 bytes each way, so three whole chunks and one of
+		// 4,146 bytes; the writes carry the cadence, and the fresh file
+		// flushes and closes first.
+		const half = size / 2
+		var want []string
+		fsyncs := 0
+		for k := 0; k < 4; k++ {
+			n := min(chunkSize, half-k*chunkSize)
+			want = append(want, fmt.Sprintf("A r %d+%d", k*chunkSize, n), fmt.Sprintf("B w %d+%d", k*chunkSize, n))
+			if flushAfter(k + 1) {
+				want = append(want, "B flush")
+				fsyncs++
+			}
+		}
+		want = append(want, "B flush", "A flush", "B close", "A close")
+		checkCalls(t, WorkloadMixed, every, want, fsyncs)
+	}
+}
+
+// checkCalls runs workload w over loggedFiles with the given FsyncEvery
+// and compares the call log and the group-commit count.
+func checkCalls(t *testing.T, w Workload, every int, want []string, fsyncs int) {
+	t.Helper()
+	s := sim.New(1)
+	var log []string
+	res := RunWorkload(s, "t", loggedOpenSet(s, &log), Config{FileSize: 7*chunkSize + 100, Workload: w, FsyncEvery: every})
+	if !slices.Equal(log, want) {
+		t.Errorf("%s, FsyncEvery %d: calls\n%s\nwant\n%s", w, every, strings.Join(log, "\n"), strings.Join(want, "\n"))
+	}
+	if res.FsyncCount != fsyncs || res.Calls != 8 {
+		t.Errorf("%s, FsyncEvery %d: %d fsyncs in %d calls, want %d in 8", w, every, res.FsyncCount, res.Calls, fsyncs)
 	}
 }
 

@@ -29,7 +29,7 @@ func TestSteadyStateWriteCycleAllocatesNothing(t *testing.T) {
 	s.Go("writer", func(p *sim.Proc) {
 		for {
 			start.Wait(p)
-			f.Write(p, 8192)
+			f.WriteAt(p, f.Size(), 8192)
 		}
 	})
 	s.Run(s.Now() + time.Millisecond) // park the writer

@@ -21,7 +21,7 @@ func churn(t *testing.T, tb *nfssim.Testbed, n int) int {
 		for i := 0; i < n; i++ {
 			name := fmt.Sprintf("churn%06d", i)
 			f := tb.Machines[0].Client.OpenByName(p, name)
-			f.Write(p, 8192)
+			f.WriteAt(p, f.Size(), 8192)
 			if got := tb.Machines[0].Client.OpenInodes(); got > maxInodes {
 				maxInodes = got
 			}

@@ -45,7 +45,7 @@ func TestNamedInodePersistsAcrossOpenClose(t *testing.T) {
 			t.Errorf("reopen found %d resident pages, want 8", got)
 		}
 		before := c.RPCs(nfsproto.ProcRead)
-		if got := g.Read(p, 8*4096); got != 8*4096 {
+		if got := g.ReadAt(p, 0, 8*4096); got != 8*4096 {
 			t.Errorf("short read: %d", got)
 		}
 		if c.RPCs(nfsproto.ProcRead) != before {
@@ -70,7 +70,7 @@ func TestStrictOpenNeverServesStale(t *testing.T) {
 		w.(*core.File).WriteAt(p, 0, size)
 		w.Close(p)
 		r := reader.OpenByName(p, "hot")
-		r.Read(p, size)
+		r.ReadAt(p, 0, size)
 		r.Close(p)
 
 		// Foreign write; strict reader must refetch on reopen.
@@ -80,7 +80,7 @@ func TestStrictOpenNeverServesStale(t *testing.T) {
 
 		coldReads := reader.RPCs(nfsproto.ProcRead)
 		r = reader.OpenByName(p, "hot")
-		r.Read(p, size)
+		r.ReadAt(p, 0, size)
 		r.Close(p)
 		if reader.RPCs(nfsproto.ProcRead) == coldReads {
 			t.Error("strict reopen after a foreign write served superseded pages from cache")
@@ -110,7 +110,7 @@ func TestNoacServesStaleReads(t *testing.T) {
 		w.(*core.File).WriteAt(p, 0, size)
 		w.Close(p)
 		r := reader.OpenByName(p, "hot")
-		r.Read(p, size)
+		r.ReadAt(p, 0, size)
 		r.Close(p)
 
 		w = writer.OpenByName(p, "hot")
@@ -119,7 +119,7 @@ func TestNoacServesStaleReads(t *testing.T) {
 
 		warmReads := reader.RPCs(nfsproto.ProcRead)
 		r = reader.OpenByName(p, "hot")
-		r.Read(p, size)
+		r.ReadAt(p, 0, size)
 		r.Close(p)
 		if reader.RPCs(nfsproto.ProcRead) != warmReads {
 			t.Error("noac reopen went back to the server")

@@ -95,12 +95,12 @@ func TestDataIntegrityAllConfigs(t *testing.T) {
 	const size = 4 << 20
 	for name, cfg := range configs {
 		tb := newBed(t, nfssim.ServerFiler, cfg)
-		f := tb.Machines[0].OpenNFS()
+		f := tb.Machines[0].Client.Open()
 		fh := f.Inode().FH
 		done := false
 		tb.Sim.Go("w", func(p *sim.Proc) {
 			for i := 0; i < size/8192; i++ {
-				f.Write(p, 8192)
+				f.WriteAt(p, int64(i)*8192, 8192)
 			}
 			f.Close(p)
 			done = true
@@ -272,11 +272,11 @@ func TestHardLimitBlocksAcrossFiles(t *testing.T) {
 	tb := newBed(t, nfssim.ServerFiler, core.Stock244Config())
 	done := 0
 	for i := 0; i < 2; i++ {
-		f := tb.Machines[0].OpenNFS()
+		f := tb.Machines[0].Client.Open()
 		tb.Sim.Go("w", func(p *sim.Proc) {
 			// 180 pages each: under soft (192), joint 360 > hard (256).
 			for j := 0; j < 90; j++ {
-				f.Write(p, 8192)
+				f.WriteAt(p, int64(j)*8192, 8192)
 			}
 			f.Close(p)
 			done++
@@ -336,11 +336,11 @@ func TestCommitOnlyForUnstableServers(t *testing.T) {
 // client "usually caches only a single write request per page").
 func TestSamePageWritesCoalesce(t *testing.T) {
 	tb := newBed(t, nfssim.ServerFiler, core.HashConfig())
-	f := tb.Machines[0].OpenNFS()
+	f := tb.Machines[0].Client.Open()
 	tb.Sim.Go("w", func(p *sim.Proc) {
 		// Two 2 KB writes into the same page.
-		f.Write(p, 2048)
-		f.Write(p, 2048)
+		f.WriteAt(p, 0, 2048)
+		f.WriteAt(p, 2048, 2048)
 	})
 	tb.Sim.Run(time.Second)
 	if got := tb.Machines[0].Client.MountRequests(); got != 1 {
@@ -354,15 +354,15 @@ func TestSamePageWritesCoalesce(t *testing.T) {
 // Double close is a no-op; write-after-close panics.
 func TestFileLifecycle(t *testing.T) {
 	tb := newBed(t, nfssim.ServerFiler, core.EnhancedConfig())
-	f := tb.Machines[0].OpenNFS()
+	f := tb.Machines[0].Client.Open()
 	panicked := false
 	tb.Sim.Go("w", func(p *sim.Proc) {
-		f.Write(p, 8192)
+		f.WriteAt(p, 0, 8192)
 		f.Close(p)
 		f.Close(p) // no-op
 		func() {
 			defer func() { panicked = recover() != nil }()
-			f.Write(p, 1)
+			f.WriteAt(p, 8192, 1)
 		}()
 	})
 	tb.Sim.Run(time.Minute)
@@ -381,7 +381,7 @@ func TestCommitRevealsReboot(t *testing.T) {
 	const pages, size = 4, 4 * 4096
 	tb := newBed(t, nfssim.ServerLinux, core.EnhancedConfig())
 	c := tb.Machines[0].Client
-	f := tb.Machines[0].OpenNFS()
+	f := tb.Machines[0].Client.Open()
 	const crashAt = time.Second
 	tb.Sim.At(crashAt, func() {
 		tb.Server.Crash()
@@ -389,7 +389,7 @@ func TestCommitRevealsReboot(t *testing.T) {
 	})
 	closed := false
 	tb.Sim.Go("writer", func(p *sim.Proc) {
-		f.Write(p, size)
+		f.WriteAt(p, 0, size)
 		f.WriteBack(p)
 		if c.RPCs(nfsproto.ProcWrite) == 0 || c.RPCs(nfsproto.ProcCommit) != 0 || tb.Sim.Now() >= crashAt {
 			t.Errorf("write-back: %d WRITEs and %d COMMITs by %v", c.RPCs(nfsproto.ProcWrite), c.RPCs(nfsproto.ProcCommit), tb.Sim.Now())
@@ -430,11 +430,11 @@ func TestCommitRevealsReboot(t *testing.T) {
 // dirty data for the file.
 func TestFlushDurability(t *testing.T) {
 	tb := newBed(t, nfssim.ServerLinux, core.EnhancedConfig())
-	f := tb.Machines[0].OpenNFS()
+	f := tb.Machines[0].Client.Open()
 	var dirtyAfter int64 = -1
 	tb.Sim.Go("w", func(p *sim.Proc) {
 		for i := 0; i < 128; i++ {
-			f.Write(p, 8192)
+			f.WriteAt(p, int64(i)*8192, 8192)
 		}
 		f.Flush(p)
 		dirtyAfter = serverDirty(tb)
@@ -535,7 +535,7 @@ func TestFasterServerWinsWhenFlushing(t *testing.T) {
 // paper's write-ordering example in §3.4).
 func TestIncompatibleSubPageWriteFlushes(t *testing.T) {
 	tb := newBed(t, nfssim.ServerFiler, core.HashConfig())
-	f := tb.Machines[0].OpenNFS()
+	f := tb.Machines[0].Client.Open()
 	fh := f.Inode().FH
 	tb.Sim.Go("w", func(p *sim.Proc) {
 		f.WriteAt(p, 0, 100)    // bytes [0,100) of page 0
@@ -578,7 +578,7 @@ func TestConcurrentWritersBenefitFromLockFix(t *testing.T) {
 // the writer throttled forever.
 func TestOverwriteDirtyAccountingBounded(t *testing.T) {
 	tb := newBed(t, nfssim.ServerFiler, core.EnhancedConfig())
-	f := tb.Machines[0].OpenNFS()
+	f := tb.Machines[0].Client.Open()
 	const rewrites = 10_000
 	done := false
 	tb.Sim.Go("w", func(p *sim.Proc) {
@@ -616,7 +616,7 @@ func TestOverwriteDirtyAccountingBounded(t *testing.T) {
 // adjacent 2 KB writes into one page dirty 4 KB total, not 6 KB.
 func TestPartialPageExtensionChargesNetNew(t *testing.T) {
 	tb := newBed(t, nfssim.ServerFiler, core.EnhancedConfig())
-	f := tb.Machines[0].OpenNFS()
+	f := tb.Machines[0].Client.Open()
 	tb.Sim.Go("w", func(p *sim.Proc) {
 		f.WriteAt(p, 0, 2048)
 		if got := tb.Machines[0].Cache.Usage(); got != 2048 {
@@ -650,10 +650,10 @@ func TestMultiClientIntegrity(t *testing.T) {
 	finished := 0
 	for i := 0; i < 2; i++ {
 		i := i
-		files[i] = tb.Machines[i].OpenNFS()
+		files[i] = tb.Machines[i].Client.Open()
 		tb.Sim.Go("w", func(p *sim.Proc) {
 			for w := 0; w < size/8192; w++ {
-				files[i].Write(p, 8192)
+				files[i].WriteAt(p, int64(w)*8192, 8192)
 			}
 			files[i].Close(p)
 			finished++
@@ -681,7 +681,7 @@ func TestMachinesMintDistinctHandles(t *testing.T) {
 	tb := nfssim.NewTestbed(nfssim.Options{Server: nfssim.ServerFiler, Clients: 3})
 	fhs := map[nfsproto.FileHandle]bool{}
 	for i, m := range tb.Machines {
-		fh := m.OpenNFS().Inode().FH
+		fh := m.Client.Open().Inode().FH
 		if fhs[fh] {
 			t.Fatalf("machine %d produced a colliding file handle %v", i, fh)
 		}
@@ -702,11 +702,11 @@ func TestThrottledSubPageWritesDoNotOutrunAccounting(t *testing.T) {
 		CacheLimit: 64 << 10,
 		Seed:       3,
 	})
-	f := tb.Machines[0].OpenNFS()
+	f := tb.Machines[0].Client.Open()
 	done := false
 	tb.Sim.Go("w", func(p *sim.Proc) {
 		for i := 0; i < 1024; i++ { // 2 MB of sequential 2 KB writes
-			f.Write(p, 2048)
+			f.WriteAt(p, int64(i)*2048, 2048)
 		}
 		f.Close(p)
 		done = true
@@ -739,11 +739,11 @@ func TestCacheSmallerThanWatermarkMakesProgress(t *testing.T) {
 			CacheLimit: limit, // well below the 8-page flushd watermark
 			Seed:       3,
 		})
-		f := tb.Machines[0].OpenNFS()
+		f := tb.Machines[0].Client.Open()
 		done := false
 		tb.Sim.Go("w", func(p *sim.Proc) {
 			for i := 0; i < 256; i++ { // 1 MB in page-sized writes
-				f.Write(p, vfs.PageSize)
+				f.WriteAt(p, int64(i)*vfs.PageSize, vfs.PageSize)
 			}
 			f.Close(p)
 			done = true

@@ -5,32 +5,25 @@ import (
 	"repro/internal/vfs"
 )
 
-// File is an open NFS file; it implements vfs.File. Writes are sequential
-// appends (the paper's benchmark writes fresh files front to back); Reads
-// advance an independent read position and pull cold pages from the
-// server with readahead; Flush is fsync; Close flushes and commits,
-// because "NFS ... always flushes completely before last close" (§2.3).
+// File is an open NFS file; it implements vfs.File. Writes dirty pages
+// through the client's request machinery (the paper's benchmark writes
+// fresh files front to back); reads pull cold pages from the server with
+// readahead; Flush is fsync; Close flushes and commits, because "NFS ...
+// always flushes completely before last close" (§2.3).
 type File struct {
-	c       *Client
-	ino     *Inode
-	readPos int64
-	closed  bool
+	c      *Client
+	ino    *Inode
+	closed bool
 
 	// name is set for files opened through the namespace (OpenByName);
 	// local writes invalidate its attribute-cache entry.
 	name string
 }
 
-// Write implements vfs.File: the sys_write -> generic_file_write ->
-// nfs_commit_write path, followed by the flush-policy checks. The write
-// appends at the current end of file.
-func (f *File) Write(p *sim.Proc, n int) {
-	f.WriteAt(p, f.ino.size, n)
-}
-
-// WriteAt writes n bytes at an arbitrary offset (pwrite), for
-// database-style workloads that dirty pages out of order. Writing into a
-// page with a pending request coalesces client-side, like the kernel.
+// WriteAt implements vfs.File: the sys_write -> generic_file_write ->
+// nfs_commit_write path at offset off, followed by the flush-policy
+// checks. Pages may be dirtied out of order; writing into a page with a
+// pending request coalesces client-side, like the kernel.
 func (f *File) WriteAt(p *sim.Proc, off int64, n int) {
 	if f.closed {
 		panic("core: write after close")
@@ -54,18 +47,9 @@ func (f *File) WriteAt(p *sim.Proc, off int64, n int) {
 	}
 }
 
-// Read implements vfs.File: the sys_read -> generic_file_read ->
-// nfs_readpage path at the file's current read position. Returns the
-// bytes read (0 at end of file).
-func (f *File) Read(p *sim.Proc, n int) int {
-	got := f.ReadAt(p, f.readPos, n)
-	f.readPos += int64(got)
-	return got
-}
-
-// ReadAt reads up to n bytes at an arbitrary offset (pread), for
-// database-style workloads; it does not move the read position. Returns
-// the bytes read, clamped at end of file.
+// ReadAt implements vfs.File: the sys_read -> generic_file_read ->
+// nfs_readpage path at offset off. Returns the bytes read, clamped at end
+// of file.
 func (f *File) ReadAt(p *sim.Proc, off int64, n int) int {
 	if f.closed {
 		panic("core: read after close")

@@ -21,7 +21,7 @@ func TestReadColdFileFetchesAndCaches(t *testing.T) {
 	var total int
 	tb.Sim.Go("reader", func(p *sim.Proc) {
 		for {
-			got := f.Read(p, 8192)
+			got := f.ReadAt(p, int64(total), 8192)
 			if got == 0 {
 				break
 			}
@@ -72,7 +72,7 @@ func TestReadSizeFollowsWSize(t *testing.T) {
 	var total int
 	tb.Sim.Go("reader", func(p *sim.Proc) {
 		for {
-			got := f.Read(p, 8192)
+			got := f.ReadAt(p, int64(total), 8192)
 			if got == 0 {
 				break
 			}
@@ -98,7 +98,7 @@ func TestReadaheadWindowGrowsAndResets(t *testing.T) {
 	f := tb.Machines[0].Client.OpenExisting(size)
 	tb.Sim.Go("reader", func(p *sim.Proc) {
 		for i := 0; i < 64; i++ {
-			f.Read(p, 8192)
+			f.ReadAt(p, int64(i)*8192, 8192)
 		}
 		if w := f.Inode().ReadaheadWindow(); w != cfg.ReadaheadMaxPages {
 			t.Errorf("after 128 sequential pages window = %d, want the cap %d", w, cfg.ReadaheadMaxPages)
@@ -136,9 +136,9 @@ func TestReadaheadAblationStrictlyOrdered(t *testing.T) {
 // not even hold yet.
 func TestReadAfterWriteHitsCache(t *testing.T) {
 	tb := newBed(t, nfssim.ServerFiler, core.EnhancedConfig())
-	f := tb.Machines[0].OpenNFS()
+	f := tb.Machines[0].Client.Open()
 	tb.Sim.Go("rw", func(p *sim.Proc) {
-		f.Write(p, 64<<10)
+		f.WriteAt(p, 0, 64<<10)
 		if got := f.ReadAt(p, 0, 64<<10); got != 64<<10 {
 			t.Errorf("read back %d bytes", got)
 		}
@@ -162,7 +162,7 @@ func TestHalfSpecifiedReadaheadStaysOn(t *testing.T) {
 	f := tb.Machines[0].Client.OpenExisting(1 << 20)
 	tb.Sim.Go("reader", func(p *sim.Proc) {
 		for i := 0; i < 16; i++ {
-			f.Read(p, 8192)
+			f.ReadAt(p, int64(i)*8192, 8192)
 		}
 		if w := f.Inode().ReadaheadWindow(); w < 8 {
 			t.Errorf("window = %d after sequential reads; half-specified config disabled readahead", w)
@@ -176,13 +176,13 @@ func TestReadEOF(t *testing.T) {
 	tb := newBed(t, nfssim.ServerFiler, core.EnhancedConfig())
 	f := tb.Machines[0].Client.OpenExisting(8192 + 100)
 	tb.Sim.Go("reader", func(p *sim.Proc) {
-		if got := f.Read(p, 8192); got != 8192 {
+		if got := f.ReadAt(p, 0, 8192); got != 8192 {
 			t.Errorf("first read = %d", got)
 		}
-		if got := f.Read(p, 8192); got != 100 {
+		if got := f.ReadAt(p, 8192, 8192); got != 100 {
 			t.Errorf("partial read = %d, want 100", got)
 		}
-		if got := f.Read(p, 8192); got != 0 {
+		if got := f.ReadAt(p, 8192+100, 8192); got != 0 {
 			t.Errorf("read past EOF = %d, want 0", got)
 		}
 	})
@@ -203,7 +203,7 @@ func TestConcurrentReadersAndWritersOneServer(t *testing.T) {
 		func(i int) vfs.OpenSet {
 			return vfs.OpenSet{
 				Fresh: func() vfs.File {
-					f := tb.Machines[0].OpenNFS()
+					f := tb.Machines[0].Client.Open()
 					writeFiles = append(writeFiles, f)
 					return f
 				},

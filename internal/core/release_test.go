@@ -22,8 +22,8 @@ func TestCloseReleasesInode(t *testing.T) {
 	tb.Sim.Go("w", func(p *sim.Proc) {
 		open := make([]*core.File, 0, files)
 		for i := 0; i < files; i++ {
-			f := tb.Machines[0].OpenNFS()
-			f.Write(p, 64<<10)
+			f := tb.Machines[0].Client.Open()
+			f.WriteAt(p, 0, 64<<10)
 			open = append(open, f)
 		}
 		if got := tb.Machines[0].Client.OpenInodes(); got != files {
@@ -62,7 +62,7 @@ func TestCloseReleasesReadState(t *testing.T) {
 	tb.Sim.Go("rw", func(p *sim.Proc) {
 		for i := 0; i < 8; i++ {
 			f := tb.Machines[0].Client.OpenExisting(256 << 10)
-			for f.Read(p, 8192) > 0 {
+			for off := int64(0); f.ReadAt(p, off, 8192) > 0; off += 8192 {
 			}
 			f.Close(p)
 		}
@@ -83,7 +83,7 @@ func TestCloseWithReadaheadInFlight(t *testing.T) {
 	tb.Sim.Go("r", func(p *sim.Proc) {
 		f := tb.Machines[0].Client.OpenExisting(4 << 20)
 		// One chunk is enough to launch the window; close immediately.
-		f.Read(p, 8192)
+		f.ReadAt(p, 0, 8192)
 		f.Close(p)
 		if got := tb.Machines[0].Client.OpenInodes(); got != 0 {
 			t.Errorf("open inodes after close = %d", got)
@@ -103,10 +103,10 @@ func TestCloseWithReadaheadInFlight(t *testing.T) {
 // hit/miss behavior either way.
 func TestResidentSetCoalesces(t *testing.T) {
 	tb := newBed(t, nfssim.ServerFiler, core.EnhancedConfig())
-	f := tb.Machines[0].OpenNFS()
+	f := tb.Machines[0].Client.Open()
 	tb.Sim.Go("w", func(p *sim.Proc) {
 		// Sequential writes: one growing span.
-		f.Write(p, 64<<10)
+		f.WriteAt(p, 0, 64<<10)
 		if spans := f.Inode().ResidentSpans(); spans != 1 {
 			t.Errorf("sequential write left %d resident spans, want 1", spans)
 		}

@@ -29,7 +29,6 @@ type File struct {
 	clean   *sim.WaitQueue
 	closed  bool
 
-	readPos int64
 	// resident tracks the byte ranges present in the page cache, at
 	// page granularity: everything written through this handle plus
 	// everything pulled in by reads. Clean pages are never reclaimed.
@@ -73,16 +72,10 @@ func OpenExisting(s *sim.Sim, cpu *sim.CPUPool, cache *mm.PageCache, disk *disks
 	return f
 }
 
-// Write implements vfs.File: page-cache writes at memory speed, blocking
-// only under memory pressure. Appends at the current end of file.
-func (f *File) Write(p *sim.Proc, n int) {
-	f.WriteAt(p, f.size, n)
-}
-
-// WriteAt implements vfs.File: dirty n bytes in place at offset off
-// (pwrite), extending the file if the write passes its end. The page
-// cache charge and commit cost match Write; only the offset bookkeeping
-// differs. The touched pages become resident for read-back.
+// WriteAt implements vfs.File: page-cache writes at memory speed,
+// blocking only under memory pressure. It dirties n bytes at offset off,
+// extending the file if the write passes its end; the touched pages
+// become resident for read-back.
 func (f *File) WriteAt(p *sim.Proc, off int64, n int) {
 	if f.closed {
 		panic("ext2: write after close")
@@ -109,21 +102,12 @@ func (f *File) WriteAt(p *sim.Proc, off int64, n int) {
 func pageFloor(off int64) int64 { return off &^ (vfs.PageSize - 1) }
 func pageCeil(off int64) int64  { return (off + vfs.PageSize - 1) &^ (vfs.PageSize - 1) }
 
-// Read implements vfs.File: page-cache reads at memory speed for
+// ReadAt implements vfs.File: page-cache reads at memory speed for
 // resident data (anything written through this handle, or pulled in by
 // an earlier read); cold pages are fetched from the disk in readahead
 // clusters, so a sequential scan streams at media rate after one
-// positioning cost.
-func (f *File) Read(p *sim.Proc, n int) int {
-	got := f.ReadAt(p, f.readPos, n)
-	f.readPos += int64(got)
-	return got
-}
-
-// ReadAt implements vfs.File: pread — the same page-cache/disk read path
-// at an arbitrary offset, without moving the read position. Random reads
-// still pull whole readahead clusters from the disk, so a random scan of
-// a cold file pays one positioning cost per cluster-sized region.
+// positioning cost, and a random scan of a cold file pays one per
+// cluster-sized region.
 func (f *File) ReadAt(p *sim.Proc, off int64, n int) int {
 	if f.closed {
 		panic("ext2: read after close")

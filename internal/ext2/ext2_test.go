@@ -22,7 +22,7 @@ func TestMemorySpeedWrites(t *testing.T) {
 	var elapsed sim.Time
 	s.Go("w", func(p *sim.Proc) {
 		for i := 0; i < 1024; i++ { // 8 MB, well within cache
-			f.Write(p, 8192)
+			f.WriteAt(p, int64(i)*8192, 8192)
 		}
 		elapsed = s.Now()
 	})
@@ -41,7 +41,7 @@ func TestCloseDoesNotFlush(t *testing.T) {
 	s, f, cache := newRig(1, 64<<20)
 	s.Go("w", func(p *sim.Proc) {
 		for i := 0; i < 16; i++ {
-			f.Write(p, 8192)
+			f.WriteAt(p, int64(i)*8192, 8192)
 		}
 		f.Close(p)
 	})
@@ -59,7 +59,7 @@ func TestFlushDrainsEverything(t *testing.T) {
 	var after int64 = -1
 	s.Go("w", func(p *sim.Proc) {
 		for i := 0; i < 512; i++ { // 4 MB
-			f.Write(p, 8192)
+			f.WriteAt(p, int64(i)*8192, 8192)
 		}
 		f.Flush(p)
 		after = cache.Usage()
@@ -78,7 +78,7 @@ func TestThrottledAtCacheLimit(t *testing.T) {
 	var elapsed sim.Time
 	s.Go("w", func(p *sim.Proc) {
 		for i := 0; i < 2048; i++ { // 16 MB into a 4 MB budget
-			f.Write(p, 8192)
+			f.WriteAt(p, int64(i)*8192, 8192)
 		}
 		elapsed = s.Now()
 	})
@@ -99,7 +99,7 @@ func TestWriteAfterClosePanics(t *testing.T) {
 	s.Go("w", func(p *sim.Proc) {
 		f.Close(p)
 		defer func() { panicked = recover() != nil }()
-		f.Write(p, 10)
+		f.WriteAt(p, 0, 10)
 	})
 	s.Run(time.Second)
 	if !panicked {
@@ -119,7 +119,7 @@ func TestColdReadsHitDiskThenCache(t *testing.T) {
 	s.Go("r", func(p *sim.Proc) {
 		var total int
 		for {
-			got := f.Read(p, 8192)
+			got := f.ReadAt(p, int64(total), 8192)
 			if got == 0 {
 				break
 			}
@@ -135,9 +135,9 @@ func TestColdReadsHitDiskThenCache(t *testing.T) {
 			t.Error("cold reads recorded no misses")
 		}
 		// Second pass: everything resident, no further disk traffic.
-		f.readPos = 0
 		misses := cache.ReadMisses
-		for f.Read(p, 8192) > 0 {
+		for off := int64(0); off < size; off += 8192 {
+			f.ReadAt(p, off, 8192)
 		}
 		if disk.BytesRead != size || cache.ReadMisses != misses {
 			t.Errorf("re-read went to disk: bytes=%d misses=%d", disk.BytesRead, cache.ReadMisses-misses)
@@ -156,12 +156,12 @@ func TestAppendDoesNotMarkColdPrefixResident(t *testing.T) {
 	const size = 1 << 20
 	f := OpenExisting(s, cpu, cache, disk, size)
 	s.Go("rw", func(p *sim.Proc) {
-		f.Write(p, 8192) // append at offset size
+		f.WriteAt(p, size, 8192) // append
 		if f.Size() != size+8192 {
 			t.Errorf("size = %d", f.Size())
 		}
 		// The cold prefix still reads from disk...
-		if f.Read(p, 8192) != 8192 {
+		if f.ReadAt(p, 0, 8192) != 8192 {
 			t.Error("prefix read failed")
 		}
 		if disk.BytesRead == 0 || cache.ReadMisses == 0 {
@@ -170,8 +170,7 @@ func TestAppendDoesNotMarkColdPrefixResident(t *testing.T) {
 		}
 		// ...while the appended bytes are resident.
 		before := disk.BytesRead
-		f.readPos = size
-		if f.Read(p, 8192) != 8192 {
+		if f.ReadAt(p, size, 8192) != 8192 {
 			t.Error("append read failed")
 		}
 		if disk.BytesRead != before {

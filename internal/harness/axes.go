@@ -78,7 +78,7 @@ var Axes = []Axis{
 		Usage: "comma list of workloads: write, rewrite, read, mixed, randread, randwrite, db, zipf, shared",
 		Set:   list(func(g *Grid) *[]bonnie.Workload { return &g.Workloads }, bonnie.ParseWorkload),
 		Rule: needsNFS("namespace", func(sc Scenario) (string, bool) {
-			return sc.Workload.String(), sc.Workload == bonnie.WorkloadZipf || sc.Workload == bonnie.WorkloadShared
+			return sc.Workload.String(), sc.Workload.OpensByName()
 		})},
 	{Flag: "files", Usage: "comma list of zipf file populations, e.g. 100,1000 (default 100)",
 		Set: list(func(g *Grid) *[]int { return &g.FileCounts }, positiveInt),
@@ -132,11 +132,8 @@ var Axes = []Axis{
 			return n, nil
 		}),
 		Rule: func(sc Scenario) error {
-			switch sc.Workload {
-			case bonnie.WorkloadRead, bonnie.WorkloadRandRead, bonnie.WorkloadZipf:
-				if sc.FsyncEvery > 0 {
-					return fmt.Errorf("%d applies only to a workload that flushes mid-run (not -workload %s)", sc.FsyncEvery, sc.Workload)
-				}
+			if sc.FsyncEvery > 0 && !sc.Workload.HonoursFsyncEvery() {
+				return fmt.Errorf("%d applies only to a workload that flushes mid-run (not -workload %s)", sc.FsyncEvery, sc.Workload)
 			}
 			return nil
 		}},

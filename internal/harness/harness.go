@@ -97,8 +97,9 @@ type Scenario struct {
 	// a deterministic per-seed permutation.
 	Workload bonnie.Workload
 	// FsyncEvery flushes the write stream every N chunks during the I/O
-	// phase (group commit). 0 means never, except the db workload, which
-	// defaults to bonnie.DefaultDBFsyncEvery.
+	// phase (group commit). 0 means the workload's default
+	// (bonnie.Config.FsyncEvery); a workload that does not honour it
+	// rejects N > 0 (Check).
 	FsyncEvery int
 	// FileCount is the zipf workload's file population (0 means
 	// bonnie.DefaultZipfFiles; ignored by single-file workloads).

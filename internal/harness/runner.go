@@ -178,9 +178,9 @@ func RunScenarioOn(sc Scenario, prepare func(*nfssim.Testbed)) Result {
 		Transport:  sc.Transport,
 		Loss:       sc.Loss,
 		NetJitter:  sc.NetJitter,
-		// The shared workload is only meaningful when every machine
-		// mounts the same export.
-		SharedNamespace: sc.Workload == bonnie.WorkloadShared,
+		// A workload whose workers share a file needs every machine
+		// on the same export.
+		SharedNamespace: sc.Workload.SharedExport(),
 	}
 	opts.Client.Consistency = sc.Consistency
 	if sc.WSize != 0 {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"runtime"
 	"runtime/debug"
 	"testing"
 	"time"
@@ -20,10 +21,10 @@ import (
 // pool when its last copy ends. The client is 600 ms from the switch, so
 // each call's 1.1 s retransmit timer fires before its reply is back: every
 // call also puts a retransmitted copy through the server and draws a
-// duplicate reply. The run spans six virtual minutes, so the filer's
-// timer checkpoints are pushed past its end: each allocates its disk
-// completion, about 30 in 100 round trips, which AllocsPerRun's
-// truncated mean would not show.
+// duplicate reply. The 100 counted round trips span five virtual
+// minutes, so about 30 of the filer's timer checkpoints fire inside the
+// window; mallocs counts them all, where AllocsPerRun's truncated mean
+// would hide an allocation made once in three round trips.
 func TestSteadyStateWriteRoundTripAllocatesNothing(t *testing.T) {
 	if racebuild.Enabled {
 		t.Skip("sync.Pool drops objects at random under the race detector")
@@ -34,7 +35,6 @@ func TestSteadyStateWriteRoundTripAllocatesNothing(t *testing.T) {
 	far.Propagation = 600 * time.Millisecond
 	net.AddHost(HostClient, far, nil)
 	srv := NewF85(s, net, netsim.MTUEthernet, rpcsim.TransportUDP)
-	srv.Backend().(*Filer).setCPTiming(time.Hour, cpPause)
 	tr := rpcsim.New(s, net, s.NewCPUPool(2), s.NewMutex("bkl"), rpcsim.DefaultConfig(), HostClient, HostFiler)
 
 	args := nfsproto.WriteArgs{File: nfsproto.MakeFileHandle(1, 1), Count: 8192,
@@ -63,8 +63,8 @@ func TestSteadyStateWriteRoundTripAllocatesNothing(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		roundTrip() // warm the pools, free lists and queues
 	}
-	if n := testing.AllocsPerRun(100, roundTrip); n != 0 {
-		t.Fatalf("a WRITE round trip costs %.2f allocations", n)
+	if n := mallocs(100, roundTrip); n != 0 {
+		t.Fatalf("100 WRITE round trips made %d allocations", n)
 	}
 	st := tr.Stats()
 	if replies != 121 || st.Retransmits != 121 || st.DuplicateReplies != 121 {
@@ -75,6 +75,25 @@ func TestSteadyStateWriteRoundTripAllocatesNothing(t *testing.T) {
 	if inFlight := st.Calls - st.Replies - st.MajorTimeouts; inFlight != 0 || srv.Writes != 242 {
 		t.Fatalf("in flight %d, server writes %d", inFlight, srv.Writes)
 	}
+}
+
+// mallocs counts the heap allocations of runs calls of f as a total,
+// where testing.AllocsPerRun reports a truncated mean. Like
+// AllocsPerRun it runs on one processor after one uncounted call, which
+// fills that processor's sync.Pool caches; the collector is off
+// meanwhile, since a collection empties the pools. Refilling them would
+// count allocations the code does not make once warm.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // A steady-state round of eight UDP WRITEs and a COMMIT against knfsd

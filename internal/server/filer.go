@@ -44,14 +44,12 @@ type Filer struct {
 	diskOff    int64 // WAFL writes sequentially; next stripe offset
 	verf       nfsproto.WriteVerf
 
-	// gen is the lifecycle generation, bumped by Crash. Disk completions
-	// capture it when issued and die quietly if the filer has rebooted
-	// underneath them.
-	gen int
-	// cpTimer is the armed timer-CP event, which Crash cancels; onCPTimer
-	// is timerCP bound once, so arming it allocates nothing.
-	cpTimer   sim.Event
-	onCPTimer func()
+	// cpTimer is the armed timer-CP event and drainDone the in-flight
+	// consistency point's disk completion; Crash cancels both. onCPTimer
+	// and onDrained are timerCP and drained bound once, so neither
+	// arming the timer nor starting a consistency point allocates.
+	cpTimer, drainDone   sim.Event
+	onCPTimer, onDrained func()
 
 	// Checkpoints counts consistency points taken.
 	Checkpoints int64
@@ -71,7 +69,7 @@ func NewFiler(s *sim.Sim, vol *disksim.RAID4) *Filer {
 		spaceWait:  s.NewWaitQueue(),
 		verf:       0xf85f85f85,
 	}
-	f.onCPTimer = f.timerCP
+	f.onCPTimer, f.onDrained = f.timerCP, f.drained
 	f.scheduleTimerCP()
 	return f
 }
@@ -101,33 +99,31 @@ func (f *Filer) drain(bytes int64) {
 	f.drainBytes = bytes
 	f.Checkpoints++
 	f.pauseUntil = f.s.Now() + f.cpPause
-	gen := f.gen
-	f.s.After(f.disk.BookWrite(f.diskOff, bytes), func() {
-		if gen != f.gen {
-			// The filer rebooted while this stripe was in flight; the
-			// restart replay re-covers these bytes from the NVRAM log.
-			return
-		}
-		f.draining = false
-		f.drainBytes = 0
-		f.spaceWait.Broadcast()
-	})
+	f.drainDone = f.s.After(f.disk.BookWrite(f.diskOff, bytes), f.onDrained)
 	f.diskOff += bytes
+}
+
+// drained completes the consistency point: the draining half is on disk
+// and free for the next swap.
+func (f *Filer) drained() {
+	f.draining = false
+	f.drainBytes = 0
+	f.spaceWait.Broadcast()
 }
 
 // Crash models a filer panic/power cut. NVRAM is battery-backed, so the
 // log contents (the filling half plus any half mid-drain whose completion
 // we can no longer trust) survive and are replayed at Restart; nothing
-// acked is ever lost. The timer chain is canceled and pending disk
-// completions are orphaned via the generation bump.
+// acked is ever lost. The timer chain and the in-flight consistency
+// point's completion are canceled.
 func (f *Filer) Crash() {
 	f.cpTimer.Cancel()
-	f.gen++
+	f.drainDone.Cancel()
 	f.Crashes++
 	f.pauseUntil = 0
-	// The in-flight CP's completion is orphaned; its bytes stay in
-	// drainBytes for the restart replay. Clear draining so recovery does
-	// not wait on a completion that will never be delivered.
+	// The canceled CP's bytes stay in drainBytes for the restart replay.
+	// Clear draining so recovery does not wait on a completion that will
+	// never be delivered.
 	f.draining = false
 	f.spaceWait.Broadcast()
 }

@@ -28,21 +28,15 @@ var (
 const PageSize = 4096
 
 // File is what the benchmark drives: a readable and writable file with
-// explicit flush and close, all blocking in virtual time.
+// explicit flush and close, all blocking in virtual time. I/O is
+// positional (pread/pwrite): the caller names every offset, so a file
+// keeps no position.
 type File interface {
-	// Write appends n bytes at the file's current write position.
-	Write(p *sim.Proc, n int)
-	// WriteAt writes n bytes at an arbitrary offset (pwrite), dirtying
-	// existing pages in place — the rewrite workload's second half.
+	// WriteAt writes n bytes at offset off, extending the file if the
+	// write passes its end; writing at Size() appends.
 	WriteAt(p *sim.Proc, off int64, n int)
-	// Read reads up to n bytes at the file's current read position and
-	// returns the bytes actually read (0 at end of file). The read and
-	// write positions are independent, like separate file descriptors on
-	// one file.
-	Read(p *sim.Proc, n int) int
-	// ReadAt reads up to n bytes at an arbitrary offset (pread) without
-	// moving the read position — the random-access workloads' read path.
-	// Returns the bytes read, clamped at end of file.
+	// ReadAt reads up to n bytes at offset off and returns the bytes
+	// read, clamped at end of file (0 at or past it).
 	ReadAt(p *sim.Proc, off int64, n int) int
 	// Flush makes all written data durable (fsync semantics).
 	Flush(p *sim.Proc)

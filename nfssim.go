@@ -138,55 +138,29 @@ type ClientMachine struct {
 	// LocalDisk is the machine's EIDE disk for local ext2 runs.
 	LocalDisk *disksim.Disk
 
-	sim  *sim.Sim
-	kind ServerKind
+	sim *sim.Sim
 }
 
-// OpenNFS opens a fresh file on the machine's NFS mount.
-func (m *ClientMachine) OpenNFS() *core.File {
-	if m.Client == nil {
-		panic("nfssim: client machine has no NFS mount")
-	}
-	return m.Client.Open()
-}
-
-// OpenLocal opens a fresh file on the machine's local ext2 filesystem.
-func (m *ClientMachine) OpenLocal() vfs.File {
-	return ext2.NewFile(m.sim, m.CPU, m.Cache, m.LocalDisk)
-}
-
-// Open opens a file on the test bed's configured target: local ext2 for
-// ServerNone, NFS otherwise.
-func (m *ClientMachine) Open() vfs.File {
-	if m.kind == ServerNone {
-		return m.OpenLocal()
-	}
-	return m.OpenNFS()
-}
-
-// OpenExisting opens a file already holding size bytes on the machine's
-// configured target, with nothing resident in the machine's page cache —
-// the cold file the read workloads start from.
-func (m *ClientMachine) OpenExisting(size int64) vfs.File {
-	if m.kind == ServerNone {
-		return ext2.OpenExisting(m.sim, m.CPU, m.Cache, m.LocalDisk, size)
-	}
-	if m.Client == nil {
-		panic("nfssim: client machine has no NFS mount")
-	}
-	return m.Client.OpenExisting(size)
-}
-
-// OpenSet returns the machine's workload openers (fresh and existing
-// files on the configured target, plus the NFS namespace for the
-// many-file workloads when the machine has a mount), the form
-// internal/bonnie's workload runners consume.
+// OpenSet is the machine's one opener, the form internal/bonnie's
+// workload runners consume: fresh files, and existing ones holding size
+// bytes with nothing resident in the page cache (the cold file the read
+// workloads start from), on the configured target — local ext2 for
+// ServerNone, the NFS mount otherwise, which adds its namespace for the
+// many-file workloads.
 func (m *ClientMachine) OpenSet() vfs.OpenSet {
-	set := vfs.OpenSet{Fresh: m.Open, Existing: m.OpenExisting}
-	if m.Client != nil {
-		set.Names = m.Client
+	if m.Client == nil {
+		return vfs.OpenSet{
+			Fresh: func() vfs.File { return ext2.NewFile(m.sim, m.CPU, m.Cache, m.LocalDisk) },
+			Existing: func(size int64) vfs.File {
+				return ext2.OpenExisting(m.sim, m.CPU, m.Cache, m.LocalDisk, size)
+			},
+		}
 	}
-	return set
+	return vfs.OpenSet{
+		Fresh:    func() vfs.File { return m.Client.Open() },
+		Existing: func(size int64) vfs.File { return m.Client.OpenExisting(size) },
+		Names:    m.Client,
+	}
 }
 
 // Testbed is an assembled simulation: client machines, network, server.
@@ -254,7 +228,6 @@ func NewTestbed(opts Options) *Testbed {
 			BKL:   s.NewMutex("kernel_flag/" + server.ClientHost(i)),
 			Cache: mm.New(s, opts.CacheLimit),
 			sim:   s,
-			kind:  opts.Server,
 		}
 		m.CPU.Jitter = cpuJitter
 		net.AddHost(m.Host, netsim.LinkConfig{

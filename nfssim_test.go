@@ -6,10 +6,12 @@ import (
 
 	"repro/internal/bonnie"
 	"repro/internal/core"
+	"repro/internal/ext2"
 	"repro/internal/netsim"
 	"repro/internal/rpcsim"
 	"repro/internal/server"
 	"repro/internal/sim"
+	"repro/internal/vfs"
 )
 
 func TestServerKindString(t *testing.T) {
@@ -63,38 +65,29 @@ func TestNewTestbedServerVariants(t *testing.T) {
 	}
 }
 
+// OpenSet opens local ext2 files on a local bed and NFS files, with the
+// mount's namespace, on an NFS bed.
 func TestOpenDispatch(t *testing.T) {
-	local := NewTestbed(Options{Server: ServerNone})
-	if f := local.Machines[0].Open(); f == nil {
-		t.Fatal("local Open returned nil")
+	local := NewTestbed(Options{Server: ServerNone}).Machines[0].OpenSet()
+	if _, ok := local.Fresh().(*ext2.File); !ok || local.Names != nil {
+		t.Fatalf("local OpenSet: fresh %T, names %v", local.Fresh(), local.Names)
 	}
-	nfs := NewTestbed(Options{Server: ServerFiler})
-	if f := nfs.Machines[0].Open(); f == nil {
-		t.Fatal("nfs Open returned nil")
+	nfs := NewTestbed(Options{Server: ServerFiler}).Machines[0]
+	set := nfs.OpenSet()
+	if _, ok := set.Fresh().(*core.File); !ok || set.Names != vfs.Namespace(nfs.Client) {
+		t.Fatalf("nfs OpenSet: fresh %T, names %v", set.Fresh(), set.Names)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("OpenNFS on a local bed should panic")
-		}
-	}()
-	local.Machines[0].OpenNFS()
 }
 
-// OpenExisting must hand back a cold pre-populated file on either
-// target, and OpenSet must package both openers for the workload
-// runners.
+// OpenSet must hand the workload runners fresh empty files and cold
+// pre-populated ones on either target.
 func TestOpenExistingDispatch(t *testing.T) {
 	for _, srv := range []ServerKind{ServerNone, ServerFiler} {
-		tb := NewTestbed(Options{Server: srv})
-		f := tb.Machines[0].OpenExisting(1 << 20)
-		if f == nil || f.Size() != 1<<20 {
-			t.Fatalf("%v: OpenExisting size = %d", srv, f.Size())
-		}
-		set := tb.Machines[0].OpenSet()
+		set := NewTestbed(Options{Server: srv}).Machines[0].OpenSet()
 		if set.Fresh == nil || set.Existing == nil {
 			t.Fatalf("%v: OpenSet incomplete", srv)
 		}
-		if g := set.Existing(4096); g.Size() != 4096 {
+		if g := set.Existing(1 << 20); g.Size() != 1<<20 {
 			t.Fatalf("%v: OpenSet.Existing size = %d", srv, g.Size())
 		}
 		if g := set.Fresh(); g.Size() != 0 {
@@ -106,10 +99,10 @@ func TestOpenExistingDispatch(t *testing.T) {
 func TestJumboOptionReducesFragments(t *testing.T) {
 	write := func(jumbo bool) int64 {
 		tb := NewTestbed(Options{Server: ServerFiler, Client: core.EnhancedConfig(), Jumbo: jumbo})
-		f := tb.Machines[0].OpenNFS()
+		f := tb.Machines[0].Client.Open()
 		tb.Sim.Go("w", func(p *sim.Proc) {
 			for i := 0; i < 64; i++ {
-				f.Write(p, 8192)
+				f.WriteAt(p, int64(i)*8192, 8192)
 			}
 			f.Close(p)
 		})
@@ -140,9 +133,9 @@ func TestMTUConsistency(t *testing.T) {
 	tb := NewTestbed(Options{Server: ServerFiler, Jumbo: true})
 	// A jumbo 8 KB WRITE should cross the wire as a single fragment:
 	// verify via netsim's accounting after one write.
-	f := tb.Machines[0].OpenNFS()
+	f := tb.Machines[0].Client.Open()
 	tb.Sim.Go("w", func(p *sim.Proc) {
-		f.Write(p, 8192)
+		f.WriteAt(p, 0, 8192)
 		f.Flush(p)
 	})
 	tb.Sim.Run(time.Minute)
