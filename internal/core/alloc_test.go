@@ -14,7 +14,7 @@ import (
 // A warmed client writing steadily allocates nothing per page or per
 // RPC: each cycle is an 8 KiB write, the WRITE flushd sends for it once
 // the two pages reach the watermark, and that WRITE's reply. The page
-// requests come from the client's request free list and go back to it
+// requests come from the simulation's record stock and go back to it
 // when the run is popped, and the WRITE's args and reply callback live
 // in a recycled call record.
 func TestSteadyStateWriteCycleAllocatesNothing(t *testing.T) {

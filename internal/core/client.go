@@ -50,12 +50,9 @@ type Client struct {
 	mountRequests int
 	hardWait      *sim.WaitQueue
 
-	// reqPool recycles Request records: commitPage and queueRewrite take
-	// them, PopRun gives them back. freeWrites and freeReads recycle the
-	// WRITE and READ call records, which their reply callbacks return.
-	reqPool    requestPool
-	freeWrites []*writeCall
-	freeReads  []*readCall
+	// recs is the simulation's stock of Request and call records, which
+	// every client of the simulation shares (records).
+	recs *records
 
 	flushWork *sim.WaitQueue
 	// flushdWatermark is flushdWatermarkPages; the package's tests
@@ -182,6 +179,7 @@ func NewClient(s *sim.Sim, cpu *sim.CPUPool, bkl *sim.Mutex, cache *mm.PageCache
 		flushWork:       s.NewWaitQueue(),
 		flushdWatermark: flushdWatermarkPages,
 		pacedDone:       s.NewWaitQueue(),
+		recs:            recordStock.Of(s),
 	}
 	s.Go("nfs_flushd", c.flushd)
 	return c
@@ -392,7 +390,7 @@ func (c *Client) commitPage(p *sim.Proc, ino *Inode, page int64, offset, count i
 		c.cpu.Use(p, labelNFSUpdateRequest, updateRequestBase)
 		ino.markResident(page)
 		if existing == nil {
-			scanned := ino.reqs.Insert(c.reqPool.get(page, offset, count, c.s.Now()))
+			scanned := ino.reqs.Insert(c.recs.requests.get(page, offset, count, c.s.Now()))
 			if c.cfg.IndexPolicy == IndexLinearList {
 				// The real code walks the sorted list again to insert.
 				c.cpu.Use(p, labelNFSUpdateRequestScan, sim.Time(scanned)*listScanPerEntry)
@@ -488,7 +486,7 @@ func (c *Client) enforceLimits(p *sim.Proc, ino *Inode) {
 // caller must not hold the BKL.
 func (c *Client) sendOne(p *sim.Proc, ino *Inode, paced bool) int {
 	c.bkl.Lock(p, labelNFSCoalesce)
-	start, pages, total, scanned := ino.reqs.PopRun(c.cfg.WSize, &c.reqPool)
+	start, pages, total, scanned := ino.reqs.PopRun(c.cfg.WSize, &c.recs.requests)
 	c.cpu.Use(p, labelNFSCoalesce,
 		coalesceBase+sim.Time(scanned)*listScanPerEntry)
 	if pages == 0 {
@@ -520,9 +518,9 @@ func (c *Client) sendOne(p *sim.Proc, ino *Inode, paced bool) int {
 }
 
 // writeCall is one WRITE RPC from sendOne to its reply: the args it
-// encodes and the state writeDone needs. Records come from the client's
-// free list; encode and reply are method values bound once, when the
-// record is made, so a call hands the transport no new closure.
+// encodes and the state writeDone needs. Records come from the
+// simulation's stock; encode and reply are method values bound once, when
+// the record is made, so a call hands the transport no new closure.
 type writeCall struct {
 	c      *Client
 	ino    *Inode
@@ -533,11 +531,13 @@ type writeCall struct {
 	reply  func(*xdr.Decoder)
 }
 
-// newWriteCall takes a WRITE record from the client's free list.
+// newWriteCall takes a WRITE record from the stock and binds it to c.
 func (c *Client) newWriteCall() *writeCall {
-	if n := len(c.freeWrites); n > 0 {
-		wc := c.freeWrites[n-1]
-		c.freeWrites = c.freeWrites[:n-1]
+	free := c.recs.writes
+	if n := len(free); n > 0 {
+		wc := free[n-1]
+		c.recs.writes = free[:n-1]
+		wc.c = c
 		return wc
 	}
 	wc := &writeCall{c: c}
@@ -546,9 +546,9 @@ func (c *Client) newWriteCall() *writeCall {
 }
 
 // done is the WRITE's reply callback. rpcsim runs it at most once (it
-// forgets the XID first), so it hands the record back to the free list;
-// a call abandoned by a dead server never gets here and leaves its
-// record to the GC.
+// forgets the XID first), so it hands the record back to the stock,
+// unbound; a call abandoned by a dead server never gets here and leaves
+// its record to the GC.
 func (wc *writeCall) done(d *xdr.Decoder) {
 	c := wc.c
 	c.writeDone(wc.ino, wc.pages, int(wc.args.Count), int64(wc.args.Offset), d)
@@ -556,8 +556,8 @@ func (wc *writeCall) done(d *xdr.Decoder) {
 		c.pacedBusy = false
 		c.pacedDone.Broadcast()
 	}
-	wc.ino = nil
-	c.freeWrites = append(c.freeWrites, wc)
+	wc.c, wc.ino = nil, nil
+	c.recs.writes = append(c.recs.writes, wc)
 }
 
 // writeDone runs in softirq context when a WRITE reply arrives. start is
@@ -666,7 +666,7 @@ func (c *Client) queueRewrite(ino *Inode, page int64, offset, count int) {
 		}
 		return
 	}
-	ino.reqs.Insert(c.reqPool.get(page, offset, count, c.s.Now()))
+	ino.reqs.Insert(c.recs.requests.get(page, offset, count, c.s.Now()))
 	c.mountRequests++
 	if c.cfg.FlushPolicy == FlushCacheAll {
 		c.cache.ForceDirty(int64(count))

@@ -122,7 +122,7 @@ func (c *Client) sendReadRPC(p *sim.Proc, ino *Inode, page int64, pages int) {
 }
 
 // readCall is one READ RPC from sendReadRPC to its reply, recycled
-// through the client's free list like writeCall.
+// through the simulation's stock like writeCall.
 type readCall struct {
 	c      *Client
 	ino    *Inode
@@ -133,11 +133,13 @@ type readCall struct {
 	reply  func(*xdr.Decoder)
 }
 
-// newReadCall takes a READ record from the client's free list.
+// newReadCall takes a READ record from the stock and binds it to c.
 func (c *Client) newReadCall() *readCall {
-	if n := len(c.freeReads); n > 0 {
-		rc := c.freeReads[n-1]
-		c.freeReads = c.freeReads[:n-1]
+	free := c.recs.reads
+	if n := len(free); n > 0 {
+		rc := free[n-1]
+		c.recs.reads = free[:n-1]
+		rc.c = c
 		return rc
 	}
 	rc := &readCall{c: c}
@@ -146,12 +148,12 @@ func (c *Client) newReadCall() *readCall {
 }
 
 // done is the READ's reply callback; like writeCall.done it runs at most
-// once and returns the record to the free list.
+// once and returns the record to the stock, unbound.
 func (rc *readCall) done(d *xdr.Decoder) {
 	c := rc.c
 	c.readDone(rc.ino, rc.page, rc.pages, int(rc.args.Count), d)
-	rc.ino = nil
-	c.freeReads = append(c.freeReads, rc)
+	rc.c, rc.ino = nil, nil
+	c.recs.reads = append(c.recs.reads, rc)
 }
 
 // readDone runs in softirq context when a READ reply arrives: mark the

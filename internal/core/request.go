@@ -140,9 +140,22 @@ func (l *reqList) PopRun(maxBytes int, free *requestPool) (start int64, pages, t
 // allocates: a single backing array keeps them cache-adjacent.
 const requestBlock = 128
 
-// requestPool is a client's free list of Request records, the model's
-// nfs_page slab cache. It refills in blocks, so a warmed client queues
-// pages without allocating.
+// records is core's stock of recycled records (sim.Stock): one per
+// simulation, shared by all its clients and handed on to the next
+// simulation by Close, as 2.4 took every mount's nfs_page from one slab
+// cache. A record in it is bound to no client: newWriteCall and
+// newReadCall bind the taker, and done unbinds it again.
+type records struct {
+	requests requestPool
+	writes   []*writeCall
+	reads    []*readCall
+}
+
+var recordStock = sim.NewStock[records]()
+
+// requestPool is a free list of Request records, the model's nfs_page
+// slab cache. It refills in blocks, so once warm it queues pages
+// without allocating.
 type requestPool struct {
 	free []*Request
 }

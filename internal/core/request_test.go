@@ -268,7 +268,7 @@ func TestReqListMatchesSortedSlice(t *testing.T) {
 // and 4096 under both index policies. Each op is a sequential writer's
 // next page, a miss past the end of the list, followed by the coalesce
 // that pops the front page, so the list keeps its length and every
-// popped record returns to the client's free list. Only the virtual CPU
+// popped record returns to the simulation's record stock. Only the virtual CPU
 // charge differs between the policies; the host work is the same.
 func BenchmarkCommitPage(b *testing.B) {
 	for _, policy := range []IndexPolicy{IndexLinearList, IndexHashTable} {
@@ -289,7 +289,7 @@ func BenchmarkCommitPage(b *testing.B) {
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						c.commitPage(p, ino, int64(n+i), 0, pageSize)
-						ino.reqs.PopRun(pageSize, &c.reqPool)
+						ino.reqs.PopRun(pageSize, &c.recs.requests)
 					}
 					b.StopTimer()
 				})

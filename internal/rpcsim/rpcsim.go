@@ -182,7 +182,7 @@ func (e *DeadServerError) Error() string {
 // Under a retransmit storm a call is often answered while copies of it
 // still wait in the server's queue; the buffer must outlive them. When
 // refs reaches zero the buffer goes back to the pool and the record to
-// the transport's free list.
+// the simulation's stock (callRecords).
 type pendingCall struct {
 	t       *Transport
 	xid     uint32
@@ -191,7 +191,6 @@ type pendingCall struct {
 	timer   sim.Event
 	resend  func() // the UDP retransmit timer's callback, bound once per record
 	sentAt  sim.Time
-	slot    int // index in the transport's slots while in flight
 	rto     sim.Time
 	retrans int
 	refs    int
@@ -201,10 +200,11 @@ type pendingCall struct {
 	dec   xdr.Decoder
 	reply []byte
 	// sync marks CallSync, whose caller waits on done and decodes the
-	// reply itself once replied is set.
+	// reply itself once replied is set. done is empty between calls, so
+	// the record keeps it when it goes back to the stock.
 	sync    bool
 	replied bool
-	done    *sim.WaitQueue
+	done    sim.WaitQueue
 }
 
 // Release ends one copy of the request datagram (netsim.Owner).
@@ -231,12 +231,11 @@ type Transport struct {
 	local, remote string
 
 	nextXID uint32
-	// slots holds the calls in flight in its first inflight entries, in
-	// no particular order; it is MaxSlots long, and a reply finds its
-	// call by XID.
-	slots    []*pendingCall
+	// inflight counts the calls holding a slot, at most MaxSlots; byXID
+	// finds each of them.
 	inflight int
-	free     []*pendingCall // recycled records, each with resend bound
+	byXID    xidIndex
+	stock    *callRecords // the simulation's recycled call records
 	slotWait *sim.WaitQueue
 
 	rxq    fifo.Queue[[]byte]
@@ -275,7 +274,8 @@ func New(s *sim.Sim, net *netsim.Network, cpu *sim.CPUPool, bkl *sim.Mutex, cfg 
 		mtu:     net.PathMTU(local, remote),
 		initRTO: retransmitTimeout, maxRTO: maxRetransmitTimeout,
 		local: local, remote: remote,
-		slots:    make([]*pendingCall, cfg.MaxSlots),
+		byXID:    newXIDIndex(cfg.MaxSlots),
+		stock:    callStock.Of(s),
 		slotWait: s.NewWaitQueue(),
 		rxWait:   s.NewWaitQueue(),
 	}
@@ -352,11 +352,7 @@ func (t *Transport) call(p *sim.Proc, proc uint32, encodeArgs func(*xdr.Encoder)
 	nfsproto.CallHeader{XID: pc.xid, Proc: proc}.Encode(pc.enc)
 	encodeArgs(pc.enc)
 	pc.onReply, pc.sentAt, pc.sync = onReply, t.s.Now(), sync
-	if sync && pc.done == nil {
-		pc.done = t.s.NewWaitQueue()
-	}
-	pc.slot = t.inflight
-	t.slots[pc.slot] = pc
+	t.byXID.insert(pc)
 	t.inflight++
 	t.stats.ByProc[proc]++
 
@@ -368,35 +364,87 @@ func (t *Transport) call(p *sim.Proc, proc uint32, encodeArgs func(*xdr.Encoder)
 	return pc
 }
 
-// find returns the call in flight with the given XID, or nil.
-func (t *Transport) find(xid uint32) *pendingCall {
-	for _, pc := range t.slots[:t.inflight] {
-		if pc.xid == xid {
+// unslot frees pc's slot, if it is still in flight.
+func (t *Transport) unslot(pc *pendingCall) {
+	if t.byXID.remove(pc) {
+		t.inflight--
+	}
+}
+
+// xidIndex finds the calls in flight by XID in O(1): an open-addressed
+// table, probed linearly from the entry the XID's low bits pick. It is at
+// least twice as long as the slot table, and XIDs are sequential, so
+// probes stay short. remove shifts the rest of a probe run back into the
+// hole instead of leaving a tombstone, so the table never needs rebuilding.
+type xidIndex struct {
+	tab  []*pendingCall
+	mask uint32
+}
+
+func newXIDIndex(slots int) xidIndex {
+	n := 1
+	for n < 2*slots {
+		n <<= 1
+	}
+	return xidIndex{tab: make([]*pendingCall, n), mask: uint32(n - 1)}
+}
+
+// find returns the call with the given XID, or nil.
+func (x *xidIndex) find(xid uint32) *pendingCall {
+	for i := xid & x.mask; ; i = (i + 1) & x.mask {
+		if pc := x.tab[i]; pc == nil || pc.xid == xid {
 			return pc
 		}
 	}
-	return nil
 }
 
-// unslot frees pc's slot, if it is still in flight, moving the last call
-// in flight into it.
-func (t *Transport) unslot(pc *pendingCall) {
-	i := pc.slot
-	if i >= t.inflight || t.slots[i] != pc {
-		return
+// insert adds pc, whose XID the table does not hold.
+func (x *xidIndex) insert(pc *pendingCall) {
+	i := pc.xid & x.mask
+	for x.tab[i] != nil {
+		i = (i + 1) & x.mask
 	}
-	t.inflight--
-	last := t.slots[t.inflight]
-	t.slots[i], last.slot = last, i
-	t.slots[t.inflight] = nil
+	x.tab[i] = pc
 }
+
+// remove takes pc out and reports whether it was there. Each later
+// entry of the probe run moves into the hole if the hole lies on its
+// own probe path, that is, no nearer its home slot than the entry is.
+func (x *xidIndex) remove(pc *pendingCall) bool {
+	i := pc.xid & x.mask
+	for x.tab[i] != pc {
+		if x.tab[i] == nil {
+			return false
+		}
+		i = (i + 1) & x.mask
+	}
+	for j := (i + 1) & x.mask; x.tab[j] != nil; j = (j + 1) & x.mask {
+		if home := x.tab[j].xid & x.mask; (j-home)&x.mask >= (j-i)&x.mask {
+			x.tab[i] = x.tab[j]
+			i = j
+		}
+	}
+	x.tab[i] = nil
+	return true
+}
+
+// callRecords is rpcsim's stock of recycled call records (sim.Stock): one per
+// simulation, shared by all its transports and handed on to the next
+// simulation by Close. A record in it has its resend bound and an empty
+// done queue, and is bound to no transport: acquire binds the taker.
+type callRecords struct {
+	free []*pendingCall
+}
+
+var callStock = sim.NewStock[callRecords]()
 
 // acquire returns a call record holding the call's own reference.
 func (t *Transport) acquire() *pendingCall {
 	var pc *pendingCall
-	if n := len(t.free); n > 0 {
-		pc = t.free[n-1]
-		t.free = t.free[:n-1]
+	if free := t.stock.free; len(free) > 0 {
+		pc = free[len(free)-1]
+		t.stock.free = free[:len(free)-1]
+		pc.t = t
 	} else {
 		pc = &pendingCall{t: t}
 		pc.resend = pc.retransmit
@@ -421,8 +469,8 @@ func (t *Transport) release(pc *pendingCall) {
 		}
 		pc.enc.Release()
 	}
-	*pc = pendingCall{t: t, resend: pc.resend, done: pc.done}
-	t.free = append(t.free, pc)
+	*pc = pendingCall{resend: pc.resend, done: pc.done}
+	t.stock.free = append(t.stock.free, pc)
 }
 
 // The transport's CPU model, calibrated to the paper's 2.4.4 client.
@@ -560,7 +608,7 @@ func (t *Transport) match() {
 		t.rx()
 		return
 	}
-	pc := t.find(hdr.XID)
+	pc := t.byXID.find(hdr.XID)
 	if pc == nil {
 		// Duplicate reply: the original answer raced a retransmission.
 		t.stats.DuplicateReplies++

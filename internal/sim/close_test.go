@@ -261,3 +261,34 @@ func TestConcurrentSimsReuseStorage(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// Close hands a simulation's stocks to the next New, while simulations
+// open at the same time each get their own.
+func TestCloseHandsOnStocks(t *testing.T) {
+	spares.mu.Lock()
+	spares.stores = nil // so the next New takes a's storage
+	spares.mu.Unlock()
+	type records struct{ free []int }
+	kind := NewStock[records]()
+
+	a := New(1)
+	st := kind.Of(a)
+	if kind.Of(a) != st {
+		t.Fatal("Of made a second stock for one simulation")
+	}
+	st.free = append(st.free, 7)
+	b := New(2)
+	if kind.Of(b) == st {
+		t.Fatal("two open simulations share a stock")
+	}
+	a.Close()
+	if kind.Of(a) == st {
+		t.Fatal("a closed simulation still reaches the stock it handed on")
+	}
+	c := New(3)
+	if got := kind.Of(c); got != st || len(got.free) != 1 {
+		t.Fatalf("New got stock %p holding %v, want the closed simulation's %p", got, got.free, st)
+	}
+	b.Close()
+	c.Close()
+}

@@ -28,8 +28,8 @@
 // next resumes without switching at all, and a task's wakeup runs its
 // continuation right there. CPU time and lock waits are charged to
 // interned Labels, slice indexes rather than string keys. Close ends a
-// simulation's parked processes and hands its event storage to the next
-// New.
+// simulation's parked processes and hands its event storage and the
+// layers' record stocks (Stock) to the next New.
 package sim
 
 import (
@@ -38,6 +38,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -225,6 +226,7 @@ type Sim struct {
 	prof    *Profiler
 
 	procs  []*Proc // live (spawned, unterminated) processes
+	stocks []any   // the layers' record stocks, indexed by Stock id
 	closed bool
 	// ran records that the current Run has resumed a process or run a
 	// task, from which point every panic leaves Run wrapped.
@@ -239,7 +241,7 @@ func New(seed int64) *Sim {
 		prof: NewProfiler(),
 	}
 	st := takeSpare()
-	s.events, s.pool, s.procs = st.heap, st.pool, st.procs
+	s.events, s.pool, s.procs, s.stocks = st.heap, st.pool, st.procs, st.stocks
 	return s
 }
 
@@ -513,7 +515,8 @@ func (s *Sim) Run(limit Time) Time {
 // — and its coroutine is freed; a task simply never runs again. Queued
 // events are discarded and the event and process storage goes to a later
 // New. Run must not be called again, but Now, Profiler and the other
-// accessors stay valid. Close is idempotent.
+// accessors stay valid. The record stocks go to that New too, once the
+// unwinding is done. Close is idempotent.
 func (s *Sim) Close() {
 	if s.closed {
 		return
@@ -533,8 +536,8 @@ func (s *Sim) Close() {
 	}
 	s.recycleLane(s.ready.head)
 	clear(s.events)
-	putSpare(eventStore{heap: s.events[:0], pool: s.pool, procs: s.procs})
-	s.events, s.pool, s.procs = nil, nil, nil
+	putSpare(eventStore{heap: s.events[:0], pool: s.pool, procs: s.procs, stocks: s.stocks})
+	s.events, s.pool, s.procs, s.stocks = nil, nil, nil, nil
 }
 
 // recycleLane recycles ev and, when it heads a lane, every event behind
@@ -564,17 +567,18 @@ func (s *Sim) retire(p *Proc) {
 const maxSpares = 8
 
 // eventStore is a closed simulation's event storage: its empty heap array,
-// its pool, which holds every event the simulation allocated, and its
-// empty process list.
+// its pool, which holds every event the simulation allocated, its empty
+// process list and its record stocks.
 type eventStore struct {
-	heap  eventQueue
-	pool  []*event
-	procs []*Proc
+	heap   eventQueue
+	pool   []*event
+	procs  []*Proc
+	stocks []any
 }
 
 // spares keeps closed simulations' event storage for New, so a run does
-// not pay again for the event blocks, heap array and process list a
-// previous run grew.
+// not pay again for the event blocks, heap array, process list and
+// records a previous run grew.
 var spares struct {
 	mu     sync.Mutex
 	stores []eventStore
@@ -602,6 +606,36 @@ func putSpare(st eventStore) {
 	if len(spares.stores) < maxSpares {
 		spares.stores = append(spares.stores, st)
 	}
+}
+
+// Stock names one layer's per-simulation stock of recycled records: a T
+// holding its free lists. A layer registers its kind once, in a
+// package-level var, the way it registers Labels; Of returns the
+// simulation's T. Every client and transport of one simulation shares
+// it, and Close hands it on with the event storage, so a run starts with
+// the records earlier runs made instead of warming lists of its own. The
+// records in a stock must hold no pointer into the simulation that freed
+// them (its Procs, WaitQueues, or the clients and transports built on
+// it): whoever takes one binds it to its own.
+type Stock[T any] struct{ id int }
+
+// stockKinds counts the registered Stocks.
+var stockKinds atomic.Int32
+
+// NewStock registers a stock kind holding a T.
+func NewStock[T any]() Stock[T] { return Stock[T]{int(stockKinds.Add(1) - 1)} }
+
+// Of returns s's stock of this kind, making an empty one on first use.
+func (k Stock[T]) Of(s *Sim) *T {
+	if k.id >= len(s.stocks) {
+		s.stocks = append(s.stocks, make([]any, k.id+1-len(s.stocks))...)
+	}
+	st, ok := s.stocks[k.id].(*T)
+	if !ok {
+		st = new(T)
+		s.stocks[k.id] = st
+	}
+	return st
 }
 
 // Proc is a simulated thread of control. Every blocking primitive takes the
@@ -896,15 +930,17 @@ func (m *Mutex) WaitBreakdown() map[string]Time {
 
 // WaitQueue parks processes until they are signaled, like the kernel's
 // wait_event/wake_up pairs. Callers must re-check their predicate after
-// Wait returns (standard condition-variable discipline).
+// Wait returns (standard condition-variable discipline). A queue points
+// into no simulation: it wakes each waiter in the waiter's own, so the
+// zero WaitQueue is empty and ready to use, and an empty one can be
+// kept in a record a stock hands to a later simulation.
 type WaitQueue struct {
-	s       *Sim
 	waiters []*Proc
 }
 
 // NewWaitQueue returns an empty wait queue.
 func (s *Sim) NewWaitQueue() *WaitQueue {
-	return &WaitQueue{s: s}
+	return &WaitQueue{}
 }
 
 // Wait parks p until Signal or Broadcast wakes it.
@@ -925,14 +961,14 @@ func (q *WaitQueue) Signal() {
 		return
 	}
 	next := popWaiter(&q.waiters)
-	q.s.wakeNow(next)
+	next.s.wakeNow(next)
 }
 
 // Broadcast wakes every waiter. Waking only schedules, so the waiters
 // array is emptied in place and reused by the next Wait.
 func (q *WaitQueue) Broadcast() {
 	for _, p := range q.waiters {
-		q.s.wakeNow(p)
+		p.s.wakeNow(p)
 	}
 	clear(q.waiters)
 	q.waiters = q.waiters[:0]
