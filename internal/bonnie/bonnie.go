@@ -815,6 +815,9 @@ func RunConcurrentWorkload(s *sim.Sim, target string, open func(worker int) vfs.
 	}
 	cfg = normalize(cfg)
 	cfg.workers = n
+	// Every workload makes about one traced call per chunk, so each
+	// writer's trace is sized once.
+	chunks := chunkCount(cfg)
 	out := &ConcurrentResult{PerWriter: make([]*Result, n)}
 	workers := make([]worker, n) // one allocation per run, not per worker
 	finished := 0
@@ -829,7 +832,7 @@ func RunConcurrentWorkload(s *sim.Sim, target string, open func(worker int) vfs.
 			Target:   name,
 			Workload: cfg.Workload,
 			FileSize: cfg.FileSize,
-			Trace:    stats.NewTrace(target),
+			Trace:    stats.NewTrace(target, chunks),
 		}
 		out.PerWriter[i] = res
 		s.Go(name, func(p *sim.Proc) {

@@ -36,12 +36,29 @@ func stormFleet(seed int64) harness.Scenario {
 		TimeLimit: 2 * time.Hour, Seed: seed}
 }
 
-// Records a closed simulation hands to the next (sim.Stock) change no
-// output. Scenario B runs, then a retransmit storm and the dead-server
-// scenario, which abandons calls mid-flight, leave their records in the
-// stocks, and B runs again on them: both Results must be identical.
+// lossyTCP is four clients writing over TCP at 1% loss: eight stream
+// endpoints draw their send windows, segment cuts and ready lists from
+// one stock, and lost segments keep bytes queued until they are acked.
+func lossyTCP(seed int64) harness.Scenario {
+	cfg, err := harness.ConfigByName("enhanced")
+	if err != nil {
+		panic(err)
+	}
+	return harness.Scenario{Server: nfssim.ServerFiler, Config: cfg, FileMB: 2, Clients: 4,
+		Transport: rpcsim.TransportTCP, Loss: 0.01, Seed: seed}
+}
+
+// Records and queue arrays a closed simulation hands to the next
+// (sim.Stock) change no output. Scenario B and the lossy TCP cell run,
+// then a retransmit storm and the dead-server scenario, which abandons
+// calls mid-flight, leave their records in the stocks, and both run
+// again on them: each pair of Results must be identical.
 func TestHandedOnRecordsChangeNoOutput(t *testing.T) {
 	first := harness.RunScenario(scenarioB(5, rpcsim.TransportUDP))
+	firstTCP := harness.RunScenario(lossyTCP(3))
+	if firstTCP.LostFrames == 0 {
+		t.Fatal("the lossy TCP cell lost no frame")
+	}
 	if storm := harness.RunScenario(stormFleet(1)); storm.Retransmits == 0 {
 		t.Fatal("the slow100 fleet retransmitted nothing; no storm ran")
 	}
@@ -56,6 +73,9 @@ func TestHandedOnRecordsChangeNoOutput(t *testing.T) {
 	if !reflect.DeepEqual(first, again) {
 		t.Fatalf("scenario B differs once records were handed on:\nfirst: %+v\nagain: %+v", first, again)
 	}
+	if again := harness.RunScenario(lossyTCP(3)); !reflect.DeepEqual(firstTCP, again) {
+		t.Fatalf("the lossy TCP cell differs once records were handed on:\nfirst: %+v\nagain: %+v", firstTCP, again)
+	}
 }
 
 // Simulations running at once each draw their own spares: under -race
@@ -64,7 +84,7 @@ func TestHandedOnRecordsChangeNoOutput(t *testing.T) {
 func TestConcurrentSimsDrawOwnSpares(t *testing.T) {
 	scens := []harness.Scenario{
 		scenarioB(5, rpcsim.TransportUDP), stormFleet(1), scenarioB(6, rpcsim.TransportTCP),
-		scenarioB(7, rpcsim.TransportUDP), scenarioB(8, rpcsim.TransportUDP),
+		scenarioB(7, rpcsim.TransportUDP), lossyTCP(3), scenarioB(8, rpcsim.TransportUDP),
 	}
 	one := (&harness.Runner{Workers: 1}).Run(scens)
 	four := (&harness.Runner{Workers: 4}).Run(scens)

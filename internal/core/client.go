@@ -203,6 +203,7 @@ func (c *Client) Open() *File {
 // table.
 func (c *Client) newInode(fh nfsproto.FileHandle) *Inode {
 	ino := &Inode{FH: fh, flushWait: c.s.NewWaitQueue()}
+	ino.reqs.q.UseSpares(&c.recs.lists)
 	c.inodes = append(c.inodes, ino)
 	return ino
 }

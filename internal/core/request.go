@@ -144,9 +144,12 @@ const requestBlock = 128
 // simulation, shared by all its clients and handed on to the next
 // simulation by Close, as 2.4 took every mount's nfs_page from one slab
 // cache. A record in it is bound to no client: newWriteCall and
-// newReadCall bind the taker, and done unbinds it again.
+// newReadCall bind the taker, and done unbinds it again. lists holds the
+// backing arrays of drained request lists, so a list filling again, or
+// a new inode's, does not regrow one from empty.
 type records struct {
 	requests requestPool
+	lists    fifo.Spares[*Request]
 	writes   []*writeCall
 	reads    []*readCall
 }

@@ -9,13 +9,33 @@
 // live items back to the front of the array when a push would outgrow it,
 // so a queue whose length stays bounded stops allocating once its array
 // has grown to that bound.
+//
+// A queue that drains and refills, or one built anew each run, would
+// still grow a fresh array from empty every time. Spares keeps those
+// arrays: a queue bound to one gives its array back when it drains, and
+// a push onto the empty queue takes a spare before it allocates.
 package fifo
 
 // Queue is a FIFO of T. The zero value is an empty queue ready to use.
 type Queue[T any] struct {
-	buf  []T // buf[head:] are the live items, front first
-	head int
+	buf    []T // buf[head:] are the live items, front first
+	head   int
+	spares *Spares[T] // where a drained array goes, if anywhere
 }
+
+// Spares is a stack of empty backing arrays for Queues of T, shared by
+// the queues bound to it (UseSpares). It holds no items: every slot of
+// an array in it is the zero T, so an array of pointers keeps nothing
+// alive. It grows to the most arrays its queues held at once and is not
+// safe for concurrent use. The zero value is empty and ready to use.
+type Spares[T any] struct {
+	arrays [][]T
+}
+
+// UseSpares binds q to sp: from now on q gives its array to sp whenever
+// it drains, and a push onto the empty q takes the array sp got last.
+// Call it while q is empty.
+func (q *Queue[T]) UseSpares(sp *Spares[T]) { q.spares = sp }
 
 // Len returns the number of items in the queue.
 func (q *Queue[T]) Len() int { return len(q.buf) - q.head }
@@ -38,8 +58,16 @@ func (q *Queue[T]) Append(xs []T) {
 
 // reserve slides the live items to the front of the array when n more
 // would not fit behind them, so the append that follows reuses the array
-// unless the live items themselves outgrow it.
+// unless the live items themselves outgrow it. An empty queue without an
+// array first takes a spare.
 func (q *Queue[T]) reserve(n int) {
+	if cap(q.buf) == 0 && q.spares != nil {
+		if k := len(q.spares.arrays) - 1; k >= 0 {
+			q.buf = q.spares.arrays[k]
+			q.spares.arrays[k] = nil
+			q.spares.arrays = q.spares.arrays[:k]
+		}
+	}
 	if q.head == 0 || len(q.buf)+n <= cap(q.buf) {
 		return
 	}
@@ -63,11 +91,18 @@ func (q *Queue[T]) Drop(n int) {
 	}
 	clear(q.buf[q.head : q.head+n]) // release references for the GC
 	q.head += n
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
+	if q.head < len(q.buf) {
+		return
 	}
+	q.head = 0
+	if q.spares != nil && cap(q.buf) > 0 {
+		q.spares.arrays = append(q.spares.arrays, q.buf[:0])
+		q.buf = nil
+		return
+	}
+	q.buf = q.buf[:0]
 }
 
-// Reset empties the queue, keeping its array for reuse.
+// Reset empties the queue, keeping its array for reuse (or giving it to
+// the queue's spares).
 func (q *Queue[T]) Reset() { q.Drop(q.Len()) }

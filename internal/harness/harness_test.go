@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mm"
 	"repro/internal/rpcsim"
+	"repro/internal/stats"
 )
 
 func TestGridExpandIsExactCrossProduct(t *testing.T) {
@@ -185,6 +187,29 @@ func TestRunnerResultsMatchScenarioOrder(t *testing.T) {
 	// A single run keeps its trace, one sample per call.
 	if r := RunScenario(scens[0]); r.Trace == nil || r.Trace.Len() != r.Calls {
 		t.Fatalf("RunScenario trace incomplete: %+v", r)
+	}
+}
+
+// mergeTraces concatenates the writers' samples in machine order into
+// one array sized once, and hands a lone writer's trace back as is.
+func TestMergeTracesConcatenatesInMachineOrder(t *testing.T) {
+	var writers []*bonnie.Result
+	var want []time.Duration
+	for w, n := range []int{3, 0, 5, 1} {
+		tr := stats.NewTrace(fmt.Sprintf("w%d", w), 0)
+		for i := 0; i < n; i++ {
+			d := time.Duration(100*w + i)
+			tr.Add(d)
+			want = append(want, d)
+		}
+		writers = append(writers, &bonnie.Result{Trace: tr})
+	}
+	merged := mergeTraces("all", writers)
+	if got := merged.Samples(); !slices.Equal(got, want) || cap(got) != len(got) {
+		t.Fatalf("merged samples %v (cap %d), want %v with cap == len", got, cap(got), want)
+	}
+	if lone := mergeTraces("one", writers[:1]); lone != writers[0].Trace {
+		t.Fatal("a lone writer's trace was copied")
 	}
 }
 

@@ -320,16 +320,19 @@ func clientMBps(r *bonnie.Result, skipFlushClose bool) float64 {
 }
 
 // mergeTraces concatenates the writers' per-call traces in machine
-// order. A lone writer's trace is returned as is, not copied.
+// order, into a trace sized once for all of them. A lone writer's trace
+// is returned as is, not copied.
 func mergeTraces(name string, writers []*bonnie.Result) *stats.Trace {
 	if len(writers) == 1 {
 		return writers[0].Trace
 	}
-	trace := stats.NewTrace(name)
+	n := 0
 	for _, w := range writers {
-		for _, s := range w.Trace.Samples() {
-			trace.Add(s)
-		}
+		n += w.Trace.Len()
+	}
+	trace := stats.NewTrace(name, n)
+	for _, w := range writers {
+		trace.AddTrace(w.Trace)
 	}
 	return trace
 }

@@ -8,7 +8,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -22,11 +22,17 @@ type Trace struct {
 	samples []time.Duration
 }
 
-// NewTrace returns an empty named trace.
-func NewTrace(name string) *Trace { return &Trace{name: name} }
+// NewTrace returns an empty named trace with room for capacity samples,
+// so a trace whose length is known up front never regrows.
+func NewTrace(name string, capacity int) *Trace {
+	return &Trace{name: name, samples: make([]time.Duration, 0, capacity)}
+}
 
 // Add appends one latency sample.
 func (t *Trace) Add(d time.Duration) { t.samples = append(t.samples, d) }
+
+// AddTrace appends every sample of tr, in order.
+func (t *Trace) AddTrace(tr *Trace) { t.samples = append(t.samples, tr.samples...) }
 
 // Len returns the number of samples.
 func (t *Trace) Len() int { return len(t.samples) }
@@ -48,7 +54,7 @@ func (t *Trace) SummaryExcluding(cutoff time.Duration) Summary {
 			kept = append(kept, s)
 		}
 	}
-	return Summarize(kept)
+	return summarizeInPlace(kept)
 }
 
 // CountAbove returns how many samples are >= cutoff.
@@ -163,14 +169,17 @@ type Summary struct {
 	Stddev time.Duration
 }
 
-// Summarize computes a Summary from samples.
+// Summarize computes a Summary from samples, leaving them as they are.
 func Summarize(samples []time.Duration) Summary {
-	if len(samples) == 0 {
+	return summarizeInPlace(slices.Clone(samples))
+}
+
+// summarizeInPlace computes a Summary from samples, sorting them.
+func summarizeInPlace(sorted []time.Duration) Summary {
+	if len(sorted) == 0 {
 		return Summary{}
 	}
-	sorted := make([]time.Duration, len(samples))
-	copy(sorted, samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 	var sum float64
 	for _, s := range sorted {
 		sum += float64(s)

@@ -12,7 +12,7 @@ import (
 func us(n int) time.Duration { return time.Duration(n) * time.Microsecond }
 
 func TestTraceBasics(t *testing.T) {
-	tr := NewTrace("w")
+	tr := NewTrace("w", 0)
 	for _, v := range []int{100, 200, 300} {
 		tr.Add(us(v))
 	}
@@ -52,7 +52,7 @@ func TestSummaryPercentiles(t *testing.T) {
 // Reproduces the paper's §3.3 arithmetic: 37 spikes of >19 ms out of 2560
 // calls inflate the mean from ~140 µs to ~482 µs (3.45x).
 func TestSummaryExcludingMatchesPaperArithmetic(t *testing.T) {
-	tr := NewTrace("fig2")
+	tr := NewTrace("fig2", 0)
 	for i := 0; i < 2560; i++ {
 		tr.Add(us(140))
 	}
@@ -73,7 +73,7 @@ func TestSummaryExcludingMatchesPaperArithmetic(t *testing.T) {
 }
 
 func TestSpikePeriod(t *testing.T) {
-	tr := NewTrace("spiky")
+	tr := NewTrace("spiky", 0)
 	for i := 0; i < 500; i++ {
 		if i%85 == 0 && i > 0 {
 			tr.Add(20 * time.Millisecond)
@@ -88,14 +88,14 @@ func TestSpikePeriod(t *testing.T) {
 	if got := len(tr.SpikeIndices(time.Millisecond)); got != 5 {
 		t.Fatalf("spikes = %d, want 5", got)
 	}
-	if NewTrace("x").SpikePeriod(time.Millisecond) != 0 {
+	if NewTrace("x", 0).SpikePeriod(time.Millisecond) != 0 {
 		t.Fatal("empty trace should have period 0")
 	}
 }
 
 func TestSlopeDetectsGrowth(t *testing.T) {
-	grow := NewTrace("fig3")
-	flat := NewTrace("fig4")
+	grow := NewTrace("fig3", 0)
+	flat := NewTrace("fig4", 0)
 	for i := 0; i < 1000; i++ {
 		grow.Add(us(100 + i))
 		flat.Add(us(140))
@@ -106,13 +106,13 @@ func TestSlopeDetectsGrowth(t *testing.T) {
 	if s := flat.Slope(); s != 0 {
 		t.Fatalf("flat slope = %v, want 0", s)
 	}
-	if NewTrace("tiny").Slope() != 0 {
+	if NewTrace("tiny", 0).Slope() != 0 {
 		t.Fatal("short trace slope should be 0")
 	}
 }
 
 func TestTraceCSV(t *testing.T) {
-	tr := NewTrace("t")
+	tr := NewTrace("t", 0)
 	tr.Add(us(150))
 	csv := tr.CSV()
 	if !strings.HasPrefix(csv, "call,latency_us\n0,150.0\n") {
@@ -154,7 +154,7 @@ func TestHistogramTailCount(t *testing.T) {
 }
 
 func TestHistogramAddTraceAndRender(t *testing.T) {
-	tr := NewTrace("t")
+	tr := NewTrace("t", 0)
 	for i := 0; i < 10; i++ {
 		tr.Add(us(i * 70))
 	}
@@ -279,7 +279,7 @@ func TestRateHelpers(t *testing.T) {
 }
 
 func TestQuietGap(t *testing.T) {
-	tr := NewTrace("g")
+	tr := NewTrace("g", 0)
 	// Noisy segments around a quiet middle window.
 	for i := 0; i < 3000; i++ {
 		switch {
@@ -301,7 +301,7 @@ func TestQuietGap(t *testing.T) {
 }
 
 func TestQuietGapNone(t *testing.T) {
-	tr := NewTrace("g")
+	tr := NewTrace("g", 0)
 	for i := 0; i < 2000; i++ {
 		if i%2 == 0 {
 			tr.Add(us(80))
@@ -315,11 +315,11 @@ func TestQuietGapNone(t *testing.T) {
 	if _, _, ok := tr.QuietGap(100, 0.5); ok {
 		t.Fatal("found a gap in uniformly noisy data")
 	}
-	if _, _, ok := NewTrace("short").QuietGap(100, 0.5); ok {
+	if _, _, ok := NewTrace("short", 0).QuietGap(100, 0.5); ok {
 		t.Fatal("gap in empty trace")
 	}
 	// Zero-variance whole trace: no gap (base stddev 0).
-	flat := NewTrace("flat")
+	flat := NewTrace("flat", 0)
 	for i := 0; i < 1000; i++ {
 		flat.Add(us(100))
 	}

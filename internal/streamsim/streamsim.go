@@ -25,8 +25,10 @@
 // exactly as netsim leaves sock_sendmsg accounting to its callers.
 //
 // The steady-state data path allocates nothing. The send window and the
-// segment cuts live in reused FIFOs; segment and record payloads are
-// buffers from the xdr wire-buffer pool, each with one owner at a time:
+// segment cuts live in reused FIFOs, whose arrays the endpoints of a
+// simulation share and hand on to the next one; segment and record
+// payloads are buffers from the xdr wire-buffer pool, each with one
+// owner at a time:
 //
 //   - a segment payload belongs to its datagram: the sender recycles it
 //     when the network drops it on send, the network when it discards
@@ -175,6 +177,20 @@ type sndSeg struct {
 	n   int
 }
 
+// spareQueues is streamsim's stock (sim.Stock): the backing arrays of the
+// drained send windows, segment cuts and ready lists of every endpoint
+// of one simulation, which Close hands on to the next. A window that
+// drains at each acknowledgement and refills at the next record, or a
+// new connection's, takes an array earlier ones grew instead of growing
+// its own from empty.
+type spareQueues struct {
+	snd   fifo.Spares[byte]
+	segs  fifo.Spares[sndSeg]
+	ready fifo.Spares[[]byte]
+}
+
+var queueStock = sim.NewStock[spareQueues]()
+
 // NewEndpoint creates one side of a connection between local and remote.
 // Complete records arriving from the peer are handed to onRecord in event
 // context; the callback owns each record (xdr.RecycleBuffer discards it).
@@ -189,6 +205,10 @@ func NewEndpoint(s *sim.Sim, net *netsim.Network, cfg Config, local, remote stri
 		ooo:      make(map[int64][]byte),
 	}
 	e.timeout = e.onTimeout
+	sp := queueStock.Of(s)
+	e.snd.UseSpares(&sp.snd)
+	e.segs.UseSpares(&sp.segs)
+	e.ready.UseSpares(&sp.ready)
 	return e
 }
 
