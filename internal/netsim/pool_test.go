@@ -2,21 +2,18 @@ package netsim
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/nfsproto"
-	"repro/internal/racebuild"
 	"repro/internal/sim"
 )
 
-// A delivered datagram's in-flight record is pooled, so sending and
-// delivering an 8 KB datagram allocates nothing once the pools are warm:
-// alone, queued behind others in the destination's delivery lane, or
-// scheduled outside the lane when delay jitter puts it before the one
-// sent ahead of it.
+// A delivered datagram's in-flight record comes from the simulation's
+// stock, so sending and delivering an 8 KB datagram allocates nothing
+// once the stock is warm: alone, queued behind others in the
+// destination's delivery lane, or scheduled outside the lane when delay
+// jitter puts it before the one sent ahead of it.
 func TestSendAllocatesNothing(t *testing.T) {
-	if racebuild.Enabled {
-		t.Skip("sync.Pool drops objects at random under the race detector")
-	}
 	for _, c := range []struct {
 		name  string
 		burst int
@@ -71,6 +68,40 @@ func TestHandlerMaySendDuringDelivery(t *testing.T) {
 	s.Run(0)
 	if len(echoed) != 3 || echoed[0] != "re:ping1" || echoed[2] != "re:ping3" {
 		t.Fatalf("echoes = %q", echoed)
+	}
+}
+
+// Once a network drains, its simulation's stock holds every in-flight
+// record the simulation made: those delivered, those delivered to a
+// handler that sends a reply in turn, and those discarded at a link
+// that went down while they were in flight.
+func TestDrainedNetworkStocksEveryRecord(t *testing.T) {
+	s := sim.New(1)
+	defer s.Close()
+	n := New(s)
+	st := n.inFlight
+	missing := st.made - len(st.free)
+	n.SetLoss(LossConfig{Rate: 0.05, DelayJitter: 200_000})
+	replies := 0
+	n.AddHost("a", DefaultGigabit(), func(Datagram) { replies++ })
+	n.AddHost("b", DefaultGigabit(), func(dg Datagram) {
+		n.Send(Datagram{From: "b", To: "a", Payload: dg.Payload[:100]})
+	})
+	payload := make([]byte, nfsproto.WriteCallSize(8192))
+	for range 200 {
+		n.Send(Datagram{From: "a", To: "b", Payload: payload})
+	}
+	s.After(5*time.Millisecond, func() { n.SetDown("b", true) })
+	s.After(10*time.Millisecond, func() { n.SetDown("b", false) })
+	s.Run(0)
+	if replies == 0 || n.HostStats("b").DownDrops == 0 {
+		t.Fatalf("%d replies and %d datagrams dead at the downed link, want some of each", replies, n.HostStats("b").DownDrops)
+	}
+	if st.made == missing {
+		t.Fatal("the network took no in-flight record")
+	}
+	if got := st.made - len(st.free); got != missing {
+		t.Fatalf("%d in-flight records are missing from the stock, want %d", got, missing)
 	}
 }
 

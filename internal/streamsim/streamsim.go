@@ -25,17 +25,17 @@
 // exactly as netsim leaves sock_sendmsg accounting to its callers.
 //
 // The steady-state data path allocates nothing. The send window and the
-// segment cuts live in reused FIFOs, whose arrays the endpoints of a
-// simulation share and hand on to the next one; segment and record
-// payloads are buffers from the xdr wire-buffer pool, each with one
-// owner at a time:
+// segment cuts live in reused FIFOs. Their arrays, and the segment
+// buffers, come from the stock the endpoints of a simulation share and
+// Close hands on to the next one; record payloads are buffers from the
+// xdr wire-buffer pool. Each buffer has one owner at a time:
 //
-//   - a segment payload belongs to its datagram: the sender recycles it
-//     when the network drops it on send, the network when it discards
-//     it at a downed host (xdr.Recycler is the datagram's owner), the
-//     receiving endpoint when HandleDatagram is done with it, or, for a
-//     segment that arrived ahead of a hole, when the hole fills and its
-//     bytes are consumed;
+//   - a segment payload belongs to its datagram: the sender returns it
+//     to the stock when the network drops it on send, the network when
+//     it discards it at a downed host (the stock is the datagram's
+//     owner), the receiving endpoint when HandleDatagram is done with
+//     it, or, for a segment that arrived ahead of a hole, when the hole
+//     fills and its bytes are consumed;
 //   - a record passed to onRecord belongs to the callback, which
 //     recycles it (xdr.RecycleBuffer) once its bytes are dead or simply
 //     drops it for the GC.
@@ -123,6 +123,7 @@ type Endpoint struct {
 	local    string
 	remote   string
 	onRecord func([]byte)
+	spares   *spares
 
 	// Sender state. snd holds the unacknowledged window: byte i of
 	// snd.Items() is stream sequence sndUna+i. segs records the original
@@ -177,19 +178,47 @@ type sndSeg struct {
 	n   int
 }
 
-// spareQueues is streamsim's stock (sim.Stock): the backing arrays of the
-// drained send windows, segment cuts and ready lists of every endpoint
-// of one simulation, which Close hands on to the next. A window that
-// drains at each acknowledgement and refills at the next record, or a
-// new connection's, takes an array earlier ones grew instead of growing
-// its own from empty.
-type spareQueues struct {
-	snd   fifo.Spares[byte]
-	segs  fifo.Spares[sndSeg]
-	ready fifo.Spares[[]byte]
+// spares is streamsim's stock (sim.Stock), shared by every endpoint of
+// one simulation and handed on to the next by Close. It holds the
+// backing arrays of drained send windows, segment cuts and ready lists:
+// a window that drains at each acknowledgement and refills at the next
+// record, or a new connection's, takes an array earlier ones grew
+// instead of growing its own from empty. It also holds the free segment
+// buffers, in one size class of capacity HeaderSize+MSS; made counts the
+// buffers it has made and not dropped. Segment bytes are always written
+// before they are read, so a free buffer keeps nothing of the
+// simulation that freed it.
+type spares struct {
+	snd      fifo.Spares[byte]
+	segs     fifo.Spares[sndSeg]
+	ready    fifo.Spares[[]byte]
+	segments [][]byte
+	made     int
 }
 
-var queueStock = sim.NewStock[spareQueues]()
+var spareStock = sim.NewStock[spares]()
+
+// segment returns a free segment buffer of length n, or a new one of
+// capacity size. A free buffer too small for n (one cut for a smaller
+// MSS) is dropped, not put back, so the stock settles on buffers that
+// fit.
+func (sp *spares) segment(n, size int) []byte {
+	if k := len(sp.segments); k > 0 {
+		b := sp.segments[k-1]
+		sp.segments = sp.segments[:k-1]
+		if cap(b) >= n {
+			return b[:n]
+		}
+		sp.made--
+	}
+	sp.made++
+	return make([]byte, n, size)
+}
+
+// Release takes back a segment buffer whose bytes are dead. The stock
+// owns every segment datagram (netsim.Owner), so the network returns a
+// segment it discards at a downed host here.
+func (sp *spares) Release(b []byte) { sp.segments = append(sp.segments, b) }
 
 // NewEndpoint creates one side of a connection between local and remote.
 // Complete records arriving from the peer are handed to onRecord in event
@@ -198,14 +227,15 @@ func NewEndpoint(s *sim.Sim, net *netsim.Network, cfg Config, local, remote stri
 	if cfg.MSS < 1 {
 		panic("streamsim: MSS must be positive")
 	}
+	sp := spareStock.Of(s)
 	e := &Endpoint{
 		s: s, net: net, cfg: cfg, local: local, remote: remote,
 		onRecord: onRecord,
+		spares:   sp,
 		rto:      initialRTO,
 		ooo:      make(map[int64][]byte),
 	}
 	e.timeout = e.onTimeout
-	sp := queueStock.Of(s)
 	e.snd.UseSpares(&sp.snd)
 	e.segs.UseSpares(&sp.segs)
 	e.ready.UseSpares(&sp.ready)
@@ -243,9 +273,9 @@ func (e *Endpoint) SendRecord(rec []byte) int {
 
 // sendSegment transmits stream bytes [seq, seq+n) (or a pure ACK when
 // n == 0) and manages the Karn timing state and the retransmit timer.
-// The payload is a pooled buffer whose ownership passes to the datagram.
+// The payload is a stocked buffer whose ownership passes to the datagram.
 func (e *Endpoint) sendSegment(seq int64, n int, isRtx bool) {
-	payload := xdr.AcquireBuffer(HeaderSize + n)
+	payload := e.spares.segment(HeaderSize+n, HeaderSize+e.cfg.MSS)
 	var flags uint32
 	if n == 0 {
 		flags = flagAck
@@ -257,10 +287,10 @@ func (e *Endpoint) sendSegment(seq int64, n int, isRtx bool) {
 		off := int(seq - e.sndUna)
 		copy(payload[HeaderSize:], e.snd.Items()[off:off+n])
 	}
-	res := e.net.Send(netsim.Datagram{From: e.local, To: e.remote, Payload: payload, Owner: xdr.Recycler{}})
+	res := e.net.Send(netsim.Datagram{From: e.local, To: e.remote, Payload: payload, Owner: e.spares})
 	if res.Dropped {
 		// Lost on the way out: no delivery will ever hand it over.
-		xdr.RecycleBuffer(payload)
+		e.spares.Release(payload)
 	}
 	e.stats.WireBytes += res.WireBytes
 	if n == 0 {
@@ -352,8 +382,8 @@ func (e *Endpoint) sampleRTT(r sim.Time) {
 
 // HandleDatagram processes one segment arriving at the local host. The
 // owner's netsim handler must route datagrams from the peer here. The
-// endpoint takes ownership of payload: it recycles the buffer into the
-// xdr pool, so the caller must not touch it afterwards.
+// endpoint takes ownership of payload: it returns the buffer to the
+// stock, so the caller must not touch it afterwards.
 func (e *Endpoint) HandleDatagram(payload []byte) {
 	if len(payload) < HeaderSize {
 		panic(fmt.Sprintf("streamsim %s<-%s: short segment (%d bytes)", e.local, e.remote, len(payload)))
@@ -365,11 +395,11 @@ func (e *Endpoint) HandleDatagram(payload []byte) {
 
 	e.handleAck(ack, flags&flagAck != 0 && len(data) == 0)
 	if len(data) == 0 {
-		xdr.RecycleBuffer(payload)
+		e.spares.Release(payload)
 		return
 	}
 	if !e.acceptData(seq, payload) {
-		xdr.RecycleBuffer(payload)
+		e.spares.Release(payload)
 	}
 	e.deliverReady()
 	// Acknowledge every data segment immediately; duplicate ACKs are
@@ -425,7 +455,7 @@ func (e *Endpoint) acceptData(seq int64, payload []byte) (kept bool) {
 			}
 			delete(e.ooo, e.rcvNxt)
 			e.consume(next[HeaderSize:])
-			xdr.RecycleBuffer(next)
+			e.spares.Release(next)
 		}
 	case seq > e.rcvNxt:
 		if _, dup := e.ooo[seq]; !dup {

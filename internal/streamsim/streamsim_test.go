@@ -311,7 +311,7 @@ func recyclingPair(t testing.TB, seed int64, loss netsim.LossConfig) (s *sim.Sim
 	return s, a, delivered
 }
 
-// Pooled segment and record buffers have exactly one owner: with every
+// Segment and record buffers have exactly one owner: with every
 // record recycled (and poisoned) the moment it is delivered, a lossy
 // stream still delivers every record intact and in order.
 func TestRecycledBuffersStayIntactUnderLoss(t *testing.T) {
@@ -332,8 +332,9 @@ func TestRecycledBuffersStayIntactUnderLoss(t *testing.T) {
 }
 
 // The steady-state record path allocates nothing: the send window and
-// the segment cuts reuse their arrays, segments and records come from the
-// wire-buffer pool, and the layers below pool deliveries and timers.
+// the segment cuts reuse their arrays, segments come from the stock and
+// records from the wire-buffer pool, and the layers below recycle
+// deliveries and timers.
 func TestSteadyStateRecordAllocatesNothing(t *testing.T) {
 	if racebuild.Enabled {
 		t.Skip("sync.Pool drops objects at random under the race detector")
@@ -355,6 +356,50 @@ func TestSteadyStateRecordAllocatesNothing(t *testing.T) {
 	}
 	if a.Outstanding() != 0 {
 		t.Fatalf("%d bytes unacknowledged", a.Outstanding())
+	}
+}
+
+// Once a stream drains, every segment buffer its endpoints took is back
+// in the simulation's stock or parked in an endpoint's out-of-order map:
+// on a lossy, jittered stream in both directions, and on one whose
+// receiver's link goes down with segments in flight, which the network
+// discards and hands back to their owner, the stock.
+func TestDrainedStreamStocksEverySegment(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		loss netsim.LossConfig
+		down bool
+	}{
+		{"lossy", netsim.LossConfig{Rate: 0.03, DelayJitter: 100 * time.Microsecond}, false},
+		{"link down", netsim.LossConfig{}, true},
+	} {
+		p := newPair(7, c.loss)
+		sp := p.a.spares
+		missing := func() int { return sp.made - len(sp.segments) - len(p.a.ooo) - len(p.b.ooo) }
+		before := missing()
+		const records = 30
+		for i := 0; i < records; i++ {
+			p.a.SendRecord(record(i, 3000))
+			p.b.SendRecord(record(i, 500))
+		}
+		if c.down {
+			p.s.After(100*time.Microsecond, func() { p.net.SetDown("b", true) })
+			p.s.After(5*time.Millisecond, func() { p.net.SetDown("b", false) })
+		}
+		p.s.Run(0)
+		if len(p.recvA) != records || len(p.recvB) != records {
+			t.Fatalf("%s: delivered %d and %d records, want %d each", c.name, len(p.recvA), len(p.recvB), records)
+		}
+		if c.down && p.net.HostStats("b").LostDatagrams == 0 {
+			t.Fatalf("%s: no segment died in flight at the downed link", c.name)
+		}
+		if sp.made == 0 {
+			t.Fatalf("%s: the stock made no segment buffer", c.name)
+		}
+		if got := missing(); got != before {
+			t.Errorf("%s: %d segment buffers are missing from the stock, want %d", c.name, got, before)
+		}
+		p.s.Close()
 	}
 }
 

@@ -50,7 +50,7 @@ var (
 )
 
 // largeBuffer is the capacity from which a buffer belongs to the large
-// class: above a 1472-byte stream segment, below an 8 KiB call.
+// class: above a reply of a few hundred bytes, below an 8 KiB call.
 const largeBuffer = 4096
 
 // sizeClass returns the pool class for a buffer of capacity n.
@@ -98,9 +98,8 @@ func (e *Encoder) Release() {
 }
 
 // AcquireBuffer returns a pooled wire buffer of length n with unspecified
-// contents, for a transport to fill (a reassembled stream record, a stream
-// segment). Whoever ends up owning the bytes hands them back with
-// RecycleBuffer.
+// contents, for a transport to fill (a reassembled stream record).
+// Whoever ends up owning the bytes hands them back with RecycleBuffer.
 func AcquireBuffer(n int) []byte {
 	var b []byte
 	if e, ok := full[sizeClass(n)].Get().(*Encoder); ok {
