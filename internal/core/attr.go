@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/nfsproto"
-	"repro/internal/rangeset"
 	"repro/internal/rpcsim"
 	"repro/internal/sim"
 	"repro/internal/vfs"
@@ -261,7 +260,7 @@ func (c *Client) Remove(p *sim.Proc, name string) bool {
 		// table and just dropped.
 		delete(c.namedInodes, name)
 		if ino.refs == 0 {
-			ino.cached = rangeset.Set{}
+			c.dropPages(ino)
 		}
 	}
 	args := nfsproto.RemoveArgs{Dir: c.rootFH, Name: name}

@@ -128,20 +128,17 @@ type Inode struct {
 	verf        nfsproto.WriteVerf
 	hasVerf     bool
 
-	// Read-side state. cached is the resident-page set: pages filled by
-	// READ replies or dirtied by the write path (read-after-write
-	// coherence), kept as page-index ranges so a 1 GB sequential read
-	// holds one span instead of ~131k map entries (random workloads
-	// fragment it, but coverage coalesces as the holes fill). The rest —
-	// in-flight READ set, reply waiters, and the sequential readahead
-	// window — is allocated lazily on first read, so write-only workloads
-	// carry none of it. pendingReads stays a per-page map: it is bounded
-	// by the in-flight READ window, and replies must remove single pages
-	// (rangeset only supports insertion).
-	cached       rangeset.Set
-	pendingReads map[int64]bool
-	readWait     *sim.WaitQueue
-	ra           mm.Readahead
+	// Read-side state. resident is the file's pages in the client's page
+	// cache: pages filled by READ replies or dirtied by the write path
+	// (read-after-write coherence). reading marks the pages a READ in
+	// flight is fetching. Both are page bitmaps (pageSet) whose words
+	// come from the simulation's records, so a write-only workload's
+	// reading holds none. The reply waiters and the sequential readahead
+	// window are allocated lazily on first read.
+	resident pageSet
+	reading  pageSet
+	readWait *sim.WaitQueue
+	ra       mm.Readahead
 }
 
 // NewClient builds a client on the given simulator resources. cpu and bkl
@@ -203,7 +200,6 @@ func (c *Client) Open() *File {
 // table.
 func (c *Client) newInode(fh nfsproto.FileHandle) *Inode {
 	ino := &Inode{FH: fh, flushWait: c.s.NewWaitQueue()}
-	ino.reqs.q.UseSpares(&c.recs.lists)
 	c.inodes = append(c.inodes, ino)
 	return ino
 }
@@ -238,12 +234,18 @@ func (c *Client) releaseInode(ino *Inode) {
 		panic("core: releasing an inode with outstanding requests")
 	}
 	c.removeFromTable(ino)
-	// Drop the resident-page set even if the File object lingers in
-	// caller hands (reads/writes after close panic anyway). pendingReads
-	// and readWait stay: trailing readahead RPCs the reader never waited
-	// for may still be in flight, and their readDone completions must
-	// land harmlessly.
-	ino.cached = rangeset.Set{}
+	c.dropPages(ino)
+}
+
+// dropPages gives the page bitmaps of an inode no one opens again back
+// to the stock, even if the File object lingers in caller hands
+// (reads/writes after close panic anyway). readWait stays: trailing
+// readahead RPCs the reader never waited for may still be in flight,
+// and their readDone completions land harmlessly, clearing marks the
+// empty reading set does not hold.
+func (c *Client) dropPages(ino *Inode) {
+	ino.resident.release(c.recs)
+	ino.reading.release(c.recs)
 }
 
 // removeFromTable takes an inode out of the flushd scan table. Ordered
@@ -317,17 +319,16 @@ func (c *Client) namedInode(name string, fh nfsproto.FileHandle) *Inode {
 // that the triggering reply itself just wrote. Safe in event context.
 func (c *Client) invalidateInode(ino *Inode, keepStart, keepEnd int64) {
 	c.Invalidations++
-	var kept rangeset.Set
-	addPages := func(s, e int64) {
+	ino.resident.clear()
+	keep := func(s, e int64) {
 		if e > s {
-			kept.Add(s/pageSize, (e+pageSize-1)/pageSize)
+			ino.resident.add(s/pageSize, (e+pageSize-1)/pageSize, c.recs)
 		}
 	}
 	for _, r := range ino.unstableSet.Ranges() {
-		addPages(r.Start, r.End)
+		keep(r.Start, r.End)
 	}
-	addPages(keepStart, keepEnd)
-	ino.cached = kept
+	keep(keepStart, keepEnd)
 }
 
 // noteChange folds a server-reported change attribute (from GETATTR or
@@ -389,9 +390,9 @@ func (c *Client) commitPage(p *sim.Proc, ino *Inode, page int64, offset, count i
 		// Second search + update/insert: nfs_update_request. Either way
 		// the page ends up in the page cache, readable without an RPC.
 		c.cpu.Use(p, labelNFSUpdateRequest, updateRequestBase)
-		ino.markResident(page)
+		ino.resident.add(page, page+1, c.recs)
 		if existing == nil {
-			scanned := ino.reqs.Insert(c.recs.requests.get(page, offset, count, c.s.Now()))
+			scanned := ino.reqs.Insert(c.recs.requests.get(page, offset, count, c.s.Now()), c.recs)
 			if c.cfg.IndexPolicy == IndexLinearList {
 				// The real code walks the sorted list again to insert.
 				c.cpu.Use(p, labelNFSUpdateRequestScan, sim.Time(scanned)*listScanPerEntry)
@@ -487,7 +488,7 @@ func (c *Client) enforceLimits(p *sim.Proc, ino *Inode) {
 // caller must not hold the BKL.
 func (c *Client) sendOne(p *sim.Proc, ino *Inode, paced bool) int {
 	c.bkl.Lock(p, labelNFSCoalesce)
-	start, pages, total, scanned := ino.reqs.PopRun(c.cfg.WSize, &c.recs.requests)
+	start, pages, total, scanned := ino.reqs.PopRun(c.cfg.WSize, c.recs)
 	c.cpu.Use(p, labelNFSCoalesce,
 		coalesceBase+sim.Time(scanned)*listScanPerEntry)
 	if pages == 0 {
@@ -534,10 +535,7 @@ type writeCall struct {
 
 // newWriteCall takes a WRITE record from the stock and binds it to c.
 func (c *Client) newWriteCall() *writeCall {
-	free := c.recs.writes
-	if n := len(free); n > 0 {
-		wc := free[n-1]
-		c.recs.writes = free[:n-1]
+	if wc, ok := take(&c.recs.writes); ok {
 		wc.c = c
 		return wc
 	}
@@ -667,7 +665,7 @@ func (c *Client) queueRewrite(ino *Inode, page int64, offset, count int) {
 		}
 		return
 	}
-	ino.reqs.Insert(c.recs.requests.get(page, offset, count, c.s.Now()))
+	ino.reqs.Insert(c.recs.requests.get(page, offset, count, c.s.Now()), c.recs)
 	c.mountRequests++
 	if c.cfg.FlushPolicy == FlushCacheAll {
 		c.cache.ForceDirty(int64(count))

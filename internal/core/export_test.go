@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/sim"
+import (
+	"math/bits"
+
+	"repro/internal/sim"
+)
 
 // AttrCacheLen returns the number of cached attribute entries (test
 // accessor).
@@ -19,12 +23,12 @@ func (c *Client) OpenInodes() int { return len(c.inodes) }
 
 // CachedPages returns how many resident pages the inode holds — pages
 // filled by READ replies or dirtied by writes (for tests).
-func (ino *Inode) CachedPages() int { return int(ino.cached.Total()) }
+func (ino *Inode) CachedPages() int { return ino.resident.count() }
 
 // ResidentSpans returns how many disjoint page runs the resident set
 // holds (for tests: sequential access must coalesce into one span, random
 // access fragments until coverage completes).
-func (ino *Inode) ResidentSpans() int { return len(ino.cached.Ranges()) }
+func (ino *Inode) ResidentSpans() int { return ino.resident.spans() }
 
 // ReadaheadWindow returns the inode's current readahead window in pages
 // (for tests and experiments).
@@ -39,7 +43,37 @@ func (f *File) WriteBack(p *sim.Proc) { f.c.flushInodeSync(p, f.ino) }
 func (f *File) Inode() *Inode { return f.ino }
 
 // At returns the i'th request.
-func (l *reqList) At(i int) *Request { return l.q.Items()[i] }
+func (l *reqList) At(i int) *Request {
+	for _, blk := range l.blocks {
+		if es := blk.entries(); i < len(es) {
+			return es[i].r
+		} else {
+			i -= len(es)
+		}
+	}
+	panic("core: request index out of range")
+}
+
+// count returns how many pages the set holds.
+func (s *pageSet) count() int {
+	n := 0
+	for _, w := range s.words {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// spans returns how many maximal runs of consecutive pages the set
+// holds: a run starts at each set bit whose page below is not set.
+func (s *pageSet) spans() int {
+	n := 0
+	var below uint64 // the top bit of the previous word, moved to bit 0
+	for _, w := range s.words {
+		n += bits.OnesCount64(w &^ (w<<1 | below))
+		below = w >> 63
+	}
+	return n
+}
 
 // RPCs returns how many calls of NFS procedure proc the client's
 // transport has issued.

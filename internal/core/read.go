@@ -25,22 +25,8 @@ func (c *Client) ensureReadState(ino *Inode) {
 	if ino.readWait != nil {
 		return
 	}
-	ino.pendingReads = make(map[int64]bool)
 	ino.readWait = c.s.NewWaitQueue()
 	ino.ra = mm.Readahead{Min: c.cfg.ReadaheadMinPages, Max: c.cfg.ReadaheadMaxPages}
-}
-
-// markResident records that a page is in the client's page cache —
-// called by the write path for each page it dirties, so reading back
-// just-written data hits memory instead of refetching from the server
-// (read-after-write coherence).
-func (ino *Inode) markResident(page int64) {
-	ino.cached.Add(page, page+1)
-}
-
-// resident reports whether a page is in the client's page cache.
-func (ino *Inode) resident(page int64) bool {
-	return ino.cached.Contains(page, page+1)
 }
 
 // readPageBase is nfs_readpage's bookkeeping per page (cache lookup,
@@ -54,7 +40,7 @@ func (c *Client) readPage(p *sim.Proc, ino *Inode, page int64) {
 	c.ensureReadState(ino)
 	c.bkl.Lock(p, labelNFSReadpage)
 	c.cpu.Use(p, labelNFSReadpage, readPageBase)
-	hit := ino.resident(page)
+	hit := ino.resident.has(page)
 	c.cache.NoteRead(hit)
 	if hit && ino.staleOpen {
 		// Served from cache during an open that skipped revalidation
@@ -71,7 +57,7 @@ func (c *Client) readPage(p *sim.Proc, ino *Inode, page int64) {
 	// reader only waits for the page it needs, so the window's fetches
 	// overlap with consumption of earlier pages.
 	c.sendReads(p, ino, page, c.cfg.WSize/pageSize+ahead)
-	for !ino.resident(page) {
+	for !ino.resident.has(page) {
 		ino.readWait.Wait(p)
 	}
 }
@@ -88,14 +74,14 @@ func (c *Client) sendReads(p *sim.Proc, ino *Inode, start int64, pages int) {
 		end = last
 	}
 	for pg := start; pg < end; {
-		if ino.resident(pg) || ino.pendingReads[pg] {
+		if ino.resident.has(pg) || ino.reading.has(pg) {
 			pg++
 			continue
 		}
 		run := 1
 		for pg+int64(run) < end && run < pagesPerRPC {
 			next := pg + int64(run)
-			if ino.resident(next) || ino.pendingReads[next] {
+			if ino.resident.has(next) || ino.reading.has(next) {
 				break
 			}
 			run++
@@ -112,9 +98,7 @@ func (c *Client) sendReadRPC(p *sim.Proc, ino *Inode, page int64, pages int) {
 	if off+count > ino.size {
 		count = ino.size - off
 	}
-	for i := 0; i < pages; i++ {
-		ino.pendingReads[page+int64(i)] = true
-	}
+	ino.reading.add(page, page+int64(pages), c.recs)
 	rc := c.newReadCall()
 	rc.ino, rc.page, rc.pages = ino, page, pages
 	rc.args = nfsproto.ReadArgs{File: ino.FH, Offset: uint64(off), Count: uint32(count)}
@@ -135,10 +119,7 @@ type readCall struct {
 
 // newReadCall takes a READ record from the stock and binds it to c.
 func (c *Client) newReadCall() *readCall {
-	free := c.recs.reads
-	if n := len(free); n > 0 {
-		rc := free[n-1]
-		c.recs.reads = free[:n-1]
+	if rc, ok := take(&c.recs.reads); ok {
 		rc.c = c
 		return rc
 	}
@@ -169,9 +150,7 @@ func (c *Client) readDone(ino *Inode, page int64, pages, bytes int, d *xdr.Decod
 	if int(res.Count) != bytes {
 		panic(fmt.Sprintf("core: short READ: %d of %d", res.Count, bytes))
 	}
-	for i := 0; i < pages; i++ {
-		delete(ino.pendingReads, page+int64(i))
-	}
-	ino.cached.Add(page, page+int64(pages))
+	ino.reading.remove(page, page+int64(pages))
+	ino.resident.add(page, page+int64(pages), c.recs)
 	ino.readWait.Broadcast()
 }

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"repro/internal/fifo"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Request is one page-sized pending write (struct nfs_page in the
 // kernel): the byte range [Offset, Offset+Count) within page Page of one
@@ -44,27 +39,126 @@ func (r *Request) widen(offset, count int) int {
 
 const pageSize = 4096
 
+// reqBlockLen is the most requests one block of a request list holds.
+const reqBlockLen = 64
+
 // reqList is the per-inode request list, "maintained in order of
-// increasing page offset" (§3.4). The Go implementation uses binary
-// search so the simulator itself stays fast; the *modeled* cost of each
-// operation — how many entries the 2.4.4 code would have traversed — is
-// returned to the caller, which charges it as virtual CPU time. Runs
-// leave from the front, so the list is a fifo.Queue: PopRun drops a run
-// without shifting the requests behind it.
+// increasing page offset" (§3.4). The simulator keeps it as a run of
+// blocks of at most reqBlockLen requests each, the blocks in page order,
+// so a lookup is two binary searches and an insert shifts one block at
+// most, however many pages a random writer has queued. The *modeled*
+// cost of each operation — how many entries the 2.4.4 code would have
+// traversed — is a request's rank in the whole list, which Find, Insert
+// and PopRun return for the caller to charge as virtual CPU time. The
+// block arrays, and the slice holding them, come from the simulation's
+// records and go back there when they empty.
 type reqList struct {
-	q fifo.Queue[*Request]
+	blocks []reqBlock
+	n      int
+	// seen is the last search's answer while the list is unchanged:
+	// nfs_commit_write's lookup and its insert search for one page.
+	seen reqPos
+}
+
+// reqBlock is one block of a request list: the entries arr[lo:hi], 1 to
+// reqBlockLen of them in page order and all below the next block's, and
+// the page of the last, so the search for a block reads only the list's
+// own slice. Runs leave the front block by moving lo, so a pop shifts
+// nothing; an insert slides the entries back to the array's front when
+// they reach its end.
+type reqBlock struct {
+	last   int64
+	lo, hi int
+	arr    *[reqBlockLen]reqEntry
+}
+
+// reqEntry is one request in a block, beside its page, so the search
+// within a block reads the block's own array and not the records.
+type reqEntry struct {
+	page int64
+	r    *Request
+}
+
+// entries returns the block's requests.
+func (b *reqBlock) entries() []reqEntry { return b.arr[b.lo:b.hi] }
+
+// insert puts e at position i of the block's entries, which number
+// fewer than reqBlockLen.
+func (b *reqBlock) insert(i int, e reqEntry) {
+	if b.hi == reqBlockLen {
+		n := copy(b.arr[:], b.arr[b.lo:b.hi])
+		clear(b.arr[n:b.hi])
+		b.lo, b.hi = 0, n
+	}
+	i += b.lo
+	copy(b.arr[i+1:b.hi+1], b.arr[i:b.hi])
+	b.arr[i] = e
+	b.hi++
+	b.last = b.arr[b.hi-1].page
+}
+
+// reqPos is where search found a page: block b, position i, and rank.
+type reqPos struct {
+	pg         int64
+	b, i, rank int32
+	ok         bool
 }
 
 // Len returns the number of queued requests.
-func (l *reqList) Len() int { return l.q.Len() }
+func (l *reqList) Len() int { return l.n }
 
 // Empty reports whether the list has no requests.
-func (l *reqList) Empty() bool { return l.q.Len() == 0 }
+func (l *reqList) Empty() bool { return l.n == 0 }
 
-// search returns the index of the first request with page >= pg.
-func (l *reqList) search(pg int64) int {
-	items := l.q.Items()
-	return sort.Search(len(items), func(i int) bool { return items[i].Page >= pg })
+// search locates the first request with page >= pg: block b, position i
+// within its entries, and its rank in the list. Past the last request,
+// b is len(l.blocks) and the rank is l.Len().
+func (l *reqList) search(pg int64) (b, i, rank int) {
+	if l.seen.ok && l.seen.pg == pg {
+		return int(l.seen.b), int(l.seen.i), int(l.seen.rank)
+	}
+	b, i, rank = l.locate(pg)
+	l.seen = reqPos{pg, int32(b), int32(i), int32(rank), true}
+	return b, i, rank
+}
+
+// locate is search without the cache.
+func (l *reqList) locate(pg int64) (b, i, rank int) {
+	// Each search halves its span with a conditional add rather than a
+	// branch: random pages would mispredict every other branch.
+	n := len(l.blocks)
+	for n > 1 {
+		half := n >> 1
+		if l.blocks[b+half-1].last < pg {
+			b += half
+		}
+		n -= half
+	}
+	if n == 1 && l.blocks[b].last < pg {
+		b++
+	}
+	if b == len(l.blocks) {
+		return b, 0, l.n
+	}
+	es := l.blocks[b].entries()
+	for n = len(es); n > 1; n -= n >> 1 {
+		if es[i+n>>1-1].page < pg {
+			i += n >> 1
+		}
+	}
+	if es[i].page < pg {
+		i++
+	}
+	return b, i, l.before(b) + i
+}
+
+// before returns how many requests the blocks ahead of block b hold.
+func (l *reqList) before(b int) int {
+	n := 0
+	for _, blk := range l.blocks[:b] {
+		n += blk.hi - blk.lo
+	}
+	return n
 }
 
 // Find returns the request covering page pg, if any, plus the number of
@@ -73,67 +167,137 @@ func (l *reqList) search(pg int64) int {
 // >= pg, so a sequential workload writing past the end traverses the
 // entire list and finds nothing — the §3.4 pathology.
 func (l *reqList) Find(pg int64) (req *Request, scanned int) {
-	i := l.search(pg)
-	scanned = i
-	if items := l.q.Items(); i < len(items) && items[i].Page == pg {
-		return items[i], scanned + 1
+	b, i, rank := l.search(pg)
+	if b < len(l.blocks) {
+		if e := l.blocks[b].entries()[i]; e.page == pg {
+			return e.r, rank + 1
+		}
 	}
-	return nil, scanned
+	return nil, rank
 }
 
-// Insert adds a request in sorted position and returns the entries the
-// 2.4.4 insertion scan would have traversed.
-func (l *reqList) Insert(r *Request) (scanned int) {
-	i := l.search(r.Page)
-	l.q.Push(r)
-	items := l.q.Items()
-	copy(items[i+1:], items[i:len(items)-1])
-	items[i] = r
-	return i
+// Insert adds a request, whose page the list does not hold, in sorted
+// position and returns the entries the 2.4.4 insertion scan would have
+// traversed. A full block splits in two; a request past the end of a
+// full last block opens a new block, so a sequential writer fills blocks
+// whole.
+func (l *reqList) Insert(r *Request, recs *records) (scanned int) {
+	e := reqEntry{r.Page, r}
+	b, i, rank := l.search(e.page)
+	l.n++
+	l.seen.ok = false
+	if b == len(l.blocks) {
+		if b == 0 || l.blocks[b-1].hi-l.blocks[b-1].lo == reqBlockLen {
+			l.insertBlock(b, recs)
+			l.blocks[b].insert(0, e)
+			return rank
+		}
+		b--
+		i = l.blocks[b].hi - l.blocks[b].lo
+	}
+	if blk := &l.blocks[b]; blk.hi-blk.lo == reqBlockLen {
+		const half = reqBlockLen / 2
+		l.insertBlock(b+1, recs)
+		blk = &l.blocks[b]
+		upper := &l.blocks[b+1]
+		upper.hi = copy(upper.arr[:], blk.arr[half:])
+		upper.last = blk.last
+		clear(blk.arr[half:])
+		blk.hi, blk.last = half, blk.arr[half-1].page
+		if i > half {
+			b, i = b+1, i-half
+		}
+	}
+	l.blocks[b].insert(i, e)
+	return rank
+}
+
+// insertBlock puts an empty block at index b of the block slice, which
+// an empty list first takes from recs.
+func (l *reqList) insertBlock(b int, recs *records) {
+	if cap(l.blocks) == 0 {
+		l.blocks, _ = take(&recs.lists)
+	}
+	arr, ok := take(&recs.blocks)
+	if !ok {
+		arr = new([reqBlockLen]reqEntry)
+	}
+	l.blocks = append(l.blocks, reqBlock{})
+	copy(l.blocks[b+1:], l.blocks[b:])
+	l.blocks[b] = reqBlock{arr: arr}
 }
 
 // Front returns the first (lowest-page) request, or nil.
 func (l *reqList) Front() *Request {
-	if l.q.Len() == 0 {
+	if l.n == 0 {
 		return nil
 	}
-	return l.q.Items()[0]
+	return l.blocks[0].arr[l.blocks[0].lo].r
 }
 
 // PopRun removes the longest byte-contiguous run of requests from the
 // front of the list, capped at maxBytes total — this is the "coalesced
 // into wsize chunks just before the client generates write RPCs" step of
-// §3.4 — and hands the popped records back to free. It returns the run's
-// first byte offset, its page and byte counts, and the number of entries
-// the coalescing scan examined. This is the only place a request leaves
-// the list.
-func (l *reqList) PopRun(maxBytes int, free *requestPool) (start int64, pages, total, scanned int) {
-	items := l.q.Items()
-	if len(items) == 0 {
+// §3.4 — and hands the popped records, and the blocks they empty, back
+// to recs. It returns the run's first byte offset, its page and byte
+// counts, and the number of entries the coalescing scan examined. This
+// is the only place a request leaves the list.
+func (l *reqList) PopRun(maxBytes int, recs *records) (start int64, pages, total, scanned int) {
+	if l.n == 0 {
 		return 0, 0, 0, 0
 	}
-	for pages < len(items) {
-		r := items[pages]
-		if total+r.Count > maxBytes {
-			break
+	first := l.Front()
+	start, prev := first.Start(), first
+walk:
+	for b := range l.blocks {
+		for _, e := range l.blocks[b].entries() {
+			if total+e.r.Count > maxBytes || pages > 0 && prev.End() != e.r.Start() {
+				break walk
+			}
+			total += e.r.Count
+			pages++
+			prev = e.r
 		}
-		if pages > 0 && items[pages-1].End() != r.Start() {
-			break
-		}
-		total += r.Count
-		pages++
 	}
 	if pages == 0 {
 		// A single request larger than maxBytes cannot happen (requests
 		// are at most a page and wsize >= a page), but guard anyway.
-		pages, total = 1, items[0].Count
+		pages, total = 1, first.Count
 	}
-	start = items[0].Start()
-	for _, r := range items[:pages] {
-		free.put(r)
-	}
-	l.q.Drop(pages)
+	l.drop(pages, recs)
 	return start, pages, total, pages + 1
+}
+
+// drop removes the first k requests, handing them to recs' free list in
+// order. A block it empties goes back to recs, and so does the block
+// slice once the list drains.
+func (l *reqList) drop(k int, recs *records) {
+	l.n -= k
+	l.seen.ok = false
+	gone := 0
+	for k > 0 {
+		blk := &l.blocks[gone]
+		es := blk.entries()[:min(k, blk.hi-blk.lo)]
+		for _, e := range es {
+			recs.requests.put(e.r)
+		}
+		clear(es)
+		k -= len(es)
+		if blk.lo += len(es); blk.lo == blk.hi {
+			recs.blocks = append(recs.blocks, blk.arr)
+			gone++
+		}
+	}
+	if gone == 0 {
+		return
+	}
+	live := copy(l.blocks, l.blocks[gone:])
+	clear(l.blocks[live:])
+	l.blocks = l.blocks[:live]
+	if live == 0 {
+		recs.lists = append(recs.lists, l.blocks)
+		l.blocks = nil
+	}
 }
 
 // requestBlock is how many Request records one free-list refill
@@ -144,17 +308,34 @@ const requestBlock = 128
 // simulation, shared by all its clients and handed on to the next
 // simulation by Close, as 2.4 took every mount's nfs_page from one slab
 // cache. A record in it is bound to no client: newWriteCall and
-// newReadCall bind the taker, and done unbinds it again. lists holds the
-// backing arrays of drained request lists, so a list filling again, or
-// a new inode's, does not regrow one from empty.
+// newReadCall bind the taker, and done unbinds it again. The rest is
+// empty storage an inode's structures grow into, so a list filling
+// again, or a new inode's, does not regrow from nothing: blocks holds
+// request-list block arrays, lists the slices that hold
+// a list's blocks, and bits the all-zero word arrays of page sets.
 type records struct {
 	requests requestPool
-	lists    fifo.Spares[*Request]
+	blocks   []*[reqBlockLen]reqEntry
+	lists    [][]reqBlock
+	bits     [][]uint64
 	writes   []*writeCall
 	reads    []*readCall
 }
 
 var recordStock = sim.NewStock[records]()
+
+// take pops the last item of a free list; ok is false, and x the zero
+// T, when the list is empty.
+func take[T any](free *[]T) (x T, ok bool) {
+	n := len(*free) - 1
+	if n < 0 {
+		return x, false
+	}
+	x = (*free)[n]
+	(*free)[n] = *new(T)
+	*free = (*free)[:n]
+	return x, true
+}
 
 // requestPool is a free list of Request records, the model's nfs_page
 // slab cache. It refills in blocks, so once warm it queues pages

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	nfssim "repro"
+	"repro/internal/bonnie"
 	"repro/internal/core"
 	"repro/internal/racebuild"
 	"repro/internal/rpcsim"
@@ -19,12 +20,16 @@ import (
 // stream windows and traces regrown from empty every run take 290 KB on
 // the fleet and 303 KB on the TCP run.
 const (
-	// 1,561 allocations and 158,178 bytes.
+	// 1,529 allocations and 154,338 bytes (1,561 and 158,178 when each
+	// transport allocated its own XID table).
 	warmFleetMallocs = 1700
 	warmFleetBytes   = 172_000
-	// 282 to 284 allocations and 53,008 to 55,445 bytes.
+	// 280 to 284 allocations and 53,008 to 55,445 bytes.
 	warmTCPMallocs = 310
 	warmTCPBytes   = 60_500
+	// 272 allocations and 90,792 bytes.
+	warmRandMallocs = 297
+	warmRandBytes   = 99_000
 )
 
 // A warm 16-client slow100 run takes its page requests, call records
@@ -34,6 +39,16 @@ func TestWarmFleetRunAllocations(t *testing.T) {
 	sc := Scenario{Server: nfssim.ServerSlow100, Config: ClientConfig{"enhanced", core.EnhancedConfig()},
 		FileMB: 1, Clients: 16, TimeLimit: 2 * time.Hour, Seed: 1}
 	checkWarmRun(t, sc, warmFleetMallocs, warmFleetBytes)
+}
+
+// A warm 16 MB random-write run on the nolimits client queues about
+// 1,800 requests at once in its request list, whose blocks, and the
+// bitmap of resident pages, come from the stock the run before it
+// handed on.
+func TestWarmRandomWriteRunAllocations(t *testing.T) {
+	sc := Scenario{Server: nfssim.ServerFiler, Config: ClientConfig{"nolimits", core.NoLimitsConfig()},
+		FileMB: 16, Workload: bonnie.WorkloadRandWrite, TimeLimit: 30 * time.Minute, Seed: 1}
+	checkWarmRun(t, sc, warmRandMallocs, warmRandBytes)
 }
 
 // A warm TCP run at 1% loss also takes its stream endpoints' send

@@ -30,12 +30,32 @@ type Set struct {
 }
 
 // Add inserts [start, end), merging with overlapping or adjacent ranges.
-// Empty or inverted ranges are ignored.
+// Empty or inverted ranges are ignored. A range that follows the last
+// range, or extends it, takes constant time, so an in-order writer's
+// coverage only appends or grows its last range.
 func (s *Set) Add(start, end int64) {
 	if end <= start {
 		return
 	}
-	i := sort.Search(len(s.ranges), func(i int) bool { return s.ranges[i].End >= start })
+	n := len(s.ranges)
+	if n == 0 || start > s.ranges[n-1].End {
+		s.ranges = append(s.ranges, Range{start, end})
+		return
+	}
+	if last := &s.ranges[n-1]; start >= last.Start {
+		last.End = max(last.End, end)
+		return
+	}
+	// The first range that ends at or after start.
+	i, hi := 0, n-1
+	for i < hi {
+		m := int(uint(i+hi) >> 1)
+		if s.ranges[m].End < start {
+			i = m + 1
+		} else {
+			hi = m
+		}
+	}
 	j := i
 	for j < len(s.ranges) && s.ranges[j].Start <= end {
 		if s.ranges[j].Start < start {

@@ -143,3 +143,52 @@ func TestInvariantProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property: the set holds exactly the bytes added, checked byte by byte
+// against a bitmap, as maximal ranges, when most adds follow or extend
+// the last range (the constant-time path) and the rest land anywhere
+// (the search).
+func TestAddMatchesByteMap(t *testing.T) {
+	const size = 4096
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var s Set
+		var ref [size]bool
+		var last int64
+		for step := 0; step < 200; step++ {
+			var start int64
+			switch rng.Intn(4) {
+			case 0, 1: // follow or extend the highest byte so far
+				start = max(0, last-int64(rng.Intn(16))+int64(rng.Intn(24)))
+			default:
+				start = int64(rng.Intn(size))
+			}
+			end := min(size, start+int64(rng.Intn(64)))
+			s.Add(start, end)
+			for b := start; b < end; b++ {
+				ref[b] = true
+			}
+			last = max(last, end)
+			var total int64
+			spans := 0
+			for b := int64(0); b < size; b++ {
+				if ref[b] {
+					total++
+					if b == 0 || !ref[b-1] {
+						spans++
+					}
+				}
+				if s.Contains(b, b+1) != ref[b] {
+					return false
+				}
+			}
+			if s.Total() != total || s.Spans() != spans {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -274,7 +274,6 @@ func New(s *sim.Sim, net *netsim.Network, cpu *sim.CPUPool, bkl *sim.Mutex, cfg 
 		mtu:     net.PathMTU(local, remote),
 		initRTO: retransmitTimeout, maxRTO: maxRetransmitTimeout,
 		local: local, remote: remote,
-		byXID:    newXIDIndex(cfg.MaxSlots),
 		stock:    callStock.Of(s),
 		slotWait: s.NewWaitQueue(),
 		rxWait:   s.NewWaitQueue(),
@@ -292,6 +291,7 @@ func New(s *sim.Sim, net *netsim.Network, cpu *sim.CPUPool, bkl *sim.Mutex, cfg 
 			t.rxWait.Signal()
 		})
 	}
+	t.byXID = t.stock.xidIndex(cfg.MaxSlots)
 	t.onRx, t.onMatch, t.onHold, t.onReplied = t.rx, t.match, t.hold, t.replied
 	t.irq = s.NewTask("softirq/"+local, t.onRx)
 	return t
@@ -374,57 +374,60 @@ func (t *Transport) unslot(pc *pendingCall) {
 // xidIndex finds the calls in flight by XID in O(1): an open-addressed
 // table, probed linearly from the entry the XID's low bits pick. It is at
 // least twice as long as the slot table, and XIDs are sequential, so
-// probes stay short. remove shifts the rest of a probe run back into the
-// hole instead of leaving a tombstone, so the table never needs rebuilding.
+// probes stay short. Each entry keeps its call's XID beside the call, so
+// a probe reads only the table. remove shifts the rest of a probe run
+// back into the hole instead of leaving a tombstone, so the table never
+// needs rebuilding.
 type xidIndex struct {
-	tab  []*pendingCall
+	tab  []xidEntry
 	mask uint32
 }
 
-func newXIDIndex(slots int) xidIndex {
-	n := 1
-	for n < 2*slots {
-		n <<= 1
-	}
-	return xidIndex{tab: make([]*pendingCall, n), mask: uint32(n - 1)}
+// xidEntry is one table slot; pc is nil in an empty one.
+type xidEntry struct {
+	xid uint32
+	pc  *pendingCall
 }
 
 // find returns the call with the given XID, or nil.
 func (x *xidIndex) find(xid uint32) *pendingCall {
-	for i := xid & x.mask; ; i = (i + 1) & x.mask {
-		if pc := x.tab[i]; pc == nil || pc.xid == xid {
-			return pc
+	tab, mask := x.tab, x.mask
+	for i := xid & mask; ; i = (i + 1) & mask {
+		if e := tab[i]; e.pc == nil || e.xid == xid {
+			return e.pc
 		}
 	}
 }
 
 // insert adds pc, whose XID the table does not hold.
 func (x *xidIndex) insert(pc *pendingCall) {
-	i := pc.xid & x.mask
-	for x.tab[i] != nil {
-		i = (i + 1) & x.mask
+	tab, mask := x.tab, x.mask
+	i := pc.xid & mask
+	for tab[i].pc != nil {
+		i = (i + 1) & mask
 	}
-	x.tab[i] = pc
+	tab[i] = xidEntry{pc.xid, pc}
 }
 
 // remove takes pc out and reports whether it was there. Each later
 // entry of the probe run moves into the hole if the hole lies on its
 // own probe path, that is, no nearer its home slot than the entry is.
 func (x *xidIndex) remove(pc *pendingCall) bool {
-	i := pc.xid & x.mask
-	for x.tab[i] != pc {
-		if x.tab[i] == nil {
+	tab, mask := x.tab, x.mask
+	i := pc.xid & mask
+	for tab[i].pc != pc {
+		if tab[i].pc == nil {
 			return false
 		}
-		i = (i + 1) & x.mask
+		i = (i + 1) & mask
 	}
-	for j := (i + 1) & x.mask; x.tab[j] != nil; j = (j + 1) & x.mask {
-		if home := x.tab[j].xid & x.mask; (j-home)&x.mask >= (j-i)&x.mask {
-			x.tab[i] = x.tab[j]
+	for j := (i + 1) & mask; tab[j].pc != nil; j = (j + 1) & mask {
+		if home := tab[j].xid & mask; (j-home)&mask >= (j-i)&mask {
+			tab[i] = tab[j]
 			i = j
 		}
 	}
-	x.tab[i] = nil
+	tab[i] = xidEntry{}
 	return true
 }
 
@@ -434,6 +437,40 @@ func (x *xidIndex) remove(pc *pendingCall) bool {
 // done queue, and is bound to no transport: acquire binds the taker.
 type callRecords struct {
 	free []*pendingCall
+	// tables holds every XID table this stock made; the first lent are
+	// held by transports of the open simulation, and Reclaim frees them
+	// when it closes.
+	tables [][]xidEntry
+	lent   int
+}
+
+// xidIndex lends an empty XID index for a transport of slots slots. Its
+// table is at least twice as long as the slot table, a power of two.
+func (cr *callRecords) xidIndex(slots int) xidIndex {
+	n := 1
+	for n < 2*slots {
+		n <<= 1
+	}
+	i := cr.lent
+	for i < len(cr.tables) && len(cr.tables[i]) != n {
+		i++
+	}
+	if i == len(cr.tables) {
+		cr.tables = append(cr.tables, make([]xidEntry, n))
+	}
+	cr.tables[i], cr.tables[cr.lent] = cr.tables[cr.lent], cr.tables[i]
+	cr.lent++
+	return xidIndex{tab: cr.tables[cr.lent-1], mask: uint32(n - 1)}
+}
+
+// Reclaim empties the XID tables the closed simulation's transports
+// held, which may still name calls a dead server abandoned, and takes
+// them back.
+func (cr *callRecords) Reclaim() {
+	for _, tab := range cr.tables[:cr.lent] {
+		clear(tab)
+	}
+	cr.lent = 0
 }
 
 var callStock = sim.NewStock[callRecords]()

@@ -536,6 +536,11 @@ func (s *Sim) Close() {
 	}
 	s.recycleLane(s.ready.head)
 	clear(s.events)
+	for _, st := range s.stocks {
+		if r, ok := st.(Reclaimer); ok {
+			r.Reclaim()
+		}
+	}
 	putSpare(eventStore{heap: s.events[:0], pool: s.pool, procs: s.procs, stocks: s.stocks})
 	s.events, s.pool, s.procs, s.stocks = nil, nil, nil, nil
 }
@@ -618,6 +623,13 @@ func putSpare(st eventStore) {
 // them (its Procs, WaitQueues, or the clients and transports built on
 // it): whoever takes one binds it to its own.
 type Stock[T any] struct{ id int }
+
+// A Reclaimer is a stock that also lends storage to the objects of its
+// simulation for as long as they live, such as a table each transport
+// holds. Close calls Reclaim after the simulation's processes have
+// unwound, before it hands the stock on: the storage is free again, and
+// Reclaim must clear what in it points into the closed simulation.
+type Reclaimer interface{ Reclaim() }
 
 // stockKinds counts the registered Stocks.
 var stockKinds atomic.Int32
