@@ -520,10 +520,9 @@ func TestChaosRunByteIdentical(t *testing.T) {
 	}
 }
 
-// Events fire in At order even when written out of order in the file
-// (crash/restart must already be listed in order — that pair is
-// validated both ways — but everything else may be shuffled), and the
-// event log records firings in simulation order.
+// Events fire in At order even when written out of order in the file,
+// a restart listed before its crash included, and the event log records
+// firings in simulation order.
 func TestEventOrderIndependence(t *testing.T) {
 	shuffled := `
 scenarios:
@@ -537,11 +536,15 @@ scenarios:
         action: disk_degrade
         factor: 2
         for: 50ms
+      - at: 200ms
+        action: server_restart
       - action: assert_completes
       - at: 100ms
         action: loss_burst
         rate: 0.1
         for: 20ms
+      - at: 150ms
+        action: server_crash
 `
 	sorted := `
 scenarios:
@@ -555,6 +558,10 @@ scenarios:
         action: loss_burst
         rate: 0.1
         for: 20ms
+      - at: 150ms
+        action: server_crash
+      - at: 200ms
+        action: server_restart
       - at: 300ms
         action: disk_degrade
         factor: 2
@@ -572,8 +579,10 @@ scenarios:
 	if a != b {
 		t.Fatalf("event order in the file changed the run:\n%s\nvs\n%s", a, b)
 	}
-	if i := strings.Index(a, "loss_burst"); i < 0 || i > strings.Index(a, "disk_degrade") {
-		t.Fatalf("event log not in simulation order:\n%s", a)
+	for _, pair := range [][2]string{{"loss_burst", "server_crash"}, {"server_crash", "server_restart"}, {"server_restart", "disk_degrade"}} {
+		if i := strings.Index(a, pair[0]); i < 0 || i > strings.Index(a, pair[1]) {
+			t.Fatalf("event log not in simulation order:\n%s", a)
+		}
 	}
 }
 

@@ -399,7 +399,6 @@ func (sc *Scenario) validate() error {
 		return fmt.Errorf("fleet.server: %q is not an NFS server kind (want filer, linux, or slow100)", f.Server)
 	}
 
-	crashed := false
 	for i := range sc.Events {
 		ev := &sc.Events[i]
 		if ev.At < 0 {
@@ -410,15 +409,6 @@ func (sc *Scenario) validate() error {
 			if sc.bed.Transport == rpcsim.TransportTCP {
 				return fmt.Errorf("server_crash requires transport udp (stream state across a reboot is not modeled)")
 			}
-			if crashed {
-				return fmt.Errorf("server_crash while the server is already down")
-			}
-			crashed = true
-		case "server_restart":
-			if !crashed {
-				return fmt.Errorf("server_restart without a preceding server_crash")
-			}
-			crashed = false
 		case "link_down", "link_up":
 			if err := validateHost(ev.Host, sc.bed.Clients); err != nil {
 				return fmt.Errorf("%s: %w", ev.Action, err)
@@ -459,9 +449,8 @@ func (sc *Scenario) validate() error {
 			}
 		}
 	}
-	// Crash/restart ordering is checked in event-list order above; also
-	// require the timed ordering to match once sorted by At (stable sort,
-	// so same-time events keep list order).
+	// Crash and restart must alternate in firing order: by At, and in
+	// file order among events at the same time (the engine's stable sort).
 	sorted := make([]Event, len(sc.Events))
 	copy(sorted, sc.Events)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })

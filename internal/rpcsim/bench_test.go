@@ -1,6 +1,7 @@
 package rpcsim
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/netsim"
@@ -48,6 +49,80 @@ func benchCall(b *testing.B, kind TransportKind) {
 	}
 }
 
+// BenchmarkCallUDPInFlight keeps the slot table full: 16 asynchronous
+// 8 KiB WRITEs in flight against a responder that holds each request
+// until it holds 16 and then answers them all. In call order every reply
+// matches the oldest call in flight, as in the benchmark workloads;
+// reversed, each reply walks past every older call of its batch, the
+// longest walks a full slot table allows.
+func BenchmarkCallUDPInFlight(b *testing.B) {
+	b.Run("in-order", func(b *testing.B) { benchInFlight(b, false) })
+	b.Run("reversed", func(b *testing.B) { benchInFlight(b, true) })
+}
+
+func benchInFlight(b *testing.B, reverse bool) {
+	s := sim.New(1)
+	defer s.Close()
+	net := netsim.New(s)
+	link := netsim.DefaultGigabit()
+	net.AddHost("c", link, nil)
+	cfg := DefaultConfig()
+	var held []uint32
+	draining := false
+	answer := func() {
+		if reverse {
+			slices.Reverse(held)
+		}
+		for _, xid := range held {
+			sendReply(net, "srv", "c", xid)
+		}
+		held = held[:0]
+	}
+	net.AddHost("srv", link, func(dg netsim.Datagram) {
+		held = append(held, xidOf(dg.Payload))
+		dg.Owner.Release(dg.Payload)
+		if len(held) == cfg.MaxSlots || draining {
+			answer()
+		}
+	})
+	tr := New(s, net, s.NewCPUPool(1), s.NewMutex("bkl"), cfg, "c", "srv")
+	args := nfsproto.WriteArgs{File: nfsproto.MakeFileHandle(1, 1), Count: 8192, Data: make([]byte, 8192)}
+	encode := func(e *xdr.Encoder) { args.Encode(e) }
+	calls := func(p *sim.Proc, n int) {
+		for range n {
+			tr.Call(p, nfsproto.ProcWrite, encode, nil)
+		}
+	}
+	warm := 2 * cfg.MaxSlots // whole batches, so none is left held
+	measure := s.NewWaitQueue()
+	s.Go("caller", func(p *sim.Proc) {
+		calls(p, warm) // warm the stocks and pools
+		measure.Wait(p)
+		calls(p, b.N)
+		draining = true
+		answer()
+	})
+	s.Run(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	measure.Signal()
+	s.Run(0)
+	if st := tr.Stats(); st.Replies != int64(warm+b.N) || st.Retransmits != 0 {
+		b.Fatalf("%d replies to %d calls, %d retransmits", st.Replies, warm+b.N, st.Retransmits)
+	}
+}
+
+// sendReply sends a bare reply header for xid from one host to another,
+// its buffer recycled by whoever ends the datagram.
+func sendReply(net *netsim.Network, from, to string, xid uint32) {
+	e := xdr.AcquireEncoder()
+	nfsproto.ReplyHeader{XID: xid}.Encode(e)
+	r := e.Take()
+	if net.Send(netsim.Datagram{From: from, To: to, Payload: r, Owner: xdr.Recycler{}}).Dropped {
+		xdr.RecycleBuffer(r)
+	}
+}
+
 // benchRig wires a transport of the given kind to a responder that
 // answers every call at once with a bare reply header and hands each
 // buffer back as the server does, so a round trip costs only the
@@ -73,11 +148,9 @@ func benchRig(kind TransportKind) (*sim.Sim, *Transport) {
 		})
 	} else {
 		net.AddHost("srv", link, func(dg netsim.Datagram) {
-			r := reply(xidOf(dg.Payload))
+			xid := xidOf(dg.Payload)
 			dg.Owner.Release(dg.Payload)
-			if net.Send(netsim.Datagram{From: "srv", To: "c", Payload: r, Owner: xdr.Recycler{}}).Dropped {
-				xdr.RecycleBuffer(r)
-			}
+			sendReply(net, "srv", "c", xid)
 		})
 	}
 	cfg := DefaultConfig()

@@ -194,6 +194,8 @@ type pendingCall struct {
 	rto     sim.Time
 	retrans int
 	refs    int
+	// prev and next link the transport's calls in flight, oldest first.
+	prev, next *pendingCall
 	// dec is the reply decoder, positioned after the reply header. It
 	// reads reply, which stays valid until the call's reference is
 	// dropped.
@@ -231,12 +233,13 @@ type Transport struct {
 	local, remote string
 
 	nextXID uint32
-	// inflight counts the calls holding a slot, at most MaxSlots; byXID
-	// finds each of them.
+	// inflight counts the calls holding a slot, at most MaxSlots.
 	inflight int
-	byXID    xidIndex
-	stock    *callRecords // the simulation's recycled call records
-	slotWait *sim.WaitQueue
+	// oldest and newest end the list of calls in flight, linked in XID
+	// order, which a reply walks to find its call (find).
+	oldest, newest *pendingCall
+	stock          *callRecords // the simulation's recycled call records
+	slotWait       *sim.WaitQueue
 
 	rxq    fifo.Queue[[]byte]
 	rxWait *sim.WaitQueue
@@ -291,7 +294,6 @@ func New(s *sim.Sim, net *netsim.Network, cpu *sim.CPUPool, bkl *sim.Mutex, cfg 
 			t.rxWait.Signal()
 		})
 	}
-	t.byXID = t.stock.xidIndex(cfg.MaxSlots)
 	t.onRx, t.onMatch, t.onHold, t.onReplied = t.rx, t.match, t.hold, t.replied
 	t.irq = s.NewTask("softirq/"+local, t.onRx)
 	return t
@@ -352,8 +354,7 @@ func (t *Transport) call(p *sim.Proc, proc uint32, encodeArgs func(*xdr.Encoder)
 	nfsproto.CallHeader{XID: pc.xid, Proc: proc}.Encode(pc.enc)
 	encodeArgs(pc.enc)
 	pc.onReply, pc.sentAt, pc.sync = onReply, t.s.Now(), sync
-	t.byXID.insert(pc)
-	t.inflight++
+	t.enlist(pc)
 	t.stats.ByProc[proc]++
 
 	// xprt_transmit: RPC bookkeeping under the BKL in both policies.
@@ -364,114 +365,58 @@ func (t *Transport) call(p *sim.Proc, proc uint32, encodeArgs func(*xdr.Encoder)
 	return pc
 }
 
+// enlist gives pc a slot. XIDs are issued in sequence and nothing
+// yields between issuing pc's and this append, so the list of calls in
+// flight stays in XID order.
+func (t *Transport) enlist(pc *pendingCall) {
+	pc.prev = t.newest
+	if t.newest != nil {
+		t.newest.next = pc
+	} else {
+		t.oldest = pc
+	}
+	t.newest = pc
+	t.inflight++
+}
+
 // unslot frees pc's slot, if it is still in flight.
 func (t *Transport) unslot(pc *pendingCall) {
-	if t.byXID.remove(pc) {
-		t.inflight--
+	if pc.prev == nil && t.oldest != pc {
+		return
 	}
+	if pc.prev != nil {
+		pc.prev.next = pc.next
+	} else {
+		t.oldest = pc.next
+	}
+	if pc.next != nil {
+		pc.next.prev = pc.prev
+	} else {
+		t.newest = pc.prev
+	}
+	pc.prev, pc.next = nil, nil
+	t.inflight--
 }
 
-// xidIndex finds the calls in flight by XID in O(1): an open-addressed
-// table, probed linearly from the entry the XID's low bits pick. It is at
-// least twice as long as the slot table, and XIDs are sequential, so
-// probes stay short. Each entry keeps its call's XID beside the call, so
-// a probe reads only the table. remove shifts the rest of a probe run
-// back into the hole instead of leaving a tombstone, so the table never
-// needs rebuilding.
-type xidIndex struct {
-	tab  []xidEntry
-	mask uint32
-}
-
-// xidEntry is one table slot; pc is nil in an empty one.
-type xidEntry struct {
-	xid uint32
-	pc  *pendingCall
-}
-
-// find returns the call with the given XID, or nil.
-func (x *xidIndex) find(xid uint32) *pendingCall {
-	tab, mask := x.tab, x.mask
-	for i := xid & mask; ; i = (i + 1) & mask {
-		if e := tab[i]; e.pc == nil || e.xid == xid {
-			return e.pc
+// find returns the call in flight with the given XID, or nil. Replies
+// mostly answer the oldest call, and a duplicate carries an XID below
+// it, so the walk from the oldest call almost always ends at once. XIDs
+// compare in serial arithmetic, so the order survives their wrapping.
+func (t *Transport) find(xid uint32) *pendingCall {
+	for pc := t.oldest; pc != nil && int32(xid-pc.xid) >= 0; pc = pc.next {
+		if pc.xid == xid {
+			return pc
 		}
 	}
-}
-
-// insert adds pc, whose XID the table does not hold.
-func (x *xidIndex) insert(pc *pendingCall) {
-	tab, mask := x.tab, x.mask
-	i := pc.xid & mask
-	for tab[i].pc != nil {
-		i = (i + 1) & mask
-	}
-	tab[i] = xidEntry{pc.xid, pc}
-}
-
-// remove takes pc out and reports whether it was there. Each later
-// entry of the probe run moves into the hole if the hole lies on its
-// own probe path, that is, no nearer its home slot than the entry is.
-func (x *xidIndex) remove(pc *pendingCall) bool {
-	tab, mask := x.tab, x.mask
-	i := pc.xid & mask
-	for tab[i].pc != pc {
-		if tab[i].pc == nil {
-			return false
-		}
-		i = (i + 1) & mask
-	}
-	for j := (i + 1) & mask; tab[j].pc != nil; j = (j + 1) & mask {
-		if home := tab[j].xid & mask; (j-home)&mask >= (j-i)&mask {
-			tab[i] = tab[j]
-			i = j
-		}
-	}
-	tab[i] = xidEntry{}
-	return true
+	return nil
 }
 
 // callRecords is rpcsim's stock of recycled call records (sim.Stock): one per
 // simulation, shared by all its transports and handed on to the next
 // simulation by Close. A record in it has its resend bound and an empty
-// done queue, and is bound to no transport: acquire binds the taker.
-type callRecords struct {
-	free []*pendingCall
-	// tables holds every XID table this stock made; the first lent are
-	// held by transports of the open simulation, and Reclaim frees them
-	// when it closes.
-	tables [][]xidEntry
-	lent   int
-}
-
-// xidIndex lends an empty XID index for a transport of slots slots. Its
-// table is at least twice as long as the slot table, a power of two.
-func (cr *callRecords) xidIndex(slots int) xidIndex {
-	n := 1
-	for n < 2*slots {
-		n <<= 1
-	}
-	i := cr.lent
-	for i < len(cr.tables) && len(cr.tables[i]) != n {
-		i++
-	}
-	if i == len(cr.tables) {
-		cr.tables = append(cr.tables, make([]xidEntry, n))
-	}
-	cr.tables[i], cr.tables[cr.lent] = cr.tables[cr.lent], cr.tables[i]
-	cr.lent++
-	return xidIndex{tab: cr.tables[cr.lent-1], mask: uint32(n - 1)}
-}
-
-// Reclaim empties the XID tables the closed simulation's transports
-// held, which may still name calls a dead server abandoned, and takes
-// them back.
-func (cr *callRecords) Reclaim() {
-	for _, tab := range cr.tables[:cr.lent] {
-		clear(tab)
-	}
-	cr.lent = 0
-}
+// done queue, and is bound to no transport or neighbour: acquire binds
+// the taker, and enlist links it.
+type callRecords struct{ free []*pendingCall }
 
 var callStock = sim.NewStock[callRecords]()
 
@@ -645,7 +590,7 @@ func (t *Transport) match() {
 		t.rx()
 		return
 	}
-	pc := t.byXID.find(hdr.XID)
+	pc := t.find(hdr.XID)
 	if pc == nil {
 		// Duplicate reply: the original answer raced a retransmission.
 		t.stats.DuplicateReplies++
