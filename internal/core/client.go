@@ -509,7 +509,7 @@ func (c *Client) sendOne(p *sim.Proc, ino *Inode, paced bool) int {
 		Offset: uint64(start),
 		Count:  uint32(total),
 		Stable: nfsproto.Unstable,
-		Data:   nfsproto.Zeroes(total),
+		Data:   xdr.Zeroes(total),
 	}
 	c.PagesSent += int64(pages)
 	if paced {

@@ -89,21 +89,6 @@ func (s Status) String() string {
 // bytes; Linux knfsd and ONTAP both used 32-byte handles in this era.
 const FHSize = 32
 
-// zeroes backs Zeroes(): payload content is not modeled (only wire
-// size), so every bulk-data slice can alias one shared read-only buffer
-// instead of allocating per RPC. 1 MiB covers any wsize/rsize the
-// harness configures; larger requests fall back to a fresh allocation.
-var zeroes = make([]byte, 1<<20)
-
-// Zeroes returns an all-zero payload of n bytes. The slice aliases a
-// shared buffer and must never be written to.
-func Zeroes(n int) []byte {
-	if n <= len(zeroes) {
-		return zeroes[:n:n]
-	}
-	return make([]byte, n)
-}
-
 // FileHandle identifies a file on a server.
 type FileHandle [FHSize]byte
 

@@ -38,7 +38,7 @@ func TestSteadyStateWriteRoundTripAllocatesNothing(t *testing.T) {
 	tr := rpcsim.New(s, net, s.NewCPUPool(2), s.NewMutex("bkl"), rpcsim.DefaultConfig(), HostClient, HostFiler)
 
 	args := nfsproto.WriteArgs{File: nfsproto.MakeFileHandle(1, 1), Count: 8192,
-		Stable: nfsproto.Unstable, Data: nfsproto.Zeroes(8192)}
+		Stable: nfsproto.Unstable, Data: xdr.Zeroes(8192)}
 	encode := args.Encode
 	replies := 0
 	onReply := func(d *xdr.Decoder) {
@@ -121,7 +121,7 @@ func TestSteadyStateKnfsdCommitRoundTripAllocatesNothing(t *testing.T) {
 	var encodes [writes]func(*xdr.Encoder)
 	for i := range encodes {
 		args := nfsproto.WriteArgs{File: fh, Offset: uint64(i) * 8192, Count: 8192,
-			Stable: nfsproto.Unstable, Data: nfsproto.Zeroes(8192)}
+			Stable: nfsproto.Unstable, Data: xdr.Zeroes(8192)}
 		encodes[i] = args.Encode
 	}
 	commit := (&nfsproto.CommitArgs{File: fh}).Encode

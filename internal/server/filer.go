@@ -6,6 +6,7 @@ import (
 	"repro/internal/disksim"
 	"repro/internal/nfsproto"
 	"repro/internal/sim"
+	"repro/internal/xdr"
 )
 
 // The F85's NVRAM log and consistency-point calibration.
@@ -182,7 +183,7 @@ func (f *Filer) HandleRead(args nfsproto.ReadArgs) (nfsproto.ReadRes, sim.Time) 
 	return nfsproto.ReadRes{
 		Status: nfsproto.NFS3OK,
 		Count:  args.Count,
-		Data:   nfsproto.Zeroes(int(args.Count)),
+		Data:   xdr.Zeroes(int(args.Count)),
 	}, wait
 }
 

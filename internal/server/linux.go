@@ -7,6 +7,7 @@ import (
 	"repro/internal/fifo"
 	"repro/internal/nfsproto"
 	"repro/internal/sim"
+	"repro/internal/xdr"
 )
 
 // knfsd's page-cache calibration.
@@ -199,7 +200,7 @@ func (l *LinuxServer) HandleRead(args nfsproto.ReadArgs) (nfsproto.ReadRes, sim.
 	return nfsproto.ReadRes{
 		Status: nfsproto.NFS3OK,
 		Count:  args.Count,
-		Data:   nfsproto.Zeroes(int(args.Count)),
+		Data:   xdr.Zeroes(int(args.Count)),
 	}, wait
 }
 

@@ -43,7 +43,7 @@ func TestServerReleasesEveryRequestCopy(t *testing.T) {
 		e := xdr.NewEncoder(9000)
 		nfsproto.CallHeader{XID: xid, Proc: nfsproto.ProcWrite}.Encode(e)
 		args := nfsproto.WriteArgs{File: nfsproto.MakeFileHandle(1, 1), Offset: uint64(xid) * 8192,
-			Count: 8192, Stable: nfsproto.Unstable, Data: nfsproto.Zeroes(8192)}
+			Count: 8192, Stable: nfsproto.Unstable, Data: xdr.Zeroes(8192)}
 		args.Encode(e)
 		sent = append(sent, e.Bytes())
 		net.Send(netsim.Datagram{From: HostClient, To: HostFiler, Payload: e.Bytes(), Owner: o})

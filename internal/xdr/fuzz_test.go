@@ -103,3 +103,55 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzZeroRunMatchesCopy runs a script of pool operations and encodes:
+// junk buffers recycled bare, encoders that mix zero-page runs, junk
+// opaques and words and then are released or taken and recycled. Each
+// encoder's bytes must equal a fresh encoder's given the same values
+// with the zeroes copied, and every pooled buffer's mark must hold after
+// each operation.
+func FuzzZeroRunMatchesCopy(f *testing.F) {
+	f.Add([]byte{1, 3, 1, 200, 0, 1, 1, 1, 9, 2, 201, 5, 7})
+	f.Add([]byte{0, 255, 1, 2, 1, 110, 2, 100, 2, 1, 1, 3})
+	f.Add([]byte{2, 4, 1, 5, 3, 6, 0, 7, 1, 1, 1, 1, 120, 3, 119})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		next := func() int {
+			if len(script) == 0 {
+				return 0
+			}
+			b := script[0]
+			script = script[1:]
+			return int(b)
+		}
+		size := func() int { return next() * 41 } // up to 10,455 bytes
+		for len(script) > 0 {
+			switch op := next(); op % 3 {
+			case 0:
+				dirty(size())
+			default:
+				p := newPair()
+				for range next() % 8 {
+					switch next() % 4 {
+					case 0:
+						p.uint32(uint32(next()) + 1)
+					case 1:
+						p.zeroes(size())
+					case 2:
+						p.fixedZeroes(size())
+					case 3:
+						p.junk(size())
+					}
+				}
+				p.check(t)
+				if op%3 == 1 {
+					p.e.Release()
+				} else {
+					RecycleBuffer(p.e.Take())
+				}
+			}
+			if err := checkPools(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
